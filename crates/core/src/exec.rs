@@ -21,8 +21,8 @@ use std::collections::HashMap;
 use std::fmt;
 use std::rc::Rc;
 
-use mxq_engine::agg::{aggregate_grouped_with, aggregate_hash, AggFunc};
-use mxq_engine::join::{radix_hash_join_with, theta_join_nested};
+use mxq_engine::agg::{aggregate_grouped_with, AggFunc};
+use mxq_engine::join::{lookup_sorted, minmax_candidates, radix_hash_join_with, theta_join};
 use mxq_engine::rank::row_number_streaming_with;
 use mxq_engine::sort::{sort_permutation_with, SortOrder};
 use mxq_engine::value::format_double;
@@ -130,16 +130,29 @@ fn seq_table(iter: Vec<i64>, pos: Vec<i64>, items: Vec<Item>) -> Table {
     .expect("sequence table construction")
 }
 
-fn iter_col(t: &Table) -> EResult<Vec<i64>> {
-    Ok(t.column("iter")?.as_int()?.to_vec())
+/// A sequence table with the `iter` and `pos` columns of `t` and new items.
+fn with_items(t: &Table, items: Vec<Item>) -> EResult<Table> {
+    Table::from_columns(vec![
+        ("iter", t.column("iter")?.clone()),
+        ("pos", t.column("pos")?.clone()),
+        ("item", Column::from_items(items)),
+    ])
+    .map_err(Into::into)
+}
+
+// Operators consume sequence tables as borrowed typed columns; only an
+// operator that builds new items per row asks for owned ones.
+
+fn iter_col(t: &Table) -> EResult<&[i64]> {
+    Ok(t.column("iter")?.as_int()?)
+}
+
+fn pos_col(t: &Table) -> EResult<&[i64]> {
+    Ok(t.column("pos")?.as_int()?)
 }
 
 fn items_col(t: &Table) -> EResult<Vec<Item>> {
     Ok(t.column("item")?.to_items())
-}
-
-fn pos_col(t: &Table) -> EResult<Vec<i64>> {
-    Ok(t.column("pos")?.as_int()?.to_vec())
 }
 
 impl<'a> Executor<'a> {
@@ -280,30 +293,33 @@ impl<'a> Executor<'a> {
     fn per_iter_first(&mut self, t: &Table) -> EResult<HashMap<i64, Item>> {
         let iters = iter_col(t)?;
         let poss = pos_col(t)?;
-        let items = items_col(t)?;
-        let mut best: HashMap<i64, (i64, Item)> = HashMap::new();
+        let items = t.column("item")?;
+        let mut best: HashMap<i64, (i64, usize)> = HashMap::new();
         for i in 0..t.nrows() {
             match best.get(&iters[i]) {
                 Some((p, _)) if *p <= poss[i] => {}
                 _ => {
-                    best.insert(iters[i], (poss[i], items[i].clone()));
+                    best.insert(iters[i], (poss[i], i));
                 }
             }
         }
-        Ok(best.into_iter().map(|(k, (_, v))| (k, v)).collect())
+        Ok(best
+            .into_iter()
+            .map(|(k, (_, row))| (k, items.item(row)))
+            .collect())
     }
 
     /// All items of every iteration, ordered by pos, as (iter → items).
     fn per_iter_items(&mut self, t: &Table) -> EResult<HashMap<i64, Vec<Item>>> {
         let iters = iter_col(t)?;
         let poss = pos_col(t)?;
-        let items = items_col(t)?;
+        let items = t.column("item")?;
         let mut groups: HashMap<i64, Vec<(i64, Item)>> = HashMap::new();
         for i in 0..t.nrows() {
             groups
                 .entry(iters[i])
                 .or_default()
-                .push((poss[i], items[i].clone()));
+                .push((poss[i], items.item(i)));
         }
         Ok(groups
             .into_iter()
@@ -316,7 +332,7 @@ impl<'a> Executor<'a> {
 
     fn loop_iters(&mut self, loop_: &PlanRef) -> EResult<Vec<i64>> {
         let t = self.eval(loop_)?;
-        let mut iters = t.column("iter")?.as_int()?.to_vec();
+        let mut iters = iter_col(&t)?.to_vec();
         if !self.config.order_aware || !loop_.props.ord_iter_pos {
             self.stats.sorts += 1;
             iters.sort_unstable();
@@ -406,16 +422,11 @@ impl<'a> Executor<'a> {
             Op::NestFromSeq { seq } => {
                 let t = self.eval(seq)?;
                 let sorted = self.sorted_seq(&t, seq)?;
-                let iters = iter_col(&sorted)?;
-                let poss = pos_col(&sorted)?;
-                let items = items_col(&sorted)?;
-                let n = sorted.nrows();
-                let inner: Vec<i64> = (1..=n as i64).collect();
                 Table::from_columns(vec![
-                    ("outer", Column::Int(iters)),
-                    ("inner", Column::Int(inner)),
-                    ("pos", Column::Int(poss)),
-                    ("item", Column::from_items(items)),
+                    ("outer", sorted.column("iter")?.clone()),
+                    ("inner", Column::dense(1, sorted.nrows())),
+                    ("pos", sorted.column("pos")?.clone()),
+                    ("item", sorted.column("item")?.clone()),
                 ])
                 .map_err(Into::into)
             }
@@ -479,11 +490,10 @@ impl<'a> Executor<'a> {
             }
             Op::RestrictToIters { seq, iters } => {
                 let t = self.eval(seq)?;
-                let keep: std::collections::HashSet<i64> =
-                    self.loop_iters(iters)?.into_iter().collect();
-                let ti = iter_col(&t)?;
-                let mask: Vec<bool> = ti.iter().map(|i| keep.contains(i)).collect();
-                t.filter(&mask).map_err(Into::into)
+                let keep = self.loop_iters(iters)?;
+                let mut rows = Vec::new();
+                lookup_sorted(&keep, iter_col(&t)?, |row, _| rows.push(row));
+                Ok(t.gather(&rows))
             }
             Op::Union { parts } => self.eval_union(parts),
             Op::AxisStep { ctx, axis, test } => self.eval_axis_step(ctx, *axis, test),
@@ -491,11 +501,12 @@ impl<'a> Executor<'a> {
             Op::Arith { op, l, r } => self.eval_arith(*op, l, r),
             Op::Neg { e } => {
                 let t = self.eval(e)?;
-                let items: Vec<Item> = items_col(&t)?
-                    .iter()
-                    .map(|i| Item::Dbl(-self.atomize_item(i).as_number().unwrap_or(f64::NAN)))
+                let items: Vec<Item> = t
+                    .column("item")?
+                    .iter_items()
+                    .map(|i| Item::Dbl(-self.atomize_item(&i).as_number().unwrap_or(f64::NAN)))
                     .collect();
-                Ok(seq_table(iter_col(&t)?, pos_col(&t)?, items))
+                with_items(&t, items)
             }
             Op::ValueCmp { op, l, r } => {
                 let lt = self.eval(l)?;
@@ -605,11 +616,12 @@ impl<'a> Executor<'a> {
                 if t.column("item")?.dict_parts().is_some() {
                     return Ok((*t).clone());
                 }
-                let items: Vec<Item> = items_col(&t)?
-                    .iter()
-                    .map(|i| self.atomize_item(i))
+                let items: Vec<Item> = t
+                    .column("item")?
+                    .iter_items()
+                    .map(|i| self.atomize_item(&i))
                     .collect();
-                Ok(seq_table(iter_col(&t)?, pos_col(&t)?, items))
+                with_items(&t, items)
             }
             Op::StringValue { seq, loop_ } => {
                 let t = self.eval(seq)?;
@@ -631,19 +643,21 @@ impl<'a> Executor<'a> {
             }
             Op::CastNumber { seq } => {
                 let t = self.eval(seq)?;
-                let items: Vec<Item> = items_col(&t)?
-                    .iter()
-                    .map(|i| Item::Dbl(self.atomize_item(i).as_number().unwrap_or(f64::NAN)))
+                let items: Vec<Item> = t
+                    .column("item")?
+                    .iter_items()
+                    .map(|i| Item::Dbl(self.atomize_item(&i).as_number().unwrap_or(f64::NAN)))
                     .collect();
-                Ok(seq_table(iter_col(&t)?, pos_col(&t)?, items))
+                with_items(&t, items)
             }
             Op::StringFn { kind, args, loop_ } => self.eval_string_fn(*kind, args, loop_),
             Op::NumFn { kind, arg } => {
                 let t = self.eval(arg)?;
-                let items: Vec<Item> = items_col(&t)?
-                    .iter()
+                let items: Vec<Item> = t
+                    .column("item")?
+                    .iter_items()
                     .map(|i| {
-                        let v = self.atomize_item(i).as_number().unwrap_or(f64::NAN);
+                        let v = self.atomize_item(&i).as_number().unwrap_or(f64::NAN);
                         let r = match kind {
                             NumFnKind::Round => v.round(),
                             NumFnKind::Floor => v.floor(),
@@ -653,7 +667,7 @@ impl<'a> Executor<'a> {
                         Item::Dbl(r)
                     })
                     .collect();
-                Ok(seq_table(iter_col(&t)?, pos_col(&t)?, items))
+                with_items(&t, items)
             }
             Op::DistinctValues { seq } => {
                 let t = self.eval(seq)?;
@@ -739,7 +753,7 @@ impl<'a> Executor<'a> {
         let iters = iter_col(t)?;
         let new_pos = if self.config.order_aware {
             // grpord: the rows of each iteration are already in pos order
-            row_number_streaming_with(&iters, self.threads)
+            row_number_streaming_with(iters, self.threads)
         } else {
             self.stats.sorts += 1;
             let keys = [
@@ -752,7 +766,7 @@ impl<'a> Executor<'a> {
             );
             let sorted = t.gather_with(&perm, self.threads);
             let iters_sorted = iter_col(&sorted)?;
-            let pos = row_number_streaming_with(&iters_sorted, self.threads);
+            let pos = row_number_streaming_with(iters_sorted, self.threads);
             let mut out = sorted;
             out.add_column("pos", Column::Int(pos))?;
             return Ok(out);
@@ -772,25 +786,31 @@ impl<'a> Executor<'a> {
         let n = self.eval(nest)?;
         let s_iter = iter_col(&s)?;
         let s_pos = pos_col(&s)?;
-        let s_items = items_col(&s)?;
-        // index: outer iter -> row range in s (s sorted by iter)
-        let mut index: HashMap<i64, Vec<usize>> = HashMap::new();
-        for (row, it) in s_iter.iter().enumerate() {
-            index.entry(*it).or_default().push(row);
-        }
-        let n_outer = n.column("outer")?.as_int()?;
-        let n_inner = n.column("inner")?.as_int()?;
-        let (mut oi, mut op, mut oit) = (Vec::new(), Vec::new(), Vec::new());
-        for k in 0..n.nrows() {
-            if let Some(rows) = index.get(&n_outer[k]) {
-                for &r in rows {
-                    oi.push(n_inner[k]);
-                    op.push(s_pos[r]);
-                    oit.push(s_items[r].clone());
-                }
+        // `s` is sorted on iter: one run of rows per outer iteration
+        let mut run_iter = Vec::new();
+        let mut run_start = Vec::new();
+        for (row, &it) in s_iter.iter().enumerate() {
+            if run_iter.last() != Some(&it) {
+                run_iter.push(it);
+                run_start.push(row);
             }
         }
-        Ok(seq_table(oi, op, oit))
+        run_start.push(s_iter.len());
+        let n_outer = n.column("outer")?.as_int()?;
+        let n_inner = n.column("inner")?.as_int()?;
+        let (mut oi, mut op, mut rows) = (Vec::new(), Vec::new(), Vec::new());
+        lookup_sorted(&run_iter, n_outer, |k, run| {
+            let run = run_start[run]..run_start[run + 1];
+            oi.resize(oi.len() + run.len(), n_inner[k]);
+            op.extend_from_slice(&s_pos[run.clone()]);
+            rows.extend(run);
+        });
+        Table::from_columns(vec![
+            ("iter", Column::Int(oi)),
+            ("pos", Column::Int(op)),
+            ("item", s.column("item")?.gather(&rows)),
+        ])
+        .map_err(Into::into)
     }
 
     fn eval_back_map(
@@ -803,59 +823,67 @@ impl<'a> Executor<'a> {
         let n = self.eval(nest)?;
         let n_outer = n.column("outer")?.as_int()?;
         let n_inner = n.column("inner")?.as_int()?;
-        // inner -> (outer, rank-of-inner)
-        let mut map: HashMap<i64, i64> = HashMap::with_capacity(n.nrows());
-        for k in 0..n.nrows() {
-            map.insert(n_inner[k], n_outer[k]);
-        }
-        // order keys per inner iteration, major key first
-        let mut key_maps: Vec<(HashMap<i64, Item>, bool)> = Vec::with_capacity(order_keys.len());
-        for (k, descending) in order_keys {
-            let kt = self.eval(k)?;
-            key_maps.push((self.per_iter_first(&kt)?, *descending));
-        }
         let b_iter = iter_col(&b)?;
         let b_pos = pos_col(&b)?;
-        let b_items = items_col(&b)?;
-        let mut rows: Vec<(i64, Vec<Item>, i64, i64, Item)> = Vec::with_capacity(b.nrows());
-        for i in 0..b.nrows() {
-            let Some(&outer) = map.get(&b_iter[i]) else {
-                continue;
-            };
-            // a missing (empty-sequence) key sorts as the empty string —
-            // the same default the naive interpreter uses, so the two
-            // evaluators stay comparable under differential testing
-            let keys: Vec<Item> = key_maps
-                .iter()
-                .map(|(m, _)| m.get(&b_iter[i]).cloned().unwrap_or_else(|| Item::str("")))
-                .collect();
-            rows.push((outer, keys, b_iter[i], b_pos[i], b_items[i].clone()));
-        }
+        // inner -> outer: the body rows that map back, with their outer
+        // iteration (both nest operators number `inner` ascending)
+        debug_assert!(n_inner.windows(2).all(|w| w[0] < w[1]));
+        let (mut outer, mut rows) = (Vec::new(), Vec::new());
+        lookup_sorted(n_inner, b_iter, |row, k| {
+            outer.push(n_outer[k]);
+            rows.push(row);
+        });
+
         let sorted_input =
-            self.config.order_aware && key_maps.is_empty() && body.props.ord_iter_pos;
+            self.config.order_aware && order_keys.is_empty() && body.props.ord_iter_pos;
         if sorted_input {
             // inner iteration numbers are assigned in (outer, pos) order, so a
             // body sorted on [inner, pos] maps back already sorted on outer
             self.stats.sorts_avoided += 1;
         } else {
             self.stats.sorts += 1;
-            let directions: Vec<bool> = key_maps.iter().map(|(_, d)| *d).collect();
-            rows.sort_by(|a, b| {
-                let mut ord = a.0.cmp(&b.0);
-                for (i, desc) in directions.iter().enumerate() {
+            // order keys per kept row, major key first; a missing
+            // (empty-sequence) key sorts as the empty string — the same
+            // default the naive interpreter uses, so the two evaluators stay
+            // comparable under differential testing
+            let mut keys: Vec<(Vec<Item>, bool)> = Vec::with_capacity(order_keys.len());
+            for (k, descending) in order_keys {
+                let kt = self.eval(k)?;
+                let firsts = self.per_iter_first(&kt)?;
+                let column = rows
+                    .iter()
+                    .map(|&row| {
+                        firsts
+                            .get(&b_iter[row])
+                            .cloned()
+                            .unwrap_or_else(|| Item::str(""))
+                    })
+                    .collect();
+                keys.push((column, *descending));
+            }
+            let mut perm: Vec<usize> = (0..rows.len()).collect();
+            perm.sort_by(|&x, &y| {
+                let mut ord = outer[x].cmp(&outer[y]);
+                for (column, descending) in &keys {
                     if ord != std::cmp::Ordering::Equal {
                         break;
                     }
-                    let k = a.1[i].total_cmp(&b.1[i]);
-                    ord = if *desc { k.reverse() } else { k };
+                    let k = column[x].total_cmp(&column[y]);
+                    ord = if *descending { k.reverse() } else { k };
                 }
-                ord.then(a.2.cmp(&b.2)).then(a.3.cmp(&b.3))
+                ord.then(b_iter[rows[x]].cmp(&b_iter[rows[y]]))
+                    .then(b_pos[rows[x]].cmp(&b_pos[rows[y]]))
             });
+            outer = perm.iter().map(|&x| outer[x]).collect();
+            rows = perm.iter().map(|&x| rows[x]).collect();
         }
-        let iters: Vec<i64> = rows.iter().map(|r| r.0).collect();
-        let pos = row_number_streaming_with(&iters, self.threads);
-        let items: Vec<Item> = rows.into_iter().map(|r| r.4).collect();
-        Ok(seq_table(iters, pos, items))
+        let pos = row_number_streaming_with(&outer, self.threads);
+        Table::from_columns(vec![
+            ("iter", Column::Int(outer)),
+            ("pos", Column::Int(pos)),
+            ("item", b.column("item")?.gather(&rows)),
+        ])
+        .map_err(Into::into)
     }
 
     fn eval_nest_from_join(
@@ -869,18 +897,17 @@ impl<'a> Executor<'a> {
     ) -> EResult<Table> {
         let src = self.eval(source)?;
         let src = self.sorted_seq(&src, source)?;
-        let src_pos = pos_col(&src)?;
-        let src_items = items_col(&src)?;
         let lt = self.eval(left)?;
         let rt = self.eval(right)?;
         let _ = self.loop_iters(outer_loop)?;
 
         let l_iter = iter_col(&lt)?;
         let r_iter = iter_col(&rt)?;
+        let l_item = lt.column("item")?;
+        let r_item = rt.column("item")?;
 
-        // pairs of (outer iter, source row) with existential semantics
-        let mut pairs: Vec<(i64, i64)> = Vec::new();
-        if op.is_equality() {
+        // matching (left row, right row) pairs with existential semantics
+        let (li, ri) = if op.is_equality() {
             // radix-partitioned hash join straight over the stored item
             // columns (no re-materialisation); joins two dictionary-encoded
             // columns sharing a dictionary code-to-code.  The δ afterwards
@@ -891,79 +918,75 @@ impl<'a> Executor<'a> {
                 // this join runs code-to-code by construction
                 self.stats.proven_dict_joins += 1;
             }
-            let (li, ri) =
-                radix_hash_join_with(lt.column("item")?, rt.column("item")?, self.threads);
-            self.stats.join_pairs += li.len() as u64;
-            for (a, b) in li.into_iter().zip(ri) {
-                pairs.push((l_iter[a], r_iter[b]));
-            }
-        } else if self.config.existential_minmax {
+            radix_hash_join_with(l_item, r_item, self.threads)
+        } else if self.config.existential_minmax && op != CmpOp::Ne {
             // push min/max aggregates below the theta join (Figure 8(b)):
-            // for `l < r` it suffices to compare min(l) with max(r), etc.
-            let reduce = |items: &[Item], iters: &[i64], take_min: bool| -> (Vec<i64>, Vec<Item>) {
-                let mut best: HashMap<i64, Item> = HashMap::new();
-                for (it, v) in iters.iter().zip(items) {
-                    best.entry(*it)
-                        .and_modify(|cur| {
-                            let replace = if take_min {
-                                v.total_cmp(cur) == std::cmp::Ordering::Less
-                            } else {
-                                v.total_cmp(cur) == std::cmp::Ordering::Greater
-                            };
-                            if replace {
-                                *cur = v.clone();
-                            }
-                        })
-                        .or_insert_with(|| v.clone());
-                }
-                let mut keys: Vec<i64> = best.keys().copied().collect();
-                keys.sort_unstable();
-                let vals = keys.iter().map(|k| best[k].clone()).collect();
-                (keys, vals)
-            };
-            // keep the smallest left / largest right for `<`-like ops and the
-            // reverse for `>`-like ops
+            // for `l < r` it suffices to compare min(l) with max(r), etc. —
+            // keep the smallest left / largest right for `<`-like ops and
+            // the reverse for `>`-like ops (`!=` needs both extremes and
+            // joins unreduced)
             let left_min = matches!(op, CmpOp::Lt | CmpOp::Le);
-            let (lk, lv) = reduce(&items_col(&lt)?, &l_iter, left_min);
-            let (rk, rv) = reduce(&items_col(&rt)?, &r_iter, !left_min);
-            let (li, ri) = theta_join_nested(&Column::from_items(lv), &Column::from_items(rv), op);
-            self.stats.join_pairs += li.len() as u64;
-            for (a, b) in li.into_iter().zip(ri) {
-                pairs.push((lk[a], rk[b]));
+            let reduce = |iter: &[i64], item: &Column, take_min: bool| {
+                let rows = minmax_candidates(iter, item, take_min);
+                // single-valued operands reduce to themselves
+                (rows.len() < item.len()).then(|| (item.gather(&rows), rows))
+            };
+            let l = reduce(l_iter, l_item, left_min);
+            let r = reduce(r_iter, r_item, !left_min);
+            let (mut li, mut ri) = theta_join(
+                l.as_ref().map_or(l_item, |(reduced, _)| reduced),
+                r.as_ref().map_or(r_item, |(reduced, _)| reduced),
+                op,
+            );
+            if let Some((_, rows)) = &l {
+                li.iter_mut().for_each(|a| *a = rows[*a]);
             }
+            if let Some((_, rows)) = &r {
+                ri.iter_mut().for_each(|b| *b = rows[*b]);
+            }
+            (li, ri)
         } else {
             // plain theta join over all item pairs followed by δ (Figure 8(a))
-            let (li, ri) = theta_join_nested(lt.column("item")?, rt.column("item")?, op);
-            self.stats.join_pairs += li.len() as u64;
-            for (a, b) in li.into_iter().zip(ri) {
-                pairs.push((l_iter[a], r_iter[b]));
-            }
+            theta_join(l_item, r_item, op)
+        };
+        self.stats.join_pairs += li.len() as u64;
+        // (outer iter, source row)
+        let mut pairs: Vec<(i64, i64)> = li
+            .into_iter()
+            .zip(ri)
+            .map(|(a, b)| (l_iter[a], r_iter[b]))
+            .collect();
+        // δ — single-valued operands over sorted iters join duplicate-free
+        // and in order already
+        if !pairs.windows(2).all(|w| w[0] < w[1]) {
+            pairs.sort_unstable();
+            pairs.dedup();
         }
-        pairs.sort_unstable();
-        pairs.dedup();
 
-        // source position -> source row, so each pair is resolved with one
-        // hash lookup instead of a linear scan over the source sequence
-        let mut pos_index: HashMap<i64, usize> = HashMap::with_capacity(src_pos.len());
-        for (idx, &p) in src_pos.iter().enumerate() {
-            pos_index.entry(p).or_insert(idx);
-        }
-        let (mut outer, mut inner, mut pos, mut items) =
-            (Vec::new(), Vec::new(), Vec::new(), Vec::new());
-        for (k, (o, src_row)) in pairs.into_iter().enumerate() {
-            let Some(&idx) = pos_index.get(&src_row) else {
-                continue;
-            };
-            outer.push(o);
+        // source position -> source row (`pos - 1` when the positions are
+        // dense); the source was evaluated in the singleton loop, so its
+        // sorted `pos` column ascends
+        let src_pos = pos_col(&src)?;
+        debug_assert!(src_pos.windows(2).all(|w| w[0] <= w[1]));
+        let probes: Vec<i64> = pairs.iter().map(|&(_, p)| p).collect();
+        let n = pairs.len();
+        let (mut outer, mut inner, mut pos, mut rows) = (
+            Vec::with_capacity(n),
+            Vec::with_capacity(n),
+            Vec::with_capacity(n),
+            Vec::with_capacity(n),
+        );
+        lookup_sorted(src_pos, &probes, |k, row| {
+            outer.push(pairs[k].0);
             inner.push(k as i64 + 1);
-            pos.push(src_row);
-            items.push(src_items[idx].clone());
-        }
+            pos.push(probes[k]);
+            rows.push(row);
+        });
         Table::from_columns(vec![
             ("outer", Column::Int(outer)),
             ("inner", Column::Int(inner)),
             ("pos", Column::Int(pos)),
-            ("item", Column::from_items(items)),
+            ("item", src.column("item")?.gather(&rows)),
         ])
         .map_err(Into::into)
     }
@@ -974,9 +997,9 @@ impl<'a> Executor<'a> {
             let t = self.eval(p)?;
             let iters = iter_col(&t)?;
             let poss = pos_col(&t)?;
-            let items = items_col(&t)?;
+            let items = t.column("item")?;
             for i in 0..t.nrows() {
-                rows.push((iters[i], pidx as i64, poss[i], items[i].clone()));
+                rows.push((iters[i], pidx as i64, poss[i], items.item(i)));
             }
         }
         self.stats.sorts += 1;
@@ -1146,39 +1169,50 @@ impl<'a> Executor<'a> {
         let t = self.eval(seq)?;
         let loop_iters = self.loop_iters(loop_)?;
         let iters = iter_col(&t)?;
-        let items_column = Column::from_items(
-            items_col(&t)?
-                .iter()
-                .map(|i| self.atomize_item(i))
-                .collect(),
-        );
-        let agg = if self.config.order_aware && seq.props.grpord_pos && is_sorted(&iters) {
-            self.stats.sorts_avoided += 1;
-            aggregate_grouped_with(&iters, &items_column, func, self.threads)
+        let item = t.column("item")?;
+        // `count` reads no value at all; the others atomize only a column
+        // that can hold nodes
+        let atomized;
+        let values = match item {
+            Column::Node(_) | Column::Item(_) if func != AggFunc::Count => {
+                atomized =
+                    Column::from_items(item.iter_items().map(|i| self.atomize_item(&i)).collect());
+                &atomized
+            }
+            _ => item,
+        };
+        // groups are runs of the sorted `iter` column; an unordered input is
+        // sorted (stably, so every group keeps its row order) first
+        let agg = if is_sorted(iters) {
+            if self.config.order_aware && seq.props.grpord_pos {
+                self.stats.sorts_avoided += 1;
+            }
+            aggregate_grouped_with(iters, values, func, self.threads)
         } else {
-            aggregate_hash(&iters, &items_column, func)
+            self.stats.sorts += 1;
+            let mut perm: Vec<usize> = (0..iters.len()).collect();
+            perm.sort_by_key(|&row| iters[row]);
+            let sorted_iters: Vec<i64> = perm.iter().map(|&row| iters[row]).collect();
+            aggregate_grouped_with(&sorted_iters, &values.gather(&perm), func, self.threads)
         }
         .map_err(ExecError::Engine)?;
-        let found: HashMap<i64, Item> = agg.groups.into_iter().zip(agg.values).collect();
+        // merge the (ascending) groups into the (ascending) loop
+        let mut found = agg.groups.into_iter().zip(agg.values).peekable();
         let (mut oi, mut oit) = (Vec::new(), Vec::new());
         for it in loop_iters {
-            match found.get(&it) {
-                Some(v) => {
+            while found.next_if(|(g, _)| *g < it).is_some() {}
+            match found.next_if(|(g, _)| *g == it) {
+                Some((_, v)) => {
                     oi.push(it);
-                    oit.push(v.clone());
+                    oit.push(v);
                 }
-                None => match func {
-                    AggFunc::Count => {
-                        oi.push(it);
-                        oit.push(Item::Int(0));
-                    }
-                    AggFunc::Sum => {
-                        oi.push(it);
-                        oit.push(Item::Int(0));
-                    }
-                    // min/max/avg over the empty sequence yield the empty sequence
-                    _ => {}
-                },
+                // count/sum of the empty sequence is 0; min/max/avg yield
+                // the empty sequence
+                None if matches!(func, AggFunc::Count | AggFunc::Sum) => {
+                    oi.push(it);
+                    oit.push(Item::Int(0));
+                }
+                None => {}
             }
         }
         let n = oi.len();
@@ -1330,12 +1364,9 @@ impl<'a> Executor<'a> {
             content_groups.push(self.per_iter_items(&t)?);
         }
 
-        // Snapshot of the transient container: content nodes constructed by
-        // child plans already live there and must be copied from a stable
-        // source while we append the new elements.
-        let transient = std::mem::take(&mut self.transient);
-        let snapshot = transient.clone();
-        let mut builder = DocumentBuilder::append_to(transient, 0);
+        // content nodes constructed by child plans already live in the
+        // transient container the new elements are appended to
+        let mut builder = DocumentBuilder::append_to(std::mem::take(&mut self.transient), 0);
 
         let (mut oi, mut oit) = (Vec::new(), Vec::new());
         for it in loop_iters {
@@ -1360,7 +1391,7 @@ impl<'a> Executor<'a> {
                                 pending_text.clear();
                             }
                             if n.frag == TRANSIENT_FRAG {
-                                builder.copy_subtree(&snapshot, n.pre);
+                                builder.copy_subtree_within(n.pre);
                             } else {
                                 self.record_read(n.frag);
                                 builder.copy_subtree(&self.snap.container(n.frag), n.pre);

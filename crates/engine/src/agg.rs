@@ -10,8 +10,9 @@
 //! * [`aggregate_grouped`] — assumes the input is ordered on `iter` (which the
 //!   order-aware physical algebra guarantees), so grouping is "for free": a
 //!   single sequential pass.
-//! * [`aggregate_hash`] — no order assumption; used when the order property
-//!   cannot be established.
+//! * [`aggregate_hash`] — no order assumption, every group reduced through
+//!   materialised items; the reference implementation for the typed run
+//!   reduction of [`aggregate_grouped`].
 
 use std::collections::HashMap;
 
@@ -164,31 +165,58 @@ fn agg_runs(
             end += 1;
         }
         groups.push(g);
-        // Dictionary fast path: min/max of a Dict column is the min/max
-        // *code* of the group (the dictionary is sorted), so no Item is ever
-        // materialised and no string is compared.
-        let value = match (items, func) {
-            (Column::Dict { codes, dict }, AggFunc::Min) => {
-                let c = codes[start..end].iter().min().expect("non-empty group");
-                Item::Str(dict.str_of(*c).clone())
-            }
-            (Column::Dict { codes, dict }, AggFunc::Max) => {
-                let c = codes[start..end].iter().max().expect("non-empty group");
-                Item::Str(dict.str_of(*c).clone())
-            }
-            _ => {
-                let slice: Vec<Item> = (start..end).map(|i| items.item(i)).collect();
-                finish(func, &slice)?
-            }
-        };
-        values.push(value);
+        values.push(reduce_run(items, func, start..end)?);
         start = end;
     }
     Ok(Aggregated { groups, values })
 }
 
+/// Reduce one non-empty group run of a typed column without materialising
+/// its items: `count` is the run length, min/max compare rows in place
+/// (codes for a `Dict` column, whose dictionary is sorted) and clone only
+/// the winner, sums over `Int`/`Dbl` columns are plain numeric loops.  Every
+/// result equals [`finish`] over the run's items.
+fn reduce_run(items: &Column, func: AggFunc, run: std::ops::Range<usize>) -> Result<Item> {
+    match func {
+        AggFunc::Count => Ok(Item::Int(run.len() as i64)),
+        AggFunc::Min | AggFunc::Max => {
+            let wanted = if func == AggFunc::Min {
+                std::cmp::Ordering::Less
+            } else {
+                std::cmp::Ordering::Greater
+            };
+            let mut best = run.start;
+            for i in run.start + 1..run.end {
+                if items.cmp_rows(i, best) == wanted {
+                    best = i;
+                }
+            }
+            Ok(items.item(best))
+        }
+        AggFunc::Sum | AggFunc::Avg => {
+            let n = run.len();
+            let (sum, all_int) = match items {
+                Column::Int(v) => (v[run].iter().fold(0.0, |s, &i| s + i as f64), true),
+                Column::Dbl(v) => (v[run].iter().fold(0.0, |s, &d| s + d), false),
+                _ => {
+                    let slice: Vec<Item> = run.map(|i| items.item(i)).collect();
+                    return finish(func, &slice);
+                }
+            };
+            Ok(match func {
+                AggFunc::Avg => Item::Dbl(sum / n as f64),
+                _ if all_int => Item::Int(sum as i64),
+                _ => Item::Dbl(sum),
+            })
+        }
+    }
+}
+
 /// Aggregate with no order assumption (hash grouping); group output order is
-/// ascending group key for determinism.
+/// ascending group key for determinism.  The executor sorts instead of
+/// hashing; this variant, which reduces every group through materialised
+/// items, is retained as the reference the typed run reduction is tested
+/// against.
 pub fn aggregate_hash(iter: &[i64], items: &Column, func: AggFunc) -> Result<Aggregated> {
     if iter.len() != items.len() {
         return Err(EngineError::LengthMismatch {
@@ -282,6 +310,57 @@ mod tests {
                     .map(|i| i.string_value())
                     .collect::<Vec<_>>()
             );
+        }
+    }
+
+    #[test]
+    fn typed_run_reduction_matches_item_reference() {
+        let iter = vec![1, 1, 1, 2, 4, 4];
+        let columns = [
+            Column::Dbl(vec![2.5, f64::NAN, -0.0, 0.0, 1e300, 1e300]),
+            Column::Bool(vec![true, false, true, false, false, true]),
+            Column::Str(
+                ["b", "a", "b", "10", "9", "x"]
+                    .map(std::sync::Arc::from)
+                    .to_vec(),
+            ),
+            Column::dict_from_strings(["b", "a", "b", "10", "9", "x"]),
+            Column::Item(vec![
+                Item::Int(1),
+                Item::Dbl(0.5),
+                Item::str("7"),
+                Item::Int(3),
+                Item::Dbl(f64::NAN),
+                Item::Int(2),
+            ]),
+        ];
+        let show = |a: Result<Aggregated>| {
+            a.map(|a| {
+                (
+                    a.groups,
+                    a.values
+                        .iter()
+                        .map(|v| format!("{v:?}"))
+                        .collect::<Vec<_>>(),
+                )
+            })
+            .map_err(|e| e.to_string())
+        };
+        for col in &columns {
+            for f in [
+                AggFunc::Count,
+                AggFunc::Sum,
+                AggFunc::Avg,
+                AggFunc::Min,
+                AggFunc::Max,
+            ] {
+                assert_eq!(
+                    show(aggregate_grouped(&iter, col, f)),
+                    show(aggregate_hash(&iter, col, f)),
+                    "{f:?} over {}",
+                    col.type_name()
+                );
+            }
         }
     }
 

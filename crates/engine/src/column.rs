@@ -246,7 +246,8 @@ impl Column {
             Column::Bool(v) => v[a].cmp(&v[b]),
             Column::Str(v) => v[a].as_ref().cmp(v[b].as_ref()),
             Column::Dict { codes, .. } => codes[a].cmp(&codes[b]),
-            _ => self.item(a).total_cmp(&self.item(b)),
+            Column::Dbl(v) => v[a].partial_cmp(&v[b]).unwrap_or(std::cmp::Ordering::Equal),
+            Column::Item(v) => v[a].total_cmp(&v[b]),
         }
     }
 

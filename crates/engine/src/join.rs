@@ -1,11 +1,26 @@
-//! Join algorithms: positional lookup, hash equi-join, a radix-partitioned
-//! hash equi-join, merge join, theta (non-equi) joins with a sampling-based
-//! "choose-plan", cross products, and anti-joins (difference).
+//! Join algorithms: positional and sorted-key lookup, hash equi-join, a
+//! radix-partitioned hash equi-join, merge join, the sort-merge theta
+//! (non-equi) join with its min/max push-down, cross products, and
+//! anti-joins (difference).
 //!
 //! The positional variants implement the key observation of Section 4.1 of
 //! the paper: joins on densely increasing integer key columns have a fixed
 //! hit rate of one and can be answered by address computation instead of
 //! hashing or index lookups.
+//!
+//! # Theta-join strategy
+//!
+//! [`theta_join`] is the production non-equi join (Section 4.2).  It
+//! extracts the comparison keys of each side *once* into typed vectors, one
+//! per comparison class of [`Item::value_cmp`] (doubles for numbers and
+//! castable untyped strings, `&str` or shared dictionary codes for strings,
+//! node ids), sorts the right side once and answers every left row with two
+//! binary searches: `O((n + m) log m + output)` instead of `n * m` item
+//! comparisons.  [`minmax_candidates`] is the aggregate push-down of Figure
+//! 8(b) over the same typed keys.  [`theta_join_nested`] — the nested loop
+//! over [`Item::compare`] — is retained as the reference implementation;
+//! `tests/join_differential.rs` checks the two produce identical pairs in
+//! identical order for all six operators.
 //!
 //! # Equi-join strategy
 //!
@@ -35,7 +50,7 @@ use std::sync::Arc;
 
 use crate::column::Column;
 use crate::error::{EngineError, Result};
-use crate::value::{CmpOp, Item};
+use crate::value::{CmpOp, Item, NodeId};
 
 /// Pairs of matching row indices `(left_row, right_row)` produced by a join.
 pub type JoinPairs = (Vec<usize>, Vec<usize>);
@@ -362,7 +377,8 @@ pub fn merge_join_int(left: &[i64], right: &[i64]) -> JoinPairs {
 }
 
 /// Nested-loop theta join evaluating `left[i] op right[j]` with XQuery value
-/// comparison semantics.  Output ordered by `(left, right)` index.
+/// comparison semantics.  Output ordered by `(left, right)` index.  The
+/// reference implementation [`theta_join`] is tested against.
 pub fn theta_join_nested(left: &Column, right: &Column, op: CmpOp) -> JoinPairs {
     let litems = left.to_items();
     let ritems = right.to_items();
@@ -379,60 +395,283 @@ pub fn theta_join_nested(left: &Column, right: &Column, op: CmpOp) -> JoinPairs 
     (lout, rout)
 }
 
-/// Sort-based ("index lookup") theta join: sort the right input once and
-/// answer each left probe with a binary search over the sorted run.  The
-/// output is ordered on the left index only; within one left index the right
-/// matches come in right-*value* order, so a refine sort on the right index
-/// is needed if `[left,right]` index order is required (Section 4.2).
-pub fn theta_join_indexed(left: &Column, right: &Column, op: CmpOp) -> JoinPairs {
-    let ritems = right.to_items();
-    let mut order: Vec<usize> = (0..ritems.len()).collect();
-    order.sort_by(|&a, &b| ritems[a].total_cmp(&ritems[b]));
+/// Comparison keys of one comparison class, each paired with its row, in
+/// row order.
+type Keys<K> = Vec<(K, usize)>;
 
-    let mut lout = Vec::new();
-    let mut rout = Vec::new();
-    for l in 0..left.len() {
-        let li = left.item(l);
-        for &r in &order {
-            if li.compare(op, &ritems[r]) {
-                lout.push(l);
-                rout.push(r);
-            }
-        }
-    }
-    (lout, rout)
+/// The comparison keys of one join side, extracted once per column: one
+/// typed vector per comparison class of [`Item::value_cmp`].
+///
+/// * `num` — integers, doubles and booleans as doubles;
+/// * `cast` — strings whose trimmed text casts to a double (the untyped
+///   side of a numeric comparison);
+/// * `strs` — every string, for the string–string comparison;
+/// * `nodes` — node ids.
+///
+/// NaN compares to nothing and is dropped; `-0.0` is folded onto `0.0`, so
+/// the total order on the remaining doubles agrees with `partial_cmp`.
+#[derive(Default)]
+struct ThetaKeys<'a> {
+    num: Keys<f64>,
+    cast: Keys<f64>,
+    strs: Keys<&'a str>,
+    nodes: Keys<NodeId>,
 }
 
-/// Estimate the hit rate of a theta join from a small sample (the run-time
-/// "choose-plan" of Section 4.2) and pick nested-loop for high hit rates and
-/// the indexed variant for moderate ones.
-pub fn theta_join_choose(left: &Column, right: &Column, op: CmpOp, sample: usize) -> JoinPairs {
-    let hit = estimate_hit_rate(left, right, op, sample);
-    if hit > 0.25 {
-        theta_join_nested(left, right, op)
+impl<'a> ThetaKeys<'a> {
+    /// `strings: false` skips the `strs` class (the caller compares shared
+    /// dictionary codes instead).
+    fn extract(col: &'a Column, strings: bool) -> Self {
+        let mut k = ThetaKeys::default();
+        match col {
+            Column::Int(v) => k.num = v.iter().map(|&x| x as f64).zip(0..).collect(),
+            Column::Dbl(v) => {
+                for (row, &x) in v.iter().enumerate() {
+                    push_num(&mut k.num, x, row);
+                }
+            }
+            Column::Bool(v) => k.num = v.iter().map(|&b| b as u8 as f64).zip(0..).collect(),
+            Column::Node(v) => k.nodes = v.iter().copied().zip(0..).collect(),
+            Column::Str(v) => {
+                for (row, s) in v.iter().enumerate() {
+                    k.push_str(s, s.trim().parse().ok(), row, strings);
+                }
+            }
+            Column::Dict { codes, dict } => {
+                // the dictionary cast every distinct string once already
+                for (row, &c) in codes.iter().enumerate() {
+                    let cast = dict.numeric_key_of(c).map(f64::from_bits);
+                    k.push_str(dict.str_of(c), cast, row, strings);
+                }
+            }
+            Column::Item(v) => {
+                for (row, item) in v.iter().enumerate() {
+                    match item {
+                        Item::Int(i) => k.num.push((*i as f64, row)),
+                        Item::Dbl(d) => push_num(&mut k.num, *d, row),
+                        Item::Bool(b) => k.num.push((*b as u8 as f64, row)),
+                        Item::Str(s) => k.push_str(s, s.trim().parse().ok(), row, strings),
+                        Item::Node(n) => k.nodes.push((*n, row)),
+                    }
+                }
+            }
+        }
+        k
+    }
+
+    fn push_str(&mut self, s: &'a str, cast: Option<f64>, row: usize, strings: bool) {
+        if let Some(x) = cast {
+            push_num(&mut self.cast, x, row);
+        }
+        if strings {
+            self.strs.push((s, row));
+        }
+    }
+}
+
+fn push_num(keys: &mut Keys<f64>, x: f64, row: usize) {
+    if !x.is_nan() {
+        keys.push((x + 0.0, row));
+    }
+}
+
+/// Join one comparison class: sort the right keys once, then answer every
+/// left key (in row order) with two binary searches and emit the matching
+/// right rows in ascending row order.  Returns whether any pair was emitted.
+fn join_class<K: Copy>(
+    left: &[(K, usize)],
+    right: &mut [(K, usize)],
+    op: CmpOp,
+    cmp: impl Fn(&K, &K) -> std::cmp::Ordering,
+    out: &mut JoinPairs,
+) -> bool {
+    use std::cmp::Ordering::{Equal, Less};
+    if left.is_empty() || right.is_empty() {
+        return false;
+    }
+    right.sort_unstable_by(|a, b| cmp(&a.0, &b.0).then(a.1.cmp(&b.1)));
+    // right rows already in key order: every key range is in row order too
+    let row_ordered = right.windows(2).all(|w| w[0].1 < w[1].1);
+    let m = right.len();
+    let before = out.0.len();
+    for &(k, l) in left {
+        let lo = right.partition_point(|r| cmp(&r.0, &k) == Less);
+        let hi = lo + right[lo..].partition_point(|r| cmp(&r.0, &k) == Equal);
+        // right keys below `lo` are smaller, from `hi` on larger
+        let (first, second) = match op {
+            CmpOp::Eq => (lo..hi, 0..0),
+            CmpOp::Ne => (0..lo, hi..m),
+            CmpOp::Lt => (hi..m, 0..0),
+            CmpOp::Le => (lo..m, 0..0),
+            CmpOp::Gt => (0..lo, 0..0),
+            CmpOp::Ge => (0..hi, 0..0),
+        };
+        let start = out.1.len();
+        out.1.extend(right[first].iter().map(|r| r.1));
+        out.1.extend(right[second].iter().map(|r| r.1));
+        // an equal-key run is sorted on the row already
+        if !row_ordered && op != CmpOp::Eq {
+            out.1[start..].sort_unstable();
+        }
+        out.0.resize(out.1.len(), l);
+    }
+    out.0.len() > before
+}
+
+/// Sort-merge theta join evaluating `left[i] op right[j]` with exactly the
+/// semantics of [`Item::compare`] (incomparable pairs and NaN never match):
+/// the pair list of [`theta_join_nested`], in the same `(left, right)` index
+/// order, in `O((n + m) log m + output)`.
+///
+/// The keys of each side are extracted once into typed vectors; numbers
+/// meet numbers and castable strings as doubles, two strings meet as
+/// strings (as codes when both columns share one dictionary instance, whose
+/// code order is string order), nodes meet nodes.
+pub fn theta_join(left: &Column, right: &Column, op: CmpOp) -> JoinPairs {
+    let shared_codes = match (left.dict_parts(), right.dict_parts()) {
+        (Some((lc, ld)), Some((rc, rd))) if Arc::ptr_eq(ld, rd) => Some((lc, rc)),
+        _ => None,
+    };
+    let l = ThetaKeys::extract(left, shared_codes.is_none());
+    let mut r = ThetaKeys::extract(right, shared_codes.is_none());
+    let mut out: JoinPairs = (Vec::new(), Vec::new());
+    let mut classes = 0;
+
+    // castable strings compare numerically with typed numbers only — two
+    // strings always compare as strings
+    classes += join_class(&l.cast, &mut r.num, op, f64::total_cmp, &mut out) as usize;
+    r.num.append(&mut r.cast);
+    classes += join_class(&l.num, &mut r.num, op, f64::total_cmp, &mut out) as usize;
+    classes += match shared_codes {
+        Some((lc, rc)) => {
+            let lk: Keys<u32> = lc.iter().copied().zip(0..).collect();
+            let mut rk: Keys<u32> = rc.iter().copied().zip(0..).collect();
+            join_class(&lk, &mut rk, op, u32::cmp, &mut out)
+        }
+        None => join_class(&l.strs, &mut r.strs, op, |a, b| a.cmp(b), &mut out),
+    } as usize;
+    classes += join_class(&l.nodes, &mut r.nodes, op, NodeId::cmp, &mut out) as usize;
+
+    if classes > 1 {
+        // each class emitted in (left, right) order; interleave them
+        let mut pairs: Vec<(usize, usize)> = out.0.into_iter().zip(out.1).collect();
+        pairs.sort_unstable();
+        out = pairs.into_iter().unzip();
+    }
+    out
+}
+
+/// The min/max push-down of the existential theta join (Figure 8(b)): the
+/// rows of `items` that decide an existential `<`/`<=` (`take_min` on the
+/// left side, `!take_min` on the right) or `>`/`>=` comparison for their
+/// `iter` group — per group and comparison class of [`theta_join`] the row
+/// holding the smallest (`take_min`) or largest key.  Some pair of two
+/// groups satisfies the comparison iff a pair of their candidates does, so
+/// joining the candidates alone yields every qualifying group pair (a group
+/// holding several classes contributes one candidate per class).  Rows are
+/// returned ascending; `iter` need not be sorted.
+pub fn minmax_candidates(iter: &[i64], items: &Column, take_min: bool) -> Vec<usize> {
+    if iter.windows(2).all(|w| w[0] < w[1]) {
+        // single-valued groups: every row is its group's only candidate
+        return (0..iter.len()).collect();
+    }
+    let mut keys = ThetaKeys::extract(items, true);
+    let sorted = iter.windows(2).all(|w| w[0] <= w[1]);
+    let mut rows = Vec::new();
+    let mut extremes = Extremes {
+        iter,
+        sorted,
+        take_min,
+        rows: &mut rows,
+    };
+    extremes.of(&mut keys.num, f64::total_cmp);
+    extremes.of(&mut keys.cast, f64::total_cmp);
+    extremes.of(&mut keys.strs, |a, b| a.cmp(b));
+    extremes.of(&mut keys.nodes, NodeId::cmp);
+    rows.sort_unstable();
+    rows.dedup();
+    rows
+}
+
+struct Extremes<'a> {
+    iter: &'a [i64],
+    sorted: bool,
+    take_min: bool,
+    rows: &'a mut Vec<usize>,
+}
+
+impl Extremes<'_> {
+    /// Append the extreme row of every `iter` group of one key class.
+    fn of<K: Copy>(&mut self, keys: &mut [(K, usize)], cmp: impl Fn(&K, &K) -> std::cmp::Ordering) {
+        let iter = self.iter;
+        if !self.sorted {
+            keys.sort_by_key(|&(_, row)| iter[row]);
+        }
+        let wanted = if self.take_min {
+            std::cmp::Ordering::Less
+        } else {
+            std::cmp::Ordering::Greater
+        };
+        let mut keys = keys.iter();
+        let Some(&(mut best, mut best_row)) = keys.next() else {
+            return;
+        };
+        for &(k, row) in keys {
+            if iter[row] != iter[best_row] {
+                self.rows.push(best_row);
+                (best, best_row) = (k, row);
+            } else if cmp(&k, &best) == wanted {
+                (best, best_row) = (k, row);
+            }
+        }
+        self.rows.push(best_row);
+    }
+}
+
+/// Positional lookup generalised to any ascending key column: calls
+/// `hit(probe_row, key_row)` for every probe whose value occurs in `keys`,
+/// in probe order (a duplicated key reports its first row).  Dense keys —
+/// the `iter`/`pos`/`inner` columns the compiler numbers itself — are
+/// answered by address computation (Section 4.1); otherwise ascending
+/// probes merge against the keys, and unordered probes binary-search them.
+/// No hash table in either case.
+pub fn lookup_sorted(keys: &[i64], probes: &[i64], mut hit: impl FnMut(usize, usize)) {
+    let Some(&base) = keys.first() else {
+        return;
+    };
+    let dense = keys
+        .iter()
+        .zip(0..)
+        .all(|(&k, i)| base.checked_add(i) == Some(k));
+    if dense {
+        for (p, &v) in probes.iter().enumerate() {
+            // a probe below `base` wraps to a huge offset
+            let off = v.wrapping_sub(base) as u64;
+            if off < keys.len() as u64 {
+                hit(p, off as usize);
+            }
+        }
+    } else if probes.windows(2).all(|w| w[0] <= w[1]) {
+        let mut k = 0;
+        for (p, &v) in probes.iter().enumerate() {
+            while k < keys.len() && keys[k] < v {
+                k += 1;
+            }
+            if k == keys.len() {
+                break;
+            }
+            if keys[k] == v {
+                hit(p, k);
+            }
+        }
     } else {
-        theta_join_indexed(left, right, op)
-    }
-}
-
-/// Estimate the fraction of probe pairs that satisfy the predicate by
-/// evaluating a bounded sample join.
-pub fn estimate_hit_rate(left: &Column, right: &Column, op: CmpOp, sample: usize) -> f64 {
-    let ln = left.len().min(sample.max(1));
-    let rn = right.len().min(sample.max(1));
-    if ln == 0 || rn == 0 {
-        return 0.0;
-    }
-    let mut hits = 0usize;
-    for l in 0..ln {
-        let li = left.item(l);
-        for r in 0..rn {
-            if li.compare(op, &right.item(r)) {
-                hits += 1;
+        for (p, &v) in probes.iter().enumerate() {
+            let k = keys.partition_point(|&x| x < v);
+            if k < keys.len() && keys[k] == v {
+                hit(p, k);
             }
         }
     }
-    hits as f64 / (ln * rn) as f64
 }
 
 /// Cross product index pairs: every left row with every right row, ordered by
@@ -600,19 +839,107 @@ mod tests {
         assert_eq!(r, vec![0, 1, 1]);
     }
 
+    const ALL_OPS: [CmpOp; 6] = [
+        CmpOp::Eq,
+        CmpOp::Ne,
+        CmpOp::Lt,
+        CmpOp::Le,
+        CmpOp::Gt,
+        CmpOp::Ge,
+    ];
+
     #[test]
-    fn theta_variants_agree_as_sets() {
-        let left = Column::Int(vec![3, 1, 4, 1, 5]);
-        let right = Column::Int(vec![2, 7, 1, 8]);
-        for op in [CmpOp::Lt, CmpOp::Ge, CmpOp::Ne] {
-            let (nl, nr) = theta_join_nested(&left, &right, op);
-            let (il, ir) = theta_join_indexed(&left, &right, op);
-            let mut a: Vec<_> = nl.iter().zip(nr.iter()).collect();
-            let mut b: Vec<_> = il.iter().zip(ir.iter()).collect();
-            a.sort();
-            b.sort();
-            assert_eq!(a, b, "op {op:?}");
+    fn theta_join_matches_nested_on_mixed_items() {
+        let node = |pre| Item::Node(NodeId::new(1, pre));
+        let left = Column::from_items(vec![
+            Item::Int(3),
+            Item::str("10"),
+            Item::str("abc"),
+            Item::Dbl(f64::NAN),
+            Item::Dbl(-0.0),
+            Item::Bool(true),
+            node(7),
+            Item::str(" 3 "),
+        ]);
+        let right = Column::from_items(vec![
+            Item::str("9"),
+            Item::Dbl(3.0),
+            node(7),
+            Item::Int(0),
+            Item::str("abc"),
+            Item::Bool(false),
+            Item::str("NaN"),
+            node(2),
+            Item::Int(10),
+        ]);
+        for op in ALL_OPS {
+            assert_eq!(
+                theta_join(&left, &right, op),
+                theta_join_nested(&left, &right, op),
+                "op {op:?}"
+            );
         }
+    }
+
+    #[test]
+    fn theta_join_shared_dictionary_compares_codes_as_strings() {
+        // "10" < "9" as strings: two untyped values never compare as numbers
+        let dict = crate::dict::Dictionary::new(["9", "10", "b", "a"]);
+        let enc = |rows: &[&str]| Column::Dict {
+            codes: rows.iter().map(|s| dict.code_of(s).unwrap()).collect(),
+            dict: dict.clone(),
+        };
+        let (left, right) = (enc(&["10", "b", "9"]), enc(&["9", "a", "10", "9"]));
+        for op in ALL_OPS {
+            assert_eq!(
+                theta_join(&left, &right, op),
+                theta_join_nested(&left, &right, op),
+                "op {op:?}"
+            );
+        }
+        assert_eq!(theta_join(&left, &right, CmpOp::Lt).0, vec![0, 0, 0, 2]);
+    }
+
+    #[test]
+    fn minmax_candidates_keep_one_extreme_per_class() {
+        // iteration 1 holds "10" and "9": the string maximum is "9", the
+        // numeric maximum "10" — both decide some comparison
+        let iter = [1, 1, 2, 2, 2];
+        let items = Column::from_items(vec![
+            Item::str("10"),
+            Item::str("9"),
+            Item::Int(4),
+            Item::Dbl(f64::NAN),
+            Item::Int(6),
+        ]);
+        assert_eq!(minmax_candidates(&iter, &items, false), vec![0, 1, 4]);
+        assert_eq!(minmax_candidates(&iter, &items, true), vec![0, 1, 2]);
+        // unsorted iter groups are found all the same
+        assert_eq!(
+            minmax_candidates(&[2, 1, 2], &Column::Int(vec![5, 1, 7]), false),
+            vec![1, 2]
+        );
+    }
+
+    #[test]
+    fn lookup_sorted_dense_merge_and_search_agree() {
+        let collect = |keys: &[i64], probes: &[i64]| {
+            let mut hits = Vec::new();
+            lookup_sorted(keys, probes, |p, k| hits.push((p, k)));
+            hits
+        };
+        // dense keys: address computation, out-of-range probes miss
+        assert_eq!(
+            collect(&[3, 4, 5], &[5, 2, 3, 6, i64::MIN]),
+            vec![(0, 2), (2, 0)]
+        );
+        // sparse keys, ascending probes (merge) and unordered probes (search)
+        assert_eq!(
+            collect(&[2, 5, 9], &[1, 2, 2, 6, 9]),
+            vec![(1, 0), (2, 0), (4, 2)]
+        );
+        assert_eq!(collect(&[2, 5, 9], &[9, 1, 5, 7]), vec![(0, 2), (2, 1)]);
+        assert!(collect(&[], &[1]).is_empty());
     }
 
     #[test]
@@ -629,14 +956,5 @@ mod tests {
         assert_eq!(l.len(), 6);
         assert_eq!(l, vec![0, 0, 0, 1, 1, 1]);
         assert_eq!(r, vec![0, 1, 2, 0, 1, 2]);
-    }
-
-    #[test]
-    fn hit_rate_estimation() {
-        let left = Column::Int(vec![1; 10]);
-        let right = Column::Int(vec![1; 10]);
-        assert!(estimate_hit_rate(&left, &right, CmpOp::Eq, 4) > 0.99);
-        let right2 = Column::Int(vec![2; 10]);
-        assert_eq!(estimate_hit_rate(&left, &right2, CmpOp::Eq, 4), 0.0);
     }
 }

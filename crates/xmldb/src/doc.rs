@@ -212,10 +212,10 @@ impl Document {
             let new_level = level_base + (src.level(v) - src_level_base);
             match src.kind(v) {
                 NodeKind::Element | NodeKind::Document => {
-                    let name: Arc<str> = if src.kind(v) == NodeKind::Document {
-                        Arc::from("#document")
+                    let name = if src.kind(v) == NodeKind::Document {
+                        "#document"
                     } else {
-                        Arc::from(src.name_of(v))
+                        src.name_of(v)
                     };
                     let qid = self.intern_qname(name);
                     self.push_row(src.size(v), new_level, NodeKind::Element, qid);
@@ -244,6 +244,48 @@ impl Document {
                     value: value.clone(),
                 });
             }
+        }
+        root_new
+    }
+
+    /// [`Document::copy_subtree`] with this container as the source: append a
+    /// deep copy of the subtree at `src_pre`.  Names, texts and attribute
+    /// strings are shared with the source rows (a reference-count bump
+    /// each), nothing is re-interned.  The source rows precede the rows
+    /// being appended, so the copy needs no snapshot of the container.
+    pub fn copy_subtree_within(&mut self, src_pre: u32, level_base: u16) -> u32 {
+        let root_new = self.len() as u32;
+        let src_level_base = self.level(src_pre);
+        let end = src_pre + self.size(src_pre);
+        for v in src_pre..=end {
+            let new_level = level_base + (self.level(v) - src_level_base);
+            let old = self.prop[v as usize];
+            let (kind, prop) = match self.kind(v) {
+                NodeKind::Element => (NodeKind::Element, old),
+                NodeKind::Document => (NodeKind::Element, self.intern_qname("#document")),
+                // a copy is a new text-container entry, so that a value
+                // update of the source leaves the copy alone
+                kind => {
+                    let tid = self.texts.len() as u32;
+                    self.texts.push(self.texts[old as usize].clone());
+                    if kind == NodeKind::ProcessingInstruction {
+                        self.pi_targets.resize(tid as usize, Arc::from(""));
+                        self.pi_targets.push(self.pi_targets[old as usize].clone());
+                    }
+                    (kind, tid)
+                }
+            };
+            self.push_row(self.size(v), new_level, kind, prop);
+        }
+        // the attributes of the subtree are one contiguous run (sorted by
+        // owner); owners shift with their elements
+        let first = self.attrs.partition_point(|a| a.owner < src_pre);
+        let last = self.attrs.partition_point(|a| a.owner <= end);
+        let shift = root_new - src_pre;
+        self.attrs.extend_from_within(first..last);
+        let copied = self.attrs.len() - (last - first);
+        for a in &mut self.attrs[copied..] {
+            a.owner += shift;
         }
         root_new
     }
@@ -290,10 +332,11 @@ impl Document {
         self.kind[pre as usize] = kind;
     }
 
-    pub(crate) fn intern_qname(&mut self, name: Arc<str>) -> u32 {
-        if let Some(&id) = self.qname_ids.get(&name) {
+    pub(crate) fn intern_qname(&mut self, name: &str) -> u32 {
+        if let Some(&id) = self.qname_ids.get(name) {
             return id;
         }
+        let name: Arc<str> = Arc::from(name);
         let id = self.qnames.len() as u32;
         self.qnames.push(name.clone());
         self.qname_ids.insert(name, id);
@@ -354,7 +397,7 @@ impl Document {
     pub fn rename_element(&mut self, pre: u32, name: &str) {
         if self.kind(pre) == NodeKind::Element {
             let old = self.prop[pre as usize];
-            let qid = self.intern_qname(Arc::from(name));
+            let qid = self.intern_qname(name);
             if old == qid {
                 return;
             }
@@ -526,7 +569,7 @@ impl DocumentBuilder {
         if self.open.is_empty() && self.level == self.base_level {
             self.doc.add_fragment_root(pre);
         }
-        let qid = self.doc.intern_qname(Arc::from(name));
+        let qid = self.doc.intern_qname(name);
         self.doc.push_row(0, self.level, NodeKind::Element, qid);
         self.open.push(pre);
         self.level += 1;
@@ -594,6 +637,16 @@ impl DocumentBuilder {
             self.doc.add_fragment_root(pre);
         }
         self.doc.copy_subtree(src, src_pre, self.level)
+    }
+
+    /// [`DocumentBuilder::copy_subtree`] from the container being built
+    /// itself (see [`Document::copy_subtree_within`]).
+    pub fn copy_subtree_within(&mut self, src_pre: u32) -> u32 {
+        let pre = self.doc.len() as u32;
+        if self.open.is_empty() && self.level == self.base_level {
+            self.doc.add_fragment_root(pre);
+        }
+        self.doc.copy_subtree_within(src_pre, self.level)
     }
 
     /// Number of elements still open.
@@ -725,6 +778,56 @@ mod tests {
         assert_eq!(t.size(0), 2);
         assert_eq!(t.level(1), 1);
         t.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn copy_subtree_within_equals_copy_from_a_snapshot() {
+        let mut b = DocumentBuilder::new("t");
+        b.start_element("a");
+        b.attribute("id", "a1");
+        b.text("x");
+        b.start_element("b");
+        b.attribute("k", "v");
+        b.processing_instruction("pi", "data");
+        b.comment("note");
+        b.end_element();
+        b.end_element();
+        let base = b.finish();
+
+        let build = |within: bool| {
+            let snapshot = base.clone();
+            let mut b = DocumentBuilder::append_to(base.clone(), 0);
+            b.start_element("wrap");
+            b.attribute("w", "1");
+            for src in [0, 2] {
+                if within {
+                    b.copy_subtree_within(src);
+                } else {
+                    b.copy_subtree(&snapshot, src);
+                }
+            }
+            b.end_element();
+            b.finish()
+        };
+        let (within, copied) = (build(true), build(false));
+        within.check_invariants().unwrap();
+        assert_eq!(within.len(), copied.len());
+        assert_eq!(within.fragment_roots(), copied.fragment_roots());
+        assert_eq!(within.all_attributes(), copied.all_attributes());
+        assert_eq!(within.elements_named("b"), copied.elements_named("b"));
+        for pre in 0..within.len() as u32 {
+            assert_eq!(
+                (within.size(pre), within.level(pre), within.kind(pre)),
+                (copied.size(pre), copied.level(pre), copied.kind(pre)),
+                "row {pre}"
+            );
+            assert_eq!(within.name_of(pre), copied.name_of(pre), "name of {pre}");
+            assert_eq!(within.text_of(pre), copied.text_of(pre), "text of {pre}");
+        }
+        // a value update of the source leaves its copy alone
+        let mut within = within;
+        within.set_text(1, "changed");
+        assert_eq!(within.string_value(6), "x");
     }
 
     #[test]

@@ -18,11 +18,23 @@
 //!
 //! Both joins emit pairs ordered by `(left, right)` row index, so the
 //! assertions compare exact outputs, which subsumes pair-set equality.
+//!
+//! The second half does the same for the non-equi join: the sort-merge
+//! `theta_join` against the nested loop over `Item::compare`
+//! (`theta_join_nested`, the reference), for all six operators, over every
+//! column representation — polymorphic items (ints, doubles incl. NaN, ±0
+//! and ±inf, numeric and non-numeric strings, booleans, nodes, duplicates),
+//! the monomorphic variants, dictionary-encoded strings with shared and
+//! separate dictionaries, and empty sides — asserting identical pairs in
+//! the documented `(left, right)` order; and checks that the min/max
+//! push-down (`minmax_candidates`) loses no qualifying pair of groups.
 
 use proptest::prelude::*;
 
-use mxq::engine::join::{hash_join_items, radix_hash_join};
-use mxq::engine::{Column, Dictionary, Item};
+use mxq::engine::join::{
+    hash_join_items, minmax_candidates, radix_hash_join, theta_join, theta_join_nested,
+};
+use mxq::engine::{CmpOp, Column, Dictionary, Item, NodeId};
 
 /// Assert the radix join and the reference join produce the same pairs.
 fn assert_joins_agree(left: &Column, right: &Column, what: &str) {
@@ -210,5 +222,197 @@ fn empty_inputs_join_to_nothing() {
     for (a, b) in [(&empty, &nonempty), (&nonempty, &empty), (&empty, &empty)] {
         let (l, r) = radix_hash_join(a, b);
         assert!(l.is_empty() && r.is_empty());
+    }
+}
+
+// ---------------------------------------------------------------------------
+// theta join: sort-merge on typed keys vs. the nested loop over Item::compare
+// ---------------------------------------------------------------------------
+
+const ALL_OPS: [CmpOp; 6] = [
+    CmpOp::Eq,
+    CmpOp::Ne,
+    CmpOp::Lt,
+    CmpOp::Le,
+    CmpOp::Gt,
+    CmpOp::Ge,
+];
+
+/// Assert the sort-merge theta join reproduces the nested loop exactly —
+/// same pairs, same `(left, right)` order — for every operator.
+fn assert_theta_agrees(left: &Column, right: &Column, what: &str) {
+    for op in ALL_OPS {
+        let fast = theta_join(left, right, op);
+        let reference = theta_join_nested(left, right, op);
+        assert_eq!(
+            fast, reference,
+            "{what}: `{op}` differs from the nested loop"
+        );
+        let pairs: Vec<(usize, usize)> = fast.0.iter().copied().zip(fast.1).collect();
+        assert!(
+            pairs.windows(2).all(|w| w[0] < w[1]),
+            "{what}: `{op}` output is not in strict (left, right) order"
+        );
+    }
+}
+
+/// [`arb_item`] plus nodes of two fragments: every comparison class of
+/// `Item::value_cmp`, with duplicates and incomparable neighbours.
+fn arb_theta_item() -> impl Strategy<Value = Item> {
+    prop_oneof![
+        arb_item(),
+        (0u32..2, 0u32..4).prop_map(|(frag, pre)| Item::Node(NodeId::new(frag, pre))),
+    ]
+}
+
+/// The same rows in one of the column representations the executor hands
+/// to the join (rows a monomorphic variant cannot hold are converted the way
+/// the variant would have stored them).
+fn column_as(items: Vec<Item>, repr: usize) -> Column {
+    let strings = || items.iter().map(Item::string_value);
+    match repr % 8 {
+        0 => Column::Item(items),
+        1 => Column::from_items(items),
+        2 => Column::Int(items.iter().filter_map(Item::as_int).collect()),
+        3 => Column::Dbl(
+            items
+                .iter()
+                .map(|i| i.as_number().unwrap_or(f64::NAN))
+                .collect(),
+        ),
+        4 => Column::Str(strings().map(Into::into).collect()),
+        5 => Column::dict_from_strings(strings()),
+        6 => Column::Bool(items.iter().map(Item::effective_boolean).collect()),
+        _ => Column::Node(items.iter().filter_map(Item::as_node).collect()),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn theta_join_matches_nested_loop_on_every_representation(
+        left in prop::collection::vec(arb_theta_item(), 0..30),
+        right in prop::collection::vec(arb_theta_item(), 0..30),
+        lrepr in 0usize..8,
+        rrepr in 0usize..8,
+    ) {
+        assert_theta_agrees(
+            &column_as(left, lrepr),
+            &column_as(right, rrepr),
+            &format!("representations {lrepr} x {rrepr}"),
+        );
+    }
+
+    #[test]
+    fn theta_join_over_dictionaries_matches_nested_loop(
+        lp in prop::collection::vec(0usize..64, 0..30),
+        rp in prop::collection::vec(0usize..64, 0..30),
+        right in prop::collection::vec(arb_theta_item(), 0..30),
+    ) {
+        // a shared dictionary holding numeric strings: codes must compare
+        // as strings ("10" < "2.5"), never as numbers
+        let (lcodes, dict) = dict_column_over(&MIXED, lp.clone());
+        let rcodes: Vec<u32> = rp.iter().map(|p| (p % dict.len()) as u32).collect();
+        let left = Column::Dict { codes: lcodes, dict: dict.clone() };
+        assert_theta_agrees(&left, &Column::Dict { codes: rcodes, dict }, "shared dictionary");
+        // separate dictionary instances: codes are not comparable
+        let (rcodes, rdict) = dict_column_over(&TAGS, rp);
+        assert_theta_agrees(&left, &Column::Dict { codes: rcodes, dict: rdict }, "separate dictionaries");
+        // untyped dictionary strings against typed and mixed items
+        assert_theta_agrees(&left, &Column::Item(right.clone()), "dict vs items");
+        assert_theta_agrees(&Column::Item(right), &left, "items vs dict");
+    }
+
+    #[test]
+    fn minmax_pushdown_loses_no_group_pair(
+        left in prop::collection::vec((0i64..5, arb_theta_item()), 0..30),
+        right in prop::collection::vec((0i64..5, arb_theta_item()), 0..30),
+        lrepr in 0usize..2,
+        rrepr in 0usize..2,
+        sorted in any::<bool>(),
+    ) {
+        // rows grouped by an iter column (sorted or not): joining only the
+        // per-group min/max candidates must find exactly the group pairs
+        // the full join finds
+        let split = |mut rows: Vec<(i64, Item)>, repr: usize| {
+            if sorted {
+                rows.sort_by_key(|(iter, _)| *iter);
+            }
+            let (iter, items): (Vec<i64>, Vec<Item>) = rows.into_iter().unzip();
+            (iter, column_as(items, repr))
+        };
+        let (l_iter, l_col) = split(left, lrepr);
+        let (r_iter, r_col) = split(right, rrepr);
+        let group_pairs = |pairs: (Vec<usize>, Vec<usize>), lrows: &[usize], rrows: &[usize]| {
+            let mut groups: Vec<(i64, i64)> = pairs
+                .0
+                .iter()
+                .zip(&pairs.1)
+                .map(|(&a, &b)| (l_iter[lrows[a]], r_iter[rrows[b]]))
+                .collect();
+            groups.sort_unstable();
+            groups.dedup();
+            groups
+        };
+        let all_l: Vec<usize> = (0..l_iter.len()).collect();
+        let all_r: Vec<usize> = (0..r_iter.len()).collect();
+        for op in [CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge] {
+            let left_min = matches!(op, CmpOp::Lt | CmpOp::Le);
+            let lrows = minmax_candidates(&l_iter, &l_col, left_min);
+            let rrows = minmax_candidates(&r_iter, &r_col, !left_min);
+            prop_assert!(lrows.windows(2).all(|w| w[0] < w[1]));
+            let reduced = theta_join(&l_col.gather(&lrows), &r_col.gather(&rrows), op);
+            let full = theta_join_nested(&l_col, &r_col, op);
+            prop_assert_eq!(
+                group_pairs(reduced, &lrows, &rrows),
+                group_pairs(full, &all_l, &all_r),
+                "`{}` group pairs differ", op
+            );
+        }
+    }
+}
+
+proptest! {
+    // fewer cases, bigger columns: long key runs, many duplicates
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    #[test]
+    fn theta_join_matches_nested_loop_on_large_columns(
+        left in prop::collection::vec(arb_theta_item(), 200..400),
+        right in prop::collection::vec(arb_theta_item(), 200..400),
+    ) {
+        assert_theta_agrees(&Column::Item(left), &Column::Item(right), "large mixed columns");
+    }
+}
+
+#[test]
+fn theta_join_semantics_are_pinned() {
+    // an untyped string meets a number numerically, two strings meet as
+    // strings, a non-numeric string and NaN meet nothing, -0 equals +0
+    let left = Column::from_items(vec![
+        Item::str("10"),
+        Item::str("abc"),
+        Item::Dbl(f64::NAN),
+        Item::Dbl(-0.0),
+    ]);
+    let right = Column::from_items(vec![Item::Int(9), Item::str("9"), Item::Dbl(0.0)]);
+    let (l, r) = theta_join(&left, &right, CmpOp::Gt);
+    assert_eq!((l, r), (vec![0, 0, 1], vec![0, 2, 1]));
+    let (l, r) = theta_join(&left, &right, CmpOp::Eq);
+    assert_eq!((l, r), (vec![3], vec![2]));
+    let (l, _) = theta_join(&left, &right, CmpOp::Ne);
+    assert!(!l.contains(&2), "NaN != x is false under value comparison");
+}
+
+#[test]
+fn theta_join_of_empty_sides_is_empty() {
+    let empty = Column::empty_item();
+    let nonempty = Column::Int(vec![1, 2, 3]);
+    for op in ALL_OPS {
+        for (a, b) in [(&empty, &nonempty), (&nonempty, &empty), (&empty, &empty)] {
+            let (l, r) = theta_join(a, b, op);
+            assert!(l.is_empty() && r.is_empty());
+        }
     }
 }
