@@ -107,7 +107,9 @@ pub struct ExecStats {
     pub staircase: ScanStats,
     /// Number of full sorts performed.
     pub sorts: u64,
-    /// Number of sorts avoided thanks to order properties.
+    /// Number of sorts avoided: an order property proved the input sorted,
+    /// or a location step's emission order was already `(iter, document
+    /// order)`.
     pub sorts_avoided: u64,
     /// Number of algebra operators evaluated (memoised nodes count once).
     pub ops_evaluated: u64,

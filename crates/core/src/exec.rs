@@ -19,6 +19,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::ops::Range;
 use std::rc::Rc;
 
 use mxq_engine::agg::{aggregate_grouped_with, AggFunc};
@@ -27,6 +28,7 @@ use mxq_engine::rank::row_number_streaming_with;
 use mxq_engine::sort::{sort_permutation_with, SortOrder};
 use mxq_engine::value::format_double;
 use mxq_engine::{CmpOp, Column, EngineError, Item, NodeId, Table};
+use mxq_staircase::looplifted::CtxPair;
 use mxq_staircase::{
     looplifted_step, looplifted_step_candidates, staircase_step, Axis, NodeTest, ScanStats,
 };
@@ -289,45 +291,19 @@ impl<'a> Executor<'a> {
         Ok(Rc::new(t.gather_with(&perm, self.threads)))
     }
 
-    /// First (lowest-pos) item of every iteration, as (iter → item).
-    fn per_iter_first(&mut self, t: &Table) -> EResult<HashMap<i64, Item>> {
-        let iters = iter_col(t)?;
-        let poss = pos_col(t)?;
-        let items = t.column("item")?;
-        let mut best: HashMap<i64, (i64, usize)> = HashMap::new();
-        for i in 0..t.nrows() {
-            match best.get(&iters[i]) {
-                Some((p, _)) if *p <= poss[i] => {}
-                _ => {
-                    best.insert(iters[i], (poss[i], i));
-                }
-            }
+    /// Evaluate an operand of a per-iteration operator and hand it over in
+    /// `[iter, pos]` order, so that the rows of one iteration are a run
+    /// ([`IterRuns`]) led by its first item: the memoised table itself when
+    /// its rows already are in that order (operators emit their iterations
+    /// ascending), a sorted copy otherwise.
+    fn eval_in_iter_order(&mut self, plan: &PlanRef) -> EResult<Rc<Table>> {
+        let t = self.eval(plan)?;
+        let (iters, poss) = (iter_col(&t)?, pos_col(&t)?);
+        if (1..t.nrows()).all(|i| (iters[i - 1], poss[i - 1]) <= (iters[i], poss[i])) {
+            Ok(t)
+        } else {
+            self.sort_by_iter_pos(&t)
         }
-        Ok(best
-            .into_iter()
-            .map(|(k, (_, row))| (k, items.item(row)))
-            .collect())
-    }
-
-    /// All items of every iteration, ordered by pos, as (iter → items).
-    fn per_iter_items(&mut self, t: &Table) -> EResult<HashMap<i64, Vec<Item>>> {
-        let iters = iter_col(t)?;
-        let poss = pos_col(t)?;
-        let items = t.column("item")?;
-        let mut groups: HashMap<i64, Vec<(i64, Item)>> = HashMap::new();
-        for i in 0..t.nrows() {
-            groups
-                .entry(iters[i])
-                .or_default()
-                .push((poss[i], items.item(i)));
-        }
-        Ok(groups
-            .into_iter()
-            .map(|(k, mut v)| {
-                v.sort_by_key(|(p, _)| *p);
-                (k, v.into_iter().map(|(_, it)| it).collect())
-            })
-            .collect())
     }
 
     fn loop_iters(&mut self, loop_: &PlanRef) -> EResult<Vec<i64>> {
@@ -353,6 +329,23 @@ impl<'a> Executor<'a> {
         match item {
             Item::Node(n) => self.node_string_value(*n),
             other => other.string_value(),
+        }
+    }
+
+    /// Row `row` of an item column, atomized.
+    fn atomized(&self, items: &Column, row: usize) -> Item {
+        match items.item(row) {
+            Item::Node(n) => Item::str(self.node_string_value(n)),
+            atomic => atomic,
+        }
+    }
+
+    /// String value of the first item of a run (`""` for an empty run).
+    fn first_string(&self, items: &Column, run: Range<usize>) -> String {
+        if run.is_empty() {
+            String::new()
+        } else {
+            self.item_string(&items.item(run.start))
         }
     }
 
@@ -473,19 +466,11 @@ impl<'a> Executor<'a> {
                 loop_,
                 negate,
             } => {
-                let c = self.eval(cond)?;
-                let firsts = self.per_iter_first(&c)?;
-                let loop_iters = self.loop_iters(loop_)?;
-                let mut out = Vec::new();
-                for it in loop_iters {
-                    let truth = firsts
-                        .get(&it)
-                        .map(|v| v.effective_boolean())
-                        .unwrap_or(false);
-                    if truth != *negate {
-                        out.push(it);
-                    }
-                }
+                let c = self.eval_in_iter_order(cond)?;
+                let mut runs = IterRuns::new(iter_col(&c)?);
+                let items = c.column("item")?;
+                let mut out = self.loop_iters(loop_)?;
+                out.retain(|&it| first_ebv(items, runs.of(it)) != *negate);
                 Table::from_columns(vec![("iter", Column::Int(out))]).map_err(Into::into)
             }
             Op::RestrictToIters { seq, iters } => {
@@ -509,39 +494,42 @@ impl<'a> Executor<'a> {
                 with_items(&t, items)
             }
             Op::ValueCmp { op, l, r } => {
-                let lt = self.eval(l)?;
-                let rt = self.eval(r)?;
-                let lf = self.per_iter_first(&lt)?;
-                let rf = self.per_iter_first(&rt)?;
-                let mut iters: Vec<i64> =
-                    lf.keys().filter(|k| rf.contains_key(k)).copied().collect();
-                iters.sort_unstable();
-                let items: Vec<Item> = iters
-                    .iter()
-                    .map(|it| Item::Bool(lf[it].compare(*op, &rf[it])))
-                    .collect();
+                let lt = self.eval_in_iter_order(l)?;
+                let rt = self.eval_in_iter_order(r)?;
+                let (iters, items) = zip_firsts(&lt, &rt, |a, b| Item::Bool(a.compare(*op, &b)))?;
                 let n = iters.len();
                 Ok(seq_table(iters, vec![1; n], items))
             }
             Op::GeneralCmp { op, l, r, loop_ } => {
-                let lt = self.eval(l)?;
-                let rt = self.eval(r)?;
-                let lg = self.per_iter_items(&lt)?;
-                let rg = self.per_iter_items(&rt)?;
+                let lt = self.eval_in_iter_order(l)?;
+                let rt = self.eval_in_iter_order(r)?;
+                let (l_items, r_items) = (lt.column("item")?, rt.column("item")?);
+                let (mut l_runs, mut r_runs) =
+                    (IterRuns::new(iter_col(&lt)?), IterRuns::new(iter_col(&rt)?));
+                // a loop-constant operand is atomized once, not per iteration
+                let r_const: Option<&[Item]> = match &r.op {
+                    Op::ConstSeq { items, .. } => Some(items),
+                    _ => None,
+                };
+                let mut r_run_items: Vec<Item> = Vec::new();
                 let iters = self.loop_iters(loop_)?;
                 let mut out_items = Vec::with_capacity(iters.len());
-                for it in &iters {
-                    let (Some(ls), Some(rs)) = (lg.get(it), rg.get(it)) else {
-                        out_items.push(Item::Bool(false));
-                        continue;
+                for &it in &iters {
+                    let (l_run, r_run) = (l_runs.of(it), r_runs.of(it));
+                    let rs: &[Item] = match r_const {
+                        Some(items) if !r_run.is_empty() => items,
+                        _ => {
+                            r_run_items.clear();
+                            r_run_items.extend(r_run.map(|row| self.atomized(r_items, row)));
+                            &r_run_items
+                        }
                     };
                     let mut found = false;
-                    'outer: for a in ls {
-                        let a = self.atomize_item(a);
+                    'outer: for row in l_run {
+                        let a = self.atomized(l_items, row);
                         for b in rs {
-                            let b = self.atomize_item(b);
                             self.stats.join_pairs += 1;
-                            if a.compare(*op, &b) {
+                            if a.compare(*op, b) {
                                 found = true;
                                 break 'outer;
                             }
@@ -558,16 +546,17 @@ impl<'a> Executor<'a> {
                 r,
                 loop_,
             } => {
-                let lt = self.eval(l)?;
-                let rt = self.eval(r)?;
-                let lf = self.per_iter_first(&lt)?;
-                let rf = self.per_iter_first(&rt)?;
+                let lt = self.eval_in_iter_order(l)?;
+                let rt = self.eval_in_iter_order(r)?;
+                let (l_items, r_items) = (lt.column("item")?, rt.column("item")?);
+                let (mut l_runs, mut r_runs) =
+                    (IterRuns::new(iter_col(&lt)?), IterRuns::new(iter_col(&rt)?));
                 let iters = self.loop_iters(loop_)?;
                 let items: Vec<Item> = iters
                     .iter()
-                    .map(|it| {
-                        let a = lf.get(it).map(|v| v.effective_boolean()).unwrap_or(false);
-                        let b = rf.get(it).map(|v| v.effective_boolean()).unwrap_or(false);
+                    .map(|&it| {
+                        let a = first_ebv(l_items, l_runs.of(it));
+                        let b = first_ebv(r_items, r_runs.of(it));
                         Item::Bool(if *is_and { a && b } else { a || b })
                     })
                     .collect();
@@ -575,34 +564,36 @@ impl<'a> Executor<'a> {
                 Ok(seq_table(iters, vec![1; n], items))
             }
             Op::BoolNot { e, loop_ } => {
-                let t = self.eval(e)?;
-                let groups = self.per_iter_items(&t)?;
+                let t = self.eval_in_iter_order(e)?;
+                let mut runs = IterRuns::new(iter_col(&t)?);
+                let values = t.column("item")?;
                 let iters = self.loop_iters(loop_)?;
                 let items: Vec<Item> = iters
                     .iter()
-                    .map(|it| Item::Bool(!ebv_of(groups.get(it))))
+                    .map(|&it| Item::Bool(!ebv_of(values, runs.of(it))))
                     .collect();
                 let n = iters.len();
                 Ok(seq_table(iters, vec![1; n], items))
             }
             Op::Ebv { seq, loop_ } => {
-                let t = self.eval(seq)?;
-                let groups = self.per_iter_items(&t)?;
+                let t = self.eval_in_iter_order(seq)?;
+                let mut runs = IterRuns::new(iter_col(&t)?);
+                let values = t.column("item")?;
                 let iters = self.loop_iters(loop_)?;
                 let items: Vec<Item> = iters
                     .iter()
-                    .map(|it| Item::Bool(ebv_of(groups.get(it))))
+                    .map(|&it| Item::Bool(ebv_of(values, runs.of(it))))
                     .collect();
                 let n = iters.len();
                 Ok(seq_table(iters, vec![1; n], items))
             }
             Op::Empty { seq, loop_ } => {
-                let t = self.eval(seq)?;
-                let groups = self.per_iter_items(&t)?;
+                let t = self.eval_in_iter_order(seq)?;
+                let mut runs = IterRuns::new(iter_col(&t)?);
                 let iters = self.loop_iters(loop_)?;
                 let items: Vec<Item> = iters
                     .iter()
-                    .map(|it| Item::Bool(groups.get(it).map(|v| v.is_empty()).unwrap_or(true)))
+                    .map(|&it| Item::Bool(runs.of(it).is_empty()))
                     .collect();
                 let n = iters.len();
                 Ok(seq_table(iters, vec![1; n], items))
@@ -624,19 +615,13 @@ impl<'a> Executor<'a> {
                 with_items(&t, items)
             }
             Op::StringValue { seq, loop_ } => {
-                let t = self.eval(seq)?;
-                let firsts = self.per_iter_first(&t)?;
+                let t = self.eval_in_iter_order(seq)?;
+                let mut runs = IterRuns::new(iter_col(&t)?);
+                let values = t.column("item")?;
                 let iters = self.loop_iters(loop_)?;
                 let items: Vec<Item> = iters
                     .iter()
-                    .map(|it| {
-                        Item::str(
-                            firsts
-                                .get(it)
-                                .map(|v| self.item_string(v))
-                                .unwrap_or_default(),
-                        )
-                    })
+                    .map(|&it| Item::str(self.first_string(values, runs.of(it))))
                     .collect();
                 let n = iters.len();
                 Ok(seq_table(iters, vec![1; n], items))
@@ -691,20 +676,19 @@ impl<'a> Executor<'a> {
                 Ok(seq_table(oi, op, oit))
             }
             Op::DocOrderDistinct { seq } => {
-                let t = self.eval(seq)?;
-                let groups = self.per_iter_items(&t)?;
-                let mut iters: Vec<i64> = groups.keys().copied().collect();
-                iters.sort_unstable();
+                let t = self.eval_in_iter_order(seq)?;
+                let mut runs = IterRuns::new(iter_col(&t)?);
+                let values = t.column("item")?;
                 let (mut oi, mut op, mut oit) = (Vec::new(), Vec::new(), Vec::new());
-                for it in iters {
-                    let mut nodes: Vec<Item> = groups[&it].clone();
+                let mut nodes: Vec<Item> = Vec::new();
+                while let Some((it, run)) = runs.next_run() {
+                    nodes.clear();
+                    nodes.extend(run.map(|row| values.item(row)));
                     nodes.sort_by(|a, b| a.total_cmp(b));
                     nodes.dedup_by(|a, b| a.total_cmp(b) == std::cmp::Ordering::Equal);
-                    for (k, item) in nodes.into_iter().enumerate() {
-                        oi.push(it);
-                        op.push(k as i64 + 1);
-                        oit.push(item);
-                    }
+                    oi.resize(oi.len() + nodes.len(), it);
+                    op.extend(1..=nodes.len() as i64);
+                    oit.append(&mut nodes);
                 }
                 self.stats.sorts += 1;
                 Ok(seq_table(oi, op, oit))
@@ -848,17 +832,20 @@ impl<'a> Executor<'a> {
             // comparable under differential testing
             let mut keys: Vec<(Vec<Item>, bool)> = Vec::with_capacity(order_keys.len());
             for (k, descending) in order_keys {
-                let kt = self.eval(k)?;
-                let firsts = self.per_iter_first(&kt)?;
-                let column = rows
-                    .iter()
-                    .map(|&row| {
-                        firsts
-                            .get(&b_iter[row])
-                            .cloned()
-                            .unwrap_or_else(|| Item::str(""))
-                    })
-                    .collect();
+                let kt = self.eval_in_iter_order(k)?;
+                let k_items = kt.column("item")?;
+                // (iteration, first row) of every run of the key table
+                let (mut k_iter, mut k_first) = (Vec::new(), Vec::new());
+                let mut runs = IterRuns::new(iter_col(&kt)?);
+                while let Some((it, run)) = runs.next_run() {
+                    k_iter.push(it);
+                    k_first.push(run.start);
+                }
+                let probes: Vec<i64> = rows.iter().map(|&row| b_iter[row]).collect();
+                let mut column = vec![Item::str(""); rows.len()];
+                lookup_sorted(&k_iter, &probes, |x, run| {
+                    column[x] = k_items.item(k_first[run]);
+                });
                 keys.push((column, *descending));
             }
             let mut perm: Vec<usize> = (0..rows.len()).collect();
@@ -1017,37 +1004,61 @@ impl<'a> Executor<'a> {
     fn eval_axis_step(&mut self, ctx: &PlanRef, axis: Axis, test: &NodeTest) -> EResult<Table> {
         let t = self.eval(ctx)?;
         let iters = iter_col(&t)?;
-        let items = items_col(&t)?;
-        // group context nodes per document container (fragment)
-        let mut per_frag: HashMap<u32, Vec<(i64, u32)>> = HashMap::new();
-        for (it, item) in iters.iter().zip(&items) {
-            if let Item::Node(n) = item {
-                per_frag.entry(n.frag).or_default().push((*it, n.pre));
-            }
+        // the context pairs of each document container (fragment) — nearly
+        // always a single one, found by a one-entry scan
+        let mut per_frag: Vec<(u32, Vec<CtxPair>)> = Vec::new();
+        let mut add = |it: i64, n: NodeId| {
+            let slot = per_frag
+                .iter()
+                .position(|(frag, _)| *frag == n.frag)
+                .unwrap_or_else(|| {
+                    per_frag.push((n.frag, Vec::new()));
+                    per_frag.len() - 1
+                });
+            per_frag[slot].1.push((it, n.pre));
+        };
+        match t.column("item")? {
+            Column::Node(nodes) => iters.iter().zip(nodes).for_each(|(&it, &n)| add(it, n)),
+            // a polymorphic column: atomic items are not context nodes
+            other => iters
+                .iter()
+                .zip(other.iter_items())
+                .for_each(|(&it, item)| item.as_node().into_iter().for_each(|n| add(it, n))),
         }
         let mut out: Vec<(i64, NodeId)> = Vec::new();
         let mut stats = ScanStats::default();
         let config = self.config;
-        for (frag, mut pairs) in per_frag {
-            pairs.sort_unstable_by_key(|&(it, p)| (p, it));
+        for (frag, pairs) in &per_frag {
             // dispatch once per container so the scan loops monomorphize
             // over the concrete representation (flat vs. page-backed)
-            let results: Vec<(i64, u32)> = match self.container(frag) {
-                ContainerRef::Doc(d) => axis_step_on(d, &pairs, axis, test, &config, &mut stats),
-                ContainerRef::Paged(p) => axis_step_on(p, &pairs, axis, test, &config, &mut stats),
+            let results = match self.container(*frag) {
+                ContainerRef::Doc(d) => axis_step_on(d, pairs, axis, test, &config, &mut stats),
+                ContainerRef::Paged(p) => axis_step_on(p, pairs, axis, test, &config, &mut stats),
             };
-            for (it, pre) in results {
-                out.push((it, NodeId::new(frag, pre)));
-            }
+            out.extend(
+                results
+                    .iter()
+                    .map(|&(it, pre)| (it, NodeId::new(*frag, pre))),
+            );
         }
         self.stats.staircase.merge(&stats);
-        // order by (iter, document order) and assign positions
-        self.stats.sorts += 1;
-        out.sort_unstable_by_key(|&(it, n)| (it, n));
-        let iters: Vec<i64> = out.iter().map(|r| r.0).collect();
+        // order by (iter, document order) — the step emits in (document
+        // order, iter), which is the same thing for a single iteration and
+        // for disjoint context regions whose iterations ascend with them
+        if out.windows(2).all(|w| w[0] <= w[1]) {
+            self.stats.sorts_avoided += 1;
+        } else {
+            self.stats.sorts += 1;
+            out.sort_unstable();
+        }
+        let (iters, nodes): (Vec<i64>, Vec<NodeId>) = out.into_iter().unzip();
         let pos = row_number_streaming_with(&iters, self.threads);
-        let items: Vec<Item> = out.into_iter().map(|r| Item::Node(r.1)).collect();
-        Ok(seq_table(iters, pos, items))
+        Table::from_columns(vec![
+            ("iter", Column::Int(iters)),
+            ("pos", Column::Int(pos)),
+            ("item", Column::Node(nodes)),
+        ])
+        .map_err(Into::into)
     }
 
     fn eval_attr_step(&mut self, ctx: &PlanRef, name: Option<&str>) -> EResult<Table> {
@@ -1131,17 +1142,12 @@ impl<'a> Executor<'a> {
     // -------------------------------------------------------------------
 
     fn eval_arith(&mut self, op: ArithOp, l: &PlanRef, r: &PlanRef) -> EResult<Table> {
-        let lt = self.eval(l)?;
-        let rt = self.eval(r)?;
-        let lf = self.per_iter_first(&lt)?;
-        let rf = self.per_iter_first(&rt)?;
-        let mut iters: Vec<i64> = lf.keys().filter(|k| rf.contains_key(k)).copied().collect();
-        iters.sort_unstable();
-        let mut items = Vec::with_capacity(iters.len());
-        for it in &iters {
-            let a = self.atomize_item(&lf[it]).as_number().unwrap_or(f64::NAN);
-            let b = self.atomize_item(&rf[it]).as_number().unwrap_or(f64::NAN);
-            let both_int = matches!(lf[it], Item::Int(_)) && matches!(rf[it], Item::Int(_));
+        let lt = self.eval_in_iter_order(l)?;
+        let rt = self.eval_in_iter_order(r)?;
+        let (iters, items) = zip_firsts(&lt, &rt, |l, r| {
+            let a = self.atomize_item(&l).as_number().unwrap_or(f64::NAN);
+            let b = self.atomize_item(&r).as_number().unwrap_or(f64::NAN);
+            let both_int = matches!(l, Item::Int(_)) && matches!(r, Item::Int(_));
             let v = match op {
                 ArithOp::Add => a + b,
                 ArithOp::Sub => a - b,
@@ -1155,12 +1161,12 @@ impl<'a> Executor<'a> {
                     op,
                     ArithOp::Add | ArithOp::Sub | ArithOp::Mul | ArithOp::IDiv | ArithOp::Mod
                 );
-            items.push(if keep_int {
+            if keep_int {
                 Item::Int(v as i64)
             } else {
                 Item::Dbl(v)
-            });
-        }
+            }
+        })?;
         let n = iters.len();
         Ok(seq_table(iters, vec![1; n], items))
     }
@@ -1226,62 +1232,44 @@ impl<'a> Executor<'a> {
         loop_: &PlanRef,
     ) -> EResult<Table> {
         let loop_iters = self.loop_iters(loop_)?;
-        // first string per iteration, per argument
-        let mut arg_strings: Vec<HashMap<i64, String>> = Vec::new();
-        let mut arg_all: Vec<HashMap<i64, Vec<Item>>> = Vec::new();
+        let mut tables = Vec::with_capacity(args.len());
         for a in args {
-            let t = self.eval(a)?;
-            let firsts = self.per_iter_first(&t)?;
-            arg_strings.push(
-                firsts
-                    .iter()
-                    .map(|(k, v)| (*k, self.item_string(v)))
-                    .collect(),
-            );
-            arg_all.push(self.per_iter_items(&t)?);
+            tables.push(self.eval_in_iter_order(a)?);
         }
-        let get = |idx: usize, it: i64, arg_strings: &Vec<HashMap<i64, String>>| -> String {
-            arg_strings
-                .get(idx)
-                .and_then(|m| m.get(&it))
-                .cloned()
-                .unwrap_or_default()
-        };
+        let mut values = Vec::with_capacity(args.len());
+        let mut cursors = Vec::with_capacity(args.len());
+        for t in &tables {
+            values.push(t.column("item")?);
+            cursors.push(IterRuns::new(iter_col(t)?));
+        }
+        // the rows of the current iteration, per argument
+        let mut runs: Vec<Range<usize>> = Vec::with_capacity(args.len());
         let (mut oi, mut oit) = (Vec::new(), Vec::new());
         for it in loop_iters {
+            runs.clear();
+            runs.extend(cursors.iter_mut().map(|c| c.of(it)));
+            // string value of an argument's first item ("" for none)
+            let get = |idx: usize| match runs.get(idx) {
+                Some(run) => self.first_string(values[idx], run.clone()),
+                None => String::new(),
+            };
             let result = match kind {
-                StrFnKind::Contains => {
-                    Item::Bool(get(0, it, &arg_strings).contains(&get(1, it, &arg_strings)))
-                }
-                StrFnKind::StartsWith => {
-                    Item::Bool(get(0, it, &arg_strings).starts_with(&get(1, it, &arg_strings)))
-                }
-                StrFnKind::EndsWith => {
-                    Item::Bool(get(0, it, &arg_strings).ends_with(&get(1, it, &arg_strings)))
-                }
+                StrFnKind::Contains => Item::Bool(get(0).contains(&get(1))),
+                StrFnKind::StartsWith => Item::Bool(get(0).starts_with(&get(1))),
+                StrFnKind::EndsWith => Item::Bool(get(0).ends_with(&get(1))),
                 StrFnKind::Concat => {
                     let mut s = String::new();
                     for idx in 0..args.len() {
-                        s.push_str(&get(idx, it, &arg_strings));
+                        s.push_str(&get(idx));
                     }
                     Item::str(s)
                 }
-                StrFnKind::StringLength => {
-                    Item::Int(get(0, it, &arg_strings).chars().count() as i64)
-                }
+                StrFnKind::StringLength => Item::Int(get(0).chars().count() as i64),
                 StrFnKind::Substring => {
-                    let s = get(0, it, &arg_strings);
-                    let start = get(1, it, &arg_strings)
-                        .parse::<f64>()
-                        .unwrap_or(1.0)
-                        .round() as i64;
+                    let s = get(0);
+                    let start = get(1).parse::<f64>().unwrap_or(1.0).round() as i64;
                     let len = if args.len() > 2 {
-                        Some(
-                            get(2, it, &arg_strings)
-                                .parse::<f64>()
-                                .unwrap_or(0.0)
-                                .round() as i64,
-                        )
+                        Some(get(2).parse::<f64>().unwrap_or(0.0).round() as i64)
                     } else {
                         None
                     };
@@ -1294,26 +1282,27 @@ impl<'a> Executor<'a> {
                     Item::str(chars[from.min(chars.len())..to].iter().collect::<String>())
                 }
                 StrFnKind::StringJoin => {
-                    let sep = get(1, it, &arg_strings);
-                    let parts: Vec<String> = arg_all
+                    let sep = get(1);
+                    let parts: Vec<String> = runs
                         .first()
-                        .and_then(|m| m.get(&it))
-                        .map(|v| v.iter().map(|i| self.item_string(i)).collect())
-                        .unwrap_or_default();
+                        .map(|run| {
+                            run.clone()
+                                .map(|row| self.item_string(&values[0].item(row)))
+                        })
+                        .into_iter()
+                        .flatten()
+                        .collect();
                     Item::str(parts.join(&sep))
                 }
-                StrFnKind::UpperCase => Item::str(get(0, it, &arg_strings).to_uppercase()),
-                StrFnKind::LowerCase => Item::str(get(0, it, &arg_strings).to_lowercase()),
-                StrFnKind::NormalizeSpace => Item::str(
-                    get(0, it, &arg_strings)
-                        .split_whitespace()
-                        .collect::<Vec<_>>()
-                        .join(" "),
-                ),
+                StrFnKind::UpperCase => Item::str(get(0).to_uppercase()),
+                StrFnKind::LowerCase => Item::str(get(0).to_lowercase()),
+                StrFnKind::NormalizeSpace => {
+                    Item::str(get(0).split_whitespace().collect::<Vec<_>>().join(" "))
+                }
                 StrFnKind::Translate => {
-                    let s = get(0, it, &arg_strings);
-                    let from: Vec<char> = get(1, it, &arg_strings).chars().collect();
-                    let to: Vec<char> = get(2, it, &arg_strings).chars().collect();
+                    let s = get(0);
+                    let from: Vec<char> = get(1).chars().collect();
+                    let to: Vec<char> = get(2).chars().collect();
                     let out: String = s
                         .chars()
                         .filter_map(|c| match from.iter().position(|f| *f == c) {
@@ -1324,11 +1313,10 @@ impl<'a> Executor<'a> {
                     Item::str(out)
                 }
                 StrFnKind::NodeName => {
-                    let name = arg_all
+                    let name = runs
                         .first()
-                        .and_then(|m| m.get(&it))
-                        .and_then(|v| v.first())
-                        .and_then(|i| i.as_node())
+                        .filter(|run| !run.is_empty())
+                        .and_then(|run| values[0].item(run.start).as_node())
                         .map(|n| self.container(n.frag).name_of(n.pre).to_string())
                         .unwrap_or_default();
                     Item::str(name)
@@ -1353,16 +1341,16 @@ impl<'a> Executor<'a> {
         content: &[PlanRef],
     ) -> EResult<Table> {
         let loop_iters = self.loop_iters(loop_)?;
-        let mut attr_values: Vec<(String, HashMap<i64, Item>)> = Vec::new();
-        for (aname, plan) in attrs {
-            let t = self.eval(plan)?;
-            attr_values.push((aname.clone(), self.per_iter_first(&t)?));
+        // attribute value tables first, then the content parts
+        let mut tables = Vec::with_capacity(attrs.len() + content.len());
+        for plan in attrs.iter().map(|(_, plan)| plan).chain(content) {
+            tables.push(self.eval_in_iter_order(plan)?);
         }
-        let mut content_groups: Vec<HashMap<i64, Vec<Item>>> = Vec::new();
-        for c in content {
-            let t = self.eval(c)?;
-            content_groups.push(self.per_iter_items(&t)?);
+        let mut parts = Vec::with_capacity(tables.len());
+        for t in &tables {
+            parts.push((t.column("item")?, IterRuns::new(iter_col(t)?)));
         }
+        let (attr_parts, content_parts) = parts.split_at_mut(attrs.len());
 
         // content nodes constructed by child plans already live in the
         // transient container the new elements are appended to
@@ -1371,20 +1359,13 @@ impl<'a> Executor<'a> {
         let (mut oi, mut oit) = (Vec::new(), Vec::new());
         for it in loop_iters {
             let root_pre = builder.start_element(name);
-            for (aname, values) in &attr_values {
-                let v = values
-                    .get(&it)
-                    .map(|i| self.item_string(i))
-                    .unwrap_or_default();
-                builder.attribute(aname, &v);
+            for ((aname, _), (values, runs)) in attrs.iter().zip(attr_parts.iter_mut()) {
+                builder.attribute(aname, &self.first_string(values, runs.of(it)));
             }
             let mut pending_text = String::new();
-            for group in &content_groups {
-                let Some(items) = group.get(&it) else {
-                    continue;
-                };
-                for item in items {
-                    match item {
+            for (values, runs) in content_parts.iter_mut() {
+                for row in runs.of(it) {
+                    match values.item(row) {
                         Item::Node(n) => {
                             if !pending_text.is_empty() {
                                 builder.text(&pending_text);
@@ -1425,67 +1406,111 @@ impl<'a> Executor<'a> {
 /// Generic so the scan loops specialize per storage representation.
 fn axis_step_on<D: NodeRead>(
     doc: &D,
-    pairs: &[(i64, u32)],
+    pairs: &[CtxPair],
     axis: Axis,
     test: &NodeTest,
     config: &ExecConfig,
     stats: &mut ScanStats,
-) -> Vec<(i64, u32)> {
+) -> Vec<CtxPair> {
     let loop_lifted = match axis {
         Axis::Child => config.loop_lifted_child,
         Axis::Descendant | Axis::DescendantOrSelf => config.loop_lifted_descendant,
         _ => true,
     };
-    let use_candidates = config.nametest_pushdown
-        && matches!(test, NodeTest::Named(_))
-        && matches!(
-            axis,
-            Axis::Child | Axis::Descendant | Axis::DescendantOrSelf
-        );
-    if use_candidates {
-        let candidates = match test {
-            NodeTest::Named(name) => doc.named_elements(name),
-            _ => unreachable!(),
-        };
-        if let Some(candidates) = candidates {
-            return looplifted_step_candidates(doc, pairs, axis, &candidates, stats);
+    match test {
+        NodeTest::Named(name)
+            if config.nametest_pushdown
+                && matches!(
+                    axis,
+                    Axis::Child | Axis::Descendant | Axis::DescendantOrSelf
+                ) =>
+        {
+            looplifted_step_candidates(doc, pairs, axis, name, stats)
         }
-    }
-    if loop_lifted {
-        looplifted_step(doc, pairs, axis, test, stats)
-    } else {
-        // iterative: one staircase join invocation (and document scan)
-        // per iteration — the baseline of Figure 12
-        let mut by_iter: HashMap<i64, Vec<u32>> = HashMap::new();
-        for (it, p) in pairs {
-            by_iter.entry(*it).or_default().push(*p);
-        }
-        let mut res = Vec::new();
-        let mut its: Vec<i64> = by_iter.keys().copied().collect();
-        its.sort_unstable();
-        for it in its {
-            for p in staircase_step(doc, &by_iter[&it], axis, test, stats) {
-                res.push((it, p));
+        _ if loop_lifted => looplifted_step(doc, pairs, axis, test, stats),
+        _ => {
+            // iterative: one staircase join invocation (and document scan)
+            // per iteration — the baseline of Figure 12
+            let mut by_iter = pairs.to_vec();
+            by_iter.sort_unstable();
+            let mut res = Vec::new();
+            for run in by_iter.chunk_by(|a, b| a.0 == b.0) {
+                let ctx: Vec<u32> = run.iter().map(|&(_, p)| p).collect();
+                let found = staircase_step(doc, &ctx, axis, test, stats);
+                res.extend(found.into_iter().map(|p| (run[0].0, p)));
             }
+            res
         }
-        res
     }
 }
 
-fn ebv_of(items: Option<&Vec<Item>>) -> bool {
-    match items {
-        None => false,
-        Some(v) if v.is_empty() => false,
-        Some(v) => {
-            if v.iter().any(|i| i.is_node()) {
-                true
-            } else if v.len() == 1 {
-                v[0].effective_boolean()
-            } else {
-                true
-            }
+/// Merge cursor over the `iter` column of a table in `[iter, pos]` order:
+/// the rows of one iteration are a run, and consumers that walk the
+/// iterations of their loop in ascending order find each run by advancing
+/// — no per-iteration map, no per-iteration allocation.
+struct IterRuns<'a> {
+    iters: &'a [i64],
+    at: usize,
+}
+
+impl<'a> IterRuns<'a> {
+    fn new(iters: &'a [i64]) -> Self {
+        IterRuns { iters, at: 0 }
+    }
+
+    /// The rows of iteration `it` (empty when it has none).  Iterations
+    /// must be asked for in strictly ascending order.
+    fn of(&mut self, it: i64) -> Range<usize> {
+        while self.iters.get(self.at).is_some_and(|&i| i < it) {
+            self.at += 1;
+        }
+        let start = self.at;
+        while self.iters.get(self.at) == Some(&it) {
+            self.at += 1;
+        }
+        start..self.at
+    }
+
+    /// The next iteration that has rows, with its rows.
+    fn next_run(&mut self) -> Option<(i64, Range<usize>)> {
+        let &it = self.iters.get(self.at)?;
+        Some((it, self.of(it)))
+    }
+}
+
+/// Effective boolean value of one iteration's rows: a single atomic decides
+/// by its value; a node, or more than one item, is true.
+fn ebv_of(items: &Column, run: Range<usize>) -> bool {
+    match run.len() {
+        0 => false,
+        1 => items.item(run.start).effective_boolean(),
+        _ => true,
+    }
+}
+
+/// Effective boolean value of the first item of one iteration's rows.
+fn first_ebv(items: &Column, run: Range<usize>) -> bool {
+    !run.is_empty() && items.item(run.start).effective_boolean()
+}
+
+/// Combine the first items of the iterations two `[iter, pos]`-ordered
+/// sequence tables share: `(iterations, f(left first, right first))`.
+fn zip_firsts(
+    l: &Table,
+    r: &Table,
+    mut f: impl FnMut(Item, Item) -> Item,
+) -> EResult<(Vec<i64>, Vec<Item>)> {
+    let (l_items, r_items) = (l.column("item")?, r.column("item")?);
+    let (mut l_runs, mut r_runs) = (IterRuns::new(iter_col(l)?), IterRuns::new(iter_col(r)?));
+    let (mut iters, mut items) = (Vec::new(), Vec::new());
+    while let Some((it, l_run)) = l_runs.next_run() {
+        let r_run = r_runs.of(it);
+        if !r_run.is_empty() {
+            iters.push(it);
+            items.push(f(l_items.item(l_run.start), r_items.item(r_run.start)));
         }
     }
+    Ok((iters, items))
 }
 
 fn is_sorted(v: &[i64]) -> bool {
@@ -1565,11 +1590,28 @@ mod tests {
 
     #[test]
     fn ebv_rules() {
-        assert!(!ebv_of(None));
-        assert!(!ebv_of(Some(&vec![])));
-        assert!(ebv_of(Some(&vec![Item::Node(NodeId::new(0, 1))])));
-        assert!(!ebv_of(Some(&vec![Item::Bool(false)])));
-        assert!(ebv_of(Some(&vec![Item::Int(3)])));
+        let items = Column::from_items(vec![
+            Item::Node(NodeId::new(0, 1)),
+            Item::Bool(false),
+            Item::Int(3),
+            Item::Bool(false),
+        ]);
+        assert!(!ebv_of(&items, 0..0));
+        assert!(ebv_of(&items, 0..1));
+        assert!(!ebv_of(&items, 1..2));
+        assert!(ebv_of(&items, 2..3));
+        assert!(ebv_of(&items, 1..4), "several items are true");
+    }
+
+    #[test]
+    fn iter_runs_merge_in_ascending_order() {
+        let mut runs = IterRuns::new(&[1, 1, 3, 4, 4, 4]);
+        assert_eq!(runs.of(1), 0..2);
+        assert!(runs.of(2).is_empty());
+        assert_eq!(runs.next_run(), Some((3, 2..3)));
+        assert_eq!(runs.of(4), 3..6);
+        assert!(runs.of(9).is_empty());
+        assert_eq!(runs.next_run(), None);
     }
 
     #[test]

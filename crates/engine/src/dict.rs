@@ -26,10 +26,11 @@ pub struct Dictionary {
     /// skip the numeric-string normalisation of the XQuery general
     /// comparison during joins.
     any_numeric: bool,
-    /// Per-code numeric join key: the `f64` bit pattern of entries that
-    /// parse as a number, `None` for everything else.  Lets a join over a
-    /// *mixed* dictionary (attribute values: ids and prices side by side)
-    /// still run per code instead of per row.
+    /// Per-code numeric join key: the `f64` bit pattern (`-0` folded onto
+    /// `+0`) of entries that parse as a number other than NaN, `None` for
+    /// everything else.  Lets a join over a *mixed* dictionary (attribute
+    /// values: ids and prices side by side) still run per code instead of
+    /// per row.
     numeric_keys: Vec<Option<u64>>,
 }
 
@@ -49,7 +50,7 @@ impl Dictionary {
     fn from_sorted(strings: Vec<Arc<str>>) -> Dictionary {
         let numeric_keys: Vec<Option<u64>> = strings
             .iter()
-            .map(|s| s.trim().parse::<f64>().ok().map(f64::to_bits))
+            .map(|s| s.trim().parse().ok().and_then(crate::join::numeric_key))
             .collect();
         let any_numeric = numeric_keys.iter().any(Option::is_some);
         Dictionary {
@@ -97,9 +98,10 @@ impl Dictionary {
         self.any_numeric
     }
 
-    /// Numeric join key of a code: the `f64` bit pattern when the entry
-    /// parses as a number (the XQuery general-comparison normalisation of
-    /// untyped data), `None` for non-numeric strings.
+    /// Numeric join key of a code: the `f64` bit pattern (`-0` folded onto
+    /// `+0`) when the entry parses as a number other than NaN (the XQuery
+    /// general-comparison normalisation of untyped data), `None` for every
+    /// other string.
     ///
     /// # Panics
     /// Panics when `code` is outside `0..len` (codes are dense).

@@ -55,38 +55,58 @@ use crate::value::{CmpOp, Item, NodeId};
 /// Pairs of matching row indices `(left_row, right_row)` produced by a join.
 pub type JoinPairs = (Vec<usize>, Vec<usize>);
 
-/// Normalised join key: numbers (including numeric strings) collapse onto a
-/// single numeric key so that XQuery general comparisons between typed and
-/// untyped data behave as expected; everything else is compared as a string.
+/// Normalised join key: numbers (including booleans and numeric strings)
+/// collapse onto a single numeric key so that XQuery general comparisons
+/// between typed and untyped data behave as [`Item::compare`] has them;
+/// everything else is compared as a string.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 enum JoinKey {
     Num(u64),
     Str(Arc<str>),
-    Bool(bool),
     Node(u64),
 }
 
-fn join_key(item: &Item) -> JoinKey {
-    match item {
-        Item::Int(i) => JoinKey::Num((*i as f64).to_bits()),
-        Item::Dbl(d) => JoinKey::Num(d.to_bits()),
-        Item::Bool(b) => JoinKey::Bool(*b),
-        Item::Node(n) => JoinKey::Node(((n.frag as u64) << 32) | n.pre as u64),
-        Item::Str(s) => match s.trim().parse::<f64>() {
-            Ok(d) => JoinKey::Num(d.to_bits()),
-            Err(_) => JoinKey::Str(s.clone()),
-        },
-    }
+/// A double as a join key, equi- or theta-: `-0.0` folded onto `+0.0`, and
+/// `None` for NaN, which compares to nothing ([`Item::compare`]).
+fn comparable(d: f64) -> Option<f64> {
+    (!d.is_nan()).then_some(d + 0.0)
 }
 
-/// Normalised join keys for a whole column.  `Dict` columns pay the
-/// normalisation once per dictionary code, every other column once per row.
-/// The per-row path fans out over chunk-aligned spans when `threads > 1`.
-fn join_keys(col: &Column, threads: usize) -> Vec<JoinKey> {
+/// The bit pattern equal doubles share, `None` for NaN.
+pub(crate) fn numeric_key(d: f64) -> Option<u64> {
+    comparable(d).map(f64::to_bits)
+}
+
+/// The join key of an item; `None` for a NaN double, which joins nothing.
+fn join_key(item: &Item) -> Option<JoinKey> {
+    Some(match item {
+        Item::Int(i) => JoinKey::Num(numeric_key(*i as f64)?),
+        Item::Dbl(d) => JoinKey::Num(numeric_key(*d)?),
+        Item::Bool(b) => JoinKey::Num(numeric_key(*b as u8 as f64)?),
+        Item::Node(n) => JoinKey::Node(((n.frag as u64) << 32) | n.pre as u64),
+        // a string that casts to NaN stays a string: it equals itself
+        Item::Str(s) => match s.trim().parse::<f64>().ok().and_then(numeric_key) {
+            Some(bits) => JoinKey::Num(bits),
+            None => JoinKey::Str(s.clone()),
+        },
+    })
+}
+
+/// Normalised join keys for a whole column (`None`: the row joins nothing).
+/// `Dict` columns pay the normalisation once per dictionary code, every
+/// other column once per row.  The per-row path fans out over chunk-aligned
+/// spans when `threads > 1`.
+fn join_keys(col: &Column, threads: usize) -> Vec<Option<JoinKey>> {
     match col.dict_parts() {
         Some((codes, dict)) => {
-            let per_code: Vec<JoinKey> = (0..dict.len() as u32)
-                .map(|c| join_key(&Item::Str(dict.str_of(c).clone())))
+            // the dictionary cast every distinct string once already
+            let per_code: Vec<Option<JoinKey>> = (0..dict.len() as u32)
+                .map(|c| {
+                    Some(match dict.numeric_key_of(c) {
+                        Some(bits) => JoinKey::Num(bits),
+                        None => JoinKey::Str(dict.str_of(c).clone()),
+                    })
+                })
                 .collect();
             codes
                 .iter()
@@ -94,7 +114,8 @@ fn join_keys(col: &Column, threads: usize) -> Vec<JoinKey> {
                 .collect()
         }
         None => crate::par::map_spans(col.len(), threads, |r| {
-            r.map(|i| join_key(&col.item(i))).collect::<Vec<JoinKey>>()
+            r.map(|i| join_key(&col.item(i)))
+                .collect::<Vec<Option<JoinKey>>>()
         })
         .into_iter()
         .flatten()
@@ -148,12 +169,17 @@ pub fn hash_join_int(left: &[i64], right: &[i64]) -> JoinPairs {
 pub fn hash_join_items(left: &Column, right: &Column) -> JoinPairs {
     let mut index: HashMap<JoinKey, Vec<usize>> = HashMap::with_capacity(right.len());
     for r in 0..right.len() {
-        index.entry(join_key(&right.item(r))).or_default().push(r);
+        if let Some(key) = join_key(&right.item(r)) {
+            index.entry(key).or_default().push(r);
+        }
     }
     let mut lout = Vec::new();
     let mut rout = Vec::new();
     for l in 0..left.len() {
-        if let Some(rs) = index.get(&join_key(&left.item(l))) {
+        let Some(key) = join_key(&left.item(l)) else {
+            continue;
+        };
+        if let Some(rs) = index.get(&key) {
             for &r in rs {
                 lout.push(l);
                 rout.push(r);
@@ -225,12 +251,14 @@ pub fn radix_hash_join_with(left: &Column, right: &Column, threads: usize) -> Jo
         // order — output needs no re-sort
         let mut build: HashMap<&JoinKey, Vec<usize>> = HashMap::with_capacity(rkeys.len());
         for (r, k) in rkeys.iter().enumerate() {
-            build.entry(k).or_default().push(r);
+            if let Some(k) = k {
+                build.entry(k).or_default().push(r);
+            }
         }
         let mut lout = Vec::new();
         let mut rout = Vec::new();
         for (l, k) in lkeys.iter().enumerate() {
-            if let Some(rs) = build.get(k) {
+            if let Some(rs) = k.as_ref().and_then(|k| build.get(k)) {
                 for &r in rs {
                     lout.push(l);
                     rout.push(r);
@@ -241,19 +269,22 @@ pub fn radix_hash_join_with(left: &Column, right: &Column, threads: usize) -> Jo
     }
 
     // hash in parallel, then scatter the rows into partitions sequentially
-    let partition = |keys: &[JoinKey]| -> Vec<Vec<usize>> {
-        let part_of: Vec<u16> = crate::par::map_spans(keys.len(), threads, |r| {
+    // (a row without a key joins nothing and enters no partition)
+    let partition = |keys: &[Option<JoinKey>]| -> Vec<Vec<usize>> {
+        let part_of: Vec<Option<u16>> = crate::par::map_spans(keys.len(), threads, |r| {
             keys[r]
                 .iter()
-                .map(|k| (hash_key(k) & mask) as u16)
-                .collect::<Vec<u16>>()
+                .map(|k| k.as_ref().map(|k| (hash_key(k) & mask) as u16))
+                .collect::<Vec<Option<u16>>>()
         })
         .into_iter()
         .flatten()
         .collect();
         let mut parts: Vec<Vec<usize>> = vec![Vec::new(); nparts];
-        for (row, &p) in part_of.iter().enumerate() {
-            parts[p as usize].push(row);
+        for (row, p) in part_of.iter().enumerate() {
+            if let Some(p) = p {
+                parts[*p as usize].push(row);
+            }
         }
         parts
     };
@@ -273,7 +304,9 @@ pub fn radix_hash_join_with(left: &Column, right: &Column, threads: usize) -> Jo
             if lparts[p].is_empty() || rparts[p].is_empty() {
                 continue;
             }
-            let mut build: HashMap<&JoinKey, Vec<usize>> = HashMap::with_capacity(rparts[p].len());
+            // every partitioned row has a key: `Some` meets `Some` only
+            let mut build: HashMap<&Option<JoinKey>, Vec<usize>> =
+                HashMap::with_capacity(rparts[p].len());
             for &r in &rparts[p] {
                 build.entry(&rkeys[r]).or_default().push(r);
             }
@@ -470,9 +503,7 @@ impl<'a> ThetaKeys<'a> {
 }
 
 fn push_num(keys: &mut Keys<f64>, x: f64, row: usize) {
-    if !x.is_nan() {
-        keys.push((x + 0.0, row));
-    }
+    keys.extend(comparable(x).map(|x| (x, row)));
 }
 
 /// Join one comparison class: sort the right keys once, then answer every

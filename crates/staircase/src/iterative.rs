@@ -98,7 +98,7 @@ fn descendant<D: NodeRead>(
 ) -> Vec<u32> {
     // Pruning makes the remaining subtree ranges disjoint; scanning them in
     // order yields document order directly, skipping everything in between.
-    // Within a range, whole storage runs (logical pages) whose summary rules
+    // Within a range, whole storage runs (column chunks) whose summary rules
     // out the test are skipped without touching a node.
     let pruned = prune_covered(doc, ctx);
     let mut out = Vec::new();

@@ -14,10 +14,15 @@
 //! * **skipping** is unchanged — the algorithms below touch at most
 //!   `|result| + |context|` rows of the document encoding and keep a strictly
 //!   forward (or strictly backward, for reverse axes) access pattern.
+//!
+//! The context is one flat `(pre, iter)`-sorted slice throughout: the
+//! iterations of a context node are a *run* of that slice, the partitioning
+//! stacks hold borrowed runs, and nothing is allocated per context node.
 
-use std::collections::HashSet;
+use std::borrow::Cow;
+use std::ops::Range;
 
-use mxq_xmldb::NodeRead;
+use mxq_xmldb::{NamedRun, NodeRead};
 
 use crate::axis::Axis;
 use crate::nametest::{CompiledTest, NodeTest};
@@ -25,6 +30,30 @@ use crate::stats::ScanStats;
 
 /// A context pair: (iteration number, preorder rank).
 pub type CtxPair = (i64, u32);
+
+/// The `(pre, iter)` sort key of a pair.
+fn key(&(iter, pre): &CtxPair) -> (u32, i64) {
+    (pre, iter)
+}
+
+/// The context in strict `(pre, iter)` order — borrowed when it arrives
+/// that way (every single-iteration step, every `for $x in …/tag` step),
+/// sorted and de-duplicated otherwise.
+fn ordered(ctx: &[CtxPair]) -> Cow<'_, [CtxPair]> {
+    if ctx.windows(2).all(|w| key(&w[0]) < key(&w[1])) {
+        return Cow::Borrowed(ctx);
+    }
+    let mut sorted = ctx.to_vec();
+    sorted.sort_unstable_by_key(key);
+    sorted.dedup();
+    Cow::Owned(sorted)
+}
+
+/// The runs of equal `pre` of an ordered context: one per context node,
+/// holding the iterations it is a context node of (ascending).
+fn groups(ctx: &[CtxPair]) -> impl Iterator<Item = &[CtxPair]> {
+    ctx.chunk_by(|a, b| a.1 == b.1)
+}
 
 /// Evaluate one location step for all iterations at once.
 ///
@@ -41,16 +70,13 @@ pub fn looplifted_step<D: NodeRead>(
 ) -> Vec<CtxPair> {
     stats.passes += 1;
     stats.contexts += ctx.len() as u64;
-    let groups = group_by_pre(ctx);
-    if groups.is_empty() {
-        return Vec::new();
-    }
+    let ctx = &*ordered(ctx);
     // resolve the node test once: name tests become qname-id comparisons
     let test = &test.compile(doc);
-    let mut result = match axis {
-        Axis::Child => ll_child(doc, &groups, test, stats),
-        Axis::Descendant => ll_descendant(doc, ctx, test, stats, false),
-        Axis::DescendantOrSelf => ll_descendant(doc, ctx, test, stats, true),
+    let result = match axis {
+        Axis::Child => ll_child(doc, ctx, test, stats),
+        Axis::Descendant => ll_descendant(doc, ctx, Matches::Scan(test), stats, false),
+        Axis::DescendantOrSelf => ll_descendant(doc, ctx, Matches::Scan(test), stats, true),
         Axis::SelfAxis => ctx
             .iter()
             .copied()
@@ -59,145 +85,178 @@ pub fn looplifted_step<D: NodeRead>(
                 test.matches(doc, p)
             })
             .collect(),
-        Axis::Parent => ll_parent(doc, &groups, test, stats),
-        Axis::Ancestor => ll_ancestor(doc, &groups, test, stats, false),
-        Axis::AncestorOrSelf => ll_ancestor(doc, &groups, test, stats, true),
+        Axis::Parent => ll_parent(doc, ctx, test, stats),
+        Axis::Ancestor => ll_ancestor(doc, ctx, test, stats, false),
+        Axis::AncestorOrSelf => ll_ancestor(doc, ctx, test, stats, true),
         Axis::Following => ll_following(doc, ctx, test, stats),
         Axis::Preceding => ll_preceding(doc, ctx, test, stats),
-        Axis::FollowingSibling => ll_siblings(doc, &groups, test, stats, true),
-        Axis::PrecedingSibling => ll_siblings(doc, &groups, test, stats, false),
+        Axis::FollowingSibling => ll_siblings(doc, ctx, test, stats, true),
+        Axis::PrecedingSibling => ll_siblings(doc, ctx, test, stats, false),
         Axis::Attribute => Vec::new(),
     };
-    dedup_per_iter(&mut result);
-    stats.results += result.len() as u64;
-    result
+    finish(result, stats)
 }
 
-/// The nametest/predicate-pushdown variant of Section 3.2: instead of
-/// scanning the document encoding, the step consumes a *candidate list* (in
-/// document order, typically produced by the element-name index) and emits
-/// only candidates reachable through the axis, skipping whole candidate
-/// ranges with binary search.
+/// The nametest-pushdown variant of Section 3.2: instead of scanning the
+/// document encoding, a `child`/`descendant(-or-self)::name` step consumes
+/// the *candidate list* of the name — the container's element-name index,
+/// read run by run ([`NodeRead::run_named`]) — and touches only the
+/// candidates inside the context regions: `|context| + |result|` rows (plus,
+/// for `child`, the same-named elements below child level that are not
+/// themselves inside a result).  No document-wide list is ever built; the
+/// other axes evaluate the name test on the scanning path.
 pub fn looplifted_step_candidates<D: NodeRead>(
     doc: &D,
     ctx: &[CtxPair],
     axis: Axis,
-    candidates: &[u32],
+    name: &str,
     stats: &mut ScanStats,
 ) -> Vec<CtxPair> {
+    let indexed = matches!(
+        axis,
+        Axis::Child | Axis::Descendant | Axis::DescendantOrSelf
+    );
+    if !indexed {
+        return looplifted_step(doc, ctx, axis, &NodeTest::named(name), stats);
+    }
     stats.passes += 1;
     stats.contexts += ctx.len() as u64;
-    // pruning only applies to the recursive axes: a covered context node still
-    // contributes its own children for the child axis
-    let prepared: Vec<CtxPair> = match axis {
-        Axis::Descendant | Axis::DescendantOrSelf => prune_per_iter(doc, ctx),
-        _ => ctx.to_vec(),
+    let ctx = &*ordered(ctx);
+    let Some(code) = doc.lookup_qname(name) else {
+        return Vec::new();
     };
-    let groups = group_by_pre(&prepared);
-    let mut out: Vec<CtxPair> = Vec::new();
-    match axis {
-        Axis::Descendant | Axis::DescendantOrSelf | Axis::Child => {
-            for (pre, iters) in &groups {
-                let lo = if axis == Axis::DescendantOrSelf {
-                    *pre
-                } else {
-                    *pre + 1
-                };
-                let hi = *pre + doc.size(*pre);
-                let start = candidates.partition_point(|&c| c < lo);
-                let end = candidates.partition_point(|&c| c <= hi);
-                for &cand in &candidates[start..end] {
-                    stats.nodes_scanned += 1;
-                    if axis == Axis::Child && doc.level(cand) != doc.level(*pre) + 1 {
+    let index = NameIndex::new(doc, code);
+    let result = match axis {
+        Axis::Child => named_child(doc, ctx, index, stats),
+        _ => {
+            let or_self = axis == Axis::DescendantOrSelf;
+            ll_descendant(doc, ctx, Matches::Index(index), stats, or_self)
+        }
+    };
+    finish(result, stats)
+}
+
+/// Close a step: the sweeps emit in `(pre, iter)` order whenever the context
+/// regions are disjoint; nested regions emit region by region and are put
+/// back in order here.  The upward and sibling axes can reach one node from
+/// several context nodes of an iteration, hence the de-duplication.
+fn finish(mut result: Vec<CtxPair>, stats: &mut ScanStats) -> Vec<CtxPair> {
+    if !result.windows(2).all(|w| key(&w[0]) <= key(&w[1])) {
+        result.sort_unstable_by_key(key);
+    }
+    result.dedup();
+    stats.results += result.len() as u64;
+    result
+}
+
+/// A cursor over the element-name index of one name: remembers the storage
+/// run it looked at last, so consecutive small context regions inside one
+/// run share a single index lookup.
+struct NameIndex<'d, D> {
+    doc: &'d D,
+    code: u32,
+    run: NamedRun<'d>,
+}
+
+impl<'d, D: NodeRead> NameIndex<'d, D> {
+    fn new(doc: &'d D, code: u32) -> Self {
+        NameIndex {
+            doc,
+            code,
+            // an empty run that contains no position: the first lookup loads
+            run: NamedRun {
+                base: 1,
+                offsets: &[],
+                end: 0,
+            },
+        }
+    }
+
+    /// The index entries of the run containing `pre`.
+    fn run_at(&mut self, pre: u32, stats: &mut ScanStats) -> NamedRun<'d> {
+        if pre < self.run.base || pre > self.run.end {
+            self.run = self.doc.run_named(pre, self.code);
+            if self.run.offsets.is_empty() {
+                // the index rules the whole run out
+                stats.pages_skipped += 1;
+            }
+        }
+        self.run
+    }
+}
+
+/// How a sweep finds the nodes of a region that satisfy the node test.
+enum Matches<'t, 'd, D> {
+    /// Scan the region, skipping storage runs whose summary rules the test
+    /// out (the page-level bookkeeping of Section 5.2).
+    Scan(&'t CompiledTest),
+    /// Read the candidates of a name test off the element-name index.
+    Index(NameIndex<'d, D>),
+}
+
+impl<D: NodeRead> Matches<'_, '_, D> {
+    /// Call `emit` for every matching node of `lo..=hi`, in document order.
+    fn for_each_in(
+        &mut self,
+        doc: &D,
+        lo: u32,
+        hi: u32,
+        stats: &mut ScanStats,
+        mut emit: impl FnMut(u32),
+    ) {
+        let mut v = lo;
+        while v <= hi {
+            match self {
+                Matches::Scan(test) => {
+                    let run_end = doc.run_end(v).min(hi);
+                    if !test.may_match_run(doc, v) {
+                        stats.pages_skipped += 1;
+                        v = run_end + 1;
                         continue;
                     }
-                    for &it in iters {
-                        out.push((it, cand));
+                    while v <= run_end {
+                        stats.nodes_scanned += 1;
+                        if test.matches(doc, v) {
+                            emit(v);
+                        }
+                        v += 1;
                     }
+                }
+                Matches::Index(index) => {
+                    let run = index.run_at(v, stats);
+                    let from = run.offsets.partition_point(|&o| run.base + o < v);
+                    for &o in &run.offsets[from..] {
+                        if run.base + o > hi {
+                            return;
+                        }
+                        stats.nodes_scanned += 1;
+                        emit(run.base + o);
+                    }
+                    v = run.end + 1;
                 }
             }
         }
-        _ => {
-            // other axes fall back to the scanning variant plus a post filter
-            let cand_set: HashSet<u32> = candidates.iter().copied().collect();
-            out = looplifted_step(doc, ctx, axis, &NodeTest::AnyKind, stats)
-                .into_iter()
-                .filter(|(_, p)| cand_set.contains(p))
-                .collect();
-        }
     }
-    dedup_per_iter(&mut out);
-    stats.results += out.len() as u64;
-    out
-}
-
-/// Group context pairs by preorder rank: `(pre, iters)` with `pre` ascending
-/// and each iteration list sorted.
-fn group_by_pre(ctx: &[CtxPair]) -> Vec<(u32, Vec<i64>)> {
-    let mut sorted: Vec<CtxPair> = ctx.to_vec();
-    sorted.sort_unstable_by_key(|&(it, p)| (p, it));
-    sorted.dedup();
-    let mut groups: Vec<(u32, Vec<i64>)> = Vec::new();
-    for (it, p) in sorted {
-        match groups.last_mut() {
-            Some((gp, iters)) if *gp == p => iters.push(it),
-            _ => groups.push((p, vec![it])),
-        }
-    }
-    groups
-}
-
-/// Per-iteration pruning: drop a context pair when an earlier context node of
-/// the *same* iteration already covers it (Section 3, technique (i)).
-pub fn prune_per_iter<D: NodeRead>(doc: &D, ctx: &[CtxPair]) -> Vec<CtxPair> {
-    let mut sorted: Vec<CtxPair> = ctx.to_vec();
-    sorted.sort_unstable_by_key(|&(it, p)| (p, it));
-    sorted.dedup();
-    let mut cover: std::collections::HashMap<i64, u32> = std::collections::HashMap::new();
-    let mut out = Vec::with_capacity(sorted.len());
-    for (it, p) in sorted {
-        match cover.get(&it) {
-            Some(&end) if p <= end => continue,
-            _ => {
-                cover.insert(it, p + doc.size(p));
-                out.push((it, p));
-            }
-        }
-    }
-    out
-}
-
-fn dedup_per_iter(result: &mut Vec<CtxPair>) {
-    // the sweep algorithms emit in ascending (pre, iter) order whenever the
-    // context regions are disjoint; detect that and skip the sort
-    let sorted = result
-        .windows(2)
-        .all(|w| (w[0].1, w[0].0) <= (w[1].1, w[1].0));
-    if !sorted {
-        result.sort_unstable_by_key(|&(it, p)| (p, it));
-    }
-    result.dedup();
 }
 
 /// Loop-lifted child step — the algorithm of Figure 6.
 fn ll_child<D: NodeRead>(
     doc: &D,
-    groups: &[(u32, Vec<i64>)],
+    ctx: &[CtxPair],
     test: &CompiledTest,
     stats: &mut ScanStats,
 ) -> Vec<CtxPair> {
-    struct Active {
+    struct Active<'c> {
         /// end of scope: last preorder rank inside the context's subtree
         eos: u32,
         /// next child to process
         nxt_child: u32,
-        /// iterations this context node is active for
-        iters: Vec<i64>,
+        /// the iterations this context node is active for
+        iters: &'c [CtxPair],
     }
 
     let mut result: Vec<CtxPair> = Vec::new();
     let mut active: Vec<Active> = Vec::new();
-    let mut next_ctx = 0usize;
 
     // emit the children of the top-of-stack context up to and including `until`
     let inner_loop_child =
@@ -206,47 +265,32 @@ fn ll_child<D: NodeRead>(
             while v <= until && v <= top.eos {
                 stats.nodes_scanned += 1;
                 if test.matches(doc, v) {
-                    for &it in &top.iters {
-                        result.push((it, v));
-                    }
+                    result.extend(top.iters.iter().map(|&(it, _)| (it, v)));
                 }
                 v = v + doc.size(v) + 1; // skip the child's subtree (skipping)
             }
             top.nxt_child = v;
         };
 
-    let push_ctx = |groups: &[(u32, Vec<i64>)],
-                    idx: usize,
-                    active: &mut Vec<Active>,
-                    stats: &mut ScanStats| {
-        let (pre, iters) = &groups[idx];
+    for group in groups(ctx) {
+        let pre = group[0].1;
+        // contexts that end before this one are finished: 4, 5
+        while let Some(top) = active.last_mut() {
+            if pre <= top.eos {
+                // this context is a descendant of the current one: 2
+                inner_loop_child(top, pre, &mut result, stats);
+                break;
+            }
+            let eos = top.eos;
+            inner_loop_child(top, eos, &mut result, stats);
+            active.pop();
+        }
         stats.nodes_scanned += 1; // the context node itself is inspected
         active.push(Active {
-            eos: *pre + doc.size(*pre),
-            nxt_child: *pre + 1,
-            iters: iters.clone(),
-        });
-    };
-
-    while next_ctx < groups.len() {
-        if active.is_empty() {
-            push_ctx(groups, next_ctx, &mut active, stats); // 1
-            next_ctx += 1;
-        } else {
-            let next_pre = groups[next_ctx].0;
-            let top_eos = active.last().unwrap().eos;
-            if next_pre <= top_eos {
-                // next context is a descendant of the current one
-                let top = active.last_mut().unwrap();
-                inner_loop_child(top, next_pre, &mut result, stats); // 2
-                push_ctx(groups, next_ctx, &mut active, stats); // 3
-                next_ctx += 1;
-            } else {
-                let mut top = active.pop().unwrap();
-                let eos = top.eos;
-                inner_loop_child(&mut top, eos, &mut result, stats); // 4, 5
-            }
-        }
+            eos: pre + doc.size(pre),
+            nxt_child: pre + 1,
+            iters: group,
+        }); // 1, 3
     }
     while let Some(mut top) = active.pop() {
         let eos = top.eos;
@@ -255,139 +299,149 @@ fn ll_child<D: NodeRead>(
     result
 }
 
+/// `child::name` off the element-name index: per context node, the
+/// candidates inside its subtree, each either a child (emitted) or deeper
+/// (dropped) — and in both cases nothing below it can be a child, so the
+/// candidate's whole subtree is jumped over without being touched.
+fn named_child<D: NodeRead>(
+    doc: &D,
+    ctx: &[CtxPair],
+    mut index: NameIndex<'_, D>,
+    stats: &mut ScanStats,
+) -> Vec<CtxPair> {
+    let mut result: Vec<CtxPair> = Vec::new();
+    for group in groups(ctx) {
+        let pre = group[0].1;
+        let eos = pre + doc.size(pre);
+        let child_level = doc.level(pre) + 1;
+        let mut v = pre + 1;
+        'region: while v <= eos {
+            let run = index.run_at(v, stats);
+            let from = run.offsets.partition_point(|&o| run.base + o < v);
+            for &o in &run.offsets[from..] {
+                let cand = run.base + o;
+                if cand > eos {
+                    break 'region;
+                }
+                if cand < v {
+                    continue; // inside a subtree already jumped over
+                }
+                stats.nodes_scanned += 1;
+                if doc.level(cand) == child_level {
+                    result.extend(group.iter().map(|&(it, _)| (it, cand)));
+                }
+                v = cand + doc.size(cand) + 1;
+            }
+            v = v.max(run.end + 1);
+        }
+    }
+    result
+}
+
+/// An open context region of the descendant sweep; its iterations are a
+/// range of the context pairs that survived pruning.
+struct Open {
+    eos: u32,
+    iters: Range<usize>,
+}
+
 /// Loop-lifted descendant / descendant-or-self step: a single forward sweep
 /// with a stack of open context regions annotated with their iterations.
+/// Pruning is per iteration and happens on the way: a context pair whose
+/// iteration is already open in an enclosing region adds nothing.
 fn ll_descendant<D: NodeRead>(
     doc: &D,
     ctx: &[CtxPair],
-    test: &CompiledTest,
+    mut matches: Matches<'_, '_, D>,
     stats: &mut ScanStats,
     or_self: bool,
 ) -> Vec<CtxPair> {
-    let pruned = prune_per_iter(doc, ctx);
-    let groups = group_by_pre(&pruned);
+    let (scanning, self_test) = match &matches {
+        Matches::Scan(test) => (true, (*test).clone()),
+        Matches::Index(index) => (false, CompiledTest::Element(Some(index.code))),
+    };
     let mut result: Vec<CtxPair> = Vec::new();
-    // self contribution (pruned contexts of the same iter are still their own
-    // descendant-or-self result; use the unpruned context for that)
-    if or_self {
-        for &(it, p) in ctx {
-            if test.matches(doc, p) {
-                result.push((it, p));
+    // the context pairs that survive pruning, one run per open region
+    let mut kept: Vec<CtxPair> = Vec::with_capacity(ctx.len());
+    let mut open: Vec<Open> = Vec::new();
+    // first preorder rank the sweep has not passed yet
+    let mut next = 0u32;
+
+    // sweep `next..=until`: every match is a descendant of all open regions
+    let mut sweep = |open: &[Open],
+                     kept: &[CtxPair],
+                     next: &mut u32,
+                     until: u32,
+                     result: &mut Vec<CtxPair>,
+                     stats: &mut ScanStats| {
+        matches.for_each_in(doc, *next, until, stats, |v| {
+            for region in open {
+                result.extend(kept[region.iters.clone()].iter().map(|&(it, _)| (it, v)));
             }
-        }
-    }
-
-    // Fast path: after per-iteration pruning the context regions are often
-    // pairwise disjoint (sibling subtrees — the shape of every XMark
-    // tag-test step).  Each region then has exactly one open context, so the
-    // partitioning stack degenerates and the scan is a plain sweep over the
-    // subtree ranges, emitted directly in (pre, iter) order.
-    let disjoint = groups
-        .windows(2)
-        .all(|w| w[0].0 + doc.size(w[0].0) < w[1].0);
-    if disjoint {
-        for (pre, iters) in &groups {
-            let end = pre + doc.size(*pre);
-            stats.nodes_scanned += 1; // the context node itself
-                                      // per-page sortedness: whole storage runs whose summary rules
-                                      // out the test are skipped without touching a node (the
-                                      // page-level bookkeeping of Section 5.2)
-            let mut v = pre + 1;
-            while v <= end {
-                let run_end = doc.run_end(v).min(end);
-                if !test.may_match_run(doc, v) {
-                    stats.pages_skipped += 1;
-                    v = run_end + 1;
-                    continue;
-                }
-                while v <= run_end {
-                    stats.nodes_scanned += 1;
-                    if test.matches(doc, v) {
-                        for &it in iters {
-                            result.push((it, v));
-                        }
-                    }
-                    v += 1;
-                }
-            }
-        }
-        return result;
-    }
-
-    struct Open {
-        pre: u32,
-        eos: u32,
-        iters: Vec<i64>,
-    }
-
-    let mut i = 0usize;
-    while i < groups.len() {
-        // start a new partition
-        let mut stack: Vec<Open> = Vec::new();
-        let (pre0, iters0) = &groups[i];
-        stack.push(Open {
-            pre: *pre0,
-            eos: *pre0 + doc.size(*pre0),
-            iters: iters0.clone(),
         });
-        stats.nodes_scanned += 1;
-        i += 1;
-        let mut v = *pre0 + 1;
-        while !stack.is_empty() {
-            // close finished regions
-            while let Some(top) = stack.last() {
-                if top.eos < v {
-                    stack.pop();
-                } else {
-                    break;
-                }
-            }
-            if stack.is_empty() {
+        *next = until + 1;
+    };
+
+    for group in groups(ctx) {
+        let pre = group[0].1;
+        while let Some(top) = open.last() {
+            if pre <= top.eos {
                 break;
             }
-            // open a context that starts exactly here
-            if i < groups.len() && groups[i].0 == v {
-                let (pre, iters) = &groups[i];
-                stack.push(Open {
-                    pre: *pre,
-                    eos: *pre + doc.size(*pre),
-                    iters: iters.clone(),
-                });
-                i += 1;
-            }
-            if v as usize >= doc.len() {
-                break;
-            }
-            stats.nodes_scanned += 1;
-            if test.matches(doc, v) {
-                for open in &stack {
-                    if open.pre < v {
-                        for &it in &open.iters {
-                            result.push((it, v));
-                        }
-                    }
-                }
-            }
-            v += 1;
+            sweep(&open, &kept, &mut next, top.eos, &mut result, stats);
+            open.pop();
         }
+        if scanning {
+            stats.nodes_scanned += 1; // the context node itself is inspected
+        }
+        if open.is_empty() {
+            // nothing between two regions is ever touched
+            next = pre + 1;
+        } else {
+            // `pre` itself is a descendant of the regions around it
+            sweep(&open, &kept, &mut next, pre, &mut result, stats);
+        }
+        let first = kept.len();
+        for &(it, _) in group {
+            let covered = open.iter().any(|region| {
+                kept[region.iters.clone()]
+                    .binary_search_by_key(&it, |&(i, _)| i)
+                    .is_ok()
+            });
+            if !covered {
+                kept.push((it, pre));
+            }
+        }
+        if or_self && self_test.matches(doc, pre) {
+            // the covered iterations got `pre` from the region covering them
+            result.extend_from_slice(&kept[first..]);
+        }
+        if kept.len() > first {
+            open.push(Open {
+                eos: pre + doc.size(pre),
+                iters: first..kept.len(),
+            });
+        }
+    }
+    while let Some(top) = open.last() {
+        sweep(&open, &kept, &mut next, top.eos, &mut result, stats);
+        open.pop();
     }
     result
 }
 
 fn ll_parent<D: NodeRead>(
     doc: &D,
-    groups: &[(u32, Vec<i64>)],
+    ctx: &[CtxPair],
     test: &CompiledTest,
     stats: &mut ScanStats,
 ) -> Vec<CtxPair> {
     let mut out = Vec::new();
-    for (pre, iters) in groups {
-        if let Some(p) = doc.parent(*pre) {
+    for group in groups(ctx) {
+        if let Some(p) = doc.parent(group[0].1) {
             stats.nodes_scanned += 1;
             if test.matches(doc, p) {
-                for &it in iters {
-                    out.push((it, p));
-                }
+                out.extend(group.iter().map(|&(it, _)| (it, p)));
             }
         }
     }
@@ -396,30 +450,47 @@ fn ll_parent<D: NodeRead>(
 
 fn ll_ancestor<D: NodeRead>(
     doc: &D,
-    groups: &[(u32, Vec<i64>)],
+    ctx: &[CtxPair],
     test: &CompiledTest,
     stats: &mut ScanStats,
     or_self: bool,
 ) -> Vec<CtxPair> {
     let mut out = Vec::new();
-    for (pre, iters) in groups {
-        if or_self && test.matches(doc, *pre) {
-            for &it in iters {
-                out.push((it, *pre));
-            }
+    for group in groups(ctx) {
+        let pre = group[0].1;
+        if or_self && test.matches(doc, pre) {
+            out.extend_from_slice(group);
         }
-        let mut cur = *pre;
+        let mut cur = pre;
         while let Some(p) = doc.parent(cur) {
             stats.nodes_scanned += 1;
             if test.matches(doc, p) {
-                for &it in iters {
-                    out.push((it, p));
-                }
+                out.extend(group.iter().map(|&(it, _)| (it, p)));
             }
             cur = p;
         }
     }
     out
+}
+
+/// One `(boundary, iter)` entry per iteration, ascending: the `bound` of an
+/// iteration folded over its context nodes with `pick`.
+fn per_iter_boundary(
+    ctx: &[CtxPair],
+    bound: impl Fn(u32) -> u32,
+    pick: impl Fn(u32, u32) -> u32,
+) -> Vec<(u32, i64)> {
+    let mut by_iter: Vec<(i64, u32)> = ctx.iter().map(|&(it, p)| (it, bound(p))).collect();
+    by_iter.sort_unstable();
+    let mut bounds: Vec<(u32, i64)> = by_iter
+        .chunk_by(|a, b| a.0 == b.0)
+        .map(|run| {
+            let b = run.iter().map(|&(_, b)| b).reduce(&pick);
+            (b.expect("runs are non-empty"), run[0].0)
+        })
+        .collect();
+    bounds.sort_unstable();
+    bounds
 }
 
 fn ll_following<D: NodeRead>(
@@ -429,16 +500,7 @@ fn ll_following<D: NodeRead>(
     stats: &mut ScanStats,
 ) -> Vec<CtxPair> {
     // per-iteration partition boundary: the smallest pre+size of that iter
-    let mut boundary: std::collections::HashMap<i64, u32> = std::collections::HashMap::new();
-    for &(it, p) in ctx {
-        let b = p + doc.size(p);
-        boundary
-            .entry(it)
-            .and_modify(|e| *e = (*e).min(b))
-            .or_insert(b);
-    }
-    let mut iters: Vec<(u32, i64)> = boundary.iter().map(|(&it, &b)| (b, it)).collect();
-    iters.sort_unstable();
+    let iters = per_iter_boundary(ctx, |p| p + doc.size(p), u32::min);
     let Some(&(min_b, _)) = iters.first() else {
         return Vec::new();
     };
@@ -480,15 +542,7 @@ fn ll_preceding<D: NodeRead>(
     stats: &mut ScanStats,
 ) -> Vec<CtxPair> {
     // per-iteration boundary: the largest context pre of that iter
-    let mut boundary: std::collections::HashMap<i64, u32> = std::collections::HashMap::new();
-    for &(it, p) in ctx {
-        boundary
-            .entry(it)
-            .and_modify(|e| *e = (*e).max(p))
-            .or_insert(p);
-    }
-    let mut bounds: Vec<(u32, i64)> = boundary.iter().map(|(&it, &b)| (b, it)).collect();
-    bounds.sort_unstable();
+    let bounds = per_iter_boundary(ctx, |p| p, u32::max);
     let Some(&(max_b, _)) = bounds.last() else {
         return Vec::new();
     };
@@ -511,21 +565,20 @@ fn ll_preceding<D: NodeRead>(
 
 fn ll_siblings<D: NodeRead>(
     doc: &D,
-    groups: &[(u32, Vec<i64>)],
+    ctx: &[CtxPair],
     test: &CompiledTest,
     stats: &mut ScanStats,
     following: bool,
 ) -> Vec<CtxPair> {
     let mut out = Vec::new();
-    for (pre, iters) in groups {
-        let Some(p) = doc.parent(*pre) else { continue };
+    for group in groups(ctx) {
+        let pre = group[0].1;
+        let Some(p) = doc.parent(pre) else { continue };
         for v in doc.children(p) {
             stats.nodes_scanned += 1;
-            let keep = if following { v > *pre } else { v < *pre };
+            let keep = if following { v > pre } else { v < pre };
             if keep && test.matches(doc, v) {
-                for &it in iters {
-                    out.push((it, v));
-                }
+                out.extend(group.iter().map(|&(it, _)| (it, v)));
             }
         }
     }
@@ -616,9 +669,23 @@ mod tests {
     #[test]
     fn per_iter_pruning_keeps_other_iterations() {
         let doc = fig4();
-        // pre 2 (c) covers pre 4 (e) — but only within the same iteration
-        let pruned = prune_per_iter(&doc, &[(1, 2), (1, 4), (2, 4)]);
-        assert_eq!(pruned, vec![(1, 2), (2, 4)]);
+        // pre 2 (c) covers pre 3 (d) — but only within the same iteration:
+        // iteration 1 sees d once (as a descendant of c), iteration 2 sees
+        // only itself
+        let ctx = [(1, 2), (1, 3), (2, 3)];
+        let mut stats = ScanStats::default();
+        let got = looplifted_step(
+            &doc,
+            &ctx,
+            Axis::DescendantOrSelf,
+            &NodeTest::AnyKind,
+            &mut stats,
+        );
+        assert_eq!(got, vec![(1, 2), (1, 3), (2, 3), (1, 4)]);
+        assert_eq!(
+            got,
+            reference(&doc, &ctx, Axis::DescendantOrSelf, &NodeTest::AnyKind)
+        );
     }
 
     #[test]
@@ -629,8 +696,7 @@ mod tests {
         let mut s1 = ScanStats::default();
         let full = looplifted_step(&doc, &ctx, Axis::Descendant, &test, &mut s1);
         let mut s2 = ScanStats::default();
-        let cands = doc.elements_named("h");
-        let pushed = looplifted_step_candidates(&doc, &ctx, Axis::Descendant, cands, &mut s2);
+        let pushed = looplifted_step_candidates(&doc, &ctx, Axis::Descendant, "h", &mut s2);
         assert_eq!(full, pushed);
         assert!(
             s2.nodes_scanned < s1.nodes_scanned,

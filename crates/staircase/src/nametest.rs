@@ -8,9 +8,9 @@
 //! two strings — the dictionary-encoded variant of Section 3.2's
 //! nametest evaluation.  Compiled tests also answer the *run-level*
 //! question ([`CompiledTest::may_match_run`]): can any node of the storage
-//! run (logical page) containing a position match?  The paged store's
-//! per-page summaries make that a set lookup, letting the sweeps skip
-//! whole pages.
+//! run (column chunk) containing a position match?  The paged store's
+//! per-chunk summaries and element-name index answer that without touching
+//! a node, letting the sweeps skip whole runs.
 
 use mxq_xmldb::{NodeKind, NodeRead};
 use std::sync::Arc;
@@ -58,17 +58,6 @@ impl NodeTest {
         }
     }
 
-    /// If the test is a simple name test, return the candidate list from the
-    /// container's element-name index (document order).  This is the candidate
-    /// list consumed by the predicate-pushdown staircase join (Section 3.2);
-    /// the paged store serves it from its per-page name buckets.
-    pub fn candidates<D: NodeRead>(&self, doc: &D) -> Option<Vec<u32>> {
-        match self {
-            NodeTest::Named(name) => doc.named_elements(name),
-            _ => None,
-        }
-    }
-
     /// Resolve the test against one container.  A name test is translated
     /// into the container's interned qname id (or `None` when the name never
     /// occurs — such a test matches nothing), so the per-node check of the
@@ -77,10 +66,7 @@ impl NodeTest {
         match self {
             NodeTest::AnyKind => CompiledTest::AnyKind,
             NodeTest::AnyElement => CompiledTest::AnyElement,
-            NodeTest::Named(name) => CompiledTest::Element {
-                code: doc.lookup_qname(name),
-                name: name.clone(),
-            },
+            NodeTest::Named(name) => CompiledTest::Element(doc.lookup_qname(name)),
             NodeTest::Text => CompiledTest::Text,
             NodeTest::Comment => CompiledTest::Comment,
             NodeTest::ProcessingInstruction(target) => {
@@ -97,16 +83,9 @@ pub enum CompiledTest {
     AnyKind,
     /// `*`.
     AnyElement,
-    /// A name test resolved to the container's interned qname id; a `None`
-    /// code means the name does not occur in the container.  The name is
-    /// kept for the run-level summary checks (summaries are keyed by
-    /// string, which stays stable across dictionary growth).
-    Element {
-        /// The interned qname id, if the name occurs at all.
-        code: Option<u32>,
-        /// The tested element name.
-        name: Arc<str>,
-    },
+    /// A name test resolved to the container's interned qname id; `None`
+    /// means the name does not occur in the container.
+    Element(Option<u32>),
     /// `text()`.
     Text,
     /// `comment()`.
@@ -124,10 +103,7 @@ impl CompiledTest {
         match self {
             CompiledTest::AnyKind => true,
             CompiledTest::AnyElement => doc.kind(pre) == NodeKind::Element,
-            CompiledTest::Element { code, .. } => match code {
-                Some(c) => doc.qname_id(pre) == Some(*c),
-                None => false,
-            },
+            CompiledTest::Element(code) => code.is_some() && doc.qname_id(pre) == *code,
             CompiledTest::Text => doc.kind(pre) == NodeKind::Text,
             CompiledTest::Comment => doc.kind(pre) == NodeKind::Comment,
             CompiledTest::ProcessingInstruction(target) => {
@@ -140,7 +116,7 @@ impl CompiledTest {
         }
     }
 
-    /// May *any* node of the storage run (logical page) containing `pre`
+    /// May *any* node of the storage run (column chunk) containing `pre`
     /// match the test?  `false` is a guarantee — the sweep skips the whole
     /// run; `true` only means "scan it".  On a flat document this is
     /// constant `true` (one run, no summaries).
@@ -149,7 +125,7 @@ impl CompiledTest {
         match self {
             CompiledTest::AnyKind => true,
             CompiledTest::AnyElement => doc.run_has_kind(pre, NodeKind::Element),
-            CompiledTest::Element { code, name } => code.is_some() && doc.run_has_name(pre, name),
+            CompiledTest::Element(code) => code.is_some_and(|c| doc.run_has_name(pre, c)),
             CompiledTest::Text => doc.run_has_kind(pre, NodeKind::Text),
             CompiledTest::Comment => doc.run_has_kind(pre, NodeKind::Comment),
             CompiledTest::ProcessingInstruction(_) => {
@@ -209,22 +185,22 @@ mod tests {
             }
         }
         // a name test on an absent name resolves to a never-matching code
-        assert!(matches!(
+        assert_eq!(
             NodeTest::named("zzz").compile(&d),
-            CompiledTest::Element { code: None, .. }
-        ));
+            CompiledTest::Element(None)
+        );
         assert!(!NodeTest::named("zzz").compile(&d).may_match_run(&d, 0));
     }
 
     #[test]
-    fn candidate_lists_come_from_name_index() {
+    fn compiled_name_tests_resolve_into_the_name_index() {
         let d = doc();
-        let cands = NodeTest::named("b").candidates(&d).unwrap();
-        assert_eq!(cands, vec![1, 4]);
-        assert!(NodeTest::AnyElement.candidates(&d).is_none());
-        assert_eq!(
-            NodeTest::named("zzz").candidates(&d).unwrap(),
-            Vec::<u32>::new()
-        );
+        let CompiledTest::Element(Some(b)) = NodeTest::named("b").compile(&d) else {
+            panic!("`b` occurs in the document");
+        };
+        let run = d.run_named(0, b);
+        let pres: Vec<u32> = run.offsets.iter().map(|o| run.base + o).collect();
+        assert_eq!(pres, vec![1, 4]);
+        assert_eq!(run.end, d.len() as u32 - 1);
     }
 }

@@ -8,7 +8,9 @@
 /// `staircase_micro` bench reports them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScanStats {
-    /// Document-encoding rows examined (including context nodes themselves).
+    /// Document-encoding rows examined: a scanning step counts every row its
+    /// sweep visits and the context nodes themselves, an index-driven step
+    /// ([`crate::looplifted_step_candidates`]) the candidates it looks at.
     pub nodes_scanned: u64,
     /// Context entries consumed.
     pub contexts: u64,
@@ -17,9 +19,11 @@ pub struct ScanStats {
     /// Number of sequential passes over the document table (1 for the
     /// loop-lifted variant, one per iteration for the iterative variant).
     pub passes: u64,
-    /// Whole storage runs (logical pages) skipped because their summary
-    /// proved no node in them could match the node test (paged store only;
-    /// a flat document is one unskippable run).
+    /// Whole storage runs (chunks of the paged store's column image) inside
+    /// a context region that were passed over without touching a row: their
+    /// kind summary ruled the node test out (scanning step), or their
+    /// element-name index holds no entry for the name (index-driven step).
+    /// A flat document is one run.
     pub pages_skipped: u64,
 }
 

@@ -4,10 +4,21 @@
 //! The oracle evaluates each axis by its set definition over the pre/size
 //! encoding (no pruning, no skipping), so any divergence points at the
 //! staircase join's optimisations.
+//!
+//! The property test at the end holds the loop-lifted step — scanning and
+//! name-index variants, on the flat document and on the paged read view cut
+//! into tiny chunks — to the iterative staircase join run once per
+//! iteration, on random multi-fragment documents, every axis, and random
+//! multi-iteration contexts (overlapping, nested, with duplicate pairs).
 
-use mxq_staircase::{looplifted_step, staircase_step, Axis, NodeTest, ScanStats};
+use proptest::prelude::*;
+
+use mxq_staircase::{
+    looplifted_step, looplifted_step_candidates, staircase_step, Axis, NodeTest, ScanStats,
+};
 use mxq_xmldb::shred::{shred, ShredOptions};
-use mxq_xmldb::Document;
+use mxq_xmldb::update::PagedDocument;
+use mxq_xmldb::{Document, DocumentBuilder, NodeRead};
 
 fn fig4() -> Document {
     shred(
@@ -180,8 +191,111 @@ fn candidate_pushdown_equals_scan_with_nametest_on_larger_contexts() {
         let mut s1 = ScanStats::default();
         let scan = looplifted_step(&doc, &branches, axis, &NodeTest::named("twig"), &mut s1);
         let mut s2 = ScanStats::default();
-        let cands = doc.elements_named("twig");
-        let push = mxq_staircase::looplifted_step_candidates(&doc, &branches, axis, cands, &mut s2);
+        let push = looplifted_step_candidates(&doc, &branches, axis, "twig", &mut s2);
         assert_eq!(scan, push, "axis {axis}");
+    }
+}
+
+// ---------------------------------------------------------------------------
+// loop-lifted step == per-iteration staircase join, on random inputs
+// ---------------------------------------------------------------------------
+
+/// Small random element trees over a five-name vocabulary, so names recur
+/// at every depth (a `child::a` step meets `a` elements below child level).
+fn arb_tree() -> impl Strategy<Value = String> {
+    let leaf = prop_oneof![
+        "[a-c]{1,3}".prop_map(|t| format!("<a>{t}</a>")),
+        Just("<b/>".to_string()),
+        Just("<c><a/></c>".to_string()),
+    ];
+    leaf.prop_recursive(5, 80, 4, |inner| {
+        (
+            prop::sample::select(vec!["a", "b", "c", "d", "e"]),
+            prop::collection::vec(inner, 0..4),
+        )
+            .prop_map(|(name, kids)| format!("<{name}>{}</{name}>", kids.join("")))
+    })
+}
+
+/// One container holding every tree as a fragment of its own.
+fn container_of(trees: &[String]) -> Document {
+    let mut b = DocumentBuilder::new("multi");
+    for xml in trees {
+        let tree = shred("t", xml, &ShredOptions::default()).expect("well-formed");
+        b.copy_subtree(&tree, 0);
+    }
+    b.finish()
+}
+
+/// The reference: one iterative staircase join per iteration.
+fn per_iteration(
+    doc: &Document,
+    ctx: &[(i64, u32)],
+    axis: Axis,
+    test: &NodeTest,
+) -> Vec<(i64, u32)> {
+    let mut iters: Vec<i64> = ctx.iter().map(|&(it, _)| it).collect();
+    iters.sort_unstable();
+    iters.dedup();
+    let mut out = Vec::new();
+    for it in iters {
+        let own: Vec<u32> = ctx.iter().filter(|c| c.0 == it).map(|c| c.1).collect();
+        let found = staircase_step(doc, &own, axis, test, &mut ScanStats::default());
+        out.extend(found.into_iter().map(|p| (it, p)));
+    }
+    out.sort_unstable_by_key(|&(it, p)| (p, it));
+    out
+}
+
+/// Every way the executor can run the step over one representation.
+fn check_steps<D: NodeRead>(doc: &D, flat: &Document, ctx: &[(i64, u32)], what: &str) {
+    let tests = [
+        NodeTest::AnyKind,
+        NodeTest::AnyElement,
+        NodeTest::Text,
+        NodeTest::named("a"),
+        NodeTest::named("d"),
+        NodeTest::named("absent"),
+    ];
+    for axis in AXES {
+        for test in &tests {
+            let want = per_iteration(flat, ctx, axis, test);
+            let mut stats = ScanStats::default();
+            let got = looplifted_step(doc, ctx, axis, test, &mut stats);
+            assert_eq!(got, want, "{what}: scanning {axis}::{test:?} for {ctx:?}");
+            assert_eq!(stats.results, want.len() as u64);
+            if let NodeTest::Named(name) = test {
+                let mut stats = ScanStats::default();
+                let got = looplifted_step_candidates(doc, ctx, axis, name, &mut stats);
+                assert_eq!(got, want, "{what}: indexed {axis}::{name} for {ctx:?}");
+                assert_eq!(stats.results, want.len() as u64);
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn looplifted_step_equals_per_iteration_staircase_join(
+        trees in prop::collection::vec(arb_tree(), 1..4),
+        picks in prop::collection::vec((0i64..4, 0usize..10_000), 0..24),
+        chunk_rows in prop::sample::select(vec![2usize, 8, 1024]),
+    ) {
+        let flat = container_of(&trees);
+        // contexts anywhere in the container: nested, overlapping, repeated
+        let mut ctx: Vec<(i64, u32)> = picks
+            .iter()
+            .map(|&(it, p)| (it, (p % flat.len()) as u32))
+            .collect();
+        ctx.extend_from_within(..ctx.len() / 3);
+        check_steps(&flat, &flat, &ctx, "flat document");
+
+        // the paged read view, its column image cut so that context regions
+        // straddle chunks
+        let mut paged = PagedDocument::from_document(&flat, 8, 75);
+        paged.rechunk_columns(chunk_rows);
+        check_steps(&paged.snapshot(), &flat, &ctx, "paged snapshot");
     }
 }

@@ -26,7 +26,17 @@
 //! Every chunk also carries summaries — min/max level, a node-kind mask
 //! and a name-code bucket bitmask — maintained on each patch, so backward
 //! parent scans ([`DocumentColumns::anchor_before`]) and kind/name probes
-//! skip whole chunks that cannot contain a match.
+//! skip whole chunks that cannot contain a match.  Next to them sits the
+//! chunk-local **element-name posting index**: the chunk's element rows
+//! ordered by `(name code, offset)`, rebuilt with the summaries (O(chunk)
+//! per structural patch, derived at load — never stored on disk).  It is the
+//! ready-made candidate list of the name-test push-down (paper §3.2):
+//! [`DocumentColumns::chunk_named`] hands a location step the elements of
+//! one name inside one chunk as a borrowed slice, so a step visits only the
+//! chunks its context regions overlap.
+//!
+//! Chunks are shared (`Arc`) between the master image and every published
+//! snapshot; a patch copies the chunk it lands in, nothing else.
 //!
 //! The engine [`Table`]s exposed to the relational kernel are assembled
 //! lazily from the chunks and cached until the next patch.  Within one
@@ -40,7 +50,7 @@ use mxq_engine::{Column, Dictionary, Table};
 
 use crate::doc::Document;
 use crate::node::NodeKind;
-use crate::read::{AttrsIter, NodeRead};
+use crate::read::{AttrsIter, NamedRun, NodeRead};
 use crate::shred::{shred, ShredError, ShredOptions};
 use crate::update::Tuple;
 
@@ -92,6 +102,11 @@ struct Chunk {
     /// Bit `code % 64` set for every name code in the chunk (conservative
     /// — a set bit means "may contain").
     name_buckets: u64,
+    /// The chunk-local element-name posting index: the local offsets of the
+    /// element rows ordered by `(name code, offset)`, so the elements of one
+    /// name are a contiguous, ascending run found by binary search.  A
+    /// dictionary merge remaps codes monotonically and leaves it valid.
+    postings: Vec<u32>,
 }
 
 impl Chunk {
@@ -107,6 +122,24 @@ impl Chunk {
             .name_code
             .iter()
             .fold(0u64, |m, &c| m | (1u64 << (c % 64)));
+        let element = kind_code(NodeKind::Element);
+        self.postings.clear();
+        self.postings
+            .extend((0..self.len() as u32).filter(|&l| self.kind[l as usize] == element));
+        let name_code = &self.name_code;
+        self.postings
+            .sort_unstable_by_key(|&l| (name_code[l as usize], l));
+    }
+
+    /// Local offsets (ascending) of the element rows with name code `code`.
+    fn named(&self, code: u32) -> &[u32] {
+        if self.name_buckets & (1u64 << (code % 64)) == 0 {
+            return &[];
+        }
+        let name = |&l: &u32| self.name_code[l as usize];
+        let start = self.postings.partition_point(|l| name(l) < code);
+        let len = self.postings[start..].partition_point(|l| name(l) == code);
+        &self.postings[start..start + len]
     }
 
     /// Chunk-local attribute row range of the node at local offset `l`.
@@ -132,7 +165,10 @@ pub struct DocumentColumns {
     /// keywords, numeric strings side by side), so joins over it go through
     /// the per-code numeric keys of [`Dictionary::numeric_key_of`].
     attr_values: Arc<Dictionary>,
-    chunks: Vec<Chunk>,
+    /// Shared per chunk: cloning the image (the first patch after a publish)
+    /// copies pointers, and a patch then copies only the chunk it touches
+    /// (`Arc::make_mut`) — readers of the published image keep the rest.
+    chunks: Vec<Arc<Chunk>>,
     /// `starts[i]` = pre of the first row of chunk `i` (prefix sums; the
     /// per-chunk min/max pre follow as `starts[i]..starts[i]+len`).
     starts: Vec<usize>,
@@ -233,7 +269,7 @@ impl DocumentColumns {
                 }
             }
             chunk.rebuild_summary();
-            cols.chunks.push(chunk);
+            cols.chunks.push(Arc::new(chunk));
             start = end;
         }
         cols.rebuild_starts();
@@ -270,7 +306,7 @@ impl DocumentColumns {
         };
         if merged.len() > 0 {
             merged.rebuild_summary();
-            out.chunks.push(merged);
+            out.chunks.push(Arc::new(merged));
             out.rebuild_starts();
             if out.chunks[0].len() > chunk_rows {
                 out.split_chunk(0);
@@ -346,6 +382,47 @@ impl DocumentColumns {
         self.chunks[i].name_buckets & (1u64 << (code % 64)) != 0
     }
 
+    /// Index of the chunk holding row `pre`.
+    pub fn chunk_of(&self, pre: u32) -> usize {
+        self.locate(pre).0
+    }
+
+    /// The elements with name code `code` inside the chunk holding `pre`,
+    /// straight from that chunk's posting index (borrowed, no allocation).
+    pub fn chunk_named(&self, pre: u32, code: u32) -> NamedRun<'_> {
+        let ci = self.chunk_of(pre);
+        let base = self.starts[ci] as u32;
+        NamedRun {
+            base,
+            offsets: self.chunks[ci].named(code),
+            end: base + self.chunks[ci].len() as u32 - 1,
+        }
+    }
+
+    /// True when chunks `i` of `self` and `j` of `other` are one shared
+    /// allocation — what copy-on-write leaves of every chunk a patch did
+    /// not touch.
+    pub fn shares_chunk(&self, i: usize, other: &DocumentColumns, j: usize) -> bool {
+        Arc::ptr_eq(&self.chunks[i], &other.chunks[j])
+    }
+
+    /// Preorder ranks of the fragment roots (level-0 rows), found through
+    /// the per-chunk minimum level.
+    pub fn fragment_roots(&self) -> Vec<u32> {
+        let mut roots = Vec::new();
+        for (ci, c) in self.chunks.iter().enumerate() {
+            if c.min_level == 0 {
+                let base = self.starts[ci];
+                roots.extend(
+                    (0..c.len())
+                        .filter(|&l| c.level[l] == 0)
+                        .map(|l| (base + l) as u32),
+                );
+            }
+        }
+        roots
+    }
+
     /// Chunk index and chunk-local offset of row `pre`.
     #[inline]
     fn locate(&self, pre: u32) -> (usize, usize) {
@@ -404,7 +481,7 @@ impl DocumentColumns {
                 ..Chunk::default()
             };
             piece.rebuild_summary();
-            pieces.push(piece);
+            pieces.push(Arc::new(piece));
             a = b;
         }
         self.chunks.splice(ci..ci, pieces);
@@ -652,6 +729,7 @@ impl DocumentColumns {
         let fresh = Dictionary::new(missing);
         let (merged, remap_old, _) = Dictionary::merge(&self.tags, &fresh);
         for chunk in &mut self.chunks {
+            let chunk = Arc::make_mut(chunk);
             for c in &mut chunk.name_code {
                 *c = remap_old[*c as usize];
             }
@@ -676,7 +754,7 @@ impl DocumentColumns {
         let fresh = Dictionary::new(missing);
         let (merged, remap_old, _) = Dictionary::merge(&self.attr_names, &fresh);
         for chunk in &mut self.chunks {
-            for c in &mut chunk.attr_name_code {
+            for c in &mut Arc::make_mut(chunk).attr_name_code {
                 *c = remap_old[*c as usize];
             }
         }
@@ -694,7 +772,7 @@ impl DocumentColumns {
         let fresh = Dictionary::new(missing);
         let (merged, remap_old, _) = Dictionary::merge(&self.attr_values, &fresh);
         for chunk in &mut self.chunks {
-            for c in &mut chunk.attr_value_code {
+            for c in &mut Arc::make_mut(chunk).attr_value_code {
                 *c = remap_old[*c as usize];
             }
         }
@@ -759,7 +837,7 @@ impl DocumentColumns {
         };
 
         if self.chunks.is_empty() {
-            self.chunks.push(Chunk::default());
+            self.chunks.push(Arc::default());
             self.starts.push(0);
         }
         let ci = if at == self.len {
@@ -769,7 +847,7 @@ impl DocumentColumns {
         };
         let l = at - self.starts[ci];
         let k = rows.len();
-        let chunk = &mut self.chunks[ci];
+        let chunk = Arc::make_mut(&mut self.chunks[ci]);
         chunk.size.splice(l..l, rows.iter().map(|t| t.size as i64));
         chunk
             .level
@@ -808,7 +886,7 @@ impl DocumentColumns {
         let (mut ci, mut l) = self.locate(at as u32);
         let mut remaining = count;
         while remaining > 0 {
-            let chunk = &mut self.chunks[ci];
+            let chunk = Arc::make_mut(&mut self.chunks[ci]);
             let c = remaining.min(chunk.len() - l);
             chunk.size.drain(l..l + c);
             chunk.level.drain(l..l + c);
@@ -838,7 +916,7 @@ impl DocumentColumns {
     pub(crate) fn add_size(&mut self, pre: u32, delta: i64) {
         self.invalidate_structural();
         let (ci, l) = self.locate(pre);
-        self.chunks[ci].size[l] += delta;
+        Arc::make_mut(&mut self.chunks[ci]).size[l] += delta;
     }
 
     /// In-place rename of the node at `pre` (elements only affect the name
@@ -851,9 +929,10 @@ impl DocumentColumns {
         self.ensure_tags(std::iter::once(name));
         let code = self.tags.code_of(name).expect("covered");
         let (ci, l) = self.locate(pre);
-        self.chunks[ci].name_code[l] = code;
-        // conservative: only widen the bucket mask
-        self.chunks[ci].name_buckets |= 1u64 << (code % 64);
+        let chunk = Arc::make_mut(&mut self.chunks[ci]);
+        chunk.name_code[l] = code;
+        // the posting index is ordered on the name code
+        chunk.rebuild_summary();
     }
 
     /// Set (or insert, at the end of the owner's run) an attribute.
@@ -866,7 +945,7 @@ impl DocumentColumns {
         self.ensure_attr_values(std::iter::once(&arc_value));
         let value_code = self.attr_values.code_of(value).expect("covered");
         let (ci, l) = self.locate(pre);
-        let chunk = &mut self.chunks[ci];
+        let chunk = Arc::make_mut(&mut self.chunks[ci]);
         let r = chunk.attr_range(l);
         for i in r.clone() {
             if chunk.attr_name_code[i] == code {
@@ -887,7 +966,7 @@ impl DocumentColumns {
         };
         self.invalidate_attributes();
         let (ci, l) = self.locate(pre);
-        let chunk = &mut self.chunks[ci];
+        let chunk = Arc::make_mut(&mut self.chunks[ci]);
         for i in chunk.attr_range(l) {
             if chunk.attr_name_code[i] == code {
                 chunk.attr_owner.remove(i);
@@ -914,7 +993,7 @@ impl DocumentColumns {
             .expect("old name stays in the grown dictionary");
         let new_code = self.attr_names.code_of(new_name).expect("covered");
         let (ci, l) = self.locate(pre);
-        let chunk = &mut self.chunks[ci];
+        let chunk = Arc::make_mut(&mut self.chunks[ci]);
         for i in chunk.attr_range(l) {
             if chunk.attr_name_code[i] == code {
                 chunk.attr_name_code[i] = new_code;
@@ -932,6 +1011,8 @@ impl DocumentColumns {
     /// present and may have ragged chunks, and the two sides may even use
     /// different chunk row targets.
     pub fn same_content(&self, other: &DocumentColumns) -> Result<(), String> {
+        self.summaries_are_fresh()?;
+        other.summaries_are_fresh()?;
         if self.len() != other.len() {
             return Err(format!("row count {} != {}", self.len(), other.len()));
         }
@@ -980,6 +1061,29 @@ impl DocumentColumns {
             );
             if a != b {
                 return Err(format!("attr row {i}: {a:?} != {b:?}"));
+            }
+        }
+        Ok(())
+    }
+
+    /// Every chunk's maintained summaries and posting index equal the ones
+    /// rebuilt from its rows.
+    fn summaries_are_fresh(&self) -> Result<(), String> {
+        for (ci, c) in self.chunks.iter().enumerate() {
+            let mut fresh = Chunk::clone(c);
+            fresh.rebuild_summary();
+            if c.postings != fresh.postings {
+                return Err(format!("chunk {ci}: stale element-name posting index"));
+            }
+            if (c.min_level, c.max_level, c.kind_mask, c.name_buckets)
+                != (
+                    fresh.min_level,
+                    fresh.max_level,
+                    fresh.kind_mask,
+                    fresh.name_buckets,
+                )
+            {
+                return Err(format!("chunk {ci}: stale level/kind/name summary"));
             }
         }
         Ok(())

@@ -13,10 +13,10 @@
 //! str:       len:u32 | utf-8 bytes
 //! ```
 //!
-//! All integers little-endian.  Per-page summaries, prefix-sum offsets,
-//! fragment roots and the relational column image are **not** stored:
-//! they are deterministically recomputed on load, so the file can never
-//! disagree with them.  Each page body carries its own CRC-32 so a
+//! All integers little-endian.  Prefix-sum offsets, fragment roots and the
+//! relational column image (with its summaries and element-name index) are
+//! **not** stored: they are deterministically recomputed on load, so the
+//! file can never disagree with them.  Each page body carries its own CRC-32 so a
 //! corrupted file is detected before any half-decoded state escapes.
 //!
 //! Document fragments (WAL payload content) use the same tuple stream

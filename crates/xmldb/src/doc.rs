@@ -12,7 +12,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::node::{AttrRow, NodeKind};
-use crate::read::{AttrsIter, NodeRead};
+use crate::read::{AttrsIter, NamedRun, NodeRead};
 
 /// A document container: structural table + property containers.
 #[derive(Debug, Clone, Default)]
@@ -27,10 +27,10 @@ pub struct Document {
     /// Interned qualified names (elements).
     qnames: Vec<Arc<str>>,
     qname_ids: HashMap<Arc<str>, u32>,
-    /// Element name index: qname id → preorder ranks of elements with that
-    /// name, in document order (the "index on element names" of Figure 9,
-    /// used by the nametest pushdown of Section 3.2).
-    name_index: HashMap<u32, Vec<u32>>,
+    /// Element name index, parallel to `qnames`: qname id → preorder ranks
+    /// of elements with that name, in document order (the "index on element
+    /// names" of Figure 9, used by the nametest pushdown of Section 3.2).
+    name_index: Vec<Vec<u32>>,
     /// Text/comment/PI content, indexed by `prop`.
     texts: Vec<Arc<str>>,
     /// Processing instruction targets (parallel to `texts` for PI nodes).
@@ -299,9 +299,7 @@ impl Document {
     /// Returns an empty slice when no element with this name exists.
     pub fn elements_named(&self, name: &str) -> &[u32] {
         self.lookup_qname(name)
-            .and_then(|qid| self.name_index.get(&qid))
-            .map(|v| v.as_slice())
-            .unwrap_or(&[])
+            .map_or(&[], |qid| self.name_index[qid as usize].as_slice())
     }
 
     /// Preorder ranks of all text nodes (document order).
@@ -313,10 +311,7 @@ impl Document {
 
     pub(crate) fn push_row(&mut self, size: u32, level: u16, kind: NodeKind, prop: u32) {
         if kind == NodeKind::Element {
-            self.name_index
-                .entry(prop)
-                .or_default()
-                .push(self.size.len() as u32);
+            self.name_index[prop as usize].push(self.size.len() as u32);
         }
         self.size.push(size);
         self.level.push(level);
@@ -339,6 +334,7 @@ impl Document {
         let name: Arc<str> = Arc::from(name);
         let id = self.qnames.len() as u32;
         self.qnames.push(name.clone());
+        self.name_index.push(Vec::new());
         self.qname_ids.insert(name, id);
         id
     }
@@ -402,10 +398,8 @@ impl Document {
                 return;
             }
             self.prop[pre as usize] = qid;
-            if let Some(v) = self.name_index.get_mut(&old) {
-                v.retain(|&p| p != pre);
-            }
-            let v = self.name_index.entry(qid).or_default();
+            self.name_index[old as usize].retain(|&p| p != pre);
+            let v = &mut self.name_index[qid as usize];
             let at = v.partition_point(|&p| p < pre);
             v.insert(at, pre);
         }
@@ -456,7 +450,8 @@ impl Document {
 }
 
 /// The canonical read API over a flat document: a single storage run with
-/// always-true page summaries (see [`NodeRead`]'s `run_*` defaults).
+/// always-true kind summaries (see [`NodeRead`]'s `run_*` defaults) whose
+/// name index is the document-wide per-name list.
 impl NodeRead for Document {
     fn len(&self) -> usize {
         Document::len(self)
@@ -491,8 +486,12 @@ impl NodeRead for Document {
     fn root_pres(&self) -> Vec<u32> {
         self.frag_roots.clone()
     }
-    fn named_elements(&self, name: &str) -> Option<Vec<u32>> {
-        Some(self.elements_named(name).to_vec())
+    fn run_named(&self, _pre: u32, name_id: u32) -> NamedRun<'_> {
+        NamedRun {
+            base: 0,
+            offsets: &self.name_index[name_id as usize],
+            end: self.len() as u32 - 1,
+        }
     }
     fn parent(&self, pre: u32) -> Option<u32> {
         Document::parent(self, pre)

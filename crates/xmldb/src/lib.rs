@@ -47,7 +47,7 @@ pub use columns::{shred_to_columns, DocumentColumns};
 pub use disk::{decode_document, decode_snapshot, encode_document, encode_snapshot, DiskError};
 pub use doc::{Document, DocumentBuilder};
 pub use node::{AttrRow, NodeKind};
-pub use read::{AttrsIter, NodeRead};
+pub use read::{AttrsIter, NamedRun, NodeRead};
 pub use serialize::{serialize_document, serialize_node};
 pub use shred::{shred, ShredError, ShredOptions};
 pub use store::{

@@ -11,14 +11,17 @@
 //!   published view of the paged store — the representation loaded
 //!   documents live in, end-to-end.
 //!
-//! The `run_*` methods expose *storage runs* (logical pages) to the
-//! staircase-join sweeps: a run is a maximal contiguous stretch of
-//! preorder ranks stored together, and the per-run summaries (node-kind
-//! mask, element-name set, minimum level) let a scan skip a whole page
-//! when no node in it can match the node test — the page-level
-//! bookkeeping of paper Section 5.2.  The flat [`Document`](crate::Document)
-//! is a single run with an always-true summary, so the generic scan code
-//! costs it one predictable branch per run, not per node.
+//! The `run_*` methods expose *storage runs* to the staircase-join sweeps:
+//! a run is a contiguous stretch of preorder ranks stored together — a
+//! chunk of the paged store's column image, which is what a scan actually
+//! reads.  The per-run summaries (node-kind mask, minimum level) let a scan
+//! skip a whole run when no node in it can match the node test, and the
+//! per-run element-name index ([`NodeRead::run_named`]) is the candidate
+//! list of the name-test push-down (paper Section 3.2), cut so that a step
+//! touches only the runs its context regions overlap.  The flat
+//! [`Document`](crate::Document) is a single run with an always-true
+//! summary, so the generic scan code costs it one predictable branch per
+//! run, not per node.
 
 use std::sync::Arc;
 
@@ -52,30 +55,25 @@ pub trait NodeRead {
     fn attrs(&self, pre: u32) -> AttrsIter<'_>;
     /// Preorder ranks of the fragment roots (level-0 nodes).
     fn root_pres(&self) -> Vec<u32>;
-    /// Preorder ranks (document order) of all elements named `name`, when
-    /// the representation maintains a name index; `None` forces the caller
-    /// onto the scanning path.
-    fn named_elements(&self, name: &str) -> Option<Vec<u32>>;
 
-    // -- storage runs (logical pages) ------------------------------------
+    // -- storage runs (column chunks) ------------------------------------
 
-    /// Last preorder rank of the storage run (page) containing `pre`.
+    /// The element-name index of the storage run containing `pre`: the
+    /// elements of that run whose interned name id ([`Self::lookup_qname`])
+    /// is `name_id`, borrowed from the index the representation maintains.
+    fn run_named(&self, pre: u32, name_id: u32) -> NamedRun<'_>;
+    /// Last preorder rank of the storage run containing `pre`.
     fn run_end(&self, pre: u32) -> u32 {
         debug_assert!((pre as usize) < self.len());
         self.len() as u32 - 1
     }
-    /// May the run containing `pre` hold an element named `name`?
-    /// (A `false` is a guarantee; `true` is only a maybe.)
-    fn run_has_name(&self, _pre: u32, _name: &str) -> bool {
-        true
+    /// Does the run containing `pre` hold an element with name id `name_id`?
+    fn run_has_name(&self, pre: u32, name_id: u32) -> bool {
+        !self.run_named(pre, name_id).offsets.is_empty()
     }
     /// May the run containing `pre` hold a node of `kind`?
     fn run_has_kind(&self, _pre: u32, _kind: NodeKind) -> bool {
         true
-    }
-    /// Smallest node level inside the run containing `pre`.
-    fn run_min_level(&self, _pre: u32) -> u16 {
-        0
     }
 
     // -- provided navigation ---------------------------------------------
@@ -143,6 +141,18 @@ pub trait NodeRead {
             }
         }
     }
+}
+
+/// The elements of one name inside one storage run, in document order: the
+/// element at run-local `offsets[i]` has preorder rank `base + offsets[i]`.
+#[derive(Debug, Clone, Copy)]
+pub struct NamedRun<'a> {
+    /// Preorder rank the offsets are relative to.
+    pub base: u32,
+    /// Ascending run-local offsets of the matching elements.
+    pub offsets: &'a [u32],
+    /// Last preorder rank of the run.
+    pub end: u32,
 }
 
 /// Iterator over the children of a node for any [`NodeRead`].

@@ -30,7 +30,7 @@ use mxq_engine::NodeId;
 use crate::disk::decode_snapshot;
 use crate::doc::{Document, DocumentBuilder};
 use crate::node::NodeKind;
-use crate::read::{AttrsIter, NodeRead};
+use crate::read::{AttrsIter, NamedRun, NodeRead};
 use crate::shred::{shred, ShredError, ShredOptions};
 use crate::update::{PagedDocument, PagedSnapshot};
 
@@ -216,20 +216,17 @@ impl NodeRead for ContainerRef<'_> {
     fn root_pres(&self) -> Vec<u32> {
         delegate!(self, d => NodeRead::root_pres(*d))
     }
-    fn named_elements(&self, name: &str) -> Option<Vec<u32>> {
-        delegate!(self, d => NodeRead::named_elements(*d, name))
+    fn run_named(&self, pre: u32, name_id: u32) -> NamedRun<'_> {
+        delegate!(self, d => NodeRead::run_named(*d, pre, name_id))
     }
     fn run_end(&self, pre: u32) -> u32 {
         delegate!(self, d => NodeRead::run_end(*d, pre))
     }
-    fn run_has_name(&self, pre: u32, name: &str) -> bool {
-        delegate!(self, d => NodeRead::run_has_name(*d, pre, name))
+    fn run_has_name(&self, pre: u32, name_id: u32) -> bool {
+        delegate!(self, d => NodeRead::run_has_name(*d, pre, name_id))
     }
     fn run_has_kind(&self, pre: u32, kind: NodeKind) -> bool {
         delegate!(self, d => NodeRead::run_has_kind(*d, pre, kind))
-    }
-    fn run_min_level(&self, pre: u32) -> u16 {
-        delegate!(self, d => NodeRead::run_min_level(*d, pre))
     }
     fn parent(&self, pre: u32) -> Option<u32> {
         delegate!(self, d => NodeRead::parent(*d, pre))
@@ -759,9 +756,9 @@ mod tests {
             assert_eq!(paged.string_value(p), flat.string_value(p));
         }
         assert_eq!(paged.attribute(1, "a"), Some("1"));
-        assert_eq!(
-            paged.named_elements("item"),
-            Some(flat.elements_named("item").to_vec())
-        );
+        let item = paged.lookup_qname("item").unwrap();
+        let run = paged.run_named(0, item);
+        let items: Vec<u32> = run.offsets.iter().map(|o| run.base + o).collect();
+        assert_eq!(items, flat.elements_named("item"));
     }
 }

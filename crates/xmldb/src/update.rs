@@ -28,13 +28,12 @@
 //! patching.  The naive scheme doubles as the differential-testing reference
 //! for the paged one.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
-use crate::columns::{kind_code, DocumentColumns};
+use crate::columns::DocumentColumns;
 use crate::doc::{Document, DocumentBuilder};
 use crate::node::NodeKind;
-use crate::read::{AttrsIter, NodeRead};
+use crate::read::{AttrsIter, NamedRun, NodeRead};
 
 /// Cost counters accumulated by the update schemes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -471,39 +470,11 @@ impl NaiveDocument {
 // Page-wise remappable pre-numbers (the paper's scheme)
 // ---------------------------------------------------------------------------
 
-/// Per-page summary used by the page-skipping scans (the page-level
-/// size/level bookkeeping of Section 5.2): which node kinds and element
-/// names occur on the page, and the smallest level.  Rebuilt whenever the
-/// page's tuples change structurally — a page-local cost.
-#[derive(Debug, Clone)]
-struct PageSummary {
-    /// Bitmask over [`kind_code`] values of the kinds present.
-    kind_mask: u8,
-    /// Smallest node level on the page (`u16::MAX` for an empty page).
-    min_level: u16,
-    /// Element name → page-local offsets (ascending) of elements with that
-    /// name.  Doubles as the paged store's element-name index: the global
-    /// candidate list is the concatenation of these buckets in logical
-    /// page order.
-    elem_names: HashMap<Arc<str>, Vec<u32>>,
-}
-
-impl Default for PageSummary {
-    fn default() -> Self {
-        PageSummary {
-            kind_mask: 0,
-            min_level: u16::MAX,
-            elem_names: HashMap::new(),
-        }
-    }
-}
-
 /// A logical page: at most `page_size` used tuples; the remaining slots are
 /// the "unused tuples" of Figure 11.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Page {
     tuples: Vec<Tuple>,
-    summary: PageSummary,
 }
 
 impl Page {
@@ -512,34 +483,9 @@ impl Page {
         &self.tuples
     }
 
-    /// Rebuild a page from decoded tuples; the summary is recomputed, so the
-    /// on-disk format never has to store (or trust) it.
+    /// A page over decoded (or freshly shredded) tuples.
     pub(crate) fn from_tuples(tuples: Vec<Tuple>) -> Page {
-        Page::new(tuples)
-    }
-
-    fn new(tuples: Vec<Tuple>) -> Page {
-        let mut p = Page {
-            tuples,
-            summary: PageSummary::default(),
-        };
-        p.rebuild_summary();
-        p
-    }
-
-    fn rebuild_summary(&mut self) {
-        let mut s = PageSummary::default();
-        for (off, t) in self.tuples.iter().enumerate() {
-            s.kind_mask |= 1u8 << kind_code(t.kind);
-            s.min_level = s.min_level.min(t.level);
-            if t.kind == NodeKind::Element {
-                s.elem_names
-                    .entry(t.name.clone())
-                    .or_default()
-                    .push(off as u32);
-            }
-        }
-        self.summary = s;
+        Page { tuples }
     }
 }
 
@@ -590,7 +536,7 @@ impl PagedDocument {
         let tuples = tuples_of(doc);
         let mut pages = Vec::new();
         for chunk in tuples.chunks(fill) {
-            pages.push(Arc::new(Page::new(chunk.to_vec())));
+            pages.push(Arc::new(Page::from_tuples(chunk.to_vec())));
         }
         if pages.is_empty() {
             pages.push(Arc::new(Page::default()));
@@ -674,22 +620,12 @@ impl PagedDocument {
             starts.push(acc);
             acc += p.tuples.len() as u32;
         }
-        let mut frag_roots = Vec::new();
-        for (i, p) in pages.iter().enumerate() {
-            if p.summary.min_level == 0 {
-                for (off, t) in p.tuples.iter().enumerate() {
-                    if t.level == 0 {
-                        frag_roots.push(starts[i] + off as u32);
-                    }
-                }
-            }
-        }
         PagedSnapshot {
             name: self.name.clone(),
             pages,
             starts,
             len: acc,
-            frag_roots,
+            frag_roots: self.columns.fragment_roots(),
             columns: self.columns.clone(),
         }
     }
@@ -751,8 +687,7 @@ impl PagedDocument {
         (last, self.pages[self.page_map[last]].tuples.len())
     }
 
-    /// Mutable access to a tuple: copy-on-write on its page.  Callers that
-    /// change names or kinds must rebuild the page summary afterwards.
+    /// Mutable access to a tuple: copy-on-write on its page.
     fn tuple_mut(&mut self, pre: usize) -> &mut Tuple {
         let (slot, off) = self.locate(pre);
         let p = self.page_map[slot];
@@ -760,7 +695,8 @@ impl PagedDocument {
     }
 
     /// Mutable access to the relational image (copy-on-write: the first
-    /// patch after a publish clones the shared image once).
+    /// patch after a publish clones the image's chunk *pointers*; each
+    /// patched chunk is then copied on its own first write).
     fn columns_mut(&mut self) -> &mut DocumentColumns {
         Arc::make_mut(&mut self.columns)
     }
@@ -820,25 +756,21 @@ impl PagedDocument {
             // fits: shift within this single logical page (copy-on-write)
             let page = Arc::make_mut(&mut self.pages[page_idx]);
             page.tuples.splice(off..off, frag_tuples);
-            page.rebuild_summary();
             self.stats.pages_touched += 1;
             self.stats.tuples_written += added;
         } else {
             // does not fit: move the tail of the target page plus the new
             // tuples into freshly appended pages inserted after `slot`
-            let tail: Vec<Tuple> = {
-                let page = Arc::make_mut(&mut self.pages[page_idx]);
-                let tail = page.tuples.split_off(off);
-                page.rebuild_summary();
-                tail
-            };
+            let tail = Arc::make_mut(&mut self.pages[page_idx])
+                .tuples
+                .split_off(off);
             self.stats.pages_touched += 1;
             let mut pending: Vec<Tuple> = frag_tuples;
             pending.extend(tail);
             self.stats.tuples_written += pending.len() as u64;
             for (insert_slot, chunk) in (slot + 1..).zip(pending.chunks(self.fill)) {
                 let new_idx = self.pages.len();
-                self.pages.push(Arc::new(Page::new(chunk.to_vec())));
+                self.pages.push(Arc::new(Page::from_tuples(chunk.to_vec())));
                 self.page_map.insert(insert_slot, new_idx);
                 self.stats.pages_allocated += 1;
                 self.stats.pages_touched += 1;
@@ -863,7 +795,6 @@ impl PagedDocument {
                 let avail = page.tuples.len() - off;
                 let take = avail.min(remaining);
                 page.tuples.drain(off..off + take);
-                page.rebuild_summary();
                 remaining -= take;
             }
             touched += 1;
@@ -1006,7 +937,6 @@ impl PagedDocument {
             let p = self.page_map[slot];
             let page = Arc::make_mut(&mut self.pages[p]);
             page.tuples[off].name = arc.clone();
-            page.rebuild_summary();
             self.columns_mut().set_name(pre, &arc);
             self.stats.tuples_written += 1;
             self.stats.pages_touched += 1;
@@ -1112,16 +1042,6 @@ impl PagedSnapshot {
             starts.push(acc);
             acc += p.tuples.len() as u32;
         }
-        let mut frag_roots = Vec::new();
-        for (i, p) in pages.iter().enumerate() {
-            if p.summary.min_level == 0 {
-                for (off, t) in p.tuples.iter().enumerate() {
-                    if t.level == 0 {
-                        frag_roots.push(starts[i] + off as u32);
-                    }
-                }
-            }
-        }
         let doc = materialize(&name, pages.iter().flat_map(|p| p.tuples.iter().cloned()));
         let columns = Arc::new(DocumentColumns::new(&doc));
         PagedSnapshot {
@@ -1129,7 +1049,7 @@ impl PagedSnapshot {
             pages,
             starts,
             len: acc,
-            frag_roots,
+            frag_roots: columns.fragment_roots(),
             columns,
         }
     }
@@ -1239,35 +1159,21 @@ impl NodeRead for PagedSnapshot {
         self.frag_roots.clone()
     }
 
-    fn named_elements(&self, name: &str) -> Option<Vec<u32>> {
-        let mut out = Vec::new();
-        for (i, p) in self.pages.iter().enumerate() {
-            if let Some(offs) = p.summary.elem_names.get(name) {
-                let base = self.starts[i];
-                out.extend(offs.iter().map(|&o| base + o));
-            }
-        }
-        Some(out)
+    // the storage runs of the read view are the chunks of the column image
+    // — the rows a structural scan actually reads
+
+    fn run_named(&self, pre: u32, name_id: u32) -> NamedRun<'_> {
+        self.columns.chunk_named(pre, name_id)
     }
 
     fn run_end(&self, pre: u32) -> u32 {
-        let (i, _) = self.locate(pre);
-        self.starts[i] + self.pages[i].tuples.len() as u32 - 1
-    }
-
-    fn run_has_name(&self, pre: u32, name: &str) -> bool {
-        let (i, _) = self.locate(pre);
-        self.pages[i].summary.elem_names.contains_key(name)
+        let (start, len) = self.columns.chunk_span(self.columns.chunk_of(pre));
+        start + len as u32 - 1
     }
 
     fn run_has_kind(&self, pre: u32, kind: NodeKind) -> bool {
-        let (i, _) = self.locate(pre);
-        self.pages[i].summary.kind_mask & (1u8 << kind_code(kind)) != 0
-    }
-
-    fn run_min_level(&self, pre: u32) -> u16 {
-        let (i, _) = self.locate(pre);
-        self.pages[i].summary.min_level
+        self.columns
+            .chunk_has_kind(self.columns.chunk_of(pre), kind)
     }
 
     fn parent(&self, pre: u32) -> Option<u32> {

@@ -18,7 +18,8 @@ use mxq::xquery::{Database, ExecConfig};
 
 /// People with untyped `inc` values and offers with untyped `amt` values:
 /// multi-valued (`p1`: string order "10" < "9" inverts numeric order),
-/// non-numeric (`p2`), empty (`p3`, `o3`), mixed (`p4`, `o4`) and NaN (`p5`).
+/// non-numeric (`p2`), empty (`p3`, `o3`), mixed (`p4`, `o4`), NaN (`p5`,
+/// `o7`) and zero (`p6`, `o6`: negated on one side it is `-0`).
 const DOC: &str = r#"<db>
   <people>
     <p id="p1"><inc>10</inc><inc>9</inc></p>
@@ -26,6 +27,7 @@ const DOC: &str = r#"<db>
     <p id="p3"/>
     <p id="p4"><inc>3</inc><inc>abc</inc><inc>20</inc></p>
     <p id="p5"><inc>NaN</inc></p>
+    <p id="p6"><inc>0</inc></p>
   </people>
   <offers>
     <o id="o1"><amt>9.5</amt><amt>2</amt></o>
@@ -33,15 +35,13 @@ const DOC: &str = r#"<db>
     <o id="o3"/>
     <o id="o4"><amt>x</amt><amt>15</amt></o>
     <o id="o5"><amt>9</amt><amt>9</amt></o>
+    <o id="o6"><amt>0</amt></o>
+    <o id="o7"><amt>NaN</amt></o>
   </offers>
 </db>"#;
 
+/// `=` takes the radix hash join, the other five the theta join.
 const OPS: [&str; 6] = ["=", "!=", "<", "<=", ">", ">="];
-
-/// The operators the theta join evaluates.  `=` takes the radix hash join,
-/// which keys doubles by bit pattern and so lets NaN join NaN (ROADMAP open
-/// item) — it is exercised where no NaN arises.
-const THETA_OPS: [&str; 5] = ["!=", "<", "<=", ">", ">="];
 
 fn configs() -> [(&'static str, ExecConfig); 3] {
     [
@@ -131,7 +131,7 @@ fn untyped_operands_compare_as_strings_for_every_operator() {
 
 #[test]
 fn untyped_against_typed_operands_compare_numerically() {
-    for op in THETA_OPS {
+    for op in OPS {
         agreed_result(&pairs_query("$p/inc", op, TYPED_AMT));
         agreed_result(&pairs_query(TYPED_INC, op, "$o/amt"));
         agreed_result(&pairs_query(TYPED_INC, op, TYPED_AMT));
@@ -150,6 +150,29 @@ fn untyped_against_typed_operands_compare_numerically() {
 }
 
 #[test]
+fn equality_on_doubles_knows_nan_and_signed_zero() {
+    let equal = agreed_result(&pairs_query(TYPED_INC, "=", TYPED_AMT));
+    assert!(
+        equal.contains("p6-o6") && equal.contains("p1-o5"),
+        "{equal}"
+    );
+    assert!(
+        !equal.contains("p5") && !equal.contains("o7"),
+        "NaN = NaN is false: {equal}"
+    );
+    // -0 on the left (0 * -1), +0 on the right
+    let negated = "(for $i in $p/inc return number($i) * -1)";
+    let equal = agreed_result(&pairs_query(negated, "=", TYPED_AMT));
+    assert_eq!(
+        equal, "p6-o6",
+        "-0 = +0, and nothing else is its own negation"
+    );
+    // two untyped "NaN" are equal — as strings
+    let untyped = agreed_result(&pairs_query("$p/inc", "=", "$o/amt"));
+    assert!(untyped.contains("p5-o7"), "{untyped}");
+}
+
+#[test]
 fn not_equal_needs_one_differing_pair() {
     let differing = agreed_result(&pairs_query(TYPED_INC, "!=", TYPED_AMT));
     // (10, 9) != (9, 9): 10 differs although max(l) = … = 9 on the right
@@ -160,7 +183,7 @@ fn not_equal_needs_one_differing_pair() {
 #[test]
 fn let_bound_join_counts_agree() {
     // the Q11/Q12 shape: a let-bound join-recognised FLWOR, then count
-    for op in THETA_OPS {
+    for op in OPS {
         agreed_result(&format!(
             "for $p in doc(\"t.xml\")/db/people/p \
              let $l := for $o in doc(\"t.xml\")/db/offers/o \

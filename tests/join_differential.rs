@@ -3,7 +3,9 @@
 //! the kernel) is run against the original single-table hash join
 //! (`hash_join_items`, kept as the reference implementation) over generated
 //! adversarial inputs, asserting **identical pair sets in identical order**
-//! for every configuration:
+//! for every configuration — and both against `Item::compare`, pair by pair:
+//! NaN joins nothing (not even a NaN of the same bit pattern) and `-0`
+//! joins `+0`, exactly as in the theta join:
 //!
 //! * integer key columns (dense and colliding domains);
 //! * polymorphic item columns mixing integers, doubles (including NaN bit
@@ -36,7 +38,24 @@ use mxq::engine::join::{
 };
 use mxq::engine::{CmpOp, Column, Dictionary, Item, NodeId};
 
-/// Assert the radix join and the reference join produce the same pairs.
+/// What the equi-join must decide for one pair: `Item::compare` equality —
+/// NaN equals nothing, `-0` equals `+0`, a boolean is its number — except
+/// that two untyped strings that both cast to a number meet as numbers
+/// (`"10"` joins `"10.0"`; the general-comparison normalisation of the join).
+fn equi_join_matches(a: &Item, b: &Item) -> bool {
+    let number = |s: &str| s.trim().parse::<f64>().ok().filter(|d| !d.is_nan());
+    match (a, b) {
+        (Item::Str(x), Item::Str(y)) => match (number(x), number(y)) {
+            (Some(p), Some(q)) => p == q,
+            (None, None) => x == y,
+            _ => false,
+        },
+        _ => a.compare(CmpOp::Eq, b),
+    }
+}
+
+/// Assert the radix join and the reference join produce the same pairs,
+/// and exactly the pairs `Item::compare` semantics call equal.
 fn assert_joins_agree(left: &Column, right: &Column, what: &str) {
     let (rl, rr) = radix_hash_join(left, right);
     let (hl, hr) = hash_join_items(left, right);
@@ -44,6 +63,20 @@ fn assert_joins_agree(left: &Column, right: &Column, what: &str) {
     // zipped pairs first would only mask an ordering regression
     assert_eq!(rl, hl, "{what}: left indices differ");
     assert_eq!(rr, hr, "{what}: right indices differ");
+    let mut expected = (Vec::new(), Vec::new());
+    for l in 0..left.len() {
+        for r in 0..right.len() {
+            if equi_join_matches(&left.item(l), &right.item(r)) {
+                expected.0.push(l);
+                expected.1.push(r);
+            }
+        }
+    }
+    assert_eq!(
+        (&rl, &rr),
+        (&expected.0, &expected.1),
+        "{what}: not the pairs that compare equal"
+    );
     // also check both directions: swapping sides must swap the pair set
     let (sl, sr) = radix_hash_join(right, left);
     let mut forward: Vec<(usize, usize)> = rl.into_iter().zip(rr).collect();
@@ -197,8 +230,8 @@ proptest! {
 #[test]
 fn numeric_string_normalisation_crosses_representations() {
     // pin the exact semantics the differential harness relies on: a
-    // dictionary "10" joins Int(10) and Dbl(10.0), and NaN joins NaN of the
-    // same bit pattern only
+    // dictionary "10" joins Int(10) and Dbl(10.0); NaN joins nothing, not
+    // even itself; -0 joins +0; a boolean joins its number
     let left = Column::dict_from_strings(["10", "2.5", "abc"]);
     let right = Column::from_items(vec![
         Item::Int(10),
@@ -210,9 +243,14 @@ fn numeric_string_normalisation_crosses_representations() {
     assert_eq!(l, vec![0, 1, 2]);
     assert_eq!(r, vec![0, 1, 2]);
 
-    let nan = Column::from_items(vec![Item::Dbl(f64::NAN)]);
-    let (l, _) = radix_hash_join(&nan, &nan);
-    assert_eq!(l.len(), 1, "identical NaN bit patterns join");
+    let nan = Column::from_items(vec![Item::Dbl(f64::NAN), Item::str("NaN")]);
+    for join in [radix_hash_join, hash_join_items] {
+        // only the two *strings* "NaN" are equal (as strings)
+        assert_eq!(join(&nan, &nan), (vec![1], vec![1]), "NaN = NaN is false");
+        let zeros = Column::from_items(vec![Item::Dbl(-0.0), Item::str("-0"), Item::Bool(false)]);
+        let (l, r) = join(&zeros, &Column::Dbl(vec![0.0]));
+        assert_eq!((l, r), (vec![0, 1, 2], vec![0, 0, 0]), "-0 = +0 = false()");
+    }
 }
 
 #[test]

@@ -199,7 +199,9 @@ fn check_script(xml: &str, script: &[ScriptOp], page_size: usize, fill: u8) {
     // incremental column maintenance: the image the paged scheme patched
     // primitive-by-primitive must agree exactly with a from-scratch rebuild
     // of the final page state (runs in release too — the engine-level debug
-    // assert only covers debug builds)
+    // assert only covers debug builds).  `same_content` also holds every
+    // chunk's summaries and element-name posting index to a rebuild from
+    // the chunk's rows.
     paged
         .columns()
         .same_content(&DocumentColumns::new(&paged_doc))
@@ -209,7 +211,7 @@ fn check_script(xml: &str, script: &[ScriptOp], page_size: usize, fill: u8) {
     // small chunk size *before* applying, so the in-chunk splice/renumber
     // path is exercised across many chunk boundaries, then diff against a
     // from-scratch rebuild (same_content is chunk-size agnostic)
-    for chunk_rows in [16, 64, 256] {
+    for chunk_rows in [16, 64, 1024] {
         let mut chunked = PagedDocument::from_document(&doc, page_size, fill);
         chunked.rechunk_columns(chunk_rows);
         let applied = pul.apply_to(1, &mut chunked);
@@ -251,7 +253,11 @@ proptest! {
         xml in arb_xml_tree(),
         script in prop::collection::vec(arb_op(), 1..12),
     ) {
-        check_script(&xml, &script, 8, 75);
+        // every prefix: the image (and its name index) is checked after
+        // each step of the script, not only at its end
+        for steps in 1..=script.len() {
+            check_script(&xml, &script[..steps], 8, 75);
+        }
     }
 
     #[test]
@@ -269,6 +275,58 @@ proptest! {
         script in prop::collection::vec(arb_op(), 1..10),
     ) {
         check_script(&xml, &script, 64, 25);
+    }
+}
+
+/// Grow one chunk until it splits (twice its row target), at both chunk
+/// sizes the store runs with: the split pieces' posting indexes must be the
+/// ones a rebuild produces, and an index-driven step must see every element
+/// on either side of the new chunk boundaries.
+#[test]
+fn name_index_survives_chunk_splits() {
+    use mxq::staircase::{looplifted_step, looplifted_step_candidates, Axis, NodeTest, ScanStats};
+    let doc = shred("d.xml", "<r><k/><x><k/></x></r>", &ShredOptions::default()).unwrap();
+    for chunk_rows in [64usize, 1024] {
+        let mut paged = PagedDocument::from_document(&doc, 64, 75);
+        paged.rechunk_columns(chunk_rows);
+        let frag = fragment_from_xml("<k><x/></k>");
+        let inserts = 3 * chunk_rows / 2;
+        for i in 0..inserts {
+            paged.insert_first_child(0, &frag);
+            if i % (chunk_rows / 8) != 0 && i + 1 != inserts {
+                continue;
+            }
+            let now = paged.to_document();
+            paged
+                .columns()
+                .same_content(&DocumentColumns::new(&now))
+                .unwrap_or_else(|e| panic!("chunk size {chunk_rows}, insert {i}: {e}"));
+            let snap = paged.snapshot();
+            for axis in [Axis::Child, Axis::Descendant] {
+                let indexed = looplifted_step_candidates(
+                    &snap,
+                    &[(1, 0)],
+                    axis,
+                    "k",
+                    &mut ScanStats::default(),
+                );
+                let scanned = looplifted_step(
+                    &now,
+                    &[(1, 0)],
+                    axis,
+                    &NodeTest::named("k"),
+                    &mut ScanStats::default(),
+                );
+                assert_eq!(
+                    indexed, scanned,
+                    "chunk size {chunk_rows}, insert {i}, {axis}"
+                );
+            }
+        }
+        assert!(
+            paged.columns().chunk_count() > 2,
+            "chunk size {chunk_rows}: {inserts} inserts must split a chunk"
+        );
     }
 }
 
