@@ -104,6 +104,18 @@ pub enum PosFilterKind {
     Last,
 }
 
+/// The items of an [`Op::ConstSeq`].
+#[derive(Debug, Clone)]
+pub enum ConstItems {
+    /// Literal items compiled into the plan.
+    Inline(Vec<Item>),
+    /// One literal lifted out of the statement text into a parameter slot
+    /// ([`crate::ast::Expr::Param`]): the plan is shared by every text of
+    /// the statement's shape, and each execution reads the value from its
+    /// [`crate::Params`].
+    Slot(usize),
+}
+
 /// The algebra operators.
 #[derive(Debug)]
 pub enum Op {
@@ -114,8 +126,8 @@ pub enum Op {
     ConstSeq {
         /// The loop relation to lift over.
         loop_: PlanRef,
-        /// The literal items.
-        items: Vec<Item>,
+        /// The literal items, inline or in a parameter slot.
+        items: ConstItems,
     },
     /// The root node of a loaded document, loop-lifted over `loop_`.
     DocRoot {
@@ -309,6 +321,10 @@ pub enum Op {
         seq: PlanRef,
         /// The loop relation (absent iterations get `false`).
         loop_: PlanRef,
+        /// Set for a predicate that may evaluate to a number: an iteration
+        /// whose value is one numeric item is true iff that number equals
+        /// the iteration's row here (the candidate's context position).
+        positions: Option<PlanRef>,
     },
     /// `fn:empty`.
     Empty {
@@ -467,9 +483,16 @@ impl Plan {
                 vec![l.clone(), r.clone(), loop_.clone()]
             }
             Op::BoolNot { e, loop_ } => vec![e.clone(), loop_.clone()],
-            Op::Ebv { seq, loop_ }
-            | Op::Empty { seq, loop_ }
-            | Op::Aggregate { seq, loop_, .. } => {
+            Op::Ebv {
+                seq,
+                loop_,
+                positions,
+            } => {
+                let mut v = vec![seq.clone(), loop_.clone()];
+                v.extend(positions.iter().cloned());
+                v
+            }
+            Op::Empty { seq, loop_ } | Op::Aggregate { seq, loop_, .. } => {
                 vec![seq.clone(), loop_.clone()]
             }
             Op::Atomize { seq }
@@ -585,14 +608,14 @@ mod tests {
             1,
             Op::ConstSeq {
                 loop_: loop_.clone(),
-                items: vec![Item::Int(1)],
+                items: ConstItems::Inline(vec![Item::Int(1)]),
             },
         );
         let b = mk(
             2,
             Op::ConstSeq {
                 loop_: loop_.clone(),
-                items: vec![Item::Int(2)],
+                items: ConstItems::Inline(vec![Item::Int(2)]),
             },
         );
         let top = mk(3, Op::Union { parts: vec![a, b] });
@@ -606,7 +629,7 @@ mod tests {
             1,
             Op::ConstSeq {
                 loop_,
-                items: vec![Item::Int(1)],
+                items: ConstItems::Inline(vec![Item::Int(1)]),
             },
         );
         let s = c.explain();

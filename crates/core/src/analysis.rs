@@ -37,7 +37,7 @@ use std::sync::Arc;
 
 use mxq_engine::{Item, Table};
 
-use crate::algebra::{Op, Plan, PlanRef, Props};
+use crate::algebra::{ConstItems, Op, Plan, PlanRef, Props};
 
 // ---------------------------------------------------------------------------
 // the inferred property set
@@ -337,7 +337,10 @@ fn infer_node(op: &Op, env: &HashMap<usize, NodeProps>) -> NodeProps {
     match op {
         Op::LoopOne | Op::NestLoop { .. } | Op::SelectIters { .. } => NodeProps::loop_shape(),
 
-        Op::ConstSeq { items, .. } => {
+        Op::ConstSeq {
+            items: ConstItems::Inline(items),
+            ..
+        } => {
             let kind = kind_of_items(items);
             NodeProps {
                 shape: Shape::Seq,
@@ -352,6 +355,12 @@ fn infer_node(op: &Op, env: &HashMap<usize, NodeProps>) -> NodeProps {
                 dict: None,
             }
         }
+        // a lifted literal: typed exactly like the single literal it came
+        // from, except that its value is unknown until execution
+        Op::ConstSeq {
+            items: ConstItems::Slot(_),
+            ..
+        } => NodeProps::scalar(),
 
         Op::DocRoot { name, .. } => NodeProps {
             shape: Shape::Seq,
@@ -792,7 +801,7 @@ fn verify_node(
         Op::LoopOne => {}
         Op::ConstSeq { loop_, items } => {
             expect(loop_, Loop, "loop")?;
-            if items.iter().any(Item::is_node) {
+            if matches!(items, ConstItems::Inline(items) if items.iter().any(Item::is_node)) {
                 return Err(violation("literal sequence holds a node reference".into()));
             }
         }
@@ -869,8 +878,18 @@ fn verify_node(
             expect(e, Seq, "operand")?;
             expect(loop_, Loop, "loop")?;
         }
-        Op::Ebv { seq, loop_ }
-        | Op::Empty { seq, loop_ }
+        Op::Ebv {
+            seq,
+            loop_,
+            positions,
+        } => {
+            expect(seq, Seq, "seq")?;
+            expect(loop_, Loop, "loop")?;
+            if let Some(p) = positions {
+                expect(p, Seq, "positions")?;
+            }
+        }
+        Op::Empty { seq, loop_ }
         | Op::Aggregate { seq, loop_, .. }
         | Op::StringValue { seq, loop_ } => {
             expect(seq, Seq, "seq")?;
@@ -1230,9 +1249,14 @@ impl Simplifier<'_> {
                 e: rw(self, e),
                 loop_: rw(self, loop_),
             },
-            Op::Ebv { seq, loop_ } => Op::Ebv {
+            Op::Ebv {
+                seq,
+                loop_,
+                positions,
+            } => Op::Ebv {
                 seq: rw(self, seq),
                 loop_: rw(self, loop_),
+                positions: positions.as_ref().map(|p| rw(self, p)),
             },
             Op::Empty { seq, loop_ } => Op::Empty {
                 seq: rw(self, seq),
@@ -1500,6 +1524,22 @@ mod tests {
         assert!(p.sorted_iter_pos && p.dense_pos && p.max_one_per_iter);
         assert!(matches!(p.const_items.as_deref(), Some([Item::Int(3)])));
 
+        // lifted into a parameter slot, the literal keeps every fact but
+        // its (now per-execution) value
+        let mut stmt = crate::parser::parse_statement("3").unwrap();
+        assert_eq!(crate::compile::lift_literals(&mut stmt).len(), 1);
+        let crate::ast::Statement::Query(q) = stmt else {
+            unreachable!()
+        };
+        let slotted = Compiler::new(ExecConfig::default())
+            .compile_query(&q)
+            .unwrap();
+        let s = analyze(&slotted);
+        let s = s.props(slotted.id);
+        assert_eq!(s.item_kind, ItemKind::Atomic);
+        assert!(s.sorted_iter_pos && s.dense_pos && s.max_one_per_iter && s.dup_free_iter);
+        assert!(s.const_items.is_none());
+
         // sequence construction unions singleton constants: still ordered
         // and atomic, but no longer a single constant column
         let plan = plan_of("(1, 2, 3)");
@@ -1574,7 +1614,7 @@ mod tests {
                         id: 2,
                         op: Op::ConstSeq {
                             loop_: l1,
-                            items: vec![Item::Int(1)],
+                            items: ConstItems::Inline(vec![Item::Int(1)]),
                         },
                         props: Props::default(),
                     }),
@@ -1582,7 +1622,7 @@ mod tests {
                         id: 3,
                         op: Op::ConstSeq {
                             loop_: l2,
-                            items: vec![Item::Int(2)],
+                            items: ConstItems::Inline(vec![Item::Int(2)]),
                         },
                         props: Props::default(),
                     }),

@@ -10,13 +10,22 @@
 //! comparison (`<<`, `>>`); quantified expressions; conditional expressions;
 //! the built-in function library (see `compile::Compiler`); and user-defined
 //! functions declared in the query prolog (expanded inline).
+//!
+//! Every AST type is `Eq + Hash`: a statement whose literals were lifted
+//! into parameter slots ([`crate::compile::lift_literals`]) is the key of
+//! the database plan cache.
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
+use mxq_engine::Item;
 use mxq_staircase::{Axis, NodeTest};
 
-/// A literal value.
-#[derive(Debug, Clone, PartialEq)]
+/// A literal value.  Equality and hashing compare doubles bitwise (like
+/// the plan analysis' constant columns), so `NaN` equals itself and `0.0`
+/// differs from `-0.0` — two texts share a plan only if their structural
+/// literals are the same bits.
+#[derive(Debug, Clone)]
 pub enum Literal {
     /// `xs:integer` literal.
     Integer(i64),
@@ -26,8 +35,64 @@ pub enum Literal {
     String(String),
 }
 
+impl Literal {
+    /// The literal's type.
+    pub fn kind(&self) -> LiteralKind {
+        match self {
+            Literal::Integer(_) => LiteralKind::Integer,
+            Literal::Double(_) => LiteralKind::Double,
+            Literal::String(_) => LiteralKind::String,
+        }
+    }
+
+    /// The literal as an item.
+    pub fn to_item(&self) -> Item {
+        match self {
+            Literal::Integer(i) => Item::Int(*i),
+            Literal::Double(d) => Item::Dbl(*d),
+            Literal::String(s) => Item::str(s.as_str()),
+        }
+    }
+}
+
+impl PartialEq for Literal {
+    fn eq(&self, other: &Self) -> bool {
+        match (self, other) {
+            (Literal::Integer(a), Literal::Integer(b)) => a == b,
+            (Literal::Double(a), Literal::Double(b)) => a.to_bits() == b.to_bits(),
+            (Literal::String(a), Literal::String(b)) => a == b,
+            _ => false,
+        }
+    }
+}
+
+impl Eq for Literal {}
+
+impl Hash for Literal {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        std::mem::discriminant(self).hash(state);
+        match self {
+            Literal::Integer(i) => i.hash(state),
+            Literal::Double(d) => d.to_bits().hash(state),
+            Literal::String(s) => s.hash(state),
+        }
+    }
+}
+
+/// The type of a literal, kept by the parameter slot it is lifted into:
+/// `5`, `5.0` and `"5"` are three statement shapes, not one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum LiteralKind {
+    /// `xs:integer`.
+    Integer,
+    /// `xs:decimal` / `xs:double`.
+    Double,
+    /// String.
+    String,
+}
+
 /// Binary arithmetic operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ArithOp {
     /// `+`
     Add,
@@ -44,7 +109,7 @@ pub enum ArithOp {
 }
 
 /// Comparison operators as written in the source.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CompKind {
     /// General comparisons `=`, `!=`, `<`, `<=`, `>`, `>=` (existential).
     General(mxq_engine::CmpOp),
@@ -59,7 +124,7 @@ pub enum CompKind {
 }
 
 /// One step of a path expression.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Step {
     /// The axis.
     pub axis: Axis,
@@ -70,7 +135,7 @@ pub struct Step {
 }
 
 /// One clause of a FLWOR expression.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Clause {
     /// `for $var [at $pos] in expr`
     For {
@@ -91,7 +156,7 @@ pub enum Clause {
 }
 
 /// One key of an `order by` clause.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct OrderKey {
     /// The key expression (evaluated once per tuple of the FLWOR stream).
     pub key: Box<Expr>,
@@ -101,7 +166,7 @@ pub struct OrderKey {
 
 /// An `order by` specification: one or more keys, compared left to right
 /// (major key first), each with its own direction.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct OrderSpec {
     /// The sort keys in source order.
     pub keys: Vec<OrderKey>,
@@ -109,7 +174,7 @@ pub struct OrderSpec {
 
 /// Attribute of a direct element constructor: a list of fixed and computed
 /// parts (the computed parts are enclosed expressions).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum AttrPart {
     /// Literal text.
     Text(String),
@@ -118,7 +183,7 @@ pub enum AttrPart {
 }
 
 /// Content item of a direct element constructor.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Content {
     /// Literal text between tags.
     Text(String),
@@ -129,7 +194,7 @@ pub enum Content {
 }
 
 /// A direct element constructor.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ElementCtor {
     /// Element name.
     pub name: String,
@@ -140,10 +205,19 @@ pub struct ElementCtor {
 }
 
 /// An XQuery expression.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Expr {
     /// A literal.
     Literal(Literal),
+    /// A literal lifted out of the statement into parameter slot `slot`
+    /// ([`crate::compile::lift_literals`]); its value travels with each
+    /// execution, its type stays in the statement's shape.
+    Param {
+        /// Index into the statement's lifted-literal vector.
+        slot: usize,
+        /// Type of the lifted literal.
+        kind: LiteralKind,
+    },
     /// The empty sequence `()`.
     Empty,
     /// A variable reference `$name`.
@@ -257,7 +331,7 @@ impl Expr {
                     out.push(v.clone());
                 }
             }
-            Expr::Literal(_) | Expr::Empty => {}
+            Expr::Literal(_) | Expr::Param { .. } | Expr::Empty => {}
             Expr::Sequence(es) => es.iter().for_each(|e| e.collect_free(bound, out)),
             Expr::Flwor {
                 clauses,
@@ -352,7 +426,7 @@ impl ElementCtor {
 
 /// Where an `insert nodes` statement places the new content relative to its
 /// target (XQuery Update Facility `InsertExpr`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum InsertLocation {
     /// `as first into` — first child of the target element.
     FirstInto,
@@ -368,7 +442,7 @@ pub enum InsertLocation {
 }
 
 /// One updating statement of the XQuery Update Facility subset.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum UpdateStmt {
     /// `insert nodes <source> (as first|as last)? into | before | after <target>`.
     Insert {
@@ -410,7 +484,7 @@ pub enum UpdateStmt {
 /// A parsed update: prolog declarations plus one or more comma-separated
 /// updating statements.  All statements are evaluated against the same
 /// snapshot and applied as one pending update list.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct UpdateQuery {
     /// User-defined functions.
     pub functions: Vec<FunctionDecl>,
@@ -421,7 +495,7 @@ pub struct UpdateQuery {
 }
 
 /// A user-defined function declared in the query prolog.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct FunctionDecl {
     /// Function name without the `local:` prefix.
     pub name: String,
@@ -437,7 +511,7 @@ pub struct FunctionDecl {
 /// `declare variable $x external;` declares `$x` as supplied by the caller
 /// at execution time (through `Params`), optionally with a default value:
 /// `declare variable $x external := expr;`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct VarDecl {
     /// Variable name (without `$`).
     pub name: String,
@@ -449,7 +523,7 @@ pub struct VarDecl {
 }
 
 /// A parsed query: prolog declarations plus the main expression.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Query {
     /// User-defined functions.
     pub functions: Vec<FunctionDecl>,
@@ -464,7 +538,7 @@ pub struct Query {
 /// list.  [`crate::parser::parse_statement`] auto-detects which of the two a
 /// source text is, so callers with a unified entry point (e.g.
 /// `Session::execute`) do not have to know the statement kind up front.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Statement {
     /// A query (`parse_query` shape).
     Query(Query),

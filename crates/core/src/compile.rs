@@ -31,7 +31,7 @@ use mxq_engine::agg::AggFunc;
 use mxq_engine::{CmpOp, Item};
 use mxq_staircase::{Axis, NodeTest};
 
-use crate::algebra::{NumFnKind, Op, Plan, PlanRef, PosFilterKind, Props, StrFnKind};
+use crate::algebra::{ConstItems, NumFnKind, Op, Plan, PlanRef, PosFilterKind, Props, StrFnKind};
 use crate::ast::*;
 use crate::config::ExecConfig;
 use crate::pul::{UpdateKind, UpdatePlan, UpdateStatementPlan, UpdateTarget};
@@ -279,7 +279,15 @@ impl Compiler {
     fn const_seq(&mut self, loop_: &PlanRef, items: Vec<Item>) -> PlanRef {
         self.plan(Op::ConstSeq {
             loop_: loop_.clone(),
-            items,
+            items: ConstItems::Inline(items),
+        })
+    }
+
+    fn ebv(&mut self, seq: PlanRef, loop_: PlanRef) -> PlanRef {
+        self.plan(Op::Ebv {
+            seq,
+            loop_,
+            positions: None,
         })
     }
 
@@ -289,14 +297,11 @@ impl Compiler {
 
     fn compile(&mut self, expr: &Expr, env: &Env) -> CResult<PlanRef> {
         match expr {
-            Expr::Literal(lit) => {
-                let item = match lit {
-                    Literal::Integer(i) => Item::Int(*i),
-                    Literal::Double(d) => Item::Dbl(*d),
-                    Literal::String(s) => Item::str(s.as_str()),
-                };
-                Ok(self.const_seq(&env.loop_, vec![item]))
-            }
+            Expr::Literal(lit) => Ok(self.const_seq(&env.loop_, vec![lit.to_item()])),
+            Expr::Param { slot, .. } => Ok(self.plan(Op::ConstSeq {
+                loop_: env.loop_.clone(),
+                items: ConstItems::Slot(*slot),
+            })),
             Expr::Empty => Ok(self.const_seq(&env.loop_, vec![])),
             Expr::Var(name) => env
                 .vars
@@ -379,14 +384,8 @@ impl Compiler {
             Expr::Logical { is_and, l, r } => {
                 let l = self.compile(l, env)?;
                 let r = self.compile(r, env)?;
-                let l = self.plan(Op::Ebv {
-                    seq: l,
-                    loop_: env.loop_.clone(),
-                });
-                let r = self.plan(Op::Ebv {
-                    seq: r,
-                    loop_: env.loop_.clone(),
-                });
+                let l = self.ebv(l, env.loop_.clone());
+                let r = self.ebv(r, env.loop_.clone());
                 Ok(self.plan(Op::BoolAndOr {
                     is_and: *is_and,
                     l,
@@ -435,10 +434,7 @@ impl Compiler {
                 let mut env = env.clone();
                 if let Some(w) = where_ {
                     let cond = self.compile(w, &env)?;
-                    let cond = self.plan(Op::Ebv {
-                        seq: cond,
-                        loop_: env.loop_.clone(),
-                    });
+                    let cond = self.ebv(cond, env.loop_.clone());
                     let iters = self.plan(Op::SelectIters {
                         cond,
                         loop_: env.loop_.clone(),
@@ -679,10 +675,7 @@ impl Compiler {
 
     fn compile_if(&mut self, cond: &Expr, then: &Expr, els: &Expr, env: &Env) -> CResult<PlanRef> {
         let c = self.compile(cond, env)?;
-        let c = self.plan(Op::Ebv {
-            seq: c,
-            loop_: env.loop_.clone(),
-        });
+        let c = self.ebv(c, env.loop_.clone());
         let then_iters = self.plan(Op::SelectIters {
             cond: c.clone(),
             loop_: env.loop_.clone(),
@@ -729,10 +722,7 @@ impl Compiler {
             ret: Box::new(Expr::integer(1)),
         };
         let seq = self.compile(&flwor, env)?;
-        let exists = self.plan(Op::Ebv {
-            seq,
-            loop_: env.loop_.clone(),
-        });
+        let exists = self.ebv(seq, env.loop_.clone());
         if some {
             Ok(exists)
         } else {
@@ -850,9 +840,14 @@ impl Compiler {
             vars,
         };
         let cond = self.compile(pred, &env_pred)?;
+        // a predicate value that is one number selects by context position
+        // (`$seq[$i]`, `b[1 + 1]`, `b[2.0]`), any other value by its EBV
+        let positions =
+            may_be_numeric(pred).then(|| self.plan(Op::NestVarPos { nest: nest.clone() }));
         let cond = self.plan(Op::Ebv {
             seq: cond,
             loop_: inner_loop,
+            positions,
         });
         let cand_loop = self.plan_nestloop(&nest);
         let keep = self.plan(Op::SelectIters {
@@ -883,21 +878,18 @@ impl Compiler {
 
     fn compile_funcall(&mut self, name: &str, args: &[Expr], env: &Env) -> CResult<PlanRef> {
         let agg = |f: AggFunc| -> Option<AggFunc> { Some(f) };
+        if is_doc_call(name) {
+            let Some(Expr::Literal(Literal::String(doc_name))) = args.first() else {
+                return Err(CompileError::Unsupported(
+                    "doc() requires a string literal argument".into(),
+                ));
+            };
+            return Ok(self.plan(Op::DocRoot {
+                loop_: env.loop_.clone(),
+                name: doc_name.clone(),
+            }));
+        }
         match name {
-            "doc" | "document" | "fn:doc" => {
-                let doc_name = match args.first() {
-                    Some(Expr::Literal(Literal::String(s))) => s.clone(),
-                    _ => {
-                        return Err(CompileError::Unsupported(
-                            "doc() requires a string literal argument".into(),
-                        ))
-                    }
-                };
-                Ok(self.plan(Op::DocRoot {
-                    loop_: env.loop_.clone(),
-                    name: doc_name,
-                }))
-            }
             "count" | "sum" | "avg" | "min" | "max" => {
                 let func = match name {
                     "count" => agg(AggFunc::Count),
@@ -922,10 +914,7 @@ impl Compiler {
             }
             "exists" => {
                 let seq = self.compile_arg(args, 0, env)?;
-                Ok(self.plan(Op::Ebv {
-                    seq,
-                    loop_: env.loop_.clone(),
-                }))
+                Ok(self.ebv(seq, env.loop_.clone()))
             }
             "empty" => {
                 let seq = self.compile_arg(args, 0, env)?;
@@ -943,10 +932,7 @@ impl Compiler {
             }
             "boolean" => {
                 let seq = self.compile_arg(args, 0, env)?;
-                Ok(self.plan(Op::Ebv {
-                    seq,
-                    loop_: env.loop_.clone(),
-                }))
+                Ok(self.ebv(seq, env.loop_.clone()))
             }
             "true" => Ok(self.const_seq(&env.loop_, vec![Item::Bool(true)])),
             "false" => Ok(self.const_seq(&env.loop_, vec![Item::Bool(false)])),
@@ -1181,6 +1167,184 @@ fn const_int(e: Option<&Expr>) -> Option<i64> {
     match e {
         Some(Expr::Literal(Literal::Integer(n))) => Some(*n),
         _ => None,
+    }
+}
+
+/// `fn:doc` and its aliases, whose argument must be a string literal: the
+/// document name is compiled into the plan.
+fn is_doc_call(name: &str) -> bool {
+    matches!(name, "doc" | "document" | "fn:doc")
+}
+
+/// Can a general (non-positional-form) predicate evaluate to a number?
+/// Comparisons, connectives, quantifiers, boolean functions, constructors,
+/// strings and location paths cannot; those keep the plain EBV plan.
+fn may_be_numeric(pred: &Expr) -> bool {
+    match pred {
+        Expr::Comparison { .. }
+        | Expr::Logical { .. }
+        | Expr::Quantified { .. }
+        | Expr::Element(_)
+        | Expr::Empty => false,
+        Expr::Literal(lit) => lit.kind() != LiteralKind::String,
+        Expr::Param { kind, .. } => *kind != LiteralKind::String,
+        Expr::FunCall { name, .. } => !matches!(
+            name.as_str(),
+            "not"
+                | "exists"
+                | "empty"
+                | "boolean"
+                | "true"
+                | "false"
+                | "contains"
+                | "starts-with"
+                | "ends-with"
+        ),
+        // a location path yields nodes (or attribute strings) unless its
+        // last step is a filter over an arbitrary sequence
+        Expr::Path { steps, .. } => steps.last().is_some_and(|s| {
+            s.axis == Axis::SelfAxis && s.test == NodeTest::AnyKind && !s.predicates.is_empty()
+        }),
+        _ => true,
+    }
+}
+
+// ---------------------------------------------------------------------------
+// literal lifting: the statement shape the plan cache is keyed by
+// ---------------------------------------------------------------------------
+
+/// Lift every literal the compiler does not consume structurally out of a
+/// parsed statement into numbered parameter slots ([`Expr::Param`], which
+/// keeps the literal's type) and return the lifted values by slot.
+///
+/// What remains is the statement's *shape*: texts that differ only in
+/// lifted constants lift to equal statements, compile to one plan, and each
+/// execution runs that plan with its own values.  The literals the compiler
+/// consumes structurally stay inline — and so in the shape — decided by the
+/// compiler's own rules: the `doc()` argument (`is_doc_call`), positional
+/// predicates `[N]` / `[position() = N]` (`positional_form`) and
+/// `subsequence` bounds (`const_int`).  Text inside a direct element
+/// constructor is not a literal and stays too.
+pub fn lift_literals(stmt: &mut Statement) -> Vec<Item> {
+    let mut lifted = Vec::new();
+    let (functions, variables) = match stmt {
+        Statement::Query(q) => {
+            lift(&mut q.body, &mut lifted);
+            (&mut q.functions, &mut q.variables)
+        }
+        Statement::Update(u) => {
+            for s in &mut u.statements {
+                match s {
+                    UpdateStmt::Insert { source, target, .. }
+                    | UpdateStmt::ReplaceNode { target, source }
+                    | UpdateStmt::ReplaceValue { target, source }
+                    | UpdateStmt::Rename {
+                        target,
+                        new_name: source,
+                    } => {
+                        lift(target, &mut lifted);
+                        lift(source, &mut lifted);
+                    }
+                    UpdateStmt::Delete { target } => lift(target, &mut lifted),
+                }
+            }
+            (&mut u.functions, &mut u.variables)
+        }
+    };
+    for f in functions {
+        lift(&mut f.body, &mut lifted);
+    }
+    for v in variables.iter_mut().filter_map(|v| v.init.as_mut()) {
+        lift(v, &mut lifted);
+    }
+    lifted
+}
+
+fn lift(e: &mut Expr, out: &mut Vec<Item>) {
+    match e {
+        Expr::Literal(lit) => {
+            let kind = lit.kind();
+            out.push(lit.to_item());
+            *e = Expr::Param {
+                slot: out.len() - 1,
+                kind,
+            };
+        }
+        Expr::Param { .. } | Expr::Empty | Expr::Var(_) => {}
+        Expr::Sequence(parts) => parts.iter_mut().for_each(|p| lift(p, out)),
+        Expr::Flwor {
+            clauses,
+            where_,
+            order_by,
+            ret,
+        } => {
+            for c in clauses {
+                match c {
+                    Clause::For { source, .. } => lift(source, out),
+                    Clause::Let { value, .. } => lift(value, out),
+                }
+            }
+            if let Some(w) = where_ {
+                lift(w, out);
+            }
+            for k in order_by.iter_mut().flat_map(|o| &mut o.keys) {
+                lift(&mut k.key, out);
+            }
+            lift(ret, out);
+        }
+        Expr::If { cond, then, els } => {
+            lift(cond, out);
+            lift(then, out);
+            lift(els, out);
+        }
+        Expr::Quantified {
+            source, satisfies, ..
+        } => {
+            lift(source, out);
+            lift(satisfies, out);
+        }
+        Expr::Arith { l, r, .. } | Expr::Comparison { l, r, .. } | Expr::Logical { l, r, .. } => {
+            lift(l, out);
+            lift(r, out);
+        }
+        Expr::Neg(e) => lift(e, out),
+        Expr::Path { start, steps } => {
+            if let Some(s) = start {
+                lift(s, out);
+            }
+            for p in steps.iter_mut().flat_map(|s| &mut s.predicates) {
+                if positional_form(p).is_none() {
+                    lift(p, out);
+                }
+            }
+        }
+        Expr::FunCall { name, args } => {
+            if is_doc_call(name) {
+                return;
+            }
+            let bounds = if name == "subsequence" { 1 } else { args.len() };
+            for (i, a) in args.iter_mut().enumerate() {
+                if i < bounds || const_int(Some(a)).is_none() {
+                    lift(a, out);
+                }
+            }
+        }
+        Expr::Element(ctor) => lift_element(ctor, out),
+    }
+}
+
+fn lift_element(ctor: &mut ElementCtor, out: &mut Vec<Item>) {
+    for part in ctor.attributes.iter_mut().flat_map(|(_, parts)| parts) {
+        if let AttrPart::Expr(e) = part {
+            lift(e, out);
+        }
+    }
+    for c in &mut ctor.content {
+        match c {
+            Content::Text(_) => {}
+            Content::Expr(e) => lift(e, out),
+            Content::Element(e) => lift_element(e, out),
+        }
     }
 }
 

@@ -7,7 +7,9 @@
 //!
 //! * [`Database`] owns the documents behind a `RwLock` (atomic publishes,
 //!   many concurrent readers), a hash-sharded LRU **plan cache** keyed by
-//!   (statement text, configuration fingerprint), and the paged update
+//!   (statement shape, configuration fingerprint) — a text is parsed, its
+//!   literals are lifted into parameter slots, and every text of one shape
+//!   shares one compiled plan — and the paged update
 //!   state behind **per-document write latches**: sessions updating
 //!   disjoint documents commit fully in parallel, conflicting sessions
 //!   queue on the fragment latch, and a commit-ordering ticket assigns
@@ -279,15 +281,61 @@ impl CompiledStatement {
     }
 }
 
-/// LRU cache of compiled statements keyed by (config fingerprint, text).
+/// What [`Database::compile_cached`] returns: the plan of a text's shape
+/// and the literals this text fills its parameter slots with.
+pub(crate) struct Shaped {
+    compiled: Arc<CompiledStatement>,
+    literals: Vec<Item>,
+    /// Served from the plan cache?
+    hit: bool,
+}
+
+/// A plan-cache key: a statement's *shape* — the parsed statement with its
+/// literals lifted into parameter slots ([`crate::compile::lift_literals`])
+/// — under one configuration fingerprint.  Texts that differ only in lifted
+/// constants (or in whitespace and comments) have equal keys.  The hash is
+/// taken once, when the key is built, and serves both the shard choice and
+/// the shard's map.
+struct ShapeKey {
+    hash: u64,
+    fp: u64,
+    shape: Statement,
+}
+
+impl ShapeKey {
+    fn new(fp: u64, shape: Statement) -> Self {
+        use std::hash::{Hash, Hasher};
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        fp.hash(&mut h);
+        shape.hash(&mut h);
+        ShapeKey {
+            hash: h.finish(),
+            fp,
+            shape,
+        }
+    }
+}
+
+impl PartialEq for ShapeKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.hash == other.hash && self.fp == other.fp && self.shape == other.shape
+    }
+}
+
+impl Eq for ShapeKey {}
+
+impl std::hash::Hash for ShapeKey {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
+}
+
+/// LRU cache of compiled statements keyed by statement shape.
 struct PlanCache {
     capacity: usize,
     tick: u64,
-    len: usize,
-    /// Config fingerprint → statement text → (compiled, last-used tick).
-    /// The nesting exists so hot-path lookups can borrow the text (`&str`)
-    /// instead of allocating an owned key per call.
-    map: HashMap<u64, HashMap<String, (Arc<CompiledStatement>, u64)>>,
+    /// Shape → (compiled, last-used tick).
+    map: HashMap<ShapeKey, (Arc<CompiledStatement>, u64)>,
 }
 
 impl PlanCache {
@@ -295,56 +343,33 @@ impl PlanCache {
         PlanCache {
             capacity,
             tick: 0,
-            len: 0,
             map: HashMap::new(),
         }
     }
 
-    fn get(&mut self, fp: u64, text: &str) -> Option<Arc<CompiledStatement>> {
+    fn get(&mut self, key: &ShapeKey) -> Option<Arc<CompiledStatement>> {
         self.tick += 1;
         let tick = self.tick;
-        self.map.get_mut(&fp)?.get_mut(text).map(|entry| {
+        self.map.get_mut(key).map(|entry| {
             entry.1 = tick;
             entry.0.clone()
         })
     }
 
-    fn insert(&mut self, fp: u64, text: String, stmt: Arc<CompiledStatement>) {
-        let exists = self
-            .map
-            .get(&fp)
-            .is_some_and(|inner| inner.contains_key(&text));
-        if !exists && self.len >= self.capacity {
+    fn insert(&mut self, key: ShapeKey, stmt: Arc<CompiledStatement>) {
+        if !self.map.contains_key(&key) && self.map.len() >= self.capacity {
             // evict the least recently used entry (linear scan: the cache is
             // small and eviction is rare compared to hits)
-            let victim = self
-                .map
-                .iter()
-                .flat_map(|(fp, inner)| inner.iter().map(move |(t, (_, tick))| (*tick, *fp, t)))
-                .min()
-                .map(|(_, fp, t)| (fp, t.clone()));
-            if let Some((vfp, vtext)) = victim {
-                if let Some(inner) = self.map.get_mut(&vfp) {
-                    if inner.remove(&vtext).is_some() {
-                        self.len -= 1;
-                    }
-                }
+            if let Some(oldest) = self.map.values().map(|(_, tick)| *tick).min() {
+                self.map.retain(|_, (_, tick)| *tick != oldest);
             }
         }
         self.tick += 1;
-        if self
-            .map
-            .entry(fp)
-            .or_default()
-            .insert(text, (stmt, self.tick))
-            .is_none()
-        {
-            self.len += 1;
-        }
+        self.map.insert(key, (stmt, self.tick));
     }
 
     fn len(&self) -> usize {
-        self.len
+        self.map.len()
     }
 }
 
@@ -371,20 +396,16 @@ impl ShardedPlanCache {
         }
     }
 
-    fn shard(&self, fp: u64, text: &str) -> &Mutex<PlanCache> {
-        use std::hash::{Hash, Hasher};
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        fp.hash(&mut h);
-        text.hash(&mut h);
-        &self.shards[h.finish() as usize % self.shards.len()]
+    fn shard(&self, key: &ShapeKey) -> &Mutex<PlanCache> {
+        &self.shards[key.hash as usize % self.shards.len()]
     }
 
-    fn get(&self, fp: u64, text: &str) -> Option<Arc<CompiledStatement>> {
-        self.shard(fp, text).lock().unwrap().get(fp, text)
+    fn get(&self, key: &ShapeKey) -> Option<Arc<CompiledStatement>> {
+        self.shard(key).lock().unwrap().get(key)
     }
 
-    fn insert(&self, fp: u64, text: String, stmt: Arc<CompiledStatement>) {
-        self.shard(fp, &text).lock().unwrap().insert(fp, text, stmt);
+    fn insert(&self, key: ShapeKey, stmt: Arc<CompiledStatement>) {
+        self.shard(&key).lock().unwrap().insert(key, stmt);
     }
 
     fn len(&self) -> usize {
@@ -546,8 +567,8 @@ impl CommitOrder {
 /// Counters over the whole database (all sessions).
 #[derive(Debug, Default)]
 struct Counters {
-    /// Statements actually parsed + compiled (plan-cache misses and
-    /// uncached compiles).
+    /// Statements actually compiled (plan-cache misses and uncached
+    /// compiles).
     prepares: AtomicU64,
     plan_cache_hits: AtomicU64,
     plan_cache_misses: AtomicU64,
@@ -567,13 +588,16 @@ struct Counters {
 /// A point-in-time copy of the database counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DatabaseStats {
-    /// Statements parsed + compiled since the database was created.  Stays
-    /// flat while executions are served from the plan cache or a
-    /// [`Prepared`] statement.
+    /// Statements compiled since the database was created: one per
+    /// statement shape the plan cache misses, plus uncached compiles
+    /// ([`Session::compile`], [`Session::explain`]).  Stays flat while
+    /// executions are served from the plan cache or a [`Prepared`]
+    /// statement.
     pub prepares: u64,
-    /// Plan-cache hits.
+    /// Plan-cache hits: statement texts whose shape (the text with its
+    /// liftable literals replaced by parameter slots) had a cached plan.
     pub plan_cache_hits: u64,
-    /// Plan-cache misses.
+    /// Plan-cache misses (each compiles the shape).
     pub plan_cache_misses: u64,
     /// Queries executed (all sessions and prepared statements).
     pub queries: u64,
@@ -616,7 +640,7 @@ pub struct DatabaseStats {
     /// and the database must be reopened to recover (reads keep working).
     /// Always false for an in-memory database.
     pub wal_poisoned: bool,
-    /// Compiled statements currently cached.
+    /// Statement shapes currently cached.
     pub plan_cache_len: usize,
 }
 
@@ -1111,51 +1135,68 @@ impl Database {
     }
 
     /// Execute a statement with the default configuration and no bindings —
-    /// the convenience path; repeated calls with the same text are served
-    /// from the plan cache.
+    /// the convenience path; statements of one shape (texts differing only
+    /// in literal constants) are served from one cached plan.
     pub fn execute(&self, text: &str) -> Result<StatementResult, Error> {
-        let (compiled, _) = self.compile_cached(text, ExecConfig::default())?;
-        self.execute_compiled(&compiled, ExecConfig::default(), &Params::new())
-            .map(|(result, _)| result)
+        let shaped = self.compile_cached(text, ExecConfig::default())?;
+        self.execute_compiled(
+            &shaped.compiled,
+            ExecConfig::default(),
+            Params::new().with_literals(shaped.literals),
+        )
+        .map(|(result, _)| result)
     }
 
     // -- internals ---------------------------------------------------------
 
-    /// Look up (or parse + compile + insert) the compiled form of a
-    /// statement text under a configuration.  Returns the compiled statement
-    /// and whether it was a cache hit.
-    pub(crate) fn compile_cached(
-        &self,
-        text: &str,
-        config: ExecConfig,
-    ) -> Result<(Arc<CompiledStatement>, bool), Error> {
-        let fp = config.fingerprint();
-        if let Some(hit) = self.plan_cache.get(fp, text) {
+    /// Parse a statement text, lift its literals, and look up (or compile
+    /// and insert) the plan of its shape under a configuration.
+    pub(crate) fn compile_cached(&self, text: &str, config: ExecConfig) -> Result<Shaped, Error> {
+        let mut shape = parse_statement(text)?;
+        let literals = crate::compile::lift_literals(&mut shape);
+        let key = ShapeKey::new(config.fingerprint(), shape);
+        if let Some(compiled) = self.plan_cache.get(&key) {
             self.counters
                 .plan_cache_hits
                 .fetch_add(1, Ordering::Relaxed);
-            return Ok((hit, true));
+            return Ok(Shaped {
+                compiled,
+                literals,
+                hit: true,
+            });
         }
         self.counters
             .plan_cache_misses
             .fetch_add(1, Ordering::Relaxed);
-        let compiled = Arc::new(self.compile_statement(text, config)?);
-        self.plan_cache
-            .insert(fp, text.to_string(), compiled.clone());
-        Ok((compiled, false))
+        let compiled = Arc::new(self.compile_parsed(&key.shape, config)?);
+        self.plan_cache.insert(key, compiled.clone());
+        Ok(Shaped {
+            compiled,
+            literals,
+            hit: false,
+        })
     }
 
-    /// Parse + compile a statement (no cache).
+    /// Parse + compile a statement with its literals inline (no cache).
     pub(crate) fn compile_statement(
         &self,
         text: &str,
         config: ExecConfig,
     ) -> Result<CompiledStatement, Error> {
+        self.compile_parsed(&parse_statement(text)?, config)
+    }
+
+    /// Compile a parsed statement, verify and simplify its plan.
+    fn compile_parsed(
+        &self,
+        statement: &Statement,
+        config: ExecConfig,
+    ) -> Result<CompiledStatement, Error> {
         self.counters.prepares.fetch_add(1, Ordering::Relaxed);
         let mut compiler = Compiler::new(config);
-        match parse_statement(text)? {
+        match statement {
             Statement::Query(q) => {
-                let plan = compiler.compile_query(&q)?;
+                let plan = compiler.compile_query(q)?;
                 // static analysis: verify the compiled plan's structural
                 // invariants, then let the inferred properties remove
                 // provably redundant operators and strengthen order
@@ -1175,7 +1216,7 @@ impl Database {
                 })
             }
             Statement::Update(u) => {
-                let plan = compiler.compile_update(&u)?;
+                let plan = compiler.compile_update(u)?;
                 let mut analysis = crate::analysis::Analysis::default();
                 for root in plan.roots() {
                     analysis.extend_with(root);
@@ -1196,7 +1237,7 @@ impl Database {
         &self,
         stmt: &CompiledStatement,
         config: ExecConfig,
-        params: &Params,
+        params: Params,
     ) -> Result<(StatementResult, QueryReport), Error> {
         match stmt {
             CompiledStatement::Query {
@@ -1207,7 +1248,7 @@ impl Database {
                 Ok((StatementResult::Query(result), report))
             }
             CompiledStatement::Update { plan, .. } => {
-                let report = self.apply_update(plan, config, params)?;
+                let report = self.apply_update(plan, config, &params)?;
                 Ok((StatementResult::Update(report), QueryReport::default()))
             }
         }
@@ -1220,9 +1261,9 @@ impl Database {
         plan: &PlanRef,
         operators: usize,
         config: ExecConfig,
-        params: &Params,
+        params: Params,
     ) -> Result<(QueryResult, QueryReport), Error> {
-        let mut exec = Executor::with_params(&snap, config, params.clone());
+        let mut exec = Executor::with_params(&snap, config, params);
         let items = exec.eval_result(plan)?;
         let (transient, stats) = exec.finish();
         self.counters.queries.fetch_add(1, Ordering::Relaxed);
@@ -2068,14 +2109,14 @@ impl Session {
         self.stats
     }
 
-    fn compile_cached(&mut self, text: &str) -> Result<Arc<CompiledStatement>, Error> {
-        let (compiled, hit) = self.db.compile_cached(text, self.config)?;
-        if hit {
+    fn compile_cached(&mut self, text: &str) -> Result<Shaped, Error> {
+        let shaped = self.db.compile_cached(text, self.config)?;
+        if shaped.hit {
             self.stats.plan_cache_hits += 1;
         } else {
             self.stats.plan_cache_misses += 1;
         }
-        Ok(compiled)
+        Ok(shaped)
     }
 
     /// Parse + compile a query and return its plan for inspection (e.g.
@@ -2117,14 +2158,19 @@ impl Session {
     /// Parse + compile a statement once into a [`Prepared`] handle that can
     /// be executed many times (and from many threads).  External variables
     /// (`declare variable $x external;`) are bound per execution through
-    /// [`Prepared::bind`].
+    /// [`Prepared::bind`].  The plan is the cached plan of the statement's
+    /// shape, shared with every text that differs only in literals; the
+    /// handle keeps this text's literal values.
     pub fn prepare(&mut self, text: &str) -> Result<Prepared, Error> {
-        let compiled = self.compile_cached(text)?;
+        let Shaped {
+            compiled, literals, ..
+        } = self.compile_cached(text)?;
         self.stats.prepares += 1;
         Ok(Prepared {
             config: self.config,
             text: text.to_string(),
             compiled,
+            literals,
             last_generation: AtomicU64::new(self.db.generation()),
             db: self.db.clone(),
             executions: AtomicU64::new(0),
@@ -2132,13 +2178,16 @@ impl Session {
         })
     }
 
-    /// Execute a statement, auto-detecting query vs. update text.  Repeated
-    /// executions of the same text are served from the database plan cache.
+    /// Execute a statement, auto-detecting query vs. update text.  Texts
+    /// of one shape (differing only in literal constants) are served from
+    /// one plan in the database plan cache.
     pub fn execute(&mut self, text: &str) -> Result<StatementResult, Error> {
-        let compiled = self.compile_cached(text)?;
-        let (result, _) = self
-            .db
-            .execute_compiled(&compiled, self.config, &Params::new())?;
+        let shaped = self.compile_cached(text)?;
+        let (result, _) = self.db.execute_compiled(
+            &shaped.compiled,
+            self.config,
+            Params::new().with_literals(shaped.literals),
+        )?;
         match &result {
             StatementResult::Query(_) => self.stats.queries += 1,
             StatementResult::Update(_) => self.stats.updates += 1,
@@ -2154,13 +2203,15 @@ impl Session {
 
     /// Execute a query, also returning plan/runtime diagnostics.
     pub fn query_with_report(&mut self, text: &str) -> Result<(QueryResult, QueryReport), Error> {
-        let compiled = self.compile_cached(text)?;
-        if matches!(&*compiled, CompiledStatement::Update { .. }) {
+        let shaped = self.compile_cached(text)?;
+        if matches!(&*shaped.compiled, CompiledStatement::Update { .. }) {
             return Err(Error::WrongStatementKind { expected: "query" });
         }
-        let (result, report) = self
-            .db
-            .execute_compiled(&compiled, self.config, &Params::new())?;
+        let (result, report) = self.db.execute_compiled(
+            &shaped.compiled,
+            self.config,
+            Params::new().with_literals(shaped.literals),
+        )?;
         self.stats.queries += 1;
         Ok((result.into_query()?, report))
     }
@@ -2181,11 +2232,12 @@ impl Session {
     /// re-materialized documents are published under the store write lock so
     /// concurrent readers observe the update as a whole or not at all.
     pub fn execute_update(&mut self, text: &str) -> Result<UpdateReport, Error> {
-        let compiled = self.compile_cached(text)?;
-        let CompiledStatement::Update { plan, .. } = &*compiled else {
+        let shaped = self.compile_cached(text)?;
+        let CompiledStatement::Update { plan, .. } = &*shaped.compiled else {
             return Err(Error::WrongStatementKind { expected: "update" });
         };
-        let report = self.db.apply_update(plan, self.config, &Params::new())?;
+        let params = Params::new().with_literals(shaped.literals);
+        let report = self.db.apply_update(plan, self.config, &params)?;
         self.stats.updates += 1;
         Ok(report)
     }
@@ -2223,6 +2275,9 @@ pub struct Prepared {
     config: ExecConfig,
     text: String,
     compiled: Arc<CompiledStatement>,
+    /// The literals of `text`, filling the parameter slots of the (shared,
+    /// shape-keyed) plan at every execution.
+    literals: Vec<Item>,
     /// The store generation observed by the most recent execution (the
     /// prepare-time generation before the first).  Every execution takes a
     /// fresh snapshot — a dormant `Prepared` never pins old document
@@ -2317,6 +2372,7 @@ impl Prepared {
             return Err(ExecError::NotExternal(unknown.to_string()).into());
         }
         self.executions.fetch_add(1, Ordering::Relaxed);
+        let params = params.clone().with_literals(self.literals.clone());
         match &*self.compiled {
             CompiledStatement::Query {
                 plan, operators, ..
@@ -2329,7 +2385,7 @@ impl Prepared {
             }
             CompiledStatement::Update { plan, .. } => self
                 .db
-                .apply_update(plan, self.config, params)
+                .apply_update(plan, self.config, &params)
                 .map(StatementResult::Update),
         }
     }
@@ -2579,13 +2635,20 @@ mod tests {
 
     #[test]
     fn sharded_plan_cache_counters_add_up_under_concurrent_prepares() {
-        // N sessions hammer the cache with overlapping statement texts; the
+        // N sessions hammer the cache with overlapping statement shapes; the
         // shards must never lose a lookup: every compile_cached call is
         // exactly one hit or one miss, whatever the interleaving.
         let db = db_with("<a><b/></a>");
-        let queries: Vec<String> = (1..=6)
-            .map(|i| format!("count(doc(\"doc.xml\")/a/b) + {i}"))
-            .collect();
+        let queries: Vec<String> = [
+            "count(doc(\"doc.xml\")/a/b) + 1",
+            "count(doc(\"doc.xml\")/a/b) - 1",
+            "count(doc(\"doc.xml\")/a) + 1",
+            "count(doc(\"doc.xml\")//b) + 1",
+            "sum(doc(\"doc.xml\")/a/b) + 1",
+            "count(doc(\"doc.xml\")/a/b[1]) + 1",
+        ]
+        .map(String::from)
+        .to_vec();
         let mut lookups = 0u64;
         std::thread::scope(|scope| {
             for t in 0..4 {
@@ -2611,7 +2674,7 @@ mod tests {
             stats.plan_cache_misses, stats.prepares,
             "every miss compiled exactly once"
         );
-        // all six texts fit the cache, so they are all resident (across
+        // all six shapes fit the cache, so they are all resident (across
         // whatever shards they hashed to) and a re-run is all hits
         assert_eq!(db.plan_cache.len(), queries.len());
         let mut s = db.session();
@@ -2621,11 +2684,24 @@ mod tests {
         let after = db.stats();
         assert_eq!(after.plan_cache_hits, stats.plan_cache_hits + 6);
         assert_eq!(after.plan_cache_misses, stats.plan_cache_misses);
+
+        // texts that differ only in a lifted literal share one entry
+        for i in 2..=7 {
+            let r = s
+                .query(&format!("count(doc(\"doc.xml\")/a/b) + {i}"))
+                .unwrap();
+            assert_eq!(r.serialize(), (1 + i).to_string());
+        }
+        let variants = db.stats();
+        assert_eq!(variants.plan_cache_hits, after.plan_cache_hits + 6);
+        assert_eq!(variants.prepares, after.prepares);
+        assert_eq!(db.plan_cache.len(), queries.len());
     }
 
     #[test]
     fn plan_cache_evicts_least_recently_used() {
         let mut cache = PlanCache::new(2);
+        let key = |t: &str| ShapeKey::new(0, parse_statement(t).unwrap());
         let stmt = |t: &str| {
             Arc::new(CompiledStatement::Update {
                 plan: UpdatePlan {
@@ -2634,14 +2710,18 @@ mod tests {
                 externals: vec![t.to_string()],
             })
         };
-        cache.insert(0, "a".into(), stmt("a"));
-        cache.insert(0, "b".into(), stmt("b"));
-        assert!(cache.get(0, "a").is_some()); // a is now more recent than b
-        cache.insert(0, "c".into(), stmt("c"));
+        cache.insert(key("a"), stmt("a"));
+        cache.insert(key("b"), stmt("b"));
+        assert!(cache.get(&key("a")).is_some()); // a is now more recent than b
+        cache.insert(key("c"), stmt("c"));
         assert_eq!(cache.len(), 2);
-        assert!(cache.get(0, "b").is_none(), "b was evicted");
-        assert!(cache.get(0, "a").is_some());
-        assert!(cache.get(0, "c").is_some());
+        assert!(cache.get(&key("b")).is_none(), "b was evicted");
+        assert!(cache.get(&key("a")).is_some());
+        assert!(cache.get(&key("c")).is_some());
+        // the fingerprint is part of the key
+        assert!(cache
+            .get(&ShapeKey::new(1, parse_statement("a").unwrap()))
+            .is_none());
     }
 
     #[test]

@@ -36,7 +36,7 @@ use mxq_xmldb::{
     ContainerRef, DocStore, Document, DocumentBuilder, NodeRead, StoreSnapshot, TRANSIENT_FRAG,
 };
 
-use crate::algebra::{NumFnKind, Op, PlanRef, PosFilterKind, StrFnKind};
+use crate::algebra::{ConstItems, NumFnKind, Op, PlanRef, PosFilterKind, StrFnKind};
 use crate::ast::ArithOp;
 use crate::config::{ExecConfig, ExecStats};
 use crate::params::Params;
@@ -360,6 +360,7 @@ impl<'a> Executor<'a> {
             }
             Op::ConstSeq { loop_, items } => {
                 let iters = self.loop_iters(loop_)?;
+                let items = const_items(items, &self.params)?;
                 let mut oi = Vec::new();
                 let mut op = Vec::new();
                 let mut oit = Vec::new();
@@ -506,13 +507,17 @@ impl<'a> Executor<'a> {
                 let (l_items, r_items) = (lt.column("item")?, rt.column("item")?);
                 let (mut l_runs, mut r_runs) =
                     (IterRuns::new(iter_col(&lt)?), IterRuns::new(iter_col(&rt)?));
-                // a loop-constant operand is atomized once, not per iteration
+                let iters = self.loop_iters(loop_)?;
+                // a loop-constant operand (the atomized literal or literal
+                // slot) is taken once, not atomized per iteration
                 let r_const: Option<&[Item]> = match &r.op {
-                    Op::ConstSeq { items, .. } => Some(items),
+                    Op::Atomize { seq } => match &seq.op {
+                        Op::ConstSeq { items, .. } => Some(const_items(items, &self.params)?),
+                        _ => None,
+                    },
                     _ => None,
                 };
                 let mut r_run_items: Vec<Item> = Vec::new();
-                let iters = self.loop_iters(loop_)?;
                 let mut out_items = Vec::with_capacity(iters.len());
                 for &it in &iters {
                     let (l_run, r_run) = (l_runs.of(it), r_runs.of(it));
@@ -575,14 +580,45 @@ impl<'a> Executor<'a> {
                 let n = iters.len();
                 Ok(seq_table(iters, vec![1; n], items))
             }
-            Op::Ebv { seq, loop_ } => {
+            Op::Ebv {
+                seq,
+                loop_,
+                positions,
+            } => {
                 let t = self.eval_in_iter_order(seq)?;
                 let mut runs = IterRuns::new(iter_col(&t)?);
                 let values = t.column("item")?;
+                let positions = match positions {
+                    Some(p) => Some(self.eval_in_iter_order(p)?),
+                    None => None,
+                };
+                let mut positions = match &positions {
+                    Some(p) => Some((IterRuns::new(iter_col(p)?), p.column("item")?)),
+                    None => None,
+                };
                 let iters = self.loop_iters(loop_)?;
                 let items: Vec<Item> = iters
                     .iter()
-                    .map(|&it| Item::Bool(ebv_of(values, runs.of(it))))
+                    .map(|&it| {
+                        let run = runs.of(it);
+                        // a numeric predicate value selects by context position
+                        let by_position = match (&mut positions, run.len()) {
+                            (Some((pos_runs, pos_items)), 1) => {
+                                let number = match values.item(run.start) {
+                                    Item::Int(i) => Some(i as f64),
+                                    Item::Dbl(d) => Some(d),
+                                    _ => None,
+                                };
+                                number.map(|n| {
+                                    let pos = pos_runs.of(it);
+                                    !pos.is_empty()
+                                        && pos_items.item(pos.start).as_number() == Some(n)
+                                })
+                            }
+                            _ => None,
+                        };
+                        Item::Bool(by_position.unwrap_or_else(|| ebv_of(values, run)))
+                    })
                     .collect();
                 let n = iters.len();
                 Ok(seq_table(iters, vec![1; n], items))
@@ -1475,6 +1511,18 @@ impl<'a> IterRuns<'a> {
     fn next_run(&mut self) -> Option<(i64, Range<usize>)> {
         let &it = self.iters.get(self.at)?;
         Some((it, self.of(it)))
+    }
+}
+
+/// The items of a constant sequence: inline, or this execution's literal in
+/// a parameter slot.
+fn const_items<'p>(items: &'p ConstItems, params: &'p Params) -> EResult<&'p [Item]> {
+    match items {
+        ConstItems::Inline(items) => Ok(items),
+        ConstItems::Slot(slot) => params
+            .literal(*slot)
+            .map(std::slice::from_ref)
+            .ok_or_else(|| ExecError::Internal(format!("literal slot {slot} is unbound"))),
     }
 }
 

@@ -5,6 +5,11 @@
 //! and executed many times with different values supplied through a
 //! [`Params`] set — the compile-once/execute-many split MonetDB/XQuery's
 //! server mode relies on.
+//!
+//! The same split serves ad-hoc text: the plan cache lifts a statement's
+//! literals into numbered slots ([`crate::compile::lift_literals`]), and the
+//! lifted values travel with each execution in the [`Params`] as well —
+//! apart from the named bindings, so no caller can bind or see a slot.
 
 use std::collections::HashMap;
 
@@ -19,12 +24,26 @@ use mxq_engine::Item;
 #[derive(Debug, Clone, Default)]
 pub struct Params {
     map: HashMap<String, Vec<Item>>,
+    /// The statement's lifted literals, by slot (set by the database only).
+    literals: Vec<Item>,
 }
 
 impl Params {
     /// An empty binding set.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// These bindings with a statement's lifted literals filled into the
+    /// parameter slots.
+    pub(crate) fn with_literals(mut self, literals: Vec<Item>) -> Self {
+        self.literals = literals;
+        self
+    }
+
+    /// The literal lifted into parameter slot `slot`.
+    pub(crate) fn literal(&self, slot: usize) -> Option<&Item> {
+        self.literals.get(slot)
     }
 
     /// Bind a variable to a single item, replacing any previous binding.

@@ -4,6 +4,12 @@
 //! support (see [`crate::ast`]).  Direct element constructors are parsed by
 //! switching the lexer into character mode, exactly like a real XQuery
 //! scanner does.
+//!
+//! The lexer works on the UTF-8 bytes of the text with byte offsets and
+//! hands out tokens that borrow their text from it: a token allocates
+//! nothing, and a name becomes an owned `String` only when it enters the
+//! AST.  Every statement is parsed on its way to the plan cache (the cache
+//! is keyed by the parsed statement's shape), so this is a hot path.
 
 use std::fmt;
 
@@ -12,10 +18,10 @@ use mxq_staircase::{Axis, NodeTest};
 
 use crate::ast::*;
 
-/// A parse error with a byte offset into the query text.
+/// A parse error with a character offset into the query text.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
-    /// Byte offset of the offending token.
+    /// Character (not byte) offset of the offending token.
     pub offset: usize,
     /// Human readable message.
     pub message: String,
@@ -133,18 +139,28 @@ pub fn parse_statement(src: &str) -> PResult<Statement> {
 // Tokens
 // ---------------------------------------------------------------------------
 
-#[derive(Debug, Clone, PartialEq)]
-enum Tok {
-    Name(String),
-    Var(String),
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Tok<'s> {
+    Name(&'s str),
+    Var(&'s str),
     Int(i64),
     Dbl(f64),
-    Str(String),
-    Sym(&'static str),
+    Str(&'s str),
+    Sym(Sym),
     Eof,
 }
 
-impl Tok {
+/// A one- or two-character symbol, zero-padded: tokens compare as two
+/// bytes, not as strings.
+type Sym = [u8; 2];
+
+/// The [`Sym`] of a symbol's text.
+const fn sym(text: &str) -> Sym {
+    let b = text.as_bytes();
+    [b[0], if b.len() > 1 { b[1] } else { 0 }]
+}
+
+impl Tok<'_> {
     fn describe(&self) -> String {
         match self {
             Tok::Name(n) => format!("name `{n}`"),
@@ -152,31 +168,98 @@ impl Tok {
             Tok::Int(i) => format!("integer {i}"),
             Tok::Dbl(d) => format!("number {d}"),
             Tok::Str(_) => "string literal".into(),
-            Tok::Sym(s) => format!("`{s}`"),
+            Tok::Sym(s) => format!(
+                "`{}`",
+                String::from_utf8_lossy(&s[..1 + (s[1] != 0) as usize])
+            ),
             Tok::Eof => "end of input".into(),
         }
     }
 }
 
-struct Parser {
-    src: Vec<char>,
-    pos: usize,
-    /// peeked token and the position it started at / ends at
-    peeked: Option<(Tok, usize, usize)>,
+/// A binary operator, as [`Parser::parse_binary`] folds it.
+#[derive(Clone, Copy)]
+enum BinOp {
+    Logical { is_and: bool },
+    Comparison(CompKind),
+    Arith(ArithOp),
 }
 
-impl Parser {
-    fn new(src: &str) -> Self {
+impl BinOp {
+    fn precedence(self) -> u8 {
+        match self {
+            BinOp::Logical { is_and } => 1 + is_and as u8,
+            BinOp::Comparison(_) => 3,
+            BinOp::Arith(ArithOp::Add | ArithOp::Sub) => 4,
+            BinOp::Arith(_) => 5,
+        }
+    }
+}
+
+/// The binary operator a token denotes after an operand, if any.
+fn binary_op(tok: &Tok) -> Option<BinOp> {
+    use BinOp::{Arith, Comparison, Logical};
+    Some(match *tok {
+        Tok::Name("or") => Logical { is_and: false },
+        Tok::Name("and") => Logical { is_and: true },
+        Tok::Sym([b'=', 0]) => Comparison(CompKind::General(CmpOp::Eq)),
+        Tok::Sym([b'!', b'=']) => Comparison(CompKind::General(CmpOp::Ne)),
+        Tok::Sym([b'<', b'=']) => Comparison(CompKind::General(CmpOp::Le)),
+        Tok::Sym([b'>', b'=']) => Comparison(CompKind::General(CmpOp::Ge)),
+        Tok::Sym([b'<', 0]) => Comparison(CompKind::General(CmpOp::Lt)),
+        Tok::Sym([b'>', 0]) => Comparison(CompKind::General(CmpOp::Gt)),
+        Tok::Sym([b'<', b'<']) => Comparison(CompKind::NodeBefore),
+        Tok::Sym([b'>', b'>']) => Comparison(CompKind::NodeAfter),
+        Tok::Name("eq") => Comparison(CompKind::Value(CmpOp::Eq)),
+        Tok::Name("ne") => Comparison(CompKind::Value(CmpOp::Ne)),
+        Tok::Name("lt") => Comparison(CompKind::Value(CmpOp::Lt)),
+        Tok::Name("le") => Comparison(CompKind::Value(CmpOp::Le)),
+        Tok::Name("gt") => Comparison(CompKind::Value(CmpOp::Gt)),
+        Tok::Name("ge") => Comparison(CompKind::Value(CmpOp::Ge)),
+        Tok::Name("is") => Comparison(CompKind::NodeIs),
+        Tok::Sym([b'+', 0]) => Arith(ArithOp::Add),
+        Tok::Sym([b'-', 0]) => Arith(ArithOp::Sub),
+        Tok::Sym([b'*', 0]) => Arith(ArithOp::Mul),
+        Tok::Name("div") => Arith(ArithOp::Div),
+        Tok::Name("idiv") => Arith(ArithOp::IDiv),
+        Tok::Name("mod") => Arith(ArithOp::Mod),
+        _ => return None,
+    })
+}
+
+/// A saved lexer position (for backtracking between grammars).
+type Saved<'s> = (usize, Option<(Tok<'s>, usize, usize)>);
+
+struct Parser<'s> {
+    src: &'s str,
+    /// Byte offset into `src`, always on a character boundary.
+    pos: usize,
+    /// peeked token and the byte offsets it starts at / ends at
+    peeked: Option<(Tok<'s>, usize, usize)>,
+    /// the last token lexed and the offset it was lexed from
+    memo: Option<(usize, (Tok<'s>, usize, usize))>,
+}
+
+/// Can `c` continue a name (`-`, `.` and `:` included)?
+fn is_name_char(c: char) -> bool {
+    c.is_alphanumeric() || matches!(c, '_' | '-' | '.' | ':')
+}
+
+impl<'s> Parser<'s> {
+    fn new(src: &'s str) -> Self {
         Parser {
-            src: src.chars().collect(),
+            src,
             pos: 0,
             peeked: None,
+            memo: None,
         }
     }
 
     fn err(&self, msg: impl Into<String>) -> ParseError {
+        let at = self.peeked.as_ref().map(|(_, s, _)| *s).unwrap_or(self.pos);
         ParseError {
-            offset: self.peeked.as_ref().map(|(_, s, _)| *s).unwrap_or(self.pos),
+            // byte → character offset, paid on the error path only
+            offset: self.src[..at.min(self.src.len())].chars().count(),
             message: msg.into(),
         }
     }
@@ -187,165 +270,194 @@ impl Parser {
 
     // -- character level helpers -------------------------------------------
 
-    fn skip_ws(&mut self) {
-        loop {
-            while self.pos < self.src.len() && self.src[self.pos].is_whitespace() {
-                self.pos += 1;
-            }
-            // XQuery comments (: ... :), possibly nested
-            if self.pos + 1 < self.src.len()
-                && self.src[self.pos] == '('
-                && self.src[self.pos + 1] == ':'
-            {
-                let mut depth = 1;
-                self.pos += 2;
-                while self.pos + 1 < self.src.len() && depth > 0 {
-                    if self.src[self.pos] == '(' && self.src[self.pos + 1] == ':' {
-                        depth += 1;
-                        self.pos += 2;
-                    } else if self.src[self.pos] == ':' && self.src[self.pos + 1] == ')' {
-                        depth -= 1;
-                        self.pos += 2;
-                    } else {
-                        self.pos += 1;
-                    }
-                }
-            } else {
-                break;
+    /// The character starting at byte offset `at`; `'\0'` past the end.
+    fn char_at(&self, at: usize) -> char {
+        match self.src.as_bytes().get(at) {
+            None => '\0',
+            Some(&b) if b.is_ascii() => b as char,
+            Some(_) => self.src[at..].chars().next().unwrap_or('\0'),
+        }
+    }
+
+    /// The current character (`'\0'` at the end).
+    fn ch(&self) -> char {
+        self.char_at(self.pos)
+    }
+
+    /// The character after the current one.
+    fn ch2(&self) -> char {
+        self.char_at(self.pos + self.ch().len_utf8())
+    }
+
+    /// Step over the current character (no-op at the end).
+    fn bump(&mut self) {
+        if self.pos < self.src.len() {
+            self.pos += self.ch().len_utf8();
+        }
+    }
+
+    fn rest(&self) -> &'s [u8] {
+        &self.src.as_bytes()[self.pos..]
+    }
+
+    /// Step over the characters of a token name: alphanumerics, `_`, `-`,
+    /// `.` and, when `colons`, a `:` that does not start an axis `::`.
+    fn skip_name(&mut self, colons: bool) {
+        let bytes = self.src.as_bytes();
+        while let Some(&b) = bytes.get(self.pos) {
+            match b {
+                b'a'..=b'z' | b'A'..=b'Z' | b'0'..=b'9' | b'_' | b'-' | b'.' => self.pos += 1,
+                b':' if colons && bytes.get(self.pos + 1) != Some(&b':') => self.pos += 1,
+                0x80..=0xff if self.ch().is_alphanumeric() => self.bump(),
+                _ => break,
             }
         }
     }
 
-    fn ch(&self, off: usize) -> char {
-        self.src.get(self.pos + off).copied().unwrap_or('\0')
+    /// Skip whitespace and XQuery comments `(: … :)`, possibly nested.
+    fn skip_ws(&mut self) {
+        let bytes = self.src.as_bytes();
+        loop {
+            match bytes.get(self.pos) {
+                Some(b' ' | b'\t' | b'\n' | b'\r' | 0x0b | 0x0c) => self.pos += 1,
+                Some(b'(') if bytes.get(self.pos + 1) == Some(&b':') => {
+                    let mut depth = 1;
+                    self.pos += 2;
+                    while depth > 0 && self.ch2() != '\0' {
+                        if self.rest().starts_with(b"(:") {
+                            depth += 1;
+                            self.pos += 2;
+                        } else if self.rest().starts_with(b":)") {
+                            depth -= 1;
+                            self.pos += 2;
+                        } else {
+                            self.bump();
+                        }
+                    }
+                }
+                Some(0x80..=0xff) if self.ch().is_whitespace() => self.bump(),
+                _ => return,
+            }
+        }
     }
 
     // -- token level --------------------------------------------------------
 
-    fn lex(&mut self) -> (Tok, usize, usize) {
+    #[inline(never)]
+    fn lex(&mut self) -> (Tok<'s>, usize, usize) {
+        // lexing is a pure function of the position: a token re-lexed after
+        // a lookahead was undone (`save`/`restore`) is served from the memo
+        let from = self.pos;
+        if let Some((at, tok)) = self.memo {
+            if at == from {
+                self.pos = tok.2;
+                return tok;
+            }
+        }
+        let tok = self.lex_uncached();
+        self.memo = Some((from, tok));
+        tok
+    }
+
+    fn lex_uncached(&mut self) -> (Tok<'s>, usize, usize) {
         self.skip_ws();
         let start = self.pos;
         if self.pos >= self.src.len() {
             return (Tok::Eof, start, start);
         }
-        let c = self.src[self.pos];
+        let c = self.ch();
         // names (may contain - . : but not start with a digit)
         if c.is_alphabetic() || c == '_' {
-            let mut s = String::new();
-            while self.pos < self.src.len() {
-                let c = self.src[self.pos];
-                if c.is_alphanumeric() || c == '_' || c == '-' || c == '.' || c == ':' {
-                    // a name must not swallow `::` (axis separator)
-                    if c == ':' && self.ch(1) == ':' {
-                        break;
-                    }
-                    s.push(c);
-                    self.pos += 1;
-                } else {
-                    break;
-                }
-            }
-            return (Tok::Name(s), start, self.pos);
+            // a name must not swallow `::` (axis separator)
+            self.skip_name(true);
+            return (Tok::Name(&self.src[start..self.pos]), start, self.pos);
         }
         if c.is_ascii_digit() {
-            let mut s = String::new();
             let mut is_dbl = false;
-            while self.pos < self.src.len() {
-                let c = self.src[self.pos];
-                let fraction = c == '.' && self.ch(1).is_ascii_digit();
-                let exponent =
-                    (c == 'e' || c == 'E') && (self.ch(1).is_ascii_digit() || self.ch(1) == '-');
-                if c.is_ascii_digit() || fraction || exponent {
-                    is_dbl |= fraction || exponent;
-                    s.push(c);
-                    self.pos += 1;
-                } else {
+            loop {
+                let (c, next) = (self.ch(), self.ch2());
+                let fraction = c == '.' && next.is_ascii_digit();
+                let exponent = (c == 'e' || c == 'E') && (next.is_ascii_digit() || next == '-');
+                if !(c.is_ascii_digit() || fraction || exponent) {
                     break;
                 }
+                is_dbl |= fraction || exponent;
+                self.pos += 1;
             }
+            let text = &self.src[start..self.pos];
             let tok = if is_dbl {
-                Tok::Dbl(s.parse().unwrap_or(0.0))
+                Tok::Dbl(text.parse().unwrap_or(0.0))
             } else {
-                Tok::Int(s.parse().unwrap_or(0))
+                Tok::Int(text.parse().unwrap_or(0))
             };
             return (tok, start, self.pos);
         }
         if c == '"' || c == '\'' {
-            self.pos += 1;
-            let mut s = String::new();
-            while self.pos < self.src.len() && self.src[self.pos] != c {
-                s.push(self.src[self.pos]);
-                self.pos += 1;
-            }
-            self.pos += 1; // closing quote
-            return (Tok::Str(s), start, self.pos);
+            let body = start + 1;
+            let end = self.src[body..]
+                .find(c)
+                .map_or(self.src.len(), |i| body + i);
+            self.pos = (end + 1).min(self.src.len()); // past the closing quote
+            return (Tok::Str(&self.src[body..end]), start, self.pos);
         }
         if c == '$' {
             self.pos += 1;
-            let mut s = String::new();
-            while self.pos < self.src.len() {
-                let c = self.src[self.pos];
-                if c.is_alphanumeric() || c == '_' || c == '-' || c == '.' {
-                    s.push(c);
-                    self.pos += 1;
-                } else {
-                    break;
-                }
-            }
-            return (Tok::Var(s), start, self.pos);
+            self.skip_name(false);
+            return (Tok::Var(&self.src[start + 1..self.pos]), start, self.pos);
         }
         // symbols, longest first
-        let two: String = self.src[self.pos..(self.pos + 2).min(self.src.len())]
-            .iter()
-            .collect();
-        for sym in ["<<", ">>", "<=", ">=", "!=", "//", "::", ":=", ".."] {
-            if two == *sym {
-                self.pos += 2;
-                return (Tok::Sym(sym), start, self.pos);
-            }
-        }
-        let sym: Option<&'static str> = match c {
-            '(' => Some("("),
-            ')' => Some(")"),
-            '[' => Some("["),
-            ']' => Some("]"),
-            '{' => Some("{"),
-            '}' => Some("}"),
-            ',' => Some(","),
-            ';' => Some(";"),
-            '/' => Some("/"),
-            '@' => Some("@"),
-            '.' => Some("."),
-            '+' => Some("+"),
-            '-' => Some("-"),
-            '*' => Some("*"),
-            '=' => Some("="),
-            '<' => Some("<"),
-            '>' => Some(">"),
-            '?' => Some("?"),
-            _ => None,
+        let text = match (c, self.ch2()) {
+            ('<', '<') => "<<",
+            ('>', '>') => ">>",
+            ('<', '=') => "<=",
+            ('>', '=') => ">=",
+            ('!', '=') => "!=",
+            ('/', '/') => "//",
+            (':', ':') => "::",
+            (':', '=') => ":=",
+            ('.', '.') => "..",
+            ('(', _) => "(",
+            (')', _) => ")",
+            ('[', _) => "[",
+            (']', _) => "]",
+            ('{', _) => "{",
+            ('}', _) => "}",
+            (',', _) => ",",
+            (';', _) => ";",
+            ('/', _) => "/",
+            ('@', _) => "@",
+            ('.', _) => ".",
+            ('+', _) => "+",
+            ('-', _) => "-",
+            ('*', _) => "*",
+            ('=', _) => "=",
+            ('<', _) => "<",
+            ('>', _) => ">",
+            _ => "?",
         };
-        match sym {
-            Some(s) => {
-                self.pos += 1;
-                (Tok::Sym(s), start, self.pos)
-            }
-            None => {
-                self.pos += 1;
-                (Tok::Sym("?"), start, self.pos)
-            }
+        if text.len() == 2 {
+            self.pos += 2;
+        } else {
+            self.bump();
         }
+        (Tok::Sym(sym(text)), start, self.pos)
     }
 
-    fn peek(&mut self) -> &Tok {
+    /// The next token, lexed at most once.  Called a dozen times per
+    /// primary expression by the precedence levels, so the hit path must
+    /// inline: lexing lives out of line.
+    #[inline]
+    fn peek(&mut self) -> &Tok<'s> {
         if self.peeked.is_none() {
-            let t = self.lex();
-            self.peeked = Some(t);
+            self.peeked = Some(self.lex());
         }
-        &self.peeked.as_ref().unwrap().0
+        match &self.peeked {
+            Some((t, _, _)) => t,
+            None => &Tok::Eof,
+        }
     }
 
-    fn next(&mut self) -> Tok {
+    fn next(&mut self) -> Tok<'s> {
         if let Some((t, _, _)) = self.peeked.take() {
             return t;
         }
@@ -360,10 +472,10 @@ impl Parser {
         }
     }
 
-    fn expect_sym(&mut self, sym: &'static str) -> PResult<()> {
+    fn expect_sym(&mut self, text: &'static str) -> PResult<()> {
         match self.next() {
-            Tok::Sym(s) if s == sym => Ok(()),
-            other => Err(self.err(format!("expected `{sym}`, found {}", other.describe()))),
+            Tok::Sym(s) if s == sym(text) => Ok(()),
+            other => Err(self.err(format!("expected `{text}`, found {}", other.describe()))),
         }
     }
 
@@ -374,12 +486,19 @@ impl Parser {
         }
     }
 
-    fn at_name(&mut self, kw: &str) -> bool {
-        matches!(self.peek(), Tok::Name(n) if n == kw)
+    fn expect_var(&mut self, what: &str) -> PResult<String> {
+        match self.next() {
+            Tok::Var(v) => Ok(v.to_string()),
+            other => Err(self.err(format!("expected {what}, found {}", other.describe()))),
+        }
     }
 
-    fn at_sym(&mut self, sym: &str) -> bool {
-        matches!(self.peek(), Tok::Sym(s) if *s == sym)
+    fn at_name(&mut self, kw: &str) -> bool {
+        matches!(self.peek(), Tok::Name(n) if *n == kw)
+    }
+
+    fn at_sym(&mut self, text: &str) -> bool {
+        matches!(self.peek(), Tok::Sym(s) if *s == sym(text))
     }
 
     fn eat_name(&mut self, kw: &str) -> bool {
@@ -391,8 +510,8 @@ impl Parser {
         }
     }
 
-    fn eat_sym(&mut self, sym: &'static str) -> bool {
-        if self.at_sym(sym) {
+    fn eat_sym(&mut self, text: &'static str) -> bool {
+        if self.at_sym(text) {
             self.next();
             true
         } else {
@@ -431,12 +550,12 @@ impl Parser {
     }
 
     /// Save the lexer position (for backtracking between grammars).
-    fn save(&self) -> (usize, Option<(Tok, usize, usize)>) {
-        (self.pos, self.peeked.clone())
+    fn save(&self) -> Saved<'s> {
+        (self.pos, self.peeked)
     }
 
     /// Restore a previously saved lexer position.
-    fn restore(&mut self, save: (usize, Option<(Tok, usize, usize)>)) {
+    fn restore(&mut self, save: Saved<'s>) {
         self.pos = save.0;
         self.peeked = save.1;
     }
@@ -516,7 +635,7 @@ impl Parser {
             self.next();
             if self.eat_name("function") {
                 let name = match self.next() {
-                    Tok::Name(n) => strip_prefix(&n),
+                    Tok::Name(n) => strip_prefix(n).to_string(),
                     other => {
                         return Err(self.err(format!(
                             "expected function name, found {}",
@@ -528,15 +647,7 @@ impl Parser {
                 let mut params = Vec::new();
                 if !self.at_sym(")") {
                     loop {
-                        match self.next() {
-                            Tok::Var(v) => params.push(v),
-                            other => {
-                                return Err(self.err(format!(
-                                    "expected parameter, found {}",
-                                    other.describe()
-                                )))
-                            }
-                        }
+                        params.push(self.expect_var("parameter")?);
                         self.skip_type_annotation();
                         if !self.eat_sym(",") {
                             break;
@@ -551,14 +662,7 @@ impl Parser {
                 self.expect_sym(";")?;
                 functions.push(FunctionDecl { name, params, body });
             } else if self.eat_name("variable") {
-                let var = match self.next() {
-                    Tok::Var(v) => v,
-                    other => {
-                        return Err(
-                            self.err(format!("expected variable, found {}", other.describe()))
-                        )
-                    }
-                };
+                let var = self.expect_var("variable")?;
                 self.skip_type_annotation();
                 // `declare variable $x external;` — value supplied at
                 // execution time, with an optional `:= default`
@@ -605,7 +709,8 @@ impl Parser {
         if !self.at_sym(",") {
             return Ok(first);
         }
-        let mut parts = vec![first];
+        let mut parts = Vec::with_capacity(4);
+        parts.push(first);
         while self.eat_sym(",") {
             parts.push(self.parse_expr_single()?);
         }
@@ -622,7 +727,7 @@ impl Parser {
         if self.at_name("some") || self.at_name("every") {
             return self.parse_quantified();
         }
-        self.parse_or()
+        Ok(self.parse_binary(0)?.0)
     }
 
     fn parse_flwor(&mut self) -> PResult<Expr> {
@@ -630,23 +735,10 @@ impl Parser {
         loop {
             if self.eat_name("for") {
                 loop {
-                    let var = match self.next() {
-                        Tok::Var(v) => v,
-                        other => {
-                            return Err(
-                                self.err(format!("expected `$var`, found {}", other.describe()))
-                            )
-                        }
-                    };
+                    let var = self.expect_var("`$var`")?;
                     self.skip_type_annotation();
                     let at = if self.eat_name("at") {
-                        match self.next() {
-                            Tok::Var(v) => Some(v),
-                            other => {
-                                return Err(self
-                                    .err(format!("expected `$pos`, found {}", other.describe())))
-                            }
-                        }
+                        Some(self.expect_var("`$pos`")?)
                     } else {
                         None
                     };
@@ -659,14 +751,7 @@ impl Parser {
                 }
             } else if self.eat_name("let") {
                 loop {
-                    let var = match self.next() {
-                        Tok::Var(v) => v,
-                        other => {
-                            return Err(
-                                self.err(format!("expected `$var`, found {}", other.describe()))
-                            )
-                        }
-                    };
+                    let var = self.expect_var("`$var`")?;
                     self.skip_type_annotation();
                     self.expect_sym(":=")?;
                     let value = self.parse_expr_single()?;
@@ -735,10 +820,7 @@ impl Parser {
         if !some {
             self.expect_name("every")?;
         }
-        let var = match self.next() {
-            Tok::Var(v) => v,
-            other => return Err(self.err(format!("expected `$var`, found {}", other.describe()))),
-        };
+        let var = self.expect_var("`$var`")?;
         self.expect_name("in")?;
         let source = Box::new(self.parse_expr_single()?);
         self.expect_name("satisfies")?;
@@ -751,141 +833,46 @@ impl Parser {
         })
     }
 
-    fn parse_or(&mut self) -> PResult<Expr> {
-        let mut l = self.parse_and()?;
-        while self.at_name("or") {
-            self.next();
-            let r = self.parse_and()?;
-            l = Expr::Logical {
-                is_and: false,
-                l: Box::new(l),
-                r: Box::new(r),
-            };
-        }
-        Ok(l)
-    }
-
-    fn parse_and(&mut self) -> PResult<Expr> {
-        let mut l = self.parse_comparison()?;
-        while self.at_name("and") {
-            self.next();
-            let r = self.parse_comparison()?;
-            l = Expr::Logical {
-                is_and: true,
-                l: Box::new(l),
-                r: Box::new(r),
-            };
-        }
-        Ok(l)
-    }
-
-    fn parse_comparison(&mut self) -> PResult<Expr> {
-        let l = self.parse_additive()?;
-        let kind = if self.at_sym("=") {
-            self.next();
-            Some(CompKind::General(CmpOp::Eq))
-        } else if self.at_sym("!=") {
-            self.next();
-            Some(CompKind::General(CmpOp::Ne))
-        } else if self.at_sym("<=") {
-            self.next();
-            Some(CompKind::General(CmpOp::Le))
-        } else if self.at_sym(">=") {
-            self.next();
-            Some(CompKind::General(CmpOp::Ge))
-        } else if self.at_sym("<") {
-            self.next();
-            Some(CompKind::General(CmpOp::Lt))
-        } else if self.at_sym(">") {
-            self.next();
-            Some(CompKind::General(CmpOp::Gt))
-        } else if self.at_sym("<<") {
-            self.next();
-            Some(CompKind::NodeBefore)
-        } else if self.at_sym(">>") {
-            self.next();
-            Some(CompKind::NodeAfter)
-        } else if self.at_name("eq") {
-            self.next();
-            Some(CompKind::Value(CmpOp::Eq))
-        } else if self.at_name("ne") {
-            self.next();
-            Some(CompKind::Value(CmpOp::Ne))
-        } else if self.at_name("lt") {
-            self.next();
-            Some(CompKind::Value(CmpOp::Lt))
-        } else if self.at_name("le") {
-            self.next();
-            Some(CompKind::Value(CmpOp::Le))
-        } else if self.at_name("gt") {
-            self.next();
-            Some(CompKind::Value(CmpOp::Gt))
-        } else if self.at_name("ge") {
-            self.next();
-            Some(CompKind::Value(CmpOp::Ge))
-        } else if self.at_name("is") {
-            self.next();
-            Some(CompKind::NodeIs)
-        } else {
-            None
-        };
-        match kind {
-            None => Ok(l),
-            Some(kind) => {
-                let r = self.parse_additive()?;
-                Ok(Expr::Comparison {
-                    kind,
-                    l: Box::new(l),
-                    r: Box::new(r),
-                })
-            }
-        }
-    }
-
-    fn parse_additive(&mut self) -> PResult<Expr> {
-        let mut l = self.parse_multiplicative()?;
-        loop {
-            let op = if self.at_sym("+") {
-                ArithOp::Add
-            } else if self.at_sym("-") {
-                ArithOp::Sub
-            } else {
-                break;
-            };
-            self.next();
-            let r = self.parse_multiplicative()?;
-            l = Expr::Arith {
-                op,
-                l: Box::new(l),
-                r: Box::new(r),
-            };
-        }
-        Ok(l)
-    }
-
-    fn parse_multiplicative(&mut self) -> PResult<Expr> {
+    /// The binary operators by precedence climbing: `or` < `and` <
+    /// comparisons (non-associative) < `+ -` < `* div idiv mod`, each
+    /// left-associative level folding left.  One call per operand instead
+    /// of one per precedence level.  Returns the expression and the loosest
+    /// precedence still allowed to follow it: a comparison caps what may
+    /// follow below it at `and`.
+    fn parse_binary(&mut self, min: u8) -> PResult<(Expr, u8)> {
         let mut l = self.parse_unary()?;
-        loop {
-            let op = if self.at_sym("*") {
-                ArithOp::Mul
-            } else if self.at_name("div") {
-                ArithOp::Div
-            } else if self.at_name("idiv") {
-                ArithOp::IDiv
-            } else if self.at_name("mod") {
-                ArithOp::Mod
-            } else {
+        let mut max = u8::MAX;
+        while let Some(op) = binary_op(self.peek()) {
+            let prec = op.precedence();
+            if prec < min || prec > max {
                 break;
-            };
+            }
             self.next();
-            let r = self.parse_unary()?;
-            l = Expr::Arith {
-                op,
-                l: Box::new(l),
-                r: Box::new(r),
+            let (r, r_max) = self.parse_binary(prec + 1)?;
+            max = max.min(r_max);
+            let (l_box, r_box) = (Box::new(l), Box::new(r));
+            l = match op {
+                BinOp::Logical { is_and } => Expr::Logical {
+                    is_and,
+                    l: l_box,
+                    r: r_box,
+                },
+                BinOp::Comparison(kind) => {
+                    max = max.min(prec - 1);
+                    Expr::Comparison {
+                        kind,
+                        l: l_box,
+                        r: r_box,
+                    }
+                }
+                BinOp::Arith(op) => Expr::Arith {
+                    op,
+                    l: l_box,
+                    r: r_box,
+                },
             };
         }
-        Ok(l)
+        Ok((l, max))
     }
 
     fn parse_unary(&mut self) -> PResult<Expr> {
@@ -903,13 +890,9 @@ impl Parser {
         }
         // the first step is either a primary expression or an axis step
         let (start, mut steps) = if self.starts_axis_step() {
-            (
-                Some(Box::new(Expr::Var(".".into()))),
-                vec![self.parse_step()?],
-            )
+            (Expr::Var(".".into()), vec![self.parse_step()?])
         } else {
-            let prim = self.parse_postfix()?;
-            (Some(Box::new(prim)), Vec::new())
+            (self.parse_postfix()?, Vec::new())
         };
         loop {
             if self.at_sym("//") {
@@ -928,9 +911,12 @@ impl Parser {
             }
         }
         if steps.is_empty() {
-            Ok(*start.unwrap())
+            Ok(start)
         } else {
-            Ok(Expr::Path { start, steps })
+            Ok(Expr::Path {
+                start: Some(Box::new(start)),
+                steps,
+            })
         }
     }
 
@@ -940,55 +926,50 @@ impl Parser {
         if self.at_sym("@") || self.at_sym("..") || self.at_sym("*") {
             return true;
         }
-        let keywords = [
-            "if",
-            "for",
-            "let",
-            "some",
-            "every",
-            "return",
-            "then",
-            "else",
-            "and",
-            "or",
-            "div",
-            "idiv",
-            "mod",
-            "eq",
-            "ne",
-            "lt",
-            "le",
-            "gt",
-            "ge",
-            "is",
-            "to",
-            "where",
-            "order",
-            "satisfies",
-            "in",
-            "at",
-        ];
-        if let Tok::Name(n) = self.peek().clone() {
-            if keywords.contains(&n.as_str()) {
+        if let Tok::Name(n) = *self.peek() {
+            let keyword = matches!(
+                n,
+                "if" | "for"
+                    | "let"
+                    | "some"
+                    | "every"
+                    | "return"
+                    | "then"
+                    | "else"
+                    | "and"
+                    | "or"
+                    | "div"
+                    | "idiv"
+                    | "mod"
+                    | "eq"
+                    | "ne"
+                    | "lt"
+                    | "le"
+                    | "gt"
+                    | "ge"
+                    | "is"
+                    | "to"
+                    | "where"
+                    | "order"
+                    | "satisfies"
+                    | "in"
+                    | "at"
+            );
+            if keyword {
                 return false;
             }
             // function call → primary, kind test → step, axis:: → step
-            let save_pos = self.pos;
-            let save_peek = self.peeked.clone();
+            let save = self.save();
             self.next();
             let is_call = self.at_sym("(");
             let is_axis = self.at_sym("::");
-            self.pos = save_pos;
-            self.peeked = save_peek;
+            self.restore(save);
             if is_axis {
                 return true;
             }
             if is_call {
                 // kind tests look like calls but are steps
-                return matches!(
-                    n.as_str(),
-                    "text" | "node" | "comment" | "processing-instruction"
-                );
+                return matches!(n, "text" | "node" | "comment" | "processing-instruction");
             }
             return true;
         }
@@ -1008,17 +989,15 @@ impl Parser {
                 test: NodeTest::AnyKind,
                 predicates: self.parse_predicates()?,
             });
-        } else if let Tok::Name(n) = self.peek().clone() {
+        } else if let Tok::Name(n) = *self.peek() {
             // explicit axis?
-            let save_pos = self.pos;
-            let save_peek = self.peeked.clone();
+            let save = self.save();
             self.next();
             if self.at_sym("::") {
                 self.next();
-                axis = Axis::parse(&n).ok_or_else(|| self.err(format!("unknown axis `{n}`")))?;
+                axis = Axis::parse(n).ok_or_else(|| self.err(format!("unknown axis `{n}`")))?;
             } else {
-                self.pos = save_pos;
-                self.peeked = save_peek;
+                self.restore(save);
             }
         }
         // node test
@@ -1029,14 +1008,14 @@ impl Parser {
                 Tok::Name(n) => {
                     if self.at_sym("(") {
                         self.next();
-                        let inner = if let Tok::Str(s) = self.peek().clone() {
+                        let inner = if let Tok::Str(s) = *self.peek() {
                             self.next();
                             Some(s)
                         } else {
                             None
                         };
                         self.expect_sym(")")?;
-                        match n.as_str() {
+                        match n {
                             "text" => NodeTest::Text,
                             "node" => NodeTest::AnyKind,
                             "comment" => NodeTest::Comment,
@@ -1046,7 +1025,7 @@ impl Parser {
                             other => return Err(self.err(format!("unknown kind test `{other}()`"))),
                         }
                     } else {
-                        NodeTest::named(strip_prefix(&n))
+                        NodeTest::named(strip_prefix(n))
                     }
                 }
                 other => {
@@ -1100,10 +1079,10 @@ impl Parser {
         match self.next() {
             Tok::Int(i) => Ok(Expr::Literal(Literal::Integer(i))),
             Tok::Dbl(d) => Ok(Expr::Literal(Literal::Double(d))),
-            Tok::Str(s) => Ok(Expr::Literal(Literal::String(s))),
-            Tok::Var(v) => Ok(Expr::Var(v)),
-            Tok::Sym(".") => Ok(Expr::Var(".".into())),
-            Tok::Sym("(") => {
+            Tok::Str(s) => Ok(Expr::Literal(Literal::String(s.to_string()))),
+            Tok::Var(v) => Ok(Expr::Var(v.to_string())),
+            Tok::Sym([b'.', 0]) => Ok(Expr::Var(".".into())),
+            Tok::Sym([b'(', 0]) => {
                 if self.eat_sym(")") {
                     return Ok(Expr::Empty);
                 }
@@ -1125,7 +1104,7 @@ impl Parser {
                     }
                     self.expect_sym(")")?;
                     Ok(Expr::FunCall {
-                        name: strip_prefix(&n),
+                        name: strip_prefix(n).to_string(),
                         args,
                     })
                 } else {
@@ -1140,7 +1119,7 @@ impl Parser {
 
     fn parse_element_ctor(&mut self) -> PResult<ElementCtor> {
         self.skip_ws();
-        if self.ch(0) != '<' {
+        if self.ch() != '<' {
             return Err(self.err("expected `<` to start element constructor"));
         }
         self.pos += 1;
@@ -1148,9 +1127,9 @@ impl Parser {
         let mut attributes = Vec::new();
         loop {
             self.skip_ws_chars();
-            match self.ch(0) {
+            match self.ch() {
                 '/' => {
-                    if self.ch(1) != '>' {
+                    if self.ch2() != '>' {
                         return Err(self.err("expected `/>`"));
                     }
                     self.pos += 2;
@@ -1168,12 +1147,12 @@ impl Parser {
                 _ => {
                     let aname = self.read_xml_name()?;
                     self.skip_ws_chars();
-                    if self.ch(0) != '=' {
+                    if self.ch() != '=' {
                         return Err(self.err("expected `=` in attribute"));
                     }
                     self.pos += 1;
                     self.skip_ws_chars();
-                    let quote = self.ch(0);
+                    let quote = self.ch();
                     if quote != '"' && quote != '\'' {
                         return Err(self.err("attribute value must be quoted"));
                     }
@@ -1185,45 +1164,44 @@ impl Parser {
         }
         // content until matching close tag
         let mut content = Vec::new();
-        let mut text = String::new();
         loop {
-            match self.ch(0) {
+            match self.ch() {
                 '\0' => return Err(self.err(format!("unterminated content of <{name}>"))),
                 '<' => {
-                    if self.ch(1) == '/' {
-                        flush_text(&mut text, &mut content);
+                    if self.ch2() == '/' {
                         self.pos += 2;
                         let close = self.read_xml_name()?;
                         if close != name {
                             return Err(self.err(format!("mismatched </{close}> for <{name}>")));
                         }
                         self.skip_ws_chars();
-                        if self.ch(0) != '>' {
+                        if self.ch() != '>' {
                             return Err(self.err("expected `>`"));
                         }
                         self.pos += 1;
                         break;
                     }
-                    flush_text(&mut text, &mut content);
                     let nested = self.parse_element_ctor()?;
                     content.push(Content::Element(Box::new(nested)));
                 }
                 '{' => {
-                    flush_text(&mut text, &mut content);
                     self.pos += 1;
                     let e = self.parse_expr()?;
                     // after expression parsing we are back in token mode; sync chars
                     self.sync_after_tokens();
                     self.skip_ws_chars();
-                    if self.ch(0) != '}' {
+                    if self.ch() != '}' {
                         return Err(self.err("expected `}` closing enclosed expression"));
                     }
                     self.pos += 1;
                     content.push(Content::Expr(e));
                 }
-                c => {
-                    text.push(c);
-                    self.pos += 1;
+                _ => {
+                    // boundary whitespace between markup is dropped
+                    let text = self.text_run(&['<', '{', '\0']);
+                    if !text.trim().is_empty() {
+                        content.push(Content::Text(text.to_string()));
+                    }
                 }
             }
         }
@@ -1241,31 +1219,36 @@ impl Parser {
     }
 
     fn skip_ws_chars(&mut self) {
-        while self.ch(0).is_whitespace() {
-            self.pos += 1;
+        while self.ch().is_whitespace() {
+            self.bump();
         }
     }
 
+    /// Consume the text up to (not including) the first of `stops` or the
+    /// end of the input.
+    fn text_run(&mut self, stops: &[char]) -> &'s str {
+        let start = self.pos;
+        self.pos = self.src[start..]
+            .find(stops)
+            .map_or(self.src.len(), |i| start + i);
+        &self.src[start..self.pos]
+    }
+
     fn read_xml_name(&mut self) -> PResult<String> {
-        let mut s = String::new();
-        while {
-            let c = self.ch(0);
-            c.is_alphanumeric() || c == '_' || c == '-' || c == '.' || c == ':'
-        } {
-            s.push(self.ch(0));
-            self.pos += 1;
+        let start = self.pos;
+        while is_name_char(self.ch()) {
+            self.bump();
         }
-        if s.is_empty() {
+        if start == self.pos {
             return Err(self.err("expected a name"));
         }
-        Ok(s)
+        Ok(self.src[start..self.pos].to_string())
     }
 
     fn read_attr_parts(&mut self, quote: char) -> PResult<Vec<AttrPart>> {
         let mut parts = Vec::new();
-        let mut text = String::new();
         loop {
-            let c = self.ch(0);
+            let c = self.ch();
             if c == '\0' {
                 return Err(self.err("unterminated attribute value"));
             }
@@ -1274,43 +1257,29 @@ impl Parser {
                 break;
             }
             if c == '{' {
-                if !text.is_empty() {
-                    parts.push(AttrPart::Text(std::mem::take(&mut text)));
-                }
                 self.pos += 1;
                 let e = self.parse_expr()?;
                 self.sync_after_tokens();
                 self.skip_ws_chars();
-                if self.ch(0) != '}' {
+                if self.ch() != '}' {
                     return Err(self.err("expected `}` in attribute value template"));
                 }
                 self.pos += 1;
                 parts.push(AttrPart::Expr(e));
             } else {
-                text.push(c);
-                self.pos += 1;
+                let text = self.text_run(&[quote, '{', '\0']);
+                parts.push(AttrPart::Text(text.to_string()));
             }
-        }
-        if !text.is_empty() {
-            parts.push(AttrPart::Text(text));
         }
         Ok(parts)
     }
 }
 
-fn flush_text(text: &mut String, content: &mut Vec<Content>) {
-    if !text.trim().is_empty() {
-        content.push(Content::Text(std::mem::take(text)));
-    } else {
-        text.clear();
-    }
-}
-
 /// Strip a namespace prefix (`fn:`, `local:`, `xs:`) from a name.
-fn strip_prefix(name: &str) -> String {
+fn strip_prefix(name: &str) -> &str {
     match name.rfind(':') {
-        Some(i) => name[i + 1..].to_string(),
-        None => name.to_string(),
+        Some(i) => &name[i + 1..],
+        None => name,
     }
 }
 
@@ -1462,6 +1431,31 @@ mod tests {
         assert!(parse_expr("1 +").is_err());
         assert!(parse_expr("<a>{1}").is_err());
         assert!(parse_expr("/site/people").is_err());
+        // offsets count characters, not bytes
+        let text = "(\"ü\", 1) +";
+        assert_eq!(parse_expr(text).unwrap_err().offset, text.chars().count());
+    }
+
+    #[test]
+    fn non_ascii_names_text_and_whitespace() {
+        let q = parse_expr("<straße n=\"ä{1}\">grüße{$x}</straße>\u{a0}").unwrap();
+        let Expr::Element(e) = q else {
+            panic!("unexpected {q:?}")
+        };
+        assert_eq!(e.name, "straße");
+        assert_eq!(e.attributes[0].1[0], AttrPart::Text("ä".into()));
+        assert_eq!(e.content[0], Content::Text("grüße".into()));
+        assert_eq!(
+            parse_expr("$größe/élément").unwrap(),
+            Expr::Path {
+                start: Some(Box::new(Expr::Var("größe".into()))),
+                steps: vec![Step {
+                    axis: Axis::Child,
+                    test: NodeTest::named("élément"),
+                    predicates: vec![],
+                }],
+            }
+        );
     }
 
     #[test]

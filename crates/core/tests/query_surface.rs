@@ -112,6 +112,52 @@ fn filter_expression_positional_predicates() {
 }
 
 #[test]
+fn numeric_predicates_select_by_position() {
+    // a predicate whose value is one number keeps the candidate at that
+    // position, however the number is written — not only the literal `[N]`
+    // (which EBV would otherwise make true for every non-zero number)
+    let db = Arc::new(Database::new());
+    db.load_document("abc.xml", "<a><b>1</b><b>2</b><b>3</b></a>")
+        .unwrap();
+    let mut s = db.session();
+    let mut run = |q: &str| s.query(q).unwrap().serialize().to_string();
+    for q in [
+        "for $i in (2) return doc(\"abc.xml\")/a/b[$i]",
+        "declare variable $i external := 2; doc(\"abc.xml\")/a/b[$i]",
+        "doc(\"abc.xml\")/a/b[1 + 1]",
+        "doc(\"abc.xml\")/a/b[2.0]",
+        "doc(\"abc.xml\")/a/b[2]",
+        "doc(\"abc.xml\")/a/b[position() = 2]",
+    ] {
+        assert_eq!(run(q), "<b>2</b>", "{q}");
+    }
+    assert_eq!(run("doc(\"abc.xml\")/a/b[2.5]"), "");
+    assert_eq!(
+        run("for $i in (3, 1) return doc(\"abc.xml\")/a/b[$i]/text()"),
+        "31"
+    );
+    // filter expressions: positions over the whole sequence
+    assert_eq!(run("for $i in (1, 3) return (10, 20, 30)[$i]"), "10 30");
+    assert_eq!(
+        run("declare variable $i external := 2; (10, 20, 30)[$i]"),
+        "20"
+    );
+    assert_eq!(run("(10, 20, 30)[4 - 1]"), "30");
+    assert_eq!(run("(10, 20, 30)[.]"), "", "no item equals its position");
+    // non-numeric predicate values still decide by their EBV
+    assert_eq!(run("doc(\"abc.xml\")/a/b[\"x\"]/text()"), "123");
+    assert_eq!(run("doc(\"abc.xml\")/a/b[. = \"2\"]"), "<b>2</b>");
+    assert_eq!(run("doc(\"abc.xml\")/a/b[text()]/text()"), "123");
+    // a prepared statement binds the position per execution
+    let stmt = s
+        .prepare("declare variable $pos external; doc(\"abc.xml\")/a/b[$pos]/text()")
+        .unwrap();
+    for (pos, want) in [(3, "3"), (1, "1"), (4, "")] {
+        assert_eq!(stmt.bind("pos", pos).query().unwrap().serialize(), want);
+    }
+}
+
+#[test]
 fn general_comparisons_are_existential() {
     // any sale amount over 150?
     assert_eq!(run("doc(\"shop.xml\")//sale/@amount > 150"), "true");

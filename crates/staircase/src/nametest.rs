@@ -16,7 +16,7 @@ use mxq_xmldb::{NodeKind, NodeRead};
 use std::sync::Arc;
 
 /// An XPath node test.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum NodeTest {
     /// `node()` — any node kind.
     AnyKind,

@@ -113,11 +113,10 @@ impl<'a> NaiveInterpreter<'a> {
 
     fn eval(&mut self, expr: &Expr, env: &Env) -> NResult<Vec<Item>> {
         match expr {
-            Expr::Literal(l) => Ok(vec![match l {
-                Literal::Integer(i) => Item::Int(*i),
-                Literal::Double(d) => Item::Dbl(*d),
-                Literal::String(s) => Item::str(s.as_str()),
-            }]),
+            Expr::Literal(l) => Ok(vec![l.to_item()]),
+            Expr::Param { .. } => Err(NaiveError::Unsupported(
+                "lifted literal slots (the oracle runs statement text)".into(),
+            )),
             Expr::Empty => Ok(vec![]),
             Expr::Var(v) => env
                 .get(v)
@@ -384,10 +383,16 @@ impl<'a> NaiveInterpreter<'a> {
             }
         }
         let mut kept = Vec::new();
-        for item in results {
+        for (position, item) in (1..).zip(results) {
             let mut env2 = env.clone();
             env2.insert(".".into(), vec![item.clone()]);
-            if ebv(&self.eval(pred, &env2)?) {
+            // a predicate value that is one number selects by position
+            let keep = match self.eval(pred, &env2)?.as_slice() {
+                [Item::Int(n)] => *n == position,
+                [Item::Dbl(d)] => *d == position as f64,
+                value => ebv(value),
+            };
+            if keep {
                 kept.push(item);
             }
         }
@@ -822,6 +827,22 @@ mod tests {
             .run("for $b in doc(\"doc.xml\")/a/b order by $b/@k return $b/text()")
             .unwrap();
         assert_eq!(naive.serialize(&r), "yx");
+    }
+
+    #[test]
+    fn numeric_predicates_select_by_position() {
+        let mut store = store_with("<a><b>1</b><b>2</b><b>3</b></a>");
+        let mut naive = NaiveInterpreter::new(&mut store);
+        for q in [
+            "for $i in (2) return doc(\"doc.xml\")/a/b[$i]",
+            "doc(\"doc.xml\")/a/b[1 + 1]",
+            "doc(\"doc.xml\")/a/b[2.0]",
+        ] {
+            let r = naive.run(q).unwrap();
+            assert_eq!(naive.serialize(&r), "<b>2</b>", "{q}");
+        }
+        let r = naive.run("doc(\"doc.xml\")/a/b[\"x\"]/text()").unwrap();
+        assert_eq!(naive.serialize(&r), "123", "strings keep their EBV");
     }
 
     #[test]
