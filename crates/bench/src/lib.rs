@@ -41,20 +41,10 @@ fn env_scale() -> Option<f64> {
     }
 }
 
-/// The worker-thread count the engine kernels will actually run with: the
-/// `MXQ_THREADS` environment variable resolved exactly as the executor
-/// resolves it (invalid values panic loudly, unset means single-threaded).
-pub fn active_threads() -> usize {
-    mxq_engine::par::resolve_threads(0)
-}
-
-/// Print the effective bench environment (scale factor and thread count) so
-/// every recorded baseline row is self-describing.
+/// Print the effective scale factor(s) so every recorded baseline row is
+/// self-describing.
 fn report_env(factors: &[f64]) {
-    eprintln!(
-        "[mxq-bench] scale factor(s) {factors:?}, threads {}",
-        active_threads()
-    );
+    eprintln!("[mxq-bench] scale factor(s) {factors:?}");
 }
 
 /// The XMark scale factor to run a bench at: the `MXQ_SCALE` environment

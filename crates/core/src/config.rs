@@ -35,11 +35,6 @@ pub struct ExecConfig {
     /// intermediate table (debugging aid; also enabled by the
     /// `MXQ_VALIDATE_PLANS=1` environment variable).
     pub validate_plans: bool,
-    /// Worker threads for the parallel kernels (scan, sort, aggregation,
-    /// radix join).  `0` means "auto": honour the `MXQ_THREADS` environment
-    /// variable, falling back to single-threaded execution.  Thread count is
-    /// a pure performance knob — results are bit-identical for any value.
-    pub threads: usize,
 }
 
 impl Default for ExecConfig {
@@ -52,7 +47,6 @@ impl Default for ExecConfig {
             order_aware: true,
             existential_minmax: true,
             validate_plans: false,
-            threads: 0,
         }
     }
 }
@@ -66,22 +60,31 @@ impl ExecConfig {
     /// A stable fingerprint of the configuration, used as part of plan-cache
     /// keys.  Every execution-affecting field feeds the key — two configs
     /// that differ in any of them must never share a cached statement, even
-    /// when the difference (like `validate_plans` or `threads`) changes only
-    /// how a plan runs rather than its shape.
+    /// when the difference (like `validate_plans`) changes only how a plan
+    /// runs rather than its shape.  The exhaustive destructuring makes a
+    /// field added later a compile error here until it feeds the key.
     pub fn fingerprint(&self) -> u64 {
-        let bits = [
-            self.loop_lifted_child,
-            self.loop_lifted_descendant,
-            self.nametest_pushdown,
-            self.join_recognition,
-            self.order_aware,
-            self.existential_minmax,
-            self.validate_plans,
-        ];
-        bits.iter()
-            .enumerate()
-            .fold(0u64, |acc, (i, &b)| acc | ((b as u64) << i))
-            | ((self.threads as u64) << 8)
+        let ExecConfig {
+            loop_lifted_child,
+            loop_lifted_descendant,
+            nametest_pushdown,
+            join_recognition,
+            order_aware,
+            existential_minmax,
+            validate_plans,
+        } = *self;
+        [
+            loop_lifted_child,
+            loop_lifted_descendant,
+            nametest_pushdown,
+            join_recognition,
+            order_aware,
+            existential_minmax,
+            validate_plans,
+        ]
+        .iter()
+        .enumerate()
+        .fold(0u64, |acc, (i, &b)| acc | ((b as u64) << i))
     }
 
     /// The fully naive configuration (all switches off): iterative staircase
@@ -95,7 +98,6 @@ impl ExecConfig {
             order_aware: false,
             existential_minmax: false,
             validate_plans: false,
-            threads: 0,
         }
     }
 }
@@ -178,7 +180,6 @@ mod tests {
                 validate_plans: !base.validate_plans,
                 ..base
             },
-            ExecConfig { threads: 4, ..base },
         ];
         for v in variants {
             assert_ne!(
@@ -187,11 +188,6 @@ mod tests {
                 "flipping a field must change the fingerprint: {v:?}"
             );
         }
-        // thread counts are distinguished from each other, not just from auto
-        assert_ne!(
-            ExecConfig { threads: 2, ..base }.fingerprint(),
-            ExecConfig { threads: 4, ..base }.fingerprint()
-        );
     }
 
     #[test]

@@ -22,10 +22,10 @@ use std::fmt;
 use std::ops::Range;
 use std::rc::Rc;
 
-use mxq_engine::agg::{aggregate_grouped_with, AggFunc};
-use mxq_engine::join::{lookup_sorted, minmax_candidates, radix_hash_join_with, theta_join};
-use mxq_engine::rank::row_number_streaming_with;
-use mxq_engine::sort::{sort_permutation_with, SortOrder};
+use mxq_engine::agg::{aggregate_grouped, AggFunc};
+use mxq_engine::join::{lookup_sorted, minmax_candidates, radix_hash_join, theta_join};
+use mxq_engine::rank::row_number_streaming;
+use mxq_engine::sort::{sort_permutation, SortOrder};
 use mxq_engine::value::format_double;
 use mxq_engine::{CmpOp, Column, EngineError, Item, NodeId, Table};
 use mxq_staircase::looplifted::CtxPair;
@@ -100,10 +100,6 @@ pub struct Executor<'a> {
     transient: Document,
     config: ExecConfig,
     params: Params,
-    /// Resolved worker-thread count for the parallel kernels: the
-    /// [`ExecConfig::threads`] request with `0` ("auto") resolved against
-    /// `MXQ_THREADS` once at construction.
-    threads: usize,
     /// Statistics accumulated over all [`Executor::eval`] calls.
     pub stats: ExecStats,
     memo: HashMap<usize, Rc<Table>>,
@@ -168,13 +164,11 @@ impl<'a> Executor<'a> {
     pub fn with_params(snap: &'a StoreSnapshot, config: ExecConfig, params: Params) -> Self {
         let validate =
             config.validate_plans || std::env::var("MXQ_VALIDATE_PLANS").is_ok_and(|v| v == "1");
-        let threads = mxq_engine::par::resolve_threads(config.threads);
         Executor {
             snap,
             transient: Document::new("#transient"),
             config,
             params,
-            threads,
             stats: ExecStats::default(),
             memo: HashMap::new(),
             validation: validate.then(crate::analysis::Analysis::default),
@@ -284,11 +278,8 @@ impl<'a> Executor<'a> {
             (t.column("iter")?, SortOrder::Asc),
             (t.column("pos")?, SortOrder::Asc),
         ];
-        let perm = sort_permutation_with(
-            &[(keys[0].0, keys[0].1), (keys[1].0, keys[1].1)],
-            self.threads,
-        );
-        Ok(Rc::new(t.gather_with(&perm, self.threads)))
+        let perm = sort_permutation(&keys);
+        Ok(Rc::new(t.gather(&perm)))
     }
 
     /// Evaluate an operand of a per-iteration operator and hand it over in
@@ -773,20 +764,17 @@ impl<'a> Executor<'a> {
         let iters = iter_col(t)?;
         let new_pos = if self.config.order_aware {
             // grpord: the rows of each iteration are already in pos order
-            row_number_streaming_with(iters, self.threads)
+            row_number_streaming(iters)
         } else {
             self.stats.sorts += 1;
             let keys = [
                 (t.column("iter")?, SortOrder::Asc),
                 (t.column("pos")?, SortOrder::Asc),
             ];
-            let perm = sort_permutation_with(
-                &keys.iter().map(|(c, o)| (*c, *o)).collect::<Vec<_>>(),
-                self.threads,
-            );
-            let sorted = t.gather_with(&perm, self.threads);
+            let perm = sort_permutation(&keys);
+            let sorted = t.gather(&perm);
             let iters_sorted = iter_col(&sorted)?;
-            let pos = row_number_streaming_with(iters_sorted, self.threads);
+            let pos = row_number_streaming(iters_sorted);
             let mut out = sorted;
             out.add_column("pos", Column::Int(pos))?;
             return Ok(out);
@@ -900,7 +888,7 @@ impl<'a> Executor<'a> {
             outer = perm.iter().map(|&x| outer[x]).collect();
             rows = perm.iter().map(|&x| rows[x]).collect();
         }
-        let pos = row_number_streaming_with(&outer, self.threads);
+        let pos = row_number_streaming(&outer);
         Table::from_columns(vec![
             ("iter", Column::Int(outer)),
             ("pos", Column::Int(pos)),
@@ -941,7 +929,7 @@ impl<'a> Executor<'a> {
                 // this join runs code-to-code by construction
                 self.stats.proven_dict_joins += 1;
             }
-            radix_hash_join_with(l_item, r_item, self.threads)
+            radix_hash_join(l_item, r_item)
         } else if self.config.existential_minmax && op != CmpOp::Ne {
             // push min/max aggregates below the theta join (Figure 8(b)):
             // for `l < r` it suffices to compare min(l) with max(r), etc. —
@@ -1028,7 +1016,7 @@ impl<'a> Executor<'a> {
         self.stats.sorts += 1;
         rows.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
         let iters: Vec<i64> = rows.iter().map(|r| r.0).collect();
-        let pos = row_number_streaming_with(&iters, self.threads);
+        let pos = row_number_streaming(&iters);
         let items: Vec<Item> = rows.into_iter().map(|r| r.3).collect();
         Ok(seq_table(iters, pos, items))
     }
@@ -1088,7 +1076,7 @@ impl<'a> Executor<'a> {
             out.sort_unstable();
         }
         let (iters, nodes): (Vec<i64>, Vec<NodeId>) = out.into_iter().unzip();
-        let pos = row_number_streaming_with(&iters, self.threads);
+        let pos = row_number_streaming(&iters);
         Table::from_columns(vec![
             ("iter", Column::Int(iters)),
             ("pos", Column::Int(pos)),
@@ -1135,7 +1123,7 @@ impl<'a> Executor<'a> {
                             }
                         }
                     }
-                    let pos = row_number_streaming_with(&oi, self.threads);
+                    let pos = row_number_streaming(&oi);
                     let item = Column::Dict {
                         codes,
                         dict: cols.attr_values().clone(),
@@ -1169,7 +1157,7 @@ impl<'a> Executor<'a> {
                 }
             }
         }
-        let pos = row_number_streaming_with(&oi, self.threads);
+        let pos = row_number_streaming(&oi);
         Ok(seq_table(oi, pos, oit))
     }
 
@@ -1229,13 +1217,13 @@ impl<'a> Executor<'a> {
             if self.config.order_aware && seq.props.grpord_pos {
                 self.stats.sorts_avoided += 1;
             }
-            aggregate_grouped_with(iters, values, func, self.threads)
+            aggregate_grouped(iters, values, func)
         } else {
             self.stats.sorts += 1;
             let mut perm: Vec<usize> = (0..iters.len()).collect();
             perm.sort_by_key(|&row| iters[row]);
             let sorted_iters: Vec<i64> = perm.iter().map(|&row| iters[row]).collect();
-            aggregate_grouped_with(&sorted_iters, &values.gather(&perm), func, self.threads)
+            aggregate_grouped(&sorted_iters, &values.gather(&perm), func)
         }
         .map_err(ExecError::Engine)?;
         // merge the (ascending) groups into the (ascending) loop

@@ -18,7 +18,6 @@ use std::collections::HashMap;
 
 use crate::column::Column;
 use crate::error::{EngineError, Result};
-use crate::par;
 use crate::value::Item;
 
 /// The aggregate functions supported by the kernel.
@@ -102,66 +101,19 @@ fn finish(func: AggFunc, items: &[Item]) -> Result<Item> {
 /// Aggregate an item column grouped by an `iter` column that is already
 /// sorted ascending.  One sequential pass; grouping is free (Section 4.2).
 pub fn aggregate_grouped(iter: &[i64], items: &Column, func: AggFunc) -> Result<Aggregated> {
-    aggregate_grouped_with(iter, items, func, 1)
-}
-
-/// Parallel [`aggregate_grouped`]: the group runs are independent, so the
-/// row space splits into contiguous, group-aligned ranges and each worker
-/// reduces its runs.  Output is identical for any thread count.
-pub fn aggregate_grouped_with(
-    iter: &[i64],
-    items: &Column,
-    func: AggFunc,
-    threads: usize,
-) -> Result<Aggregated> {
     if iter.len() != items.len() {
         return Err(EngineError::LengthMismatch {
             left: iter.len(),
             right: items.len(),
         });
     }
-    if threads <= 1 || iter.len() < par::PAR_MIN_ROWS {
-        return agg_runs(iter, items, func, 0..iter.len());
-    }
-    // cut the row space into ~threads ranges, advanced to the next group
-    // boundary so no group run is split across workers
-    let per = iter.len().div_ceil(threads).max(1);
-    let mut ranges = Vec::with_capacity(threads);
+    let mut groups = Vec::new();
+    let mut values = Vec::new();
     let mut start = 0usize;
     while start < iter.len() {
-        let mut end = (start + per).min(iter.len());
-        while end < iter.len() && iter[end] == iter[end - 1] {
-            end += 1;
-        }
-        ranges.push(start..end);
-        start = end;
-    }
-    let parts = par::map_ranges(ranges, threads, |r| agg_runs(iter, items, func, r));
-    let mut groups = Vec::new();
-    let mut values = Vec::new();
-    for part in parts {
-        let part = part?;
-        groups.extend(part.groups);
-        values.extend(part.values);
-    }
-    Ok(Aggregated { groups, values })
-}
-
-/// Reduce the group runs inside `range` (whose bounds must sit on group
-/// boundaries) — the shared core of the sequential and parallel variants.
-fn agg_runs(
-    iter: &[i64],
-    items: &Column,
-    func: AggFunc,
-    range: std::ops::Range<usize>,
-) -> Result<Aggregated> {
-    let mut groups = Vec::new();
-    let mut values = Vec::new();
-    let mut start = range.start;
-    while start < range.end {
         let g = iter[start];
         let mut end = start + 1;
-        while end < range.end && iter[end] == g {
+        while end < iter.len() && iter[end] == g {
             end += 1;
         }
         groups.push(g);

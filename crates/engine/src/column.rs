@@ -268,51 +268,16 @@ impl Column {
         }
     }
 
-    /// Parallel [`Column::gather`]: the index list splits into chunk-aligned
-    /// spans, each worker gathers its span, and the partial columns
-    /// concatenate in span order — identical output for any thread count.
-    pub fn gather_with(&self, idx: &[usize], threads: usize) -> Column {
-        if threads <= 1 || idx.len() < crate::par::PAR_MIN_ROWS {
-            return self.gather(idx);
-        }
-        let parts = crate::par::map_spans(idx.len(), threads, |r| self.gather(&idx[r]));
-        let mut it = parts.into_iter();
-        let mut out = it.next().expect("at least one span");
-        for p in it {
-            out.append(&p);
-        }
-        out
-    }
-
     /// Filter rows by a boolean mask of the same length.
     pub fn filter(&self, mask: &[bool]) -> Result<Column> {
-        self.filter_with(mask, 1)
-    }
-
-    /// Parallel [`Column::filter`]: each worker selects and gathers one
-    /// chunk-aligned span of the mask — identical output for any thread
-    /// count.
-    pub fn filter_with(&self, mask: &[bool], threads: usize) -> Result<Column> {
         if mask.len() != self.len() {
             return Err(EngineError::LengthMismatch {
                 left: self.len(),
                 right: mask.len(),
             });
         }
-        let select = |r: std::ops::Range<usize>| -> Column {
-            let idx: Vec<usize> = r.filter(|&i| mask[i]).collect();
-            self.gather(&idx)
-        };
-        if threads <= 1 || mask.len() < crate::par::PAR_MIN_ROWS {
-            return Ok(select(0..mask.len()));
-        }
-        let parts = crate::par::map_spans(mask.len(), threads, select);
-        let mut it = parts.into_iter();
-        let mut out = it.next().expect("at least one span");
-        for p in it {
-            out.append(&p);
-        }
-        Ok(out)
+        let idx: Vec<usize> = (0..mask.len()).filter(|&i| mask[i]).collect();
+        Ok(self.gather(&idx))
     }
 
     /// Append another column of the same (or coercible) type; mismatched

@@ -94,9 +94,8 @@ fn join_key(item: &Item) -> Option<JoinKey> {
 
 /// Normalised join keys for a whole column (`None`: the row joins nothing).
 /// `Dict` columns pay the normalisation once per dictionary code, every
-/// other column once per row.  The per-row path fans out over chunk-aligned
-/// spans when `threads > 1`.
-fn join_keys(col: &Column, threads: usize) -> Vec<Option<JoinKey>> {
+/// other column once per row.
+fn join_keys(col: &Column) -> Vec<Option<JoinKey>> {
     match col.dict_parts() {
         Some((codes, dict)) => {
             // the dictionary cast every distinct string once already
@@ -113,13 +112,7 @@ fn join_keys(col: &Column, threads: usize) -> Vec<Option<JoinKey>> {
                 .map(|&c| per_code[c as usize].clone())
                 .collect()
         }
-        None => crate::par::map_spans(col.len(), threads, |r| {
-            r.map(|i| join_key(&col.item(i)))
-                .collect::<Vec<Option<JoinKey>>>()
-        })
-        .into_iter()
-        .flatten()
-        .collect(),
+        None => (0..col.len()).map(|i| join_key(&col.item(i))).collect(),
     }
 }
 
@@ -213,16 +206,6 @@ fn hash_key(k: &JoinKey) -> u64 {
 /// hashed once (per code for `Dict` inputs), split into `2^RADIX_BITS`
 /// partitions by the low hash bits, and joined partition by partition.
 pub fn radix_hash_join(left: &Column, right: &Column) -> JoinPairs {
-    radix_hash_join_with(left, right, 1)
-}
-
-/// Partition-parallel [`radix_hash_join`]: key normalisation and hashing
-/// fan out over chunk-aligned row spans, and the per-partition build+probe
-/// loop fans out over partition ranges (each partition is an independent
-/// join — the radix layout's natural parallel work unit).  The final
-/// `(left, right)` sort restores one canonical order, so the pair list is
-/// identical for any thread count.
-pub fn radix_hash_join_with(left: &Column, right: &Column, threads: usize) -> JoinPairs {
     if let (Some((lcodes, ldict)), Some((rcodes, rdict))) = (left.dict_parts(), right.dict_parts())
     {
         if Arc::ptr_eq(ldict, rdict) {
@@ -234,8 +217,8 @@ pub fn radix_hash_join_with(left: &Column, right: &Column, threads: usize) -> Jo
         }
     }
 
-    let lkeys = join_keys(left, threads);
-    let rkeys = join_keys(right, threads);
+    let lkeys = join_keys(left);
+    let rkeys = join_keys(right);
     // partition only as much as the build side warrants: with fewer than
     // ROWS_PER_PARTITION build rows a single hash table is already cache
     // resident and partitioning would be pure overhead
@@ -268,22 +251,13 @@ pub fn radix_hash_join_with(left: &Column, right: &Column, threads: usize) -> Jo
         return (lout, rout);
     }
 
-    // hash in parallel, then scatter the rows into partitions sequentially
-    // (a row without a key joins nothing and enters no partition)
+    // scatter the rows into partitions by the low hash bits (a row without
+    // a key joins nothing and enters no partition)
     let partition = |keys: &[Option<JoinKey>]| -> Vec<Vec<usize>> {
-        let part_of: Vec<Option<u16>> = crate::par::map_spans(keys.len(), threads, |r| {
-            keys[r]
-                .iter()
-                .map(|k| k.as_ref().map(|k| (hash_key(k) & mask) as u16))
-                .collect::<Vec<Option<u16>>>()
-        })
-        .into_iter()
-        .flatten()
-        .collect();
         let mut parts: Vec<Vec<usize>> = vec![Vec::new(); nparts];
-        for (row, p) in part_of.iter().enumerate() {
-            if let Some(p) = p {
-                parts[*p as usize].push(row);
+        for (row, k) in keys.iter().enumerate() {
+            if let Some(k) = k {
+                parts[(hash_key(k) & mask) as usize].push(row);
             }
         }
         parts
@@ -291,36 +265,26 @@ pub fn radix_hash_join_with(left: &Column, right: &Column, threads: usize) -> Jo
     let lparts = partition(&lkeys);
     let rparts = partition(&rkeys);
 
-    // each partition joins independently; workers take partition ranges and
-    // emit their own pair lists, concatenated in partition order
-    let per = nparts.div_ceil(threads.max(1)).max(1);
-    let ranges: Vec<std::ops::Range<usize>> = (0..nparts)
-        .step_by(per)
-        .map(|p| p..(p + per).min(nparts))
-        .collect();
-    let chunks: Vec<Vec<(usize, usize)>> = crate::par::map_ranges(ranges, threads, |pr| {
-        let mut pairs: Vec<(usize, usize)> = Vec::new();
-        for p in pr {
-            if lparts[p].is_empty() || rparts[p].is_empty() {
-                continue;
-            }
-            // every partitioned row has a key: `Some` meets `Some` only
-            let mut build: HashMap<&Option<JoinKey>, Vec<usize>> =
-                HashMap::with_capacity(rparts[p].len());
-            for &r in &rparts[p] {
-                build.entry(&rkeys[r]).or_default().push(r);
-            }
-            for &l in &lparts[p] {
-                if let Some(rs) = build.get(&lkeys[l]) {
-                    for &r in rs {
-                        pairs.push((l, r));
-                    }
+    // each partition joins independently, its pairs appended in partition
+    // order
+    let mut pairs: Vec<(usize, usize)> = Vec::new();
+    for (lpart, rpart) in lparts.iter().zip(&rparts) {
+        if lpart.is_empty() || rpart.is_empty() {
+            continue;
+        }
+        // every partitioned row has a key: `Some` meets `Some` only
+        let mut build: HashMap<&Option<JoinKey>, Vec<usize>> = HashMap::with_capacity(rpart.len());
+        for &r in rpart {
+            build.entry(&rkeys[r]).or_default().push(r);
+        }
+        for &l in lpart {
+            if let Some(rs) = build.get(&lkeys[l]) {
+                for &r in rs {
+                    pairs.push((l, r));
                 }
             }
         }
-        pairs
-    });
-    let mut pairs: Vec<(usize, usize)> = chunks.concat();
+    }
     // restore the (left, right) index order hash_join_items produces
     pairs.sort_unstable();
     (

@@ -19,12 +19,9 @@
 //!   with both the sort-based and the streaming hash-based algorithm
 //!   ([`rank`], Section 4.1 of the paper), and grouped aggregation ([`agg`]).
 //!
-//! The kernel is purely in-memory and works chunk-at-a-time: the hot
-//! operators also come in `_with(threads)` variants that split their input
-//! into fixed-size chunks ([`par`]) and fan the chunks out over scoped
-//! `std::thread` workers — no external thread-pool crate.  Every parallel
-//! variant produces **bit-identical output** to its sequential counterpart,
-//! so the thread count is a pure performance knob.
+//! The kernel is purely in-memory and single-threaded: each operator has
+//! one entry point, and concurrency comes from running statements in
+//! separate sessions, not from splitting one operator's input.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,7 +31,6 @@ pub mod column;
 pub mod dict;
 pub mod error;
 pub mod join;
-pub mod par;
 pub mod rank;
 pub mod sort;
 pub mod table;

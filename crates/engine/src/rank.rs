@@ -17,7 +17,6 @@
 use std::collections::HashMap;
 
 use crate::column::Column;
-use crate::par;
 use crate::sort::{sort_permutation, SortOrder};
 
 /// Number rows within each group, ordering rows by the given key columns.
@@ -69,50 +68,6 @@ pub fn row_number_streaming(group: &[i64]) -> Vec<i64> {
             *c
         })
         .collect()
-}
-
-/// Parallel [`row_number_streaming`] in two passes: each worker numbers its
-/// chunk-aligned span locally and reports per-group counts; a sequential
-/// prefix pass turns the counts into per-span offsets, which a second
-/// parallel pass adds back.  Output is identical for any thread count.
-pub fn row_number_streaming_with(group: &[i64], threads: usize) -> Vec<i64> {
-    if threads <= 1 || group.len() < par::PAR_MIN_ROWS {
-        return row_number_streaming(group);
-    }
-    type SpanPart = (std::ops::Range<usize>, Vec<i64>, HashMap<i64, i64>);
-    let parts: Vec<SpanPart> = par::map_spans(group.len(), threads, |r| {
-        let mut counters: HashMap<i64, i64> = HashMap::new();
-        let nums: Vec<i64> = group[r.clone()]
-            .iter()
-            .map(|&g| {
-                let c = counters.entry(g).or_insert(0);
-                *c += 1;
-                *c
-            })
-            .collect();
-        (r, nums, counters)
-    });
-    // per-span offsets: how many rows of each group precede the span
-    let mut offsets: Vec<HashMap<i64, i64>> = Vec::with_capacity(parts.len());
-    let mut running: HashMap<i64, i64> = HashMap::new();
-    for (_, _, counts) in &parts {
-        offsets.push(running.clone());
-        for (&g, &c) in counts {
-            *running.entry(g).or_insert(0) += c;
-        }
-    }
-    let spans: Vec<std::ops::Range<usize>> = (0..parts.len()).map(|i| i..i + 1).collect();
-    par::map_ranges(spans, threads, |pr| {
-        let (rows, nums, _) = &parts[pr.start];
-        let off = &offsets[pr.start];
-        rows.clone()
-            .zip(nums)
-            .map(|(row, &n)| n + off.get(&group[row]).copied().unwrap_or(0))
-            .collect::<Vec<i64>>()
-    })
-    .into_iter()
-    .flatten()
-    .collect()
 }
 
 /// Global dense numbering `1..=n` in the order given by the key columns

@@ -8,7 +8,6 @@
 
 use crate::column::Column;
 use crate::error::Result;
-use crate::par;
 use crate::table::Table;
 
 /// Sort direction for one sort key.
@@ -27,67 +26,6 @@ pub fn sort_permutation(keys: &[(&Column, SortOrder)]) -> Vec<usize> {
     let mut idx: Vec<usize> = (0..n).collect();
     idx.sort_by(|&a, &b| compare_rows(keys, a, b));
     idx
-}
-
-/// Parallel [`sort_permutation`]: each worker sorts one chunk-aligned span
-/// (with a row-index tie-break, which reproduces the stable order), then
-/// the sorted runs merge pairwise.  Output is identical to the sequential
-/// stable sort for any thread count.
-pub fn sort_permutation_with(keys: &[(&Column, SortOrder)], threads: usize) -> Vec<usize> {
-    let n = keys.first().map(|(c, _)| c.len()).unwrap_or(0);
-    if threads <= 1 || n < par::PAR_MIN_ROWS {
-        return sort_permutation(keys);
-    }
-    let mut runs: Vec<Vec<usize>> = par::map_spans(n, threads, |r| {
-        let mut idx: Vec<usize> = r.collect();
-        idx.sort_by(|&a, &b| compare_rows(keys, a, b).then(a.cmp(&b)));
-        idx
-    });
-    while runs.len() > 1 {
-        // merge runs pairwise; the merges of one round are independent, so
-        // they too run on scoped workers
-        let mut pairs: Vec<(Vec<usize>, Option<Vec<usize>>)> = Vec::new();
-        let mut it = runs.into_iter();
-        while let Some(a) = it.next() {
-            pairs.push((a, it.next()));
-        }
-        runs = std::thread::scope(|scope| {
-            let handles: Vec<_> = pairs
-                .into_iter()
-                .map(|(a, b)| {
-                    scope.spawn(move || match b {
-                        Some(b) => merge_runs(keys, &a, &b),
-                        None => a,
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("parallel merge worker panicked"))
-                .collect()
-        });
-    }
-    runs.pop().unwrap_or_default()
-}
-
-/// Merge two index runs that are each sorted under `compare_rows` with the
-/// row-index tie-break.
-fn merge_runs(keys: &[(&Column, SortOrder)], a: &[usize], b: &[usize]) -> Vec<usize> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < a.len() && j < b.len() {
-        let (x, y) = (a[i], b[j]);
-        if compare_rows(keys, x, y).then(x.cmp(&y)) == std::cmp::Ordering::Greater {
-            out.push(y);
-            j += 1;
-        } else {
-            out.push(x);
-            i += 1;
-        }
-    }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
-    out
 }
 
 /// Compare two rows under the given multi-column key.  Delegates to
@@ -133,54 +71,17 @@ pub fn sort_table_by(table: &Table, keys: &[(&str, SortOrder)]) -> Result<Table>
 /// of equal `major` values by the `minor` keys only.  This is the incremental,
 /// pipelinable refinement sort MonetDB provides (Section 4.2).
 pub fn refine_sort_permutation(major: &Column, minor: &[(&Column, SortOrder)]) -> Vec<usize> {
-    refine_sort_permutation_with(major, minor, 1)
-}
-
-/// Parallel [`refine_sort_permutation`]: the runs of equal `major` values
-/// are independent sort problems, so workers take contiguous, run-aligned
-/// row ranges.  Output is identical for any thread count.
-pub fn refine_sort_permutation_with(
-    major: &Column,
-    minor: &[(&Column, SortOrder)],
-    threads: usize,
-) -> Vec<usize> {
-    let n = major.len();
-    let sort_range = |range: std::ops::Range<usize>| -> Vec<usize> {
-        let base = range.start;
-        let mut idx: Vec<usize> = range.collect();
-        let mut start = 0usize;
-        while start < idx.len() {
-            let mut end = start + 1;
-            while end < idx.len()
-                && major.cmp_rows(base + end, base + start) == std::cmp::Ordering::Equal
-            {
-                end += 1;
-            }
-            idx[start..end].sort_by(|&a, &b| compare_rows(minor, a, b));
-            start = end;
-        }
-        idx
-    };
-    if threads <= 1 || n < par::PAR_MIN_ROWS {
-        return sort_range(0..n);
-    }
-    // cut the row space into ~threads ranges, each advanced to the next run
-    // boundary so no run is split across workers
-    let per = n.div_ceil(threads).max(1);
-    let mut ranges = Vec::with_capacity(threads);
+    let mut idx: Vec<usize> = (0..major.len()).collect();
     let mut start = 0usize;
-    while start < n {
-        let mut end = (start + per).min(n);
-        while end < n && major.cmp_rows(end, end - 1) == std::cmp::Ordering::Equal {
+    while start < idx.len() {
+        let mut end = start + 1;
+        while end < idx.len() && major.cmp_rows(end, start) == std::cmp::Ordering::Equal {
             end += 1;
         }
-        ranges.push(start..end);
+        idx[start..end].sort_by(|&a, &b| compare_rows(minor, a, b));
         start = end;
     }
-    par::map_ranges(ranges, threads, sort_range)
-        .into_iter()
-        .flatten()
-        .collect()
+    idx
 }
 
 /// Is the column sorted ascending (non-strictly)?

@@ -113,17 +113,11 @@ impl Table {
     /// Gather the given row positions (in order, duplicates allowed) from all
     /// columns into a new table.
     pub fn gather(&self, idx: &[usize]) -> Table {
-        self.gather_with(idx, 1)
-    }
-
-    /// Parallel [`Table::gather`]: each column is gathered chunk-at-a-time on
-    /// the worker pool.  Output is identical for any thread count.
-    pub fn gather_with(&self, idx: &[usize], threads: usize) -> Table {
         Table {
             cols: self
                 .cols
                 .iter()
-                .map(|(n, c)| (n.clone(), c.gather_with(idx, threads)))
+                .map(|(n, c)| (n.clone(), c.gather(idx)))
                 .collect(),
         }
     }

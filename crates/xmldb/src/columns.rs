@@ -21,7 +21,7 @@
 //! chunk's rows and chunk-local attribute owners, and then fixes up the
 //! O(#chunks) start index — O(chunk), not O(document).  An oversized
 //! chunk splits back into row-target pieces, so chunks stay bounded and
-//! double as the work unit for batch-at-a-time and parallel kernels.
+//! double as the work unit for batch-at-a-time kernels.
 //!
 //! Every chunk also carries summaries — min/max level, a node-kind mask
 //! and a name-code bucket bitmask — maintained on each patch, so backward

@@ -8,7 +8,7 @@
 //! constructor whose content is itself a constructed subtree, three levels
 //! deep, must copy within the transient container correctly.
 //!
-//! CI also runs this file under `MXQ_VALIDATE_PLANS=1` and `MXQ_THREADS=4`.
+//! CI also runs this file under `MXQ_VALIDATE_PLANS=1`.
 
 use std::sync::Arc;
 

@@ -19,7 +19,7 @@
 //!   and leaves every other chunk of the column image pointer-equal between
 //!   the published and the patched image.
 //!
-//! CI also runs this file under `MXQ_VALIDATE_PLANS=1` and `MXQ_THREADS=4`.
+//! CI also runs this file under `MXQ_VALIDATE_PLANS=1`.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;

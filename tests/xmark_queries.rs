@@ -118,31 +118,3 @@ fn optimizations_do_not_change_results() {
         }
     }
 }
-
-/// Thread count is a pure performance knob: all 20 queries must serialize
-/// identically whether the kernels run single-threaded or fanned out over
-/// worker threads.  (CI additionally runs the whole suite under
-/// `MXQ_THREADS=4`, covering the env-var "auto" path.)
-#[test]
-fn results_identical_across_thread_counts() {
-    for id in QUERY_IDS {
-        let q = query_text(id);
-        let single = engine_result(
-            q,
-            ExecConfig {
-                threads: 1,
-                ..ExecConfig::default()
-            },
-        );
-        for threads in [2, 4] {
-            let parallel = engine_result(
-                q,
-                ExecConfig {
-                    threads,
-                    ..ExecConfig::default()
-                },
-            );
-            assert_eq!(parallel, single, "Q{id} differs at {threads} threads");
-        }
-    }
-}
