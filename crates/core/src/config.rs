@@ -123,6 +123,9 @@ pub struct ExecStats {
     pub join_pairs: u64,
     /// Elements constructed in the transient container.
     pub constructed_nodes: u64,
+    /// Node rows element construction appended by copying content
+    /// subtrees (within the transient container and out of the store).
+    pub copied_nodes: u64,
     /// Equi-joins executed on the code-to-code fast path because the plan
     /// analyser statically proved both operands share one dictionary.
     pub proven_dict_joins: u64,

@@ -2002,40 +2002,12 @@ impl PrimitiveCollector<'_> {
         Ok(())
     }
 
-    /// Copy an evaluated content sequence into a private fragment document:
-    /// node items are deep-copied (XQUF inserts copies), adjacent atomics
-    /// merge into space-separated text nodes, and document nodes contribute
-    /// their children.
+    /// Copy an evaluated content sequence into a private fragment document
+    /// by the element-content rules (XQUF inserts copies; see
+    /// [`DocumentBuilder::append_content`]).
     fn materialize_content(&self, items: &[Item]) -> Document {
         let mut b = DocumentBuilder::new("#update-content");
-        let mut pending_text = String::new();
-        for item in items {
-            match item {
-                Item::Node(n) => {
-                    if !pending_text.is_empty() {
-                        b.text(&pending_text);
-                        pending_text.clear();
-                    }
-                    let src = self.container(n.frag);
-                    if src.kind(n.pre) == NodeKind::Document {
-                        for child in src.children(n.pre) {
-                            b.copy_subtree(&src, child);
-                        }
-                    } else {
-                        b.copy_subtree(&src, n.pre);
-                    }
-                }
-                atomic => {
-                    if !pending_text.is_empty() {
-                        pending_text.push(' ');
-                    }
-                    pending_text.push_str(&atomic.string_value());
-                }
-            }
-        }
-        if !pending_text.is_empty() {
-            b.text(&pending_text);
-        }
+        b.append_content(items.iter().cloned(), |frag| Some(self.container(frag)));
         b.finish()
     }
 

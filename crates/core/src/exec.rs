@@ -21,6 +21,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::ops::Range;
 use std::rc::Rc;
+use std::sync::Arc;
 
 use mxq_engine::agg::{aggregate_grouped, AggFunc};
 use mxq_engine::join::{lookup_sorted, minmax_candidates, radix_hash_join, theta_join};
@@ -340,6 +341,25 @@ impl<'a> Executor<'a> {
         }
     }
 
+    /// [`Self::first_string`] as a shared string: the string of a string
+    /// item or of a stored text node is shared, not copied.
+    fn first_arc(&self, items: &Column, run: Range<usize>) -> Arc<str> {
+        if run.is_empty() {
+            return Arc::from("");
+        }
+        match items.item(run.start) {
+            Item::Str(s) => s,
+            Item::Node(n) => {
+                let doc = self.container(n.frag);
+                match doc.text_arc(n.pre) {
+                    Some(text) => text.clone(),
+                    None => Arc::from(doc.string_value(n.pre)),
+                }
+            }
+            atomic => Arc::from(atomic.string_value()),
+        }
+    }
+
     // -------------------------------------------------------------------
     // operator dispatch
     // -------------------------------------------------------------------
@@ -648,7 +668,7 @@ impl<'a> Executor<'a> {
                 let iters = self.loop_iters(loop_)?;
                 let items: Vec<Item> = iters
                     .iter()
-                    .map(|&it| Item::str(self.first_string(values, runs.of(it))))
+                    .map(|&it| Item::Str(self.first_arc(values, runs.of(it))))
                     .collect();
                 let n = iters.len();
                 Ok(seq_table(iters, vec![1; n], items))
@@ -1379,42 +1399,25 @@ impl<'a> Executor<'a> {
         // content nodes constructed by child plans already live in the
         // transient container the new elements are appended to
         let mut builder = DocumentBuilder::append_to(std::mem::take(&mut self.transient), 0);
+        // names are interned / allocated once per call, not per element
+        let qid = builder.intern(name);
+        let attr_names: Vec<Arc<str>> = attrs.iter().map(|(a, _)| Arc::from(a.as_str())).collect();
 
         let (mut oi, mut oit) = (Vec::new(), Vec::new());
         for it in loop_iters {
-            let root_pre = builder.start_element(name);
-            for ((aname, _), (values, runs)) in attrs.iter().zip(attr_parts.iter_mut()) {
-                builder.attribute(aname, &self.first_string(values, runs.of(it)));
+            let root_pre = builder.start_interned(qid);
+            for (aname, (values, runs)) in attr_names.iter().zip(attr_parts.iter_mut()) {
+                builder.shared_attribute(aname.clone(), self.first_arc(values, runs.of(it)));
             }
-            let mut pending_text = String::new();
-            for (values, runs) in content_parts.iter_mut() {
-                for row in runs.of(it) {
-                    match values.item(row) {
-                        Item::Node(n) => {
-                            if !pending_text.is_empty() {
-                                builder.text(&pending_text);
-                                pending_text.clear();
-                            }
-                            if n.frag == TRANSIENT_FRAG {
-                                builder.copy_subtree_within(n.pre);
-                            } else {
-                                self.record_read(n.frag);
-                                builder.copy_subtree(&self.snap.container(n.frag), n.pre);
-                            }
-                        }
-                        atomic => {
-                            if !pending_text.is_empty() {
-                                pending_text.push(' ');
-                            }
-                            pending_text.push_str(&atomic.string_value());
-                        }
-                    }
-                }
-            }
-            if !pending_text.is_empty() {
-                builder.text(&pending_text);
-            }
+            let items = content_parts.iter_mut().flat_map(|(values, runs)| {
+                let values: &Column = values;
+                runs.of(it).map(move |row| values.item(row))
+            });
+            let copied = builder.append_content(items, |frag| {
+                (frag != TRANSIENT_FRAG).then(|| self.container(frag))
+            });
             builder.end_element();
+            self.stats.copied_nodes += copied;
             self.stats.constructed_nodes += 1;
             oi.push(it);
             oit.push(Item::Node(NodeId::new(TRANSIENT_FRAG, root_pre)));

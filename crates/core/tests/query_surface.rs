@@ -311,6 +311,30 @@ fn constructors_nest_and_copy() {
 }
 
 #[test]
+fn document_node_in_element_content_contributes_its_children() {
+    let db = Arc::new(Database::new());
+    db.load_document("d.xml", "<r><x>1</x><!--c--></r>")
+        .unwrap();
+    for config in [ExecConfig::default(), ExecConfig::naive()] {
+        let mut session = db.session_with_config(config);
+        assert_eq!(
+            session
+                .query("<w>{doc(\"d.xml\")}</w>")
+                .unwrap()
+                .serialize(),
+            "<w><r><x>1</x><!--c--></r></w>"
+        );
+        assert_eq!(
+            session
+                .query("let $w := <w>{doc(\"d.xml\"), 2}</w> return count($w/r)")
+                .unwrap()
+                .serialize(),
+            "1"
+        );
+    }
+}
+
+#[test]
 fn quantified_expressions() {
     assert_eq!(
         run("some $s in doc(\"shop.xml\")//sale satisfies $s/@amount > 150"),

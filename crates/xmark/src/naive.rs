@@ -709,10 +709,18 @@ impl<'a> NaiveInterpreter<'a> {
                     builder.text(&t);
                 }
                 Piece::Copy(n) => {
-                    if n.frag == mxq_xmldb::TRANSIENT_FRAG {
-                        builder.copy_subtree(&transient_snapshot, n.pre);
+                    let src = if n.frag == mxq_xmldb::TRANSIENT_FRAG {
+                        mxq_xmldb::ContainerRef::Doc(&transient_snapshot)
                     } else {
-                        builder.copy_subtree(&self.store.container(n.frag), n.pre);
+                        self.store.container(n.frag)
+                    };
+                    // a document node contributes its children
+                    if src.kind(n.pre) == NodeKind::Document {
+                        for child in src.children(n.pre) {
+                            builder.copy_subtree(&src, child);
+                        }
+                    } else {
+                        builder.copy_subtree(&src, n.pre);
                     }
                 }
             }

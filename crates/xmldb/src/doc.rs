@@ -7,12 +7,22 @@
 //! hold several disjoint fragments (used for the transient container that
 //! stores constructed nodes); the `frag_roots` list records where each
 //! fragment starts.
+//!
+//! A container is append-only: rows, names, texts and attributes are only
+//! ever added (the builder patches the size of an element it closes, and
+//! nothing else).  A written row never changes, so a copy of a subtree
+//! within one container is a range copy of its rows whose text rows share
+//! the source's text entries.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use mxq_engine::Item;
+
 use crate::node::{AttrRow, NodeKind};
 use crate::read::{AttrsIter, NamedRun, NodeRead};
+use crate::store::ContainerRef;
+use crate::update::PagedSnapshot;
 
 /// A document container: structural table + property containers.
 #[derive(Debug, Clone, Default)]
@@ -76,11 +86,6 @@ impl Document {
         self.level[pre as usize]
     }
 
-    /// Postorder rank, recovered as `pre + size - level` (Section 2).
-    pub fn post(&self, pre: u32) -> i64 {
-        pre as i64 + self.size(pre) as i64 - self.level(pre) as i64
-    }
-
     /// Node kind of `pre`.
     pub fn kind(&self, pre: u32) -> NodeKind {
         self.kind[pre as usize]
@@ -96,7 +101,7 @@ impl Document {
     }
 
     /// Direct text content of a text/comment/PI node (not the recursive
-    /// string value — see [`Document::string_value`]).
+    /// string value — see [`NodeRead::string_value`]).
     pub fn text_of(&self, pre: u32) -> &str {
         match self.kind(pre) {
             NodeKind::Text | NodeKind::Comment | NodeKind::ProcessingInstruction => {
@@ -106,26 +111,10 @@ impl Document {
         }
     }
 
-    /// XQuery string value: concatenation of all descendant text nodes in
-    /// document order (a single sequential scan over the subtree).
-    pub fn string_value(&self, pre: u32) -> String {
-        match self.kind(pre) {
-            NodeKind::Text | NodeKind::Comment | NodeKind::ProcessingInstruction => {
-                self.text_of(pre).to_string()
-            }
-            _ => {
-                let mut out = String::new();
-                let end = pre + self.size(pre);
-                let mut v = pre + 1;
-                while v <= end {
-                    if self.kind(v) == NodeKind::Text {
-                        out.push_str(self.text_of(v));
-                    }
-                    v += 1;
-                }
-                out
-            }
-        }
+    /// The shared content of the text node at `pre` (`None` for other
+    /// kinds).
+    pub(crate) fn text_arc(&self, pre: u32) -> Option<&Arc<str>> {
+        (self.kind(pre) == NodeKind::Text).then(|| &self.texts[self.prop[pre as usize] as usize])
     }
 
     /// All attributes of element `pre` (empty slice for non-elements).
@@ -153,139 +142,115 @@ impl Document {
         &self.frag_roots
     }
 
-    /// Parent of `pre`, or `None` for a fragment root.  Found by scanning
-    /// backwards for the closest preceding node with a smaller level — the
-    /// standard pre/level parent recovery.
-    pub fn parent(&self, pre: u32) -> Option<u32> {
-        let lv = self.level(pre);
-        if lv == 0 {
-            return None;
-        }
-        let mut v = pre;
-        while v > 0 {
-            v -= 1;
-            if self.level(v) < lv {
-                return Some(v);
-            }
-        }
-        None
-    }
-
-    /// Iterate over the children of `pre` using the size-based skipping of
-    /// Section 2: the first child is `pre + 1`, each next child is
-    /// `v + size(v) + 1`.
-    pub fn children(&self, pre: u32) -> ChildIter<'_> {
-        let end = pre + self.size(pre);
-        ChildIter {
-            doc: self,
-            next: pre + 1,
-            end,
-        }
-    }
-
-    /// Is `anc` an ancestor of `desc` (strictly)?  Uses the pre/size window.
-    pub fn is_ancestor(&self, anc: u32, desc: u32) -> bool {
-        anc < desc && desc <= anc + self.size(anc)
-    }
-
-    /// The root of the fragment containing `pre` (level-0 ancestor-or-self).
-    pub fn fragment_root_of(&self, pre: u32) -> u32 {
-        // fragment roots are sorted; find the last one <= pre
-        match self.frag_roots.binary_search(&pre) {
-            Ok(_) => pre,
-            Err(ins) => self.frag_roots[ins - 1],
-        }
-    }
-
     /// Append a whole subtree copied from another container (deep copy).
-    /// The structural rows are copied verbatim with levels re-based;
-    /// properties are re-interned.  Returns the preorder rank of the copied
-    /// root in `self`.  This is the "pasting of encodings" used for element
-    /// construction (Sections 2 and 5.1); generic over [`NodeRead`], so
-    /// content copies from the paged store never materialize a flat
-    /// intermediate.
+    /// The structural rows are copied with levels re-based; names are
+    /// re-interned and texts copied.  Returns the preorder rank of the
+    /// copied root in `self`.  This is the "pasting of encodings" used for
+    /// element construction (Sections 2 and 5.1), generic over
+    /// [`NodeRead`]; the executor's copies take the two bulk paths instead,
+    /// [`Document::copy_subtree_within`] and `Document::copy_from_pages`.
     pub fn copy_subtree<D: NodeRead>(&mut self, src: &D, src_pre: u32, level_base: u16) -> u32 {
         let root_new = self.len() as u32;
         let src_level_base = src.level(src_pre);
         let end = src_pre + src.size(src_pre);
         for v in src_pre..=end {
-            let new_level = level_base + (src.level(v) - src_level_base);
-            match src.kind(v) {
-                NodeKind::Element | NodeKind::Document => {
-                    let name = if src.kind(v) == NodeKind::Document {
-                        "#document"
-                    } else {
-                        src.name_of(v)
-                    };
-                    let qid = self.intern_qname(name);
-                    self.push_row(src.size(v), new_level, NodeKind::Element, qid);
-                }
-                NodeKind::Text => {
-                    let tid = self.push_text(src.text_of(v));
-                    self.push_row(0, new_level, NodeKind::Text, tid);
-                }
-                NodeKind::Comment => {
-                    let tid = self.push_text(src.text_of(v));
-                    self.push_row(0, new_level, NodeKind::Comment, tid);
-                }
+            let kind = src.kind(v);
+            let prop = match kind {
+                NodeKind::Element => self.intern_qname(src.name_of(v)),
+                // a document row's prop is never read
+                NodeKind::Document => 0,
+                NodeKind::Text | NodeKind::Comment => self.push_text(Arc::from(src.text_of(v))),
                 NodeKind::ProcessingInstruction => {
-                    let tid = self.push_text(src.text_of(v));
-                    self.pi_targets.resize(tid as usize, Arc::from(""));
-                    self.pi_targets.push(Arc::from(src.name_of(v)));
-                    self.push_row(0, new_level, NodeKind::ProcessingInstruction, tid);
+                    self.push_pi(Arc::from(src.name_of(v)), Arc::from(src.text_of(v)))
                 }
-            }
-            // shallow-copied attributes keep their values
-            let new_pre = self.len() as u32 - 1;
+            };
+            let owner = self.len() as u32;
+            let level = level_base + (src.level(v) - src_level_base);
+            self.push_row(src.size(v), level, kind, prop);
             for (name, value) in src.attrs(v) {
-                self.attrs.push(AttrRow {
-                    owner: new_pre,
-                    name: name.clone(),
-                    value: value.clone(),
-                });
+                self.push_attr(owner, name.clone(), value.clone());
             }
         }
         root_new
     }
 
-    /// [`Document::copy_subtree`] with this container as the source: append a
-    /// deep copy of the subtree at `src_pre`.  Names, texts and attribute
-    /// strings are shared with the source rows (a reference-count bump
-    /// each), nothing is re-interned.  The source rows precede the rows
-    /// being appended, so the copy needs no snapshot of the container.
+    /// [`Document::copy_subtree`] with this container as the source: a
+    /// range copy of the subtree's rows.  `size`, `kind` and `prop` are
+    /// copied as they are — element rows keep their name id, text, comment
+    /// and PI rows share the source's text entry — `level` is shifted, the
+    /// copied elements are appended to the name index, and the subtree's
+    /// attribute run is copied with shifted owners.  The source rows
+    /// precede the rows being appended, so the copy needs no snapshot of
+    /// the container.
     pub fn copy_subtree_within(&mut self, src_pre: u32, level_base: u16) -> u32 {
-        let root_new = self.len() as u32;
-        let src_level_base = self.level(src_pre);
-        let end = src_pre + self.size(src_pre);
-        for v in src_pre..=end {
-            let new_level = level_base + (self.level(v) - src_level_base);
-            let old = self.prop[v as usize];
-            let (kind, prop) = match self.kind(v) {
-                NodeKind::Element => (NodeKind::Element, old),
-                NodeKind::Document => (NodeKind::Element, self.intern_qname("#document")),
-                // a copy is a new text-container entry, so that a value
-                // update of the source leaves the copy alone
-                kind => {
-                    let tid = self.texts.len() as u32;
-                    self.texts.push(self.texts[old as usize].clone());
-                    if kind == NodeKind::ProcessingInstruction {
-                        self.pi_targets.resize(tid as usize, Arc::from(""));
-                        self.pi_targets.push(self.pi_targets[old as usize].clone());
-                    }
-                    (kind, tid)
-                }
-            };
-            self.push_row(self.size(v), new_level, kind, prop);
+        let root_new = self.len();
+        let rows = src_pre as usize..(src_pre + self.size(src_pre)) as usize + 1;
+        let src_level = self.level(src_pre);
+        self.size.extend_from_within(rows.clone());
+        self.kind.extend_from_within(rows.clone());
+        self.prop.extend_from_within(rows.clone());
+        self.level.extend_from_within(rows.clone());
+        for level in &mut self.level[root_new..] {
+            *level = *level - src_level + level_base;
+        }
+        let copied = self.kind[root_new..].iter().zip(&self.prop[root_new..]);
+        for (pre, (&kind, &prop)) in (root_new as u32..).zip(copied) {
+            if kind == NodeKind::Element {
+                self.name_index[prop as usize].push(pre);
+            }
         }
         // the attributes of the subtree are one contiguous run (sorted by
         // owner); owners shift with their elements
         let first = self.attrs.partition_point(|a| a.owner < src_pre);
-        let last = self.attrs.partition_point(|a| a.owner <= end);
-        let shift = root_new - src_pre;
+        let last = self.attrs.partition_point(|a| a.owner < rows.end as u32);
+        let shift = root_new as u32 - src_pre;
         self.attrs.extend_from_within(first..last);
         let copied = self.attrs.len() - (last - first);
         for a in &mut self.attrs[copied..] {
             a.owner += shift;
+        }
+        root_new as u32
+    }
+
+    /// [`Document::copy_subtree`] out of the paged store by walking its
+    /// pages: the subtree is located once and its page tuples are read in
+    /// order.  Texts, PI targets and attribute strings are shared with the
+    /// tuples (a reference-count bump each), and each distinct element
+    /// name is interned once per copy, through a map from the source's tag
+    /// codes.
+    pub(crate) fn copy_from_pages(
+        &mut self,
+        src: &PagedSnapshot,
+        src_pre: u32,
+        level_base: u16,
+    ) -> u32 {
+        let root_new = self.len() as u32;
+        let mut tuples = src.subtree_tuples(src_pre).peekable();
+        let src_level = tuples.peek().map_or(0, |t| t.level);
+        // source tag code → name id in this container (`u32::MAX`: not yet)
+        let mut qids: Vec<u32> = Vec::new();
+        for (pre, t) in (src_pre..).zip(tuples) {
+            debug_assert_eq!((t.size, t.level), (src.size(pre), src.level(pre)));
+            let prop = match t.kind {
+                NodeKind::Element => {
+                    let code = src.columns().node_name_code(pre) as usize;
+                    if code >= qids.len() {
+                        qids.resize(code + 1, u32::MAX);
+                    }
+                    if qids[code] == u32::MAX {
+                        qids[code] = self.intern_qname(&t.name);
+                    }
+                    qids[code]
+                }
+                NodeKind::Document => 0,
+                NodeKind::Text | NodeKind::Comment => self.push_text(t.text.clone()),
+                NodeKind::ProcessingInstruction => self.push_pi(t.name.clone(), t.text.clone()),
+            };
+            let owner = self.len() as u32;
+            self.push_row(t.size, level_base + (t.level - src_level), t.kind, prop);
+            for (name, value) in &t.attrs {
+                self.push_attr(owner, name.clone(), value.clone());
+            }
         }
         root_new
     }
@@ -300,13 +265,6 @@ impl Document {
     pub fn elements_named(&self, name: &str) -> &[u32] {
         self.lookup_qname(name)
             .map_or(&[], |qid| self.name_index[qid as usize].as_slice())
-    }
-
-    /// Preorder ranks of all text nodes (document order).
-    pub fn text_nodes(&self) -> Vec<u32> {
-        (0..self.len() as u32)
-            .filter(|&p| self.kind(p) == NodeKind::Text)
-            .collect()
     }
 
     pub(crate) fn push_row(&mut self, size: u32, level: u16, kind: NodeKind, prop: u32) {
@@ -339,70 +297,23 @@ impl Document {
         id
     }
 
-    pub(crate) fn push_text(&mut self, text: &str) -> u32 {
+    pub(crate) fn push_text(&mut self, text: Arc<str>) -> u32 {
         let id = self.texts.len() as u32;
-        self.texts.push(Arc::from(text));
+        self.texts.push(text);
+        id
+    }
+
+    /// Store a PI's content and target under one id (`pi_targets` stays
+    /// addressable by the `texts` id).
+    fn push_pi(&mut self, target: Arc<str>, content: Arc<str>) -> u32 {
+        let id = self.push_text(content);
+        self.pi_targets.resize(id as usize, Arc::from(""));
+        self.pi_targets.push(target);
         id
     }
 
     pub(crate) fn push_attr(&mut self, owner: u32, name: Arc<str>, value: Arc<str>) {
         self.attrs.push(AttrRow { owner, name, value });
-    }
-
-    /// Value update: replace the textual content of a text/comment/PI node
-    /// (Section 5.2, "value updates map trivially to relational updates").
-    pub fn set_text(&mut self, pre: u32, content: &str) {
-        match self.kind(pre) {
-            NodeKind::Text | NodeKind::Comment | NodeKind::ProcessingInstruction => {
-                let id = self.prop[pre as usize] as usize;
-                self.texts[id] = Arc::from(content);
-            }
-            _ => {}
-        }
-    }
-
-    /// Value update: set (or insert) an attribute on element `pre`.
-    pub fn set_attribute(&mut self, pre: u32, name: &str, value: &str) {
-        if let Some(a) = self
-            .attrs
-            .iter_mut()
-            .find(|a| a.owner == pre && a.name.as_ref() == name)
-        {
-            a.value = Arc::from(value);
-            return;
-        }
-        let insert_at = self.attrs.partition_point(|a| a.owner <= pre);
-        self.attrs.insert(
-            insert_at,
-            AttrRow {
-                owner: pre,
-                name: Arc::from(name),
-                value: Arc::from(value),
-            },
-        );
-    }
-
-    /// Value update: remove an attribute from element `pre` (no-op if absent).
-    pub fn remove_attribute(&mut self, pre: u32, name: &str) {
-        self.attrs
-            .retain(|a| !(a.owner == pre && a.name.as_ref() == name));
-    }
-
-    /// Value update: rename an element node.  Keeps the element-name index
-    /// consistent so nametest pushdown stays correct after the rename.
-    pub fn rename_element(&mut self, pre: u32, name: &str) {
-        if self.kind(pre) == NodeKind::Element {
-            let old = self.prop[pre as usize];
-            let qid = self.intern_qname(name);
-            if old == qid {
-                return;
-            }
-            self.prop[pre as usize] = qid;
-            self.name_index[old as usize].retain(|&p| p != pre);
-            let v = &mut self.name_index[qid as usize];
-            let at = v.partition_point(|&p| p < pre);
-            v.insert(at, pre);
-        }
     }
 
     /// Qualified-name id of an element (internal, used by the staircase
@@ -493,32 +404,6 @@ impl NodeRead for Document {
             end: self.len() as u32 - 1,
         }
     }
-    fn parent(&self, pre: u32) -> Option<u32> {
-        Document::parent(self, pre)
-    }
-    fn string_value(&self, pre: u32) -> String {
-        Document::string_value(self, pre)
-    }
-}
-
-/// Iterator over the children of a node (size-based skipping).
-pub struct ChildIter<'a> {
-    doc: &'a Document,
-    next: u32,
-    end: u32,
-}
-
-impl Iterator for ChildIter<'_> {
-    type Item = u32;
-
-    fn next(&mut self) -> Option<u32> {
-        if self.next > self.end || self.next as usize >= self.doc.len() {
-            return None;
-        }
-        let cur = self.next;
-        self.next = cur + self.doc.size(cur) + 1;
-        Some(cur)
-    }
 }
 
 /// Incremental builder used by the shredder and by element construction.
@@ -562,13 +447,32 @@ impl DocumentBuilder {
         self.doc.len() as u32
     }
 
-    /// Open an element with the given name; returns its preorder rank.
-    pub fn start_element(&mut self, name: &str) -> u32 {
-        let pre = self.doc.len() as u32;
+    /// [`DocumentBuilder::next_pre`], registering the next node as a
+    /// fragment root when nothing is open.
+    fn next_row(&mut self) -> u32 {
+        let pre = self.next_pre();
         if self.open.is_empty() && self.level == self.base_level {
             self.doc.add_fragment_root(pre);
         }
-        let qid = self.doc.intern_qname(name);
+        pre
+    }
+
+    /// Intern an element name once, for repeated
+    /// [`DocumentBuilder::start_interned`] calls.
+    pub fn intern(&mut self, name: &str) -> u32 {
+        self.doc.intern_qname(name)
+    }
+
+    /// Open an element with the given name; returns its preorder rank.
+    pub fn start_element(&mut self, name: &str) -> u32 {
+        let qid = self.intern(name);
+        self.start_interned(qid)
+    }
+
+    /// Open an element whose name id [`DocumentBuilder::intern`] returned;
+    /// returns its preorder rank.
+    pub fn start_interned(&mut self, qid: u32) -> u32 {
+        let pre = self.next_row();
         self.doc.push_row(0, self.level, NodeKind::Element, qid);
         self.open.push(pre);
         self.level += 1;
@@ -580,8 +484,17 @@ impl DocumentBuilder {
     /// # Panics
     /// Panics if no element is open.
     pub fn attribute(&mut self, name: &str, value: &str) {
+        self.shared_attribute(Arc::from(name), Arc::from(value));
+    }
+
+    /// [`DocumentBuilder::attribute`] with strings the caller already
+    /// holds: they are shared, not copied.
+    ///
+    /// # Panics
+    /// Panics if no element is open.
+    pub fn shared_attribute(&mut self, name: Arc<str>, value: Arc<str>) {
         let owner = *self.open.last().expect("attribute outside of element");
-        self.doc.push_attr(owner, Arc::from(name), Arc::from(value));
+        self.doc.push_attr(owner, name, value);
     }
 
     /// Close the most recently opened element.
@@ -597,32 +510,24 @@ impl DocumentBuilder {
 
     /// Add a text node; returns its preorder rank.
     pub fn text(&mut self, content: &str) -> u32 {
-        let pre = self.doc.len() as u32;
-        if self.open.is_empty() && self.level == self.base_level {
-            self.doc.add_fragment_root(pre);
-        }
-        let tid = self.doc.push_text(content);
+        let pre = self.next_row();
+        let tid = self.doc.push_text(Arc::from(content));
         self.doc.push_row(0, self.level, NodeKind::Text, tid);
         pre
     }
 
     /// Add a comment node.
     pub fn comment(&mut self, content: &str) -> u32 {
-        let pre = self.doc.len() as u32;
-        let tid = self.doc.push_text(content);
+        let pre = self.next_pre();
+        let tid = self.doc.push_text(Arc::from(content));
         self.doc.push_row(0, self.level, NodeKind::Comment, tid);
         pre
     }
 
     /// Add a processing instruction node.
     pub fn processing_instruction(&mut self, target: &str, content: &str) -> u32 {
-        let pre = self.doc.len() as u32;
-        let tid = self.doc.push_text(content);
-        // keep pi_targets addressable by the same prop id
-        while self.doc.pi_targets.len() < tid as usize {
-            self.doc.pi_targets.push(Arc::from(""));
-        }
-        self.doc.pi_targets.push(Arc::from(target));
+        let pre = self.next_pre();
+        let tid = self.doc.push_pi(Arc::from(target), Arc::from(content));
         self.doc
             .push_row(0, self.level, NodeKind::ProcessingInstruction, tid);
         pre
@@ -631,26 +536,77 @@ impl DocumentBuilder {
     /// Deep-copy a subtree from another container as a child of the currently
     /// open element (or as a new fragment if nothing is open).
     pub fn copy_subtree<D: NodeRead>(&mut self, src: &D, src_pre: u32) -> u32 {
-        let pre = self.doc.len() as u32;
-        if self.open.is_empty() && self.level == self.base_level {
-            self.doc.add_fragment_root(pre);
-        }
+        self.next_row();
         self.doc.copy_subtree(src, src_pre, self.level)
     }
 
     /// [`DocumentBuilder::copy_subtree`] from the container being built
     /// itself (see [`Document::copy_subtree_within`]).
     pub fn copy_subtree_within(&mut self, src_pre: u32) -> u32 {
-        let pre = self.doc.len() as u32;
-        if self.open.is_empty() && self.level == self.base_level {
-            self.doc.add_fragment_root(pre);
-        }
+        self.next_row();
         self.doc.copy_subtree_within(src_pre, self.level)
     }
 
-    /// Number of elements still open.
-    pub fn open_depth(&self) -> usize {
-        self.open.len()
+    /// [`DocumentBuilder::copy_subtree`] from a store container, walking
+    /// the pages of a paged one (`Document::copy_from_pages`).
+    fn copy_from(&mut self, src: ContainerRef<'_>, src_pre: u32) -> u32 {
+        self.next_row();
+        match src {
+            ContainerRef::Doc(d) => self.doc.copy_subtree(d, src_pre, self.level),
+            ContainerRef::Paged(p) => self.doc.copy_from_pages(p, src_pre, self.level),
+        }
+    }
+
+    /// Append an evaluated content sequence as children of the open element
+    /// (or as new fragments when nothing is open), by the rules element
+    /// construction and the XQUF insert sources share: a node item is
+    /// deep-copied, a document node as its children, and adjacent atomic
+    /// items merge into one text node, separated by single spaces.
+    /// `source` resolves a node's fragment id to its container, or to
+    /// `None` for the container being built (which holds no document
+    /// nodes).  Returns the number of rows the copies appended.
+    pub fn append_content<'s, I, F>(&mut self, items: I, mut source: F) -> u64
+    where
+        I: IntoIterator<Item = Item>,
+        F: FnMut(u32) -> Option<ContainerRef<'s>>,
+    {
+        let mut copied = 0;
+        let mut pending = String::new();
+        for item in items {
+            let n = match item {
+                Item::Node(n) => n,
+                atomic => {
+                    if !pending.is_empty() {
+                        pending.push(' ');
+                    }
+                    pending.push_str(&atomic.string_value());
+                    continue;
+                }
+            };
+            if !pending.is_empty() {
+                self.text(&pending);
+                pending.clear();
+            }
+            let before = self.doc.len();
+            match source(n.frag) {
+                None => {
+                    self.copy_subtree_within(n.pre);
+                }
+                Some(src) if src.kind(n.pre) == NodeKind::Document => {
+                    for child in src.children(n.pre) {
+                        self.copy_from(src, child);
+                    }
+                }
+                Some(src) => {
+                    self.copy_from(src, n.pre);
+                }
+            }
+            copied += (self.doc.len() - before) as u64;
+        }
+        if !pending.is_empty() {
+            self.text(&pending);
+        }
+        copied
     }
 
     /// Finish building and return the document.
@@ -670,6 +626,7 @@ impl DocumentBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::update::PagedDocument;
 
     /// Build the ten-node example document of Figure 4 of the paper.
     pub(crate) fn figure4() -> Document {
@@ -779,6 +736,9 @@ mod tests {
         t.check_invariants().unwrap();
     }
 
+    /// The range copy within a container and the page walk out of the
+    /// paged store (four-tuple pages, so the copies cross page bounds)
+    /// append the rows a per-node copy from a snapshot appends.
     #[test]
     fn copy_subtree_within_equals_copy_from_a_snapshot() {
         let mut b = DocumentBuilder::new("t");
@@ -792,41 +752,39 @@ mod tests {
         b.end_element();
         b.end_element();
         let base = b.finish();
+        let pages = PagedDocument::from_document(&base, 4, 75).snapshot();
 
-        let build = |within: bool| {
-            let snapshot = base.clone();
+        let build = |how: u8| {
             let mut b = DocumentBuilder::append_to(base.clone(), 0);
             b.start_element("wrap");
             b.attribute("w", "1");
             for src in [0, 2] {
-                if within {
-                    b.copy_subtree_within(src);
-                } else {
-                    b.copy_subtree(&snapshot, src);
-                }
+                match how {
+                    0 => b.copy_subtree(&base, src),
+                    1 => b.copy_subtree_within(src),
+                    _ => b.copy_from(ContainerRef::Paged(&pages), src),
+                };
             }
             b.end_element();
             b.finish()
         };
-        let (within, copied) = (build(true), build(false));
-        within.check_invariants().unwrap();
-        assert_eq!(within.len(), copied.len());
-        assert_eq!(within.fragment_roots(), copied.fragment_roots());
-        assert_eq!(within.all_attributes(), copied.all_attributes());
-        assert_eq!(within.elements_named("b"), copied.elements_named("b"));
-        for pre in 0..within.len() as u32 {
-            assert_eq!(
-                (within.size(pre), within.level(pre), within.kind(pre)),
-                (copied.size(pre), copied.level(pre), copied.kind(pre)),
-                "row {pre}"
-            );
-            assert_eq!(within.name_of(pre), copied.name_of(pre), "name of {pre}");
-            assert_eq!(within.text_of(pre), copied.text_of(pre), "text of {pre}");
+        let copied = build(0);
+        for bulk in [build(1), build(2)] {
+            bulk.check_invariants().unwrap();
+            assert_eq!(bulk.len(), copied.len());
+            assert_eq!(bulk.fragment_roots(), copied.fragment_roots());
+            assert_eq!(bulk.all_attributes(), copied.all_attributes());
+            assert_eq!(bulk.elements_named("b"), copied.elements_named("b"));
+            for pre in 0..bulk.len() as u32 {
+                assert_eq!(
+                    (bulk.size(pre), bulk.level(pre), bulk.kind(pre)),
+                    (copied.size(pre), copied.level(pre), copied.kind(pre)),
+                    "row {pre}"
+                );
+                assert_eq!(bulk.name_of(pre), copied.name_of(pre), "name of {pre}");
+                assert_eq!(bulk.text_of(pre), copied.text_of(pre), "text of {pre}");
+            }
         }
-        // a value update of the source leaves its copy alone
-        let mut within = within;
-        within.set_text(1, "changed");
-        assert_eq!(within.string_value(6), "x");
     }
 
     #[test]
@@ -840,7 +798,6 @@ mod tests {
         b.end_element();
         let t = b.finish();
         assert_eq!(t.fragment_roots(), &[0, 1]);
-        assert_eq!(t.fragment_root_of(2), 1);
     }
 
     #[test]

@@ -10,38 +10,32 @@
 use crate::node::NodeKind;
 use crate::read::NodeRead;
 
-/// Escape character data for element content.
-pub fn escape_text(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '&' => out.push_str("&amp;"),
-            _ => out.push(c),
-        }
+/// Append `s` to `out` escaped for element content (`attr == false`) or
+/// for a double-quoted attribute value (`attr == true`).  The bytes are
+/// scanned and every unescaped span is pushed whole, so no intermediate
+/// string is built.
+fn push_escaped(out: &mut String, s: &str, attr: bool) {
+    let mut start = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let entity = match b {
+            b'<' => "&lt;",
+            b'&' => "&amp;",
+            b'>' if !attr => "&gt;",
+            b'"' if attr => "&quot;",
+            _ => continue,
+        };
+        // the escaped bytes are ASCII, so `i` is a char boundary
+        out.push_str(&s[start..i]);
+        out.push_str(entity);
+        start = i + 1;
     }
-    out
-}
-
-/// Escape character data for attribute values (double-quoted).
-pub fn escape_attr(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '<' => out.push_str("&lt;"),
-            '&' => out.push_str("&amp;"),
-            '"' => out.push_str("&quot;"),
-            _ => out.push(c),
-        }
-    }
-    out
+    out.push_str(&s[start..]);
 }
 
 /// Serialize the subtree rooted at `pre` into `out`.
 pub fn serialize_node<D: NodeRead>(doc: &D, pre: u32, out: &mut String) {
     match doc.kind(pre) {
-        NodeKind::Text => out.push_str(&escape_text(doc.text_of(pre))),
+        NodeKind::Text => push_escaped(out, doc.text_of(pre), false),
         NodeKind::Comment => {
             out.push_str("<!--");
             out.push_str(doc.text_of(pre));
@@ -70,7 +64,7 @@ pub fn serialize_node<D: NodeRead>(doc: &D, pre: u32, out: &mut String) {
                 out.push(' ');
                 out.push_str(aname);
                 out.push_str("=\"");
-                out.push_str(&escape_attr(value));
+                push_escaped(out, value, true);
                 out.push('"');
             }
             if doc.size(pre) == 0 {
@@ -115,8 +109,10 @@ mod tests {
 
     #[test]
     fn escaping() {
-        assert_eq!(escape_text("a<b&c"), "a&lt;b&amp;c");
-        assert_eq!(escape_attr("say \"hi\""), "say &quot;hi&quot;");
+        let mut out = String::new();
+        push_escaped(&mut out, "a<b&c>\"é", false);
+        push_escaped(&mut out, "|say \"hi\" <é>", true);
+        assert_eq!(out, "a&lt;b&amp;c&gt;\"é|say &quot;hi&quot; &lt;é>");
     }
 
     #[test]

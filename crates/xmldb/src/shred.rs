@@ -375,6 +375,7 @@ pub fn decode_entities(s: &str) -> String {
 mod tests {
     use super::*;
     use crate::node::NodeKind;
+    use crate::read::NodeRead;
 
     #[test]
     fn shreds_figure4_document() {

@@ -173,6 +173,17 @@ pub enum ContainerRef<'a> {
     Paged(&'a PagedSnapshot),
 }
 
+impl<'a> ContainerRef<'a> {
+    /// The shared content of the text node at `pre` (`None` for other
+    /// kinds): a caller keeps the stored text without copying it.
+    pub fn text_arc(&self, pre: u32) -> Option<&'a Arc<str>> {
+        match *self {
+            ContainerRef::Doc(d) => d.text_arc(pre),
+            ContainerRef::Paged(p) => p.text_arc(pre),
+        }
+    }
+}
+
 macro_rules! delegate {
     ($self:ident, $d:ident => $e:expr) => {
         match $self {

@@ -614,17 +614,13 @@ impl PagedDocument {
             .map(|&p| self.pages[p].clone())
             .filter(|p| !p.tuples.is_empty())
             .collect();
-        let mut starts = Vec::with_capacity(pages.len());
-        let mut acc = 0u32;
-        for p in &pages {
-            starts.push(acc);
-            acc += p.tuples.len() as u32;
-        }
+        let (starts, len, stride) = page_offsets(&pages);
         PagedSnapshot {
             name: self.name.clone(),
             pages,
             starts,
-            len: acc,
+            stride,
+            len,
             frag_roots: self.columns.fragment_roots(),
             columns: self.columns.clone(),
         }
@@ -999,8 +995,25 @@ impl PagedDocument {
 // the published, immutable read view
 // ---------------------------------------------------------------------------
 
+/// Prefix-sum offsets of a logical page sequence, its length in tuples,
+/// and its stride (see [`PagedSnapshot`]'s `stride`).
+fn page_offsets(pages: &[Arc<Page>]) -> (Vec<u32>, u32, Option<u32>) {
+    let mut starts = Vec::with_capacity(pages.len());
+    let mut acc = 0u32;
+    for p in pages {
+        starts.push(acc);
+        acc += p.tuples.len() as u32;
+    }
+    let stride = pages.split_last().and_then(|(last, init)| {
+        let n = init.first().unwrap_or(last).tuples.len();
+        init.iter().all(|p| p.tuples.len() == n).then_some(n as u32)
+    });
+    (starts, acc, stride)
+}
+
 /// An immutable snapshot of a [`PagedDocument`]: the logical page sequence
-/// (shared `Arc`s), prefix-sum offsets for O(log pages) position lookup,
+/// (shared `Arc`s), prefix-sum offsets for position lookup (O(1) while the
+/// pages are uniform, O(log pages) after a split),
 /// and the pinned column image.  This is what the store publishes and what
 /// queries scan — structural reads (`size`/`level`/`kind`/name id) come
 /// from the dense columns in O(1); texts, attribute cursors and
@@ -1012,6 +1025,10 @@ pub struct PagedSnapshot {
     pages: Vec<Arc<Page>>,
     /// `starts[i]` = preorder rank of the first tuple of `pages[i]`.
     starts: Vec<u32>,
+    /// The common length of every page but the last, if there is one (as
+    /// in a freshly paged document): a position's page is then a
+    /// division, not a binary search over `starts`.
+    stride: Option<u32>,
     len: u32,
     frag_roots: Vec<u32>,
     columns: Arc<DocumentColumns>,
@@ -1036,19 +1053,15 @@ impl PagedSnapshot {
     /// takes over again.
     pub(crate) fn from_pages(name: String, pages: Vec<Arc<Page>>) -> PagedSnapshot {
         let pages: Vec<Arc<Page>> = pages.into_iter().filter(|p| !p.tuples.is_empty()).collect();
-        let mut starts = Vec::with_capacity(pages.len());
-        let mut acc = 0u32;
-        for p in &pages {
-            starts.push(acc);
-            acc += p.tuples.len() as u32;
-        }
+        let (starts, len, stride) = page_offsets(&pages);
         let doc = materialize(&name, pages.iter().flat_map(|p| p.tuples.iter().cloned()));
         let columns = Arc::new(DocumentColumns::new(&doc));
         PagedSnapshot {
             name,
             pages,
             starts,
-            len: acc,
+            stride,
+            len,
             frag_roots: columns.fragment_roots(),
             columns,
         }
@@ -1090,8 +1103,32 @@ impl PagedSnapshot {
     /// (page index, offset in page) of a logical position.
     fn locate(&self, pre: u32) -> (usize, usize) {
         debug_assert!(pre < self.len);
-        let i = self.starts.partition_point(|&s| s <= pre) - 1;
+        let i = match self.stride {
+            Some(n) => ((pre / n) as usize).min(self.pages.len() - 1),
+            None => self.starts.partition_point(|&s| s <= pre) - 1,
+        };
         (i, (pre - self.starts[i]) as usize)
+    }
+
+    /// The page tuples of the subtree rooted at `pre`, in document order:
+    /// the position is located once, then the pages are walked in order
+    /// (the column image is not read).
+    pub(crate) fn subtree_tuples(&self, pre: u32) -> impl Iterator<Item = &Tuple> {
+        let (i, off) = self.locate(pre);
+        let rows = self.pages[i].tuples[off].size as usize + 1;
+        self.pages[i].tuples[off..]
+            .iter()
+            .chain(self.pages[i + 1..].iter().flat_map(|p| &p.tuples))
+            .take(rows)
+    }
+
+    /// The shared content of the text node at `pre` (`None` for other
+    /// kinds).
+    pub(crate) fn text_arc(&self, pre: u32) -> Option<&Arc<str>> {
+        (self.kind(pre) == NodeKind::Text).then(|| {
+            let (i, off) = self.locate(pre);
+            &self.pages[i].tuples[off].text
+        })
     }
 }
 
@@ -1358,21 +1395,6 @@ mod tests {
         mat.check_invariants().unwrap();
         assert_eq!(mat.len(), 9 + 40);
         assert_eq!(mat.size(0), mat.len() as u32 - 1);
-    }
-
-    #[test]
-    fn value_updates_on_document() {
-        let mut doc = shred("t", "<a x=\"1\"><b>old</b></a>", &ShredOptions::default()).unwrap();
-        doc.set_text(2, "new");
-        doc.set_attribute(0, "x", "2");
-        doc.set_attribute(0, "y", "3");
-        doc.rename_element(1, "c");
-        assert_eq!(
-            serialize_document(&doc),
-            "<a x=\"2\" y=\"3\"><c>new</c></a>"
-        );
-        doc.remove_attribute(0, "y");
-        assert_eq!(doc.attribute(0, "y"), None);
     }
 
     /// Drive the same op sequence through both schemes and compare.
