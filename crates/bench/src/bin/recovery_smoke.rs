@@ -94,9 +94,11 @@ fn run(dir: &str, writers: usize) -> ! {
     assert!(writers >= 1, "writer count must be at least 1");
     // honor MXQ_SYNC / MXQ_CHECKPOINT_MS so CI can point the kill at a
     // specific logging configuration (e.g. group commit)
-    let db = Arc::new(
-        Database::open_with(dir, DurabilityOptions::from_env()).expect("open durable database"),
-    );
+    let options = DurabilityOptions::from_env().unwrap_or_else(|e| {
+        eprintln!("[recovery_smoke] {e}");
+        std::process::exit(2)
+    });
+    let db = Arc::new(Database::open_with(dir, options).expect("open durable database"));
     let xml = generate_xml(&GenParams::with_factor(scale()));
     for w in 0..writers {
         db.load_document(&writer_doc(w), &xml).expect("load XMark");

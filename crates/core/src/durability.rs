@@ -45,8 +45,8 @@
 //! WAL's complete records with stamps beyond the checkpoint generation
 //! in generation order, and truncates any torn or corrupt tail the CRC
 //! scan rejected.  An update whose WAL record did not make it to disk
-//! completely was never acknowledged — `Database::apply_update` appends
-//! (and, under group commit, waits for the covering fsync) before it
+//! completely was never acknowledged — the commit pipeline logs (and,
+//! under group commit, waits for the covering fsync) before it
 //! publishes — so discarding the tail is exactly "recover to the last
 //! published generation".
 
@@ -59,7 +59,7 @@ use std::time::Duration;
 use mxq_engine::NodeId;
 use mxq_wal::{SyncPolicy, WalError, WalWriter};
 use mxq_xmldb::disk::{decode_document, encode_document, DiskError};
-use mxq_xmldb::Document;
+use mxq_xmldb::{DocStore, Document};
 
 use crate::pul::UpdatePrimitive;
 
@@ -88,32 +88,28 @@ fn is_image_file(name: &str) -> bool {
 /// Delete page-image files in `dir` that `images` (the committed catalog's
 /// fragment → file table) does not reference: leftovers of a checkpoint
 /// that crashed between writing images and committing its catalog, or
-/// files superseded by a catalog that just committed.  Best-effort — a
-/// file that cannot be removed is simply left behind for the next sweep.
+/// files superseded by a catalog that just committed.
 pub(crate) fn remove_unreferenced_images(dir: &Path, images: &HashMap<u32, String>) {
     let referenced: HashSet<&str> = images.values().map(String::as_str).collect();
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return;
-    };
-    for entry in entries.flatten() {
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        if is_image_file(name) && !referenced.contains(name) {
-            let _ = std::fs::remove_file(entry.path());
-        }
-    }
+    remove_files(dir, |name| {
+        is_image_file(name) && !referenced.contains(name)
+    });
 }
 
 /// Delete stray `*.tmp` files in `dir`: debris of a [`mxq_wal::write_atomic`]
 /// that crashed between creating its temp file and the rename.
 pub(crate) fn remove_stale_tmp_files(dir: &Path) {
+    remove_files(dir, |name| name.ends_with(".tmp"));
+}
+
+/// Delete the files in `dir` whose names `doomed` selects.  Best-effort —
+/// a file that cannot be removed is simply left behind for the next sweep.
+fn remove_files(dir: &Path, doomed: impl Fn(&str) -> bool) {
     let Ok(entries) = std::fs::read_dir(dir) else {
         return;
     };
     for entry in entries.flatten() {
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        if name.ends_with(".tmp") {
+        if entry.file_name().to_str().is_some_and(&doomed) {
             let _ = std::fs::remove_file(entry.path());
         }
     }
@@ -156,35 +152,26 @@ impl DurabilityOptions {
     /// between background checkpoints; unset or `0` disables the
     /// background thread).
     ///
-    /// # Panics
-    /// Panics on a set-but-unparsable value, so a typo cannot silently
-    /// weaken durability or disable eviction.
-    pub fn from_env() -> DurabilityOptions {
-        let memory_budget = match std::env::var("MXQ_MEMORY_BUDGET") {
-            Ok(raw) if !raw.trim().is_empty() => {
-                let n: usize = raw
-                    .trim()
-                    .parse()
-                    .unwrap_or_else(|_| panic!("invalid MXQ_MEMORY_BUDGET `{raw}`"));
-                (n > 0).then_some(n)
+    /// A set-but-unparsable value is an error naming the variable, so a
+    /// typo cannot silently weaken durability or disable eviction.
+    pub fn from_env() -> Result<DurabilityOptions, String> {
+        /// A set, nonzero value of `var`; unset, empty and `0` are `None`.
+        fn nonzero<T: std::str::FromStr + PartialEq + Default>(
+            var: &str,
+        ) -> Result<Option<T>, String> {
+            match std::env::var(var) {
+                Ok(raw) if !raw.trim().is_empty() => match raw.trim().parse::<T>() {
+                    Ok(n) => Ok((n != T::default()).then_some(n)),
+                    Err(_) => Err(format!("invalid {var} `{raw}`")),
+                },
+                _ => Ok(None),
             }
-            _ => None,
-        };
-        let checkpoint_interval = match std::env::var("MXQ_CHECKPOINT_MS") {
-            Ok(raw) if !raw.trim().is_empty() => {
-                let n: u64 = raw
-                    .trim()
-                    .parse()
-                    .unwrap_or_else(|_| panic!("invalid MXQ_CHECKPOINT_MS `{raw}`"));
-                (n > 0).then_some(Duration::from_millis(n))
-            }
-            _ => None,
-        };
-        DurabilityOptions {
-            sync: SyncPolicy::from_env(),
-            memory_budget,
-            checkpoint_interval,
         }
+        Ok(DurabilityOptions {
+            sync: SyncPolicy::from_env()?,
+            memory_budget: nonzero("MXQ_MEMORY_BUDGET")?,
+            checkpoint_interval: nonzero("MXQ_CHECKPOINT_MS")?.map(Duration::from_millis),
+        })
     }
 }
 
@@ -268,8 +255,6 @@ impl From<DiskError> for DurabilityError {
 /// Checkpoint bookkeeping, guarded by its own mutex so writers marking
 /// fragments dirty never contend with WAL appends or group-commit fsyncs.
 pub(crate) struct CheckpointState {
-    /// Generation recorded by the last checkpoint (0 before the first).
-    pub(crate) checkpoint_generation: u64,
     /// Fragments whose published state moved past the last checkpoint:
     /// updated, freshly loaded, or reconstructed by WAL replay.  Only
     /// fragments *not* in this set may be evicted, and only their images
@@ -329,19 +314,24 @@ struct GroupProgress {
 }
 
 /// The durability attachment of a [`crate::Database`]: directory, WAL
-/// writer, checkpoint bookkeeping and options.  Unlike the pre-latch
-/// design there is no single big lock: appends take `wal`, dirty marking
-/// takes `ckpt`, and a checkpoint never holds either while it copies
-/// pages.
+/// writer, checkpoint bookkeeping and options.  There is no single big
+/// lock: appends take `wal`, dirty marking takes `ckpt`, and a checkpoint
+/// never holds either while it copies pages.
+///
+/// The checkpoint state is private to this file and reachable only
+/// through [`Durable::mark_dirty`] and [`Durable::with_ckpt`], which take
+/// the store (`&mut DocStore` / `&DocStore`) as proof that the caller
+/// holds the store lock: the lock order store → ckpt is a property of the
+/// signatures, and a dirty mark outside the publish critical section does
+/// not compile.
 pub(crate) struct Durable {
     pub(crate) dir: PathBuf,
     pub(crate) options: DurabilityOptions,
     /// The WAL writer: appends, group-commit fsyncs and checkpoint
     /// rotation serialize here and nowhere else.
     pub(crate) wal: Mutex<WalWriter>,
-    /// Checkpoint bookkeeping (dirty set, image table, checkpointed
-    /// generation).
-    pub(crate) ckpt: Mutex<CheckpointState>,
+    /// Checkpoint bookkeeping (dirty set, image table).
+    ckpt: Mutex<CheckpointState>,
     /// Held for the duration of a checkpoint so a manual `checkpoint()`
     /// and the background thread never interleave.
     pub(crate) checkpoint_serial: Mutex<()>,
@@ -353,7 +343,6 @@ impl Durable {
         dir: PathBuf,
         options: DurabilityOptions,
         wal: WalWriter,
-        checkpoint_generation: u64,
         images: HashMap<u32, String>,
     ) -> Durable {
         let wal_len = wal.len();
@@ -362,7 +351,6 @@ impl Durable {
             options,
             wal: Mutex::new(wal),
             ckpt: Mutex::new(CheckpointState {
-                checkpoint_generation,
                 dirty: HashSet::new(),
                 images,
                 wal_bytes_at_checkpoint: 0,
@@ -513,15 +501,27 @@ impl Durable {
         }
     }
 
-    /// Mark fragments dirty for the next checkpoint.  Call only while
-    /// holding the store write lock (lock order: store → ckpt): the
-    /// checkpoint captures the dirty set together with its store snapshot
-    /// under the store read lock, and that capture is only atomic with
-    /// respect to publishes because the marks happen inside the publish
-    /// critical section.
-    pub(crate) fn mark_dirty(&self, frags: &[u32]) {
+    /// Mark fragments dirty for the next checkpoint.  The `&mut DocStore`
+    /// can only come from the store write guard, so marks happen inside the
+    /// publish critical section (lock order: store → ckpt): the checkpoint
+    /// captures the dirty set together with its store snapshot under the
+    /// store read lock, and that capture is only atomic with respect to
+    /// publishes because of this.
+    pub(crate) fn mark_dirty(&self, _store: &mut DocStore, frags: &[u32]) {
         let mut ckpt = self.ckpt.lock().unwrap();
         ckpt.dirty.extend(frags.iter().copied());
+    }
+
+    /// Run `f` on the checkpoint bookkeeping: the checkpoint's capture,
+    /// its bookkeeping after the catalog commit, and eviction's dirty-set
+    /// read.  The `&DocStore` proves the caller holds the store lock
+    /// (lock order: store → ckpt).
+    pub(crate) fn with_ckpt<R>(
+        &self,
+        _store: &DocStore,
+        f: impl FnOnce(&mut CheckpointState) -> R,
+    ) -> R {
+        f(&mut self.ckpt.lock().unwrap())
     }
 
     /// True once a group-commit fsync has failed: the log no longer

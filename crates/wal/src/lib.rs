@@ -107,16 +107,15 @@ impl SyncPolicy {
     /// fsyncs, or `group=W` / `group:W` for group commit with gather
     /// window `W` (`5ms`, `500us`, or a bare number meaning milliseconds).
     ///
-    /// # Panics
-    /// Panics on a set-but-invalid value, so a typo can never silently
-    /// weaken durability.
-    pub fn from_env() -> SyncPolicy {
+    /// A set-but-invalid value is an error naming the variable, so a typo
+    /// can never silently weaken durability.
+    pub fn from_env() -> Result<SyncPolicy, String> {
         match std::env::var("MXQ_SYNC") {
             Ok(raw) if !raw.trim().is_empty() => raw
                 .trim()
                 .parse()
-                .unwrap_or_else(|e| panic!("invalid MXQ_SYNC `{raw}`: {e}")),
-            _ => SyncPolicy::Always,
+                .map_err(|e| format!("invalid MXQ_SYNC `{raw}`: {e}")),
+            _ => Ok(SyncPolicy::Always),
         }
     }
 }

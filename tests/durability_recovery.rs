@@ -815,3 +815,58 @@ fn checkpoints_racing_commits_lose_nothing_across_recovery() {
         );
     }
 }
+
+/// Recovery replays commits into documents whose checkpoint images predate
+/// them, so the replayed fragments must be dirty: the first checkpoint
+/// after recovery images them afresh, while untouched documents keep their
+/// image files.
+#[test]
+fn replayed_fragments_are_dirty_after_recovery() {
+    const LOG: &str = "<log><entry n=\"1\"/></log>";
+    let dir = TempDir::new("replay-dirty");
+    {
+        let db = Arc::new(Database::open(dir.path()).unwrap());
+        db.load_document("d.xml", DOC).unwrap();
+        db.load_document("e.xml", LOG).unwrap();
+        db.checkpoint().unwrap();
+        db.session().execute_update(&script()[0]).unwrap();
+        // dropped without a checkpoint: the update lives only in the WAL
+    }
+    let first = image_files(dir.path());
+    let d_first = first.iter().find(|n| n.starts_with("doc-1-")).unwrap();
+    let e_image = first.iter().find(|n| n.starts_with("doc-2-")).unwrap();
+    #[cfg(unix)]
+    let e_ino = {
+        use std::os::unix::fs::MetadataExt;
+        fs::metadata(dir.path().join(e_image)).unwrap().ino()
+    };
+
+    {
+        let db = Database::open(dir.path()).unwrap();
+        assert_eq!(db.stats().recovery_replays, 1);
+        db.checkpoint().unwrap();
+    }
+    let second = image_files(dir.path());
+    assert_eq!(second.len(), 2);
+    let d_second = second.iter().find(|n| n.starts_with("doc-1-")).unwrap();
+    assert_ne!(d_first, d_second, "replayed d.xml gets a fresh image file");
+    assert!(second.contains(e_image), "clean e.xml keeps its image file");
+    #[cfg(unix)]
+    {
+        use std::os::unix::fs::MetadataExt;
+        let ino = fs::metadata(dir.path().join(e_image)).unwrap().ino();
+        assert_eq!(ino, e_ino, "clean e.xml's image is not rewritten");
+    }
+
+    let db = Database::open(dir.path()).unwrap();
+    assert_eq!(
+        db.stats().recovery_replays,
+        0,
+        "the checkpoint covered the log"
+    );
+    let twin = Arc::new(Database::new());
+    twin.load_document("d.xml", DOC).unwrap();
+    twin.load_document("e.xml", LOG).unwrap();
+    twin.session().execute_update(&script()[0]).unwrap();
+    assert_matches_oracle(&db, &twin);
+}
