@@ -2,7 +2,7 @@
 //!
 //! The paper's Table 1 compares MonetDB/XQuery against eXist, Galax, X-Hive
 //! and BerkeleyDB XML.  Those systems are substituted by the naive
-//! DOM-walking interpreter (see DESIGN.md §3); the shape to reproduce is that
+//! DOM-walking interpreter (`mxq_xmark::naive`); the shape to reproduce is that
 //! the relational engine wins clearly on the join queries (Q8–Q12) and the
 //! path-heavy queries, while simple lookups are close.
 

@@ -1,9 +1,9 @@
-//! Section 5.2 — structural updates: page-wise remappable pre-numbers vs
+//! Section 5.2 — structural updates: chunk-wise remappable pre-numbers vs
 //! naive renumbering.
 //!
 //! Each iteration inserts a small subtree into the middle of an XMark
 //! document.  The naive scheme moves O(N) tuples per insert; the paged scheme
-//! touches a constant number of logical pages.
+//! patches a constant number of column chunks (its logical pages).
 
 use std::time::Duration;
 
@@ -27,7 +27,7 @@ fn bench(c: &mut Criterion) {
 
         group.bench_with_input(BenchmarkId::new("paged_insert", factor), &doc, |b, doc| {
             b.iter_batched(
-                || PagedDocument::from_document(doc, 64, 75),
+                || PagedDocument::from_document(doc),
                 |mut paged| {
                     for _ in 0..8 {
                         paged.insert_last_child(target, &frag);

@@ -25,14 +25,15 @@ use mxq_xmark::gen::{generate_xml, GenParams};
 use mxq_xmldb::{serialize_document, shred, DocumentColumns, NodeRead, ShredOptions};
 use mxq_xquery::{Database, DurabilityOptions};
 
+/// The XMark scale factor: `MXQ_SCALE`, default 0.003; exits with status
+/// 2 on an invalid value.
 fn scale() -> f64 {
-    match std::env::var("MXQ_SCALE") {
-        Ok(raw) if !raw.trim().is_empty() => raw
-            .trim()
-            .parse()
-            .expect("MXQ_SCALE must be a positive number"),
-        _ => 0.003,
-    }
+    mxq_bench::env_scale()
+        .unwrap_or_else(|e| {
+            eprintln!("[recovery_smoke] {e}");
+            std::process::exit(2)
+        })
+        .unwrap_or(0.003)
 }
 
 /// Document updated by writer thread `w`: thread 0 keeps the historical

@@ -6,7 +6,7 @@
 //! [`Database`], opening [`Session`]s with a given [`ExecConfig`], and
 //! running queries.
 //!
-//! The scale factors used here are laptop-scale (see DESIGN.md §3): the
+//! The scale factors used here are laptop-scale: the
 //! paper's claims that these benches reproduce are about *relative* shape
 //! (speedups, crossovers, scaling exponents), which are visible at these
 //! sizes.
@@ -27,18 +27,30 @@ use rand::{Rng, SeedableRng, StdRng};
 pub const SMALL_FACTOR: f64 = 0.001;
 
 /// The `MXQ_SCALE` environment variable, parsed.  An unset or empty
-/// variable means "use the bench defaults"; a set-but-invalid value panics
-/// so a typo can never silently fall back and corrupt recorded baselines.
-fn env_scale() -> Option<f64> {
-    let raw = std::env::var("MXQ_SCALE").ok()?;
+/// variable is `Ok(None)` — "use the defaults"; a set-but-invalid value
+/// is an error, so a typo can never silently fall back and corrupt
+/// recorded baselines.
+pub fn env_scale() -> Result<Option<f64>, String> {
+    let Ok(raw) = std::env::var("MXQ_SCALE") else {
+        return Ok(None);
+    };
     let trimmed = raw.trim();
     if trimmed.is_empty() {
-        return None;
+        return Ok(None);
     }
     match trimmed.parse::<f64>() {
-        Ok(f) if f > 0.0 => Some(f),
-        _ => panic!("MXQ_SCALE must be a positive number, got `{raw}`"),
+        Ok(f) if f > 0.0 => Ok(Some(f)),
+        _ => Err(format!("MXQ_SCALE must be a positive number, got `{raw}`")),
     }
+}
+
+/// [`env_scale`] for a driver: on a bad value, print the message and exit
+/// with status 2.
+pub fn env_scale_or_exit() -> Option<f64> {
+    env_scale().unwrap_or_else(|e| {
+        eprintln!("[mxq-bench] {e}");
+        std::process::exit(2)
+    })
 }
 
 /// Print the effective scale factor(s) so every recorded baseline row is
@@ -49,16 +61,18 @@ fn report_env(factors: &[f64]) {
 
 /// The XMark scale factor to run a bench at: the `MXQ_SCALE` environment
 /// variable when set (e.g. `MXQ_SCALE=0.01 cargo bench`), else `default`.
+/// Exits with status 2 on an invalid `MXQ_SCALE`.
 pub fn scale_factor(default: f64) -> f64 {
-    let f = env_scale().unwrap_or(default);
+    let f = env_scale_or_exit().unwrap_or(default);
     report_env(&[f]);
     f
 }
 
 /// The scale factors a multi-factor bench iterates over: `[MXQ_SCALE]` when
-/// the environment variable is set, else the bench's `defaults`.
+/// the environment variable is set, else the bench's `defaults`.  Exits
+/// with status 2 on an invalid `MXQ_SCALE`.
 pub fn scale_factors(defaults: &[f64]) -> Vec<f64> {
-    let factors = match env_scale() {
+    let factors = match env_scale_or_exit() {
         Some(f) => vec![f],
         None => defaults.to_vec(),
     };

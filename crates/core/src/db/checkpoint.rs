@@ -116,7 +116,6 @@ impl Database {
         let mut images: HashMap<u32, String> = HashMap::new();
         if let Some(cat) = &catalog {
             let mut store = db.store.write().unwrap();
-            store.set_page_policy(cat.page_size, cat.fill_percent);
             for doc in &cat.docs {
                 let bytes = std::fs::read(dir.join(&doc.file)).map_err(|e| {
                     DurabilityError::Corrupt(format!(
@@ -193,17 +192,14 @@ impl Database {
                         DurabilityError::Corrupt(format!("recovered update no longer applies: {e}"))
                     })?;
                 }
-                let (snap, policy) = {
-                    let store = self.store.read().unwrap();
-                    (store.snapshot(), store.page_policy())
-                };
+                let snap = self.store.read().unwrap().snapshot();
                 let mut pages = Vec::new();
                 for frag in pul.fragments() {
                     let latch = self.latches.latch(frag);
                     let mut slot = latch.slot.lock().unwrap();
-                    pages.push((frag, splice(&pul, frag, &mut slot, &snap, policy).2));
+                    pages.push((frag, splice(&pul, frag, &mut slot, &snap).2));
                 }
-                Change::Pages(pages)
+                Change::Snapshots(pages)
             }
         };
         self.publish(generation, change)
@@ -264,7 +260,7 @@ fn run_checkpoint(
     // the two under different locks would let a commit fall between them:
     // stale image reused AND record rotated away — an acknowledged, fsynced
     // commit silently lost on the next crash.
-    let (dirty_before, images_before, snap, (page_size, fill_percent)) = {
+    let (dirty_before, images_before, snap) = {
         let store = store.read().unwrap();
         let captured = durable.with_ckpt(&store, |ckpt| {
             // nothing dirty and nothing appended (not even a record whose
@@ -277,7 +273,7 @@ fn run_checkpoint(
         let Some((dirty, images)) = captured else {
             return Ok(false);
         };
-        (dirty, images, store.snapshot(), store.page_policy())
+        (dirty, images, store.snapshot())
     };
     let generation = snap.generation();
 
@@ -317,12 +313,7 @@ fn run_checkpoint(
 
     // 2. the catalog — written atomically, this is the commit point;
     //    it names the exact image files (reused and new) just captured
-    let catalog = Catalog {
-        generation,
-        page_size,
-        fill_percent,
-        docs,
-    };
+    let catalog = Catalog { generation, docs };
     mxq_wal::write_atomic(
         &durable.file(CATALOG_FILE),
         &durability::encode_catalog(&catalog),
@@ -375,7 +366,7 @@ fn run_checkpoint(
             let Some(file) = images.get(&frag) else {
                 continue;
             };
-            // the master copy pins the pages: only evict if the latch is
+            // the master copy pins the image: only evict if the latch is
             // free and its slot can be cleared right now
             if latches.try_clear(frag) {
                 let _ = store.evict_paged(frag, durable.file(file));

@@ -49,13 +49,10 @@ use crate::params::Params;
 use crate::pul::{PendingUpdateList, UpdateKind, UpdatePlan, UpdateTarget};
 use crate::Error;
 
-/// A store's page policy: logical page size in tuples, fill percent.
-pub(super) type PagePolicy = (usize, u8);
-
 /// What a commit publishes.
 pub(super) enum Change {
-    /// Fresh page snapshots of existing fragments (an update).
-    Pages(Vec<(u32, Arc<PagedSnapshot>)>),
+    /// Fresh snapshots of existing fragments (an update).
+    Snapshots(Vec<(u32, Arc<PagedSnapshot>)>),
     /// A new document (a load); it gets the next fragment id.
     Load(Box<Document>),
 }
@@ -259,7 +256,7 @@ impl Database {
         let latches: Vec<Arc<FragLatch>> = scope.iter().map(|&f| self.latches.latch(f)).collect();
         let mut slots = self.latch(&latches);
 
-        let (latest, policy, stale) = self.validate(&snap, &scope);
+        let (latest, stale) = self.validate(&snap, &scope);
         if stale {
             self.counters
                 .latch_conflicts
@@ -288,7 +285,7 @@ impl Database {
                 // read-only latch: held for stability, nothing to apply
                 continue;
             }
-            let (applied, stats, page) = splice(&pul, frag, slot, &latest, policy);
+            let (applied, stats, page) = splice(&pul, frag, slot, &latest);
             report.primitives += applied;
             report.stats.accumulate(&stats);
             pages.push((frag, page));
@@ -296,7 +293,7 @@ impl Database {
 
         let published = self.wait_durable(ticket, seq).and_then(|()| {
             self.commit
-                .publish(ticket, || self.publish(ticket, Change::Pages(pages)))
+                .publish(ticket, || self.publish(ticket, Change::Snapshots(pages)))
         });
         if let Err(e) = published {
             // the spliced masters now diverge from the published state:
@@ -335,23 +332,22 @@ impl Database {
     /// republished since `snap`, the PUL may be stale (targets' pre ranks
     /// shifted, or read values changed) and must be re-evaluated against
     /// the returned current snapshot, now that the latches freeze these
-    /// fragments.  One store read serves the generation probe, the page
-    /// policy and (only when the generation moved) the fresh snapshot —
-    /// this runs once per commit, so it must not clone store state in the
-    /// common unconflicted case.
-    fn validate(&self, snap: &StoreSnapshot, scope: &[u32]) -> (StoreSnapshot, PagePolicy, bool) {
-        let (latest, policy) = {
+    /// fragments.  One store read serves the generation probe and (only
+    /// when the generation moved) the fresh snapshot — this runs once per
+    /// commit, so it must not clone store state in the common unconflicted
+    /// case.
+    fn validate(&self, snap: &StoreSnapshot, scope: &[u32]) -> (StoreSnapshot, bool) {
+        let latest = {
             let store = self.store.read().unwrap();
-            let latest = if store.generation() == snap.generation() {
+            if store.generation() == snap.generation() {
                 snap.clone()
             } else {
                 store.snapshot()
-            };
-            (latest, store.page_policy())
+            }
         };
         let stale = snap.generation() != latest.generation()
             && scope.iter().any(|&f| !same_container(snap, &latest, f));
-        (latest, policy, stale)
+        (latest, stale)
     }
 
     /// Log phase: append the commit's record, stamped with its ticket, to
@@ -395,7 +391,7 @@ impl Database {
     pub(super) fn publish(&self, generation: u64, change: Change) -> Result<(), Error> {
         let mut store = self.store.write().unwrap();
         let frags = match change {
-            Change::Pages(pages) => {
+            Change::Snapshots(pages) => {
                 let mut frags = Vec::with_capacity(pages.len());
                 for (frag, page) in pages {
                     store.publish(frag, page)?;
@@ -414,51 +410,39 @@ impl Database {
 }
 
 /// Splice phase: apply `pul`'s primitives on `frag` to the fragment's
-/// master in `slot` — page-local splices plus lockstep delta-patching of
-/// the column image, outside any store lock — reconstructing the master
-/// from `published` first when the slot is empty.  Returns the primitives
-/// applied, the storage cost and the snapshot to publish.
+/// master in `slot` — one column-image patch per primitive, outside any
+/// store lock — reconstructing the master from `published` first when the
+/// slot is empty.  Returns the primitives applied, the storage cost and
+/// the snapshot to publish.
 pub(super) fn splice(
     pul: &PendingUpdateList,
     frag: u32,
     slot: &mut Option<PagedDocument>,
     published: &StoreSnapshot,
-    policy: PagePolicy,
 ) -> (usize, UpdateStats, Arc<PagedSnapshot>) {
-    let master = slot.get_or_insert_with(|| reconstruct_master(published, frag, policy));
+    let master = slot.get_or_insert_with(|| {
+        // an `Arc` clone of the published image (an evicted document is
+        // faulted back in from its checkpoint image first); chunks are
+        // copied on first write
+        let snap = published
+            .container_owned(frag)
+            .paged_snapshot()
+            .expect("loaded documents are always paged");
+        PagedDocument::from_snapshot(&snap)
+    });
     let before = master.stats;
     let applied = pul.apply_to(frag, master);
 
-    // differential guard: the incrementally patched column image must
-    // agree exactly with a from-scratch rebuild of the same page state
-    // (debug builds only — this is O(document))
+    // the patched image must still be a well-formed document (debug builds
+    // only — this is O(document))
     #[cfg(debug_assertions)]
     master
         .columns()
-        .same_content(&mxq_xmldb::DocumentColumns::new(&master.to_document()))
-        .expect("incremental column maintenance diverged from rebuild");
+        .check_invariants()
+        .expect("incremental column maintenance broke the image");
 
     let stats = master.stats.delta_since(&before);
     (applied, stats, Arc::new(master.snapshot()))
-}
-
-/// Reconstruct a fragment's write master from its published container
-/// (cheap: `O(pages)` Arc clones — pages copy on first write; an evicted
-/// document faults its pages back in from the checkpoint image first).
-fn reconstruct_master(
-    snap: &StoreSnapshot,
-    frag: u32,
-    (page_size, fill_percent): PagePolicy,
-) -> PagedDocument {
-    match snap.container_owned(frag) {
-        Container::Doc(d) => PagedDocument::from_document(&d, page_size, fill_percent),
-        other => {
-            let p = other
-                .paged_snapshot()
-                .expect("loaded documents are always paged");
-            PagedDocument::from_snapshot(&p, page_size, fill_percent)
-        }
-    }
 }
 
 /// The latch scope of a commit: the union of its write set and read set,

@@ -19,8 +19,8 @@ use mxq_xmldb::PagedDocument;
 /// durability wait, publish).  The guarded slot holds the fragment's
 /// mutable master, when one exists.
 ///
-/// The master shares its pages and column image with the published
-/// snapshot via `Arc` (copy-on-write per touched page), so keeping it
+/// The master shares its column image with the published snapshot via
+/// `Arc` (copy-on-write per touched chunk), so keeping it
 /// around costs no duplicate storage; an empty slot is reconstructed from
 /// the published snapshot on the fragment's next update (cheap `Arc`
 /// clones).  Invariant: between commits, a non-empty slot's content equals

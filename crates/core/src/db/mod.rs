@@ -307,23 +307,6 @@ impl Database {
         }
     }
 
-    /// Tune the paged update scheme (logical page size in tuples, fill
-    /// factor in percent).  Affects documents loaded or first paged after
-    /// the call.
-    ///
-    /// # Panics
-    /// Panics unless `page_size` is a power of two ≥ 2 and
-    /// `fill_percent ∈ (0, 100]`.
-    pub fn set_page_policy(&self, page_size: usize, fill_percent: u8) {
-        // the store write lock orders this against publishes; a master
-        // reconstructed concurrently keeps the previous policy until its
-        // fragment is next rebuilt, which only affects layout, not content
-        self.store
-            .write()
-            .unwrap()
-            .set_page_policy(page_size, fill_percent);
-    }
-
     /// The relational export ([`DocumentColumns`]) of a loaded document.
     /// Since the paged store became the source of truth this is no cache:
     /// the returned image is the one the store itself maintains

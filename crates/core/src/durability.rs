@@ -10,15 +10,14 @@
 //!   Each record is stamped with the store generation the operation
 //!   produces, so recovery can replay exactly up to the last published
 //!   generation and stamps stay comparable across restarts.
-//! * `doc-<frag>-<generation>.mxq` — one checksummed page image per
-//!   loaded document (`mxq_xmldb::disk` snapshot format), written by a
-//!   checkpoint.  Image files are **immutable**: a checkpoint never
+//! * `doc-<frag>-<generation>.mxq` — one checksummed image per loaded
+//!   document (`mxq_xmldb::disk` snapshot format: one page per column
+//!   chunk), written by a checkpoint.  Image files are **immutable**: a checkpoint never
 //!   rewrites a file an earlier catalog references — a changed document
 //!   gets a fresh generation-stamped file, an unchanged document's
 //!   existing file is referenced as-is (no rewrite).
 //! * `catalog.mxq` — the checkpoint catalog: format version, the
-//!   checkpointed generation, the page policy and the fragment → (name,
-//!   file) table.  Written atomically (temp + fsync + rename) **after**
+//!   checkpointed generation and the fragment → (name, file) table.  Written atomically (temp + fsync + rename) **after**
 //!   all page images, so the catalog only ever names complete files; the
 //!   WAL is rotated (records stamped at or below the checkpointed
 //!   generation dropped, later commits' records kept), and image files
@@ -69,8 +68,10 @@ pub const WAL_FILE: &str = "wal.log";
 pub const CATALOG_FILE: &str = "catalog.mxq";
 /// Magic bytes of the checkpoint catalog.
 pub const CATALOG_MAGIC: &[u8; 4] = b"MXQC";
-/// Catalog format version.
-pub const CATALOG_VERSION: u16 = 1;
+/// Catalog format version.  Version 1 also stored a page size (`u64`)
+/// and a fill percent (`u8`) after the generation, which nothing reads;
+/// decoding skips them.
+pub const CATALOG_VERSION: u16 = 2;
 
 /// The page-image file name for a fragment checkpointed at a generation.
 /// The generation stamp makes image files immutable: a later checkpoint
@@ -125,9 +126,9 @@ pub struct DurabilityOptions {
     /// When WAL appends are forced to disk (see [`SyncPolicy`]).
     pub sync: SyncPolicy,
     /// Optional resident-memory budget in bytes: after a checkpoint, clean
-    /// documents are evicted (pages dropped, faulted back from their disk
-    /// images on next access) until the store's estimated resident page
-    /// bytes fit the budget.  `None` disables eviction.
+    /// documents are evicted (column images dropped, faulted back from
+    /// their disk images on next access) until the store's estimated
+    /// resident image bytes fit the budget.  `None` disables eviction.
     pub memory_budget: Option<usize>,
     /// If set, a background thread checkpoints the database at this
     /// interval, so checkpoint I/O runs off the writer path.  `None`
@@ -316,7 +317,7 @@ struct GroupProgress {
 /// The durability attachment of a [`crate::Database`]: directory, WAL
 /// writer, checkpoint bookkeeping and options.  There is no single big
 /// lock: appends take `wal`, dirty marking takes `ckpt`, and a checkpoint
-/// never holds either while it copies pages.
+/// never holds either while it writes images.
 ///
 /// The checkpoint state is private to this file and reachable only
 /// through [`Durable::mark_dirty`] and [`Durable::with_ckpt`], which take
@@ -854,8 +855,6 @@ pub(crate) struct CatalogDoc {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct Catalog {
     pub(crate) generation: u64,
-    pub(crate) page_size: usize,
-    pub(crate) fill_percent: u8,
     pub(crate) docs: Vec<CatalogDoc>,
 }
 
@@ -864,8 +863,6 @@ pub(crate) fn encode_catalog(cat: &Catalog) -> Vec<u8> {
     out.extend_from_slice(CATALOG_MAGIC);
     out.extend_from_slice(&CATALOG_VERSION.to_le_bytes());
     out.extend_from_slice(&cat.generation.to_le_bytes());
-    out.extend_from_slice(&(cat.page_size as u64).to_le_bytes());
-    out.push(cat.fill_percent);
     out.extend_from_slice(&(cat.docs.len() as u32).to_le_bytes());
     for d in &cat.docs {
         out.extend_from_slice(&d.frag.to_le_bytes());
@@ -894,14 +891,16 @@ pub(crate) fn decode_catalog(bytes: &[u8]) -> Result<Catalog, DurabilityError> {
         return Err(DurabilityError::Corrupt("catalog has bad magic".into()));
     }
     let version = u16::from_le_bytes(r.take(2)?.try_into().unwrap());
-    if version != CATALOG_VERSION {
+    if !(1..=CATALOG_VERSION).contains(&version) {
         return Err(DurabilityError::Corrupt(format!(
             "unsupported catalog version {version}"
         )));
     }
     let generation = u64::from_le_bytes(r.take(8)?.try_into().unwrap());
-    let page_size = u64::from_le_bytes(r.take(8)?.try_into().unwrap()) as usize;
-    let fill_percent = r.u8()?;
+    if version == 1 {
+        // page size (u64) and fill percent (u8), unread
+        r.take(9)?;
+    }
     let count = r.u32()? as usize;
     let mut docs = Vec::with_capacity(count);
     for _ in 0..count {
@@ -913,12 +912,7 @@ pub(crate) fn decode_catalog(bytes: &[u8]) -> Result<Catalog, DurabilityError> {
     if !r.done() {
         return Err(DurabilityError::Corrupt("trailing bytes in catalog".into()));
     }
-    Ok(Catalog {
-        generation,
-        page_size,
-        fill_percent,
-        docs,
-    })
+    Ok(Catalog { generation, docs })
 }
 
 /// Read and decode the catalog if one exists.
@@ -938,8 +932,6 @@ mod tests {
     fn catalog_round_trip_and_corruption() {
         let cat = Catalog {
             generation: 42,
-            page_size: 64,
-            fill_percent: 75,
             docs: vec![
                 CatalogDoc {
                     frag: 1,
@@ -961,6 +953,40 @@ mod tests {
             decode_catalog(&bad),
             Err(DurabilityError::Corrupt(_))
         ));
+    }
+
+    /// A version-1 catalog (page size and fill percent after the
+    /// generation) still opens.
+    #[test]
+    fn version_1_catalog_decodes() {
+        let mut v1 = Vec::new();
+        v1.extend_from_slice(b"MXQC");
+        v1.extend_from_slice(&1u16.to_le_bytes());
+        v1.extend_from_slice(&7u64.to_le_bytes());
+        v1.extend_from_slice(&64u64.to_le_bytes());
+        v1.push(75);
+        v1.extend_from_slice(&1u32.to_le_bytes());
+        v1.extend_from_slice(&1u32.to_le_bytes());
+        for s in ["a.xml", "doc-1-7.mxq"] {
+            v1.extend_from_slice(&(s.len() as u32).to_le_bytes());
+            v1.extend_from_slice(s.as_bytes());
+        }
+        let crc = mxq_wal::crc32(&v1);
+        v1.extend_from_slice(&crc.to_le_bytes());
+        let cat = decode_catalog(&v1).unwrap();
+        assert_eq!(
+            cat,
+            Catalog {
+                generation: 7,
+                docs: vec![CatalogDoc {
+                    frag: 1,
+                    name: "a.xml".into(),
+                    file: "doc-1-7.mxq".into(),
+                }],
+            }
+        );
+        // what this build writes is version 2, nine bytes shorter
+        assert_eq!(encode_catalog(&cat).len() + 9, v1.len());
     }
 
     #[test]

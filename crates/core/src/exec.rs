@@ -211,7 +211,7 @@ impl<'a> Executor<'a> {
     }
 
     /// Resolve a fragment id: the executor's own transient container for
-    /// fragment 0, the snapshot's document containers (page-backed for
+    /// fragment 0, the snapshot's document containers (column images for
     /// loaded documents) otherwise.
     fn container(&self, frag: u32) -> ContainerRef<'_> {
         if frag == TRANSIENT_FRAG {
@@ -1074,7 +1074,7 @@ impl<'a> Executor<'a> {
         let config = self.config;
         for (frag, pairs) in &per_frag {
             // dispatch once per container so the scan loops monomorphize
-            // over the concrete representation (flat vs. page-backed)
+            // over the concrete representation (flat vs. column image)
             let results = match self.container(*frag) {
                 ContainerRef::Doc(d) => axis_step_on(d, pairs, axis, test, &config, &mut stats),
                 ContainerRef::Paged(p) => axis_step_on(p, pairs, axis, test, &config, &mut stats),

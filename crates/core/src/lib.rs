@@ -110,7 +110,7 @@ pub enum Error {
     Exec(ExecError),
     /// Collecting or checking a pending update list failed.
     Update(PulError),
-    /// Publishing updated document pages to the store failed (e.g. the
+    /// Publishing updated documents to the store failed (e.g. the
     /// target fragment id is unknown or transient).
     Store(StoreError),
     /// The plan verifier found a structural invariant violation in a
@@ -208,7 +208,6 @@ impl From<DurabilityError> for Error {
 }
 
 pub use mxq_wal::SyncPolicy;
-pub use mxq_xmldb::{DEFAULT_FILL_PERCENT, DEFAULT_PAGE_SIZE};
 
 #[cfg(test)]
 mod tests {

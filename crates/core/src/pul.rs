@@ -558,7 +558,7 @@ mod tests {
     fn apply_both(pul: &PendingUpdateList, xml: &str) -> String {
         let doc = shred("d", xml, &ShredOptions::default()).unwrap();
         let mut naive = NaiveDocument::from_document(&doc);
-        let mut paged = PagedDocument::from_document(&doc, 4, 75);
+        let mut paged = PagedDocument::from_document(&doc);
         let a = pul.apply_to(1, &mut naive);
         let b = pul.apply_to(1, &mut paged);
         assert_eq!(a, b);

@@ -294,7 +294,7 @@ proptest! {
 
         // the paged read view, its column image cut so that context regions
         // straddle chunks
-        let mut paged = PagedDocument::from_document(&flat, 8, 75);
+        let mut paged = PagedDocument::from_document(&flat);
         paged.rechunk_columns(chunk_rows);
         check_steps(&paged.snapshot(), &flat, &ctx, "paged snapshot");
     }

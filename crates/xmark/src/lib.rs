@@ -16,8 +16,7 @@
 //! * [`naive`] — a DOM-walking, tuple-at-a-time XQuery interpreter over the
 //!   same documents.  It stands in for the non-relational comparator systems
 //!   of Table 1 (eXist, Galax, X-Hive, BerkeleyDB XML), which are
-//!   closed/abandoned and not reproducible; see DESIGN.md for the
-//!   substitution rationale;
+//!   closed/abandoned and not reproducible;
 //! * [`survey`] — the published numbers of Table 1/Table 2 together with the
 //!   SPEC-normalisation arithmetic that produces Figure 16.
 

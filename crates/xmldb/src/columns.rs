@@ -1,27 +1,30 @@
-//! Relational export of a document with dictionary-encoded name columns —
-//! maintained **incrementally** by the paged update path, stored in
-//! **fixed-size chunks** so maintenance never memmoves the whole image.
+//! The stored form of a loaded document: its relational image, with
+//! dictionary-encoded name columns, cut into **chunks** that are the
+//! logical pages of the paper's update scheme (Section 5.2).
 //!
 //! The paper's storage layer keeps the structural `pre|size|level` table in
 //! dense columns and the node names in an interned qname container
 //! (Figure 9).  [`DocumentColumns`] is that layout, cut into chunks of a
 //! power-of-two row target (MonetDB/X100-style): each chunk holds its
-//! own `size`/`level`/`kind`/name-code vectors plus the `owner|name|value`
-//! attribute rows of *its* nodes (owners stored chunk-locally), with the
-//! tag and attribute-name columns encoded against **shared sorted
-//! dictionaries**.
+//! own `size`/`level`/`kind`/name-code vectors, the text of its
+//! text/comment/PI rows, plus the `owner|name|value` attribute rows of
+//! *its* nodes (owners stored chunk-locally), with the tag and
+//! attribute-name columns encoded against **shared sorted dictionaries**.
+//! The name column holds element names and PI targets (every other row
+//! encodes the empty string).  This is the only copy of a loaded
+//! document's nodes: there is no tuple table behind it.
 //!
-//! Since PR 5 this image is the *canonical structural read path* of the
-//! paged store: [`crate::update::PagedDocument`] patches it in lockstep
-//! with every applied update primitive (row splices, ancestor `size`
-//! deltas, in-place renames and attribute patches), merging new names into
-//! the dictionaries (with a code remap) only when an update introduces a
-//! string the dictionary has never seen.  Chunking is what makes the patch
-//! cheap: a row splice lands in exactly one chunk, shifts only that
-//! chunk's rows and chunk-local attribute owners, and then fixes up the
-//! O(#chunks) start index — O(chunk), not O(document).  An oversized
-//! chunk splits back into row-target pieces, so chunks stay bounded and
-//! double as the work unit for batch-at-a-time kernels.
+//! [`crate::update::PagedDocument`] patches the image with every applied
+//! update primitive (row splices, ancestor `size` deltas, in-place
+//! renames, text and attribute patches), merging new names into the
+//! dictionaries (with a code remap) only when an update introduces a
+//! string the dictionary has never seen.  A chunk is the unit of the
+//! paper's remappable pre numbers: a row splice lands in exactly one
+//! chunk, shifts only that chunk's rows and chunk-local attribute owners,
+//! and then fixes up the O(#chunks) start index — O(chunk), not
+//! O(document).  An oversized chunk splits back into row-target pieces,
+//! so chunks stay bounded and double as the work unit for batch-at-a-time
+//! kernels.
 //!
 //! Every chunk also carries summaries — min/max level, a node-kind mask
 //! and a name-code bucket bitmask — maintained on each patch, so backward
@@ -44,6 +47,7 @@
 //! instances (`Arc`), so tag-to-tag and name-to-name equi-joins between
 //! them never touch a string.
 
+use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 use mxq_engine::{Column, Dictionary, Table};
@@ -52,7 +56,7 @@ use crate::doc::Document;
 use crate::node::NodeKind;
 use crate::read::{AttrsIter, NamedRun, NodeRead};
 use crate::shred::{shred, ShredError, ShredOptions};
-use crate::update::Tuple;
+use crate::update::{tuples_of, Tuple};
 
 /// Default chunk row target: power-of-two, sized so a chunk's columns fit
 /// comfortably in L1/L2 while keeping the start index tiny.
@@ -81,15 +85,81 @@ pub fn code_kind(code: i64) -> NodeKind {
     }
 }
 
-/// One fixed-size piece of the column image: a run of consecutive node
-/// rows plus the attribute rows they own (owners are chunk-local offsets,
-/// so a splice renumbers inside the chunk only).
+/// Does a node of `kind` carry text content (and a text-column entry)?
+fn carries_text(kind: NodeKind) -> bool {
+    matches!(
+        kind,
+        NodeKind::Text | NodeKind::Comment | NodeKind::ProcessingInstruction
+    )
+}
+
+/// The name-column string of a row: the element name or PI target, the
+/// empty string for every other kind.
+fn tag_name(t: &Tuple) -> &str {
+    match t.kind {
+        NodeKind::Element | NodeKind::ProcessingInstruction => &t.name,
+        _ => "",
+    }
+}
+
+/// Encode `strings` against `dict`, first growing it by the strings it
+/// lacks.  Returns the codes and, when the sorted dictionary gained
+/// entries, the remap of its old codes — the rare "new name" path.  Each
+/// string costs one hash probe; only the distinct ones are searched.
+fn encode_in<'a>(
+    dict: &mut Arc<Dictionary>,
+    strings: impl Iterator<Item = &'a str>,
+) -> (Vec<u32>, Option<Vec<u32>>) {
+    let mut ids: HashMap<&str, u32> = HashMap::new();
+    let local: Vec<u32> = strings
+        .map(|s| {
+            let next = ids.len() as u32;
+            *ids.entry(s).or_insert(next)
+        })
+        .collect();
+    let mut distinct = vec![""; ids.len()];
+    for (s, i) in ids {
+        distinct[i as usize] = s;
+    }
+    let missing: Vec<&str> = distinct
+        .iter()
+        .copied()
+        .filter(|s| dict.code_of(s).is_none())
+        .collect();
+    let remap = (!missing.is_empty()).then(|| {
+        let (merged, remap_old, _) = Dictionary::merge(dict, &Dictionary::new(missing));
+        *dict = merged;
+        remap_old
+    });
+    let codes: Vec<u32> = distinct
+        .iter()
+        .map(|s| {
+            dict.code_of(s)
+                .expect("the dictionary was grown to cover it")
+        })
+        .collect();
+    (local.iter().map(|&d| codes[d as usize]).collect(), remap)
+}
+
+/// Rewrite a code column through a dictionary remap.
+fn remap_codes(column: &mut [u32], remap: &[u32]) {
+    for c in column {
+        *c = remap[*c as usize];
+    }
+}
+
+/// One piece of the column image — the logical page of Section 5.2: a run
+/// of consecutive node rows plus the attribute rows they own (owners are
+/// chunk-local offsets, so a splice renumbers inside the chunk only).
 #[derive(Debug, Clone, Default)]
 struct Chunk {
     size: Vec<i64>,
     level: Vec<i64>,
     kind: Vec<i64>,
+    /// Element name or PI target code (the empty string for other rows).
     name_code: Vec<u32>,
+    /// Content of the text, comment and PI rows; `None` on every other row.
+    text: Vec<Option<Arc<str>>>,
     /// Attribute rows of this chunk's nodes, owner-ordered; the owner is
     /// the node's offset *within this chunk*.
     attr_owner: Vec<u32>,
@@ -118,10 +188,7 @@ impl Chunk {
         self.min_level = self.level.iter().copied().min().unwrap_or(i64::MAX);
         self.max_level = self.level.iter().copied().max().unwrap_or(i64::MIN);
         self.kind_mask = self.kind.iter().fold(0u8, |m, &k| m | (1u8 << k));
-        self.name_buckets = self
-            .name_code
-            .iter()
-            .fold(0u64, |m, &c| m | (1u64 << (c % 64)));
+        self.rebuild_buckets();
         let element = kind_code(NodeKind::Element);
         self.postings.clear();
         self.postings
@@ -129,6 +196,13 @@ impl Chunk {
         let name_code = &self.name_code;
         self.postings
             .sort_unstable_by_key(|&l| (name_code[l as usize], l));
+    }
+
+    fn rebuild_buckets(&mut self) {
+        self.name_buckets = self
+            .name_code
+            .iter()
+            .fold(0u64, |m, &c| m | (1u64 << (c % 64)));
     }
 
     /// Local offsets (ascending) of the element rows with name code `code`.
@@ -148,16 +222,103 @@ impl Chunk {
         let end = self.attr_owner.partition_point(|&o| (o as usize) <= l);
         start..end
     }
+
+    /// Splice the rows of `piece` in at local offset `l`: the rows after
+    /// `l` and their attribute owners shift.  Summaries are left stale.
+    fn splice_in(&mut self, l: usize, piece: Chunk) {
+        let k = piece.len() as u32;
+        self.size.splice(l..l, piece.size);
+        self.level.splice(l..l, piece.level);
+        self.kind.splice(l..l, piece.kind);
+        self.name_code.splice(l..l, piece.name_code);
+        self.text.splice(l..l, piece.text);
+        let a = self.attr_owner.partition_point(|&o| (o as usize) < l);
+        for o in &mut self.attr_owner[a..] {
+            *o += k;
+        }
+        self.attr_owner
+            .splice(a..a, piece.attr_owner.iter().map(|&o| o + l as u32));
+        self.attr_name_code.splice(a..a, piece.attr_name_code);
+        self.attr_value_code.splice(a..a, piece.attr_value_code);
+    }
+
+    /// Drop the rows `l..l + c` and their attribute rows.  Summaries are
+    /// left stale.
+    fn remove(&mut self, l: usize, c: usize) {
+        self.size.drain(l..l + c);
+        self.level.drain(l..l + c);
+        self.kind.drain(l..l + c);
+        self.name_code.drain(l..l + c);
+        self.text.drain(l..l + c);
+        let a = self.attr_owner.partition_point(|&o| (o as usize) < l);
+        let b = self.attr_owner.partition_point(|&o| (o as usize) < l + c);
+        self.attr_owner.drain(a..b);
+        self.attr_name_code.drain(a..b);
+        self.attr_value_code.drain(a..b);
+        for o in &mut self.attr_owner[a..] {
+            *o -= c as u32;
+        }
+    }
+
+    /// Move the rows from `a` on into a chunk of their own (owners
+    /// re-based), summaries built; this chunk keeps the rows before `a`.
+    fn split_off(&mut self, a: usize) -> Chunk {
+        let aa = self.attr_owner.partition_point(|&o| (o as usize) < a);
+        let mut attr_owner = self.attr_owner.split_off(aa);
+        for o in &mut attr_owner {
+            *o -= a as u32;
+        }
+        let mut piece = Chunk {
+            size: self.size.split_off(a),
+            level: self.level.split_off(a),
+            kind: self.kind.split_off(a),
+            name_code: self.name_code.split_off(a),
+            text: self.text.split_off(a),
+            attr_owner,
+            attr_name_code: self.attr_name_code.split_off(aa),
+            attr_value_code: self.attr_value_code.split_off(aa),
+            ..Chunk::default()
+        };
+        piece.rebuild_summary();
+        piece
+    }
+
+    /// Cut into pieces of `rows` rows (the last may be shorter).
+    fn into_pieces(mut self, rows: usize) -> Vec<Arc<Chunk>> {
+        let mut pieces: Vec<Arc<Chunk>> = (0..self.len())
+            .step_by(rows)
+            .rev()
+            .map(|a| Arc::new(self.split_off(a)))
+            .collect();
+        pieces.reverse();
+        pieces
+    }
+}
+
+/// One stored row, as [`DocumentColumns::walk_rows`] hands it out.
+pub(crate) struct Row<'a> {
+    pub(crate) size: u32,
+    pub(crate) level: u16,
+    pub(crate) kind: NodeKind,
+    /// Element name or PI target code (a [`DocumentColumns::tags`] code).
+    pub(crate) name_code: u32,
+    /// Content of a text, comment or PI row.
+    pub(crate) text: Option<&'a Arc<str>>,
+    /// Name codes of the row's attributes ([`DocumentColumns::attr_names`]).
+    pub(crate) attr_names: &'a [u32],
+    /// Value codes of the row's attributes ([`DocumentColumns::attr_values`]).
+    pub(crate) attr_values: &'a [u32],
 }
 
 /// The chunked relational image of one document container, with
 /// dictionary-encoded string columns (see the module docs).
 #[derive(Debug, Clone)]
 pub struct DocumentColumns {
-    /// Sorted dictionary over the element names (plus the empty string used
-    /// for non-element rows).  Grows monotonically under incremental
-    /// maintenance: names deleted from the document may linger as unused
-    /// entries — harmless, since code order still equals string order.
+    /// Sorted dictionary over the element names and PI targets (plus the
+    /// empty string used for every other row).  Grows monotonically under
+    /// incremental maintenance: names deleted from the document may linger
+    /// as unused entries — harmless, since code order still equals string
+    /// order.
     tags: Arc<Dictionary>,
     /// Sorted dictionary over the attribute names.
     attr_names: Arc<Dictionary>,
@@ -208,70 +369,28 @@ impl Default for DocumentColumns {
 impl DocumentColumns {
     /// Export a container into its relational, dictionary-encoded chunked
     /// image at the default chunk size.
-    pub fn new<D: NodeRead>(doc: &D) -> DocumentColumns {
+    pub fn new(doc: &Document) -> DocumentColumns {
         Self::with_chunk_rows(doc, DEFAULT_CHUNK_ROWS)
     }
 
-    /// Export with an explicit chunk row target (must be a power of two).
-    pub fn with_chunk_rows<D: NodeRead>(doc: &D, chunk_rows: usize) -> DocumentColumns {
+    /// Export with an explicit chunk row target (must be a power of two;
+    /// tests use it to cross chunk boundaries on small documents).
+    pub fn with_chunk_rows(doc: &Document, chunk_rows: usize) -> DocumentColumns {
+        Self::from_rows(&tuples_of(doc), chunk_rows)
+    }
+
+    /// Build the image of a preorder row stream (a shredded document's
+    /// rows, or the rows an on-disk image decodes to).
+    pub(crate) fn from_rows(rows: &[Tuple], chunk_rows: usize) -> DocumentColumns {
         assert!(
             chunk_rows.is_power_of_two(),
             "chunk_rows must be a power of two, got {chunk_rows}"
         );
-        let n = doc.len() as u32;
-        let mut names: Vec<Arc<str>> = Vec::with_capacity(doc.len());
-        let mut attr_namev: Vec<Arc<str>> = Vec::new();
-        let mut attr_value: Vec<Arc<str>> = Vec::new();
-        let mut attr_per_node: Vec<u32> = Vec::with_capacity(doc.len());
-        for v in 0..n {
-            names.push(match doc.kind(v) {
-                NodeKind::Element => Arc::from(doc.name_of(v)),
-                _ => Arc::from(""),
-            });
-            let mut count = 0u32;
-            for (aname, avalue) in doc.attrs(v) {
-                attr_namev.push(aname.clone());
-                attr_value.push(avalue.clone());
-                count += 1;
-            }
-            attr_per_node.push(count);
-        }
-        let (name_code, tags) = Dictionary::encode(names);
-        let (attr_name_code, attr_names) = Dictionary::encode(attr_namev);
-        let (attr_value_code, attr_values) = Dictionary::encode(attr_value);
-
         let mut cols = DocumentColumns {
-            tags,
-            attr_names,
-            attr_values,
             chunk_rows,
             ..DocumentColumns::default()
         };
-        let mut attr_at = 0usize;
-        let mut start = 0usize;
-        while start < doc.len() {
-            let end = (start + chunk_rows).min(doc.len());
-            let mut chunk = Chunk {
-                size: (start..end).map(|v| doc.size(v as u32) as i64).collect(),
-                level: (start..end).map(|v| doc.level(v as u32) as i64).collect(),
-                kind: (start..end)
-                    .map(|v| kind_code(doc.kind(v as u32)))
-                    .collect(),
-                name_code: name_code[start..end].to_vec(),
-                ..Chunk::default()
-            };
-            for (local, v) in (start..end).enumerate() {
-                for _ in 0..attr_per_node[v] {
-                    chunk.attr_owner.push(local as u32);
-                    chunk.attr_name_code.push(attr_name_code[attr_at]);
-                    chunk.attr_value_code.push(attr_value_code[attr_at]);
-                    attr_at += 1;
-                }
-            }
-            chunk.rebuild_summary();
-            cols.chunks.push(Arc::new(chunk));
-            start = end;
-        }
+        cols.chunks = cols.encode(rows).into_pieces(chunk_rows);
         cols.rebuild_starts();
         cols
     }
@@ -284,35 +403,18 @@ impl DocumentColumns {
             "chunk_rows must be a power of two, got {chunk_rows}"
         );
         let mut merged = Chunk::default();
-        for (ci, c) in self.chunks.iter().enumerate() {
-            let base = self.starts[ci] as u32;
-            merged.size.extend_from_slice(&c.size);
-            merged.level.extend_from_slice(&c.level);
-            merged.kind.extend_from_slice(&c.kind);
-            merged.name_code.extend_from_slice(&c.name_code);
-            merged.attr_owner.extend(c.attr_owner.iter().map(|&o| {
-                // re-anchor chunk-local owners to the merged chunk
-                base + o
-            }));
-            merged.attr_name_code.extend_from_slice(&c.attr_name_code);
-            merged.attr_value_code.extend_from_slice(&c.attr_value_code);
+        for c in &self.chunks {
+            merged.splice_in(merged.len(), Chunk::clone(c));
         }
         let mut out = DocumentColumns {
             tags: self.tags.clone(),
             attr_names: self.attr_names.clone(),
             attr_values: self.attr_values.clone(),
             chunk_rows,
+            chunks: merged.into_pieces(chunk_rows),
             ..DocumentColumns::default()
         };
-        if merged.len() > 0 {
-            merged.rebuild_summary();
-            out.chunks.push(Arc::new(merged));
-            out.rebuild_starts();
-            if out.chunks[0].len() > chunk_rows {
-                out.split_chunk(0);
-                out.rebuild_starts();
-            }
-        }
+        out.rebuild_starts();
         out
     }
 
@@ -331,7 +433,7 @@ impl DocumentColumns {
         self.attr_count
     }
 
-    /// The element-name dictionary.
+    /// The element-name (and PI-target) dictionary.
     pub fn tags(&self) -> &Arc<Dictionary> {
         &self.tags
     }
@@ -344,6 +446,28 @@ impl DocumentColumns {
     /// The attribute-value dictionary.
     pub fn attr_values(&self) -> &Arc<Dictionary> {
         &self.attr_values
+    }
+
+    /// Rough resident-memory footprint in bytes: the fixed-width columns,
+    /// the text payloads, the attribute rows and the dictionaries.  Used by
+    /// the eviction policy's memory budget — a heuristic, not an
+    /// allocator report.
+    pub fn approx_bytes(&self) -> usize {
+        let dict_bytes = |d: &Dictionary| d.iter().map(|s| 16 + s.len()).sum::<usize>();
+        let texts: usize = self
+            .chunks
+            .iter()
+            .flat_map(|c| c.text.iter().flatten())
+            .map(|t| 16 + t.len())
+            .sum();
+        // size/level/kind (i64) + name code + text slot per row, three
+        // codes per attribute row
+        self.len * 44
+            + self.attr_count * 12
+            + texts
+            + dict_bytes(&self.tags)
+            + dict_bytes(&self.attr_names)
+            + dict_bytes(&self.attr_values)
     }
 
     // -- chunk geometry and summaries -------------------------------------
@@ -456,37 +580,6 @@ impl DocumentColumns {
             .is_none_or(|(_, init)| init.iter().all(|c| c.len() == self.chunk_rows));
     }
 
-    /// Split chunk `ci` back into row-target pieces (callers rebuild the
-    /// start index afterwards).
-    fn split_chunk(&mut self, ci: usize) {
-        let chunk = self.chunks.remove(ci);
-        let n = chunk.len();
-        let mut pieces = Vec::with_capacity(n.div_ceil(self.chunk_rows));
-        let mut a = 0usize;
-        while a < n {
-            let b = (a + self.chunk_rows).min(n);
-            let aa = chunk.attr_owner.partition_point(|&o| (o as usize) < a);
-            let ab = chunk.attr_owner.partition_point(|&o| (o as usize) < b);
-            let mut piece = Chunk {
-                size: chunk.size[a..b].to_vec(),
-                level: chunk.level[a..b].to_vec(),
-                kind: chunk.kind[a..b].to_vec(),
-                name_code: chunk.name_code[a..b].to_vec(),
-                attr_owner: chunk.attr_owner[aa..ab]
-                    .iter()
-                    .map(|&o| o - a as u32)
-                    .collect(),
-                attr_name_code: chunk.attr_name_code[aa..ab].to_vec(),
-                attr_value_code: chunk.attr_value_code[aa..ab].to_vec(),
-                ..Chunk::default()
-            };
-            piece.rebuild_summary();
-            pieces.push(Arc::new(piece));
-            a = b;
-        }
-        self.chunks.splice(ci..ci, pieces);
-    }
-
     // -- dense structural read path ---------------------------------------
 
     /// Subtree size at `pre`.
@@ -510,18 +603,26 @@ impl DocumentColumns {
         code_kind(self.chunks[ci].kind[l])
     }
 
-    /// Name code at `pre` (a [`Self::tags`] code; non-elements carry the
-    /// code of the empty string).
+    /// Name code at `pre` (a [`Self::tags`] code: the element name or PI
+    /// target; other rows carry the code of the empty string).
     #[inline]
     pub fn node_name_code(&self, pre: u32) -> u32 {
         let (ci, l) = self.locate(pre);
         self.chunks[ci].name_code[l]
     }
 
-    /// Element name / empty string at `pre`, decoded.
+    /// Element name / PI target / empty string at `pre`, decoded.
     #[inline]
     pub fn node_name(&self, pre: u32) -> &str {
         self.tags.str_of(self.node_name_code(pre))
+    }
+
+    /// The shared content of the text, comment or PI row at `pre` (`None`
+    /// for element and document rows).
+    #[inline]
+    pub fn node_text(&self, pre: u32) -> Option<&Arc<str>> {
+        let (ci, l) = self.locate(pre);
+        self.chunks[ci].text[l].as_ref()
     }
 
     /// Closest node before position `pos` whose level is strictly below
@@ -548,6 +649,41 @@ impl DocumentColumns {
             }
             ci -= 1;
             hi = self.chunks[ci].len();
+        }
+    }
+
+    /// Hand the `count` rows starting at `pre` to `f`, in document order:
+    /// the position is located once, then the chunks are walked with a
+    /// running attribute cursor.
+    pub(crate) fn walk_rows(&self, pre: u32, count: usize, mut f: impl FnMut(Row<'_>)) {
+        if count == 0 {
+            return;
+        }
+        let (mut ci, mut l) = self.locate(pre);
+        let mut left = count;
+        while left > 0 {
+            let c = &self.chunks[ci];
+            let end = (l + left).min(c.len());
+            let mut a = c.attr_owner.partition_point(|&o| (o as usize) < l);
+            for r in l..end {
+                let b = a + c.attr_owner[a..]
+                    .iter()
+                    .take_while(|&&o| o as usize == r)
+                    .count();
+                f(Row {
+                    size: c.size[r] as u32,
+                    level: c.level[r] as u16,
+                    kind: code_kind(c.kind[r]),
+                    name_code: c.name_code[r],
+                    text: c.text[r].as_ref(),
+                    attr_names: &c.attr_name_code[a..b],
+                    attr_values: &c.attr_value_code[a..b],
+                });
+                a = b;
+            }
+            left -= end - l;
+            ci += 1;
+            l = 0;
         }
     }
 
@@ -609,8 +745,8 @@ impl DocumentColumns {
 
     /// The structural table `pre | size | level | kind | name`, one row per
     /// node in document order; `name` is a [`Column::Dict`] over
-    /// [`Self::tags`].  Assembled lazily from the chunks and cached until
-    /// the next patch.
+    /// [`Self::tags`] (element names and PI targets).  Assembled lazily
+    /// from the chunks and cached until the next patch.
     pub fn structural(&self) -> &Table {
         self.structural_table.get_or_init(|| {
             let pre: Vec<i64> = (0..self.len as i64).collect();
@@ -714,131 +850,84 @@ impl DocumentColumns {
         self.attribute_table = OnceLock::new();
     }
 
-    /// Grow `self.tags` to cover every name in `names`, remapping the
-    /// existing codes when the sorted dictionary gains entries.  Returns
-    /// true when a merge (and remap) happened — the rare "new name" path,
-    /// the only remaining O(document) write cost.
-    fn ensure_tags<'a>(&mut self, names: impl Iterator<Item = &'a Arc<str>>) -> bool {
-        let missing: Vec<Arc<str>> = names
-            .filter(|n| self.tags.code_of(n).is_none())
-            .cloned()
-            .collect();
-        if missing.is_empty() {
-            return false;
-        }
-        let fresh = Dictionary::new(missing);
-        let (merged, remap_old, _) = Dictionary::merge(&self.tags, &fresh);
-        for chunk in &mut self.chunks {
-            let chunk = Arc::make_mut(chunk);
-            for c in &mut chunk.name_code {
-                *c = remap_old[*c as usize];
+    /// The tag codes of `names`, growing the dictionary (and remapping
+    /// every chunk's name codes and bucket masks) when one is new — the
+    /// only remaining O(document) write cost.
+    fn encode_tags<'a>(&mut self, names: impl Iterator<Item = &'a str>) -> Vec<u32> {
+        let (codes, remap) = encode_in(&mut self.tags, names);
+        if let Some(remap) = remap {
+            for chunk in &mut self.chunks {
+                let chunk = Arc::make_mut(chunk);
+                remap_codes(&mut chunk.name_code, &remap);
+                chunk.rebuild_buckets();
             }
-            // codes moved, so the bucket bitmask must follow
-            chunk.name_buckets = chunk
-                .name_code
+        }
+        codes
+    }
+
+    /// The attribute-name codes of `names` (see [`Self::encode_tags`]).
+    fn encode_attr_names<'a>(&mut self, names: impl Iterator<Item = &'a str>) -> Vec<u32> {
+        let (codes, remap) = encode_in(&mut self.attr_names, names);
+        if let Some(remap) = remap {
+            for chunk in &mut self.chunks {
+                remap_codes(&mut Arc::make_mut(chunk).attr_name_code, &remap);
+            }
+        }
+        codes
+    }
+
+    /// The attribute-value codes of `values` (see [`Self::encode_tags`]).
+    fn encode_attr_values<'a>(&mut self, values: impl Iterator<Item = &'a str>) -> Vec<u32> {
+        let (codes, remap) = encode_in(&mut self.attr_values, values);
+        if let Some(remap) = remap {
+            for chunk in &mut self.chunks {
+                remap_codes(&mut Arc::make_mut(chunk).attr_value_code, &remap);
+            }
+        }
+        codes
+    }
+
+    /// Encode `rows` against the image's dictionaries (growing them as
+    /// needed) into a chunk of their own, summaries not yet built.
+    fn encode(&mut self, rows: &[Tuple]) -> Chunk {
+        let attrs = || rows.iter().flat_map(|t| &t.attrs);
+        Chunk {
+            size: rows.iter().map(|t| t.size as i64).collect(),
+            level: rows.iter().map(|t| t.level as i64).collect(),
+            kind: rows.iter().map(|t| kind_code(t.kind)).collect(),
+            name_code: self.encode_tags(rows.iter().map(tag_name)),
+            text: rows
                 .iter()
-                .fold(0u64, |m, &c| m | (1u64 << (c % 64)));
-        }
-        self.tags = merged;
-        true
-    }
-
-    fn ensure_attr_names<'a>(&mut self, names: impl Iterator<Item = &'a Arc<str>>) {
-        let missing: Vec<Arc<str>> = names
-            .filter(|n| self.attr_names.code_of(n).is_none())
-            .cloned()
-            .collect();
-        if missing.is_empty() {
-            return;
-        }
-        let fresh = Dictionary::new(missing);
-        let (merged, remap_old, _) = Dictionary::merge(&self.attr_names, &fresh);
-        for chunk in &mut self.chunks {
-            for c in &mut Arc::make_mut(chunk).attr_name_code {
-                *c = remap_old[*c as usize];
-            }
-        }
-        self.attr_names = merged;
-    }
-
-    fn ensure_attr_values<'a>(&mut self, values: impl Iterator<Item = &'a Arc<str>>) {
-        let missing: Vec<Arc<str>> = values
-            .filter(|v| self.attr_values.code_of(v).is_none())
-            .cloned()
-            .collect();
-        if missing.is_empty() {
-            return;
-        }
-        let fresh = Dictionary::new(missing);
-        let (merged, remap_old, _) = Dictionary::merge(&self.attr_values, &fresh);
-        for chunk in &mut self.chunks {
-            for c in &mut Arc::make_mut(chunk).attr_value_code {
-                *c = remap_old[*c as usize];
-            }
-        }
-        self.attr_values = merged;
-    }
-
-    fn tag_of(tuple: &Tuple) -> Arc<str> {
-        match tuple.kind {
-            NodeKind::Element => tuple.name.clone(),
-            _ => Arc::from(""),
+                .map(|t| carries_text(t.kind).then(|| t.text.clone()))
+                .collect(),
+            attr_owner: (0..rows.len() as u32)
+                .zip(rows)
+                .flat_map(|(i, t)| t.attrs.iter().map(move |_| i))
+                .collect(),
+            attr_name_code: self.encode_attr_names(attrs().map(|(n, _)| &**n)),
+            attr_value_code: self.encode_attr_values(attrs().map(|(_, v)| &**v)),
+            ..Chunk::default()
         }
     }
 
-    /// Splice `rows` into the node image at position `at`.  The splice
-    /// lands in exactly one chunk: that chunk's rows shift, its chunk-local
+    /// Splice `rows` into the image at position `at`.  The splice lands in
+    /// exactly one chunk: that chunk's rows shift, its chunk-local
     /// attribute owners renumber, and the start index is patched —
     /// O(chunk size plus rows inserted plus #chunks), never a whole-image
     /// memmove.  Plus a dictionary merge when a row carries a never-seen
-    /// name.
-    pub(crate) fn splice_nodes(&mut self, at: usize, rows: &[Tuple]) {
+    /// name.  A chunk grown past twice the row target splits into
+    /// row-target pieces; returns the number of chunks the split added
+    /// (0 when the rows fit).
+    pub(crate) fn splice_nodes(&mut self, at: usize, rows: &[Tuple]) -> usize {
         if rows.is_empty() {
-            return;
+            return 0;
         }
         self.invalidate_tables();
-        // non-element rows encode as the empty string
-        let tag_names: Vec<Arc<str>> = rows.iter().map(Self::tag_of).collect();
-        self.ensure_tags(tag_names.iter());
-        let codes: Vec<u32> = tag_names
-            .iter()
-            .map(|n| {
-                self.tags
-                    .code_of(n)
-                    .expect("ensure_tags covered the splice")
-            })
-            .collect();
-        // encode the spliced rows' attributes (row offset, name, value)
-        let mut new_name: Vec<Arc<str>> = Vec::new();
-        let mut new_value: Vec<Arc<str>> = Vec::new();
-        let mut attr_of_row: Vec<usize> = Vec::new();
-        for (i, t) in rows.iter().enumerate() {
-            for (n, v) in &t.attrs {
-                attr_of_row.push(i);
-                new_name.push(n.clone());
-                new_value.push(v.clone());
-            }
-        }
-        let (new_codes, new_value_codes) = if attr_of_row.is_empty() {
-            (Vec::new(), Vec::new())
-        } else {
-            self.ensure_attr_names(new_name.iter());
-            self.ensure_attr_values(new_value.iter());
-            (
-                new_name
-                    .iter()
-                    .map(|n| self.attr_names.code_of(n).expect("covered"))
-                    .collect::<Vec<u32>>(),
-                new_value
-                    .iter()
-                    .map(|v| self.attr_values.code_of(v).expect("covered"))
-                    .collect::<Vec<u32>>(),
-            )
-        };
-
+        let piece = self.encode(rows);
         if self.chunks.is_empty() {
-            self.chunks.push(Arc::default());
-            self.starts.push(0);
+            self.chunks = piece.into_pieces(self.chunk_rows);
+            self.rebuild_starts();
+            return self.chunks.len();
         }
         let ci = if at == self.len {
             self.chunks.len() - 1
@@ -846,61 +935,39 @@ impl DocumentColumns {
             self.locate(at as u32).0
         };
         let l = at - self.starts[ci];
-        let k = rows.len();
         let chunk = Arc::make_mut(&mut self.chunks[ci]);
-        chunk.size.splice(l..l, rows.iter().map(|t| t.size as i64));
-        chunk
-            .level
-            .splice(l..l, rows.iter().map(|t| t.level as i64));
-        chunk
-            .kind
-            .splice(l..l, rows.iter().map(|t| kind_code(t.kind)));
-        chunk.name_code.splice(l..l, codes);
-        // chunk-local owner shift: only this chunk's attribute rows move
-        let a = chunk.attr_owner.partition_point(|&o| (o as usize) < l);
-        for o in &mut chunk.attr_owner[a..] {
-            *o += k as u32;
-        }
-        if !attr_of_row.is_empty() {
-            chunk
-                .attr_owner
-                .splice(a..a, attr_of_row.iter().map(|&i| (l + i) as u32));
-            chunk.attr_name_code.splice(a..a, new_codes);
-            chunk.attr_value_code.splice(a..a, new_value_codes);
-        }
-        chunk.rebuild_summary();
-        if chunk.len() > 2 * self.chunk_rows {
-            self.split_chunk(ci);
-        }
+        chunk.splice_in(l, piece);
+        let added = if chunk.len() > 2 * self.chunk_rows {
+            let pieces = std::mem::take(chunk).into_pieces(self.chunk_rows);
+            let added = pieces.len() - 1;
+            self.chunks.splice(ci..=ci, pieces);
+            added
+        } else {
+            chunk.rebuild_summary();
+            0
+        };
         self.rebuild_starts();
+        added
     }
 
     /// Remove `count` node rows starting at `at`, dropping their attribute
     /// rows and renumbering the chunk-local owners of the touched chunks
-    /// only.  Chunks emptied by the removal are dropped.
-    pub(crate) fn remove_nodes(&mut self, at: usize, count: usize) {
+    /// only.  Chunks emptied by the removal are dropped.  Returns the
+    /// number of chunks touched.
+    pub(crate) fn remove_nodes(&mut self, at: usize, count: usize) -> usize {
         if count == 0 {
-            return;
+            return 0;
         }
         self.invalidate_tables();
         let (mut ci, mut l) = self.locate(at as u32);
         let mut remaining = count;
+        let mut touched = 0;
         while remaining > 0 {
             let chunk = Arc::make_mut(&mut self.chunks[ci]);
             let c = remaining.min(chunk.len() - l);
-            chunk.size.drain(l..l + c);
-            chunk.level.drain(l..l + c);
-            chunk.kind.drain(l..l + c);
-            chunk.name_code.drain(l..l + c);
-            let a = chunk.attr_owner.partition_point(|&o| (o as usize) < l);
-            let b = chunk.attr_owner.partition_point(|&o| (o as usize) < l + c);
-            chunk.attr_owner.drain(a..b);
-            chunk.attr_name_code.drain(a..b);
-            chunk.attr_value_code.drain(a..b);
-            for o in &mut chunk.attr_owner[a..] {
-                *o -= c as u32;
-            }
+            chunk.remove(l, c);
             remaining -= c;
+            touched += 1;
             if chunk.len() == 0 {
                 self.chunks.remove(ci);
             } else {
@@ -910,6 +977,7 @@ impl DocumentColumns {
             l = 0;
         }
         self.rebuild_starts();
+        touched
     }
 
     /// Ancestor `size` maintenance: add `delta` to the size of `pre`.
@@ -919,15 +987,17 @@ impl DocumentColumns {
         Arc::make_mut(&mut self.chunks[ci]).size[l] += delta;
     }
 
-    /// In-place rename of the node at `pre` (elements only affect the name
-    /// column; PI targets are not part of the relational image).
-    pub(crate) fn set_name(&mut self, pre: u32, name: &Arc<str>) {
-        if self.node_kind(pre) != NodeKind::Element {
+    /// In-place rename of the element or PI target at `pre` (a no-op on
+    /// other kinds).
+    pub(crate) fn set_name(&mut self, pre: u32, name: &str) {
+        if !matches!(
+            self.node_kind(pre),
+            NodeKind::Element | NodeKind::ProcessingInstruction
+        ) {
             return;
         }
         self.invalidate_structural();
-        self.ensure_tags(std::iter::once(name));
-        let code = self.tags.code_of(name).expect("covered");
+        let code = self.encode_tags(std::iter::once(name))[0];
         let (ci, l) = self.locate(pre);
         let chunk = Arc::make_mut(&mut self.chunks[ci]);
         chunk.name_code[l] = code;
@@ -935,15 +1005,19 @@ impl DocumentColumns {
         chunk.rebuild_summary();
     }
 
+    /// In-place replacement of the content of the text, comment or PI row
+    /// at `pre`.
+    pub(crate) fn set_text(&mut self, pre: u32, text: &str) {
+        debug_assert!(carries_text(self.node_kind(pre)));
+        let (ci, l) = self.locate(pre);
+        Arc::make_mut(&mut self.chunks[ci]).text[l] = Some(Arc::from(text));
+    }
+
     /// Set (or insert, at the end of the owner's run) an attribute.
     pub(crate) fn set_attribute(&mut self, pre: u32, name: &str, value: &str) {
         self.invalidate_attributes();
-        let arc_name: Arc<str> = Arc::from(name);
-        self.ensure_attr_names(std::iter::once(&arc_name));
-        let code = self.attr_names.code_of(name).expect("covered");
-        let arc_value: Arc<str> = Arc::from(value);
-        self.ensure_attr_values(std::iter::once(&arc_value));
-        let value_code = self.attr_values.code_of(value).expect("covered");
+        let code = self.encode_attr_names(std::iter::once(name))[0];
+        let value_code = self.encode_attr_values(std::iter::once(value))[0];
         let (ci, l) = self.locate(pre);
         let chunk = Arc::make_mut(&mut self.chunks[ci]);
         let r = chunk.attr_range(l);
@@ -984,14 +1058,9 @@ impl DocumentColumns {
             return;
         }
         self.invalidate_attributes();
-        let arc_new: Arc<str> = Arc::from(new_name);
-        self.ensure_attr_names(std::iter::once(&arc_new));
-        // the merge may have remapped `code`
-        let code = self
-            .attr_names
-            .code_of(name)
-            .expect("old name stays in the grown dictionary");
-        let new_code = self.attr_names.code_of(new_name).expect("covered");
+        // both codes after the merge, which may remap the old name's
+        let codes = self.encode_attr_names([name, new_name].into_iter());
+        let (code, new_code) = (codes[0], codes[1]);
         let (ci, l) = self.locate(pre);
         let chunk = Arc::make_mut(&mut self.chunks[ci]);
         for i in chunk.attr_range(l) {
@@ -1002,14 +1071,90 @@ impl DocumentColumns {
         }
     }
 
-    // -- differential verification ----------------------------------------
+    // -- verification -----------------------------------------------------
+
+    /// Check the image against itself: every `size` matches the level
+    /// structure, levels step down from the fragment roots by one, the
+    /// chunk summaries and posting indexes equal a rebuild from the rows,
+    /// attribute owners are in range and ordered, only text, comment and
+    /// PI rows carry text, and the start index and counts add up.
+    pub fn check_invariants(&self) -> Result<(), String> {
+        let mut rows = 0usize;
+        let mut attrs = 0usize;
+        for (ci, c) in self.chunks.iter().enumerate() {
+            if c.len() == 0 {
+                return Err(format!("chunk {ci} is empty"));
+            }
+            if self.starts.get(ci) != Some(&rows) {
+                return Err(format!("chunk {ci}: stale start index"));
+            }
+            rows += c.len();
+            attrs += c.attr_owner.len();
+            if c.attr_owner.windows(2).any(|w| w[0] > w[1])
+                || c.attr_owner.last().is_some_and(|&o| o as usize >= c.len())
+            {
+                return Err(format!(
+                    "chunk {ci}: attribute owners out of order or range"
+                ));
+            }
+            for (l, text) in c.text.iter().enumerate() {
+                if text.is_some() != carries_text(code_kind(c.kind[l])) {
+                    return Err(format!(
+                        "row {}: text column disagrees with kind",
+                        self.starts[ci] + l
+                    ));
+                }
+            }
+        }
+        if (rows, attrs) != (self.len, self.attr_count) {
+            return Err(format!(
+                "counts ({rows}, {attrs}) != recorded ({}, {})",
+                self.len, self.attr_count
+            ));
+        }
+        self.summaries_are_fresh()?;
+        self.check_tree()
+    }
+
+    /// Every `size` matches the level structure, and levels step down from
+    /// the fragment roots (level 0) by one — checked against a stack of
+    /// the open ancestors.
+    pub(crate) fn check_tree(&self) -> Result<(), String> {
+        let mut open: Vec<(u32, u16)> = Vec::new();
+        let close = |open: &mut Vec<(u32, u16)>, until: u16, at: u32| {
+            while let Some(&(p, lv)) = open.last() {
+                if lv < until {
+                    break;
+                }
+                open.pop();
+                if self.node_size(p) != at - p - 1 {
+                    return Err(format!(
+                        "size of {p} is {} not {}",
+                        self.node_size(p),
+                        at - p - 1
+                    ));
+                }
+            }
+            Ok(())
+        };
+        for v in 0..self.len as u32 {
+            let level = self.node_level(v);
+            close(&mut open, level, v)?;
+            let expect = open.last().map_or(0, |&(_, lv)| lv + 1);
+            if level != expect {
+                return Err(format!("level of {v} is {level} not {expect}"));
+            }
+            open.push((v, level));
+        }
+        close(&mut open, 0, self.len as u32)
+    }
 
     /// Compare the *decoded* content of two images: per-row structural
-    /// values and names, and per-row attributes.  Dictionary identity and
-    /// chunk geometry are deliberately not compared — the incrementally
-    /// maintained image may keep dictionary entries for names no longer
-    /// present and may have ragged chunks, and the two sides may even use
-    /// different chunk row targets.
+    /// values, names and texts, and per-row attributes.  Dictionary
+    /// identity and chunk geometry are deliberately not compared — the
+    /// incrementally maintained image may keep dictionary entries for
+    /// names no longer present and may have ragged chunks, and the two
+    /// sides may even use different chunk row targets.
     pub fn same_content(&self, other: &DocumentColumns) -> Result<(), String> {
         self.summaries_are_fresh()?;
         other.summaries_are_fresh()?;
@@ -1037,6 +1182,13 @@ impl DocumentColumns {
                     "name at {i}: `{}` != `{}`",
                     self.node_name(p),
                     other.node_name(p)
+                ));
+            }
+            if self.node_text(p) != other.node_text(p) {
+                return Err(format!(
+                    "text at {i}: {:?} != {:?}",
+                    self.node_text(p),
+                    other.node_text(p)
                 ));
             }
         }
@@ -1206,6 +1358,39 @@ mod tests {
         a.same_content(&b).unwrap();
         b.add_size(0, 1);
         assert!(a.same_content(&b).is_err());
+    }
+
+    #[test]
+    fn check_invariants_catches_a_broken_image() -> Result<(), Box<dyn std::error::Error>> {
+        let (_, mut cols) = shred_to_columns("t", XML, &ShredOptions::default())?;
+        cols.check_invariants()?;
+        // a size that disagrees with the level structure
+        cols.add_size(1, 1);
+        assert!(cols.check_invariants().is_err());
+        cols.add_size(1, -1);
+        // text on an element row
+        let (ci, l) = cols.locate(1);
+        Arc::make_mut(&mut cols.chunks[ci]).text[l] = Some(Arc::from("x"));
+        assert!(cols.check_invariants().is_err());
+        Ok(())
+    }
+
+    /// Texts and PI targets live in the chunk: the text column holds the
+    /// content of text, comment and PI rows, the name column the PI target.
+    #[test]
+    fn text_column_and_pi_targets() -> Result<(), Box<dyn std::error::Error>> {
+        let xml = "<a><!--note--><?tgt data?>x<b/></a>";
+        let (doc, cols) = shred_to_columns("t", xml, &ShredOptions::default())?;
+        cols.check_invariants()?;
+        for pre in 0..doc.len() as u32 {
+            assert_eq!(cols.node_text(pre).map_or("", |t| t), doc.text_of(pre));
+        }
+        assert_eq!(cols.node_name(2), "tgt");
+        // the posting index holds elements only: the PI target is no step
+        // candidate
+        let code = cols.tags().code_of("tgt").ok_or("target encoded")?;
+        assert!(cols.chunk_named(0, code).offsets.is_empty());
+        Ok(())
     }
 
     /// A wide flat document: root + n <r i="i"><t>text</t></r> children.

@@ -4,6 +4,8 @@
 //!
 //! ## Snapshot file format (version 1)
 //!
+//! One page per column chunk, each page the chunk's rows as tuples:
+//!
 //! ```text
 //! "MXQP" | version:u16 | name:str | page_count:u32
 //! per page:  body_len:u32 | crc:u32 (over body) | body
@@ -13,10 +15,14 @@
 //! str:       len:u32 | utf-8 bytes
 //! ```
 //!
-//! All integers little-endian.  Prefix-sum offsets, fragment roots and the
-//! relational column image (with its summaries and element-name index) are
-//! **not** stored: they are deterministically recomputed on load, so the
-//! file can never disagree with them.  Each page body carries its own CRC-32 so a
+//! All integers little-endian.  The `name` of an element is its tag, of a
+//! PI its target, of a document node `#document`; other rows store the
+//! empty string.  Fragment roots, the chunk summaries and the element-name
+//! index are **not** stored: they are deterministically recomputed on
+//! load, so the file can never disagree with them.  Page boundaries carry
+//! no meaning either: a load concatenates the pages' rows and cuts them
+//! into chunks at the default row target, so an image written under any
+//! page geometry opens.  Each page body carries its own CRC-32 so a
 //! corrupted file is detected before any half-decoded state escapes.
 //!
 //! Document fragments (WAL payload content) use the same tuple stream
@@ -26,9 +32,10 @@ use std::sync::Arc;
 
 use mxq_wal::crc32;
 
+use crate::columns::{DocumentColumns, DEFAULT_CHUNK_ROWS};
 use crate::doc::Document;
 use crate::node::NodeKind;
-use crate::update::{materialize, tuples_of, Page, PagedSnapshot, Tuple};
+use crate::update::{materialize, tuples_of, PagedSnapshot, Tuple};
 
 /// Magic bytes of a paged-snapshot image.
 pub const SNAPSHOT_MAGIC: &[u8; 4] = b"MXQP";
@@ -145,17 +152,29 @@ fn byte_kind(b: u8) -> Result<NodeKind, DiskError> {
     })
 }
 
-fn put_tuple(out: &mut Vec<u8>, t: &Tuple) {
-    out.push(kind_byte(t.kind));
-    out.extend_from_slice(&t.level.to_le_bytes());
-    out.extend_from_slice(&t.size.to_le_bytes());
-    put_str(out, &t.name);
-    put_str(out, &t.text);
-    out.extend_from_slice(&(t.attrs.len() as u16).to_le_bytes());
-    for (n, v) in &t.attrs {
+/// Encode one tuple from its fields.
+fn put_row<'a>(
+    out: &mut Vec<u8>,
+    (kind, level, size): (NodeKind, u16, u32),
+    name: &str,
+    text: &str,
+    attrs: impl ExactSizeIterator<Item = (&'a str, &'a str)>,
+) {
+    out.push(kind_byte(kind));
+    out.extend_from_slice(&level.to_le_bytes());
+    out.extend_from_slice(&size.to_le_bytes());
+    put_str(out, name);
+    put_str(out, text);
+    out.extend_from_slice(&(attrs.len() as u16).to_le_bytes());
+    for (n, v) in attrs {
         put_str(out, n);
         put_str(out, v);
     }
+}
+
+fn put_tuple(out: &mut Vec<u8>, t: &Tuple) {
+    let attrs = t.attrs.iter().map(|(n, v)| (&**n, &**v));
+    put_row(out, (t.kind, t.level, t.size), &t.name, &t.text, attrs);
 }
 
 fn read_tuple(r: &mut Reader<'_>) -> Result<Tuple, DiskError> {
@@ -185,21 +204,38 @@ fn read_tuple(r: &mut Reader<'_>) -> Result<Tuple, DiskError> {
 // snapshot images
 // ---------------------------------------------------------------------------
 
-/// Encode a published snapshot as a self-contained, checksummed image.
+/// Encode a published snapshot as a self-contained, checksummed image:
+/// one page per column chunk.
 pub fn encode_snapshot(snap: &PagedSnapshot) -> Vec<u8> {
-    let pages = snap.pages();
+    let cols = snap.columns();
+    let (tags, names, values) = (cols.tags(), cols.attr_names(), cols.attr_values());
     let mut out = Vec::new();
     out.extend_from_slice(SNAPSHOT_MAGIC);
     out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
     put_str(&mut out, snap.name());
-    out.extend_from_slice(&(pages.len() as u32).to_le_bytes());
+    out.extend_from_slice(&(cols.chunk_count() as u32).to_le_bytes());
     let mut body = Vec::new();
-    for page in pages {
+    for ci in 0..cols.chunk_count() {
+        let (start, rows) = cols.chunk_span(ci);
         body.clear();
-        body.extend_from_slice(&(page.tuples().len() as u32).to_le_bytes());
-        for t in page.tuples() {
-            put_tuple(&mut body, t);
-        }
+        body.extend_from_slice(&(rows as u32).to_le_bytes());
+        cols.walk_rows(start, rows, |row| {
+            let name = match row.kind {
+                NodeKind::Element | NodeKind::ProcessingInstruction => tags.str_of(row.name_code),
+                NodeKind::Document => "#document",
+                _ => "",
+            };
+            let attrs = row.attr_names.iter().zip(row.attr_values);
+            let attrs = attrs.map(|(&n, &v)| (&**names.str_of(n), &**values.str_of(v)));
+            let text = row.text.map_or("", |t| t);
+            put_row(
+                &mut body,
+                (row.kind, row.level, row.size),
+                name,
+                text,
+                attrs,
+            );
+        });
         out.extend_from_slice(&(body.len() as u32).to_le_bytes());
         out.extend_from_slice(&crc32(&body).to_le_bytes());
         out.extend_from_slice(&body);
@@ -207,8 +243,9 @@ pub fn encode_snapshot(snap: &PagedSnapshot) -> Vec<u8> {
     out
 }
 
-/// Decode a snapshot image, verifying the per-page checksums, and rebuild
-/// the derived state (summaries, offsets, fragment roots, column image).
+/// Decode a snapshot image, verifying the per-page checksums, and build
+/// the column image (at the default chunk row target) and the derived
+/// state (summaries, name index, fragment roots) from its rows.
 pub fn decode_snapshot(bytes: &[u8]) -> Result<PagedSnapshot, DiskError> {
     let mut r = Reader::new(bytes);
     if r.take(4)? != SNAPSHOT_MAGIC {
@@ -220,7 +257,7 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<PagedSnapshot, DiskError> {
     }
     let name = r.str()?.to_string();
     let page_count = r.u32()? as usize;
-    let mut pages = Vec::with_capacity(page_count);
+    let mut rows = Vec::new();
     for page_idx in 0..page_count {
         let body_len = r.u32()? as usize;
         let crc = r.u32()?;
@@ -230,19 +267,22 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<PagedSnapshot, DiskError> {
         }
         let mut pr = Reader::new(body);
         let tuple_count = pr.u32()? as usize;
-        let mut tuples = Vec::with_capacity(tuple_count);
         for _ in 0..tuple_count {
-            tuples.push(read_tuple(&mut pr)?);
+            rows.push(read_tuple(&mut pr)?);
         }
         if !pr.done() {
             return Err(DiskError::Malformed("trailing bytes in page body"));
         }
-        pages.push(Arc::new(Page::from_tuples(tuples)));
     }
     if !r.done() {
         return Err(DiskError::Malformed("trailing bytes after last page"));
     }
-    Ok(PagedSnapshot::from_pages(name, pages))
+    let columns = DocumentColumns::from_rows(&rows, DEFAULT_CHUNK_ROWS);
+    // the stored sizes are trusted by every read: hold them to the levels
+    columns
+        .check_tree()
+        .map_err(|_| DiskError::Malformed("sizes disagree with the level structure"))?;
+    Ok(PagedSnapshot::new(name, Arc::new(columns)))
 }
 
 // ---------------------------------------------------------------------------
@@ -292,10 +332,12 @@ mod tests {
     use super::*;
     use crate::read::NodeRead;
     use crate::serialize::serialize_document;
-    use crate::shred::{shred, ShredOptions};
+    use crate::shred::{shred, ShredError, ShredOptions};
     use crate::update::PagedDocument;
 
-    fn sample_snapshot(page_size: usize, fill: u8) -> PagedSnapshot {
+    type TestResult = Result<(), Box<dyn std::error::Error>>;
+
+    fn sample_document() -> Result<Document, ShredError> {
         let xml = "<site id=\"s1\"><people><person id=\"p0\"><name>Ada</name></person>\
                    <person id=\"p1\"><name>Grace</name></person></people>\
                    <!--note--><?pi data?><items><item/><item price=\"3\">x</item></items></site>";
@@ -303,27 +345,56 @@ mod tests {
             document_node: true,
             ..ShredOptions::default()
         };
-        let doc = shred("sample.xml", xml, &opts).unwrap();
-        PagedDocument::from_document(&doc, page_size, fill).snapshot()
+        shred("sample.xml", xml, &opts)
+    }
+
+    fn sample_snapshot(chunk_rows: usize) -> Result<PagedSnapshot, ShredError> {
+        let mut paged = PagedDocument::from_document(&sample_document()?);
+        paged.rechunk_columns(chunk_rows);
+        Ok(paged.snapshot())
+    }
+
+    /// A snapshot image of `pages`, encoded tuple by tuple.
+    fn image_of_pages(name: &str, pages: &[&[Tuple]]) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(SNAPSHOT_MAGIC);
+        bytes.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+        put_str(&mut bytes, name);
+        bytes.extend_from_slice(&(pages.len() as u32).to_le_bytes());
+        for page in pages {
+            let mut body = (page.len() as u32).to_le_bytes().to_vec();
+            for t in *page {
+                put_tuple(&mut body, t);
+            }
+            bytes.extend_from_slice(&(body.len() as u32).to_le_bytes());
+            bytes.extend_from_slice(&crc32(&body).to_le_bytes());
+            bytes.extend_from_slice(&body);
+        }
+        bytes
+    }
+
+    /// Every row of `a` and `b` reads the same, attributes included.
+    fn assert_same_rows(a: &PagedSnapshot, b: &impl NodeRead) {
+        assert_eq!(a.len(), b.len());
+        for pre in 0..a.len() as u32 {
+            assert_eq!(a.size(pre), b.size(pre), "size at {pre}");
+            assert_eq!(a.level(pre), b.level(pre), "level at {pre}");
+            assert_eq!(a.kind(pre), b.kind(pre), "kind at {pre}");
+            assert_eq!(a.name_of(pre), b.name_of(pre), "name at {pre}");
+            assert_eq!(a.text_of(pre), b.text_of(pre), "text at {pre}");
+            assert!(a.attrs(pre).eq(b.attrs(pre)), "attributes at {pre}");
+        }
+        assert_eq!(a.root_pres(), b.root_pres());
     }
 
     #[test]
-    fn snapshot_round_trip_preserves_everything() {
-        for (page_size, fill) in [(4, 50), (8, 100), (64, 75)] {
-            let snap = sample_snapshot(page_size, fill);
+    fn snapshot_round_trip_preserves_everything() -> TestResult {
+        for chunk_rows in [4, 8, 64] {
+            let snap = sample_snapshot(chunk_rows)?;
             let bytes = encode_snapshot(&snap);
-            let back = decode_snapshot(&bytes).unwrap();
+            let back = decode_snapshot(&bytes)?;
             assert_eq!(back.name(), snap.name());
-            assert_eq!(back.len(), snap.len());
-            assert_eq!(back.page_count(), snap.page_count());
-            for pre in 0..snap.len() as u32 {
-                assert_eq!(back.size(pre), snap.size(pre), "size at {pre}");
-                assert_eq!(back.level(pre), snap.level(pre), "level at {pre}");
-                assert_eq!(back.kind(pre), snap.kind(pre), "kind at {pre}");
-                assert_eq!(back.name_of(pre), snap.name_of(pre), "name at {pre}");
-                assert_eq!(back.text_of(pre), snap.text_of(pre), "text at {pre}");
-            }
-            assert_eq!(back.root_pres(), snap.root_pres());
+            assert_same_rows(&back, &snap);
             let mut ids = 0;
             for pre in 0..snap.len() as u32 {
                 let id = snap.attribute(pre, "id");
@@ -331,13 +402,60 @@ mod tests {
                 ids += id.is_some() as u32;
             }
             assert_eq!(ids, 3, "sample has three id attributes");
-            back.columns().same_content(snap.columns()).unwrap();
+            // the content survives whatever the chunking of the writer; the
+            // reader cuts chunks at its own row target
+            back.columns().same_content(snap.columns())?;
+            back.columns().check_invariants()?;
+            assert_eq!(back.columns().chunk_rows(), DEFAULT_CHUNK_ROWS);
         }
+        Ok(())
+    }
+
+    /// An image in 48-tuple pages — the geometry earlier builds wrote
+    /// (64-tuple pages filled to 75 %), encoded tuple by tuple — opens to
+    /// the document it was written from.
+    #[test]
+    fn page_table_image_opens() -> TestResult {
+        let mut xml = String::from("<site>");
+        for i in 0..40 {
+            xml.push_str(&format!("<item n=\"{i}\"><!--c{i}--><?p{i} d?>t{i}</item>"));
+        }
+        xml.push_str("</site>");
+        let opts = ShredOptions {
+            document_node: true,
+            ..ShredOptions::default()
+        };
+        let doc = shred("old.xml", &xml, &opts)?;
+        let tuples = tuples_of(&doc);
+        let pages: Vec<&[Tuple]> = tuples.chunks(48).collect();
+        assert!(pages.len() > 2, "the image spans several pages");
+        let bytes = image_of_pages("old.xml", &pages);
+        let back = decode_snapshot(&bytes)?;
+        assert_eq!(back.name(), "old.xml");
+        assert_same_rows(&back, &doc);
+        back.columns().check_invariants()?;
+        back.columns().same_content(&DocumentColumns::new(&doc))?;
+        assert_eq!(serialize_document(&back), serialize_document(&doc));
+        Ok(())
+    }
+
+    /// A checksum-valid image whose stored sizes contradict its levels is
+    /// rejected, not loaded.
+    #[test]
+    fn inconsistent_sizes_are_rejected() -> TestResult {
+        let mut tuples = tuples_of(&sample_document()?);
+        tuples[1].size += 1;
+        let bytes = image_of_pages("bad.xml", &[&tuples]);
+        assert!(matches!(
+            decode_snapshot(&bytes),
+            Err(DiskError::Malformed(_))
+        ));
+        Ok(())
     }
 
     #[test]
-    fn corrupted_page_is_detected() {
-        let snap = sample_snapshot(4, 75);
+    fn corrupted_page_is_detected() -> TestResult {
+        let snap = sample_snapshot(4)?;
         let bytes = encode_snapshot(&snap);
         // flip a byte inside the last page's body
         let mut corrupted = bytes.clone();
@@ -353,16 +471,18 @@ mod tests {
             Err(DiskError::Truncated) | Err(DiskError::Malformed(_))
         ));
         // wrong magic
-        assert_eq!(decode_snapshot(b"nope").unwrap_err(), DiskError::BadMagic);
+        assert!(matches!(decode_snapshot(b"nope"), Err(DiskError::BadMagic)));
+        Ok(())
     }
 
     #[test]
-    fn document_fragment_round_trip() {
+    fn document_fragment_round_trip() -> TestResult {
         let xml = "<bidder><date>01/01/2000</date><increase a=\"b\">9.00</increase></bidder>";
-        let doc = shred("frag", xml, &ShredOptions::default()).unwrap();
+        let doc = shred("frag", xml, &ShredOptions::default())?;
         let bytes = encode_document(&doc);
-        let back = decode_document(&bytes).unwrap();
+        let back = decode_document(&bytes)?;
         assert_eq!(serialize_document(&back), serialize_document(&doc));
         assert_eq!(back.name, "frag");
+        Ok(())
     }
 }

@@ -19,10 +19,10 @@ use std::sync::Arc;
 
 use mxq_engine::Item;
 
+use crate::columns::DocumentColumns;
 use crate::node::{AttrRow, NodeKind};
 use crate::read::{AttrsIter, NamedRun, NodeRead};
 use crate::store::ContainerRef;
-use crate::update::PagedSnapshot;
 
 /// A document container: structural table + property containers.
 #[derive(Debug, Clone, Default)]
@@ -117,6 +117,28 @@ impl Document {
         (self.kind(pre) == NodeKind::Text).then(|| &self.texts[self.prop[pre as usize] as usize])
     }
 
+    /// The shared content of the text, comment or PI node at `pre` (`None`
+    /// for other kinds).
+    pub(crate) fn content_arc(&self, pre: u32) -> Option<&Arc<str>> {
+        match self.kind(pre) {
+            NodeKind::Text | NodeKind::Comment | NodeKind::ProcessingInstruction => {
+                Some(&self.texts[self.prop[pre as usize] as usize])
+            }
+            _ => None,
+        }
+    }
+
+    /// The shared name of the element or target of the PI at `pre` (`None`
+    /// for other kinds).
+    pub(crate) fn name_arc(&self, pre: u32) -> Option<&Arc<str>> {
+        let prop = self.prop[pre as usize] as usize;
+        match self.kind(pre) {
+            NodeKind::Element => Some(&self.qnames[prop]),
+            NodeKind::ProcessingInstruction => Some(&self.pi_targets[prop]),
+            _ => None,
+        }
+    }
+
     /// All attributes of element `pre` (empty slice for non-elements).
     pub fn attributes(&self, pre: u32) -> &[AttrRow] {
         let start = self.attrs.partition_point(|a| a.owner < pre);
@@ -148,7 +170,7 @@ impl Document {
     /// copied root in `self`.  This is the "pasting of encodings" used for
     /// element construction (Sections 2 and 5.1), generic over
     /// [`NodeRead`]; the executor's copies take the two bulk paths instead,
-    /// [`Document::copy_subtree_within`] and `Document::copy_from_pages`.
+    /// [`Document::copy_subtree_within`] and `Document::copy_from_columns`.
     pub fn copy_subtree<D: NodeRead>(&mut self, src: &D, src_pre: u32, level_base: u16) -> u32 {
         let root_new = self.len() as u32;
         let src_level_base = src.level(src_pre);
@@ -212,46 +234,54 @@ impl Document {
         root_new as u32
     }
 
-    /// [`Document::copy_subtree`] out of the paged store by walking its
-    /// pages: the subtree is located once and its page tuples are read in
+    /// [`Document::copy_subtree`] out of the paged store by a walk over
+    /// its chunk rows: the subtree is located once and its rows are read in
     /// order.  Texts, PI targets and attribute strings are shared with the
-    /// tuples (a reference-count bump each), and each distinct element
-    /// name is interned once per copy, through a map from the source's tag
-    /// codes.
-    pub(crate) fn copy_from_pages(
+    /// image and its dictionaries (a reference-count bump each), and each
+    /// distinct element name is interned once per copy, through a map from
+    /// the source's tag codes.
+    pub(crate) fn copy_from_columns(
         &mut self,
-        src: &PagedSnapshot,
+        src: &DocumentColumns,
         src_pre: u32,
         level_base: u16,
     ) -> u32 {
         let root_new = self.len() as u32;
-        let mut tuples = src.subtree_tuples(src_pre).peekable();
-        let src_level = tuples.peek().map_or(0, |t| t.level);
+        let src_level = src.node_level(src_pre);
+        let (tags, names, values) = (src.tags(), src.attr_names(), src.attr_values());
         // source tag code → name id in this container (`u32::MAX`: not yet)
         let mut qids: Vec<u32> = Vec::new();
-        for (pre, t) in (src_pre..).zip(tuples) {
-            debug_assert_eq!((t.size, t.level), (src.size(pre), src.level(pre)));
-            let prop = match t.kind {
+        let rows = src.node_size(src_pre) as usize + 1;
+        src.walk_rows(src_pre, rows, |row| {
+            let text = || row.text.cloned().unwrap_or_default();
+            let prop = match row.kind {
                 NodeKind::Element => {
-                    let code = src.columns().node_name_code(pre) as usize;
+                    let code = row.name_code as usize;
                     if code >= qids.len() {
                         qids.resize(code + 1, u32::MAX);
                     }
                     if qids[code] == u32::MAX {
-                        qids[code] = self.intern_qname(&t.name);
+                        qids[code] = self.intern_qname(tags.str_of(row.name_code));
                     }
                     qids[code]
                 }
                 NodeKind::Document => 0,
-                NodeKind::Text | NodeKind::Comment => self.push_text(t.text.clone()),
-                NodeKind::ProcessingInstruction => self.push_pi(t.name.clone(), t.text.clone()),
+                NodeKind::Text | NodeKind::Comment => self.push_text(text()),
+                NodeKind::ProcessingInstruction => {
+                    self.push_pi(tags.str_of(row.name_code).clone(), text())
+                }
             };
             let owner = self.len() as u32;
-            self.push_row(t.size, level_base + (t.level - src_level), t.kind, prop);
-            for (name, value) in &t.attrs {
-                self.push_attr(owner, name.clone(), value.clone());
+            self.push_row(
+                row.size,
+                level_base + (row.level - src_level),
+                row.kind,
+                prop,
+            );
+            for (&n, &v) in row.attr_names.iter().zip(row.attr_values) {
+                self.push_attr(owner, names.str_of(n).clone(), values.str_of(v).clone());
             }
-        }
+        });
         root_new
     }
 
@@ -548,12 +578,12 @@ impl DocumentBuilder {
     }
 
     /// [`DocumentBuilder::copy_subtree`] from a store container, walking
-    /// the pages of a paged one (`Document::copy_from_pages`).
+    /// the chunk rows of a paged one (`Document::copy_from_columns`).
     fn copy_from(&mut self, src: ContainerRef<'_>, src_pre: u32) -> u32 {
         self.next_row();
         match src {
             ContainerRef::Doc(d) => self.doc.copy_subtree(d, src_pre, self.level),
-            ContainerRef::Paged(p) => self.doc.copy_from_pages(p, src_pre, self.level),
+            ContainerRef::Paged(p) => self.doc.copy_from_columns(p.columns(), src_pre, self.level),
         }
     }
 
@@ -736,8 +766,8 @@ mod tests {
         t.check_invariants().unwrap();
     }
 
-    /// The range copy within a container and the page walk out of the
-    /// paged store (four-tuple pages, so the copies cross page bounds)
+    /// The range copy within a container and the column walk out of the
+    /// paged store (four-row chunks, so the copies cross chunk bounds)
     /// append the rows a per-node copy from a snapshot appends.
     #[test]
     fn copy_subtree_within_equals_copy_from_a_snapshot() {
@@ -752,7 +782,9 @@ mod tests {
         b.end_element();
         b.end_element();
         let base = b.finish();
-        let pages = PagedDocument::from_document(&base, 4, 75).snapshot();
+        let mut paged = PagedDocument::from_document(&base);
+        paged.rechunk_columns(4);
+        let pages = paged.snapshot();
 
         let build = |how: u8| {
             let mut b = DocumentBuilder::append_to(base.clone(), 0);

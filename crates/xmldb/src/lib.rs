@@ -13,10 +13,11 @@
 //! * a **document shredder** ([`shred()`](shred::shred)) that parses XML text into the
 //!   encoding with sequential writes, and a **serializer** ([`serialize`])
 //!   that reconstructs XML text with sequential reads;
-//! * a **relational image** ([`columns`]): dense structural and attribute
-//!   columns with dictionary-encoded names (`Column::Dict` over shared
-//!   sorted dictionaries), **incrementally maintained** by the paged
-//!   update path (delta-patched per primitive, never rebuilt);
+//! * a **relational image** ([`columns`]): dense structural, text and
+//!   attribute columns with dictionary-encoded names (`Column::Dict` over
+//!   shared sorted dictionaries), cut into chunks — the only store of a
+//!   loaded document, **incrementally maintained** by the paged update
+//!   path (delta-patched per primitive, never rebuilt);
 //! * a **document store** ([`store::DocStore`]) holding one container per
 //!   loaded document plus a transient container for nodes constructed during
 //!   query evaluation — loaded documents live in the **paged store**
@@ -24,11 +25,12 @@
 //!   query and the update path;
 //! * the **canonical read API** ([`read::NodeRead`]) every representation
 //!   implements: pre/size/level/name-id/text/attribute cursors plus
-//!   storage-run summaries that let scans skip whole pages;
-//! * the **structural update scheme** of Section 5.2 ([`update`]): page-wise
-//!   remappable pre-numbers with unused tuples (pages `Arc`-shared with
-//!   published snapshots, copied on first write), compared against a naive
-//!   renumbering baseline.
+//!   storage-run summaries that let scans skip whole chunks;
+//! * the **structural update scheme** of Section 5.2 ([`update`]): chunk-wise
+//!   remappable pre-numbers (chunks `Arc`-shared with published snapshots,
+//!   copied on first write, split when they outgrow their row target),
+//!   compared against a naive renumbering baseline;
+//! * **on-disk images** ([`disk`]): one checksummed page per chunk.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -51,7 +53,6 @@ pub use read::{AttrsIter, NamedRun, NodeRead};
 pub use serialize::{serialize_document, serialize_node};
 pub use shred::{shred, ShredError, ShredOptions};
 pub use store::{
-    Container, ContainerRef, DocStore, EvictedPaged, StoreError, StoreSnapshot,
-    DEFAULT_FILL_PERCENT, DEFAULT_PAGE_SIZE, TRANSIENT_FRAG,
+    Container, ContainerRef, DocStore, EvictedPaged, StoreError, StoreSnapshot, TRANSIENT_FRAG,
 };
 pub use update::{NaiveDocument, PagedDocument, PagedSnapshot, StructuralUpdate, UpdateStats};

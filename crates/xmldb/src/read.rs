@@ -8,7 +8,7 @@
 //!   by the shredder (and still used for the transient container holding
 //!   constructed nodes and for content fragments), and
 //! * [`PagedSnapshot`](crate::update::PagedSnapshot), the immutable
-//!   published view of the paged store — the representation loaded
+//!   published view of the paged store — the chunked column image loaded
 //!   documents live in, end-to-end.
 //!
 //! The `run_*` methods expose *storage runs* to the staircase-join sweeps:
@@ -175,15 +175,12 @@ impl<D: NodeRead> Iterator for Children<'_, D> {
     }
 }
 
-/// Iterator over the attributes of one element, unifying the three
-/// attribute storages: [`AttrRow`] slices (flat documents), inline
-/// name/value pairs (page tuples) and the dictionary-encoded attribute
-/// columns (the paged read view).
+/// Iterator over the attributes of one element, unifying the two
+/// attribute storages: [`AttrRow`] slices (flat documents) and the
+/// dictionary-encoded attribute columns (the paged read view).
 pub enum AttrsIter<'a> {
     /// Attribute rows of a flat [`Document`](crate::Document).
     Rows(std::slice::Iter<'a, AttrRow>),
-    /// Inline (name, value) pairs of a page tuple.
-    Pairs(std::slice::Iter<'a, (Arc<str>, Arc<str>)>),
     /// A slice of the dictionary-encoded attribute columns — both the names
     /// and the values resolve through shared sorted dictionaries.
     Dict {
@@ -206,7 +203,6 @@ impl<'a> Iterator for AttrsIter<'a> {
     fn next(&mut self) -> Option<(&'a Arc<str>, &'a Arc<str>)> {
         match self {
             AttrsIter::Rows(it) => it.next().map(|a| (&a.name, &a.value)),
-            AttrsIter::Pairs(it) => it.next().map(|(n, v)| (n, v)),
             AttrsIter::Dict {
                 names,
                 codes,

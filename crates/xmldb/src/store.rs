@@ -6,19 +6,20 @@
 //! [`NodeId`] = (fragment id, preorder rank); fragment 0 is always the
 //! transient container, loaded documents get fragments 1, 2, ….
 //!
-//! **The paged store is the source of truth**: loading a document shreds
-//! it straight into logical pages ([`crate::update::PagedDocument`]) and
-//! the store keeps only the published immutable view — an
-//! [`Arc<PagedSnapshot>`] pinning the page set and the incrementally
-//! maintained column image.  Only the transient container (per-execution
-//! constructed nodes) remains a flat [`Document`].  Readers address both
-//! through [`ContainerRef`], which implements [`NodeRead`].
+//! **The paged store is the source of truth**: loading a document stores
+//! it as its chunked column image ([`crate::columns::DocumentColumns`],
+//! whose chunks are the logical pages of [`crate::update::PagedDocument`])
+//! and the store keeps only the published immutable view — an
+//! [`Arc<PagedSnapshot>`] pinning that image.  Only the transient
+//! container (per-execution constructed nodes) remains a flat
+//! [`Document`].  Readers address both through [`ContainerRef`], which
+//! implements [`NodeRead`].
 //!
 //! Containers are held behind [`Arc`] so that a [`StoreSnapshot`] — the
 //! immutable view a query executes against — is a cheap clone of the
-//! container list.  Publishing an updated page set ([`DocStore::publish`])
+//! container list.  Publishing an updated image ([`DocStore::publish`])
 //! swaps one `Arc` and bumps the store **generation counter**; snapshots
-//! taken before the swap keep the old pages alive, which is what gives
+//! taken before the swap keep the old chunks alive, which is what gives
 //! concurrent readers snapshot isolation for free.
 
 use std::collections::HashMap;
@@ -60,17 +61,12 @@ impl std::fmt::Display for StoreError {
 
 impl std::error::Error for StoreError {}
 
-/// Default logical page size (tuples) for the paged store.
-pub const DEFAULT_PAGE_SIZE: usize = 64;
-/// Default page fill factor (percent) for the paged store.
-pub const DEFAULT_FILL_PERCENT: u8 = 75;
-
-/// A clean paged document whose pages were dropped from memory under an
+/// A clean paged document whose image was dropped from memory under an
 /// eviction budget.  The on-disk image (written by a checkpoint) is the
 /// backing copy; the first read after eviction faults the snapshot back in
 /// and caches it for the lifetime of this container value.
 ///
-/// Snapshots taken *before* the eviction still pin the old pages — eviction
+/// Snapshots taken *before* the eviction still pin the old image — eviction
 /// frees memory only once those snapshots are dropped, which is the same
 /// grace rule `publish` follows.
 #[derive(Debug)]
@@ -124,7 +120,7 @@ impl EvictedPaged {
 pub enum Container {
     /// A flat pre|size|level table (the transient container).
     Doc(Arc<Document>),
-    /// The published view of a paged document (pages + column image).
+    /// The published view of a paged document (its column image).
     Paged(Arc<PagedSnapshot>),
     /// A clean paged document dropped under a memory budget; reads fault
     /// it back in from the checkpoint image.
@@ -260,8 +256,6 @@ pub struct DocStore {
     /// cached state derived from a snapshot can be revalidated with one
     /// integer compare.
     generation: u64,
-    page_size: usize,
-    fill_percent: u8,
 }
 
 impl Default for DocStore {
@@ -277,8 +271,6 @@ impl DocStore {
             containers: vec![Container::Doc(Arc::new(Document::new("#transient")))],
             by_name: Arc::new(HashMap::new()),
             generation: 0,
-            page_size: DEFAULT_PAGE_SIZE,
-            fill_percent: DEFAULT_FILL_PERCENT,
         }
     }
 
@@ -294,35 +286,11 @@ impl DocStore {
         self.generation
     }
 
-    /// The page policy (logical page size in tuples, fill factor in percent)
-    /// applied to documents loaded after the call.
-    ///
-    /// # Panics
-    /// Panics unless `page_size` is a power of two ≥ 2 and
-    /// `fill_percent ∈ (0, 100]`.
-    pub fn set_page_policy(&mut self, page_size: usize, fill_percent: u8) {
-        assert!(
-            page_size.is_power_of_two() && page_size >= 2,
-            "page_size must be a power of two >= 2"
-        );
-        assert!(
-            (1..=100).contains(&fill_percent),
-            "fill_percent must be in 1..=100"
-        );
-        self.page_size = page_size;
-        self.fill_percent = fill_percent;
-    }
-
-    /// The configured page policy as (page size, fill percent).
-    pub fn page_policy(&self) -> (usize, u8) {
-        (self.page_size, self.fill_percent)
-    }
-
-    /// Load an already shredded document: pages it under the configured
-    /// policy and publishes the paged view.  Returns the fragment id.
+    /// Load an already shredded document: stores it as its column image
+    /// and publishes the paged view.  Returns the fragment id.
     pub fn add_document(&mut self, doc: Document) -> u32 {
-        let paged = PagedDocument::from_document(&doc, self.page_size, self.fill_percent);
-        self.add_paged(&doc.name.clone(), Arc::new(paged.snapshot()))
+        let paged = PagedDocument::from_document(&doc);
+        self.add_paged(&doc.name, Arc::new(paged.snapshot()))
     }
 
     /// Register a published paged view under a name, returning its fragment
@@ -352,10 +320,10 @@ impl DocStore {
         self.by_name.get(name).copied()
     }
 
-    /// Publish an updated page set for the container at `frag` (the
+    /// Publish an updated image for the container at `frag` (the
     /// fragment id — and with it every `NodeId` namespace — stays stable).
     /// This is the writer's whole critical section: one `Arc` swap.
-    /// Snapshots taken before the call keep observing the old pages.
+    /// Snapshots taken before the call keep observing the old image.
     ///
     /// Fails with [`StoreError`] if the fragment id is unknown or refers to
     /// the transient container; the store is left untouched.
@@ -377,7 +345,7 @@ impl DocStore {
     /// Fails with [`StoreError`] if the fragment id is unknown or refers to
     /// the transient container; the store is left untouched.
     pub fn replace_document(&mut self, frag: u32, doc: Document) -> Result<(), StoreError> {
-        let paged = PagedDocument::from_document(&doc, self.page_size, self.fill_percent);
+        let paged = PagedDocument::from_document(&doc);
         self.publish(frag, Arc::new(paged.snapshot()))
     }
 
@@ -499,7 +467,7 @@ impl DocStore {
         self.generation = generation;
     }
 
-    /// Drop a clean paged document's pages from memory, leaving a fault-in
+    /// Drop a clean paged document's image from memory, leaving a fault-in
     /// stub backed by the on-disk image at `path` (which the caller — the
     /// checkpoint logic — has already written).  Reads fault the snapshot
     /// back in transparently; the generation does not change, because the
@@ -527,7 +495,7 @@ impl DocStore {
         Ok(())
     }
 
-    /// True if the fragment's pages are resident in memory (loaded, or
+    /// True if the fragment's image is resident in memory (loaded, or
     /// evicted and faulted back in).
     pub fn is_resident(&self, frag: u32) -> bool {
         match self.containers.get(frag as usize) {
@@ -537,7 +505,7 @@ impl DocStore {
         }
     }
 
-    /// Approximate bytes of resident page/column data over all loaded
+    /// Approximate bytes of resident column images over all loaded
     /// documents (the quantity an eviction budget is compared against).
     /// Evicted-but-not-faulted documents contribute nothing.
     pub fn resident_page_bytes(&self) -> usize {
@@ -555,7 +523,7 @@ impl DocStore {
 /// An immutable view of a [`DocStore`] at a point in time.
 ///
 /// A snapshot is what a query executes against: it pins every loaded
-/// document's page set and column image (via `Arc`), so a concurrent
+/// document's column image (via `Arc`), so a concurrent
 /// writer publishing an update can never pull the data out from under a
 /// running query or an already produced result.  The
 /// [`StoreSnapshot::generation`] records which store state the snapshot

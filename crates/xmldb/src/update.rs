@@ -2,23 +2,19 @@
 //!
 //! A subtree insert shifts the `pre` rank of every following node and grows
 //! the `size` of every ancestor.  The paper's remedy is an indirection layer:
+//! the document is divided into **logical pages** whose pre numbers are
+//! remapped page by page, so an insert rewrites one page instead of the
+//! whole table, and `size` maintenance uses deltas so the root need not
+//! stay locked.  Here the logical page is a chunk of the document's column
+//! image ([`DocumentColumns`]): a splice lands in one chunk and shifts only
+//! its rows, a chunk that outgrows twice its row target splits into
+//! row-target pieces, and a chunk emptied by deletes is dropped.  The chunk
+//! image is the document's only store.
 //!
-//! * the document is divided into **logical pages** of a power-of-two number
-//!   of tuples, each page shredded with a configurable percentage of unused
-//!   tuples;
-//! * the physical table is append-only (`rid` order); a **page map** lists the
-//!   pages in logical (`pre`) order, so inserting a page "in the middle" only
-//!   appends tuples and adds a page-map entry;
-//! * deletes leave unused tuples in place; inserts that fit a page's free
-//!   space touch only that page; larger inserts split the page and append
-//!   fresh pages, themselves filled only to the configured fill factor so
-//!   later inserts in the same region keep finding free slots;
-//! * `size` maintenance uses deltas so the root need not stay locked.
+//! Two implementations are provided so the ablation (README, "Updates")
+//! can compare them:
 //!
-//! Two implementations are provided so the ablation experiment (E9 in
-//! DESIGN.md) can compare them:
-//!
-//! * [`PagedDocument`] — the paper's scheme; counts pages touched.
+//! * [`PagedDocument`] — the paper's scheme; counts chunks touched.
 //! * [`NaiveDocument`] — textbook renumbering; counts tuples moved.
 //!
 //! Both expose the same update-primitive surface through the
@@ -38,27 +34,22 @@ use crate::read::{AttrsIter, NamedRun, NodeRead};
 /// Cost counters accumulated by the update schemes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct UpdateStats {
-    /// Number of tuples written (inserted, moved or size-adjusted).
+    /// Number of rows written (inserted, moved or size-adjusted).
     pub tuples_written: u64,
-    /// Number of logical pages whose contents were modified.
+    /// Number of logical pages (column chunks) whose contents were
+    /// modified.
     pub pages_touched: u64,
-    /// Number of logical pages newly allocated (appended to the rid table).
+    /// Number of logical pages (column chunks) created by splits.
     pub pages_allocated: u64,
-    /// The page fill factor the scheme was configured with (percent of each
-    /// page used at shredding/split time; 100 for the naive scheme, which
-    /// has no free-space notion).
-    pub fill_percent: u8,
 }
 
 impl UpdateStats {
-    /// Counter increments since `earlier` (the fill factor is carried over
-    /// unchanged — it is configuration, not a counter).
+    /// Counter increments since `earlier`.
     pub fn delta_since(&self, earlier: &UpdateStats) -> UpdateStats {
         UpdateStats {
             tuples_written: self.tuples_written - earlier.tuples_written,
             pages_touched: self.pages_touched - earlier.pages_touched,
             pages_allocated: self.pages_allocated - earlier.pages_allocated,
-            fill_percent: self.fill_percent,
         }
     }
 
@@ -68,7 +59,6 @@ impl UpdateStats {
         self.tuples_written += other.tuples_written;
         self.pages_touched += other.pages_touched;
         self.pages_allocated += other.pages_allocated;
-        self.fill_percent = self.fill_percent.max(other.fill_percent);
     }
 }
 
@@ -123,9 +113,9 @@ pub trait StructuralUpdate {
     fn update_stats(&self) -> UpdateStats;
 }
 
-/// One tuple of the updatable representation, carrying its node properties
-/// inline (the property containers of a read-only [`Document`] are rebuilt on
-/// materialization).
+/// One node row with its properties inline: the row type of the naive
+/// scheme, of the on-disk and WAL codec, and of the rows a splice inserts
+/// into the column image.
 #[derive(Debug, Clone)]
 pub(crate) struct Tuple {
     pub(crate) size: u32,
@@ -139,17 +129,21 @@ pub(crate) struct Tuple {
     pub(crate) attrs: Vec<(Arc<str>, Arc<str>)>,
 }
 
+/// The rows of `doc` in preorder, sharing its name, text and attribute
+/// strings.
 pub(crate) fn tuples_of(doc: &Document) -> Vec<Tuple> {
+    let empty: Arc<str> = Arc::from("");
+    let document: Arc<str> = Arc::from("#document");
     (0..doc.len() as u32)
         .map(|pre| Tuple {
             size: doc.size(pre),
             level: doc.level(pre),
             kind: doc.kind(pre),
             name: match doc.kind(pre) {
-                NodeKind::Document => Arc::from("#document"),
-                _ => Arc::from(doc.name_of(pre)),
+                NodeKind::Document => document.clone(),
+                _ => doc.name_arc(pre).unwrap_or(&empty).clone(),
             },
-            text: Arc::from(doc.text_of(pre)),
+            text: doc.content_arc(pre).unwrap_or(&empty).clone(),
             attrs: doc
                 .attributes(pre)
                 .iter()
@@ -157,6 +151,18 @@ pub(crate) fn tuples_of(doc: &Document) -> Vec<Tuple> {
                 .collect(),
         })
         .collect()
+}
+
+/// A childless text row at `level`.
+fn text_tuple(level: u16, text: &str) -> Tuple {
+    Tuple {
+        size: 0,
+        level,
+        kind: NodeKind::Text,
+        name: Arc::from(""),
+        text: Arc::from(text),
+        attrs: Vec::new(),
+    }
 }
 
 /// Fragment tuples with their levels re-based onto `level_base`.
@@ -241,10 +247,7 @@ impl NaiveDocument {
         NaiveDocument {
             name: doc.name.clone(),
             tuples: tuples_of(doc),
-            stats: UpdateStats {
-                fill_percent: 100,
-                ..UpdateStats::default()
-            },
+            stats: UpdateStats::default(),
         }
     }
 
@@ -404,15 +407,11 @@ impl NaiveDocument {
                 let parent = self.parent(pre);
                 self.shrink_ancestors(parent, removed);
                 if !text.is_empty() {
-                    let t = Tuple {
-                        size: 0,
-                        level: level + 1,
-                        kind: NodeKind::Text,
-                        name: Arc::from(""),
-                        text: Arc::from(text),
-                        attrs: Vec::new(),
-                    };
-                    self.splice_in(pre as usize + 1, vec![t], Some(pre));
+                    self.splice_in(
+                        pre as usize + 1,
+                        vec![text_tuple(level + 1, text)],
+                        Some(pre),
+                    );
                 }
             }
         }
@@ -467,123 +466,47 @@ impl NaiveDocument {
 }
 
 // ---------------------------------------------------------------------------
-// Page-wise remappable pre-numbers (the paper's scheme)
+// Chunk-wise remappable pre-numbers (the paper's scheme)
 // ---------------------------------------------------------------------------
 
-/// A logical page: at most `page_size` used tuples; the remaining slots are
-/// the "unused tuples" of Figure 11.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct Page {
-    tuples: Vec<Tuple>,
-}
-
-impl Page {
-    /// The page's used tuples in logical order (the disk codec walks them).
-    pub(crate) fn tuples(&self) -> &[Tuple] {
-        &self.tuples
-    }
-
-    /// A page over decoded (or freshly shredded) tuples.
-    pub(crate) fn from_tuples(tuples: Vec<Tuple>) -> Page {
-        Page { tuples }
-    }
-}
-
-/// Updatable document with page-wise remappable pre-numbers (Section 5.2).
+/// Updatable document with chunk-wise remappable pre-numbers (Section 5.2).
 ///
-/// This is the **single source of truth** for a loaded document: pages are
-/// the mutation substrate (held behind [`Arc`], copy-on-write per touched
-/// page), and the dense relational image ([`DocumentColumns`]) is patched
-/// in lockstep with every applied primitive instead of being rebuilt.
-/// [`PagedDocument::snapshot`] publishes an immutable [`PagedSnapshot`]
-/// in O(pages): the read view queries scan.
+/// The document's only store is its chunked column image
+/// ([`DocumentColumns`], held behind [`Arc`]): each chunk is a logical
+/// page of the paper's scheme, and each applied primitive is one patch of
+/// the image — a splice that lands in one chunk (splitting it when it
+/// outgrows twice the row target), a removal, a size delta, or an in-place
+/// name, text or attribute write.  Chunks are copied on their first write
+/// after a publish.  [`PagedDocument::snapshot`] publishes an immutable
+/// [`PagedSnapshot`] in O(1) plus the fragment-root scan: the read view
+/// queries scan.
 #[derive(Debug, Clone)]
 pub struct PagedDocument {
     name: String,
-    /// Pages in rid (allocation) order — the table is append-only.
-    pages: Vec<Arc<Page>>,
-    /// Pages in logical (`pre` view) order: indices into `pages`.
-    page_map: Vec<usize>,
-    /// Logical page capacity in tuples (a power of two).
-    page_size: usize,
-    /// Number of tuples a freshly shredded or split page is filled to
-    /// (`page_size * fill_percent / 100`, at least 1).
-    fill: usize,
-    /// Accumulated costs.
-    pub stats: UpdateStats,
-    /// The incrementally maintained relational image (structural columns,
-    /// attribute columns, dictionaries).
+    /// The document: the incrementally maintained relational image.
     columns: Arc<DocumentColumns>,
+    /// Accumulated costs: chunks patched (`pages_touched`), rows written
+    /// (`tuples_written`) and chunks created by splits (`pages_allocated`).
+    pub stats: UpdateStats,
 }
 
 impl PagedDocument {
-    /// Shred an existing document into logical pages, leaving
-    /// `fill_percent` of each page's capacity unused for future inserts.
-    ///
-    /// # Panics
-    /// Panics unless `page_size` is a power of two ≥ 2 and
-    /// `fill_percent ∈ (0, 100]`.
-    pub fn from_document(doc: &Document, page_size: usize, fill_percent: u8) -> Self {
-        assert!(
-            page_size.is_power_of_two() && page_size >= 2,
-            "page_size must be a power of two >= 2"
-        );
-        assert!(
-            (1..=100).contains(&fill_percent),
-            "fill_percent must be in 1..=100"
-        );
-        let fill = ((page_size * fill_percent as usize) / 100).max(1);
-        let tuples = tuples_of(doc);
-        let mut pages = Vec::new();
-        for chunk in tuples.chunks(fill) {
-            pages.push(Arc::new(Page::from_tuples(chunk.to_vec())));
-        }
-        if pages.is_empty() {
-            pages.push(Arc::new(Page::default()));
-        }
-        let page_map = (0..pages.len()).collect();
+    /// Store an existing document as its chunked column image.
+    pub fn from_document(doc: &Document) -> Self {
         PagedDocument {
             name: doc.name.clone(),
-            pages,
-            page_map,
-            page_size,
-            fill,
-            stats: UpdateStats {
-                fill_percent,
-                ..UpdateStats::default()
-            },
             columns: Arc::new(DocumentColumns::new(doc)),
+            stats: UpdateStats::default(),
         }
     }
 
     /// Reconstruct the mutable master from a published [`PagedSnapshot`] —
-    /// cheap (`Arc` clones of pages and columns); pages are copied on
-    /// first write only.
-    pub fn from_snapshot(snap: &PagedSnapshot, page_size: usize, fill_percent: u8) -> Self {
-        assert!(
-            page_size.is_power_of_two() && page_size >= 2,
-            "page_size must be a power of two >= 2"
-        );
-        assert!(
-            (1..=100).contains(&fill_percent),
-            "fill_percent must be in 1..=100"
-        );
-        let fill = ((page_size * fill_percent as usize) / 100).max(1);
-        let mut pages = snap.pages.clone();
-        if pages.is_empty() {
-            pages.push(Arc::new(Page::default()));
-        }
+    /// an `Arc` clone of the image; chunks are copied on first write only.
+    pub fn from_snapshot(snap: &PagedSnapshot) -> Self {
         PagedDocument {
             name: snap.name.clone(),
-            page_map: (0..pages.len()).collect(),
-            pages,
-            page_size,
-            fill,
-            stats: UpdateStats {
-                fill_percent,
-                ..UpdateStats::default()
-            },
             columns: snap.columns.clone(),
+            stats: UpdateStats::default(),
         }
     }
 
@@ -599,53 +522,19 @@ impl PagedDocument {
 
     /// Rebuild the column image at a different chunk row target (must be a
     /// power of two); subsequent incremental maintenance keeps it.  Used by
-    /// the differential tests to exercise chunk-size invariance.
+    /// the differential tests to cross, split and empty chunks on small
+    /// documents.
     pub fn rechunk_columns(&mut self, chunk_rows: usize) {
         self.columns = Arc::new(self.columns.rechunked(chunk_rows));
     }
 
-    /// Publish the current state as an immutable snapshot: the logical page
-    /// sequence (empty pages elided), their prefix-sum offsets, the
-    /// fragment roots and the column image — all `Arc` clones, O(pages).
+    /// Publish the current state as an immutable snapshot: the column
+    /// image (an `Arc` clone) and its fragment roots.
     pub fn snapshot(&self) -> PagedSnapshot {
-        let pages: Vec<Arc<Page>> = self
-            .page_map
-            .iter()
-            .map(|&p| self.pages[p].clone())
-            .filter(|p| !p.tuples.is_empty())
-            .collect();
-        let (starts, len, stride) = page_offsets(&pages);
-        PagedSnapshot {
-            name: self.name.clone(),
-            pages,
-            starts,
-            stride,
-            len,
-            frag_roots: self.columns.fragment_roots(),
-            columns: self.columns.clone(),
-        }
+        PagedSnapshot::new(self.name.clone(), self.columns.clone())
     }
 
-    /// The configured page fill factor in percent.
-    pub fn fill_percent(&self) -> u8 {
-        self.stats.fill_percent
-    }
-
-    /// Re-tune the fill factor used for pages created by future splits
-    /// (already shredded pages are not repacked).
-    ///
-    /// # Panics
-    /// Panics unless `fill_percent ∈ (0, 100]`.
-    pub fn set_fill_percent(&mut self, fill_percent: u8) {
-        assert!(
-            (1..=100).contains(&fill_percent),
-            "fill_percent must be in 1..=100"
-        );
-        self.fill = ((self.page_size * fill_percent as usize) / 100).max(1);
-        self.stats.fill_percent = fill_percent;
-    }
-
-    /// Number of (used) nodes in the logical view.
+    /// Number of nodes in the logical view.
     pub fn len(&self) -> usize {
         self.columns.len()
     }
@@ -655,41 +544,6 @@ impl PagedDocument {
         self.len() == 0
     }
 
-    /// Number of allocated logical pages.
-    pub fn page_count(&self) -> usize {
-        self.pages.len()
-    }
-
-    /// Total unused tuple slots over all pages.
-    pub fn free_slots(&self) -> usize {
-        self.pages
-            .iter()
-            .map(|p| self.page_size - p.tuples.len().min(self.page_size))
-            .sum()
-    }
-
-    /// Map a logical position (`pre`) to (logical page slot, offset in page).
-    fn locate(&self, pre: usize) -> (usize, usize) {
-        let mut remaining = pre;
-        for (slot, &p) in self.page_map.iter().enumerate() {
-            let n = self.pages[p].tuples.len();
-            if remaining < n {
-                return (slot, remaining);
-            }
-            remaining -= n;
-        }
-        // position right past the end maps onto the last page's end
-        let last = self.page_map.len() - 1;
-        (last, self.pages[self.page_map[last]].tuples.len())
-    }
-
-    /// Mutable access to a tuple: copy-on-write on its page.
-    fn tuple_mut(&mut self, pre: usize) -> &mut Tuple {
-        let (slot, off) = self.locate(pre);
-        let p = self.page_map[slot];
-        &mut Arc::make_mut(&mut self.pages[p]).tuples[off]
-    }
-
     /// Mutable access to the relational image (copy-on-write: the first
     /// patch after a publish clones the image's chunk *pointers*; each
     /// patched chunk is then copied on its own first write).
@@ -697,7 +551,7 @@ impl PagedDocument {
         Arc::make_mut(&mut self.columns)
     }
 
-    /// `size` of the node at logical position `pre` (O(1), from the image).
+    /// `size` of the node at logical position `pre`.
     pub fn size(&self, pre: u32) -> u32 {
         self.columns.node_size(pre)
     }
@@ -731,83 +585,38 @@ impl PagedDocument {
         );
     }
 
-    /// Insert tuples at a logical position.  Touches one page when the
-    /// fragment fits into the free space of the target page, otherwise splits
-    /// the page: its tail plus the new tuples move into freshly appended
-    /// pages, each filled only to the configured fill factor so that repeated
-    /// inserts into the same region keep splitting locally instead of
-    /// remapping O(N) tuples (Figure 11).
-    fn insert_tuples_at(&mut self, insert_pos: usize, frag_tuples: Vec<Tuple>) {
-        let added = frag_tuples.len() as u64;
-        if added == 0 {
+    /// Insert rows at a logical position: one chunk is patched, and split
+    /// into row-target pieces when it outgrows twice the target, so
+    /// repeated inserts into one region keep splitting locally instead of
+    /// remapping O(N) rows (Figure 11).
+    fn insert_rows_at(&mut self, insert_pos: usize, rows: Vec<Tuple>) {
+        if rows.is_empty() {
             return;
         }
-        // delta-patch the relational image in lockstep with the pages
-        self.columns_mut().splice_nodes(insert_pos, &frag_tuples);
-        let (slot, off) = self.locate(insert_pos);
-        let page_idx = self.page_map[slot];
-        let free = self.page_size - self.pages[page_idx].tuples.len().min(self.page_size);
-
-        if frag_tuples.len() <= free {
-            // fits: shift within this single logical page (copy-on-write)
-            let page = Arc::make_mut(&mut self.pages[page_idx]);
-            page.tuples.splice(off..off, frag_tuples);
-            self.stats.pages_touched += 1;
-            self.stats.tuples_written += added;
-        } else {
-            // does not fit: move the tail of the target page plus the new
-            // tuples into freshly appended pages inserted after `slot`
-            let tail = Arc::make_mut(&mut self.pages[page_idx])
-                .tuples
-                .split_off(off);
-            self.stats.pages_touched += 1;
-            let mut pending: Vec<Tuple> = frag_tuples;
-            pending.extend(tail);
-            self.stats.tuples_written += pending.len() as u64;
-            for (insert_slot, chunk) in (slot + 1..).zip(pending.chunks(self.fill)) {
-                let new_idx = self.pages.len();
-                self.pages.push(Arc::new(Page::from_tuples(chunk.to_vec())));
-                self.page_map.insert(insert_slot, new_idx);
-                self.stats.pages_allocated += 1;
-                self.stats.pages_touched += 1;
-            }
+        let added = self.columns_mut().splice_nodes(insert_pos, &rows);
+        self.stats.pages_touched += 1 + added as u64;
+        self.stats.pages_allocated += added as u64;
+        self.stats.tuples_written += rows.len() as u64;
+        if added > 0 {
+            // a split copies the chunk — more than twice the row target —
+            // into its pieces; count the threshold
+            self.stats.tuples_written += 2 * self.columns.chunk_rows() as u64;
         }
     }
 
-    /// Remove `count` tuples starting at logical position `start`.  The freed
-    /// slots become unused space on their pages; no other page is rewritten.
+    /// Remove `count` rows starting at logical position `start`; only the
+    /// chunks holding them are patched.
     fn remove_range(&mut self, start: usize, count: usize) {
         if count == 0 {
             return;
         }
-        self.columns_mut().remove_nodes(start, count);
-        let mut remaining = count;
-        let (mut slot, mut off) = self.locate(start);
-        let mut touched = 0u64;
-        while remaining > 0 {
-            let page_idx = self.page_map[slot];
-            {
-                let page = Arc::make_mut(&mut self.pages[page_idx]);
-                let avail = page.tuples.len() - off;
-                let take = avail.min(remaining);
-                page.tuples.drain(off..off + take);
-                remaining -= take;
-            }
-            touched += 1;
-            if self.pages[page_idx].tuples.is_empty() && self.page_map.len() > 1 {
-                // fully emptied page: drop it from the logical view
-                self.page_map.remove(slot);
-            } else {
-                slot += 1;
-            }
-            off = 0;
-        }
-        self.stats.pages_touched += touched;
+        let touched = self.columns_mut().remove_nodes(start, count);
+        self.stats.pages_touched += touched as u64;
         self.stats.tuples_written += count as u64;
     }
 
-    /// Ancestor size maintenance via deltas (does not move tuples; does not
-    /// change page summaries — `size` is not summarized).
+    /// Ancestor size maintenance via deltas (no row moves; `size` is not
+    /// summarized).
     fn bump_ancestors(&mut self, anchor: Option<u32>, delta: i64) {
         if delta == 0 {
             return;
@@ -815,21 +624,25 @@ impl PagedDocument {
         let mut anc = anchor;
         while let Some(a) = anc {
             let next = self.parent(a);
-            let t = self.tuple_mut(a as usize);
-            t.size = (t.size as i64 + delta) as u32;
             self.columns_mut().add_size(a, delta);
             self.stats.tuples_written += 1;
             anc = next;
         }
     }
 
+    /// One in-place write of the row at `pre`.
+    fn count_row_write(&mut self) {
+        self.stats.tuples_written += 1;
+        self.stats.pages_touched += 1;
+    }
+
     /// Insert `fragment` as the first child of the node at `parent_pre`.
     pub fn insert_first_child(&mut self, parent_pre: u32, fragment: &Document) {
         self.assert_container(parent_pre, "insert_first_child");
         let level = self.level(parent_pre) + 1;
-        let tuples = rebased_tuples(fragment, level);
-        let added = tuples.len() as i64;
-        self.insert_tuples_at(parent_pre as usize + 1, tuples);
+        let rows = rebased_tuples(fragment, level);
+        let added = rows.len() as i64;
+        self.insert_rows_at(parent_pre as usize + 1, rows);
         self.bump_ancestors(Some(parent_pre), added);
     }
 
@@ -839,9 +652,9 @@ impl PagedDocument {
         self.assert_container(parent_pre, "insert_last_child");
         let insert_pos = (parent_pre + self.size(parent_pre) + 1) as usize;
         let level = self.level(parent_pre) + 1;
-        let tuples = rebased_tuples(fragment, level);
-        let added = tuples.len() as i64;
-        self.insert_tuples_at(insert_pos, tuples);
+        let rows = rebased_tuples(fragment, level);
+        let added = rows.len() as i64;
+        self.insert_rows_at(insert_pos, rows);
         self.bump_ancestors(Some(parent_pre), added);
     }
 
@@ -854,9 +667,9 @@ impl PagedDocument {
     /// [`StructuralUpdate::insert_at`]).
     pub fn insert_at(&mut self, pos: u32, level: u16, fragment: &Document) {
         let anchor = self.anchor_before(pos, level);
-        let tuples = rebased_tuples(fragment, level);
-        let added = tuples.len() as i64;
-        self.insert_tuples_at(pos as usize, tuples);
+        let rows = rebased_tuples(fragment, level);
+        let added = rows.len() as i64;
+        self.insert_rows_at(pos as usize, rows);
         self.bump_ancestors(anchor, added);
     }
 
@@ -882,9 +695,9 @@ impl PagedDocument {
         let anchor = self.parent(pre);
         self.remove_range(pre as usize, removed as usize);
         self.bump_ancestors(anchor, -(removed as i64));
-        let tuples = rebased_tuples(fragment, level);
-        let added = tuples.len() as i64;
-        self.insert_tuples_at(pre as usize, tuples);
+        let rows = rebased_tuples(fragment, level);
+        let added = rows.len() as i64;
+        self.insert_rows_at(pre as usize, rows);
         self.bump_ancestors(anchor, added);
     }
 
@@ -893,29 +706,18 @@ impl PagedDocument {
     pub fn replace_value(&mut self, pre: u32, text: &str) {
         match self.kind(pre) {
             NodeKind::Text | NodeKind::Comment | NodeKind::ProcessingInstruction => {
-                // text content is not part of the relational image
-                self.tuple_mut(pre as usize).text = Arc::from(text);
-                self.stats.tuples_written += 1;
-                self.stats.pages_touched += 1;
+                self.columns_mut().set_text(pre, text);
+                self.count_row_write();
             }
             NodeKind::Element | NodeKind::Document => {
                 let removed = self.size(pre);
                 let level = self.level(pre);
                 self.remove_range(pre as usize + 1, removed as usize);
-                self.tuple_mut(pre as usize).size = 0;
                 self.columns_mut().add_size(pre, -(removed as i64));
                 let parent = self.parent(pre);
                 self.bump_ancestors(parent, -(removed as i64));
                 if !text.is_empty() {
-                    let t = Tuple {
-                        size: 0,
-                        level: level + 1,
-                        kind: NodeKind::Text,
-                        name: Arc::from(""),
-                        text: Arc::from(text),
-                        attrs: Vec::new(),
-                    };
-                    self.insert_tuples_at(pre as usize + 1, vec![t]);
+                    self.insert_rows_at(pre as usize + 1, vec![text_tuple(level + 1, text)]);
                     self.bump_ancestors(Some(pre), 1);
                 }
             }
@@ -928,66 +730,36 @@ impl PagedDocument {
             self.kind(pre),
             NodeKind::Element | NodeKind::ProcessingInstruction
         ) {
-            let arc: Arc<str> = Arc::from(name);
-            let (slot, off) = self.locate(pre as usize);
-            let p = self.page_map[slot];
-            let page = Arc::make_mut(&mut self.pages[p]);
-            page.tuples[off].name = arc.clone();
-            self.columns_mut().set_name(pre, &arc);
-            self.stats.tuples_written += 1;
-            self.stats.pages_touched += 1;
+            self.columns_mut().set_name(pre, name);
+            self.count_row_write();
         }
     }
 
     /// Set (or insert) an attribute on the element at `pre`.
     pub fn set_attribute(&mut self, pre: u32, name: &str, value: &str) {
         self.assert_container(pre, "set_attribute");
-        let attrs = &mut self.tuple_mut(pre as usize).attrs;
-        match attrs.iter_mut().find(|(n, _)| n.as_ref() == name) {
-            Some((_, v)) => *v = Arc::from(value),
-            None => attrs.push((Arc::from(name), Arc::from(value))),
-        }
         self.columns_mut().set_attribute(pre, name, value);
-        self.stats.tuples_written += 1;
-        self.stats.pages_touched += 1;
+        self.count_row_write();
     }
 
     /// Remove an attribute from the element at `pre` (no-op if absent).
     pub fn remove_attribute(&mut self, pre: u32, name: &str) {
-        self.tuple_mut(pre as usize)
-            .attrs
-            .retain(|(n, _)| n.as_ref() != name);
         self.columns_mut().remove_attribute(pre, name);
-        self.stats.tuples_written += 1;
-        self.stats.pages_touched += 1;
+        self.count_row_write();
     }
 
     /// Rename an attribute of the element at `pre` (no-op if absent).
     pub fn rename_attribute(&mut self, pre: u32, name: &str, new_name: &str) {
-        if let Some((n, _)) = self
-            .tuple_mut(pre as usize)
-            .attrs
-            .iter_mut()
-            .find(|(n, _)| n.as_ref() == name)
-        {
-            *n = Arc::from(new_name);
-        }
         self.columns_mut().rename_attribute(pre, name, new_name);
-        self.stats.tuples_written += 1;
-        self.stats.pages_touched += 1;
+        self.count_row_write();
     }
 
     /// Materialize the logical view as a read-only [`Document`] (the
     /// "pre|size|level table view with pages in logical order" of Fig. 11).
     /// Used by the differential tests and the naive comparator — the query
-    /// path reads pages and columns directly via [`PagedSnapshot`].
+    /// path reads the columns directly via [`PagedSnapshot`].
     pub fn to_document(&self) -> Document {
-        let iter = self
-            .page_map
-            .iter()
-            .flat_map(|&p| self.pages[p].tuples.iter().cloned())
-            .collect::<Vec<_>>();
-        materialize(&self.name, iter.into_iter())
+        self.snapshot().to_document()
     }
 }
 
@@ -995,94 +767,36 @@ impl PagedDocument {
 // the published, immutable read view
 // ---------------------------------------------------------------------------
 
-/// Prefix-sum offsets of a logical page sequence, its length in tuples,
-/// and its stride (see [`PagedSnapshot`]'s `stride`).
-fn page_offsets(pages: &[Arc<Page>]) -> (Vec<u32>, u32, Option<u32>) {
-    let mut starts = Vec::with_capacity(pages.len());
-    let mut acc = 0u32;
-    for p in pages {
-        starts.push(acc);
-        acc += p.tuples.len() as u32;
-    }
-    let stride = pages.split_last().and_then(|(last, init)| {
-        let n = init.first().unwrap_or(last).tuples.len();
-        init.iter().all(|p| p.tuples.len() == n).then_some(n as u32)
-    });
-    (starts, acc, stride)
-}
-
-/// An immutable snapshot of a [`PagedDocument`]: the logical page sequence
-/// (shared `Arc`s), prefix-sum offsets for position lookup (O(1) while the
-/// pages are uniform, O(log pages) after a split),
-/// and the pinned column image.  This is what the store publishes and what
-/// queries scan — structural reads (`size`/`level`/`kind`/name id) come
-/// from the dense columns in O(1); texts, attribute cursors and
-/// serialization read the pages on demand.
+/// An immutable snapshot of a [`PagedDocument`]: the pinned column image
+/// and its fragment roots.  This is what the store publishes and what
+/// queries scan — structural reads, names, texts and attribute cursors all
+/// come from the chunked columns.
 #[derive(Debug, Clone)]
 pub struct PagedSnapshot {
     name: String,
-    /// Pages in logical order (empty pages elided).
-    pages: Vec<Arc<Page>>,
-    /// `starts[i]` = preorder rank of the first tuple of `pages[i]`.
-    starts: Vec<u32>,
-    /// The common length of every page but the last, if there is one (as
-    /// in a freshly paged document): a position's page is then a
-    /// division, not a binary search over `starts`.
-    stride: Option<u32>,
-    len: u32,
-    frag_roots: Vec<u32>,
     columns: Arc<DocumentColumns>,
+    frag_roots: Vec<u32>,
 }
 
 impl PagedSnapshot {
-    /// The document (container) name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// The logical page sequence (the disk codec serializes it page by
-    /// page, preserving the split geometry across a save/load cycle).
-    pub(crate) fn pages(&self) -> &[Arc<Page>] {
-        &self.pages
-    }
-
-    /// Reassemble a snapshot from decoded pages: offsets and fragment
-    /// roots are recomputed from the tuples, and the relational column
-    /// image is rebuilt from a materialized document — O(document) work
-    /// that happens once per load, after which incremental maintenance
-    /// takes over again.
-    pub(crate) fn from_pages(name: String, pages: Vec<Arc<Page>>) -> PagedSnapshot {
-        let pages: Vec<Arc<Page>> = pages.into_iter().filter(|p| !p.tuples.is_empty()).collect();
-        let (starts, len, stride) = page_offsets(&pages);
-        let doc = materialize(&name, pages.iter().flat_map(|p| p.tuples.iter().cloned()));
-        let columns = Arc::new(DocumentColumns::new(&doc));
+    /// A snapshot of `columns` under the document name `name`.
+    pub(crate) fn new(name: String, columns: Arc<DocumentColumns>) -> PagedSnapshot {
         PagedSnapshot {
             name,
-            pages,
-            starts,
-            stride,
-            len,
             frag_roots: columns.fragment_roots(),
             columns,
         }
     }
 
-    /// Rough resident-memory footprint in bytes: tuple payloads (names,
-    /// texts, attributes) plus a fixed per-node estimate for the column
-    /// image.  Used by the eviction policy's memory budget — a heuristic,
-    /// not an allocator report.
+    /// The document (container) name.
+    pub fn name(&self) -> &str {
+        &self.name
+    }
+
+    /// Rough resident-memory footprint in bytes of the column image (see
+    /// [`DocumentColumns::approx_bytes`]).
     pub fn approx_bytes(&self) -> usize {
-        let mut bytes = 0usize;
-        for p in &self.pages {
-            for t in &p.tuples {
-                bytes += 32 + t.name.len() + t.text.len();
-                for (n, v) in &t.attrs {
-                    bytes += 16 + n.len() + v.len();
-                }
-            }
-        }
-        // structural columns: size/level/kind/name-code + chunk summaries
-        bytes + self.len as usize * 16
+        self.columns.approx_bytes()
     }
 
     /// The pinned relational image.
@@ -1095,46 +809,30 @@ impl PagedSnapshot {
         self.columns.clone()
     }
 
-    /// Number of logical pages in the view.
-    pub fn page_count(&self) -> usize {
-        self.pages.len()
-    }
-
-    /// (page index, offset in page) of a logical position.
-    fn locate(&self, pre: u32) -> (usize, usize) {
-        debug_assert!(pre < self.len);
-        let i = match self.stride {
-            Some(n) => ((pre / n) as usize).min(self.pages.len() - 1),
-            None => self.starts.partition_point(|&s| s <= pre) - 1,
-        };
-        (i, (pre - self.starts[i]) as usize)
-    }
-
-    /// The page tuples of the subtree rooted at `pre`, in document order:
-    /// the position is located once, then the pages are walked in order
-    /// (the column image is not read).
-    pub(crate) fn subtree_tuples(&self, pre: u32) -> impl Iterator<Item = &Tuple> {
-        let (i, off) = self.locate(pre);
-        let rows = self.pages[i].tuples[off].size as usize + 1;
-        self.pages[i].tuples[off..]
-            .iter()
-            .chain(self.pages[i + 1..].iter().flat_map(|p| &p.tuples))
-            .take(rows)
-    }
-
     /// The shared content of the text node at `pre` (`None` for other
     /// kinds).
     pub(crate) fn text_arc(&self, pre: u32) -> Option<&Arc<str>> {
-        (self.kind(pre) == NodeKind::Text).then(|| {
-            let (i, off) = self.locate(pre);
-            &self.pages[i].tuples[off].text
-        })
+        match self.kind(pre) {
+            NodeKind::Text => self.columns.node_text(pre),
+            _ => None,
+        }
+    }
+
+    /// Copy the whole view into a flat [`Document`], one fragment per
+    /// root, by a walk over the chunk rows.
+    fn to_document(&self) -> Document {
+        let mut doc = Document::new(self.name.clone());
+        for &root in &self.frag_roots {
+            doc.add_fragment_root(doc.len() as u32);
+            doc.copy_from_columns(&self.columns, root, 0);
+        }
+        doc
     }
 }
 
 impl NodeRead for PagedSnapshot {
     fn len(&self) -> usize {
-        self.len as usize
+        self.columns.len()
     }
 
     #[inline]
@@ -1154,23 +852,13 @@ impl NodeRead for PagedSnapshot {
 
     fn name_of(&self, pre: u32) -> &str {
         match self.kind(pre) {
-            NodeKind::Element => self.columns.node_name(pre),
-            NodeKind::ProcessingInstruction => {
-                let (i, off) = self.locate(pre);
-                &self.pages[i].tuples[off].name
-            }
+            NodeKind::Element | NodeKind::ProcessingInstruction => self.columns.node_name(pre),
             _ => "",
         }
     }
 
     fn text_of(&self, pre: u32) -> &str {
-        match self.kind(pre) {
-            NodeKind::Text | NodeKind::Comment | NodeKind::ProcessingInstruction => {
-                let (i, off) = self.locate(pre);
-                &self.pages[i].tuples[off].text
-            }
-            _ => "",
-        }
+        self.columns.node_text(pre).map_or("", |t| t)
     }
 
     fn qname_id(&self, pre: u32) -> Option<u32> {
@@ -1305,6 +993,21 @@ mod tests {
     use crate::serialize::serialize_document;
     use crate::shred::{shred, ShredOptions};
 
+    type TestResult = Result<(), Box<dyn std::error::Error>>;
+
+    /// The paged scheme over `doc` with `chunk_rows`-row chunks.
+    fn paged(doc: &Document, chunk_rows: usize) -> PagedDocument {
+        let mut paged = PagedDocument::from_document(doc);
+        paged.rechunk_columns(chunk_rows);
+        paged
+    }
+
+    /// The paged scheme's image and its materialization are well-formed.
+    fn check(paged: &PagedDocument) -> Result<(), String> {
+        paged.columns().check_invariants()?;
+        paged.to_document().check_invariants()
+    }
+
     fn base() -> Document {
         shred(
             "base",
@@ -1331,50 +1034,51 @@ mod tests {
     }
 
     #[test]
-    fn paged_insert_matches_naive() {
+    fn paged_insert_matches_naive() -> TestResult {
         let doc = base();
         let frag = fragment_from_xml("<k><l/><m/></k>");
         let mut naive = NaiveDocument::from_document(&doc);
-        let mut paged = PagedDocument::from_document(&doc, 8, 75);
+        let mut paged = paged(&doc, 4);
         naive.insert_last_child(4, &frag);
         paged.insert_last_child(4, &frag);
         assert_eq!(
             serialize_document(&naive.to_document()),
             serialize_document(&paged.to_document())
         );
-        paged.to_document().check_invariants().unwrap();
+        Ok(check(&paged)?)
     }
 
     #[test]
     fn paged_insert_into_free_space_touches_one_page() {
         let doc = base();
-        // 50% fill of 16-tuple pages leaves plenty of free slots
-        let mut paged = PagedDocument::from_document(&doc, 16, 50);
-        let before_pages = paged.page_count();
+        // a 16-row chunk splits only past 32 rows: the nine-node document
+        // leaves it plenty of room
+        let mut paged = paged(&doc, 16);
+        let before_chunks = paged.columns().chunk_count();
         paged.insert_last_child(1, &fragment_from_xml("<x/>"));
         assert_eq!(paged.stats.pages_touched, 1);
         assert_eq!(paged.stats.pages_allocated, 0);
-        assert_eq!(paged.page_count(), before_pages);
+        assert_eq!(paged.columns().chunk_count(), before_chunks);
     }
 
     #[test]
-    fn paged_large_insert_appends_pages() {
+    fn paged_large_insert_appends_pages() -> TestResult {
         let doc = base();
-        let mut paged = PagedDocument::from_document(&doc, 4, 100);
+        let mut paged = paged(&doc, 2);
         paged.insert_last_child(
             0,
             &fragment_from_xml("<big><x1/><x2/><x3/><x4/><x5/></big>"),
         );
         assert!(paged.stats.pages_allocated >= 1);
-        paged.to_document().check_invariants().unwrap();
         assert_eq!(paged.len(), 9 + 6);
+        Ok(check(&paged)?)
     }
 
     #[test]
     fn delete_subtree_both_schemes() {
         let doc = base();
         let mut naive = NaiveDocument::from_document(&doc);
-        let mut paged = PagedDocument::from_document(&doc, 8, 75);
+        let mut paged = paged(&doc, 4);
         naive.delete_subtree(1); // delete <b> subtree (3 nodes)
         paged.delete_subtree(1);
         let expected = "<a><f><g/><h><i/><j/></h></f></a>";
@@ -1385,53 +1089,56 @@ mod tests {
     }
 
     #[test]
-    fn repeated_updates_keep_invariants() {
+    fn repeated_updates_keep_invariants() -> TestResult {
         let doc = base();
-        let mut paged = PagedDocument::from_document(&doc, 8, 50);
+        let mut paged = paged(&doc, 4);
         for i in 0..20 {
             paged.insert_last_child(0, &fragment_from_xml(&format!("<n{i}><c/></n{i}>")));
         }
-        let mat = paged.to_document();
-        mat.check_invariants().unwrap();
-        assert_eq!(mat.len(), 9 + 40);
-        assert_eq!(mat.size(0), mat.len() as u32 - 1);
+        check(&paged)?;
+        assert_eq!(paged.len(), 9 + 40);
+        assert_eq!(paged.size(0), paged.len() as u32 - 1);
+        Ok(())
     }
 
     /// Drive the same op sequence through both schemes and compare.
-    fn both(ops: impl Fn(&mut dyn StructuralUpdate)) -> (String, String) {
+    fn both(ops: impl Fn(&mut dyn StructuralUpdate)) -> Result<(String, String), String> {
         let doc = base();
         let mut naive = NaiveDocument::from_document(&doc);
-        let mut paged = PagedDocument::from_document(&doc, 4, 75);
+        let mut paged = paged(&doc, 2);
         ops(&mut naive);
         ops(&mut paged);
+        check(&paged)?;
         let n = naive.to_document();
-        let p = paged.to_document();
-        n.check_invariants().unwrap();
-        p.check_invariants().unwrap();
-        (serialize_document(&n), serialize_document(&p))
+        n.check_invariants()?;
+        Ok((
+            serialize_document(&n),
+            serialize_document(&paged.to_document()),
+        ))
     }
 
     #[test]
-    fn sibling_inserts_both_schemes() {
+    fn sibling_inserts_both_schemes() -> TestResult {
         // base: a(0) b(1) c(2) d(3) f(4) g(5) h(6) i(7) j(8)
         let (n, p) = both(|d| {
             d.insert_before(1, &fragment_from_xml("<p/>"));
             // <b> moved to pre 2; insert after its subtree
             d.insert_after(2, &fragment_from_xml("<q><r/></q>"));
             d.insert_first_child(0, &fragment_from_xml("<s/>"));
-        });
+        })?;
         assert_eq!(n, p);
         assert_eq!(
             n,
             "<a><s/><p/><b><c/><d/></b><q><r/></q><f><g/><h><i/><j/></h></f></a>"
         );
+        Ok(())
     }
 
     #[test]
-    fn replace_subtree_both_schemes() {
+    fn replace_subtree_both_schemes() -> TestResult {
         let (n, p) = both(|d| {
             d.replace_subtree(1, &fragment_from_xml("<x><y/></x>"));
-        });
+        })?;
         assert_eq!(n, p);
         assert_eq!(n, "<a><x><y/></x><f><g/><h><i/><j/></h></f></a>");
         // replacement with a multi-root sequence
@@ -1445,9 +1152,10 @@ mod tests {
                 b.end_element();
                 b.finish()
             });
-        });
+        })?;
         assert_eq!(n, p);
         assert_eq!(n, "<a><one/><two/><f><g/><u/></f></a>");
+        Ok(())
     }
 
     #[test]
@@ -1459,7 +1167,7 @@ mod tests {
         )
         .unwrap();
         let mut naive = NaiveDocument::from_document(&doc);
-        let mut paged = PagedDocument::from_document(&doc, 4, 75);
+        let mut paged = paged(&doc, 2);
         for d in [&mut naive as &mut dyn StructuralUpdate, &mut paged] {
             d.replace_value(2, "new"); // text node under <b>
             d.replace_value(3, "flat"); // element <c>: children replaced
@@ -1479,7 +1187,7 @@ mod tests {
     fn rename_and_attribute_patching_both_schemes() {
         let doc = shred("t", "<a x=\"1\"><b y=\"2\"/></a>", &ShredOptions::default()).unwrap();
         let mut naive = NaiveDocument::from_document(&doc);
-        let mut paged = PagedDocument::from_document(&doc, 8, 75);
+        let mut paged = paged(&doc, 4);
         for d in [&mut naive as &mut dyn StructuralUpdate, &mut paged] {
             d.rename(1, "bee");
             d.set_attribute(1, "y", "22"); // overwrite
@@ -1493,89 +1201,100 @@ mod tests {
     }
 
     #[test]
-    fn materialize_preserves_document_nodes_and_pis() {
+    fn materialize_preserves_document_nodes_and_pis() -> TestResult {
         let opts = ShredOptions {
             document_node: true,
             ..ShredOptions::default()
         };
-        let doc = shred("t", "<?pi data?><a><b/></a>", &opts).unwrap();
+        let doc = shred("t", "<?pi data?><a><b/></a>", &opts)?;
         assert_eq!(doc.kind(0), NodeKind::Document);
-        let paged = PagedDocument::from_document(&doc, 8, 75);
+        let paged = paged(&doc, 4);
+        check(&paged)?;
         let mat = paged.to_document();
-        mat.check_invariants().unwrap();
         assert_eq!(mat.kind(0), NodeKind::Document);
         assert_eq!(serialize_document(&mat), serialize_document(&doc));
         // PI target survives the round trip
         let pi = (0..mat.len() as u32)
             .find(|&p| mat.kind(p) == NodeKind::ProcessingInstruction)
-            .unwrap();
+            .ok_or("the PI is gone")?;
         assert_eq!(mat.name_of(pi), "pi");
         assert_eq!(mat.text_of(pi), "data");
+        Ok(())
     }
 
     #[test]
-    fn repeated_inserts_split_pages_instead_of_remapping() {
-        // Regression test for the page-fill policy: overflow pages used to be
-        // created 100% full, so every subsequent insert into the same region
-        // allocated fresh pages.  With fill-factor-aware splits, N one-node
-        // inserts into the same page allocate ~N/(page_size-fill) pages.
+    fn repeated_inserts_split_pages_instead_of_remapping() -> TestResult {
+        // N one-node inserts into the same region: the chunk they land in
+        // splits into row-target pieces each time it outgrows twice the
+        // target, so each split absorbs about `chunk_rows` further inserts
+        // and no insert remaps the document.
         let doc = base();
-        let page_size = 16;
-        let mut paged = PagedDocument::from_document(&doc, page_size, 50);
-        assert_eq!(paged.fill_percent(), 50);
+        let chunk_rows = 16;
+        let mut paged = paged(&doc, chunk_rows);
         let n = 100u32;
         let frag = fragment_from_xml("<z/>");
         for _ in 0..n {
             paged.insert_first_child(0, &frag);
         }
-        let mat = paged.to_document();
-        mat.check_invariants().unwrap();
-        assert_eq!(mat.len(), 9 + n as usize);
-        // splits are amortized: each allocated page absorbs about
-        // page_size - fill = 8 inserts, so ~13 allocations for 100 inserts —
-        // far below the one-allocation-per-insert of the broken policy
+        check(&paged)?;
+        assert_eq!(paged.len(), 9 + n as usize);
+        // splits are amortized: about two allocations per 17 inserts
         assert!(
             paged.stats.pages_allocated <= (n as u64) / 2,
             "pages_allocated = {} for {} inserts",
             paged.stats.pages_allocated,
             n
         );
-        // and no O(N) remaps: the tuple writes per insert stay bounded by the
-        // page size (plus the ancestor delta), not the document size
+        // and no O(N) remaps: the row writes per insert stay bounded by the
+        // chunk size (plus the ancestor delta), not the document size
         assert!(
-            paged.stats.tuples_written <= (n as u64) * (page_size as u64 + 4),
+            paged.stats.tuples_written <= (n as u64) * (chunk_rows as u64 + 4),
             "tuples_written = {}",
             paged.stats.tuples_written
         );
+        Ok(())
     }
 
+    /// Comment and PI content and PI targets live in the chunk: value
+    /// replacement, PI renames, deletes and inserts of such rows agree
+    /// with the naive scheme across chunk bounds.
     #[test]
-    fn set_fill_percent_tunes_future_splits() {
-        let doc = base();
-        let mut paged = PagedDocument::from_document(&doc, 8, 100);
-        paged.set_fill_percent(50);
-        assert_eq!(paged.stats.fill_percent, 50);
-        // force a split: the overflow pages are now half-filled
-        let frag = fragment(|b| {
-            b.start_element("x1");
-            b.end_element();
-            b.start_element("x2");
-            b.end_element();
-        });
-        paged.insert_first_child(0, &frag);
-        assert!(paged.free_slots() > 0, "split pages keep free slots");
-        paged.to_document().check_invariants().unwrap();
+    fn comment_and_pi_rows_patch_in_the_chunk() -> TestResult {
+        let doc = shred(
+            "t",
+            "<a><!--c1--><b>x<?p1 d1?></b><?p2 d2?><c/></a>",
+            &ShredOptions::default(),
+        )?;
+        let mut naive = NaiveDocument::from_document(&doc);
+        let mut paged = paged(&doc, 2);
+        for d in [&mut naive as &mut dyn StructuralUpdate, &mut paged] {
+            d.replace_value(1, "c2"); // comment
+            d.rename(4, "p3"); // PI target
+            d.replace_value(4, "d3"); // PI content
+            d.replace_value(5, "d4");
+            d.replace_value(3, "y"); // text
+            d.insert_last_child(6, &fragment_from_xml("<k><!--n--><?t v?></k>"));
+            d.delete_subtree(5);
+        }
+        check(&paged)?;
+        let expected = "<a><!--c2--><b>y<?p3 d3?></b><c><k><!--n--><?t v?></k></c></a>";
+        assert_eq!(serialize_document(&naive.to_document()), expected);
+        assert_eq!(serialize_document(&paged.to_document()), expected);
+        let snap = paged.snapshot();
+        assert_eq!((snap.name_of(4), snap.text_of(4)), ("p3", "d3"));
+        assert_eq!(snap.text_of(7), "n");
+        assert_eq!((snap.name_of(8), snap.text_of(8)), ("t", "v"));
+        Ok(())
     }
 
     #[test]
     fn stats_delta_and_accumulate() {
         let doc = base();
-        let mut paged = PagedDocument::from_document(&doc, 8, 75);
+        let mut paged = paged(&doc, 4);
         let before = paged.stats;
         paged.insert_last_child(0, &fragment_from_xml("<x/>"));
         let delta = paged.stats.delta_since(&before);
         assert!(delta.tuples_written >= 1);
-        assert_eq!(delta.fill_percent, 75);
         let mut acc = UpdateStats::default();
         acc.accumulate(&delta);
         acc.accumulate(&delta);

@@ -14,13 +14,7 @@ use mxq::xmark::gen::{generate_xml, GenParams};
 use mxq::xquery::Database;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let factor: f64 = match std::env::var("MXQ_SCALE") {
-        Ok(raw) if !raw.trim().is_empty() => raw
-            .trim()
-            .parse()
-            .expect("MXQ_SCALE must be a positive number"),
-        _ => 0.001,
-    };
+    let factor = mxq_bench::env_scale_or_exit().unwrap_or(0.001);
     let xml = generate_xml(&GenParams::with_factor(factor));
     let db = Arc::new(Database::new());
     db.load_document("auction.xml", &xml)?;

@@ -11,7 +11,7 @@
 //! * [`xmark`] — the XMark benchmark generator, queries and baselines,
 //! * [`wal`] — the write-ahead log substrate of the durability layer.
 //!
-//! See the README for a quickstart and DESIGN.md for the system inventory.
+//! See the README for a quickstart and the crate map.
 
 #![forbid(unsafe_code)]
 

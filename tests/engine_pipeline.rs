@@ -22,7 +22,7 @@ fn query_after_structural_update() {
         "<site><open_auctions><open_auction id=\"a0\"><bidder><increase>5</increase></bidder>\
                </open_auction></open_auctions></site>";
     let doc = shred("auction.xml", xml, &ShredOptions::default()).unwrap();
-    let mut paged = PagedDocument::from_document(&doc, 8, 50);
+    let mut paged = PagedDocument::from_document(&doc);
     let auction = doc.elements_named("open_auction")[0];
     for i in 0..5 {
         paged.insert_last_child(

@@ -154,7 +154,7 @@ fn a_patch_after_a_publish_copies_only_the_chunks_it_touches() {
     }
     xml.push_str("</root>");
     let doc = shred("w.xml", &xml, &ShredOptions::default()).unwrap();
-    let mut master = PagedDocument::from_document(&doc, 64, 75);
+    let mut master = PagedDocument::from_document(&doc);
     let published = master.snapshot();
     let chunks = published.columns().chunk_count();
     assert!(chunks >= 5, "{chunks} chunks");

@@ -143,7 +143,7 @@ proptest! {
         ops in prop::collection::vec((0usize..32, any::<bool>()), 1..10),
     ) {
         let doc = doc_from(&xml);
-        let mut paged = PagedDocument::from_document(&doc, 8, 75);
+        let mut paged = PagedDocument::from_document(&doc);
         let mut naive = NaiveDocument::from_document(&doc);
         let frag = fragment_from_xml("<ins><x/>payload</ins>");
         for (target, is_insert) in ops {

@@ -1,7 +1,8 @@
 //! Differential testing of the update path: random update scripts applied
 //! through the pending-update-list machinery to
 //!
-//! * the paged scheme ([`PagedDocument`], several page-size/fill configs),
+//! * the paged scheme ([`PagedDocument`], at chunk row targets from 2 to
+//!   the default, so splices cross chunks, split them and empty them),
 //! * the naive renumbering scheme ([`NaiveDocument`]), and
 //! * a reshred of the serialized result (shred ∘ serialize fixpoint)
 //!
@@ -12,6 +13,7 @@
 use proptest::prelude::*;
 
 use mxq::engine::NodeId;
+use mxq::xmldb::columns::DEFAULT_CHUNK_ROWS;
 use mxq::xmldb::update::{fragment_from_xml, NaiveDocument, PagedDocument};
 use mxq::xmldb::{serialize_document, shred, Document, DocumentColumns, NodeKind, ShredOptions};
 use mxq::xquery::{Database, PendingUpdateList, UpdatePrimitive};
@@ -21,12 +23,16 @@ use std::sync::Arc;
 // random scripts over random trees
 // ---------------------------------------------------------------------------
 
-/// A recursive strategy producing small random XML element trees.
+/// A recursive strategy producing small random XML trees: elements with
+/// text, attribute, comment and PI leaves, under one `<r>` root (a comment
+/// or PI cannot be the document element).
 fn arb_xml_tree() -> impl Strategy<Value = String> {
     let leaf = prop_oneof![
         "[a-e]{1,6}".prop_map(|t| format!("<leaf>{t}</leaf>")),
         Just("<empty/>".to_string()),
         "[a-e]{1,4}".prop_map(|v| format!("<node attr=\"{v}\"/>")),
+        Just("<!--c-->".to_string()),
+        Just("<?pi d?>".to_string()),
     ];
     leaf.prop_recursive(4, 48, 4, |inner| {
         (
@@ -35,6 +41,7 @@ fn arb_xml_tree() -> impl Strategy<Value = String> {
         )
             .prop_map(|(name, children)| format!("<{name}>{}</{name}>", children.join("")))
     })
+    .prop_map(|tree| format!("<r>{tree}</r>"))
 }
 
 /// One symbolic update op; targets are picked by index into the non-root
@@ -48,16 +55,18 @@ enum ScriptOp {
     Delete(usize),
     ReplaceNode(usize, &'static str),
     ReplaceValue(usize, String),
+    ReplaceLeafValue(usize, String),
     Rename(usize, &'static str),
     SetAttr(usize, &'static str, String),
     RemoveAttr(usize, &'static str),
 }
 
-const FRAGS: [&str; 4] = [
+const FRAGS: [&str; 5] = [
     "<k/>",
     "<k><l/><m>t</m></k>",
     "<p q=\"1\">text</p>",
     "<deep><a><b><c/></b></a></deep>",
+    "<n><!--note--><?t v?></n>",
 ];
 
 fn frag_strategy() -> impl Strategy<Value = &'static str> {
@@ -73,6 +82,7 @@ fn arb_op() -> impl Strategy<Value = ScriptOp> {
         (0usize..64).prop_map(ScriptOp::Delete),
         (0usize..64, frag_strategy()).prop_map(|(i, f)| ScriptOp::ReplaceNode(i, f)),
         (0usize..64, "[a-d]{0,5}").prop_map(|(i, v)| ScriptOp::ReplaceValue(i, v)),
+        (0usize..64, "[a-d]{1,5}").prop_map(|(i, v)| ScriptOp::ReplaceLeafValue(i, v)),
         (0usize..64, prop::sample::select(vec!["rn1", "rn2"]))
             .prop_map(|(i, n)| ScriptOp::Rename(i, n)),
         (
@@ -94,9 +104,19 @@ fn resolve(doc: &Document, script: &[ScriptOp]) -> PendingUpdateList {
     let non_roots: Vec<u32> = (0..doc.len() as u32)
         .filter(|&p| doc.level(p) > 0)
         .collect();
-    let elements: Vec<u32> = (0..doc.len() as u32)
-        .filter(|&p| doc.kind(p) == NodeKind::Element)
-        .collect();
+    let of_kinds = |kinds: &[NodeKind]| -> Vec<u32> {
+        (0..doc.len() as u32)
+            .filter(|&p| kinds.contains(&doc.kind(p)))
+            .collect()
+    };
+    let elements = of_kinds(&[NodeKind::Element]);
+    // text, comment and PI rows: their value lives in the text column
+    let leaves = of_kinds(&[
+        NodeKind::Text,
+        NodeKind::Comment,
+        NodeKind::ProcessingInstruction,
+    ]);
+    let renamable = of_kinds(&[NodeKind::Element, NodeKind::ProcessingInstruction]);
     let pick = |list: &[u32], i: usize| -> Option<u32> {
         if list.is_empty() {
             None
@@ -148,7 +168,13 @@ fn resolve(doc: &Document, script: &[ScriptOp]) -> PendingUpdateList {
                     value: v.clone(),
                 })
             }
-            ScriptOp::Rename(i, n) => pick(&elements, *i).map(|p| UpdatePrimitive::Rename {
+            ScriptOp::ReplaceLeafValue(i, v) => {
+                pick(&leaves, *i).map(|p| UpdatePrimitive::ReplaceValue {
+                    target: NodeId::new(frag_id, p),
+                    value: v.clone(),
+                })
+            }
+            ScriptOp::Rename(i, n) => pick(&renamable, *i).map(|p| UpdatePrimitive::Rename {
                 target: NodeId::new(frag_id, p),
                 name: n.to_string(),
             }),
@@ -179,69 +205,56 @@ fn resolve(doc: &Document, script: &[ScriptOp]) -> PendingUpdateList {
 /// snapshot position is consumed by the ancestor delete for reshredding
 /// purposes, but both schemes resolve it identically — so only require that
 /// the two schemes agree, plus reshred-fixpoint and invariants.
-fn check_script(xml: &str, script: &[ScriptOp], page_size: usize, fill: u8) {
+fn check_script(xml: &str, script: &[ScriptOp]) {
     let doc = shred("d.xml", xml, &ShredOptions::default()).expect("generated tree parses");
     let pul = resolve(&doc, script);
     let mut naive = NaiveDocument::from_document(&doc);
-    let mut paged = PagedDocument::from_document(&doc, page_size, fill);
-    let a = pul.apply_to(1, &mut naive);
-    let b = pul.apply_to(1, &mut paged);
-    assert_eq!(a, b, "both schemes apply the same primitive count");
-
+    let applied = pul.apply_to(1, &mut naive);
     let naive_doc = naive.to_document();
-    let paged_doc = paged.to_document();
     naive_doc.check_invariants().unwrap();
-    paged_doc.check_invariants().unwrap();
     let naive_xml = serialize_document(&naive_doc);
-    let paged_xml = serialize_document(&paged_doc);
-    assert_eq!(naive_xml, paged_xml, "paged vs naive disagreement");
 
-    // incremental column maintenance: the image the paged scheme patched
-    // primitive-by-primitive must agree exactly with a from-scratch rebuild
-    // of the final page state (runs in release too — the engine-level debug
-    // assert only covers debug builds).  `same_content` also holds every
-    // chunk's summaries and element-name posting index to a rebuild from
-    // the chunk's rows.
-    paged
-        .columns()
-        .same_content(&DocumentColumns::new(&paged_doc))
-        .expect("incremental vs rebuilt columns diverged");
-
-    // the same must hold at every chunk geometry: rechunk the image to a
-    // small chunk size *before* applying, so the in-chunk splice/renumber
-    // path is exercised across many chunk boundaries, then diff against a
-    // from-scratch rebuild (same_content is chunk-size agnostic)
-    for chunk_rows in [16, 64, 1024] {
-        let mut chunked = PagedDocument::from_document(&doc, page_size, fill);
-        chunked.rechunk_columns(chunk_rows);
-        let applied = pul.apply_to(1, &mut chunked);
-        assert_eq!(applied, b, "chunk size {chunk_rows}: primitive count");
-        let chunked_doc = chunked.to_document();
+    // the paged scheme at every chunk geometry: two-row chunks make nearly
+    // every splice cross a chunk bound, split a chunk or empty one
+    for chunk_rows in [2, 4, 16, DEFAULT_CHUNK_ROWS] {
+        let mut paged = PagedDocument::from_document(&doc);
+        paged.rechunk_columns(chunk_rows);
         assert_eq!(
-            serialize_document(&chunked_doc),
-            paged_xml,
-            "chunk size {chunk_rows}: serialized disagreement"
+            pul.apply_to(1, &mut paged),
+            applied,
+            "chunk size {chunk_rows}: both schemes apply the same primitive count"
         );
-        chunked
-            .columns()
-            .same_content(&DocumentColumns::new(&chunked_doc))
+        let paged_doc = paged.to_document();
+        paged_doc.check_invariants().unwrap();
+        assert_eq!(
+            serialize_document(&paged_doc),
+            naive_xml,
+            "chunk size {chunk_rows}: paged vs naive disagreement"
+        );
+        // incremental column maintenance: the image patched primitive by
+        // primitive must be well-formed (sizes, summaries, posting index,
+        // text column) and agree with a from-scratch rebuild of the naive
+        // result, in release too — the commit pipeline's debug assert only
+        // covers debug builds
+        let cols = paged.columns();
+        cols.check_invariants()
+            .unwrap_or_else(|e| panic!("chunk size {chunk_rows}: broken image: {e}"));
+        cols.same_content(&DocumentColumns::new(&naive_doc))
             .unwrap_or_else(|e| {
                 panic!("chunk size {chunk_rows}: incremental vs rebuilt columns diverged: {e}")
             });
+        // the published snapshot serves the same logical view
+        assert_eq!(serialize_document(&paged.snapshot()), naive_xml);
     }
-
-    // the published snapshot serves the same logical view as the pages
-    let snap = paged.snapshot();
-    assert_eq!(serialize_document(&snap), paged_xml);
 
     // reshred of the serialized result must be a fixpoint with the same
     // node count (guards against corrupt size/level maintenance that still
     // happens to serialize identically)
-    if !paged_xml.is_empty() && paged_doc.fragment_roots().len() == 1 {
-        let reshred = shred("re.xml", &paged_xml, &ShredOptions::default())
+    if !naive_xml.is_empty() && naive_doc.fragment_roots().len() == 1 {
+        let reshred = shred("re.xml", &naive_xml, &ShredOptions::default())
             .expect("serialized update result must reparse");
-        assert_eq!(serialize_document(&reshred), paged_xml);
-        assert_eq!(reshred.len(), paged_doc.len(), "node count after reshred");
+        assert_eq!(serialize_document(&reshred), naive_xml);
+        assert_eq!(reshred.len(), naive_doc.len(), "node count after reshred");
     }
 }
 
@@ -256,25 +269,17 @@ proptest! {
         // every prefix: the image (and its name index) is checked after
         // each step of the script, not only at its end
         for steps in 1..=script.len() {
-            check_script(&xml, &script[..steps], 8, 75);
+            check_script(&xml, &script[..steps]);
         }
     }
 
     #[test]
-    fn random_scripts_agree_under_small_tight_pages(
+    fn random_long_scripts_agree_across_chunk_sizes(
         xml in arb_xml_tree(),
-        script in prop::collection::vec(arb_op(), 1..10),
+        script in prop::collection::vec(arb_op(), 8..24),
     ) {
-        // stress page splits: tiny pages, no slack
-        check_script(&xml, &script, 4, 100);
-    }
-
-    #[test]
-    fn random_scripts_agree_under_large_loose_pages(
-        xml in arb_xml_tree(),
-        script in prop::collection::vec(arb_op(), 1..10),
-    ) {
-        check_script(&xml, &script, 64, 25);
+        // long scripts: many splices into the same chunks
+        check_script(&xml, &script);
     }
 }
 
@@ -287,7 +292,7 @@ fn name_index_survives_chunk_splits() {
     use mxq::staircase::{looplifted_step, looplifted_step_candidates, Axis, NodeTest, ScanStats};
     let doc = shred("d.xml", "<r><k/><x><k/></x></r>", &ShredOptions::default()).unwrap();
     for chunk_rows in [64usize, 1024] {
-        let mut paged = PagedDocument::from_document(&doc, 64, 75);
+        let mut paged = PagedDocument::from_document(&doc);
         paged.rechunk_columns(chunk_rows);
         let frag = fragment_from_xml("<k><x/></k>");
         let inserts = 3 * chunk_rows / 2;
@@ -336,7 +341,7 @@ fn name_index_survives_chunk_splits() {
 
 #[test]
 fn xmark_mixed_query_update_round_trip() {
-    // MXQ_SCALE grows the document (the CI page-scan smoke job uses 0.01)
+    // MXQ_SCALE grows the document (the CI chunk-scan smoke job uses 0.01)
     let factor: f64 = match std::env::var("MXQ_SCALE") {
         Ok(raw) if !raw.trim().is_empty() => raw
             .trim()
@@ -374,7 +379,7 @@ fn xmark_mixed_query_update_round_trip() {
     assert_eq!(count(&mut s), before + 1);
     // the mutated store still answers a real XMark query
     assert!(s.query(mxq::xmark::queries::query_text(1)).is_ok());
-    // the serialized paged store state (rendered from pages on demand)
+    // the serialized paged store state (rendered from the column image)
     // reparses cleanly and reshreds to the same incremental column image
     let text = {
         let store = db.store();
