@@ -206,6 +206,11 @@ fn resolve(doc: &Document, script: &[ScriptOp]) -> PendingUpdateList {
 /// purposes, but both schemes resolve it identically — so only require that
 /// the two schemes agree, plus reshred-fixpoint and invariants.
 fn check_script(xml: &str, script: &[ScriptOp]) {
+    check_script_at(xml, script, &[2, 4, 16, DEFAULT_CHUNK_ROWS]);
+}
+
+/// `check_script` with the paged scheme run at the given chunk sizes only.
+fn check_script_at(xml: &str, script: &[ScriptOp], chunk_sizes: &[usize]) {
     let doc = shred("d.xml", xml, &ShredOptions::default()).expect("generated tree parses");
     let pul = resolve(&doc, script);
     let mut naive = NaiveDocument::from_document(&doc);
@@ -216,7 +221,7 @@ fn check_script(xml: &str, script: &[ScriptOp]) {
 
     // the paged scheme at every chunk geometry: two-row chunks make nearly
     // every splice cross a chunk bound, split a chunk or empty one
-    for chunk_rows in [2, 4, 16, DEFAULT_CHUNK_ROWS] {
+    for &chunk_rows in chunk_sizes {
         let mut paged = PagedDocument::from_document(&doc);
         paged.rechunk_columns(chunk_rows);
         assert_eq!(
@@ -274,12 +279,21 @@ proptest! {
     }
 
     #[test]
-    fn random_long_scripts_agree_across_chunk_sizes(
+    fn random_scripts_agree_under_small_tight_pages(
         xml in arb_xml_tree(),
         script in prop::collection::vec(arb_op(), 8..24),
     ) {
-        // long scripts: many splices into the same chunks
-        check_script(&xml, &script);
+        // stress chunk splits: long scripts splicing into tiny chunks
+        check_script_at(&xml, &script, &[2, 4]);
+    }
+
+    #[test]
+    fn random_scripts_agree_under_large_loose_pages(
+        xml in arb_xml_tree(),
+        script in prop::collection::vec(arb_op(), 8..24),
+    ) {
+        // long scripts whose splices mostly land inside one large chunk
+        check_script_at(&xml, &script, &[16, DEFAULT_CHUNK_ROWS]);
     }
 }
 
