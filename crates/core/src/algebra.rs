@@ -343,6 +343,18 @@ pub enum Op {
         /// the others produce the empty sequence.
         loop_: PlanRef,
     },
+    /// `count` of a join-recognised FLWOR that returns its `for` variable:
+    /// for every iteration of `loop_`, the number of source rows `join`
+    /// pairs it with, without building the pairs (introduced by
+    /// [`crate::analysis::simplify`] for `Aggregate(count)` over the
+    /// back-mapped [`Op::NestVar`] of a [`Op::NestFromJoin`]).
+    JoinCount {
+        /// The recognised join ([`Op::NestFromJoin`]), never evaluated
+        /// itself: its operands are.
+        join: PlanRef,
+        /// The loop relation (an iteration without a match counts 0).
+        loop_: PlanRef,
+    },
     /// Atomisation (`fn:data`): nodes are replaced by their typed value
     /// (string value; numeric strings stay strings — casts are explicit).
     Atomize {
@@ -495,6 +507,7 @@ impl Plan {
             Op::Empty { seq, loop_ } | Op::Aggregate { seq, loop_, .. } => {
                 vec![seq.clone(), loop_.clone()]
             }
+            Op::JoinCount { join, loop_ } => vec![join.clone(), loop_.clone()],
             Op::Atomize { seq }
             | Op::CastNumber { seq }
             | Op::DistinctValues { seq }
@@ -550,6 +563,7 @@ impl Plan {
             Op::Ebv { .. } => "ebv",
             Op::Empty { .. } => "empty",
             Op::Aggregate { .. } => "agg",
+            Op::JoinCount { .. } => "count(⋈)",
             Op::Atomize { .. } => "data",
             Op::StringValue { .. } => "string",
             Op::CastNumber { .. } => "number",

@@ -19,9 +19,11 @@
 //!   `docorder-δ` whose input is already in document order and duplicate
 //!   free, a `distinct` over at-most-one-item iterations), statically commits
 //!   a recognised join to the code-to-code fast path when both operands
-//!   provably share one dictionary, and upgrades the compiler's conservative
-//!   order annotations (the staircase join *does* emit `[iter, pos]` order
-//!   after its renumbering) so the executor skips further sorts;
+//!   provably share one dictionary, fuses `count` over a recognised join
+//!   into `count(⋈)` (no pairs built), and upgrades the compiler's
+//!   conservative order annotations (the staircase join *does* emit
+//!   `[iter, pos]` order after its renumbering) so the executor skips
+//!   further sorts;
 //! * [`validate_table`] asserts the inferred properties against actually
 //!   executed tables when `MXQ_VALIDATE_PLANS=1` (or
 //!   [`crate::ExecConfig::validate_plans`]) — the analysis is itself tested
@@ -35,6 +37,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
+use mxq_engine::agg::AggFunc;
 use mxq_engine::{Item, Table};
 
 use crate::algebra::{ConstItems, Op, Plan, PlanRef, Props};
@@ -578,6 +581,7 @@ fn infer_node(op: &Op, env: &HashMap<usize, NodeProps>) -> NodeProps {
         | Op::Ebv { .. }
         | Op::Empty { .. }
         | Op::Aggregate { .. }
+        | Op::JoinCount { .. }
         | Op::StringValue { .. }
         | Op::StringFn { .. } => NodeProps::scalar(),
 
@@ -805,7 +809,16 @@ fn verify_node(
                 return Err(violation("literal sequence holds a node reference".into()));
             }
         }
-        Op::DocRoot { loop_, .. } => expect(loop_, Loop, "loop")?,
+        // count(⋈) reads the operands of a recognised join, never a
+        // computed nest map
+        Op::JoinCount { join, .. } if !matches!(join.op, Op::NestFromJoin { .. }) => {
+            return Err(violation(format!(
+                "join input [{}] is {}, not a recognised join",
+                join.id,
+                join.op_name()
+            )));
+        }
+        Op::DocRoot { loop_, .. } | Op::JoinCount { loop_, .. } => expect(loop_, Loop, "loop")?,
         Op::ExternalVar { loop_, default, .. } => {
             expect(loop_, Loop, "loop")?;
             if let Some(d) = default {
@@ -981,6 +994,9 @@ struct Simplifier<'a> {
 /// * set the `dict_join` flag on a [`Op::NestFromJoin`] whose operands
 ///   provably share one dictionary, committing the executor to the
 ///   code-to-code join without a runtime check;
+/// * drop a `⋉` under `count` that restricts to the count's own loop, and
+///   fuse `count(for $x in S where L op R return $x)` over a recognised join
+///   into [`Op::JoinCount`];
 /// * strengthen [`Props`] where the analysis proves more order than the
 ///   compiler annotated (notably: axis-step output *is* `[iter, pos]`
 ///   sorted), letting the order-aware executor skip downstream sorts.
@@ -1055,12 +1071,22 @@ impl Simplifier<'_> {
                         seq.id
                     ),
                 });
-                let child = self.rewrite(seq);
-                let op = Op::Atomize { seq: child };
-                let props = strengthen(crate::compile::infer_props(&op), self.analysis.get(p.id));
-                let id = self.next_id;
-                self.next_id += 1;
-                return Arc::new(Plan { id, op, props });
+                let op = Op::Atomize {
+                    seq: self.rewrite(seq),
+                };
+                return self.replacement(p, op);
+            }
+        }
+
+        // -- count: redundant ⋉, count over a recognised join ---------------
+        if let Op::Aggregate {
+            func: AggFunc::Count,
+            seq,
+            loop_,
+        } = &p.op
+        {
+            if let Some(fused) = self.rewrite_count(p, seq, loop_) {
+                return fused;
             }
         }
 
@@ -1079,6 +1105,70 @@ impl Simplifier<'_> {
             op: new_op.unwrap_or_else(|| self.rebuild_op_forced(p)),
             props,
         })
+    }
+
+    /// A new node (fresh id) computing what `p` computes.
+    fn replacement(&mut self, p: &PlanRef, op: Op) -> PlanRef {
+        let props = strengthen(crate::compile::infer_props(&op), self.analysis.get(p.id));
+        let id = self.next_id;
+        self.next_id += 1;
+        Arc::new(Plan { id, op, props })
+    }
+
+    /// The two `count` rewrites, in order:
+    ///
+    /// * drop a `⋉` that restricts the counted sequence to the count's own
+    ///   loop: the aggregate emits only the groups of its loop anyway, and
+    ///   counting reads no value, so the rows the `⋉` kept out cannot make
+    ///   it fail (the compiler feeds the other aggregates through
+    ///   `number()`, never straight from a `⋉`);
+    /// * replace `count` over the back-mapped `for` variable of a recognised
+    ///   join with [`Op::JoinCount`], which never builds the pairs (the
+    ///   back-map's order keys do not change a count).
+    fn rewrite_count(
+        &mut self,
+        p: &PlanRef,
+        mut seq: &PlanRef,
+        loop_: &PlanRef,
+    ) -> Option<PlanRef> {
+        let mut dropped_semijoin = false;
+        if let Op::RestrictToIters { seq: inner, iters } = &seq.op {
+            if iters.id == loop_.id {
+                self.rewrites.push(Rewrite {
+                    plan_id: p.id,
+                    description: format!(
+                        "dropped ⋉ [{}] under agg(count): it restricts to the count's \
+                         own loop [{}]",
+                        seq.id, loop_.id
+                    ),
+                });
+                seq = inner;
+                dropped_semijoin = true;
+            }
+        }
+        let op = match returned_join_var(seq) {
+            Some(join) => {
+                self.rewrites.push(Rewrite {
+                    plan_id: p.id,
+                    description: format!(
+                        "fused agg(count) over backmap [{}] into count(⋈): the \
+                         FLWOR returns the `for` variable of join [{}]",
+                        seq.id, join.id
+                    ),
+                });
+                Op::JoinCount {
+                    join: self.rewrite(join),
+                    loop_: self.rewrite(loop_),
+                }
+            }
+            None if dropped_semijoin => Op::Aggregate {
+                func: AggFunc::Count,
+                seq: self.rewrite(seq),
+                loop_: self.rewrite(loop_),
+            },
+            None => return None,
+        };
+        Some(self.replacement(p, op))
     }
 
     /// Rebuild the operator with rewritten children; `None` when every child
@@ -1267,6 +1357,10 @@ impl Simplifier<'_> {
                 seq: rw(self, seq),
                 loop_: rw(self, loop_),
             },
+            Op::JoinCount { join, loop_ } => Op::JoinCount {
+                join: rw(self, join),
+                loop_: rw(self, loop_),
+            },
             Op::Atomize { seq } => Op::Atomize { seq: rw(self, seq) },
             Op::StringValue { seq, loop_ } => Op::StringValue {
                 seq: rw(self, seq),
@@ -1308,6 +1402,20 @@ impl Simplifier<'_> {
                 content: content.iter().map(|c| rw(self, c)).collect(),
             },
         }
+    }
+}
+
+/// The recognised join whose `for` variable `seq` back-maps, unchanged:
+/// `for $x in S where L op R return $x`.
+fn returned_join_var(seq: &PlanRef) -> Option<&PlanRef> {
+    let Op::BackMap { body, nest, .. } = &seq.op else {
+        return None;
+    };
+    match (&body.op, &nest.op) {
+        (Op::NestVar { nest: var_of }, Op::NestFromJoin { .. }) if var_of.id == nest.id => {
+            Some(nest)
+        }
+        _ => None,
     }
 }
 
@@ -1696,6 +1804,63 @@ mod tests {
             .any(|r| r.description.contains("code-to-code")));
         let re = analyze(&simplified.plan);
         assert!(explain_annotated(&simplified.plan, &re).contains("code=code"));
+    }
+
+    #[test]
+    fn simplifier_fuses_count_over_a_recognised_join() {
+        let query = |ret: &str, outer_where: &str, agg: &str| {
+            format!(
+                "for $p in doc(\"d.xml\")/a/p \
+                 let $l := for $o in doc(\"d.xml\")/a/o where $p/@n > $o/@n return {ret} \
+                 {outer_where} return {agg}($l)"
+            )
+        };
+        let where_ = "where $p/@k = \"x\"";
+        for (q, fused, dropped) in [
+            (query("$o", "", "count"), true, false),
+            (query("$o", where_, "count"), true, true),
+            (query("$o/@n", where_, "count"), false, true),
+            // the other aggregates read `number()` of the ⋉, not the ⋉
+            (query("$o", where_, "sum"), false, false),
+        ] {
+            let plan = plan_of(&q);
+            let simplified = simplify(&plan, &analyze(&plan));
+            let has = |what: &str| {
+                simplified
+                    .rewrites
+                    .iter()
+                    .any(|r| r.description.contains(what))
+            };
+            assert_eq!(has("fused agg(count)"), fused, "{q}");
+            assert_eq!(has("dropped ⋉"), dropped, "{q}");
+            assert_eq!(simplified.plan.explain().contains("count(⋈)"), fused, "{q}");
+            let re = analyze(&simplified.plan);
+            let verified = verify(&simplified.plan, &re).map_err(|v| v.to_string());
+            assert_eq!(verified, Ok(()), "{q}");
+        }
+    }
+
+    #[test]
+    fn verifier_rejects_count_over_a_computed_nest() {
+        // a FLWOR's back-map reads its nest map second
+        let plan = plan_of("for $x in doc(\"d.xml\")/a return $x");
+        let nest = &plan.children()[1];
+        assert!(matches!(nest.op, Op::NestFromSeq { .. }));
+        let loop_ = Arc::new(Plan {
+            id: 1000,
+            op: Op::LoopOne,
+            props: Props::default(),
+        });
+        let bad = Arc::new(Plan {
+            id: 1001,
+            op: Op::JoinCount {
+                join: nest.clone(),
+                loop_,
+            },
+            props: Props::default(),
+        });
+        let err = verify(&bad, &analyze(&bad)).expect_err("nest(ρ) is not a join");
+        assert!(err.message.contains("not a recognised join"), "{err}");
     }
 
     #[test]

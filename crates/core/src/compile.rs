@@ -1365,6 +1365,7 @@ pub(crate) fn infer_props(op: &Op) -> Props {
         | Op::NestVarPos { .. }
         | Op::NestLoop { .. }
         | Op::Aggregate { .. }
+        | Op::JoinCount { .. }
         | Op::Ebv { .. }
         | Op::Empty { .. }
         | Op::StringValue { .. }

@@ -24,7 +24,9 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use mxq_engine::agg::{aggregate_grouped, AggFunc};
-use mxq_engine::join::{lookup_sorted, minmax_candidates, radix_hash_join, theta_join};
+use mxq_engine::join::{
+    lookup_sorted, minmax_candidates, radix_hash_join, theta_join, theta_join_counts,
+};
 use mxq_engine::rank::row_number_streaming;
 use mxq_engine::sort::{sort_permutation, SortOrder};
 use mxq_engine::value::format_double;
@@ -435,14 +437,7 @@ impl<'a> Executor<'a> {
                 ])
                 .map_err(Into::into)
             }
-            Op::NestFromJoin {
-                source,
-                outer_loop,
-                left,
-                right,
-                op,
-                dict_join,
-            } => self.eval_nest_from_join(source, outer_loop, left, right, *op, *dict_join),
+            Op::NestFromJoin { .. } => self.eval_nest_from_join(plan),
             Op::NestLoop { nest } => {
                 let t = self.eval(nest)?;
                 Table::from_columns(vec![("iter", t.column("inner")?.clone())]).map_err(Into::into)
@@ -646,6 +641,7 @@ impl<'a> Executor<'a> {
                 Ok(seq_table(iters, vec![1; n], items))
             }
             Op::Aggregate { func, seq, loop_ } => self.eval_aggregate(*func, seq, loop_),
+            Op::JoinCount { join, loop_ } => self.eval_join_count(join, loop_),
             Op::Atomize { seq } => {
                 let t = self.eval(seq)?;
                 // a dictionary-encoded item column holds only strings, which
@@ -917,25 +913,87 @@ impl<'a> Executor<'a> {
         .map_err(Into::into)
     }
 
-    fn eval_nest_from_join(
-        &mut self,
-        source: &PlanRef,
-        outer_loop: &PlanRef,
-        left: &PlanRef,
-        right: &PlanRef,
-        op: CmpOp,
-        dict_join: bool,
-    ) -> EResult<Table> {
+    /// The recognised join of `nest(⋈)` and `count(⋈)`: evaluate the source
+    /// and both operands, reduce θ-operands to their min/max candidates
+    /// (Figure 8(b)), and join.  With `count`, a θ-join whose candidates are
+    /// one per outer iteration and one per source row is answered by rank
+    /// ([`theta_join_counts`]): every (left, right) candidate pair is then
+    /// one (outer iteration, source row) pair and matches in at most one
+    /// comparison class, so the range lengths are the counts.  Every other
+    /// join builds its pairs and removes duplicates (δ, Figure 8(a)).
+    fn eval_join(&mut self, join: &PlanRef, count: bool) -> EResult<Joined> {
+        let Op::NestFromJoin {
+            source,
+            left,
+            right,
+            op,
+            dict_join,
+            ..
+        } = &join.op
+        else {
+            return Err(ExecError::Internal(format!(
+                "[{}] {} is not a recognised join",
+                join.id,
+                join.op_name()
+            )));
+        };
+        let op = *op;
         let src = self.eval(source)?;
         let src = self.sorted_seq(&src, source)?;
         let lt = self.eval(left)?;
         let rt = self.eval(right)?;
-        let _ = self.loop_iters(outer_loop)?;
+        let (l_iter, r_iter) = (iter_col(&lt)?, iter_col(&rt)?);
+        let (l_item, r_item) = (lt.column("item")?, rt.column("item")?);
+        // source position -> source row (`pos - 1` when the positions are
+        // dense); the source was evaluated in the singleton loop, so its
+        // sorted `pos` column ascends
+        let src_pos = pos_col(&src)?;
+        debug_assert!(src_pos.windows(2).all(|w| w[0] <= w[1]));
 
-        let l_iter = iter_col(&lt)?;
-        let r_iter = iter_col(&rt)?;
-        let l_item = lt.column("item")?;
-        let r_item = rt.column("item")?;
+        // push min/max aggregates below the theta join (Figure 8(b)): for
+        // `l < r` it suffices to compare min(l) with max(r), etc. — keep the
+        // smallest left / largest right for `<`-like ops and the reverse for
+        // `>`-like ops (`!=` needs both extremes and joins unreduced)
+        let minmax = self.config.existential_minmax
+            && matches!(op, CmpOp::Lt | CmpOp::Le | CmpOp::Gt | CmpOp::Ge);
+        let reduce = |iter: &[i64], item: &Column, take_min: bool| {
+            let rows = minmax_candidates(iter, item, take_min);
+            // single-valued operands reduce to themselves
+            (rows.len() < item.len()).then(|| (item.gather(&rows), rows))
+        };
+        let left_min = matches!(op, CmpOp::Lt | CmpOp::Le);
+        let l = minmax.then(|| reduce(l_iter, l_item, left_min)).flatten();
+        let r = minmax.then(|| reduce(r_iter, r_item, !left_min)).flatten();
+        let (l_col, r_col) = (
+            l.as_ref().map_or(l_item, |(reduced, _)| reduced),
+            r.as_ref().map_or(r_item, |(reduced, _)| reduced),
+        );
+        // candidate -> operand iteration
+        let l_of = |a: usize| l_iter[l.as_ref().map_or(a, |(_, rows)| rows[a])];
+        let r_of = |b: usize| r_iter[r.as_ref().map_or(b, |(_, rows)| rows[b])];
+
+        if count && minmax {
+            // exact when each outer iteration and each source row kept one
+            // candidate (strictly ascending `iter`s) and every right
+            // candidate is a row of the source, as the pairs path requires
+            let ascending = |n: usize, of: &dyn Fn(usize) -> i64| (1..n).all(|k| of(k - 1) < of(k));
+            let r_iters: Vec<i64> = (0..r_col.len()).map(r_of).collect();
+            let mut sources = 0;
+            lookup_sorted(src_pos, &r_iters, |_, _| sources += 1);
+            if ascending(l_col.len(), &l_of)
+                && ascending(r_col.len(), &r_of)
+                && sources == r_iters.len()
+            {
+                let counts = theta_join_counts(l_col, r_col, op);
+                return Ok(Joined::Counts(
+                    counts
+                        .into_iter()
+                        .enumerate()
+                        .map(|(a, n)| (l_of(a), n))
+                        .collect(),
+                ));
+            }
+        }
 
         // matching (left row, right row) pairs with existential semantics
         let (li, ri) = if op.is_equality() {
@@ -944,48 +1002,21 @@ impl<'a> Executor<'a> {
             // columns sharing a dictionary code-to-code.  The δ afterwards
             // works on the [iter1, iter2]-ordered output (Section 4.2,
             // Figure 8(a)).
-            if dict_join {
+            if *dict_join {
                 // the analyser proved both operands share one dictionary, so
                 // this join runs code-to-code by construction
                 self.stats.proven_dict_joins += 1;
             }
-            radix_hash_join(l_item, r_item)
-        } else if self.config.existential_minmax && op != CmpOp::Ne {
-            // push min/max aggregates below the theta join (Figure 8(b)):
-            // for `l < r` it suffices to compare min(l) with max(r), etc. —
-            // keep the smallest left / largest right for `<`-like ops and
-            // the reverse for `>`-like ops (`!=` needs both extremes and
-            // joins unreduced)
-            let left_min = matches!(op, CmpOp::Lt | CmpOp::Le);
-            let reduce = |iter: &[i64], item: &Column, take_min: bool| {
-                let rows = minmax_candidates(iter, item, take_min);
-                // single-valued operands reduce to themselves
-                (rows.len() < item.len()).then(|| (item.gather(&rows), rows))
-            };
-            let l = reduce(l_iter, l_item, left_min);
-            let r = reduce(r_iter, r_item, !left_min);
-            let (mut li, mut ri) = theta_join(
-                l.as_ref().map_or(l_item, |(reduced, _)| reduced),
-                r.as_ref().map_or(r_item, |(reduced, _)| reduced),
-                op,
-            );
-            if let Some((_, rows)) = &l {
-                li.iter_mut().for_each(|a| *a = rows[*a]);
-            }
-            if let Some((_, rows)) = &r {
-                ri.iter_mut().for_each(|b| *b = rows[*b]);
-            }
-            (li, ri)
+            radix_hash_join(l_col, r_col)
         } else {
-            // plain theta join over all item pairs followed by δ (Figure 8(a))
-            theta_join(l_item, r_item, op)
+            theta_join(l_col, r_col, op)
         };
         self.stats.join_pairs += li.len() as u64;
-        // (outer iter, source row)
+        // (outer iter, source position)
         let mut pairs: Vec<(i64, i64)> = li
             .into_iter()
             .zip(ri)
-            .map(|(a, b)| (l_iter[a], r_iter[b]))
+            .map(|(a, b)| (l_of(a), r_of(b)))
             .collect();
         // δ — single-valued operands over sorted iters join duplicate-free
         // and in order already
@@ -993,33 +1024,61 @@ impl<'a> Executor<'a> {
             pairs.sort_unstable();
             pairs.dedup();
         }
-
-        // source position -> source row (`pos - 1` when the positions are
-        // dense); the source was evaluated in the singleton loop, so its
-        // sorted `pos` column ascends
-        let src_pos = pos_col(&src)?;
-        debug_assert!(src_pos.windows(2).all(|w| w[0] <= w[1]));
         let probes: Vec<i64> = pairs.iter().map(|&(_, p)| p).collect();
-        let n = pairs.len();
-        let (mut outer, mut inner, mut pos, mut rows) = (
-            Vec::with_capacity(n),
-            Vec::with_capacity(n),
-            Vec::with_capacity(n),
-            Vec::with_capacity(n),
-        );
-        lookup_sorted(src_pos, &probes, |k, row| {
-            outer.push(pairs[k].0);
-            inner.push(k as i64 + 1);
-            pos.push(probes[k]);
-            rows.push(row);
-        });
+        let mut joined = Vec::with_capacity(pairs.len());
+        lookup_sorted(src_pos, &probes, |k, row| joined.push((pairs[k].0, row)));
+        Ok(Joined::Pairs(src.clone(), joined))
+    }
+
+    fn eval_nest_from_join(&mut self, join: &PlanRef) -> EResult<Table> {
+        let Joined::Pairs(src, pairs) = self.eval_join(join, false)? else {
+            return Err(ExecError::Internal("nest(⋈) joined to counts".into()));
+        };
+        let src_pos = pos_col(&src)?;
+        let (outer, rows): (Vec<i64>, Vec<usize>) = pairs.into_iter().unzip();
         Table::from_columns(vec![
             ("outer", Column::Int(outer)),
-            ("inner", Column::Int(inner)),
-            ("pos", Column::Int(pos)),
+            ("inner", Column::dense(1, rows.len())),
+            (
+                "pos",
+                Column::Int(rows.iter().map(|&row| src_pos[row]).collect()),
+            ),
             ("item", src.column("item")?.gather(&rows)),
         ])
         .map_err(Into::into)
+    }
+
+    /// `count(⋈)`: per iteration of `loop_` the number of source rows the
+    /// join pairs it with — by rank, or by counting the runs of the pairs.
+    fn eval_join_count(&mut self, join: &PlanRef, loop_: &PlanRef) -> EResult<Table> {
+        let counts = match self.eval_join(join, true)? {
+            Joined::Counts(counts) => counts,
+            // the pairs ascend by outer iteration
+            Joined::Pairs(_, pairs) => {
+                let mut counts: Vec<(i64, usize)> = Vec::new();
+                for (outer, _) in pairs {
+                    match counts.last_mut() {
+                        Some((it, n)) if *it == outer => *n += 1,
+                        _ => counts.push((outer, 1)),
+                    }
+                }
+                counts
+            }
+        };
+        let iters = self.loop_iters(loop_)?;
+        let mut counts = counts.into_iter().peekable();
+        let items: Vec<Item> = iters
+            .iter()
+            .map(|&it| {
+                while counts.next_if(|&(outer, _)| outer < it).is_some() {}
+                let n = counts
+                    .next_if(|&(outer, _)| outer == it)
+                    .map_or(0, |(_, n)| n);
+                Item::Int(n as i64)
+            })
+            .collect();
+        let n = iters.len();
+        Ok(seq_table(iters, vec![1; n], items))
     }
 
     fn eval_union(&mut self, parts: &[PlanRef]) -> EResult<Table> {
@@ -1507,6 +1566,16 @@ impl<'a> IterRuns<'a> {
 
 /// The items of a constant sequence: inline, or this execution's literal in
 /// a parameter slot.
+/// What a recognised join hands its consumer ([`Executor::eval_join`]).
+enum Joined {
+    /// The qualifying (outer iteration, source row) pairs, ascending and
+    /// duplicate free, next to the evaluated source (sorted on `pos`).
+    Pairs(Rc<Table>, Vec<(i64, usize)>),
+    /// Per outer iteration (ascending), the number of qualifying source
+    /// rows: the rank count.
+    Counts(Vec<(i64, usize)>),
+}
+
 fn const_items<'p>(items: &'p ConstItems, params: &'p Params) -> EResult<&'p [Item]> {
     match items {
         ConstItems::Inline(items) => Ok(items),

@@ -16,9 +16,12 @@
 //! castable untyped strings, `&str` or shared dictionary codes for strings,
 //! node ids), sorts the right side once and answers every left row with two
 //! binary searches: `O((n + m) log m + output)` instead of `n * m` item
-//! comparisons.  [`minmax_candidates`] is the aggregate push-down of Figure
-//! 8(b) over the same typed keys.  [`theta_join_nested`] — the nested loop
-//! over [`Item::compare`] — is retained as the reference implementation;
+//! comparisons.  [`theta_join_counts`] answers `count` over the same join
+//! from the same sort — per left row the length of its matching key ranges,
+//! no pairs built.  [`minmax_candidates`] is the aggregate push-down of
+//! Figure 8(b) over the same typed keys.  [`theta_join_nested`] — the
+//! nested loop over [`Item::compare`] — is retained as the reference
+//! implementation;
 //! `tests/join_differential.rs` checks the two produce identical pairs in
 //! identical order for all six operators.
 //!
@@ -46,6 +49,7 @@
 
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
+use std::ops::Range;
 use std::sync::Arc;
 
 use crate::column::Column;
@@ -470,47 +474,106 @@ fn push_num(keys: &mut Keys<f64>, x: f64, row: usize) {
     keys.extend(comparable(x).map(|x| (x, row)));
 }
 
-/// Join one comparison class: sort the right keys once, then answer every
-/// left key (in row order) with two binary searches and emit the matching
-/// right rows in ascending row order.  Returns whether any pair was emitted.
-fn join_class<K: Copy>(
-    left: &[(K, usize)],
-    right: &mut [(K, usize)],
+/// The ranges of a key-sorted right class that satisfy `left op right` for
+/// one left key — the one place the six operators' semantics live.  Right
+/// keys below the equal run `lo..hi` are smaller, from `hi` on larger.
+fn matching_ranges<K>(
+    right: &[(K, usize)],
+    key: &K,
     op: CmpOp,
     cmp: impl Fn(&K, &K) -> std::cmp::Ordering,
-    out: &mut JoinPairs,
-) -> bool {
+) -> [Range<usize>; 2] {
     use std::cmp::Ordering::{Equal, Less};
-    if left.is_empty() || right.is_empty() {
-        return false;
-    }
-    right.sort_unstable_by(|a, b| cmp(&a.0, &b.0).then(a.1.cmp(&b.1)));
-    // right rows already in key order: every key range is in row order too
-    let row_ordered = right.windows(2).all(|w| w[0].1 < w[1].1);
     let m = right.len();
-    let before = out.0.len();
-    for &(k, l) in left {
-        let lo = right.partition_point(|r| cmp(&r.0, &k) == Less);
-        let hi = lo + right[lo..].partition_point(|r| cmp(&r.0, &k) == Equal);
-        // right keys below `lo` are smaller, from `hi` on larger
-        let (first, second) = match op {
-            CmpOp::Eq => (lo..hi, 0..0),
-            CmpOp::Ne => (0..lo, hi..m),
-            CmpOp::Lt => (hi..m, 0..0),
-            CmpOp::Le => (lo..m, 0..0),
-            CmpOp::Gt => (0..lo, 0..0),
-            CmpOp::Ge => (0..hi, 0..0),
-        };
-        let start = out.1.len();
-        out.1.extend(right[first].iter().map(|r| r.1));
-        out.1.extend(right[second].iter().map(|r| r.1));
-        // an equal-key run is sorted on the row already
-        if !row_ordered && op != CmpOp::Eq {
-            out.1[start..].sort_unstable();
-        }
-        out.0.resize(out.1.len(), l);
+    let lo = right.partition_point(|r| cmp(&r.0, key) == Less);
+    let hi = lo + right[lo..].partition_point(|r| cmp(&r.0, key) == Equal);
+    match op {
+        CmpOp::Eq => [lo..hi, 0..0],
+        CmpOp::Ne => [0..lo, hi..m],
+        CmpOp::Lt => [hi..m, 0..0],
+        CmpOp::Le => [lo..m, 0..0],
+        CmpOp::Gt => [0..lo, 0..0],
+        CmpOp::Ge => [0..hi, 0..0],
     }
-    out.0.len() > before
+}
+
+/// One comparison class of [`theta_join`] / [`theta_join_counts`]: the left
+/// and right keys of the class (in row order) and their total order.
+trait ClassJoin {
+    fn class<K: Copy>(
+        &mut self,
+        left: &[(K, usize)],
+        right: &mut [(K, usize)],
+        cmp: impl Fn(&K, &K) -> std::cmp::Ordering,
+    );
+}
+
+/// Hand every comparison class of `left op right` to `join`: numbers meet
+/// numbers and castable strings as doubles, two strings meet as strings (as
+/// codes when both columns share one dictionary instance, whose code order
+/// is string order), nodes meet nodes.  A (left, right) pair of items falls
+/// into at most one class.
+fn for_each_class(left: &Column, right: &Column, join: &mut impl ClassJoin) {
+    let shared_codes = match (left.dict_parts(), right.dict_parts()) {
+        (Some((lc, ld)), Some((rc, rd))) if Arc::ptr_eq(ld, rd) => Some((lc, rc)),
+        _ => None,
+    };
+    let l = ThetaKeys::extract(left, shared_codes.is_none());
+    let mut r = ThetaKeys::extract(right, shared_codes.is_none());
+    // castable strings compare numerically with typed numbers only — two
+    // strings always compare as strings
+    join.class(&l.cast, &mut r.num, f64::total_cmp);
+    r.num.append(&mut r.cast);
+    join.class(&l.num, &mut r.num, f64::total_cmp);
+    match shared_codes {
+        Some((lc, rc)) => {
+            let lk: Keys<u32> = lc.iter().copied().zip(0..).collect();
+            let mut rk: Keys<u32> = rc.iter().copied().zip(0..).collect();
+            join.class(&lk, &mut rk, u32::cmp);
+        }
+        None => join.class(&l.strs, &mut r.strs, |a, b| a.cmp(b)),
+    }
+    join.class(&l.nodes, &mut r.nodes, NodeId::cmp);
+}
+
+/// [`theta_join`]'s class join: sort the right keys once, then answer every
+/// left key (in row order) with two binary searches and emit the matching
+/// right rows in ascending row order.
+struct PairJoin {
+    op: CmpOp,
+    out: JoinPairs,
+    /// Classes that emitted a pair.
+    classes: usize,
+}
+
+impl ClassJoin for PairJoin {
+    fn class<K: Copy>(
+        &mut self,
+        left: &[(K, usize)],
+        right: &mut [(K, usize)],
+        cmp: impl Fn(&K, &K) -> std::cmp::Ordering,
+    ) {
+        if left.is_empty() || right.is_empty() {
+            return;
+        }
+        right.sort_unstable_by(|a, b| cmp(&a.0, &b.0).then(a.1.cmp(&b.1)));
+        // right rows already in key order: every key range is in row order too
+        let row_ordered = right.windows(2).all(|w| w[0].1 < w[1].1);
+        let out = &mut self.out;
+        let before = out.0.len();
+        for &(k, l) in left {
+            let start = out.1.len();
+            for range in matching_ranges(right, &k, self.op, &cmp) {
+                out.1.extend(right[range].iter().map(|r| r.1));
+            }
+            // an equal-key run is sorted on the row already
+            if !row_ordered && self.op != CmpOp::Eq {
+                out.1[start..].sort_unstable();
+            }
+            out.0.resize(out.1.len(), l);
+        }
+        self.classes += (out.0.len() > before) as usize;
+    }
 }
 
 /// Sort-merge theta join evaluating `left[i] op right[j]` with exactly the
@@ -518,42 +581,61 @@ fn join_class<K: Copy>(
 /// the pair list of [`theta_join_nested`], in the same `(left, right)` index
 /// order, in `O((n + m) log m + output)`.
 ///
-/// The keys of each side are extracted once into typed vectors; numbers
-/// meet numbers and castable strings as doubles, two strings meet as
-/// strings (as codes when both columns share one dictionary instance, whose
-/// code order is string order), nodes meet nodes.
+/// The keys of each side are extracted once into typed vectors, one per
+/// comparison class (see `for_each_class`).
 pub fn theta_join(left: &Column, right: &Column, op: CmpOp) -> JoinPairs {
-    let shared_codes = match (left.dict_parts(), right.dict_parts()) {
-        (Some((lc, ld)), Some((rc, rd))) if Arc::ptr_eq(ld, rd) => Some((lc, rc)),
-        _ => None,
+    let mut join = PairJoin {
+        op,
+        out: (Vec::new(), Vec::new()),
+        classes: 0,
     };
-    let l = ThetaKeys::extract(left, shared_codes.is_none());
-    let mut r = ThetaKeys::extract(right, shared_codes.is_none());
-    let mut out: JoinPairs = (Vec::new(), Vec::new());
-    let mut classes = 0;
-
-    // castable strings compare numerically with typed numbers only — two
-    // strings always compare as strings
-    classes += join_class(&l.cast, &mut r.num, op, f64::total_cmp, &mut out) as usize;
-    r.num.append(&mut r.cast);
-    classes += join_class(&l.num, &mut r.num, op, f64::total_cmp, &mut out) as usize;
-    classes += match shared_codes {
-        Some((lc, rc)) => {
-            let lk: Keys<u32> = lc.iter().copied().zip(0..).collect();
-            let mut rk: Keys<u32> = rc.iter().copied().zip(0..).collect();
-            join_class(&lk, &mut rk, op, u32::cmp, &mut out)
-        }
-        None => join_class(&l.strs, &mut r.strs, op, |a, b| a.cmp(b), &mut out),
-    } as usize;
-    classes += join_class(&l.nodes, &mut r.nodes, op, NodeId::cmp, &mut out) as usize;
-
-    if classes > 1 {
+    for_each_class(left, right, &mut join);
+    let mut out = join.out;
+    if join.classes > 1 {
         // each class emitted in (left, right) order; interleave them
         let mut pairs: Vec<(usize, usize)> = out.0.into_iter().zip(out.1).collect();
         pairs.sort_unstable();
         out = pairs.into_iter().unzip();
     }
     out
+}
+
+/// [`theta_join_counts`]' class join: sort the right keys once and add the
+/// length of every left key's matching ranges to its row's count.
+struct CountJoin {
+    op: CmpOp,
+    counts: Vec<usize>,
+}
+
+impl ClassJoin for CountJoin {
+    fn class<K: Copy>(
+        &mut self,
+        left: &[(K, usize)],
+        right: &mut [(K, usize)],
+        cmp: impl Fn(&K, &K) -> std::cmp::Ordering,
+    ) {
+        if left.is_empty() || right.is_empty() {
+            return;
+        }
+        right.sort_unstable_by(|a, b| cmp(&a.0, &b.0));
+        for &(k, l) in left {
+            let ranges = matching_ranges(right, &k, self.op, &cmp);
+            self.counts[l] += ranges.into_iter().map(|r| r.len()).sum::<usize>();
+        }
+    }
+}
+
+/// Per left row, the number of right rows [`theta_join`] pairs it with —
+/// `count` over a theta join without building the pairs: one sort of the
+/// right keys per comparison class and a rank lookup per left key,
+/// `O((n + m) log m)` whatever the output size.
+pub fn theta_join_counts(left: &Column, right: &Column, op: CmpOp) -> Vec<usize> {
+    let mut join = CountJoin {
+        op,
+        counts: vec![0; left.len()],
+    };
+    for_each_class(left, right, &mut join);
+    join.counts
 }
 
 /// The min/max push-down of the existential theta join (Figure 8(b)): the
@@ -893,6 +975,26 @@ mod tests {
             );
         }
         assert_eq!(theta_join(&left, &right, CmpOp::Lt).0, vec![0, 0, 0, 2]);
+    }
+
+    #[test]
+    fn theta_join_counts_rank_dictionary_strings_against_doubles() {
+        // Q11's shape: untyped incomes (dictionary strings, one of them not
+        // a number) against typed doubles holding NaN and -0
+        let left = Column::dict_from_strings(["40000", "abc", "9999.5", "0"]);
+        let right = Column::Dbl(vec![5000.0, 10000.0, f64::NAN, 40000.0, -0.0]);
+        for op in ALL_OPS {
+            let mut expected = vec![0; left.len()];
+            theta_join(&left, &right, op)
+                .0
+                .iter()
+                .for_each(|&row| expected[row] += 1);
+            assert_eq!(theta_join_counts(&left, &right, op), expected, "op {op:?}");
+        }
+        assert_eq!(
+            theta_join_counts(&left, &right, CmpOp::Gt),
+            vec![3, 0, 2, 0]
+        );
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! join-then-δ ablation (`existential_minmax: false`), the fully naive
 //! relational configuration and the DOM-walking `NaiveInterpreter` must
 //! agree on operands that are multi-valued on both sides, empty,
-//! non-numeric (`"abc" > 5` matches nothing) and NaN — and a
+//! non-numeric (`"abc" > 5` matches nothing) and NaN; the fused
+//! `count(⋈)` (by rank or over the pairs) must agree with them too — and a
 //! constructor whose content is itself a constructed subtree, three levels
 //! deep, must copy within the transient container correctly.
 //!
@@ -180,16 +181,60 @@ fn not_equal_needs_one_differing_pair() {
     assert!(!differing.contains("p5"), "NaN != x is false here");
 }
 
+/// The three operand typings of a join: untyped against untyped compares
+/// as strings, untyped against typed and typed against typed numerically.
+/// A multi-valued untyped group keeps two min/max candidates (its string
+/// and its numeric extreme), so `count(⋈)` counts the pairs there; typed
+/// groups keep one candidate, so it counts by rank.
+const TYPINGS: [(&str, &str); 3] = [
+    ("$p/inc", "$o/amt"),
+    ("$p/inc", TYPED_AMT),
+    (TYPED_INC, TYPED_AMT),
+];
+
 #[test]
 fn let_bound_join_counts_agree() {
-    // the Q11/Q12 shape: a let-bound join-recognised FLWOR, then count
-    for op in OPS {
-        agreed_result(&format!(
-            "for $p in doc(\"t.xml\")/db/people/p \
-             let $l := for $o in doc(\"t.xml\")/db/offers/o \
-                       where $p/inc {op} {TYPED_AMT} return $o \
-             return <r id=\"{{$p/@id}}\">{{count($l)}}</r>"
-        ));
+    // the Q11/Q12 shapes: a let-bound join-recognised FLWOR, then count
+    let db = database();
+    let people = "for $p in doc(\"t.xml\")/db/people/p";
+    let person = "<r id=\"{$p/@id}\">";
+    for (typing, (left, right)) in TYPINGS.into_iter().enumerate() {
+        for op in OPS {
+            let join = format!("for $o in doc(\"t.xml\")/db/offers/o where {left} {op} {right}");
+            // count of the `for` variable: fused into count(⋈)
+            let q11 =
+                format!("{people} let $l := {join} return $o return {person}{{count($l)}}</r>");
+            let q12 = format!(
+                "{people} let $l := {join} return $o where $p/inc > 5 \
+                 return {person}{{count($l)}}</r>"
+            );
+            // sum, and a body other than the variable: not fused
+            let q12_sum = format!(
+                "{people} let $l := {join} return count($o/amt) where $p/inc > 5 \
+                 return {person}{{sum($l)}}</r>"
+            );
+            let amounts =
+                format!("{people} let $l := {join} return $o/amt return {person}{{count($l)}}</r>");
+            for (query, fused) in [
+                (&q11, true),
+                (&q12, true),
+                (&q12_sum, false),
+                (&amounts, false),
+            ] {
+                agreed_result(query);
+                let plan = db.session().explain(query).unwrap();
+                assert_eq!(plan.contains("count(⋈)"), fused, "`{query}`:\n{plan}");
+            }
+            // typed operands with a θ-operator count by rank: no pair built
+            let (_, report) = db.session().query_with_report(&q11).unwrap();
+            let by_rank = typing == 2 && !matches!(op, "=" | "!=");
+            assert_eq!(
+                report.stats.join_pairs == 0,
+                by_rank,
+                "`{q11}` built {} pairs",
+                report.stats.join_pairs
+            );
+        }
     }
 }
 

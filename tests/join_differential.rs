@@ -28,13 +28,17 @@
 //! and ±inf, numeric and non-numeric strings, booleans, nodes, duplicates),
 //! the monomorphic variants, dictionary-encoded strings with shared and
 //! separate dictionaries, and empty sides — asserting identical pairs in
-//! the documented `(left, right)` order; and checks that the min/max
-//! push-down (`minmax_candidates`) loses no qualifying pair of groups.
+//! the documented `(left, right)` order; checks that the rank count
+//! (`theta_join_counts`, the kernel of `count(⋈)`) is, per left row, the
+//! number of pairs `theta_join` emits for it, on the same inputs; and checks
+//! that the min/max push-down (`minmax_candidates`) loses no qualifying
+//! pair of groups.
 
 use proptest::prelude::*;
 
 use mxq::engine::join::{
-    hash_join_items, minmax_candidates, radix_hash_join, theta_join, theta_join_nested,
+    hash_join_items, minmax_candidates, radix_hash_join, theta_join, theta_join_counts,
+    theta_join_nested,
 };
 use mxq::engine::{CmpOp, Column, Dictionary, Item, NodeId};
 
@@ -294,6 +298,22 @@ fn assert_theta_agrees(left: &Column, right: &Column, what: &str) {
     }
 }
 
+/// Assert the rank count equals, per left row, the number of pairs the
+/// theta join emits for it — for every operator.
+fn assert_counts_agree(left: &Column, right: &Column, what: &str) {
+    for op in ALL_OPS {
+        let mut expected = vec![0; left.len()];
+        for l in theta_join(left, right, op).0 {
+            expected[l] += 1;
+        }
+        assert_eq!(
+            theta_join_counts(left, right, op),
+            expected,
+            "{what}: `{op}` counts differ from the pairs"
+        );
+    }
+}
+
 /// [`arb_item`] plus nodes of two fragments: every comparison class of
 /// `Item::value_cmp`, with duplicates and incomparable neighbours.
 fn arb_theta_item() -> impl Strategy<Value = Item> {
@@ -360,6 +380,36 @@ proptest! {
         // untyped dictionary strings against typed and mixed items
         assert_theta_agrees(&left, &Column::Item(right.clone()), "dict vs items");
         assert_theta_agrees(&Column::Item(right), &left, "items vs dict");
+    }
+
+    #[test]
+    fn theta_join_counts_match_the_pairs_on_every_representation(
+        left in prop::collection::vec(arb_theta_item(), 0..30),
+        right in prop::collection::vec(arb_theta_item(), 0..30),
+        lrepr in 0usize..8,
+        rrepr in 0usize..8,
+    ) {
+        assert_counts_agree(
+            &column_as(left, lrepr),
+            &column_as(right, rrepr),
+            &format!("representations {lrepr} x {rrepr}"),
+        );
+    }
+
+    #[test]
+    fn theta_join_counts_match_the_pairs_over_dictionaries(
+        lp in prop::collection::vec(0usize..64, 0..30),
+        rp in prop::collection::vec(0usize..64, 0..30),
+        right in prop::collection::vec(arb_theta_item(), 0..30),
+    ) {
+        let (lcodes, dict) = dict_column_over(&MIXED, lp);
+        let rcodes: Vec<u32> = rp.iter().map(|p| (p % dict.len()) as u32).collect();
+        let left = Column::Dict { codes: lcodes, dict: dict.clone() };
+        assert_counts_agree(&left, &Column::Dict { codes: rcodes, dict }, "shared dictionary");
+        let (rcodes, rdict) = dict_column_over(&TAGS, rp);
+        assert_counts_agree(&left, &Column::Dict { codes: rcodes, dict: rdict }, "separate dictionaries");
+        assert_counts_agree(&left, &Column::Item(right.clone()), "dict vs items");
+        assert_counts_agree(&Column::Item(right), &left, "items vs dict");
     }
 
     #[test]
@@ -451,6 +501,7 @@ fn theta_join_of_empty_sides_is_empty() {
         for (a, b) in [(&empty, &nonempty), (&nonempty, &empty), (&empty, &empty)] {
             let (l, r) = theta_join(a, b, op);
             assert!(l.is_empty() && r.is_empty());
+            assert_eq!(theta_join_counts(a, b, op), vec![0; a.len()]);
         }
     }
 }
