@@ -175,7 +175,8 @@ pub fn run_query(session: &mut Session, id: usize) -> usize {
 pub fn run_query_naive(xml: &str, id: usize) -> usize {
     let mut store = DocStore::new();
     store.load_xml("auction.xml", xml).expect("load");
-    let mut naive = NaiveInterpreter::new(&mut store);
+    let snap = store.snapshot();
+    let mut naive = NaiveInterpreter::new(&snap);
     naive
         .run(query_text(id))
         .unwrap_or_else(|e| panic!("naive XMark Q{id} failed: {e}"))

@@ -25,9 +25,9 @@
 //!   `[iter, pos]` order after its renumbering) so the executor skips
 //!   further sorts;
 //! * [`validate_table`] asserts the inferred properties against actually
-//!   executed tables when `MXQ_VALIDATE_PLANS=1` (or
-//!   [`crate::ExecConfig::validate_plans`]) — the analysis is itself tested
-//!   differentially, on every table of every query of the test suite.
+//!   executed tables when the environment sets `MXQ_VALIDATE_PLANS=1` —
+//!   the analysis is itself tested differentially, on every table of every
+//!   query of the test suite.
 //!
 //! [`explain_annotated`] renders a plan with its inferred properties, which
 //! [`crate::Session::explain`] exposes together with the list of applied

@@ -31,10 +31,6 @@ pub struct ExecConfig {
     /// below the theta-join (Figure 8(b)); when false the join produces
     /// duplicate iteration pairs removed by a δ afterwards (Figure 8(a)).
     pub existential_minmax: bool,
-    /// Assert the statically inferred plan properties against every executed
-    /// intermediate table (debugging aid; also enabled by the
-    /// `MXQ_VALIDATE_PLANS=1` environment variable).
-    pub validate_plans: bool,
 }
 
 impl Default for ExecConfig {
@@ -46,7 +42,6 @@ impl Default for ExecConfig {
             join_recognition: true,
             order_aware: true,
             existential_minmax: true,
-            validate_plans: false,
         }
     }
 }
@@ -58,11 +53,11 @@ impl ExecConfig {
     }
 
     /// A stable fingerprint of the configuration, used as part of plan-cache
-    /// keys.  Every execution-affecting field feeds the key — two configs
-    /// that differ in any of them must never share a cached statement, even
-    /// when the difference (like `validate_plans`) changes only how a plan
-    /// runs rather than its shape.  The exhaustive destructuring makes a
-    /// field added later a compile error here until it feeds the key.
+    /// keys.  Every field feeds the key — two configs that differ in any of
+    /// them must never share a cached statement, even when the difference
+    /// changes only how a plan runs rather than its shape.  The exhaustive
+    /// destructuring makes a field added later a compile error here until
+    /// it feeds the key.
     pub fn fingerprint(&self) -> u64 {
         let ExecConfig {
             loop_lifted_child,
@@ -71,7 +66,6 @@ impl ExecConfig {
             join_recognition,
             order_aware,
             existential_minmax,
-            validate_plans,
         } = *self;
         [
             loop_lifted_child,
@@ -80,7 +74,6 @@ impl ExecConfig {
             join_recognition,
             order_aware,
             existential_minmax,
-            validate_plans,
         ]
         .iter()
         .enumerate()
@@ -97,7 +90,6 @@ impl ExecConfig {
             join_recognition: false,
             order_aware: false,
             existential_minmax: false,
-            validate_plans: false,
         }
     }
 }
@@ -177,10 +169,6 @@ mod tests {
             },
             ExecConfig {
                 existential_minmax: !base.existential_minmax,
-                ..base
-            },
-            ExecConfig {
-                validate_plans: !base.validate_plans,
                 ..base
             },
         ];

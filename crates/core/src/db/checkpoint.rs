@@ -277,17 +277,16 @@ fn run_checkpoint(
     };
     let generation = snap.generation();
 
-    // 1. page images for every named document (fragment 0 is the
-    //    transient container).  Image files are immutable: a dirty or
-    //    never-imaged fragment gets a fresh generation-stamped file,
-    //    while a clean fragment's existing image already is exactly its
-    //    current state and is referenced as-is (no write, and for an
-    //    evicted document no fault-in either).  Nothing the previous
-    //    catalog references is touched, so a crash anywhere in this
-    //    checkpoint leaves that checkpoint fully intact and consistent
+    // 1. page images for every loaded document.  Image files are
+    //    immutable: a dirty or never-imaged fragment gets a fresh
+    //    generation-stamped file, while a clean fragment's existing image
+    //    already is exactly its current state and is referenced as-is (no
+    //    write, and for an evicted document no fault-in either).  Nothing
+    //    the previous catalog references is touched, so a crash anywhere in
+    //    this checkpoint leaves that checkpoint fully intact and consistent
     //    with the surviving WAL.
     let mut docs = Vec::new();
-    for frag in 1..snap.container_count() as u32 {
+    for frag in snap.fragments() {
         let container = snap.container_owned(frag);
         let reuse = images_before
             .get(&frag)
@@ -296,9 +295,7 @@ fn run_checkpoint(
             Some(file) => file.clone(),
             None => {
                 let file = doc_file_name(frag, generation);
-                let image = container
-                    .paged_snapshot()
-                    .expect("loaded documents are always paged");
+                let image = container.paged_snapshot();
                 mxq_wal::write_atomic(&durable.file(&file), &encode_snapshot(&image))
                     .map_err(|e| Error::Durability(e.into()))?;
                 file
@@ -356,7 +353,7 @@ fn run_checkpoint(
         // as "clean" onto its stale pre-commit image
         let mut store = store.write().unwrap();
         let dirty_now = durable.with_ckpt(&store, |ckpt| ckpt.dirty.clone());
-        for frag in 1..store.container_count() as u32 {
+        for frag in store.fragments() {
             if store.resident_page_bytes() <= budget {
                 break;
             }

@@ -29,11 +29,7 @@ pub(super) struct PrimitiveCollector<'a> {
 
 impl PrimitiveCollector<'_> {
     fn container(&self, frag: u32) -> ContainerRef<'_> {
-        if frag == TRANSIENT_FRAG {
-            ContainerRef::Doc(self.transient)
-        } else {
-            self.snap.container(frag)
-        }
+        self.snap.resolve(self.transient, frag)
     }
 
     /// Turn one evaluated statement into update primitives.
@@ -77,12 +73,9 @@ impl PrimitiveCollector<'_> {
                 UpdateKind::Rename => {
                     let elem = self.single_node(targets, "rename attribute")?;
                     self.require_kind(elem, &[NodeKind::Element], "attribute owner")?;
+                    let owner = self.container(elem.frag);
                     // renaming a non-existent attribute is an empty target
-                    if self
-                        .container(elem.frag)
-                        .attribute(elem.pre, name)
-                        .is_none()
-                    {
+                    if owner.attribute(elem.pre, name).is_none() {
                         return Err(PulError::ExactlyOne {
                             what: "rename attribute",
                             got: 0,
@@ -92,6 +85,13 @@ impl PrimitiveCollector<'_> {
                     let new_name = self.source_string(source);
                     if !pul::valid_qname(&new_name) {
                         return Err(PulError::InvalidName(new_name).into());
+                    }
+                    if new_name != name && owner.attribute(elem.pre, &new_name).is_some() {
+                        return Err(PulError::DuplicateAttribute {
+                            name: new_name,
+                            elem: elem.to_string(),
+                        }
+                        .into());
                     }
                     pul.add(UpdatePrimitive::RenameAttribute {
                         elem,

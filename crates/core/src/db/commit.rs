@@ -300,7 +300,7 @@ impl Database {
             // clear the slots so the next writer on these documents
             // reconstructs from the (unchanged) published snapshots.  A
             // publish error is unreachable in practice (latched fragments
-            // exist and are not transient); were it reached, the record is
+            // are loaded documents); were it reached, the record is
             // already durable and the outcome indeterminate across a crash.
             for slot in &mut slots {
                 **slot = None;
@@ -424,10 +424,7 @@ pub(super) fn splice(
         // an `Arc` clone of the published image (an evicted document is
         // faulted back in from its checkpoint image first); chunks are
         // copied on first write
-        let snap = published
-            .container_owned(frag)
-            .paged_snapshot()
-            .expect("loaded documents are always paged");
+        let snap = published.container_owned(frag).paged_snapshot();
         PagedDocument::from_snapshot(&snap)
     });
     let before = master.stats;
@@ -469,7 +466,6 @@ pub(super) fn latch_scope(writes: &[u32], reads: &[u32]) -> Vec<u32> {
 /// between the two snapshots.
 fn same_container(a: &StoreSnapshot, b: &StoreSnapshot, frag: u32) -> bool {
     match (a.container_owned(frag), b.container_owned(frag)) {
-        (Container::Doc(x), Container::Doc(y)) => Arc::ptr_eq(&x, &y),
         (Container::Paged(x), Container::Paged(y)) => Arc::ptr_eq(&x, &y),
         (Container::Evicted(x), Container::Evicted(y)) => Arc::ptr_eq(&x, &y),
         _ => false,

@@ -307,19 +307,14 @@ impl Database {
         }
     }
 
-    /// The relational export ([`DocumentColumns`]) of a loaded document.
-    /// Since the paged store became the source of truth this is no cache:
-    /// the returned image is the one the store itself maintains
-    /// incrementally — updates delta-patch it, so the handle is always
-    /// current as of the call.  Returns `None` for unknown names.
+    /// The column image ([`DocumentColumns`]) of a loaded document: the
+    /// one the store itself maintains incrementally — updates delta-patch
+    /// it, so the handle is always current as of the call.  Returns `None`
+    /// for unknown names.
     pub fn document_columns(&self, name: &str) -> Option<Arc<DocumentColumns>> {
         let store = self.store.read().unwrap();
         let frag = store.lookup(name)?;
-        let snap = store
-            .container_owned(frag)
-            .paged_snapshot()
-            .expect("loaded documents are always paged");
-        Some(snap.columns_arc())
+        Some(store.container_owned(frag).paged_snapshot().columns_arc())
     }
 
     /// Execute a statement with the default configuration and no bindings —

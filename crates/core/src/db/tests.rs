@@ -61,25 +61,25 @@ fn plan_cache_serves_repeated_executions() {
 
 #[test]
 fn plan_cache_never_shared_across_execution_affecting_config() {
-    // Configs differing ONLY in validate_plans must not share a cached
-    // plan: it changes how a statement executes.
+    // Configs differing in ONE switch must not share a cached plan, even
+    // a switch that changes only how a statement executes.
     let db = db_with("<a><b/><b/></a>");
     let q = "count(doc(\"doc.xml\")/a/b)";
     let mut base = db.session();
     assert_eq!(base.query(q).unwrap().serialize(), "2");
     let prepares_before = db.stats().prepares;
-    let mut validating = db.session_with_config(ExecConfig {
-        validate_plans: true,
+    let mut iterative = db.session_with_config(ExecConfig {
+        loop_lifted_child: false,
         ..ExecConfig::default()
     });
-    assert_eq!(validating.query(q).unwrap().serialize(), "2");
+    assert_eq!(iterative.query(q).unwrap().serialize(), "2");
     assert_eq!(
         db.stats().prepares,
         prepares_before + 1,
-        "validate_plans-only difference must miss the plan cache"
+        "a one-switch difference must miss the plan cache"
     );
     // and re-running the config hits its own cached plan
-    assert_eq!(validating.query(q).unwrap().serialize(), "2");
+    assert_eq!(iterative.query(q).unwrap().serialize(), "2");
     assert_eq!(db.stats().prepares, prepares_before + 1);
 }
 

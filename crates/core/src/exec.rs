@@ -35,9 +35,7 @@ use mxq_staircase::looplifted::CtxPair;
 use mxq_staircase::{
     looplifted_step, looplifted_step_candidates, staircase_step, Axis, NodeTest, ScanStats,
 };
-use mxq_xmldb::{
-    ContainerRef, DocStore, Document, DocumentBuilder, NodeRead, StoreSnapshot, TRANSIENT_FRAG,
-};
+use mxq_xmldb::{ContainerRef, Document, DocumentBuilder, NodeRead, StoreSnapshot, TRANSIENT_FRAG};
 
 use crate::algebra::{ConstItems, NumFnKind, Op, PlanRef, PosFilterKind, StrFnKind};
 use crate::ast::ArithOp;
@@ -106,8 +104,8 @@ pub struct Executor<'a> {
     /// Statistics accumulated over all [`Executor::eval`] calls.
     pub stats: ExecStats,
     memo: HashMap<usize, Rc<Table>>,
-    /// Lazily grown property map for runtime validation; `Some` when
-    /// [`ExecConfig::validate_plans`] or `MXQ_VALIDATE_PLANS=1` is set.
+    /// Lazily grown property map for runtime validation; `Some` when the
+    /// environment sets `MXQ_VALIDATE_PLANS=1`.
     validation: Option<crate::analysis::Analysis>,
     /// Store fragments this execution has read (documents resolved by
     /// `fn:doc`, node items entering through external variables, and every
@@ -165,8 +163,7 @@ impl<'a> Executor<'a> {
     /// Create an executor over a store snapshot with external-variable
     /// bindings.
     pub fn with_params(snap: &'a StoreSnapshot, config: ExecConfig, params: Params) -> Self {
-        let validate =
-            config.validate_plans || std::env::var("MXQ_VALIDATE_PLANS").is_ok_and(|v| v == "1");
+        let validate = std::env::var("MXQ_VALIDATE_PLANS").is_ok_and(|v| v == "1");
         Executor {
             snap,
             transient: Document::new("#transient"),
@@ -213,15 +210,10 @@ impl<'a> Executor<'a> {
     }
 
     /// Resolve a fragment id: the executor's own transient container for
-    /// fragment 0, the snapshot's document containers (column images for
-    /// loaded documents) otherwise.
+    /// fragment 0, the snapshot's loaded documents otherwise.
     fn container(&self, frag: u32) -> ContainerRef<'_> {
-        if frag == TRANSIENT_FRAG {
-            ContainerRef::Doc(&self.transient)
-        } else {
-            self.record_read(frag);
-            self.snap.container(frag)
-        }
+        self.record_read(frag);
+        self.snap.resolve(&self.transient, frag)
     }
 
     fn node_string_value(&self, n: NodeId) -> String {
@@ -1180,41 +1172,37 @@ impl<'a> Executor<'a> {
             _ => None,
         });
         let single_frag = frags.next().filter(|&f| frags.all(|g| g == f));
-        if let Some(frag) = single_frag {
-            if frag != TRANSIENT_FRAG {
-                if let ContainerRef::Paged(p) = self.container(frag) {
-                    let cols = p.columns_arc();
-                    let (mut oi, mut codes) = (Vec::new(), Vec::new());
-                    for (it, item) in iters.iter().zip(&items) {
-                        let Item::Node(n) = item else { continue };
-                        match name {
-                            Some(a) => {
-                                if let Some(c) = cols.attr_value_code_of(n.pre, a) {
-                                    oi.push(*it);
-                                    codes.push(c);
-                                }
-                            }
-                            None => {
-                                for &c in cols.attr_value_codes_of(n.pre) {
-                                    oi.push(*it);
-                                    codes.push(c);
-                                }
-                            }
+        if let Some(ContainerRef::Paged(p)) = single_frag.map(|frag| self.container(frag)) {
+            let cols = p.columns_arc();
+            let (mut oi, mut codes) = (Vec::new(), Vec::new());
+            for (it, item) in iters.iter().zip(&items) {
+                let Item::Node(n) = item else { continue };
+                match name {
+                    Some(a) => {
+                        if let Some(c) = cols.attr_value_code_of(n.pre, a) {
+                            oi.push(*it);
+                            codes.push(c);
                         }
                     }
-                    let pos = row_number_streaming(&oi);
-                    let item = Column::Dict {
-                        codes,
-                        dict: cols.attr_values().clone(),
-                    };
-                    return Ok(Table::from_columns(vec![
-                        ("iter", Column::Int(oi)),
-                        ("pos", Column::Int(pos)),
-                        ("item", item),
-                    ])
-                    .expect("sequence table construction"));
+                    None => {
+                        for &c in cols.attr_value_codes_of(n.pre) {
+                            oi.push(*it);
+                            codes.push(c);
+                        }
+                    }
                 }
             }
+            let pos = row_number_streaming(&oi);
+            let item = Column::Dict {
+                codes,
+                dict: cols.attr_values().clone(),
+            };
+            return Ok(Table::from_columns(vec![
+                ("iter", Column::Int(oi)),
+                ("pos", Column::Int(pos)),
+                ("item", item),
+            ])
+            .expect("sequence table construction"));
         }
 
         let (mut oi, mut oit) = (Vec::new(), Vec::new());
@@ -1662,12 +1650,6 @@ where
     out
 }
 
-/// Serialize a result sequence against a document store (nodes in the
-/// store's transient container resolve against fragment 0 of the store).
-pub fn serialize_items(store: &DocStore, items: &[Item]) -> String {
-    serialize_items_by(|frag| store.container(frag), items)
-}
-
 /// Serialize a result sequence against a store snapshot plus the private
 /// transient container of the execution that produced the items.
 pub fn serialize_items_snapshot(
@@ -1675,16 +1657,7 @@ pub fn serialize_items_snapshot(
     transient: &Document,
     items: &[Item],
 ) -> String {
-    serialize_items_by(
-        |frag| {
-            if frag == TRANSIENT_FRAG {
-                ContainerRef::Doc(transient)
-            } else {
-                snap.container(frag)
-            }
-        },
-        items,
-    )
+    serialize_items_by(|frag| snap.resolve(transient, frag), items)
 }
 
 /// Serialize a single item (see [`serialize_items_snapshot`]).
@@ -1724,8 +1697,9 @@ mod tests {
 
     #[test]
     fn serialize_items_spaces_atomics() {
-        let store = DocStore::new();
-        let s = serialize_items(&store, &[Item::Int(1), Item::Int(2), Item::str("x")]);
+        let snap = mxq_xmldb::DocStore::new().snapshot();
+        let items = [Item::Int(1), Item::Int(2), Item::str("x")];
+        let s = serialize_items_snapshot(&snap, &Document::new("#transient"), &items);
         assert_eq!(s, "1 2 x");
     }
 }

@@ -247,6 +247,15 @@ pub enum PulError {
     TransientTarget,
     /// The new name of a `rename` is not a valid QName.
     InvalidName(String),
+    /// An attribute rename would leave an element with two attributes of
+    /// one name (XUDY0021): the new name is already an attribute of the
+    /// element, or the new name of another rename on it.
+    DuplicateAttribute {
+        /// The contested attribute name.
+        name: String,
+        /// The owning element.
+        elem: String,
+    },
 }
 
 impl fmt::Display for PulError {
@@ -273,6 +282,12 @@ impl fmt::Display for PulError {
                 )
             }
             PulError::InvalidName(n) => write!(f, "`{n}` is not a valid element/attribute name"),
+            PulError::DuplicateAttribute { name, elem } => {
+                write!(
+                    f,
+                    "renaming would give {elem} two attributes named `{name}`"
+                )
+            }
         }
     }
 }
@@ -293,6 +308,8 @@ pub struct PendingUpdateList {
     values: HashSet<NodeId>,
     attr_values: HashSet<(NodeId, String)>,
     attr_renames: HashSet<(NodeId, String)>,
+    /// `(element, new name)` of every attribute rename.
+    attr_new_names: HashSet<(NodeId, String)>,
 }
 
 impl PendingUpdateList {
@@ -357,6 +374,14 @@ impl PendingUpdateList {
         };
         if let Err((what, node)) = fresh {
             return Err(conflict(what, node));
+        }
+        if let UpdatePrimitive::RenameAttribute { elem, new_name, .. } = &prim {
+            if !self.attr_new_names.insert((*elem, new_name.clone())) {
+                return Err(PulError::DuplicateAttribute {
+                    name: new_name.clone(),
+                    elem: elem.to_string(),
+                });
+            }
         }
         self.prims.push(prim);
         Ok(())

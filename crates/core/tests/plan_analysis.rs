@@ -6,6 +6,13 @@
 use mxq_xquery::{Database, Error, ExecConfig, Session};
 use std::sync::Arc;
 
+/// Switch on runtime plan validation for this test process, as
+/// `MXQ_VALIDATE_PLANS=1` does: every executor built from here on asserts
+/// the inferred plan properties against each table it materializes.
+fn validate_plans() {
+    std::env::set_var("MXQ_VALIDATE_PLANS", "1");
+}
+
 const DOC: &str = r#"<site>
   <people><person id="p0"><name>Ann</name></person>
           <person id="p1"><name>Bob</name></person></people>
@@ -143,10 +150,8 @@ fn proven_dict_joins_are_counted() {
 fn runtime_validation_accepts_correct_plans() {
     let db = Arc::new(Database::new());
     db.load_document("site.xml", DOC).unwrap();
-    let mut checked = db.session_with_config(ExecConfig {
-        validate_plans: true,
-        ..ExecConfig::default()
-    });
+    validate_plans();
+    let mut checked = db.session();
     for q in [
         "doc(\"site.xml\")//person[@id = \"p1\"]/name/text()",
         "for $p in doc(\"site.xml\")/site/people/person return $p/name[1]",
@@ -164,10 +169,8 @@ fn runtime_validation_accepts_correct_plans() {
 fn validation_works_under_the_naive_config_too() {
     let db = Arc::new(Database::new());
     db.load_document("site.xml", DOC).unwrap();
-    let mut checked = db.session_with_config(ExecConfig {
-        validate_plans: true,
-        ..ExecConfig::naive()
-    });
+    validate_plans();
+    let mut checked = db.session_with_config(ExecConfig::naive());
     let r = checked
         .query("for $p in doc(\"site.xml\")//person return $p/@id")
         .unwrap();
@@ -178,10 +181,8 @@ fn validation_works_under_the_naive_config_too() {
 fn updates_are_verified_and_validated() {
     let db = Arc::new(Database::new());
     db.load_document("site.xml", DOC).unwrap();
-    let mut checked = db.session_with_config(ExecConfig {
-        validate_plans: true,
-        ..ExecConfig::default()
-    });
+    validate_plans();
+    let mut checked = db.session();
     checked
         .execute_update(
             "insert nodes <order buyer=\"p1\" amount=\"9\"/> as last into \

@@ -235,6 +235,39 @@ fn conflicting_statements_are_atomic() {
     assert_eq!(run(&mut e, "doc(\"doc.xml\")/r"), "<r><x/></r>");
 }
 
+/// Renames that would give one element two attributes of one name fail
+/// (XUDY0021) and leave the document as it was.
+#[test]
+fn attribute_renames_never_duplicate_a_name() {
+    for script in [
+        // onto a name the element already has
+        "rename node doc(\"doc.xml\")/r/i/@a as \"b\"",
+        // two renames onto one new name
+        "rename node doc(\"doc.xml\")/r/i/@a as \"c\", \
+         rename node doc(\"doc.xml\")/r/i/@b as \"c\"",
+    ] {
+        let mut e = engine_with("<r><i a=\"1\" b=\"2\"/></r>");
+        let err = e.execute_update(script).unwrap_err();
+        assert!(
+            matches!(err, Error::Update(PulError::DuplicateAttribute { .. })),
+            "{script}: {err}"
+        );
+        assert_eq!(
+            run(&mut e, "doc(\"doc.xml\")/r"),
+            "<r><i a=\"1\" b=\"2\"/></r>",
+            "{script}"
+        );
+    }
+    // renaming an attribute onto its own name changes nothing
+    let mut e = engine_with("<r><i a=\"1\" b=\"2\"/></r>");
+    e.execute_update("rename node doc(\"doc.xml\")/r/i/@a as \"a\"")
+        .unwrap();
+    assert_eq!(
+        run(&mut e, "doc(\"doc.xml\")/r"),
+        "<r><i a=\"1\" b=\"2\"/></r>"
+    );
+}
+
 #[test]
 fn update_errors() {
     let mut e = engine_with("<r><a/><a/></r>");
@@ -324,7 +357,7 @@ fn document_columns_refresh_after_update() {
         after.tags().code_of("brandnew").is_some(),
         "tag dictionary must be refreshed after the update"
     );
-    assert_eq!(after.structural().nrows(), before.structural().nrows() + 1);
+    assert_eq!(after.len(), before.len() + 1);
     // the cache returns the same export until the next update
     let again = e.database().document_columns("doc.xml").unwrap();
     assert!(std::sync::Arc::ptr_eq(&after, &again));

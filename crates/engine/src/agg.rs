@@ -192,20 +192,6 @@ pub fn aggregate_hash(iter: &[i64], items: &Column, func: AggFunc) -> Result<Agg
     })
 }
 
-/// Count rows per group for a *complete* dense group domain `1..=ngroups`,
-/// returning zero for groups with no rows.  `fn:count` over possibly-empty
-/// sequences needs this (an empty sequence still contributes a count of 0 in
-/// its iteration).
-pub fn count_per_dense_group(iter: &[i64], ngroups: usize) -> Vec<i64> {
-    let mut counts = vec![0i64; ngroups];
-    for &g in iter {
-        if g >= 1 && (g as usize) <= ngroups {
-            counts[g as usize - 1] += 1;
-        }
-    }
-    counts
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -336,12 +322,6 @@ mod tests {
         let iter = vec![1];
         let col = Column::from_items(vec![Item::str("abc")]);
         assert!(aggregate_grouped(&iter, &col, AggFunc::Sum).is_err());
-    }
-
-    #[test]
-    fn dense_group_counts_include_empty_groups() {
-        let counts = count_per_dense_group(&[1, 1, 3], 4);
-        assert_eq!(counts, vec![2, 0, 1, 0]);
     }
 
     #[test]

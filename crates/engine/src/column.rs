@@ -24,8 +24,8 @@
 //!   [`Column::item`] transparently materialises `Item::Str` values, so
 //!   untouched operators keep working row-at-a-time.
 //!
-//! `Dict` columns are produced by the xmldb relational export (tag and
-//! attribute-name columns of a shredded document) and by
+//! `Dict` columns are produced from a loaded document's column image (the
+//! attribute-value codes an attribute step emits) and by
 //! [`Column::dict_from_strings`]; [`Column::from_items`] keeps producing
 //! `Str` so existing call sites are unchanged.
 
@@ -61,11 +61,6 @@ pub enum Column {
 }
 
 impl Column {
-    /// An empty integer column.
-    pub fn empty_int() -> Self {
-        Column::Int(Vec::new())
-    }
-
     /// An empty polymorphic column.
     pub fn empty_item() -> Self {
         Column::Item(Vec::new())
@@ -216,20 +211,6 @@ impl Column {
             Column::Node(v) => Ok(v),
             other => Err(EngineError::TypeMismatch {
                 expected: "node".into(),
-                found: other.type_name().into(),
-            }),
-        }
-    }
-
-    /// Integer view of row `i` with coercion from the polymorphic variant.
-    pub fn int_at(&self, i: usize) -> Result<i64> {
-        match self {
-            Column::Int(v) => Ok(v[i]),
-            Column::Item(v) => v[i]
-                .as_int()
-                .ok_or_else(|| EngineError::Conversion(format!("item {} is not an integer", v[i]))),
-            other => Err(EngineError::TypeMismatch {
-                expected: "int".into(),
                 found: other.type_name().into(),
             }),
         }

@@ -1,12 +1,10 @@
-//! Join algorithms: positional and sorted-key lookup, hash equi-join, a
-//! radix-partitioned hash equi-join, merge join, the sort-merge theta
-//! (non-equi) join with its min/max push-down, cross products, and
-//! anti-joins (difference).
+//! Join algorithms: sorted-key lookup, a radix-partitioned hash equi-join,
+//! and the sort-merge theta (non-equi) join with its min/max push-down.
 //!
-//! The positional variants implement the key observation of Section 4.1 of
-//! the paper: joins on densely increasing integer key columns have a fixed
-//! hit rate of one and can be answered by address computation instead of
-//! hashing or index lookups.
+//! [`lookup_sorted`] implements the key observation of Section 4.1 of the
+//! paper: joins on densely increasing integer key columns have a fixed hit
+//! rate of one and can be answered by address computation instead of
+//! hashing.
 //!
 //! # Theta-join strategy
 //!
@@ -53,7 +51,6 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use crate::column::Column;
-use crate::error::{EngineError, Result};
 use crate::value::{CmpOp, Item, NodeId};
 
 /// Pairs of matching row indices `(left_row, right_row)` produced by a join.
@@ -118,48 +115,6 @@ fn join_keys(col: &Column) -> Vec<Option<JoinKey>> {
         }
         None => (0..col.len()).map(|i| join_key(&col.item(i))).collect(),
     }
-}
-
-/// Positional lookup: map foreign keys into row offsets of a table whose key
-/// column is densely increasing starting at `base`.  The result gives, for
-/// each foreign key, the row position `key - base`.
-///
-/// # Errors
-/// Returns an error if any key falls outside `base .. base + len`.
-pub fn positional_lookup(keys: &[i64], base: i64, len: usize) -> Result<Vec<usize>> {
-    let mut out = Vec::with_capacity(keys.len());
-    for &k in keys {
-        let off = k - base;
-        if off < 0 || off as usize >= len {
-            return Err(EngineError::Internal(format!(
-                "positional lookup out of range: key {k}, base {base}, len {len}"
-            )));
-        }
-        out.push(off as usize);
-    }
-    Ok(out)
-}
-
-/// Hash equi-join between two integer key columns.  The output is ordered by
-/// the left row index (and, within one left row, by right row index), which
-/// preserves the `[iter]` order of the left input as required by the ordered
-/// duplicate elimination of Section 4.2.
-pub fn hash_join_int(left: &[i64], right: &[i64]) -> JoinPairs {
-    let mut index: HashMap<i64, Vec<usize>> = HashMap::with_capacity(right.len());
-    for (r, &k) in right.iter().enumerate() {
-        index.entry(k).or_default().push(r);
-    }
-    let mut lout = Vec::new();
-    let mut rout = Vec::new();
-    for (l, &k) in left.iter().enumerate() {
-        if let Some(rs) = index.get(&k) {
-            for &r in rs {
-                lout.push(l);
-                rout.push(r);
-            }
-        }
-    }
-    (lout, rout)
 }
 
 /// Hash equi-join between two item columns with key normalisation.
@@ -340,38 +295,6 @@ fn code_join_numeric(left: &[u32], right: &[u32], dict: &crate::dict::Dictionary
         for &r in rows {
             lout.push(l);
             rout.push(r);
-        }
-    }
-    (lout, rout)
-}
-
-/// Merge join between two *sorted* integer key columns (ascending).
-pub fn merge_join_int(left: &[i64], right: &[i64]) -> JoinPairs {
-    let mut lout = Vec::new();
-    let mut rout = Vec::new();
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < left.len() && j < right.len() {
-        match left[i].cmp(&right[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                // emit the full cross block of equal keys
-                let k = left[i];
-                let li0 = i;
-                while i < left.len() && left[i] == k {
-                    i += 1;
-                }
-                let rj0 = j;
-                while j < right.len() && right[j] == k {
-                    j += 1;
-                }
-                for li in li0..i {
-                    for rj in rj0..j {
-                        lout.push(li);
-                        rout.push(rj);
-                    }
-                }
-            }
         }
     }
     (lout, rout)
@@ -705,7 +628,7 @@ impl Extremes<'_> {
     }
 }
 
-/// Positional lookup generalised to any ascending key column: calls
+/// Positional lookup on any ascending key column: calls
 /// `hit(probe_row, key_row)` for every probe whose value occurs in `keys`,
 /// in probe order (a duplicated key reports its first row).  Dense keys —
 /// the `iter`/`pos`/`inner` columns the compiler numbers itself — are
@@ -751,55 +674,15 @@ pub fn lookup_sorted(keys: &[i64], probes: &[i64], mut hit: impl FnMut(usize, us
     }
 }
 
-/// Cross product index pairs: every left row with every right row, ordered by
-/// the left index.
-pub fn cross_pairs(nleft: usize, nright: usize) -> JoinPairs {
-    let mut lout = Vec::with_capacity(nleft * nright);
-    let mut rout = Vec::with_capacity(nleft * nright);
-    for l in 0..nleft {
-        for r in 0..nright {
-            lout.push(l);
-            rout.push(r);
-        }
-    }
-    (lout, rout)
-}
-
-/// Anti-join (difference, `\` of the paper): indices of left rows whose key
-/// does not appear in the right key column.
-pub fn anti_join_int(left: &[i64], right: &[i64]) -> Vec<usize> {
-    let set: std::collections::HashSet<i64> = right.iter().copied().collect();
-    left.iter()
-        .enumerate()
-        .filter_map(|(i, k)| (!set.contains(k)).then_some(i))
-        .collect()
-}
-
-/// Semi-join: indices of left rows whose key appears in the right key column.
-pub fn semi_join_int(left: &[i64], right: &[i64]) -> Vec<usize> {
-    let set: std::collections::HashSet<i64> = right.iter().copied().collect();
-    left.iter()
-        .enumerate()
-        .filter_map(|(i, k)| set.contains(k).then_some(i))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn positional_lookup_dense_keys() {
-        let idx = positional_lookup(&[3, 5, 4], 3, 3).unwrap();
-        assert_eq!(idx, vec![0, 2, 1]);
-        assert!(positional_lookup(&[9], 3, 3).is_err());
-    }
-
-    #[test]
     fn hash_join_preserves_left_order() {
         let left = vec![1, 2, 2, 3];
         let right = vec![2, 1, 2];
-        let (l, r) = hash_join_int(&left, &right);
+        let (l, r) = hash_join_items(&Column::Int(left), &Column::Int(right));
         // key 3 has no partner; output stays ordered by the left row index and,
         // within one left row, by the right insertion order.
         assert_eq!(l, vec![0, 1, 1, 2, 2]);
@@ -892,19 +775,6 @@ mod tests {
         let (rl, rr) = radix_hash_join(&left, &right);
         let (hl, hr) = hash_join_items(&left, &right);
         assert_eq!((rl, rr), (hl, hr), "identical pairs in identical order");
-    }
-
-    #[test]
-    fn merge_join_matches_hash_join() {
-        let left = vec![1, 2, 2, 4, 7];
-        let right = vec![2, 2, 3, 4, 4];
-        let (ml, mr) = merge_join_int(&left, &right);
-        let (hl, hr) = hash_join_int(&left, &right);
-        let mut m: Vec<(usize, usize)> = ml.into_iter().zip(mr).collect();
-        let mut h: Vec<(usize, usize)> = hl.into_iter().zip(hr).collect();
-        m.sort();
-        h.sort();
-        assert_eq!(m, h);
     }
 
     #[test]
@@ -1037,21 +907,5 @@ mod tests {
         );
         assert_eq!(collect(&[2, 5, 9], &[9, 1, 5, 7]), vec![(0, 2), (2, 1)]);
         assert!(collect(&[], &[1]).is_empty());
-    }
-
-    #[test]
-    fn anti_and_semi_join() {
-        let left = vec![1, 2, 3, 4];
-        let right = vec![2, 4, 9];
-        assert_eq!(anti_join_int(&left, &right), vec![0, 2]);
-        assert_eq!(semi_join_int(&left, &right), vec![1, 3]);
-    }
-
-    #[test]
-    fn cross_pairs_counts() {
-        let (l, r) = cross_pairs(2, 3);
-        assert_eq!(l.len(), 6);
-        assert_eq!(l, vec![0, 0, 0, 1, 1, 1]);
-        assert_eq!(r, vec![0, 1, 2, 0, 1, 2]);
     }
 }

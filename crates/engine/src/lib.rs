@@ -14,10 +14,11 @@
 //! * **Tables** ([`Table`]) as ordered collections of named columns, the
 //!   `iter|pos|item` sequence encoding being the most prominent instance.
 //! * **Physical operators**: multi-column stable sorting ([`sort`]),
-//!   positional / hash / radix-partitioned / merge / theta joins ([`join`]),
-//!   dense row numbering
-//!   with both the sort-based and the streaming hash-based algorithm
-//!   ([`rank`], Section 4.1 of the paper), and grouped aggregation ([`agg`]).
+//!   sorted-key lookup, radix-partitioned hash and sort-merge theta joins
+//!   ([`join`]), streaming row numbering ([`rank`], Section 4.1 of the
+//!   paper), and grouped aggregation ([`agg`]).  The sort-based numbering
+//!   and the nested-loop and single-table hash joins stay as the
+//!   references the production kernels are tested against.
 //!
 //! The kernel is purely in-memory and single-threaded: each operator has
 //! one entry point, and concurrency comes from running statements in

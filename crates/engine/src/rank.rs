@@ -7,8 +7,8 @@
 //!
 //! Two physical algorithms are provided:
 //!
-//! * [`row_number_by_sort`] — the default algorithm that performs a full sort
-//!   on `[Cg, C1..Cn]`.
+//! * [`row_number_by_sort`] — a full sort on `[Cg, C1..Cn]`, kept as the
+//!   reference the streaming numbering is tested against.
 //! * [`row_number_streaming`] — the streaming hash-based numbering enabled by
 //!   the `grpord` column property (Section 4.1): when each group's rows are
 //!   already in the desired minor order (not necessarily clustered), a counter
@@ -70,39 +70,6 @@ pub fn row_number_streaming(group: &[i64]) -> Vec<i64> {
         .collect()
 }
 
-/// Global dense numbering `1..=n` in the order given by the key columns
-/// (a single group).  Used to renumber `iter` columns after loop-lifting.
-pub fn dense_number_by(order_keys: &[(&Column, SortOrder)], nrows: usize) -> Vec<i64> {
-    row_number_by_sort(order_keys, None, nrows)
-}
-
-/// DENSE_RANK proper: equal key rows receive the same rank, ranks are dense.
-/// Used for mapping arbitrary (sorted) key values onto a dense domain, e.g.
-/// when building new loop relations from `iter|pos` pairs.
-pub fn dense_rank(keys: &[(&Column, SortOrder)], nrows: usize) -> Vec<i64> {
-    if keys.is_empty() || nrows == 0 {
-        return vec![1; nrows];
-    }
-    let perm = sort_permutation(keys);
-    let mut out = vec![0i64; nrows];
-    let mut rank = 0i64;
-    let mut prev: Option<usize> = None;
-    for &row in &perm {
-        let bump = match prev {
-            None => true,
-            Some(p) => keys
-                .iter()
-                .any(|(c, _)| c.cmp_rows(p, row) != std::cmp::Ordering::Equal),
-        };
-        if bump {
-            rank += 1;
-        }
-        out[row] = rank;
-        prev = Some(row);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -130,20 +97,13 @@ mod tests {
     #[test]
     fn global_dense_numbering() {
         let key = Column::Int(vec![30, 10, 20]);
-        let nums = dense_number_by(&[(&key, SortOrder::Asc)], 3);
+        let nums = row_number_by_sort(&[(&key, SortOrder::Asc)], None, 3);
         assert_eq!(nums, vec![3, 1, 2]);
-    }
-
-    #[test]
-    fn dense_rank_assigns_equal_ranks() {
-        let key = Column::Int(vec![5, 3, 5, 1]);
-        let ranks = dense_rank(&[(&key, SortOrder::Asc)], 4);
-        assert_eq!(ranks, vec![3, 2, 3, 1]);
     }
 
     #[test]
     fn empty_inputs() {
         assert!(row_number_streaming(&[]).is_empty());
-        assert!(dense_rank(&[], 0).is_empty());
+        assert!(row_number_by_sort(&[], None, 0).is_empty());
     }
 }

@@ -1,14 +1,10 @@
-//! Sorting primitives: multi-column stable sort permutations, refine sorting
-//! within already sorted groups, and sortedness checks.
+//! Sorting primitives: multi-column stable sort permutations and a
+//! sortedness check.
 //!
-//! The peephole optimizer of Section 4.1 distinguishes *full sorts* from
-//! *refine sorts* (sorting a minor key within runs of an already ordered
-//! major key); both are provided here so the `fig14_sort_reduction`
-//! experiment can measure the difference.
+//! The order-aware executor (Section 4.1) avoids sorts whose order is
+//! already established; [`is_sorted`] is the runtime side of that check.
 
 use crate::column::Column;
-use crate::error::Result;
-use crate::table::Table;
 
 /// Sort direction for one sort key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,43 +43,6 @@ fn compare_rows(keys: &[(&Column, SortOrder)], a: usize, b: usize) -> std::cmp::
     Ordering::Equal
 }
 
-/// Sort a whole table by the named key columns (all ascending).
-pub fn sort_table(table: &Table, keys: &[&str]) -> Result<Table> {
-    let cols: Vec<(&Column, SortOrder)> = keys
-        .iter()
-        .map(|k| table.column(k).map(|c| (c, SortOrder::Asc)))
-        .collect::<Result<_>>()?;
-    let perm = sort_permutation(&cols);
-    Ok(table.gather(&perm))
-}
-
-/// Sort a table by named keys with explicit per-key directions.
-pub fn sort_table_by(table: &Table, keys: &[(&str, SortOrder)]) -> Result<Table> {
-    let cols: Vec<(&Column, SortOrder)> = keys
-        .iter()
-        .map(|(k, o)| table.column(k).map(|c| (c, *o)))
-        .collect::<Result<_>>()?;
-    let perm = sort_permutation(&cols);
-    Ok(table.gather(&perm))
-}
-
-/// Refine-sort: the rows are already ordered by `major`; stable-sort each run
-/// of equal `major` values by the `minor` keys only.  This is the incremental,
-/// pipelinable refinement sort MonetDB provides (Section 4.2).
-pub fn refine_sort_permutation(major: &Column, minor: &[(&Column, SortOrder)]) -> Vec<usize> {
-    let mut idx: Vec<usize> = (0..major.len()).collect();
-    let mut start = 0usize;
-    while start < idx.len() {
-        let mut end = start + 1;
-        while end < idx.len() && major.cmp_rows(end, start) == std::cmp::Ordering::Equal {
-            end += 1;
-        }
-        idx[start..end].sort_by(|&a, &b| compare_rows(minor, a, b));
-        start = end;
-    }
-    idx
-}
-
 /// Is the column sorted ascending (non-strictly)?
 pub fn is_sorted(col: &Column) -> bool {
     match col {
@@ -100,24 +59,10 @@ pub fn is_sorted(col: &Column) -> bool {
     }
 }
 
-/// Is the table lexicographically sorted on the given columns?
-pub fn is_sorted_on(table: &Table, keys: &[&str]) -> Result<bool> {
-    let cols: Vec<(&Column, SortOrder)> = keys
-        .iter()
-        .map(|k| table.column(k).map(|c| (c, SortOrder::Asc)))
-        .collect::<Result<_>>()?;
-    let n = table.nrows();
-    for i in 1..n {
-        if compare_rows(&cols, i - 1, i) == std::cmp::Ordering::Greater {
-            return Ok(false);
-        }
-    }
-    Ok(true)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::table::Table;
     use crate::value::Item;
 
     #[test]
@@ -143,24 +88,11 @@ mod tests {
     }
 
     #[test]
-    fn refine_sort_only_touches_groups() {
-        let major = Column::Int(vec![1, 1, 2, 2]);
-        let minor = Column::Int(vec![9, 3, 7, 1]);
-        let perm = refine_sort_permutation(&major, &[(&minor, SortOrder::Asc)]);
-        assert_eq!(perm, vec![1, 0, 3, 2]);
-    }
-
-    #[test]
     fn sortedness_checks() {
         assert!(is_sorted(&Column::Int(vec![1, 2, 2, 3])));
         assert!(!is_sorted(&Column::Int(vec![2, 1])));
-        let t = Table::from_columns(vec![
-            ("a", Column::Int(vec![1, 1, 2])),
-            ("b", Column::Int(vec![1, 2, 0])),
-        ])
-        .unwrap();
-        assert!(is_sorted_on(&t, &["a", "b"]).unwrap());
-        assert!(!is_sorted_on(&t, &["b"]).unwrap());
+        assert!(is_sorted(&Column::dict_from_strings(["a", "b", "b"])));
+        assert!(!is_sorted(&Column::dict_from_strings(["b", "a"])));
     }
 
     #[test]
@@ -173,7 +105,8 @@ mod tests {
             ),
         ])
         .unwrap();
-        let s = sort_table(&t, &["k"]).unwrap();
+        let perm = sort_permutation(&[(t.column("k").unwrap(), SortOrder::Asc)]);
+        let s = t.gather(&perm);
         assert_eq!(s.column("k").unwrap().as_int().unwrap(), &[1, 2, 3]);
         assert_eq!(s.column("v").unwrap().item(0).string_value(), "a");
     }

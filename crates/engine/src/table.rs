@@ -46,24 +46,10 @@ impl Table {
         self.cols.iter().map(|(n, _)| n.as_str()).collect()
     }
 
-    /// Whether a column with this name exists.
-    pub fn has_column(&self, name: &str) -> bool {
-        self.cols.iter().any(|(n, _)| n == name)
-    }
-
     /// Borrow a column by name.
     pub fn column(&self, name: &str) -> Result<&Column> {
         self.cols
             .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, c)| c)
-            .ok_or_else(|| EngineError::UnknownColumn(name.to_string()))
-    }
-
-    /// Mutably borrow a column by name.
-    pub fn column_mut(&mut self, name: &str) -> Result<&mut Column> {
-        self.cols
-            .iter_mut()
             .find(|(n, _)| n == name)
             .map(|(_, c)| c)
             .ok_or_else(|| EngineError::UnknownColumn(name.to_string()))
@@ -83,20 +69,6 @@ impl Table {
             self.cols.push((name.to_string(), col));
         }
         Ok(())
-    }
-
-    /// Remove a column (no-op if it does not exist).
-    pub fn drop_column(&mut self, name: &str) {
-        self.cols.retain(|(n, _)| n != name);
-    }
-
-    /// Project onto (and implicitly reorder to) the given column names.
-    pub fn project(&self, names: &[&str]) -> Result<Table> {
-        let mut t = Table::new();
-        for &name in names {
-            t.add_column(name, self.column(name)?.clone())?;
-        }
-        Ok(t)
     }
 
     /// Rename a column in place.
@@ -223,12 +195,10 @@ mod tests {
     }
 
     #[test]
-    fn project_rename_gather_filter_append() {
+    fn rename_gather_filter_append() {
         let mut t = sample();
-        let p = t.project(&["item"]).unwrap();
-        assert_eq!(p.ncols(), 1);
         t.rename("item", "value").unwrap();
-        assert!(t.has_column("value"));
+        assert_eq!(t.names(), ["iter", "value"]);
         let g = t.gather(&[2, 0]);
         assert_eq!(g.column("iter").unwrap().as_int().unwrap(), &[3, 1]);
         let f = t.filter(&[false, true, false]).unwrap();

@@ -1,11 +1,11 @@
 //! The engine's kernels on sizeable inputs, each checked against an
-//! independent reference: a plain `std` sort, the full sort it refines,
-//! the sort-based numbering, or a per-group fold.  (`radix_hash_join` has
+//! independent reference: a plain `std` sort, the sort-based numbering,
+//! or a per-group fold.  (`radix_hash_join` has
 //! its own differential suite in `tests/join_differential.rs`.)
 
 use mxq_engine::agg::{aggregate_grouped, AggFunc};
 use mxq_engine::rank::{row_number_by_sort, row_number_streaming};
-use mxq_engine::sort::{refine_sort_permutation, sort_permutation, SortOrder};
+use mxq_engine::sort::{sort_permutation, SortOrder};
 use mxq_engine::{Column, Item};
 
 /// Deterministic xorshift so the inputs are sizeable but reproducible.
@@ -37,18 +37,6 @@ fn sort_permutation_is_a_stable_std_sort() {
     assert_eq!(
         sort_permutation(&[(&ca, SortOrder::Asc), (&cb, SortOrder::Desc)]),
         reference
-    );
-}
-
-#[test]
-fn refine_sort_equals_the_full_sort_it_refines() {
-    let mut rng = Rng(11);
-    // major pre-sorted with long runs, minor random
-    let major = Column::Int((0..N).map(|i| (i / 97) as i64).collect());
-    let minor = Column::Int((0..N).map(|_| rng.below(500) as i64).collect());
-    assert_eq!(
-        refine_sort_permutation(&major, &[(&minor, SortOrder::Asc)]),
-        sort_permutation(&[(&major, SortOrder::Asc), (&minor, SortOrder::Asc)])
     );
 }
 

@@ -34,28 +34,6 @@ pub enum Axis {
 }
 
 impl Axis {
-    /// Is this one of the reverse axes (results precede the context node in
-    /// document order)?
-    pub fn is_reverse(self) -> bool {
-        matches!(
-            self,
-            Axis::Parent
-                | Axis::Ancestor
-                | Axis::AncestorOrSelf
-                | Axis::Preceding
-                | Axis::PrecedingSibling
-        )
-    }
-
-    /// The four "main" axes that partition the pre/post plane into quadrants
-    /// (Figure 1): descendant, ancestor, following, preceding.
-    pub fn is_main_quadrant(self) -> bool {
-        matches!(
-            self,
-            Axis::Descendant | Axis::Ancestor | Axis::Following | Axis::Preceding
-        )
-    }
-
     /// Parse the axis name as written in XPath (`child`, `descendant-or-self`, …).
     pub fn parse(name: &str) -> Option<Axis> {
         Some(match name {
@@ -119,13 +97,5 @@ mod tests {
             assert_eq!(Axis::parse(&axis.to_string()), Some(axis));
         }
         assert_eq!(Axis::parse("sideways"), None);
-    }
-
-    #[test]
-    fn reverse_axes() {
-        assert!(Axis::Ancestor.is_reverse());
-        assert!(!Axis::Descendant.is_reverse());
-        assert!(Axis::Preceding.is_main_quadrant());
-        assert!(!Axis::Child.is_main_quadrant());
     }
 }

@@ -17,10 +17,12 @@ use std::fmt;
 
 use mxq_engine::{Item, NodeId};
 use mxq_staircase::{Axis, NodeTest};
-use mxq_xmldb::{DocStore, NodeKind, NodeRead};
+use mxq_xmldb::{
+    ContainerRef, Document, DocumentBuilder, NodeKind, NodeRead, StoreSnapshot, TRANSIENT_FRAG,
+};
 use mxq_xquery::ast::*;
 use mxq_xquery::parser::parse_query;
-use mxq_xquery::Params;
+use mxq_xquery::{serialize_items_snapshot, Params};
 
 /// Errors raised by the naive interpreter.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -62,19 +64,27 @@ impl std::error::Error for NaiveError {}
 type NResult<T> = Result<T, NaiveError>;
 type Env = HashMap<String, Vec<Item>>;
 
-/// The naive interpreter over a document store.
+/// The naive interpreter over a store snapshot.
 pub struct NaiveInterpreter<'a> {
-    store: &'a mut DocStore,
+    snap: &'a StoreSnapshot,
+    /// The interpreter's own transient container (fragment 0): the nodes
+    /// its element constructors build.
+    transient: Document,
     functions: HashMap<String, FunctionDecl>,
 }
 
 impl<'a> NaiveInterpreter<'a> {
-    /// Create an interpreter over the given store.
-    pub fn new(store: &'a mut DocStore) -> Self {
+    /// Create an interpreter over the documents of a store snapshot.
+    pub fn new(snap: &'a StoreSnapshot) -> Self {
         NaiveInterpreter {
-            store,
+            snap,
+            transient: Document::new("#transient"),
             functions: HashMap::new(),
         }
+    }
+
+    fn container(&self, frag: u32) -> ContainerRef<'_> {
+        self.snap.resolve(&self.transient, frag)
     }
 
     /// Parse and evaluate a query, returning the result item sequence.
@@ -402,7 +412,7 @@ impl<'a> NaiveInterpreter<'a> {
     /// Per-node axis navigation: a plain recursive tree walk, no skipping, no
     /// pruning, no shared scans.
     fn axis_nodes(&self, node: NodeId, axis: Axis, test: &NodeTest) -> Vec<Item> {
-        let doc = &self.store.container(node.frag);
+        let doc = &self.container(node.frag);
         let pre = node.pre;
         let mk = |p: u32| Item::Node(NodeId::new(node.frag, p));
         match axis {
@@ -507,7 +517,7 @@ impl<'a> NaiveInterpreter<'a> {
                     _ => return Err(NaiveError::Unsupported("doc() without literal".into())),
                 };
                 let root = self
-                    .store
+                    .snap
                     .document_root(&doc_name)
                     .ok_or(NaiveError::UnknownDocument(doc_name))?;
                 Ok(vec![Item::Node(root)])
@@ -610,7 +620,7 @@ impl<'a> NaiveInterpreter<'a> {
                 let n = v
                     .first()
                     .and_then(|i| i.as_node())
-                    .map(|n| self.store.name_of(n).to_string())
+                    .map(|n| self.container(n.frag).name_of(n.pre).to_string())
                     .unwrap_or_default();
                 Ok(vec![Item::str(n)])
             }
@@ -695,10 +705,7 @@ impl<'a> NaiveInterpreter<'a> {
         if !pending.is_empty() {
             pieces.push(Piece::Text(pending));
         }
-        // snapshot of existing containers for copying
-        let transient_snapshot = self.store.transient().clone();
-        let transient = std::mem::take(self.store.transient_mut());
-        let mut builder = mxq_xmldb::DocumentBuilder::append_to(transient, 0);
+        let mut builder = DocumentBuilder::append_to(std::mem::take(&mut self.transient), 0);
         let root = builder.start_element(&ctor.name);
         for (n, v) in &attrs {
             builder.attribute(n, v);
@@ -708,12 +715,12 @@ impl<'a> NaiveInterpreter<'a> {
                 Piece::Text(t) => {
                     builder.text(&t);
                 }
+                // constructed content is copied within the transient
+                Piece::Copy(n) if n.frag == TRANSIENT_FRAG => {
+                    builder.copy_subtree_within(n.pre);
+                }
                 Piece::Copy(n) => {
-                    let src = if n.frag == mxq_xmldb::TRANSIENT_FRAG {
-                        mxq_xmldb::ContainerRef::Doc(&transient_snapshot)
-                    } else {
-                        self.store.container(n.frag)
-                    };
+                    let src = self.snap.container(n.frag);
                     // a document node contributes its children
                     if src.kind(n.pre) == NodeKind::Document {
                         for child in src.children(n.pre) {
@@ -726,8 +733,8 @@ impl<'a> NaiveInterpreter<'a> {
             }
         }
         builder.end_element();
-        *self.store.transient_mut() = builder.finish();
-        Ok(Item::Node(NodeId::new(mxq_xmldb::TRANSIENT_FRAG, root)))
+        self.transient = builder.finish();
+        Ok(Item::Node(NodeId::new(TRANSIENT_FRAG, root)))
     }
 
     fn eval_arg(&mut self, args: &[Expr], idx: usize, env: &Env) -> NResult<Vec<Item>> {
@@ -754,21 +761,21 @@ impl<'a> NaiveInterpreter<'a> {
 
     fn atomize(&self, item: &Item) -> Item {
         match item {
-            Item::Node(n) => Item::str(self.store.string_value(*n)),
+            Item::Node(n) => Item::str(self.container(n.frag).string_value(n.pre)),
             other => other.clone(),
         }
     }
 
     fn string_of(&self, item: &Item) -> String {
         match item {
-            Item::Node(n) => self.store.string_value(*n),
+            Item::Node(n) => self.container(n.frag).string_value(n.pre),
             other => other.string_value(),
         }
     }
 
     /// Serialize a result sequence (nodes as XML, atomics as text).
     pub fn serialize(&self, items: &[Item]) -> String {
-        mxq_xquery::serialize_items(self.store, items)
+        serialize_items_snapshot(self.snap, &self.transient, items)
     }
 }
 
@@ -781,21 +788,17 @@ fn ebv(items: &[Item]) -> bool {
     }
 }
 
-/// Does a node kind comparison make `kind` usable here (kept for API parity).
-pub fn is_element(kind: NodeKind) -> bool {
-    kind == NodeKind::Element
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mxq_xmldb::DocStore;
     use mxq_xquery::Database;
     use std::sync::Arc;
 
-    fn store_with(xml: &str) -> DocStore {
+    fn store_with(xml: &str) -> StoreSnapshot {
         let mut s = DocStore::new();
         s.load_xml("doc.xml", xml).unwrap();
-        s
+        s.snapshot()
     }
 
     #[test]
@@ -812,8 +815,8 @@ mod tests {
             "if (1 < 2) then \"yes\" else \"no\"",
         ];
         for q in queries {
-            let mut store = store_with(xml);
-            let mut naive = NaiveInterpreter::new(&mut store);
+            let snap = store_with(xml);
+            let mut naive = NaiveInterpreter::new(&snap);
             let n_items = naive.run(q).unwrap();
             let n_str = naive.serialize(&n_items);
 
@@ -827,8 +830,8 @@ mod tests {
     #[test]
     fn positional_predicates_and_order() {
         let xml = "<a><b k=\"2\">x</b><b k=\"1\">y</b></a>";
-        let mut store = store_with(xml);
-        let mut naive = NaiveInterpreter::new(&mut store);
+        let snap = store_with(xml);
+        let mut naive = NaiveInterpreter::new(&snap);
         let r = naive.run("doc(\"doc.xml\")/a/b[2]/text()").unwrap();
         assert_eq!(naive.serialize(&r), "y");
         let r = naive
@@ -839,8 +842,8 @@ mod tests {
 
     #[test]
     fn numeric_predicates_select_by_position() {
-        let mut store = store_with("<a><b>1</b><b>2</b><b>3</b></a>");
-        let mut naive = NaiveInterpreter::new(&mut store);
+        let snap = store_with("<a><b>1</b><b>2</b><b>3</b></a>");
+        let mut naive = NaiveInterpreter::new(&snap);
         for q in [
             "for $i in (2) return doc(\"doc.xml\")/a/b[$i]",
             "doc(\"doc.xml\")/a/b[1 + 1]",
@@ -856,8 +859,8 @@ mod tests {
     #[test]
     fn element_construction() {
         let xml = "<a><b>1</b></a>";
-        let mut store = store_with(xml);
-        let mut naive = NaiveInterpreter::new(&mut store);
+        let snap = store_with(xml);
+        let mut naive = NaiveInterpreter::new(&snap);
         let r = naive
             .run("for $b in doc(\"doc.xml\")/a/b return <out v=\"{$b/text()}\">{$b}</out>")
             .unwrap();
@@ -865,9 +868,25 @@ mod tests {
     }
 
     #[test]
-    fn unknown_names_error() {
+    fn construction_leaves_the_store_unchanged() -> Result<(), Box<dyn std::error::Error>> {
         let mut store = DocStore::new();
-        let mut naive = NaiveInterpreter::new(&mut store);
+        store.load_xml("doc.xml", "<a><b>1</b></a>")?;
+        let (fragments, generation) = (store.fragments(), store.generation());
+        let snap = store.snapshot();
+        let mut naive = NaiveInterpreter::new(&snap);
+        // the inner constructor's result is copied within the transient
+        let r = naive.run("let $i := <i>{doc(\"doc.xml\")/a/b}</i> return <o>{$i, $i/b}</o>")?;
+        assert_eq!(naive.serialize(&r), "<o><i><b>1</b></i><b>1</b></o>");
+        assert_eq!(store.fragments(), fragments);
+        assert_eq!(store.generation(), generation);
+        assert_eq!(store.total_nodes(), 4);
+        Ok(())
+    }
+
+    #[test]
+    fn unknown_names_error() {
+        let snap = DocStore::new().snapshot();
+        let mut naive = NaiveInterpreter::new(&snap);
         assert!(matches!(
             naive.run("$x"),
             Err(NaiveError::UnknownVariable(_))

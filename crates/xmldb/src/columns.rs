@@ -28,34 +28,32 @@
 //!
 //! Every chunk also carries summaries — min/max level, a node-kind mask
 //! and a name-code bucket bitmask — maintained on each patch, so backward
-//! parent scans ([`DocumentColumns::anchor_before`]) and kind/name probes
-//! skip whole chunks that cannot contain a match.  Next to them sits the
-//! chunk-local **element-name posting index**: the chunk's element rows
-//! ordered by `(name code, offset)`, rebuilt with the summaries (O(chunk)
-//! per structural patch, derived at load — never stored on disk).  It is the
-//! ready-made candidate list of the name-test push-down (paper §3.2):
-//! [`DocumentColumns::chunk_named`] hands a location step the elements of
-//! one name inside one chunk as a borrowed slice, so a step visits only the
-//! chunks its context regions overlap.
+//! parent scans and kind/name probes skip whole chunks that cannot contain
+//! a match.  Next to them sits the chunk-local **element-name posting
+//! index**: the chunk's element rows ordered by `(name code, offset)`,
+//! rebuilt with the summaries (O(chunk) per structural patch, derived at
+//! load — never stored on disk).  It is the ready-made candidate list of
+//! the name-test push-down (paper §3.2): the paged read view's
+//! [`NodeRead::run_named`](crate::read::NodeRead::run_named) hands a
+//! location step the elements of one name inside one chunk as a borrowed
+//! slice, so a step visits only the chunks its context regions overlap.
 //!
 //! Chunks are shared (`Arc`) between the master image and every published
 //! snapshot; a patch copies the chunk it lands in, nothing else.
 //!
-//! The engine [`Table`]s exposed to the relational kernel are assembled
-//! lazily from the chunks and cached until the next patch.  Within one
-//! export the structural and the attribute table share their dictionary
-//! instances (`Arc`), so tag-to-tag and name-to-name equi-joins between
-//! them never touch a string.
+//! The executor reads the chunks in place: an attribute step hands out
+//! value codes into the image's shared attribute-value dictionary, so
+//! equi-joins between attribute values of one document run code-to-code
+//! and never touch a string.
 
 use std::collections::HashMap;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
-use mxq_engine::{Column, Dictionary, Table};
+use mxq_engine::Dictionary;
 
 use crate::doc::Document;
 use crate::node::NodeKind;
-use crate::read::{AttrsIter, NamedRun, NodeRead};
-use crate::shred::{shred, ShredError, ShredOptions};
+use crate::read::{AttrsIter, NamedRun};
 use crate::update::{tuples_of, Tuple};
 
 /// Default chunk row target: power-of-two, sized so a chunk's columns fit
@@ -63,7 +61,7 @@ use crate::update::{tuples_of, Tuple};
 pub const DEFAULT_CHUNK_ROWS: usize = 1024;
 
 /// Integer encoding of [`NodeKind`] used in the `kind` column.
-pub fn kind_code(kind: NodeKind) -> i64 {
+pub(crate) fn kind_code(kind: NodeKind) -> i64 {
     match kind {
         NodeKind::Document => 0,
         NodeKind::Element => 1,
@@ -74,7 +72,7 @@ pub fn kind_code(kind: NodeKind) -> i64 {
 }
 
 /// Inverse of [`kind_code`].
-pub fn code_kind(code: i64) -> NodeKind {
+pub(crate) fn code_kind(code: i64) -> NodeKind {
     match code {
         0 => NodeKind::Document,
         1 => NodeKind::Element,
@@ -342,10 +340,6 @@ pub struct DocumentColumns {
     uniform: bool,
     len: usize,
     attr_count: usize,
-    /// Lazily assembled engine tables over the image, cached separately so
-    /// a consumer of only one table never pays for assembling the other.
-    structural_table: OnceLock<Table>,
-    attribute_table: OnceLock<Table>,
 }
 
 impl Default for DocumentColumns {
@@ -360,8 +354,6 @@ impl Default for DocumentColumns {
             uniform: true,
             len: 0,
             attr_count: 0,
-            structural_table: OnceLock::new(),
-            attribute_table: OnceLock::new(),
         }
     }
 }
@@ -375,7 +367,7 @@ impl DocumentColumns {
 
     /// Export with an explicit chunk row target (must be a power of two;
     /// tests use it to cross chunk boundaries on small documents).
-    pub fn with_chunk_rows(doc: &Document, chunk_rows: usize) -> DocumentColumns {
+    pub(crate) fn with_chunk_rows(doc: &Document, chunk_rows: usize) -> DocumentColumns {
         Self::from_rows(&tuples_of(doc), chunk_rows)
     }
 
@@ -397,7 +389,7 @@ impl DocumentColumns {
 
     /// Rebuild the same content at a different chunk row target (must be a
     /// power of two) — dictionaries and codes are reused as-is.
-    pub fn rechunked(&self, chunk_rows: usize) -> DocumentColumns {
+    pub(crate) fn rechunked(&self, chunk_rows: usize) -> DocumentColumns {
         assert!(
             chunk_rows.is_power_of_two(),
             "chunk_rows must be a power of two, got {chunk_rows}"
@@ -452,7 +444,7 @@ impl DocumentColumns {
     /// the text payloads, the attribute rows and the dictionaries.  Used by
     /// the eviction policy's memory budget — a heuristic, not an
     /// allocator report.
-    pub fn approx_bytes(&self) -> usize {
+    pub(crate) fn approx_bytes(&self) -> usize {
         let dict_bytes = |d: &Dictionary| d.iter().map(|s| 16 + s.len()).sum::<usize>();
         let texts: usize = self
             .chunks
@@ -483,27 +475,13 @@ impl DocumentColumns {
     }
 
     /// `(first pre, row count)` of chunk `i`.
-    pub fn chunk_span(&self, i: usize) -> (u32, usize) {
+    pub(crate) fn chunk_span(&self, i: usize) -> (u32, usize) {
         (self.starts[i] as u32, self.chunks[i].len())
     }
 
-    /// `(min, max)` level over the rows of chunk `i`.
-    pub fn chunk_levels(&self, i: usize) -> (u16, u16) {
-        (
-            self.chunks[i].min_level as u16,
-            self.chunks[i].max_level as u16,
-        )
-    }
-
     /// True when chunk `i` may contain a node of `kind` (exact).
-    pub fn chunk_has_kind(&self, i: usize, kind: NodeKind) -> bool {
+    pub(crate) fn chunk_has_kind(&self, i: usize, kind: NodeKind) -> bool {
         self.chunks[i].kind_mask & (1u8 << kind_code(kind)) != 0
-    }
-
-    /// True when chunk `i` may contain name code `code` (conservative:
-    /// a 64-bucket bitmask over `code % 64`).
-    pub fn chunk_may_contain_name_code(&self, i: usize, code: u32) -> bool {
-        self.chunks[i].name_buckets & (1u64 << (code % 64)) != 0
     }
 
     /// Index of the chunk holding row `pre`.
@@ -513,7 +491,7 @@ impl DocumentColumns {
 
     /// The elements with name code `code` inside the chunk holding `pre`,
     /// straight from that chunk's posting index (borrowed, no allocation).
-    pub fn chunk_named(&self, pre: u32, code: u32) -> NamedRun<'_> {
+    pub(crate) fn chunk_named(&self, pre: u32, code: u32) -> NamedRun<'_> {
         let ci = self.chunk_of(pre);
         let base = self.starts[ci] as u32;
         NamedRun {
@@ -598,7 +576,7 @@ impl DocumentColumns {
 
     /// Node kind at `pre`.
     #[inline]
-    pub fn node_kind(&self, pre: u32) -> NodeKind {
+    pub(crate) fn node_kind(&self, pre: u32) -> NodeKind {
         let (ci, l) = self.locate(pre);
         code_kind(self.chunks[ci].kind[l])
     }
@@ -606,21 +584,21 @@ impl DocumentColumns {
     /// Name code at `pre` (a [`Self::tags`] code: the element name or PI
     /// target; other rows carry the code of the empty string).
     #[inline]
-    pub fn node_name_code(&self, pre: u32) -> u32 {
+    pub(crate) fn node_name_code(&self, pre: u32) -> u32 {
         let (ci, l) = self.locate(pre);
         self.chunks[ci].name_code[l]
     }
 
     /// Element name / PI target / empty string at `pre`, decoded.
     #[inline]
-    pub fn node_name(&self, pre: u32) -> &str {
+    pub(crate) fn node_name(&self, pre: u32) -> &str {
         self.tags.str_of(self.node_name_code(pre))
     }
 
     /// The shared content of the text, comment or PI row at `pre` (`None`
     /// for element and document rows).
     #[inline]
-    pub fn node_text(&self, pre: u32) -> Option<&Arc<str>> {
+    pub(crate) fn node_text(&self, pre: u32) -> Option<&Arc<str>> {
         let (ci, l) = self.locate(pre);
         self.chunks[ci].text[l].as_ref()
     }
@@ -628,7 +606,7 @@ impl DocumentColumns {
     /// Closest node before position `pos` whose level is strictly below
     /// `level` — the backward parent/anchor scan.  Whole chunks whose
     /// minimum level is not below `level` are skipped via the summaries.
-    pub fn anchor_before(&self, pos: u32, level: u16) -> Option<u32> {
+    pub(crate) fn anchor_before(&self, pos: u32, level: u16) -> Option<u32> {
         if level == 0 || pos == 0 || self.len == 0 {
             return None;
         }
@@ -688,7 +666,7 @@ impl DocumentColumns {
     }
 
     /// Attribute rows of element `pre` as a cursor over the columns.
-    pub fn attrs_of(&self, pre: u32) -> AttrsIter<'_> {
+    pub(crate) fn attrs_of(&self, pre: u32) -> AttrsIter<'_> {
         let (ci, l) = self.locate(pre);
         let chunk = &self.chunks[ci];
         let r = chunk.attr_range(l);
@@ -702,7 +680,7 @@ impl DocumentColumns {
     }
 
     /// Value of attribute `name` on element `pre`.
-    pub fn attr_value_of(&self, pre: u32, name: &str) -> Option<&str> {
+    pub(crate) fn attr_value_of(&self, pre: u32, name: &str) -> Option<&str> {
         Some(self.attr_values.str_of(self.attr_value_code_of(pre, name)?))
     }
 
@@ -715,7 +693,7 @@ impl DocumentColumns {
     }
 
     /// Value *code* (into [`Self::attr_values`]) of attribute `name` on
-    /// element `pre` — the dictionary-encoded form of [`Self::attr_value_of`].
+    /// element `pre` — the dictionary-encoded form of its value.
     pub fn attr_value_code_of(&self, pre: u32, name: &str) -> Option<u32> {
         let code = self.attr_names.code_of(name)?;
         let (ci, l) = self.locate(pre);
@@ -741,114 +719,7 @@ impl DocumentColumns {
         })
     }
 
-    // -- engine tables (lazy) ---------------------------------------------
-
-    /// The structural table `pre | size | level | kind | name`, one row per
-    /// node in document order; `name` is a [`Column::Dict`] over
-    /// [`Self::tags`] (element names and PI targets).  Assembled lazily
-    /// from the chunks and cached until the next patch.
-    pub fn structural(&self) -> &Table {
-        self.structural_table.get_or_init(|| {
-            let pre: Vec<i64> = (0..self.len as i64).collect();
-            let mut size = Vec::with_capacity(self.len);
-            let mut level = Vec::with_capacity(self.len);
-            let mut kind = Vec::with_capacity(self.len);
-            let mut name_code = Vec::with_capacity(self.len);
-            for c in &self.chunks {
-                size.extend_from_slice(&c.size);
-                level.extend_from_slice(&c.level);
-                kind.extend_from_slice(&c.kind);
-                name_code.extend_from_slice(&c.name_code);
-            }
-            Table::from_columns(vec![
-                ("pre", Column::Int(pre)),
-                ("size", Column::Int(size)),
-                ("level", Column::Int(level)),
-                ("kind", Column::Int(kind)),
-                (
-                    "name",
-                    Column::Dict {
-                        codes: name_code,
-                        dict: self.tags.clone(),
-                    },
-                ),
-            ])
-            .expect("structural columns have equal length")
-        })
-    }
-
-    /// The attribute table `owner | name | value`, one row per attribute in
-    /// owner order; `name` is a [`Column::Dict`] over [`Self::attr_names`],
-    /// `value` a [`Column::Dict`] over [`Self::attr_values`] — so value
-    /// equi-joins between attribute columns of the same document (XMark
-    /// `@id = @person` and friends) run code-to-code.
-    pub fn attributes(&self) -> &Table {
-        self.attribute_table.get_or_init(|| {
-            let mut owner = Vec::with_capacity(self.attr_count);
-            let mut name_code = Vec::with_capacity(self.attr_count);
-            let mut value_code = Vec::with_capacity(self.attr_count);
-            for (o, n, v) in self.attr_rows() {
-                owner.push(o);
-                name_code.push(n);
-                value_code.push(v);
-            }
-            Table::from_columns(vec![
-                ("owner", Column::Int(owner)),
-                (
-                    "name",
-                    Column::Dict {
-                        codes: name_code,
-                        dict: self.attr_names.clone(),
-                    },
-                ),
-                (
-                    "value",
-                    Column::Dict {
-                        codes: value_code,
-                        dict: self.attr_values.clone(),
-                    },
-                ),
-            ])
-            .expect("attribute columns have equal length")
-        })
-    }
-
-    /// A `Dict` column (over [`Self::tags`]) holding the names of an
-    /// arbitrary selection of nodes — shares the export's dictionary, so
-    /// joining it against the structural `name` column is code-to-code.
-    pub fn names_of<D: NodeRead>(&self, doc: &D, pres: &[u32]) -> Column {
-        let codes = pres
-            .iter()
-            .map(|&p| {
-                let name = match doc.kind(p) {
-                    NodeKind::Element => doc.name_of(p),
-                    _ => "",
-                };
-                self.tags
-                    .code_of(name)
-                    .expect("export dictionary covers every element name")
-            })
-            .collect();
-        Column::Dict {
-            codes,
-            dict: self.tags.clone(),
-        }
-    }
-
     // -- incremental maintenance (the paged update path) ------------------
-
-    fn invalidate_tables(&mut self) {
-        self.structural_table = OnceLock::new();
-        self.attribute_table = OnceLock::new();
-    }
-
-    fn invalidate_structural(&mut self) {
-        self.structural_table = OnceLock::new();
-    }
-
-    fn invalidate_attributes(&mut self) {
-        self.attribute_table = OnceLock::new();
-    }
 
     /// The tag codes of `names`, growing the dictionary (and remapping
     /// every chunk's name codes and bucket masks) when one is new — the
@@ -922,7 +793,6 @@ impl DocumentColumns {
         if rows.is_empty() {
             return 0;
         }
-        self.invalidate_tables();
         let piece = self.encode(rows);
         if self.chunks.is_empty() {
             self.chunks = piece.into_pieces(self.chunk_rows);
@@ -958,7 +828,6 @@ impl DocumentColumns {
         if count == 0 {
             return 0;
         }
-        self.invalidate_tables();
         let (mut ci, mut l) = self.locate(at as u32);
         let mut remaining = count;
         let mut touched = 0;
@@ -982,7 +851,6 @@ impl DocumentColumns {
 
     /// Ancestor `size` maintenance: add `delta` to the size of `pre`.
     pub(crate) fn add_size(&mut self, pre: u32, delta: i64) {
-        self.invalidate_structural();
         let (ci, l) = self.locate(pre);
         Arc::make_mut(&mut self.chunks[ci]).size[l] += delta;
     }
@@ -996,7 +864,6 @@ impl DocumentColumns {
         ) {
             return;
         }
-        self.invalidate_structural();
         let code = self.encode_tags(std::iter::once(name))[0];
         let (ci, l) = self.locate(pre);
         let chunk = Arc::make_mut(&mut self.chunks[ci]);
@@ -1015,7 +882,6 @@ impl DocumentColumns {
 
     /// Set (or insert, at the end of the owner's run) an attribute.
     pub(crate) fn set_attribute(&mut self, pre: u32, name: &str, value: &str) {
-        self.invalidate_attributes();
         let code = self.encode_attr_names(std::iter::once(name))[0];
         let value_code = self.encode_attr_values(std::iter::once(value))[0];
         let (ci, l) = self.locate(pre);
@@ -1038,7 +904,6 @@ impl DocumentColumns {
         let Some(code) = self.attr_names.code_of(name) else {
             return;
         };
-        self.invalidate_attributes();
         let (ci, l) = self.locate(pre);
         let chunk = Arc::make_mut(&mut self.chunks[ci]);
         for i in chunk.attr_range(l) {
@@ -1057,7 +922,6 @@ impl DocumentColumns {
         if self.attr_names.code_of(name).is_none() {
             return;
         }
-        self.invalidate_attributes();
         // both codes after the merge, which may remap the old name's
         let codes = self.encode_attr_names([name, new_name].into_iter());
         let (code, new_code) = (codes[0], codes[1]);
@@ -1242,54 +1106,35 @@ impl DocumentColumns {
     }
 }
 
-/// Shred an XML text and export it in one step: the document plus its
-/// dictionary-encoded relational image.
-pub fn shred_to_columns(
-    name: &str,
-    xml: &str,
-    opts: &ShredOptions,
-) -> Result<(Document, DocumentColumns), ShredError> {
-    let doc = shred(name, xml, opts)?;
-    let cols = DocumentColumns::new(&doc);
-    Ok((doc, cols))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shred::{shred, ShredOptions};
     use mxq_engine::join::radix_hash_join;
+    use mxq_engine::Column;
 
     const XML: &str = r#"<site><item id="1"><name>a</name></item><item id="2"/></site>"#;
 
+    /// A shredded document and its column image.
+    fn image(xml: &str) -> (Document, DocumentColumns) {
+        let doc = shred("t", xml, &ShredOptions::default()).unwrap();
+        let cols = DocumentColumns::new(&doc);
+        (doc, cols)
+    }
+
     #[test]
     fn export_shapes_and_dictionaries() {
-        let (doc, cols) = shred_to_columns("t", XML, &ShredOptions::default()).unwrap();
-        assert_eq!(cols.structural().nrows(), doc.len());
-        assert_eq!(cols.attributes().nrows(), doc.attr_count());
+        let (doc, cols) = image(XML);
+        assert_eq!(cols.len(), doc.len());
+        assert_eq!(cols.attr_count(), 2);
         // tag dictionary: "", item, name, site — sorted
         let tags: Vec<&str> = cols.tags().iter().map(|s| s.as_ref()).collect();
         assert_eq!(tags, ["", "item", "name", "site"]);
-        assert!(matches!(
-            cols.structural().column("name").unwrap(),
-            Column::Dict { .. }
-        ));
-        assert!(matches!(
-            cols.attributes().column("name").unwrap(),
-            Column::Dict { .. }
-        ));
-        // structural row 0 is the root element
-        assert_eq!(
-            cols.structural()
-                .column("name")
-                .unwrap()
-                .item(0)
-                .string_value(),
-            "site"
-        );
-        assert_eq!(
-            cols.structural().column("kind").unwrap().as_int().unwrap()[0],
-            1
-        );
+        let attr_names: Vec<&str> = cols.attr_names().iter().map(|s| s.as_ref()).collect();
+        assert_eq!(attr_names, ["id"]);
+        // row 0 is the root element
+        assert_eq!(cols.node_name(0), "site");
+        assert_eq!(cols.tags().str_of(cols.node_name_code(0)).as_ref(), "site");
         // dense read path agrees with the document
         for p in 0..doc.len() as u32 {
             assert_eq!(cols.node_size(p), doc.size(p));
@@ -1300,36 +1145,37 @@ mod tests {
         assert_eq!(cols.attr_value_of(1, "missing"), None);
     }
 
+    /// The `Dict` column an attribute step emits over `owners`: value codes
+    /// straight from the image, over its shared value dictionary.
+    fn attr_values_of(cols: &DocumentColumns, owners: &[u32], name: &str) -> Column {
+        Column::Dict {
+            codes: owners
+                .iter()
+                .filter_map(|&p| cols.attr_value_code_of(p, name))
+                .collect(),
+            dict: cols.attr_values().clone(),
+        }
+    }
+
     #[test]
     fn shared_dictionary_enables_code_joins() {
-        let (doc, cols) = shred_to_columns("t", XML, &ShredOptions::default()).unwrap();
-        let probe = cols.names_of(&doc, doc.elements_named("item"));
-        let (probe_codes, probe_dict) = probe.dict_parts().unwrap();
-        let (_, struct_dict) = cols
-            .structural()
-            .column("name")
-            .unwrap()
-            .dict_parts()
-            .unwrap();
-        assert!(Arc::ptr_eq(probe_dict, struct_dict), "dictionary is shared");
-        assert_eq!(probe_codes.len(), 2);
-        // joining the probe against the structural name column finds exactly
-        // the two <item> rows
-        let (l, r) = radix_hash_join(&probe, cols.structural().column("name").unwrap());
-        assert_eq!(l.len(), 4, "2 probes × 2 matching rows");
-        assert!(r.iter().all(|&row| cols
-            .structural()
-            .column("name")
-            .unwrap()
-            .item(row)
-            .string_value()
-            == "item"));
+        let xml = r#"<r><p id="a"/><p id="b"/><o by="b"/><o by="a"/><o by="b"/></r>"#;
+        let (doc, cols) = image(xml);
+        let people = attr_values_of(&cols, doc.elements_named("p"), "id");
+        let orders = attr_values_of(&cols, doc.elements_named("o"), "by");
+        let (_, pdict) = people.dict_parts().unwrap();
+        let (_, odict) = orders.dict_parts().unwrap();
+        assert!(Arc::ptr_eq(pdict, odict), "dictionary is shared");
+        // joining the two attribute columns pairs each order with its buyer
+        let (l, r) = radix_hash_join(&people, &orders);
+        assert_eq!(l, vec![0, 1, 1]);
+        assert_eq!(r, vec![1, 0, 2]);
     }
 
     #[test]
     fn attribute_values_are_dictionary_encoded() {
-        let (_, cols) = shred_to_columns("t", XML, &ShredOptions::default()).unwrap();
-        let value = cols.attributes().column("value").unwrap();
+        let (doc, cols) = image(XML);
+        let value = attr_values_of(&cols, doc.elements_named("item"), "id");
         let (codes, dict) = value.dict_parts().unwrap();
         assert!(
             Arc::ptr_eq(dict, cols.attr_values()),
@@ -1340,21 +1186,17 @@ mod tests {
         assert_eq!(value.item(1).string_value(), "2");
         // the id values are numeric strings, so the mixed code join runs:
         // self-join matches each value exactly once
-        let (l, r) = radix_hash_join(value, value);
+        let (l, r) = radix_hash_join(&value, &value);
         assert_eq!(l, vec![0, 1]);
         assert_eq!(r, vec![0, 1]);
-        // per-code lookup agrees with the decoded value
-        assert_eq!(
-            cols.attr_value_code_of(1, "id")
-                .map(|c| dict.str_of(c).as_ref().to_string()),
-            Some("1".into())
-        );
+        // the owner's code run agrees with the per-name lookup
+        assert_eq!(cols.attr_value_codes_of(1), &codes[..1]);
     }
 
     #[test]
     fn same_content_detects_divergence() {
-        let (_, a) = shred_to_columns("t", XML, &ShredOptions::default()).unwrap();
-        let (_, mut b) = shred_to_columns("t", XML, &ShredOptions::default()).unwrap();
+        let (_, a) = image(XML);
+        let (_, mut b) = image(XML);
         a.same_content(&b).unwrap();
         b.add_size(0, 1);
         assert!(a.same_content(&b).is_err());
@@ -1362,7 +1204,7 @@ mod tests {
 
     #[test]
     fn check_invariants_catches_a_broken_image() -> Result<(), Box<dyn std::error::Error>> {
-        let (_, mut cols) = shred_to_columns("t", XML, &ShredOptions::default())?;
+        let (_, mut cols) = image(XML);
         cols.check_invariants()?;
         // a size that disagrees with the level structure
         cols.add_size(1, 1);
@@ -1380,7 +1222,7 @@ mod tests {
     #[test]
     fn text_column_and_pi_targets() -> Result<(), Box<dyn std::error::Error>> {
         let xml = "<a><!--note--><?tgt data?>x<b/></a>";
-        let (doc, cols) = shred_to_columns("t", xml, &ShredOptions::default())?;
+        let (doc, cols) = image(xml);
         cols.check_invariants()?;
         for pre in 0..doc.len() as u32 {
             assert_eq!(cols.node_text(pre).map_or("", |t| t), doc.text_of(pre));
@@ -1431,12 +1273,13 @@ mod tests {
         let cols = DocumentColumns::with_chunk_rows(&doc, 64);
         for i in 0..cols.chunk_count() {
             let (start, len) = cols.chunk_span(i);
-            let (min_l, max_l) = cols.chunk_levels(i);
+            let chunk = &cols.chunks[i];
             for p in start..start + len as u32 {
-                let lv = cols.node_level(p);
-                assert!(lv >= min_l && lv <= max_l);
+                let lv = cols.node_level(p) as i64;
+                assert!(lv >= chunk.min_level && lv <= chunk.max_level);
                 assert!(cols.chunk_has_kind(i, cols.node_kind(p)));
-                assert!(cols.chunk_may_contain_name_code(i, cols.node_name_code(p)));
+                let code = cols.node_name_code(p);
+                assert!(chunk.name_buckets & (1u64 << (code % 64)) != 0);
             }
         }
     }

@@ -4,9 +4,9 @@
 //! paper): node `v` is the row at index `pre(v)`, carrying `size(v)` (number
 //! of descendants), `level(v)` (depth) and a node-kind discriminator plus a
 //! reference into the per-kind property containers.  A document container may
-//! hold several disjoint fragments (used for the transient container that
-//! stores constructed nodes); the `frag_roots` list records where each
-//! fragment starts.
+//! hold several disjoint fragments (a statement's transient container holds
+//! every node its constructors build); the `frag_roots` list records where
+//! each fragment starts.
 //!
 //! A container is append-only: rows, names, texts and attributes are only
 //! ever added (the builder patches the size of an element it closes, and
@@ -71,13 +71,8 @@ impl Document {
         self.size.is_empty()
     }
 
-    /// Number of attributes stored in the attribute container.
-    pub fn attr_count(&self) -> usize {
-        self.attrs.len()
-    }
-
     /// `size(v)`: number of nodes in the subtree below `pre` (excluding `pre`).
-    pub fn size(&self, pre: u32) -> u32 {
+    pub(crate) fn size(&self, pre: u32) -> u32 {
         self.size[pre as usize]
     }
 
@@ -102,7 +97,7 @@ impl Document {
 
     /// Direct text content of a text/comment/PI node (not the recursive
     /// string value — see [`NodeRead::string_value`]).
-    pub fn text_of(&self, pre: u32) -> &str {
+    pub(crate) fn text_of(&self, pre: u32) -> &str {
         match self.kind(pre) {
             NodeKind::Text | NodeKind::Comment | NodeKind::ProcessingInstruction => {
                 &self.texts[self.prop[pre as usize] as usize]
@@ -140,7 +135,7 @@ impl Document {
     }
 
     /// All attributes of element `pre` (empty slice for non-elements).
-    pub fn attributes(&self, pre: u32) -> &[AttrRow] {
+    pub(crate) fn attributes(&self, pre: u32) -> &[AttrRow] {
         let start = self.attrs.partition_point(|a| a.owner < pre);
         let end = self.attrs.partition_point(|a| a.owner <= pre);
         &self.attrs[start..end]
@@ -152,11 +147,6 @@ impl Document {
             .iter()
             .find(|a| a.name.as_ref() == name)
             .map(|a| a.value.as_ref())
-    }
-
-    /// All attribute rows (for bulk relational access).
-    pub fn all_attributes(&self) -> &[AttrRow] {
-        &self.attrs
     }
 
     /// Preorder ranks of the fragment roots in this container.
@@ -171,7 +161,12 @@ impl Document {
     /// element construction (Sections 2 and 5.1), generic over
     /// [`NodeRead`]; the executor's copies take the two bulk paths instead,
     /// [`Document::copy_subtree_within`] and `Document::copy_from_columns`.
-    pub fn copy_subtree<D: NodeRead>(&mut self, src: &D, src_pre: u32, level_base: u16) -> u32 {
+    pub(crate) fn copy_subtree<D: NodeRead>(
+        &mut self,
+        src: &D,
+        src_pre: u32,
+        level_base: u16,
+    ) -> u32 {
         let root_new = self.len() as u32;
         let src_level_base = src.level(src_pre);
         let end = src_pre + src.size(src_pre);
@@ -204,7 +199,7 @@ impl Document {
     /// attribute run is copied with shifted owners.  The source rows
     /// precede the rows being appended, so the copy needs no snapshot of
     /// the container.
-    pub fn copy_subtree_within(&mut self, src_pre: u32, level_base: u16) -> u32 {
+    pub(crate) fn copy_subtree_within(&mut self, src_pre: u32, level_base: u16) -> u32 {
         let root_new = self.len();
         let rows = src_pre as usize..(src_pre + self.size(src_pre)) as usize + 1;
         let src_level = self.level(src_pre);
@@ -286,7 +281,7 @@ impl Document {
     }
 
     /// Register the start of a new fragment at the given preorder rank.
-    pub fn add_fragment_root(&mut self, pre: u32) {
+    pub(crate) fn add_fragment_root(&mut self, pre: u32) {
         self.frag_roots.push(pre);
     }
 
@@ -348,7 +343,7 @@ impl Document {
 
     /// Qualified-name id of an element (internal, used by the staircase
     /// nametest pushdown to pre-filter candidates without string compares).
-    pub fn qname_id(&self, pre: u32) -> Option<u32> {
+    pub(crate) fn qname_id(&self, pre: u32) -> Option<u32> {
         match self.kind(pre) {
             NodeKind::Element => Some(self.prop[pre as usize]),
             _ => None,
@@ -357,7 +352,7 @@ impl Document {
 
     /// Look up the id of an interned element name, if any element with this
     /// name exists in the container.
-    pub fn lookup_qname(&self, name: &str) -> Option<u32> {
+    pub(crate) fn lookup_qname(&self, name: &str) -> Option<u32> {
         self.qname_ids.get(name).copied()
     }
 
@@ -571,7 +566,8 @@ impl DocumentBuilder {
     }
 
     /// [`DocumentBuilder::copy_subtree`] from the container being built
-    /// itself (see [`Document::copy_subtree_within`]).
+    /// itself: a range copy, since the source rows precede the rows being
+    /// appended.
     pub fn copy_subtree_within(&mut self, src_pre: u32) -> u32 {
         self.next_row();
         self.doc.copy_subtree_within(src_pre, self.level)
@@ -805,7 +801,7 @@ mod tests {
             bulk.check_invariants().unwrap();
             assert_eq!(bulk.len(), copied.len());
             assert_eq!(bulk.fragment_roots(), copied.fragment_roots());
-            assert_eq!(bulk.all_attributes(), copied.all_attributes());
+            assert_eq!(bulk.attrs, copied.attrs);
             assert_eq!(bulk.elements_named("b"), copied.elements_named("b"));
             for pre in 0..bulk.len() as u32 {
                 assert_eq!(

@@ -19,10 +19,11 @@
 //!   loaded document, **incrementally maintained** by the paged update
 //!   path (delta-patched per primitive, never rebuilt);
 //! * a **document store** ([`store::DocStore`]) holding one container per
-//!   loaded document plus a transient container for nodes constructed during
-//!   query evaluation — loaded documents live in the **paged store**
+//!   loaded document — loaded documents live in the **paged store**
 //!   ([`update::PagedSnapshot`]), the single source of truth shared by the
-//!   query and the update path;
+//!   query and the update path.  Nodes constructed during evaluation go
+//!   into the statement's own transient [`Document`], fragment 0, which
+//!   the store never holds;
 //! * the **canonical read API** ([`read::NodeRead`]) every representation
 //!   implements: pre/size/level/name-id/text/attribute cursors plus
 //!   storage-run summaries that let scans skip whole chunks;
@@ -45,7 +46,7 @@ pub mod shred;
 pub mod store;
 pub mod update;
 
-pub use columns::{shred_to_columns, DocumentColumns};
+pub use columns::DocumentColumns;
 pub use disk::{decode_document, decode_snapshot, encode_document, encode_snapshot, DiskError};
 pub use doc::{Document, DocumentBuilder};
 pub use node::{AttrRow, NodeKind};

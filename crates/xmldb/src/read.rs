@@ -5,8 +5,10 @@
 //! cursors.  Two storage representations implement it —
 //!
 //! * [`Document`](crate::Document), the flat pre|size|level table produced
-//!   by the shredder (and still used for the transient container holding
-//!   constructed nodes and for content fragments), and
+//!   by the shredder, and the form of a statement's transient container
+//!   (fragment 0, which belongs to the statement, not to the store: it
+//!   holds the nodes the statement's constructors build) and of content
+//!   fragments, and
 //! * [`PagedSnapshot`](crate::update::PagedSnapshot), the immutable
 //!   published view of the paged store — the chunked column image loaded
 //!   documents live in, end-to-end.

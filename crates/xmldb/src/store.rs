@@ -1,19 +1,20 @@
 //! The document store: the "loaded documents table" of Figure 9.
 //!
-//! A [`DocStore`] keeps one container per loaded XML document plus a
-//! dedicated *transient* container that receives every node constructed
-//! during query evaluation (element constructors).  Nodes are addressed by
-//! [`NodeId`] = (fragment id, preorder rank); fragment 0 is always the
-//! transient container, loaded documents get fragments 1, 2, ….
+//! A [`DocStore`] keeps one container per loaded XML document.  Nodes are
+//! addressed by [`NodeId`] = (fragment id, preorder rank); loaded documents
+//! are fragments 1, 2, ….  Fragment 0 ([`TRANSIENT_FRAG`]) is not in the
+//! store: it names the transient [`Document`] of the statement being
+//! evaluated, which receives the nodes its element constructors build.
+//! Every statement owns its own transient, and
+//! [`StoreSnapshot::resolve`] is the one place that maps fragment 0 to it.
 //!
 //! **The paged store is the source of truth**: loading a document stores
 //! it as its chunked column image ([`crate::columns::DocumentColumns`],
 //! whose chunks are the logical pages of [`crate::update::PagedDocument`])
 //! and the store keeps only the published immutable view — an
-//! [`Arc<PagedSnapshot>`] pinning that image.  Only the transient
-//! container (per-execution constructed nodes) remains a flat
-//! [`Document`].  Readers address both through [`ContainerRef`], which
-//! implements [`NodeRead`].
+//! [`Arc<PagedSnapshot>`] pinning that image.  Readers address a loaded
+//! document and a statement's transient alike through [`ContainerRef`],
+//! which implements [`NodeRead`].
 //!
 //! Containers are held behind [`Arc`] so that a [`StoreSnapshot`] — the
 //! immutable view a query executes against — is a cheap clone of the
@@ -23,43 +24,45 @@
 //! concurrent readers snapshot isolation for free.
 
 use std::collections::HashMap;
+use std::ops::Range;
 use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
 
 use mxq_engine::NodeId;
 
 use crate::disk::decode_snapshot;
-use crate::doc::{Document, DocumentBuilder};
+use crate::doc::Document;
 use crate::node::NodeKind;
 use crate::read::{AttrsIter, NamedRun, NodeRead};
 use crate::shred::{shred, ShredError, ShredOptions};
 use crate::update::{PagedDocument, PagedSnapshot};
 
-/// Fragment id of the transient container holding constructed nodes.
+/// Fragment id of a statement's transient container (its constructed
+/// nodes); never the id of a loaded document.
 pub const TRANSIENT_FRAG: u32 = 0;
 
 /// Errors from store mutations addressed by fragment id.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StoreError {
-    /// The fragment id does not name a loaded container.
+    /// The fragment id does not name a loaded document.
     UnknownFragment(u32),
-    /// The fragment id names the transient container, which holds
-    /// per-execution constructed nodes and cannot be republished.
-    TransientFragment,
 }
 
 impl std::fmt::Display for StoreError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             StoreError::UnknownFragment(frag) => write!(f, "unknown fragment id {frag}"),
-            StoreError::TransientFragment => {
-                write!(f, "fragment {TRANSIENT_FRAG} is the transient container")
-            }
         }
     }
 }
 
 impl std::error::Error for StoreError {}
+
+/// Position of fragment `frag` in a container list.  Loaded documents are
+/// fragments 1, 2, …; fragment 0 (and any unknown id) maps out of range.
+fn slot(frag: u32) -> usize {
+    (frag as usize).wrapping_sub(1)
+}
 
 /// A clean paged document whose image was dropped from memory under an
 /// eviction budget.  The on-disk image (written by a checkpoint) is the
@@ -113,13 +116,10 @@ impl EvictedPaged {
     }
 }
 
-/// One container of the store: the transient flat [`Document`], the
-/// published page-backed view of a loaded document, or an evicted document
-/// backed by its on-disk image.
+/// One loaded document of the store: the published page-backed view, or
+/// an evicted document backed by its on-disk image.
 #[derive(Debug, Clone)]
 pub enum Container {
-    /// A flat pre|size|level table (the transient container).
-    Doc(Arc<Document>),
     /// The published view of a paged document (its column image).
     Paged(Arc<PagedSnapshot>),
     /// A clean paged document dropped under a memory budget; reads fault
@@ -131,7 +131,6 @@ impl Container {
     /// The container name.
     pub fn name(&self) -> &str {
         match self {
-            Container::Doc(d) => &d.name,
             Container::Paged(p) => p.name(),
             Container::Evicted(e) => &e.name,
         }
@@ -140,20 +139,19 @@ impl Container {
     /// A borrowed read handle.  An evicted container faults its snapshot
     /// back in on the first call.
     pub fn as_ref(&self) -> ContainerRef<'_> {
-        match self {
-            Container::Doc(d) => ContainerRef::Doc(d),
-            Container::Paged(p) => ContainerRef::Paged(p),
-            Container::Evicted(e) => ContainerRef::Paged(e.fault_in()),
-        }
+        ContainerRef::Paged(self.resident())
     }
 
     /// The paged snapshot behind this container, faulting an evicted one
-    /// back in; `None` for the flat transient container.
-    pub fn paged_snapshot(&self) -> Option<Arc<PagedSnapshot>> {
+    /// back in.
+    pub fn paged_snapshot(&self) -> Arc<PagedSnapshot> {
+        self.resident().clone()
+    }
+
+    fn resident(&self) -> &Arc<PagedSnapshot> {
         match self {
-            Container::Doc(_) => None,
-            Container::Paged(p) => Some(p.clone()),
-            Container::Evicted(e) => Some(e.fault_in().clone()),
+            Container::Paged(p) => p,
+            Container::Evicted(e) => e.fault_in(),
         }
     }
 }
@@ -243,9 +241,10 @@ impl NodeRead for ContainerRef<'_> {
     }
 }
 
-/// A collection of document containers addressable by fragment id or name.
-#[derive(Debug)]
+/// The loaded documents, addressable by fragment id or name.
+#[derive(Debug, Default)]
 pub struct DocStore {
+    /// Fragment `f` is `containers[f - 1]`.
     containers: Vec<Container>,
     /// Shared with snapshots: `snapshot()` is on the commit hot path, so
     /// the name table is copy-on-write (`Arc::make_mut` on load) rather
@@ -258,30 +257,20 @@ pub struct DocStore {
     generation: u64,
 }
 
-impl Default for DocStore {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl DocStore {
-    /// Create a store with an empty transient container.
+    /// Create an empty store.
     pub fn new() -> Self {
-        DocStore {
-            containers: vec![Container::Doc(Arc::new(Document::new("#transient")))],
-            by_name: Arc::new(HashMap::new()),
-            generation: 0,
-        }
+        Self::default()
     }
 
-    /// Number of containers (including the transient one).
-    pub fn container_count(&self) -> usize {
-        self.containers.len()
+    /// The fragment ids of the loaded documents, in load order.
+    pub fn fragments(&self) -> Range<u32> {
+        1..self.containers.len() as u32 + 1
     }
 
     /// The current store generation.  Every call that changes which document
     /// contents a name resolves to (loading, publishing after an update)
-    /// increments it; the transient container does not participate.
+    /// increments it.
     pub fn generation(&self) -> u64 {
         self.generation
     }
@@ -296,9 +285,9 @@ impl DocStore {
     /// Register a published paged view under a name, returning its fragment
     /// id.
     pub fn add_paged(&mut self, name: &str, snap: Arc<PagedSnapshot>) -> u32 {
+        self.containers.push(Container::Paged(snap));
         let frag = self.containers.len() as u32;
         Arc::make_mut(&mut self.by_name).insert(name.to_string(), frag);
-        self.containers.push(Container::Paged(snap));
         self.generation += 1;
         frag
     }
@@ -325,44 +314,32 @@ impl DocStore {
     /// This is the writer's whole critical section: one `Arc` swap.
     /// Snapshots taken before the call keep observing the old image.
     ///
-    /// Fails with [`StoreError`] if the fragment id is unknown or refers to
-    /// the transient container; the store is left untouched.
+    /// Fails with [`StoreError`] if the fragment id names no loaded
+    /// document; the store is left untouched.
     pub fn publish(&mut self, frag: u32, snap: Arc<PagedSnapshot>) -> Result<(), StoreError> {
-        if frag == TRANSIENT_FRAG {
-            return Err(StoreError::TransientFragment);
-        }
-        if (frag as usize) >= self.containers.len() {
-            return Err(StoreError::UnknownFragment(frag));
-        }
-        self.containers[frag as usize] = Container::Paged(snap);
+        let container = self
+            .containers
+            .get_mut(slot(frag))
+            .ok_or(StoreError::UnknownFragment(frag))?;
+        *container = Container::Paged(snap);
         self.generation += 1;
         Ok(())
-    }
-
-    /// Replace the container at `frag` with a freshly paged view of `doc`
-    /// (convenience wrapper over [`DocStore::publish`]).
-    ///
-    /// Fails with [`StoreError`] if the fragment id is unknown or refers to
-    /// the transient container; the store is left untouched.
-    pub fn replace_document(&mut self, frag: u32, doc: Document) -> Result<(), StoreError> {
-        let paged = PagedDocument::from_document(&doc);
-        self.publish(frag, Arc::new(paged.snapshot()))
     }
 
     /// Borrow a container by fragment id.
     ///
     /// # Panics
-    /// Panics if the fragment id is unknown.
+    /// Panics if the fragment id names no loaded document.
     pub fn container(&self, frag: u32) -> ContainerRef<'_> {
-        self.containers[frag as usize].as_ref()
+        self.containers[slot(frag)].as_ref()
     }
 
     /// Shared handle to a container by fragment id (cheap `Arc` clone).
     ///
     /// # Panics
-    /// Panics if the fragment id is unknown.
+    /// Panics if the fragment id names no loaded document.
     pub fn container_owned(&self, frag: u32) -> Container {
-        self.containers[frag as usize].clone()
+        self.containers[slot(frag)].clone()
     }
 
     /// An immutable, shareable view of all loaded documents as of now.
@@ -375,86 +352,7 @@ impl DocStore {
         }
     }
 
-    /// Borrow the container holding `node`.
-    pub fn doc_of(&self, node: NodeId) -> ContainerRef<'_> {
-        self.container(node.frag)
-    }
-
-    /// The root node of the document loaded under `name`.
-    pub fn document_root(&self, name: &str) -> Option<NodeId> {
-        let frag = self.lookup(name)?;
-        self.container(frag)
-            .root_pres()
-            .first()
-            .map(|&pre| NodeId::new(frag, pre))
-    }
-
-    /// Borrow the transient container (always a flat [`Document`]).
-    pub fn transient(&self) -> &Document {
-        match &self.containers[TRANSIENT_FRAG as usize] {
-            Container::Doc(d) => d,
-            _ => unreachable!("the transient container is never paged or evicted"),
-        }
-    }
-
-    /// Construct new nodes in the transient container: the closure receives a
-    /// [`DocumentBuilder`] positioned at a fresh fragment; the returned
-    /// preorder rank (e.g. from [`DocumentBuilder::start_element`]) is wrapped
-    /// into a [`NodeId`] in the transient fragment.
-    pub fn construct<F>(&mut self, build: F) -> NodeId
-    where
-        F: FnOnce(&mut DocumentBuilder) -> u32,
-    {
-        let transient = std::mem::take(self.transient_mut());
-        let mut builder = DocumentBuilder::append_to(transient, 0);
-        let pre = build(&mut builder);
-        self.containers[TRANSIENT_FRAG as usize] = Container::Doc(Arc::new(builder.finish()));
-        NodeId::new(TRANSIENT_FRAG, pre)
-    }
-
-    /// Discard all nodes constructed so far (empties the transient
-    /// container).  Benchmarks call this between runs so repeated element
-    /// construction does not accumulate.
-    pub fn clear_transient(&mut self) {
-        self.containers[TRANSIENT_FRAG as usize] =
-            Container::Doc(Arc::new(Document::new("#transient")));
-    }
-
-    /// Mutable access to the transient container (used by the naive
-    /// interpreter's element construction, which needs to copy subtrees from
-    /// other containers while building).  Clones the container first if a
-    /// snapshot still shares it.
-    pub fn transient_mut(&mut self) -> &mut Document {
-        match &mut self.containers[TRANSIENT_FRAG as usize] {
-            Container::Doc(d) => Arc::make_mut(d),
-            _ => unreachable!("the transient container is never paged or evicted"),
-        }
-    }
-
-    /// String value of a node.
-    pub fn string_value(&self, node: NodeId) -> String {
-        self.doc_of(node).string_value(node.pre)
-    }
-
-    /// Element/PI name of a node.
-    pub fn name_of(&self, node: NodeId) -> &str {
-        match &self.containers[node.frag as usize] {
-            Container::Doc(d) => d.name_of(node.pre),
-            Container::Paged(p) => NodeRead::name_of(&**p, node.pre),
-            Container::Evicted(e) => NodeRead::name_of(&**e.fault_in(), node.pre),
-        }
-    }
-
-    /// Attribute value on a node.
-    pub fn attribute(&self, node: NodeId, name: &str) -> Option<&str> {
-        match &self.containers[node.frag as usize] {
-            Container::Doc(d) => d.attribute(node.pre, name),
-            Container::Paged(p) => NodeRead::attribute(&**p, node.pre, name),
-            Container::Evicted(e) => NodeRead::attribute(&**e.fault_in(), node.pre, name),
-        }
-    }
-
-    /// Total number of nodes over all containers (diagnostics).
+    /// Total number of nodes over all loaded documents (diagnostics).
     pub fn total_nodes(&self) -> usize {
         self.containers.iter().map(|c| c.as_ref().len()).sum()
     }
@@ -476,31 +374,27 @@ impl DocStore {
     /// stub is replaced by a fresh unloaded one, so a memory budget stays
     /// enforceable across fault-ins.
     ///
-    /// Fails if the fragment is unknown or transient.
+    /// Fails if the fragment names no loaded document.
     pub fn evict_paged(&mut self, frag: u32, path: PathBuf) -> Result<(), StoreError> {
-        if frag == TRANSIENT_FRAG {
-            return Err(StoreError::TransientFragment);
-        }
-        let name = match self.containers.get(frag as usize) {
-            Some(Container::Paged(p)) => p.name().to_string(),
-            Some(Container::Evicted(e)) => e.name.clone(),
-            Some(Container::Doc(_)) | None => return Err(StoreError::UnknownFragment(frag)),
-        };
+        let container = self
+            .containers
+            .get_mut(slot(frag))
+            .ok_or(StoreError::UnknownFragment(frag))?;
         let stub = EvictedPaged {
-            name,
+            name: container.name().to_string(),
             path,
             cell: OnceLock::new(),
         };
-        self.containers[frag as usize] = Container::Evicted(Arc::new(stub));
+        *container = Container::Evicted(Arc::new(stub));
         Ok(())
     }
 
     /// True if the fragment's image is resident in memory (loaded, or
     /// evicted and faulted back in).
     pub fn is_resident(&self, frag: u32) -> bool {
-        match self.containers.get(frag as usize) {
+        match self.containers.get(slot(frag)) {
             Some(Container::Evicted(e)) => e.is_loaded(),
-            Some(_) => true,
+            Some(Container::Paged(_)) => true,
             None => false,
         }
     }
@@ -512,7 +406,6 @@ impl DocStore {
         self.containers
             .iter()
             .map(|c| match c {
-                Container::Doc(_) => 0,
                 Container::Paged(p) => p.approx_bytes(),
                 Container::Evicted(e) => e.cell.get().map_or(0, |p| p.approx_bytes()),
             })
@@ -542,22 +435,39 @@ impl StoreSnapshot {
         self.generation
     }
 
-    /// Number of containers (including the transient slot).
-    pub fn container_count(&self) -> usize {
-        self.containers.len()
+    /// The fragment ids of the loaded documents, in load order.
+    pub fn fragments(&self) -> Range<u32> {
+        1..self.containers.len() as u32 + 1
     }
 
-    /// Borrow a container by fragment id.
+    /// Borrow a loaded document by fragment id.
     ///
     /// # Panics
-    /// Panics if the fragment id is unknown.
+    /// Panics if the fragment id names no loaded document.
     pub fn container(&self, frag: u32) -> ContainerRef<'_> {
-        self.containers[frag as usize].as_ref()
+        self.containers[slot(frag)].as_ref()
+    }
+
+    /// Resolve a fragment id for a statement evaluated against this
+    /// snapshot: fragment 0 is the statement's own `transient` container,
+    /// every other id a loaded document.
+    ///
+    /// # Panics
+    /// Panics if a nonzero fragment id names no loaded document.
+    pub fn resolve<'a>(&'a self, transient: &'a Document, frag: u32) -> ContainerRef<'a> {
+        if frag == TRANSIENT_FRAG {
+            ContainerRef::Doc(transient)
+        } else {
+            self.container(frag)
+        }
     }
 
     /// Shared handle to a container (cheap `Arc` clone).
+    ///
+    /// # Panics
+    /// Panics if the fragment id names no loaded document.
     pub fn container_owned(&self, frag: u32) -> Container {
-        self.containers[frag as usize].clone()
+        self.containers[slot(frag)].clone()
     }
 
     /// Fragment id of the document loaded under `name`.
@@ -573,39 +483,12 @@ impl StoreSnapshot {
             .first()
             .map(|&pre| NodeId::new(frag, pre))
     }
-
-    /// Borrow the container holding `node`.
-    pub fn doc_of(&self, node: NodeId) -> ContainerRef<'_> {
-        self.container(node.frag)
-    }
-
-    /// String value of a node.
-    pub fn string_value(&self, node: NodeId) -> String {
-        self.doc_of(node).string_value(node.pre)
-    }
-
-    /// Element/PI name of a node.
-    pub fn name_of(&self, node: NodeId) -> &str {
-        match &self.containers[node.frag as usize] {
-            Container::Doc(d) => d.name_of(node.pre),
-            Container::Paged(p) => NodeRead::name_of(&**p, node.pre),
-            Container::Evicted(e) => NodeRead::name_of(&**e.fault_in(), node.pre),
-        }
-    }
-
-    /// Attribute value on a node.
-    pub fn attribute(&self, node: NodeId, name: &str) -> Option<&str> {
-        match &self.containers[node.frag as usize] {
-            Container::Doc(d) => d.attribute(node.pre, name),
-            Container::Paged(p) => NodeRead::attribute(&**p, node.pre, name),
-            Container::Evicted(e) => NodeRead::attribute(&**e.fault_in(), node.pre, name),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::doc::DocumentBuilder;
 
     #[test]
     fn load_lookup_and_roots() {
@@ -614,7 +497,7 @@ mod tests {
         assert_eq!(frag, 1);
         assert_eq!(store.lookup("doc.xml"), Some(1));
         assert_eq!(store.lookup("other.xml"), None);
-        let root = store.document_root("doc.xml").unwrap();
+        let root = store.snapshot().document_root("doc.xml").unwrap();
         assert_eq!(root, NodeId::new(1, 0));
         // the root is the document node; its single child is the `a` element
         let doc = store.container(root.frag);
@@ -624,26 +507,33 @@ mod tests {
         assert!(matches!(store.container(frag), ContainerRef::Paged(_)));
     }
 
+    /// Constructed fragments append to the statement's own transient,
+    /// which fragment 0 resolves to; the store never holds them.
     #[test]
     fn construct_appends_fragments_to_transient() {
         let mut store = DocStore::new();
-        let n1 = store.construct(|b| {
-            let pre = b.start_element("greeting");
-            b.text("hi");
-            b.end_element();
-            pre
-        });
-        let n2 = store.construct(|b| {
-            let pre = b.start_element("other");
-            b.end_element();
-            pre
-        });
-        assert_eq!(n1.frag, TRANSIENT_FRAG);
-        assert_eq!(n2.frag, TRANSIENT_FRAG);
-        assert!(n1.pre < n2.pre);
-        assert_eq!(store.string_value(n1), "hi");
-        assert_eq!(store.name_of(n2), "other");
-        assert_eq!(store.transient().fragment_roots().len(), 2);
+        let frag = store.load_xml("doc.xml", "<a><b>hi</b></a>").unwrap();
+        let gen_before = store.generation();
+        let snap = store.snapshot();
+        let mut builder = DocumentBuilder::new("#transient");
+        let n1 = builder.start_element("greeting");
+        builder.copy_subtree(&snap.container(frag), 2);
+        builder.end_element();
+        let mut builder = DocumentBuilder::append_to(builder.finish(), 0);
+        let n2 = builder.start_element("other");
+        builder.end_element();
+        let transient = builder.finish();
+        assert!(n1 < n2);
+        assert_eq!(transient.fragment_roots().len(), 2);
+        let resolved = snap.resolve(&transient, TRANSIENT_FRAG);
+        assert!(matches!(resolved, ContainerRef::Doc(_)));
+        assert_eq!(resolved.string_value(n1), "hi");
+        assert_eq!(resolved.name_of(n2), "other");
+        assert_eq!(snap.resolve(&transient, frag).name_of(1), "a");
+        // the store holds the loaded document only, unchanged
+        assert_eq!(store.fragments(), 1..2);
+        assert_eq!(store.generation(), gen_before);
+        assert_eq!(store.total_nodes(), 4);
     }
 
     #[test]
@@ -652,7 +542,7 @@ mod tests {
         let a = store.load_xml("a.xml", "<a/>").unwrap();
         let b = store.load_xml("b.xml", "<b/>").unwrap();
         assert_ne!(a, b);
-        assert_eq!(store.container_count(), 3);
+        assert_eq!(store.fragments(), 1..3);
         assert_eq!(store.total_nodes(), 4);
     }
 
@@ -660,23 +550,18 @@ mod tests {
     fn publish_to_bad_fragment_is_an_error_not_an_abort() {
         let mut store = DocStore::new();
         let frag = store.load_xml("a.xml", "<a/>").unwrap();
-        let snap = store
-            .container_owned(frag)
-            .paged_snapshot()
-            .expect("loaded documents are paged");
+        let snap = store.container_owned(frag).paged_snapshot();
         let gen_before = store.generation();
         assert_eq!(
             store.publish(TRANSIENT_FRAG, snap.clone()),
-            Err(StoreError::TransientFragment)
+            Err(StoreError::UnknownFragment(TRANSIENT_FRAG))
         );
         assert_eq!(
             store.publish(999, snap.clone()),
             Err(StoreError::UnknownFragment(999))
         );
-        let opts = ShredOptions::default();
-        let doc = shred("b.xml", "<b/>", &opts).unwrap();
         assert_eq!(
-            store.replace_document(42, doc),
+            store.evict_paged(42, PathBuf::from("unused")),
             Err(StoreError::UnknownFragment(42))
         );
         // failed publishes leave the store untouched
@@ -697,7 +582,8 @@ mod tests {
             ..ShredOptions::default()
         };
         let doc = shred("a.xml", "<a><new/></a>", &opts).unwrap();
-        store.replace_document(frag, doc).unwrap();
+        let paged = PagedDocument::from_document(&doc);
+        store.publish(frag, Arc::new(paged.snapshot())).unwrap();
 
         assert!(store.generation() > gen_before);
         assert_eq!(before.generation(), gen_before);
@@ -705,12 +591,12 @@ mod tests {
         let root = before.document_root("a.xml").unwrap();
         let a = before.container(frag).children(root.pre).next().unwrap();
         let child = before.container(frag).children(a).next().unwrap();
-        assert_eq!(before.name_of(NodeId::new(frag, child)), "old");
+        assert_eq!(before.container(frag).name_of(child), "old");
         // the store sees the replacement
-        let root = store.document_root("a.xml").unwrap();
-        let a = store.container(frag).children(root.pre).next().unwrap();
-        let child = store.container(frag).children(a).next().unwrap();
-        assert_eq!(store.name_of(NodeId::new(frag, child)), "new");
+        let now = store.container(frag);
+        let a = now.children(root.pre).next().unwrap();
+        let child = now.children(a).next().unwrap();
+        assert_eq!(now.name_of(child), "new");
     }
 
     #[test]

@@ -793,8 +793,7 @@ impl PagedSnapshot {
         &self.name
     }
 
-    /// Rough resident-memory footprint in bytes of the column image (see
-    /// [`DocumentColumns::approx_bytes`]).
+    /// Rough resident-memory footprint in bytes of the column image.
     pub fn approx_bytes(&self) -> usize {
         self.columns.approx_bytes()
     }

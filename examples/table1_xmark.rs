@@ -44,7 +44,8 @@ fn main() {
 
         let mut store = DocStore::new();
         store.load_xml("auction.xml", &xml).unwrap();
-        let mut naive = NaiveInterpreter::new(&mut store);
+        let snap = store.snapshot();
+        let mut naive = NaiveInterpreter::new(&snap);
         let t = Instant::now();
         naive.run(query_text(id)).expect("naive");
         let nai = t.elapsed().as_secs_f64();

@@ -128,7 +128,8 @@ proptest! {
         let mut naive_session = db.session_with_config(ExecConfig::naive());
         let mut store = DocStore::new();
         store.load_xml("d.xml", DOC).unwrap();
-        let mut oracle = NaiveInterpreter::new(&mut store);
+        let snap = store.snapshot();
+        let mut oracle = NaiveInterpreter::new(&snap);
         for query in [
             ctor.clone(),
             format!("let $e := {ctor} return ($e//f, count($e//node()))"),

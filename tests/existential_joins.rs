@@ -67,7 +67,8 @@ fn database() -> Arc<Database> {
 fn naive_result(query: &str) -> String {
     let mut store = DocStore::new();
     store.load_xml("t.xml", DOC).unwrap();
-    let mut naive = NaiveInterpreter::new(&mut store);
+    let snap = store.snapshot();
+    let mut naive = NaiveInterpreter::new(&snap);
     let items = naive.run(query).expect("naive evaluation");
     naive.serialize(&items)
 }

@@ -29,7 +29,7 @@ use mxq::staircase::{looplifted_step, Axis, NodeTest, ScanStats};
 use mxq::xmark::gen::{generate_xml, GenParams};
 use mxq::xmark::queries::query_text;
 use mxq::xmldb::update::{fragment_from_xml, PagedDocument};
-use mxq::xmldb::{shred, ContainerRef, NodeRead, ShredOptions, TRANSIENT_FRAG};
+use mxq::xmldb::{shred, NodeRead, ShredOptions};
 use mxq::xquery::algebra::Op;
 use mxq::xquery::{
     analysis, parse_statement, Compiler, Database, ExecConfig, Executor, Params, PlanRef, Statement,
@@ -115,11 +115,7 @@ fn named_steps_touch_context_plus_result_rows() {
                         .filter(|(_, n)| n.frag == frag)
                         .map(|(&it, n)| (it, n.pre))
                         .collect();
-                    let container = if frag == TRANSIENT_FRAG {
-                        ContainerRef::Doc(executor.transient())
-                    } else {
-                        snapshot.container(frag)
-                    };
+                    let container = snapshot.resolve(executor.transient(), frag);
                     let mut any = ScanStats::default();
                     looplifted_step(&container, &pairs, *axis, &NodeTest::AnyKind, &mut any);
                     unfiltered += any.results;

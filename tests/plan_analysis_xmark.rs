@@ -5,8 +5,15 @@
 
 use mxq::xmark::gen::{generate_xml, GenParams};
 use mxq::xmark::queries::query_text;
-use mxq::xquery::{Database, ExecConfig};
+use mxq::xquery::Database;
 use std::sync::Arc;
+
+/// Switch on runtime plan validation for this test process, as
+/// `MXQ_VALIDATE_PLANS=1` does: every executor built from here on asserts
+/// the inferred plan properties against each table it materializes.
+fn validate_plans() {
+    std::env::set_var("MXQ_VALIDATE_PLANS", "1");
+}
 
 fn xmark_db() -> Arc<Database> {
     let db = Arc::new(Database::new());
@@ -73,14 +80,19 @@ fn xmark_plans_show_property_driven_eliminations() {
 #[test]
 fn xmark_results_are_unchanged_under_runtime_validation() {
     let db = xmark_db();
-    let mut plain = db.session();
-    let mut checked = db.session_with_config(ExecConfig {
-        validate_plans: true,
-        ..ExecConfig::default()
-    });
-    for id in 1..=20 {
-        let a = plain.query(query_text(id)).unwrap().serialize().to_string();
-        let b = checked
+    let mut session = db.session();
+    let plain: Vec<String> = (1..=20)
+        .map(|id| {
+            session
+                .query(query_text(id))
+                .unwrap()
+                .serialize()
+                .to_string()
+        })
+        .collect();
+    validate_plans();
+    for (id, a) in (1..=20).zip(plain) {
+        let b = session
             .query(query_text(id))
             .unwrap_or_else(|e| panic!("Q{id} violated an inferred property: {e}"))
             .serialize()

@@ -38,7 +38,8 @@ fn prepared_q1_with_external_site_executes_without_reparsing() {
     // serial oracle: the naive interpreter over the same document and params
     let mut store = DocStore::new();
     store.load_xml("auction.xml", &xml).unwrap();
-    let mut naive = NaiveInterpreter::new(&mut store);
+    let snap = store.snapshot();
+    let mut naive = NaiveInterpreter::new(&snap);
 
     // re-execute ≥ 2× with different bindings; compile must have happened once
     for person in ["person0", "person1", "person2", "person0"] {
@@ -262,7 +263,8 @@ fn relational_and_naive_agree_on_external_variables() {
 
     let mut store = DocStore::new();
     store.load_xml("doc.xml", xml).unwrap();
-    let mut naive = NaiveInterpreter::new(&mut store);
+    let snap = store.snapshot();
+    let mut naive = NaiveInterpreter::new(&snap);
     for who in ["p0", "p1", "nope"] {
         let mut params = Params::new();
         params.set("who", who);

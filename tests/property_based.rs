@@ -21,7 +21,14 @@ use mxq::staircase::{looplifted_step, staircase_step, Axis, NodeTest, ScanStats}
 use mxq::xmldb::update::{fragment_from_xml, NaiveDocument, PagedDocument};
 use mxq::xmldb::{serialize_document, shred, Document, ShredOptions};
 use mxq::xmldb::{NodeKind, NodeRead};
-use mxq::xquery::{Database, ExecConfig};
+use mxq::xquery::Database;
+
+/// Switch on runtime plan validation for this test process, as
+/// `MXQ_VALIDATE_PLANS=1` does: every executor built from here on asserts
+/// the inferred plan properties against each table it materializes.
+fn validate_plans() {
+    std::env::set_var("MXQ_VALIDATE_PLANS", "1");
+}
 
 // ---------------------------------------------------------------------------
 // random tree generation
@@ -253,16 +260,16 @@ proptest! {
         ];
         let db = std::sync::Arc::new(Database::new());
         db.load_document("t.xml", &xml).unwrap();
-        let mut plain = db.session();
-        let mut checked = db.session_with_config(ExecConfig {
-            validate_plans: true,
-            ..ExecConfig::default()
-        });
-        for q in &queries {
-            let a = plain.query(q).unwrap().serialize().to_string();
-            // the checked session asserts every inferred property against
-            // every intermediate table; a violation fails the query
-            let b = checked.query(q).unwrap().serialize().to_string();
+        let mut session = db.session();
+        let plain: Vec<String> = queries
+            .iter()
+            .map(|q| session.query(q).unwrap().serialize().to_string())
+            .collect();
+        validate_plans();
+        for (q, a) in queries.iter().zip(plain) {
+            // validation asserts every inferred property against every
+            // intermediate table; a violation fails the query
+            let b = session.query(q).unwrap().serialize().to_string();
             prop_assert_eq!(a, b, "validated result diverges for {}", q);
         }
     }
@@ -286,13 +293,8 @@ proptest! {
         let checked_db = std::sync::Arc::new(Database::new());
         checked_db.load_document("t.xml", &xml).unwrap();
         plain_db.session().execute_update(&script).unwrap();
-        checked_db
-            .session_with_config(ExecConfig {
-                validate_plans: true,
-                ..ExecConfig::default()
-            })
-            .execute_update(&script)
-            .unwrap();
+        validate_plans();
+        checked_db.session().execute_update(&script).unwrap();
         let q = "count(doc(\"t.xml\")//*)";
         prop_assert_eq!(
             plain_db.session().query(q).unwrap().serialize().to_string(),
@@ -309,7 +311,8 @@ proptest! {
 
         let mut store = mxq::xmldb::DocStore::new();
         store.load_xml("t.xml", &xml).unwrap();
-        let mut naive = mxq::xmark::naive::NaiveInterpreter::new(&mut store);
+        let snap = store.snapshot();
+        let mut naive = mxq::xmark::naive::NaiveInterpreter::new(&snap);
         let items = naive.run(&query).unwrap();
         let reference = naive.serialize(&items);
         prop_assert_eq!(relational, reference);

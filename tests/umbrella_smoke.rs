@@ -21,7 +21,8 @@ return <who id="{$p/@id}">{$p/name/text()}</who>
 fn naive_result(xml: &str, query: &str) -> String {
     let mut store = DocStore::new();
     store.load_xml("auction.xml", xml).expect("naive load");
-    let mut naive = NaiveInterpreter::new(&mut store);
+    let snap = store.snapshot();
+    let mut naive = NaiveInterpreter::new(&snap);
     let items = naive.run(query).expect("naive evaluation");
     naive.serialize(&items)
 }

@@ -31,7 +31,8 @@ fn auction_xml() -> &'static str {
 fn naive_result(query: &str) -> String {
     let mut store = DocStore::new();
     store.load_xml("auction.xml", auction_xml()).unwrap();
-    let mut naive = NaiveInterpreter::new(&mut store);
+    let snap = store.snapshot();
+    let mut naive = NaiveInterpreter::new(&snap);
     let items = naive.run(query).expect("naive evaluation");
     naive.serialize(&items)
 }
