@@ -26,31 +26,13 @@ use crate::ast::ArithOp;
 /// executed from many threads concurrently.
 pub type PlanRef = Arc<Plan>;
 
-/// Column properties inferred at plan-construction time and exploited by the
-/// executor when the order-aware mode is enabled (Section 4.1).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Props {
-    /// The output is sorted on `[iter, pos]` (the `ord` property).
-    pub ord_iter_pos: bool,
-    /// Within every `iter` group the `pos` values are ascending even if the
-    /// groups are interleaved (the `grpord` property).
-    pub grpord_pos: bool,
-    /// The `iter` column is densely numbered `1..n` (the `dense` property).
-    pub dense_iter: bool,
-    /// The `item` column holds nodes in document order within each iteration.
-    pub item_doc_order: bool,
-}
-
-/// A plan node: a unique id (for memoisation), the operator, and the inferred
-/// column properties.
+/// A plan node: a unique id (for memoisation) and the operator.
 #[derive(Debug)]
 pub struct Plan {
     /// Unique identifier within one compilation.
     pub id: usize,
     /// The operator.
     pub op: Op,
-    /// Inferred column properties.
-    pub props: Props,
 }
 
 /// String functions supported by [`Op::StringFn`].
@@ -117,6 +99,13 @@ pub enum ConstItems {
 }
 
 /// The algebra operators.
+///
+/// Every operator emits its table in one convention, so the `ord`, `grpord`
+/// and `dense` properties of Section 4.1 hold for every plan node and no node
+/// records them: a loop relation ascends strictly on `iter`, a nest map
+/// numbers `inner` ascending, and a sequence table is sorted on
+/// `[iter, pos]` with positions `1..k` within each iteration.
+/// [`crate::analysis::validate_table`] checks it under `MXQ_VALIDATE_PLANS=1`.
 #[derive(Debug)]
 pub enum Op {
     /// The outermost loop relation: a single iteration (`iter = [1]`).
@@ -608,11 +597,7 @@ mod tests {
     use super::*;
 
     fn mk(id: usize, op: Op) -> PlanRef {
-        Arc::new(Plan {
-            id,
-            op,
-            props: Props::default(),
-        })
+        Arc::new(Plan { id, op })
     }
 
     #[test]

@@ -1,11 +1,12 @@
 //! Static plan analysis: property inference, plan verification and
 //! property-driven simplification (Section 4.1 taken to its conclusion).
 //!
-//! The loop-lifting compiler annotates every node with the four order
-//! properties of [`Props`] as it builds the plan.  This module re-derives a
-//! *richer* property set bottom-up over the finished DAG — per-iteration
-//! duplicate-freeness, document order, at-most-one-item cardinality, dense
-//! positions, constant columns, the source document of a node column and the
+//! Order and position numbering need no inference: every operator emits its
+//! table sorted on `[iter, pos]` with positions `1..k` per iteration (the
+//! convention documented on [`Op`]).  This module derives the properties that
+//! do vary bottom-up over the finished DAG — per-iteration
+//! duplicate-freeness, document order, at-most-one-item cardinality,
+//! constant columns, the source document of a node column and the
 //! dictionary a string column's codes come from — and puts it to work three
 //! ways:
 //!
@@ -20,14 +21,11 @@
 //!   free, a `distinct` over at-most-one-item iterations), statically commits
 //!   a recognised join to the code-to-code fast path when both operands
 //!   provably share one dictionary, fuses `count` over a recognised join
-//!   into `count(⋈)` (no pairs built), and upgrades the compiler's
-//!   conservative order annotations (the staircase join *does* emit
-//!   `[iter, pos]` order after its renumbering) so the executor skips
-//!   further sorts;
-//! * [`validate_table`] asserts the inferred properties against actually
-//!   executed tables when the environment sets `MXQ_VALIDATE_PLANS=1` —
-//!   the analysis is itself tested differentially, on every table of every
-//!   query of the test suite.
+//!   into `count(⋈)` (no pairs built);
+//! * [`validate_table`] asserts the table convention and the inferred
+//!   properties against actually executed tables when the environment sets
+//!   `MXQ_VALIDATE_PLANS=1` — the analysis is itself tested differentially,
+//!   on every table of every query of the test suite.
 //!
 //! [`explain_annotated`] renders a plan with its inferred properties, which
 //! [`crate::Session::explain`] exposes together with the list of applied
@@ -40,7 +38,7 @@ use std::sync::Arc;
 use mxq_engine::agg::AggFunc;
 use mxq_engine::{Item, Table};
 
-use crate::algebra::{ConstItems, Op, Plan, PlanRef, Props};
+use crate::algebra::{ConstItems, Op, Plan, PlanRef};
 
 // ---------------------------------------------------------------------------
 // the inferred property set
@@ -103,10 +101,6 @@ impl fmt::Display for DictOrigin {
 pub struct NodeProps {
     /// Output table shape.
     pub shape: Shape,
-    /// Rows are sorted on `[iter, pos]` (loop relations: on `iter`).
-    pub sorted_iter_pos: bool,
-    /// Within each iteration the `pos` values are exactly `1..=k`.
-    pub dense_pos: bool,
     /// Every iteration holds at most one row.
     pub max_one_per_iter: bool,
     /// No iteration holds the same node twice (trivially true for
@@ -130,8 +124,6 @@ impl NodeProps {
     fn loop_shape() -> NodeProps {
         NodeProps {
             shape: Shape::Loop,
-            sorted_iter_pos: true,
-            dense_pos: true,
             max_one_per_iter: true,
             dup_free_iter: true,
             item_doc_order: true,
@@ -147,27 +139,10 @@ impl NodeProps {
     fn scalar() -> NodeProps {
         NodeProps {
             shape: Shape::Seq,
-            sorted_iter_pos: true,
-            dense_pos: true,
             max_one_per_iter: true,
             dup_free_iter: true,
             item_doc_order: true,
             item_kind: ItemKind::Atomic,
-            const_items: None,
-            source_doc: None,
-            dict: None,
-        }
-    }
-
-    fn conservative(shape: Shape) -> NodeProps {
-        NodeProps {
-            shape,
-            sorted_iter_pos: false,
-            dense_pos: false,
-            max_one_per_iter: false,
-            dup_free_iter: false,
-            item_doc_order: false,
-            item_kind: ItemKind::Mixed,
             const_items: None,
             source_doc: None,
             dict: None,
@@ -180,8 +155,6 @@ impl NodeProps {
     fn meet(&self, other: &NodeProps) -> NodeProps {
         NodeProps {
             shape: self.shape,
-            sorted_iter_pos: self.sorted_iter_pos && other.sorted_iter_pos,
-            dense_pos: self.dense_pos && other.dense_pos,
             max_one_per_iter: self.max_one_per_iter && other.max_one_per_iter,
             dup_free_iter: self.dup_free_iter && other.dup_free_iter,
             item_doc_order: self.item_doc_order && other.item_doc_order,
@@ -205,12 +178,6 @@ impl NodeProps {
             Shape::Loop => tags.push("loop".into()),
             Shape::Nest => tags.push("nest".into()),
             Shape::Seq => {
-                if self.sorted_iter_pos {
-                    tags.push("ord".into());
-                }
-                if self.dense_pos {
-                    tags.push("pos1..k".into());
-                }
                 if self.max_one_per_iter {
                     tags.push("max1".into());
                 }
@@ -347,8 +314,6 @@ fn infer_node(op: &Op, env: &HashMap<usize, NodeProps>) -> NodeProps {
             let kind = kind_of_items(items);
             NodeProps {
                 shape: Shape::Seq,
-                sorted_iter_pos: true,
-                dense_pos: true,
                 max_one_per_iter: items.len() <= 1,
                 dup_free_iter: pairwise_distinct(items),
                 item_doc_order: items.len() <= 1 || kind == ItemKind::Atomic,
@@ -367,8 +332,6 @@ fn infer_node(op: &Op, env: &HashMap<usize, NodeProps>) -> NodeProps {
 
         Op::DocRoot { name, .. } => NodeProps {
             shape: Shape::Seq,
-            sorted_iter_pos: true,
-            dense_pos: true,
             max_one_per_iter: true,
             dup_free_iter: true,
             item_doc_order: true,
@@ -379,13 +342,16 @@ fn infer_node(op: &Op, env: &HashMap<usize, NodeProps>) -> NodeProps {
         },
 
         Op::ExternalVar { default, .. } => {
-            // bound: the same opaque items replicated per iteration, emitted
-            // in loop order
+            // bound: the same opaque items replicated per iteration
             let bound = NodeProps {
                 shape: Shape::Seq,
-                sorted_iter_pos: true,
-                dense_pos: true,
-                ..NodeProps::conservative(Shape::Seq)
+                max_one_per_iter: false,
+                dup_free_iter: false,
+                item_doc_order: false,
+                item_kind: ItemKind::Mixed,
+                const_items: None,
+                source_doc: None,
+                dict: None,
             };
             match default {
                 // unbound executions return the default's table verbatim
@@ -398,8 +364,6 @@ fn infer_node(op: &Op, env: &HashMap<usize, NodeProps>) -> NodeProps {
             let s = p(seq);
             NodeProps {
                 shape: Shape::Nest,
-                sorted_iter_pos: true,
-                dense_pos: true,
                 // at most one *inner iteration per outer iteration* — the
                 // cardinality BackMap needs to inherit its body's order
                 max_one_per_iter: s.max_one_per_iter,
@@ -416,8 +380,6 @@ fn infer_node(op: &Op, env: &HashMap<usize, NodeProps>) -> NodeProps {
             let s = p(source);
             NodeProps {
                 shape: Shape::Nest,
-                sorted_iter_pos: true,
-                dense_pos: true,
                 max_one_per_iter: false,
                 dup_free_iter: false,
                 item_doc_order: false,
@@ -432,8 +394,6 @@ fn infer_node(op: &Op, env: &HashMap<usize, NodeProps>) -> NodeProps {
             let n = p(nest);
             NodeProps {
                 shape: Shape::Seq,
-                sorted_iter_pos: true,
-                dense_pos: true,
                 max_one_per_iter: true,
                 dup_free_iter: true,
                 item_doc_order: true,
@@ -452,7 +412,6 @@ fn infer_node(op: &Op, env: &HashMap<usize, NodeProps>) -> NodeProps {
             let s = p(seq);
             NodeProps {
                 shape: Shape::Seq,
-                sorted_iter_pos: true,
                 dict: None, // the copy re-materialises the item column
                 ..s.clone()
             }
@@ -471,8 +430,6 @@ fn infer_node(op: &Op, env: &HashMap<usize, NodeProps>) -> NodeProps {
             let single_group = order_keys.is_empty() && p(nest).max_one_per_iter;
             NodeProps {
                 shape: Shape::Seq,
-                sorted_iter_pos: true,
-                dense_pos: true,
                 max_one_per_iter: single_group && b.max_one_per_iter,
                 dup_free_iter: single_group && b.dup_free_iter,
                 item_doc_order: single_group && b.item_doc_order,
@@ -497,8 +454,6 @@ fn infer_node(op: &Op, env: &HashMap<usize, NodeProps>) -> NodeProps {
                 let q = p(part);
                 return NodeProps {
                     shape: Shape::Seq,
-                    sorted_iter_pos: true,
-                    dense_pos: true,
                     dict: None,
                     ..q.clone()
                 };
@@ -515,8 +470,6 @@ fn infer_node(op: &Op, env: &HashMap<usize, NodeProps>) -> NodeProps {
                 .flatten();
             NodeProps {
                 shape: Shape::Seq,
-                sorted_iter_pos: true,
-                dense_pos: true,
                 max_one_per_iter: false,
                 dup_free_iter: kinds == ItemKind::Atomic,
                 item_doc_order: kinds == ItemKind::Atomic,
@@ -533,12 +486,9 @@ fn infer_node(op: &Op, env: &HashMap<usize, NodeProps>) -> NodeProps {
 
         Op::AxisStep { ctx, .. } => NodeProps {
             // the staircase join result is deduplicated per iteration and the
-            // executor re-sorts it by (iter, node): document order, duplicate
-            // free AND [iter, pos]-sorted — stronger than the compiler's
-            // conservative annotation
+            // executor orders it by (iter, node): document order, duplicate
+            // free
             shape: Shape::Seq,
-            sorted_iter_pos: true,
-            dense_pos: true,
             max_one_per_iter: false,
             dup_free_iter: true,
             item_doc_order: true,
@@ -555,8 +505,6 @@ fn infer_node(op: &Op, env: &HashMap<usize, NodeProps>) -> NodeProps {
             let single = c.max_one_per_iter && name.is_some();
             NodeProps {
                 shape: Shape::Seq,
-                sorted_iter_pos: true,
-                dense_pos: true,
                 max_one_per_iter: single,
                 dup_free_iter: true, // holds no nodes
                 item_doc_order: true,
@@ -585,80 +533,36 @@ fn infer_node(op: &Op, env: &HashMap<usize, NodeProps>) -> NodeProps {
         | Op::StringValue { .. }
         | Op::StringFn { .. } => NodeProps::scalar(),
 
-        Op::Neg { e } => {
-            let s = p(e);
-            NodeProps {
-                shape: Shape::Seq,
-                sorted_iter_pos: s.sorted_iter_pos,
-                dense_pos: s.dense_pos,
-                max_one_per_iter: s.max_one_per_iter,
-                dup_free_iter: true,
-                item_doc_order: true,
-                item_kind: ItemKind::Atomic,
-                const_items: None,
-                source_doc: None,
-                dict: None,
-            }
-        }
+        Op::Neg { e: seq }
+        | Op::CastNumber { seq }
+        | Op::NumFn { arg: seq, .. }
+        | Op::DistinctValues { seq } => NodeProps {
+            max_one_per_iter: p(seq).max_one_per_iter,
+            ..NodeProps::scalar()
+        },
 
         Op::Atomize { seq } => {
             let s = p(seq);
             NodeProps {
-                shape: Shape::Seq,
-                sorted_iter_pos: s.sorted_iter_pos,
-                dense_pos: s.dense_pos,
                 max_one_per_iter: s.max_one_per_iter,
                 // distinct nodes may atomise to equal strings
                 dup_free_iter: s.max_one_per_iter,
-                item_doc_order: true,
-                item_kind: ItemKind::Atomic,
                 const_items: if s.item_kind == ItemKind::Atomic {
                     s.const_items.clone()
                 } else {
                     None
                 },
-                source_doc: None,
                 // a dictionary-encoded column is already atomic and passes
                 // through unchanged, codes and all
                 dict: s.dict.clone(),
+                ..NodeProps::scalar()
             }
         }
-
-        Op::CastNumber { seq } | Op::NumFn { arg: seq, .. } => {
-            let s = p(seq);
-            NodeProps {
-                shape: Shape::Seq,
-                sorted_iter_pos: s.sorted_iter_pos,
-                dense_pos: s.dense_pos,
-                max_one_per_iter: s.max_one_per_iter,
-                dup_free_iter: true,
-                item_doc_order: true,
-                item_kind: ItemKind::Atomic,
-                const_items: None,
-                source_doc: None,
-                dict: None,
-            }
-        }
-
-        Op::DistinctValues { seq } => NodeProps {
-            shape: Shape::Seq,
-            sorted_iter_pos: true,
-            dense_pos: true,
-            max_one_per_iter: p(seq).max_one_per_iter,
-            dup_free_iter: true,
-            item_doc_order: true,
-            item_kind: ItemKind::Atomic,
-            const_items: None,
-            source_doc: None,
-            dict: None,
-        },
 
         Op::DocOrderDistinct { seq } => {
             let s = p(seq);
             NodeProps {
                 shape: Shape::Seq,
-                sorted_iter_pos: true,
-                dense_pos: true,
                 max_one_per_iter: s.max_one_per_iter,
                 dup_free_iter: true,
                 item_doc_order: true,
@@ -669,46 +573,30 @@ fn infer_node(op: &Op, env: &HashMap<usize, NodeProps>) -> NodeProps {
             }
         }
 
-        Op::PosFilter { seq, .. } => {
-            let s = p(seq);
-            // positions are unique per iteration when they are dense, so a
-            // positional pick keeps at most one row
-            let max_one = s.dense_pos || s.max_one_per_iter;
-            NodeProps {
-                shape: Shape::Seq,
-                sorted_iter_pos: s.sorted_iter_pos,
-                dense_pos: true,
-                max_one_per_iter: max_one,
-                dup_free_iter: s.dup_free_iter || max_one,
-                item_doc_order: s.item_doc_order,
-                item_kind: s.item_kind,
-                const_items: None,
-                source_doc: s.source_doc.clone(),
-                dict: s.dict.clone(),
-            }
-        }
+        // positions are unique per iteration, so a positional pick keeps at
+        // most one row
+        Op::PosFilter { seq, .. } => NodeProps {
+            shape: Shape::Seq,
+            max_one_per_iter: true,
+            dup_free_iter: true,
+            const_items: None,
+            ..p(seq).clone()
+        },
 
         Op::Subsequence { seq, len, .. } => {
             let s = p(seq);
-            let max_one = s.max_one_per_iter || (matches!(len, Some(l) if *l <= 1) && s.dense_pos);
+            let max_one = s.max_one_per_iter || matches!(len, Some(l) if *l <= 1);
             NodeProps {
                 shape: Shape::Seq,
-                sorted_iter_pos: s.sorted_iter_pos,
-                dense_pos: true,
                 max_one_per_iter: max_one,
                 dup_free_iter: s.dup_free_iter || max_one,
-                item_doc_order: s.item_doc_order,
-                item_kind: s.item_kind,
                 const_items: None,
-                source_doc: s.source_doc.clone(),
-                dict: s.dict.clone(),
+                ..s.clone()
             }
         }
 
         Op::ElemCtor { .. } => NodeProps {
             shape: Shape::Seq,
-            sorted_iter_pos: true,
-            dense_pos: true,
             max_one_per_iter: true,
             dup_free_iter: true,
             item_doc_order: true,
@@ -972,8 +860,6 @@ pub struct Simplified {
     pub plan: PlanRef,
     /// Operator eliminations and join commitments, in application order.
     pub rewrites: Vec<Rewrite>,
-    /// Number of nodes whose order annotations were strengthened.
-    pub props_upgraded: usize,
 }
 
 struct Simplifier<'a> {
@@ -981,14 +867,12 @@ struct Simplifier<'a> {
     memo: HashMap<usize, PlanRef>,
     next_id: usize,
     rewrites: Vec<Rewrite>,
-    props_upgraded: usize,
 }
 
 /// Rewrite a plan using the inferred properties:
 ///
 /// * drop a [`Op::DocOrderDistinct`] whose input is provably in document
-///   order, duplicate free and densely numbered — the δ would be an
-///   expensive no-op;
+///   order and duplicate free — the δ would be an expensive no-op;
 /// * replace a [`Op::DistinctValues`] over at-most-one-item iterations with
 ///   plain atomisation;
 /// * set the `dict_join` flag on a [`Op::NestFromJoin`] whose operands
@@ -997,12 +881,11 @@ struct Simplifier<'a> {
 /// * drop a `⋉` under `count` that restricts to the count's own loop, and
 ///   fuse `count(for $x in S where L op R return $x)` over a recognised join
 ///   into [`Op::JoinCount`];
-/// * strengthen [`Props`] where the analysis proves more order than the
-///   compiler annotated (notably: axis-step output *is* `[iter, pos]`
-///   sorted), letting the order-aware executor skip downstream sorts.
 ///
-/// Node ids are preserved for rewritten nodes (replacement nodes get fresh
-/// ids), so the executor's memoisation keeps working across shared sub-DAGs.
+/// Only the nodes a rewrite touches and their ancestors are rebuilt: a plan
+/// no rewrite applies to comes back as the input `Arc`.  Node ids are
+/// preserved for rebuilt nodes (replacement nodes get fresh ids), so the
+/// executor's memoisation keeps working across shared sub-DAGs.
 pub fn simplify(root: &PlanRef, analysis: &Analysis) -> Simplified {
     let mut max_id = 0;
     fn walk_max(p: &PlanRef, seen: &mut HashMap<usize, ()>, max_id: &mut usize) {
@@ -1021,13 +904,11 @@ pub fn simplify(root: &PlanRef, analysis: &Analysis) -> Simplified {
         memo: HashMap::new(),
         next_id: max_id + 1,
         rewrites: Vec::new(),
-        props_upgraded: 0,
     };
     let plan = s.rewrite(root);
     Simplified {
         plan,
         rewrites: s.rewrites,
-        props_upgraded: s.props_upgraded,
     }
 }
 
@@ -1045,13 +926,12 @@ impl Simplifier<'_> {
         // -- elimination: redundant document-order δ ------------------------
         if let Op::DocOrderDistinct { seq } = &p.op {
             let a = self.analysis.props(seq.id);
-            if a.item_kind == ItemKind::Nodes && a.item_doc_order && a.dup_free_iter && a.dense_pos
-            {
+            if a.item_kind == ItemKind::Nodes && a.item_doc_order && a.dup_free_iter {
                 self.rewrites.push(Rewrite {
                     plan_id: p.id,
                     description: format!(
-                        "removed docorder-δ: input [{}] is already in document order, \
-                         duplicate-free and densely numbered",
+                        "removed docorder-δ: input [{}] is already in document order \
+                         and duplicate-free",
                         seq.id
                     ),
                 });
@@ -1062,7 +942,7 @@ impl Simplifier<'_> {
         // -- elimination: distinct-values over singleton iterations ---------
         if let Op::DistinctValues { seq } = &p.op {
             let a = self.analysis.props(seq.id);
-            if a.max_one_per_iter && a.dense_pos {
+            if a.max_one_per_iter {
                 self.rewrites.push(Rewrite {
                     plan_id: p.id,
                     description: format!(
@@ -1074,7 +954,7 @@ impl Simplifier<'_> {
                 let op = Op::Atomize {
                     seq: self.rewrite(seq),
                 };
-                return self.replacement(p, op);
+                return self.replacement(op);
             }
         }
 
@@ -1091,28 +971,17 @@ impl Simplifier<'_> {
         }
 
         // -- generic rebuild with rewritten children ------------------------
-        let new_op = self.rebuild_op(p);
-        let props = strengthen(p.props, self.analysis.get(p.id));
-        let children_changed = new_op.is_some();
-        if !children_changed && props == p.props {
-            return p.clone();
+        match self.rebuild_op(p) {
+            Some(op) => Arc::new(Plan { id: p.id, op }),
+            None => p.clone(),
         }
-        if props != p.props {
-            self.props_upgraded += 1;
-        }
-        Arc::new(Plan {
-            id: p.id,
-            op: new_op.unwrap_or_else(|| self.rebuild_op_forced(p)),
-            props,
-        })
     }
 
-    /// A new node (fresh id) computing what `p` computes.
-    fn replacement(&mut self, p: &PlanRef, op: Op) -> PlanRef {
-        let props = strengthen(crate::compile::infer_props(&op), self.analysis.get(p.id));
+    /// A new node (fresh id) computing what the node it replaces computes.
+    fn replacement(&mut self, op: Op) -> PlanRef {
         let id = self.next_id;
         self.next_id += 1;
-        Arc::new(Plan { id, op, props })
+        Arc::new(Plan { id, op })
     }
 
     /// The two `count` rewrites, in order:
@@ -1168,7 +1037,7 @@ impl Simplifier<'_> {
             },
             None => return None,
         };
-        Some(self.replacement(p, op))
+        Some(self.replacement(op))
     }
 
     /// Rebuild the operator with rewritten children; `None` when every child
@@ -1182,11 +1051,6 @@ impl Simplifier<'_> {
             return None;
         }
         Some(self.rebuild_with(p, dict_commit))
-    }
-
-    fn rebuild_op_forced(&mut self, p: &PlanRef) -> Op {
-        let dict_commit = self.dict_join_commit(p);
-        self.rebuild_with(p, dict_commit)
     }
 
     /// Does this node qualify for the static code-to-code join commitment?
@@ -1419,32 +1283,19 @@ fn returned_join_var(seq: &PlanRef) -> Option<&PlanRef> {
     }
 }
 
-/// Merge the analysis' order facts into the compiler's [`Props`] annotation.
-/// `[iter, pos]`-sortedness implies group order.
-fn strengthen(mut props: Props, inferred: Option<&NodeProps>) -> Props {
-    if let Some(a) = inferred {
-        if a.sorted_iter_pos {
-            props.ord_iter_pos = true;
-            props.grpord_pos = true;
-        }
-        if a.item_doc_order && a.item_kind == ItemKind::Nodes {
-            props.item_doc_order = true;
-        }
-    }
-    props
-}
-
 // ---------------------------------------------------------------------------
 // runtime validation (MXQ_VALIDATE_PLANS=1)
 // ---------------------------------------------------------------------------
 
-/// Assert the inferred properties of one plan node against its executed
-/// table.  Returns a description of the first violated property, if any.
+/// Assert the table convention (see [`Op`]) and the inferred properties of
+/// one plan node against its executed table.  Returns a description of the
+/// first violation, if any.
 ///
-/// Loop relations check iteration order and uniqueness; nest maps are
-/// skipped (their invariants are structural); sequence tables check order,
-/// position density, cardinality, item kind, per-iteration duplicate
-/// freedom, document order, constant columns and dictionary encoding.
+/// Loop relations must ascend strictly on `iter`; nest maps are skipped
+/// (their invariants are structural); sequence tables must be sorted on
+/// `[iter, pos]` with positions `1..k` per iteration, and are checked for
+/// cardinality, item kind, per-iteration duplicate freedom, document order,
+/// constant columns and dictionary encoding.
 pub fn validate_table(props: &NodeProps, t: &Table) -> Result<(), String> {
     match props.shape {
         Shape::Nest => return Ok(()),
@@ -1455,14 +1306,8 @@ pub fn validate_table(props: &NodeProps, t: &Table) -> Result<(), String> {
             let Ok(iters) = col.as_int() else {
                 return Ok(());
             };
-            if props.sorted_iter_pos && iters.windows(2).any(|w| w[0] > w[1]) {
-                return Err("loop iterations are not sorted".into());
-            }
-            if props.max_one_per_iter {
-                let mut seen = std::collections::HashSet::new();
-                if iters.iter().any(|i| !seen.insert(*i)) {
-                    return Err("loop relation repeats an iteration".into());
-                }
+            if iters.windows(2).any(|w| w[0] >= w[1]) {
+                return Err("loop iterations do not ascend strictly".into());
             }
             return Ok(());
         }
@@ -1477,42 +1322,26 @@ pub fn validate_table(props: &NodeProps, t: &Table) -> Result<(), String> {
     };
     let items = item.to_items();
 
-    if props.sorted_iter_pos {
-        for w in 0..iters.len().saturating_sub(1) {
-            if (iters[w], poss[w]) > (iters[w + 1], poss[w + 1]) {
-                return Err(format!(
-                    "claimed [iter, pos] order is violated at row {}",
-                    w + 1
-                ));
-            }
+    // every iteration is one run of rows numbered 1..k, runs ascend on iter
+    let mut runs: Vec<(i64, &[Item])> = Vec::new();
+    let mut start = 0;
+    for row in 0..iters.len() {
+        let it = iters[row];
+        if row > 0 && iters[row - 1] > it {
+            return Err(format!("[iter, pos] order is violated at row {row}"));
         }
-    }
-
-    let mut groups: HashMap<i64, Vec<(i64, &Item)>> = HashMap::new();
-    for i in 0..iters.len() {
-        groups
-            .entry(iters[i])
-            .or_default()
-            .push((poss[i], &items[i]));
-    }
-    for rows in groups.values_mut() {
-        rows.sort_by_key(|(p, _)| *p);
+        if poss[row] != (row - start) as i64 + 1 {
+            return Err(format!("iteration {it} positions are not 1..=k"));
+        }
+        if row + 1 == iters.len() || iters[row + 1] != it {
+            runs.push((it, &items[start..=row]));
+            start = row + 1;
+        }
     }
 
     if props.max_one_per_iter {
-        if let Some((it, _)) = groups.iter().find(|(_, rows)| rows.len() > 1) {
+        if let Some((it, _)) = runs.iter().find(|(_, rows)| rows.len() > 1) {
             return Err(format!("iteration {it} holds more than one item"));
-        }
-    }
-    if props.dense_pos {
-        for (it, rows) in &groups {
-            if rows
-                .iter()
-                .enumerate()
-                .any(|(k, (p, _))| *p != k as i64 + 1)
-            {
-                return Err(format!("iteration {it} positions are not 1..=k"));
-            }
         }
     }
     match props.item_kind {
@@ -1529,14 +1358,8 @@ pub fn validate_table(props: &NodeProps, t: &Table) -> Result<(), String> {
         ItemKind::Mixed => {}
     }
     if props.item_kind == ItemKind::Nodes {
-        for (it, rows) in &groups {
-            let nodes: Vec<_> = rows
-                .iter()
-                .filter_map(|(_, i)| match i {
-                    Item::Node(n) => Some(*n),
-                    _ => None,
-                })
-                .collect();
+        for (it, rows) in &runs {
+            let nodes: Vec<_> = rows.iter().filter_map(Item::as_node).collect();
             if props.item_doc_order && nodes.windows(2).any(|w| w[0] > w[1]) {
                 return Err(format!("iteration {it} nodes are not in document order"));
             }
@@ -1549,12 +1372,9 @@ pub fn validate_table(props: &NodeProps, t: &Table) -> Result<(), String> {
         }
     }
     if let Some(want) = &props.const_items {
-        for (it, rows) in &groups {
+        for (it, rows) in &runs {
             if rows.len() != want.len()
-                || rows
-                    .iter()
-                    .zip(want)
-                    .any(|((_, got), w)| !items_equal(got, w))
+                || rows.iter().zip(want).any(|(got, w)| !items_equal(got, w))
             {
                 return Err(format!(
                     "iteration {it} does not repeat the claimed constant sequence"
@@ -1629,7 +1449,7 @@ mod tests {
         let a = analyze(&plan);
         let p = a.props(plan.id);
         assert_eq!(p.item_kind, ItemKind::Atomic);
-        assert!(p.sorted_iter_pos && p.dense_pos && p.max_one_per_iter);
+        assert!(p.max_one_per_iter);
         assert!(matches!(p.const_items.as_deref(), Some([Item::Int(3)])));
 
         // lifted into a parameter slot, the literal keeps every fact but
@@ -1645,16 +1465,16 @@ mod tests {
         let s = analyze(&slotted);
         let s = s.props(slotted.id);
         assert_eq!(s.item_kind, ItemKind::Atomic);
-        assert!(s.sorted_iter_pos && s.dense_pos && s.max_one_per_iter && s.dup_free_iter);
+        assert!(s.max_one_per_iter && s.dup_free_iter);
         assert!(s.const_items.is_none());
 
-        // sequence construction unions singleton constants: still ordered
-        // and atomic, but no longer a single constant column
+        // sequence construction unions singleton constants: still atomic,
+        // but no longer a single constant column
         let plan = plan_of("(1, 2, 3)");
         let a = analyze(&plan);
         let p = a.props(plan.id);
         assert_eq!(p.item_kind, ItemKind::Atomic);
-        assert!(p.sorted_iter_pos && p.dense_pos);
+        assert!(p.const_items.is_none());
         assert!(!p.max_one_per_iter);
     }
 
@@ -1664,7 +1484,7 @@ mod tests {
         let a = analyze(&plan);
         let p = a.props(plan.id);
         assert_eq!(p.item_kind, ItemKind::Nodes);
-        assert!(p.sorted_iter_pos && p.dup_free_iter && p.item_doc_order);
+        assert!(p.dup_free_iter && p.item_doc_order);
         assert_eq!(p.source_doc.as_deref(), Some("d.xml"));
     }
 
@@ -1707,12 +1527,10 @@ mod tests {
         let l1 = Arc::new(Plan {
             id: 0,
             op: Op::LoopOne,
-            props: Props::default(),
         });
         let l2 = Arc::new(Plan {
             id: 0,
             op: Op::LoopOne,
-            props: Props::default(),
         });
         let bad = Arc::new(Plan {
             id: 1,
@@ -1724,7 +1542,6 @@ mod tests {
                             loop_: l1,
                             items: ConstItems::Inline(vec![Item::Int(1)]),
                         },
-                        props: Props::default(),
                     }),
                     Arc::new(Plan {
                         id: 3,
@@ -1732,11 +1549,9 @@ mod tests {
                             loop_: l2,
                             items: ConstItems::Inline(vec![Item::Int(2)]),
                         },
-                        props: Props::default(),
                     }),
                 ],
             },
-            props: Props::default(),
         });
         let a = analyze(&bad);
         let err = verify(&bad, &a).expect_err("duplicate ids must be rejected");
@@ -1849,7 +1664,6 @@ mod tests {
         let loop_ = Arc::new(Plan {
             id: 1000,
             op: Op::LoopOne,
-            props: Props::default(),
         });
         let bad = Arc::new(Plan {
             id: 1001,
@@ -1857,23 +1671,17 @@ mod tests {
                 join: nest.clone(),
                 loop_,
             },
-            props: Props::default(),
         });
         let err = verify(&bad, &analyze(&bad)).expect_err("nest(ρ) is not a join");
         assert!(err.message.contains("not a recognised join"), "{err}");
     }
 
     #[test]
-    fn simplifier_upgrades_axis_step_order() {
+    fn simplifier_returns_a_plan_without_rewrites_unchanged() {
         let plan = plan_of("doc(\"d.xml\")/a/b/c");
-        let a = analyze(&plan);
-        let simplified = simplify(&plan, &a);
-        assert!(simplified.props_upgraded > 0);
-        fn all_steps_ordered(p: &PlanRef) -> bool {
-            let here = !matches!(p.op, Op::AxisStep { .. }) || p.props.ord_iter_pos;
-            here && p.children().iter().all(all_steps_ordered)
-        }
-        assert!(all_steps_ordered(&simplified.plan));
+        let simplified = simplify(&plan, &analyze(&plan));
+        assert!(simplified.rewrites.is_empty());
+        assert!(Arc::ptr_eq(&simplified.plan, &plan));
     }
 
     #[test]
@@ -1892,12 +1700,70 @@ mod tests {
         }
     }
 
+    type EngineResult = Result<(), mxq_engine::EngineError>;
+
+    fn seq_table(iters: &[i64], poss: &[i64]) -> Result<Table, mxq_engine::EngineError> {
+        let items = iters.iter().map(|&i| Item::Int(i)).collect();
+        Table::from_columns(vec![
+            ("iter", mxq_engine::Column::Int(iters.to_vec())),
+            ("pos", mxq_engine::Column::Int(poss.to_vec())),
+            ("item", mxq_engine::Column::from_items(items)),
+        ])
+    }
+
+    fn loop_table(iters: &[i64]) -> Result<Table, mxq_engine::EngineError> {
+        Table::from_columns(vec![("iter", mxq_engine::Column::Int(iters.to_vec()))])
+    }
+
+    /// Sequence facts that hold for any atomic table, so that only the
+    /// table convention can fail.
+    fn any_atomic_seq() -> NodeProps {
+        NodeProps {
+            max_one_per_iter: false,
+            dup_free_iter: false,
+            ..NodeProps::scalar()
+        }
+    }
+
+    #[test]
+    fn validation_accepts_the_table_convention() -> EngineResult {
+        let t = seq_table(&[1, 1, 1, 3], &[1, 2, 3, 1])?;
+        assert_eq!(validate_table(&any_atomic_seq(), &t), Ok(()));
+        let l = loop_table(&[1, 2, 5])?;
+        assert_eq!(validate_table(&NodeProps::loop_shape(), &l), Ok(()));
+        Ok(())
+    }
+
+    #[test]
+    fn validation_rejects_an_unsorted_sequence() -> EngineResult {
+        let t = seq_table(&[2, 2, 1], &[1, 2, 1])?;
+        let err = validate_table(&any_atomic_seq(), &t).unwrap_err();
+        assert!(err.contains("order is violated at row 2"), "{err}");
+        Ok(())
+    }
+
+    #[test]
+    fn validation_rejects_positions_that_do_not_start_at_one() -> EngineResult {
+        let t = seq_table(&[1, 1, 2], &[2, 3, 1])?;
+        let err = validate_table(&any_atomic_seq(), &t).unwrap_err();
+        assert!(err.contains("iteration 1 positions are not 1..=k"), "{err}");
+        Ok(())
+    }
+
+    #[test]
+    fn validation_rejects_a_descending_loop_relation() -> EngineResult {
+        let l = loop_table(&[3, 2, 1])?;
+        let err = validate_table(&NodeProps::loop_shape(), &l).unwrap_err();
+        assert!(err.contains("do not ascend"), "{err}");
+        Ok(())
+    }
+
     #[test]
     fn annotations_render_inferred_properties() {
         let plan = plan_of("doc(\"d.xml\")/a/@id");
         let a = analyze(&plan);
         let s = explain_annotated(&plan, &a);
         assert!(s.contains("dict=attr-values(d.xml)"), "{s}");
-        assert!(s.contains("{ord"), "{s}");
+        assert!(s.contains("{max1 nodes dup-free doc-order"), "{s}");
     }
 }

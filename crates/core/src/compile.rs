@@ -31,7 +31,7 @@ use mxq_engine::agg::AggFunc;
 use mxq_engine::{CmpOp, Item};
 use mxq_staircase::{Axis, NodeTest};
 
-use crate::algebra::{ConstItems, NumFnKind, Op, Plan, PlanRef, PosFilterKind, Props, StrFnKind};
+use crate::algebra::{ConstItems, NumFnKind, Op, Plan, PlanRef, PosFilterKind, StrFnKind};
 use crate::ast::*;
 use crate::config::ExecConfig;
 use crate::pul::{UpdateKind, UpdatePlan, UpdateStatementPlan, UpdateTarget};
@@ -270,10 +270,9 @@ impl Compiler {
     }
 
     fn plan(&mut self, op: Op) -> PlanRef {
-        let props = infer_props(&op);
         let id = self.next_id;
         self.next_id += 1;
-        Arc::new(Plan { id, op, props })
+        Arc::new(Plan { id, op })
     }
 
     fn const_seq(&mut self, loop_: &PlanRef, items: Vec<Item>) -> PlanRef {
@@ -1345,80 +1344,6 @@ fn lift_element(ctor: &mut ElementCtor, out: &mut Vec<Item>) {
             Content::Expr(e) => lift(e, out),
             Content::Element(e) => lift_element(e, out),
         }
-    }
-}
-
-/// Infer the column properties of an operator (Section 4.1).  The executor
-/// consults these only when the order-aware mode is enabled.
-pub(crate) fn infer_props(op: &Op) -> Props {
-    match op {
-        Op::LoopOne => Props {
-            ord_iter_pos: true,
-            grpord_pos: true,
-            dense_iter: true,
-            item_doc_order: false,
-        },
-        Op::ConstSeq { .. }
-        | Op::DocRoot { .. }
-        | Op::ExternalVar { .. }
-        | Op::NestVar { .. }
-        | Op::NestVarPos { .. }
-        | Op::NestLoop { .. }
-        | Op::Aggregate { .. }
-        | Op::JoinCount { .. }
-        | Op::Ebv { .. }
-        | Op::Empty { .. }
-        | Op::StringValue { .. }
-        | Op::ValueCmp { .. }
-        | Op::GeneralCmp { .. }
-        | Op::BoolAndOr { .. }
-        | Op::BoolNot { .. }
-        | Op::Arith { .. }
-        | Op::ElemCtor { .. } => Props {
-            ord_iter_pos: true,
-            grpord_pos: true,
-            dense_iter: false,
-            item_doc_order: false,
-        },
-        Op::BackMap { .. }
-        | Op::Union { .. }
-        | Op::LiftThrough { .. }
-        | Op::RestrictToIters { .. }
-        | Op::DistinctValues { .. }
-        | Op::DocOrderDistinct { .. }
-        | Op::PosFilter { .. }
-        | Op::Subsequence { .. }
-        | Op::Atomize { .. }
-        | Op::CastNumber { .. }
-        | Op::NumFn { .. }
-        | Op::StringFn { .. }
-        | Op::Neg { .. }
-        | Op::AttrStep { .. } => Props {
-            ord_iter_pos: true,
-            grpord_pos: true,
-            dense_iter: false,
-            item_doc_order: false,
-        },
-        // the staircase join emits in (pre, iter) order — document order per
-        // iteration, but *not* [iter, pos] order
-        Op::AxisStep { .. } => Props {
-            ord_iter_pos: false,
-            grpord_pos: true,
-            dense_iter: false,
-            item_doc_order: true,
-        },
-        Op::NestFromSeq { .. } | Op::NestFromJoin { .. } => Props {
-            ord_iter_pos: true,
-            grpord_pos: true,
-            dense_iter: false,
-            item_doc_order: false,
-        },
-        Op::SelectIters { .. } => Props {
-            ord_iter_pos: true,
-            grpord_pos: true,
-            dense_iter: false,
-            item_doc_order: false,
-        },
     }
 }
 

@@ -22,10 +22,12 @@ pub struct ExecConfig {
     /// them to relational joins instead of loop-lifted Cartesian products
     /// (Section 4.1, Figure 13).
     pub join_recognition: bool,
-    /// Maintain and exploit order properties: prune sorts, use the streaming
-    /// (hash-based) row numbering and positional lookups (Section 4.1,
-    /// Figure 14).  When false every order requirement is (re-)established
-    /// with a full sort.
+    /// Exploit order (Section 4.1, Figure 14).  Every operator emits its
+    /// table sorted on `[iter, pos]` with positions `1..k` (the convention
+    /// documented on [`crate::algebra::Op`]); this mode trusts that, skips
+    /// the sorts that would re-establish it and renumbers positions with the
+    /// streaming row numbering.  When false every order requirement is
+    /// (re-)established with a full sort.
     pub order_aware: bool,
     /// For non-equality existential comparisons, push min/max aggregates
     /// below the theta-join (Figure 8(b)); when false the join produces
@@ -101,9 +103,9 @@ pub struct ExecStats {
     pub staircase: ScanStats,
     /// Number of full sorts performed.
     pub sorts: u64,
-    /// Number of sorts avoided: an order property proved the input sorted,
-    /// or a location step's emission order was already `(iter, document
-    /// order)`.
+    /// Number of sorts avoided: the order-aware mode took an input's
+    /// `[iter, pos]` order from the table convention, or a location step's
+    /// emission order was already `(iter, document order)`.
     pub sorts_avoided: u64,
     /// Number of algebra operators evaluated (memoised nodes count once).
     pub ops_evaluated: u64,

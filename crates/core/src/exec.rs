@@ -3,11 +3,14 @@
 //!
 //! All intermediate results are materialised `iter|pos|item` tables (exactly
 //! like MonetDB/XQuery materialises its temporary BATs); shared sub-plans are
-//! evaluated once and memoised by plan id.  The order-aware mode (Section
-//! 4.1) decides between the sort-based and the streaming (hash-based) row
-//! numbering and prunes sorts whose order is already established; the
-//! staircase-join switches (Section 3) pick between the loop-lifted and the
-//! iterative axis step and enable the nametest pushdown.
+//! evaluated once and memoised by plan id.  Every operator emits its table
+//! in one convention: loop relations ascend on `iter`, sequence tables are
+//! sorted on `[iter, pos]` with positions `1..k` per iteration (see [`Op`]).
+//! The order-aware mode (Section 4.1) trusts that convention and skips the
+//! sorts that would re-establish it; without it every order requirement is
+//! met by a full sort.  The staircase-join switches (Section 3) pick between
+//! the loop-lifted and the iterative axis step and enable the nametest
+//! pushdown.
 //!
 //! The executor reads loaded documents through a [`StoreSnapshot`] and never
 //! mutates shared state: nodes built by element constructors go into a
@@ -252,15 +255,16 @@ impl<'a> Executor<'a> {
     /// sequence order.
     pub fn eval_result(&mut self, plan: &PlanRef) -> EResult<Vec<Item>> {
         let t = self.eval(plan)?;
-        let sorted = self.sorted_seq(&t, plan)?;
+        let sorted = self.sorted_seq(&t)?;
         items_col(&sorted)
     }
 
-    /// Ensure a sequence table is sorted by `[iter, pos]`, consulting the
-    /// plan's order properties when the order-aware mode is on.  Returns the
-    /// input table (shared, no copy) when its order is already established.
-    fn sorted_seq(&mut self, t: &Rc<Table>, plan: &PlanRef) -> EResult<Rc<Table>> {
-        if self.config.order_aware && plan.props.ord_iter_pos {
+    /// Ensure a sequence table is sorted by `[iter, pos]`.  The order-aware
+    /// mode trusts the table convention (see [`Op`]) and returns the input
+    /// table (shared, no copy); otherwise the order is re-established with a
+    /// full sort.
+    fn sorted_seq(&mut self, t: &Rc<Table>) -> EResult<Rc<Table>> {
+        if self.config.order_aware {
             self.stats.sorts_avoided += 1;
             return Ok(t.clone());
         }
@@ -295,11 +299,11 @@ impl<'a> Executor<'a> {
     fn loop_iters(&mut self, loop_: &PlanRef) -> EResult<Vec<i64>> {
         let t = self.eval(loop_)?;
         let mut iters = iter_col(&t)?.to_vec();
-        if !self.config.order_aware || !loop_.props.ord_iter_pos {
+        if self.config.order_aware {
+            self.stats.sorts_avoided += 1;
+        } else {
             self.stats.sorts += 1;
             iters.sort_unstable();
-        } else {
-            self.stats.sorts_avoided += 1;
         }
         Ok(iters)
     }
@@ -420,7 +424,7 @@ impl<'a> Executor<'a> {
             }
             Op::NestFromSeq { seq } => {
                 let t = self.eval(seq)?;
-                let sorted = self.sorted_seq(&t, seq)?;
+                let sorted = self.sorted_seq(&t)?;
                 Table::from_columns(vec![
                     ("outer", sorted.column("iter")?.clone()),
                     ("inner", Column::dense(1, sorted.nrows())),
@@ -691,7 +695,7 @@ impl<'a> Executor<'a> {
             }
             Op::DistinctValues { seq } => {
                 let t = self.eval(seq)?;
-                let sorted = self.sorted_seq(&t, seq)?;
+                let sorted = self.sorted_seq(&t)?;
                 let iters = iter_col(&sorted)?;
                 let items = items_col(&sorted)?;
                 let mut seen: std::collections::HashSet<(i64, String)> =
@@ -798,7 +802,7 @@ impl<'a> Executor<'a> {
 
     fn eval_lift_through(&mut self, seq: &PlanRef, nest: &PlanRef) -> EResult<Table> {
         let s = self.eval(seq)?;
-        let s = self.sorted_seq(&s, seq)?;
+        let s = self.sorted_seq(&s)?;
         let n = self.eval(nest)?;
         let s_iter = iter_col(&s)?;
         let s_pos = pos_col(&s)?;
@@ -850,9 +854,7 @@ impl<'a> Executor<'a> {
             rows.push(row);
         });
 
-        let sorted_input =
-            self.config.order_aware && order_keys.is_empty() && body.props.ord_iter_pos;
-        if sorted_input {
+        if self.config.order_aware && order_keys.is_empty() {
             // inner iteration numbers are assigned in (outer, pos) order, so a
             // body sorted on [inner, pos] maps back already sorted on outer
             self.stats.sorts_avoided += 1;
@@ -931,7 +933,7 @@ impl<'a> Executor<'a> {
         };
         let op = *op;
         let src = self.eval(source)?;
-        let src = self.sorted_seq(&src, source)?;
+        let src = self.sorted_seq(&src)?;
         let lt = self.eval(left)?;
         let rt = self.eval(right)?;
         let (l_iter, r_iter) = (iter_col(&lt)?, iter_col(&rt)?);
@@ -1158,7 +1160,7 @@ impl<'a> Executor<'a> {
 
     fn eval_attr_step(&mut self, ctx: &PlanRef, name: Option<&str>) -> EResult<Table> {
         let t = self.eval(ctx)?;
-        let sorted = self.sorted_seq(&t, ctx)?;
+        let sorted = self.sorted_seq(&t)?;
         let iters = iter_col(&sorted)?;
         let items = items_col(&sorted)?;
 
@@ -1281,7 +1283,7 @@ impl<'a> Executor<'a> {
         // groups are runs of the sorted `iter` column; an unordered input is
         // sorted (stably, so every group keeps its row order) first
         let agg = if is_sorted(iters) {
-            if self.config.order_aware && seq.props.grpord_pos {
+            if self.config.order_aware {
                 self.stats.sorts_avoided += 1;
             }
             aggregate_grouped(iters, values, func)

@@ -3,7 +3,7 @@
 //! visible in the rendered plan, and runtime validation of inferred
 //! properties.
 
-use mxq_xquery::{Database, Error, ExecConfig, Session};
+use mxq_xquery::{parse_update, Compiler, Database, Error, ExecConfig, Executor, Session};
 use std::sync::Arc;
 
 /// Switch on runtime plan validation for this test process, as
@@ -196,4 +196,35 @@ fn updates_are_verified_and_validated() {
             .serialize(),
         "4"
     );
+}
+
+#[test]
+fn update_targets_trust_the_table_convention() {
+    // update plans skip the simplifier: the order-aware executor must still
+    // take the axis step's output as sorted, without a sort of its own
+    let db = Arc::new(Database::new());
+    db.load_document("d.xml", "<a><b>1</b><c/><b>2</b><b>3</b></a>")
+        .unwrap();
+    let snap = db.snapshot();
+    let run = |config: ExecConfig| {
+        let parsed = parse_update("delete nodes doc(\"d.xml\")/a/b").unwrap();
+        let plan = Compiler::new(config).compile_update(&parsed).unwrap();
+        let mut exec = Executor::new(&snap, config);
+        let items: Vec<_> = plan
+            .roots()
+            .into_iter()
+            .map(|root| exec.eval_result(root).unwrap())
+            .collect();
+        (items, exec.stats)
+    };
+    let (targets, stats) = run(ExecConfig::default());
+    assert_eq!(stats.sorts, 0, "{stats:?}");
+    assert_eq!(targets.concat().len(), 3);
+    let naive = ExecConfig {
+        order_aware: false,
+        ..ExecConfig::default()
+    };
+    let (resorted, naive_stats) = run(naive);
+    assert!(naive_stats.sorts > 0, "{naive_stats:?}");
+    assert_eq!(targets, resorted);
 }

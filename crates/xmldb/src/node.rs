@@ -21,19 +21,6 @@ pub enum NodeKind {
     ProcessingInstruction,
 }
 
-impl NodeKind {
-    /// Short single-character tag used in debug dumps.
-    pub fn letter(self) -> char {
-        match self {
-            NodeKind::Document => 'D',
-            NodeKind::Element => 'E',
-            NodeKind::Text => 'T',
-            NodeKind::Comment => 'C',
-            NodeKind::ProcessingInstruction => 'P',
-        }
-    }
-}
-
 /// One attribute of an element, stored in the attribute property container.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AttrRow {
@@ -43,22 +30,4 @@ pub struct AttrRow {
     pub name: Arc<str>,
     /// Attribute value (untyped atomic).
     pub value: Arc<str>,
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn kind_letters_are_distinct() {
-        let kinds = [
-            NodeKind::Document,
-            NodeKind::Element,
-            NodeKind::Text,
-            NodeKind::Comment,
-            NodeKind::ProcessingInstruction,
-        ];
-        let letters: std::collections::HashSet<char> = kinds.iter().map(|k| k.letter()).collect();
-        assert_eq!(letters.len(), kinds.len());
-    }
 }
