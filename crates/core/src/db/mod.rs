@@ -64,6 +64,7 @@ mod session;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard};
+use std::time::Instant;
 
 use mxq_xmldb::{DocStore, DocumentColumns, StoreSnapshot};
 
@@ -72,6 +73,7 @@ use crate::config::ExecConfig;
 use crate::durability::{DurabilityOptions, Durable};
 use crate::exec::Executor;
 use crate::params::Params;
+use crate::profile::Profile;
 use crate::Error;
 use checkpoint::CheckpointThread;
 use latch::{CommitOrder, LatchTable};
@@ -372,6 +374,32 @@ impl Database {
                 stats,
             },
         ))
+    }
+
+    /// Evaluate a compiled statement once against the current store state
+    /// with per-operator profiling on; errors for an updating statement.
+    fn profile_compiled(
+        &self,
+        stmt: &CompiledStatement,
+        config: ExecConfig,
+        params: Params,
+    ) -> Result<Profile, Error> {
+        let CompiledStatement::Query { plan, .. } = stmt else {
+            return Err(Error::WrongStatementKind { expected: "query" });
+        };
+        let snap = self.snapshot();
+        let mut exec = Executor::with_params(&snap, config, params).with_profiling();
+        let start = Instant::now();
+        let items = exec.eval_result(plan)?;
+        let exec_ns = start.elapsed().as_nanos() as u64;
+        let ops = exec.profile(plan);
+        let (_, stats) = exec.finish();
+        Ok(Profile {
+            ops,
+            exec_ns,
+            result_items: items.len(),
+            stats,
+        })
     }
 }
 

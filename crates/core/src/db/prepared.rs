@@ -20,6 +20,7 @@ use super::{Database, QueryResult, StatementResult};
 use crate::config::ExecConfig;
 use crate::exec::ExecError;
 use crate::params::Params;
+use crate::profile::Profile;
 use crate::Error;
 
 /// A statement parsed and compiled exactly once, executable many times —
@@ -160,6 +161,15 @@ impl Prepared {
                 .apply_update(plan, self.config, &params)
                 .map(StatementResult::Update),
         }
+    }
+
+    /// Execute once without bindings, with per-operator profiling on (see
+    /// [`Session::profile`](super::Session::profile)); errors for an
+    /// updating statement.
+    pub fn profile(&self) -> Result<Profile, Error> {
+        let params = Params::new().with_literals(self.literals.clone());
+        self.db
+            .profile_compiled(&self.compiled, self.config, params)
     }
 
     /// Execute with bindings and return the query result (errors for

@@ -19,6 +19,7 @@ use crate::algebra::PlanRef;
 use crate::analysis::{self, Rewrite};
 use crate::config::ExecConfig;
 use crate::params::Params;
+use crate::profile::Profile;
 use crate::Error;
 
 /// Per-session statistics.
@@ -153,6 +154,20 @@ impl Session {
             executions: AtomicU64::new(0),
             revalidations: AtomicU64::new(0),
         })
+    }
+
+    /// Execute a query once with per-operator profiling on and return its
+    /// [`Profile`] (`EXPLAIN ANALYZE`): per plan node, self and inclusive
+    /// time, rows out, memo hits and the sorts done and avoided.  The plan
+    /// is the cached plan of the text's shape, as for
+    /// [`Session::execute`]; errors for an updating statement.
+    pub fn profile(&mut self, text: &str) -> Result<Profile, Error> {
+        let shaped = self.compile_cached(text)?;
+        self.db.profile_compiled(
+            &shaped.compiled,
+            self.config,
+            Params::new().with_literals(shaped.literals),
+        )
     }
 
     /// Execute a statement, auto-detecting query vs. update text.  Texts

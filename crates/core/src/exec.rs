@@ -44,6 +44,7 @@ use crate::algebra::{ConstItems, NumFnKind, Op, PlanRef, PosFilterKind, StrFnKin
 use crate::ast::ArithOp;
 use crate::config::{ExecConfig, ExecStats};
 use crate::params::Params;
+use crate::profile::{OpProfile, ProfileSink};
 
 /// Errors raised during execution.
 #[derive(Debug, Clone, PartialEq)]
@@ -119,6 +120,9 @@ pub struct Executor<'a> {
     /// Last fragment recorded into `reads` — container access is per-node
     /// in a few hot paths, and runs of accesses hit the same fragment.
     last_read: std::cell::Cell<u32>,
+    /// Per-operator costs; `Some` for a profiled execution
+    /// ([`Executor::with_profiling`]).
+    profile: Option<Box<ProfileSink>>,
 }
 
 // -- small helpers over sequence tables --------------------------------------
@@ -177,7 +181,23 @@ impl<'a> Executor<'a> {
             validation: validate.then(crate::analysis::Analysis::default),
             reads: std::cell::RefCell::new(std::collections::HashSet::new()),
             last_read: std::cell::Cell::new(TRANSIENT_FRAG),
+            profile: None,
         }
+    }
+
+    /// Profile this execution: every plan node [`Executor::eval`] evaluates
+    /// records its costs, read back with [`Executor::profile`].
+    pub fn with_profiling(mut self) -> Self {
+        self.profile = Some(Box::default());
+        self
+    }
+
+    /// The per-operator costs of `plan`'s nodes so far, in plan preorder
+    /// (empty unless the executor was built [`Executor::with_profiling`]).
+    pub fn profile(&self, plan: &PlanRef) -> Vec<OpProfile> {
+        self.profile
+            .as_ref()
+            .map_or_else(Vec::new, |p| p.rows(plan))
     }
 
     /// Finish the execution: hand back the private transient container
@@ -228,9 +248,24 @@ impl<'a> Executor<'a> {
     /// sub-plan costs one reference-count bump, not a deep column copy.
     pub fn eval(&mut self, plan: &PlanRef) -> EResult<Rc<Table>> {
         if let Some(t) = self.memo.get(&plan.id) {
+            if let Some(p) = self.profile.as_mut() {
+                p.memo_hit(plan.id);
+            }
             return Ok(t.clone());
         }
-        let t = Rc::new(self.eval_op(plan)?);
+        let t = match self.profile.as_mut() {
+            None => self.eval_op(plan)?,
+            Some(p) => {
+                p.enter(&self.stats);
+                let t = self.eval_op(plan);
+                let rows = t.as_ref().ok().map(Table::nrows);
+                if let Some(p) = self.profile.as_mut() {
+                    p.exit(plan.id, rows, &self.stats);
+                }
+                t?
+            }
+        };
+        let t = Rc::new(t);
         self.stats.ops_evaluated += 1;
         self.stats.record_table(t.nrows());
         if let Some(analysis) = self.validation.as_mut() {

@@ -69,6 +69,7 @@ pub mod durability;
 pub mod exec;
 pub mod params;
 pub mod parser;
+pub mod profile;
 pub mod pul;
 
 use std::fmt;
@@ -90,6 +91,7 @@ pub use durability::{DurabilityError, DurabilityOptions};
 pub use exec::{serialize_items_snapshot, ExecError, Executor};
 pub use params::Params;
 pub use parser::{parse_expr, parse_query, parse_statement, parse_update, ParseError};
+pub use profile::{OpProfile, Profile};
 pub use pul::{PendingUpdateList, PulError, UpdateKind, UpdatePlan, UpdatePrimitive};
 
 /// Any error a database/session/engine call can produce.
