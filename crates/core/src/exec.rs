@@ -36,7 +36,8 @@ use mxq_engine::value::format_double;
 use mxq_engine::{CmpOp, Column, EngineError, Item, NodeId, Table};
 use mxq_staircase::looplifted::CtxPair;
 use mxq_staircase::{
-    looplifted_step, looplifted_step_candidates, staircase_step, Axis, NodeTest, ScanStats,
+    child_step_in_iter_order, looplifted_step, looplifted_step_candidates, staircase_step, Axis,
+    NodeTest, ScanStats,
 };
 use mxq_xmldb::{ContainerRef, Document, DocumentBuilder, NodeRead, StoreSnapshot, TRANSIENT_FRAG};
 
@@ -1136,6 +1137,34 @@ impl<'a> Executor<'a> {
     fn eval_axis_step(&mut self, ctx: &PlanRef, axis: Axis, test: &NodeTest) -> EResult<Table> {
         let t = self.eval(ctx)?;
         let iters = iter_col(&t)?;
+        let mut stats = ScanStats::default();
+        let mut out = StepOut::default();
+        // one node per iteration, ascending, in one container: the child
+        // step walks the contexts as they come and emits in `[iter, pos]`
+        // order (no sort either side of the staircase)
+        if let (Axis::Child, true, Column::Node(nodes)) =
+            (axis, self.config.loop_lifted_child, t.column("item")?)
+        {
+            let frag = nodes.first().map(|n| n.frag);
+            let one_per_iter =
+                (1..nodes.len()).all(|i| iters[i - 1] < iters[i] && Some(nodes[i].frag) == frag);
+            if let (Some(frag), true) = (frag, one_per_iter) {
+                let ctx = iters.iter().zip(nodes).map(|(&it, n)| (it, n.pre));
+                let pushdown = self.config.nametest_pushdown;
+                let mut emit = |it, pos, pre| out.push(it, pos, NodeId::new(frag, pre));
+                match self.container(frag) {
+                    ContainerRef::Doc(d) => {
+                        child_step_in_iter_order(d, ctx, test, pushdown, &mut stats, &mut emit)
+                    }
+                    ContainerRef::Paged(p) => {
+                        child_step_in_iter_order(p, ctx, test, pushdown, &mut stats, &mut emit)
+                    }
+                }
+                self.stats.staircase.merge(&stats);
+                self.stats.sorts_avoided += 1;
+                return out.into_table();
+            }
+        }
         // the context pairs of each document container (fragment) — nearly
         // always a single one, found by a one-entry scan
         let mut per_frag: Vec<(u32, Vec<CtxPair>)> = Vec::new();
@@ -1157,8 +1186,7 @@ impl<'a> Executor<'a> {
                 .zip(other.iter_items())
                 .for_each(|(&it, item)| item.as_node().into_iter().for_each(|n| add(it, n))),
         }
-        let mut out: Vec<(i64, NodeId)> = Vec::new();
-        let mut stats = ScanStats::default();
+        let mut found: Vec<(i64, NodeId)> = Vec::new();
         let config = self.config;
         for (frag, pairs) in &per_frag {
             // dispatch once per container so the scan loops monomorphize
@@ -1167,7 +1195,7 @@ impl<'a> Executor<'a> {
                 ContainerRef::Doc(d) => axis_step_on(d, pairs, axis, test, &config, &mut stats),
                 ContainerRef::Paged(p) => axis_step_on(p, pairs, axis, test, &config, &mut stats),
             };
-            out.extend(
+            found.extend(
                 results
                     .iter()
                     .map(|&(it, pre)| (it, NodeId::new(*frag, pre))),
@@ -1177,20 +1205,16 @@ impl<'a> Executor<'a> {
         // order by (iter, document order) — the step emits in (document
         // order, iter), which is the same thing for a single iteration and
         // for disjoint context regions whose iterations ascend with them
-        if out.windows(2).all(|w| w[0] <= w[1]) {
+        if found.windows(2).all(|w| w[0] <= w[1]) {
             self.stats.sorts_avoided += 1;
         } else {
             self.stats.sorts += 1;
-            out.sort_unstable();
+            found.sort_unstable();
         }
-        let (iters, nodes): (Vec<i64>, Vec<NodeId>) = out.into_iter().unzip();
-        let pos = row_number_streaming(&iters);
-        Table::from_columns(vec![
-            ("iter", Column::Int(iters)),
-            ("pos", Column::Int(pos)),
-            ("item", Column::Node(nodes)),
-        ])
-        .map_err(Into::into)
+        for (it, n) in found {
+            out.number(it, n);
+        }
+        out.into_table()
     }
 
     fn eval_attr_step(&mut self, ctx: &PlanRef, name: Option<&str>) -> EResult<Table> {
@@ -1469,40 +1493,51 @@ impl<'a> Executor<'a> {
         content: &[PlanRef],
     ) -> EResult<Table> {
         let loop_iters = self.loop_iters(loop_)?;
-        // attribute value tables first, then the content parts
-        let mut tables = Vec::with_capacity(attrs.len() + content.len());
-        for plan in attrs.iter().map(|(_, plan)| plan).chain(content) {
-            tables.push(self.eval_in_iter_order(plan)?);
-        }
+        let mut layout = CtorLayout::default();
+        self.lay_out_ctor(&mut layout, loop_, name, attrs, content)?;
+        let CtorLayout {
+            program,
+            names,
+            tables,
+        } = layout;
         let mut parts = Vec::with_capacity(tables.len());
         for t in &tables {
             parts.push((t.column("item")?, IterRuns::new(iter_col(t)?)));
         }
-        let (attr_parts, content_parts) = parts.split_at_mut(attrs.len());
 
         // content nodes constructed by child plans already live in the
         // transient container the new elements are appended to
         let mut builder = DocumentBuilder::append_to(std::mem::take(&mut self.transient), 0);
         // names are interned / allocated once per call, not per element
-        let qid = builder.intern(name);
-        let attr_names: Vec<Arc<str>> = attrs.iter().map(|(a, _)| Arc::from(a.as_str())).collect();
+        let qids: Vec<u32> = names.iter().map(|n| builder.intern(n)).collect();
 
         let (mut oi, mut oit) = (Vec::new(), Vec::new());
         for it in loop_iters {
-            let root_pre = builder.start_interned(qid);
-            for (aname, (values, runs)) in attr_names.iter().zip(attr_parts.iter_mut()) {
-                builder.shared_attribute(aname.clone(), self.first_arc(values, runs.of(it)));
+            let root_pre = builder.next_pre();
+            for step in &program {
+                match step {
+                    Build::Start(k) => {
+                        builder.start_interned(qids[*k]);
+                        self.stats.constructed_nodes += 1;
+                    }
+                    Build::Attr(aname, t) => {
+                        let (values, runs) = &mut parts[*t];
+                        builder
+                            .shared_attribute(aname.clone(), self.first_arc(values, runs.of(it)));
+                    }
+                    Build::Content(ts) => {
+                        let items = ts.iter().flat_map(|&t| {
+                            let (values, runs) = &mut parts[t];
+                            let values: &Column = values;
+                            runs.of(it).map(move |row| values.item(row))
+                        });
+                        self.stats.copied_nodes += builder.append_content(items, |frag| {
+                            (frag != TRANSIENT_FRAG).then(|| self.container(frag))
+                        });
+                    }
+                    Build::End => builder.end_element(),
+                }
             }
-            let items = content_parts.iter_mut().flat_map(|(values, runs)| {
-                let values: &Column = values;
-                runs.of(it).map(move |row| values.item(row))
-            });
-            let copied = builder.append_content(items, |frag| {
-                (frag != TRANSIENT_FRAG).then(|| self.container(frag))
-            });
-            builder.end_element();
-            self.stats.copied_nodes += copied;
-            self.stats.constructed_nodes += 1;
             oi.push(it);
             oit.push(Item::Node(NodeId::new(TRANSIENT_FRAG, root_pre)));
         }
@@ -1510,6 +1545,75 @@ impl<'a> Executor<'a> {
         let n = oi.len();
         Ok(seq_table(oi, vec![1; n], oit))
     }
+
+    /// Lay out one constructor as build instructions, evaluating its
+    /// attribute and content tables.  A content part that is itself a
+    /// constructor over the same loop is laid out inline: it is built in
+    /// place inside its parent instead of being materialized and then
+    /// copied, which the parent's deep copy makes the same thing.  (A
+    /// constructor some other consumer also uses is still evaluated there.)
+    fn lay_out_ctor<'p>(
+        &mut self,
+        layout: &mut CtorLayout<'p>,
+        loop_: &PlanRef,
+        name: &'p str,
+        attrs: &[(String, PlanRef)],
+        content: &'p [PlanRef],
+    ) -> EResult<()> {
+        layout.program.push(Build::Start(layout.names.len()));
+        layout.names.push(name);
+        for (aname, plan) in attrs {
+            layout
+                .program
+                .push(Build::Attr(Arc::from(aname.as_str()), layout.tables.len()));
+            layout.tables.push(self.eval_in_iter_order(plan)?);
+        }
+        for part in content {
+            match &part.op {
+                Op::ElemCtor {
+                    loop_: inner,
+                    name,
+                    attrs,
+                    content,
+                } if inner.id == loop_.id => {
+                    self.lay_out_ctor(layout, loop_, name, attrs, content)?;
+                }
+                _ => {
+                    let t = layout.tables.len();
+                    match layout.program.last_mut() {
+                        Some(Build::Content(ts)) => ts.push(t),
+                        _ => layout.program.push(Build::Content(vec![t])),
+                    }
+                    layout.tables.push(self.eval_in_iter_order(part)?);
+                }
+            }
+        }
+        layout.program.push(Build::End);
+        Ok(())
+    }
+}
+
+/// An element constructor laid out for its per-iteration build
+/// ([`Executor::lay_out_ctor`]): the instructions, the element names they
+/// open and the evaluated attribute and content tables they read.
+#[derive(Default)]
+struct CtorLayout<'p> {
+    program: Vec<Build>,
+    names: Vec<&'p str>,
+    tables: Vec<Rc<Table>>,
+}
+
+/// One instruction of an element constructor's per-iteration build.
+enum Build {
+    /// Open an element named `names[k]`.
+    Start(usize),
+    /// Add an attribute: its name, and the table of its string values.
+    Attr(Arc<str>, usize),
+    /// Append the items of these tables as one content sequence (adjacent
+    /// atomics merge across them).
+    Content(Vec<usize>),
+    /// Close the element.
+    End,
 }
 
 /// One location step over one container: picks the candidate-pushdown,
@@ -1586,6 +1690,41 @@ impl<'a> IterRuns<'a> {
     fn next_run(&mut self) -> Option<(i64, Range<usize>)> {
         let &it = self.iters.get(self.at)?;
         Some((it, self.of(it)))
+    }
+}
+
+/// The columns of a location step's sequence table, built in one pass
+/// over its `[iter, document order]` result.
+#[derive(Default)]
+struct StepOut {
+    iters: Vec<i64>,
+    pos: Vec<i64>,
+    nodes: Vec<NodeId>,
+}
+
+impl StepOut {
+    fn push(&mut self, it: i64, pos: i64, n: NodeId) {
+        self.iters.push(it);
+        self.pos.push(pos);
+        self.nodes.push(n);
+    }
+
+    /// Append a row, numbering it after the previous row of its iteration.
+    fn number(&mut self, it: i64, n: NodeId) {
+        let pos = match (self.iters.last(), self.pos.last()) {
+            (Some(&last), Some(&p)) if last == it => p + 1,
+            _ => 1,
+        };
+        self.push(it, pos, n);
+    }
+
+    fn into_table(self) -> EResult<Table> {
+        Table::from_columns(vec![
+            ("iter", Column::Int(self.iters)),
+            ("pos", Column::Int(self.pos)),
+            ("item", Column::Node(self.nodes)),
+        ])
+        .map_err(Into::into)
     }
 }
 

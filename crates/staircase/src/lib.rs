@@ -36,6 +36,6 @@ pub mod stats;
 
 pub use axis::Axis;
 pub use iterative::staircase_step;
-pub use looplifted::{looplifted_step, looplifted_step_candidates};
+pub use looplifted::{child_step_in_iter_order, looplifted_step, looplifted_step_candidates};
 pub use nametest::NodeTest;
 pub use stats::ScanStats;

@@ -299,10 +299,8 @@ fn ll_child<D: NodeRead>(
     result
 }
 
-/// `child::name` off the element-name index: per context node, the
-/// candidates inside its subtree, each either a child (emitted) or deeper
-/// (dropped) — and in both cases nothing below it can be a child, so the
-/// candidate's whole subtree is jumped over without being touched.
+/// `child::name` off the element-name index, one context node at a time
+/// ([`named_children`]).
 fn named_child<D: NodeRead>(
     doc: &D,
     ctx: &[CtxPair],
@@ -311,31 +309,102 @@ fn named_child<D: NodeRead>(
 ) -> Vec<CtxPair> {
     let mut result: Vec<CtxPair> = Vec::new();
     for group in groups(ctx) {
-        let pre = group[0].1;
-        let eos = pre + doc.size(pre);
-        let child_level = doc.level(pre) + 1;
-        let mut v = pre + 1;
-        'region: while v <= eos {
-            let run = index.run_at(v, stats);
-            let from = run.offsets.partition_point(|&o| run.base + o < v);
-            for &o in &run.offsets[from..] {
-                let cand = run.base + o;
-                if cand > eos {
-                    break 'region;
-                }
-                if cand < v {
-                    continue; // inside a subtree already jumped over
-                }
-                stats.nodes_scanned += 1;
-                if doc.level(cand) == child_level {
-                    result.extend(group.iter().map(|&(it, _)| (it, cand)));
-                }
-                v = cand + doc.size(cand) + 1;
-            }
-            v = v.max(run.end + 1);
-        }
+        named_children(doc, group[0].1, &mut index, stats, |cand| {
+            result.extend(group.iter().map(|&(it, _)| (it, cand)));
+        });
     }
     result
+}
+
+/// The children of `pre` off the element-name index, in document order:
+/// the candidates inside its subtree, each either a child (emitted) or
+/// deeper (dropped) — and in both cases nothing below it can be a child, so
+/// the candidate's whole subtree is jumped over without being touched.
+fn named_children<D: NodeRead>(
+    doc: &D,
+    pre: u32,
+    index: &mut NameIndex<'_, D>,
+    stats: &mut ScanStats,
+    mut emit: impl FnMut(u32),
+) {
+    let eos = pre + doc.size(pre);
+    let child_level = doc.level(pre) + 1;
+    let mut v = pre + 1;
+    'region: while v <= eos {
+        let run = index.run_at(v, stats);
+        let from = run.offsets.partition_point(|&o| run.base + o < v);
+        for &o in &run.offsets[from..] {
+            let cand = run.base + o;
+            if cand > eos {
+                break 'region;
+            }
+            if cand < v {
+                continue; // inside a subtree already jumped over
+            }
+            stats.nodes_scanned += 1;
+            if doc.level(cand) == child_level {
+                emit(cand);
+            }
+            v = cand + doc.size(cand) + 1;
+        }
+        v = v.max(run.end + 1);
+    }
+}
+
+/// The child step over a context that holds one node per iteration, in
+/// ascending iteration order (`for $t in … return $t/name` inside an outer
+/// loop).  Such a context has nothing to prune, so it is walked as it
+/// comes, with no `(pre, iter)` sort: per context node, its children (off
+/// the element-name index for a name test when `pushdown` is set, by a
+/// scan of the child list otherwise) go to `emit(iter, pos, pre)` already
+/// in `[iter, pos]` order, numbered `1..k` per iteration.
+pub fn child_step_in_iter_order<D: NodeRead>(
+    doc: &D,
+    ctx: impl IntoIterator<Item = CtxPair>,
+    test: &NodeTest,
+    pushdown: bool,
+    stats: &mut ScanStats,
+    mut emit: impl FnMut(i64, i64, u32),
+) {
+    stats.passes += 1;
+    let compiled = test.compile(doc);
+    let mut index = match (test, &compiled) {
+        (NodeTest::Named(_), &CompiledTest::Element(Some(code))) if pushdown => {
+            Some(NameIndex::new(doc, code))
+        }
+        _ => None,
+    };
+    // a name the container does not hold has no children to find
+    let none = compiled == CompiledTest::Element(None);
+    let mut results = 0;
+    for (it, pre) in ctx {
+        stats.contexts += 1;
+        if none {
+            continue;
+        }
+        let mut pos = 0;
+        let mut child = |v| {
+            pos += 1;
+            emit(it, pos, v);
+        };
+        match &mut index {
+            Some(index) => named_children(doc, pre, index, stats, &mut child),
+            None => {
+                stats.nodes_scanned += 1; // the context node itself is inspected
+                let eos = pre + doc.size(pre);
+                let mut v = pre + 1;
+                while v <= eos {
+                    stats.nodes_scanned += 1;
+                    if compiled.matches(doc, v) {
+                        child(v);
+                    }
+                    v += doc.size(v) + 1;
+                }
+            }
+        }
+        results += pos as u64;
+    }
+    stats.results += results;
 }
 
 /// An open context region of the descendant sweep; its iterations are a

@@ -535,10 +535,7 @@ impl DocumentBuilder {
 
     /// Add a text node; returns its preorder rank.
     pub fn text(&mut self, content: &str) -> u32 {
-        let pre = self.next_row();
-        let tid = self.doc.push_text(Arc::from(content));
-        self.doc.push_row(0, self.level, NodeKind::Text, tid);
-        pre
+        self.shared_text(Arc::from(content))
     }
 
     /// Add a comment node.
@@ -587,52 +584,70 @@ impl DocumentBuilder {
     /// (or as new fragments when nothing is open), by the rules element
     /// construction and the XQUF insert sources share: a node item is
     /// deep-copied, a document node as its children, and adjacent atomic
-    /// items merge into one text node, separated by single spaces.
-    /// `source` resolves a node's fragment id to its container, or to
-    /// `None` for the container being built (which holds no document
-    /// nodes).  Returns the number of rows the copies appended.
+    /// items merge into one text node, separated by single spaces.  A lone
+    /// string becomes a text node that shares its string, and a text node
+    /// is copied as its shared content.  `source` resolves a node's
+    /// fragment id to its container, or to `None` for the container being
+    /// built (which holds no document nodes).  Returns the number of rows
+    /// the copies appended.
     pub fn append_content<'s, I, F>(&mut self, items: I, mut source: F) -> u64
     where
         I: IntoIterator<Item = Item>,
         F: FnMut(u32) -> Option<ContainerRef<'s>>,
     {
         let mut copied = 0;
-        let mut pending = String::new();
+        let mut pending = Pending::Empty;
         for item in items {
             let n = match item {
                 Item::Node(n) => n,
                 atomic => {
-                    if !pending.is_empty() {
-                        pending.push(' ');
-                    }
-                    pending.push_str(&atomic.string_value());
+                    pending.push(atomic);
                     continue;
                 }
             };
-            if !pending.is_empty() {
-                self.text(&pending);
-                pending.clear();
-            }
+            self.flush(&mut pending);
             let before = self.doc.len();
             match source(n.frag) {
                 None => {
                     self.copy_subtree_within(n.pre);
                 }
-                Some(src) if src.kind(n.pre) == NodeKind::Document => {
-                    for child in src.children(n.pre) {
-                        self.copy_from(src, child);
-                    }
-                }
                 Some(src) => {
-                    self.copy_from(src, n.pre);
+                    if let Some(text) = src.text_arc(n.pre) {
+                        self.shared_text(text.clone());
+                    } else if src.kind(n.pre) == NodeKind::Document {
+                        for child in src.children(n.pre) {
+                            self.copy_from(src, child);
+                        }
+                    } else {
+                        self.copy_from(src, n.pre);
+                    }
                 }
             }
             copied += (self.doc.len() - before) as u64;
         }
-        if !pending.is_empty() {
-            self.text(&pending);
-        }
+        self.flush(&mut pending);
         copied
+    }
+
+    /// Add the pending atomics as a text node (none when they are empty).
+    fn flush(&mut self, pending: &mut Pending) {
+        match std::mem::replace(pending, Pending::Empty) {
+            Pending::Empty => {}
+            Pending::Shared(text) => {
+                self.shared_text(text);
+            }
+            Pending::Owned(text) => {
+                self.shared_text(Arc::from(text));
+            }
+        }
+    }
+
+    /// Add a text node with a string the caller already holds.
+    fn shared_text(&mut self, content: Arc<str>) -> u32 {
+        let pre = self.next_row();
+        let tid = self.doc.push_text(content);
+        self.doc.push_row(0, self.level, NodeKind::Text, tid);
+        pre
     }
 
     /// Finish building and return the document.
@@ -646,6 +661,43 @@ impl DocumentBuilder {
             self.open.len()
         );
         self.doc
+    }
+}
+
+/// The atomics of a content sequence not yet written as a text node:
+/// their string values, joined by single spaces.  An empty string value
+/// contributes no separator (`""` then `"y"` is `"y"`), and empty pending
+/// text writes no node.
+enum Pending {
+    Empty,
+    /// One non-empty string, shared with the item it came from.
+    Shared(Arc<str>),
+    /// Several string values, joined.
+    Owned(String),
+}
+
+impl Pending {
+    fn push(&mut self, atomic: Item) {
+        *self = match (std::mem::replace(self, Pending::Empty), atomic) {
+            (Pending::Empty, Item::Str(s)) if s.is_empty() => Pending::Empty,
+            (Pending::Empty, Item::Str(s)) => Pending::Shared(s),
+            (Pending::Empty, atomic) => {
+                let text = atomic.string_value();
+                if text.is_empty() {
+                    Pending::Empty
+                } else {
+                    Pending::Owned(text)
+                }
+            }
+            (Pending::Shared(s), atomic) => {
+                Pending::Owned(format!("{s} {}", atomic.string_value()))
+            }
+            (Pending::Owned(mut text), atomic) => {
+                text.push(' ');
+                text.push_str(&atomic.string_value());
+                Pending::Owned(text)
+            }
+        };
     }
 }
 
