@@ -319,17 +319,12 @@ impl<'a> Executor<'a> {
 
     /// Evaluate an operand of a per-iteration operator and hand it over in
     /// `[iter, pos]` order, so that the rows of one iteration are a run
-    /// ([`IterRuns`]) led by its first item: the memoised table itself when
-    /// its rows already are in that order (operators emit their iterations
-    /// ascending), a sorted copy otherwise.
+    /// ([`IterRuns`]) led by its first item: the memoised table itself in
+    /// the order-aware mode, which trusts the table convention, a sorted
+    /// copy otherwise ([`Executor::sorted_seq`]).
     fn eval_in_iter_order(&mut self, plan: &PlanRef) -> EResult<Rc<Table>> {
         let t = self.eval(plan)?;
-        let (iters, poss) = (iter_col(&t)?, pos_col(&t)?);
-        if (1..t.nrows()).all(|i| (iters[i - 1], poss[i - 1]) <= (iters[i], poss[i])) {
-            Ok(t)
-        } else {
-            self.sort_by_iter_pos(&t)
-        }
+        self.sorted_seq(&t)
     }
 
     fn loop_iters(&mut self, loop_: &PlanRef) -> EResult<Vec<i64>> {
@@ -1339,12 +1334,11 @@ impl<'a> Executor<'a> {
             }
             _ => item,
         };
-        // groups are runs of the sorted `iter` column; an unordered input is
+        // groups are runs of the `iter` column, which the order-aware mode
+        // trusts to ascend (the table convention); otherwise the input is
         // sorted (stably, so every group keeps its row order) first
-        let agg = if is_sorted(iters) {
-            if self.config.order_aware {
-                self.stats.sorts_avoided += 1;
-            }
+        let agg = if self.config.order_aware {
+            self.stats.sorts_avoided += 1;
             aggregate_grouped(iters, values, func)
         } else {
             self.stats.sorts += 1;
@@ -1783,10 +1777,6 @@ fn zip_firsts(
         }
     }
     Ok((iters, items))
-}
-
-fn is_sorted(v: &[i64]) -> bool {
-    v.windows(2).all(|w| w[0] <= w[1])
 }
 
 /// Format a sequence of result items the way our serializer does for

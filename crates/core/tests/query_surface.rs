@@ -415,3 +415,44 @@ fn error_paths_are_typed() {
         Err(Error::Shred(_))
     ));
 }
+
+#[test]
+fn profiles_attribute_the_execution_to_operators() {
+    let mut e = engine();
+    let q = r#"for $e in doc("shop.xml")/shop/staff/employee
+               return <row id="{$e/@id}"><n>{$e/name/text()}</n></row>"#;
+    let profile = e.profile(q).unwrap();
+    let plan = e.compile(q).unwrap();
+    assert_eq!(
+        profile.ops.len(),
+        plan.operator_count(),
+        "one row per plan node"
+    );
+    let root = &profile.ops[0];
+    assert_eq!((root.id, root.depth, root.evals), (plan.id, 0, 1));
+    assert_eq!(root.rows, 3);
+    assert_eq!(profile.result_items, 3);
+    for op in &profile.ops {
+        assert!(op.self_ns <= op.total_ns, "{op:?}");
+    }
+    assert!(profile.self_ns_total() <= profile.exec_ns);
+    // the nested <n> is built inside <row>: it has a row but no evaluation
+    assert!(profile.ops.iter().any(|o| o.op == "elem" && o.evals == 0));
+    // sorts done and avoided add up to the execution's counters (the
+    // result extraction avoids one more)
+    let avoided: u64 = profile.ops.iter().map(|o| o.sorts_avoided).sum();
+    let sorts: u64 = profile.ops.iter().map(|o| o.sorts).sum();
+    assert_eq!(
+        (sorts, avoided + 1),
+        (profile.stats.sorts, profile.stats.sorts_avoided)
+    );
+    assert!(profile.to_string().contains("[0] loop"));
+
+    // the same through a prepared statement; updates have no profile
+    let prepared = e.prepare(q).unwrap();
+    assert_eq!(prepared.profile().unwrap().ops.len(), profile.ops.len());
+    assert!(matches!(
+        e.profile(r#"delete nodes doc("shop.xml")//sale"#),
+        Err(Error::WrongStatementKind { .. })
+    ));
+}

@@ -346,6 +346,32 @@ fn atomic_content_becomes_text() {
 }
 
 #[test]
+fn insert_sources_mix_atomics_and_stored_text() {
+    // atomics around a stored text node: each run of atomics is one text
+    // node (an empty string adds no separator), the stored text is copied
+    // as it is; the serializations are pinned from the build that copied
+    // strings instead of sharing them
+    let source =
+        r#"("x", doc("doc.xml")/r/src/text(), 1, "", "y", doc("doc.xml")/r/src/text(), "")"#;
+    for config in [ExecConfig::default(), ExecConfig::naive()] {
+        let db = Arc::new(Database::new());
+        db.load_document("doc.xml", "<r><src>abc</src><dst/></r>")
+            .unwrap();
+        let mut e = db.session_with_config(config);
+        e.execute_update(&format!(
+            "insert nodes {source} as last into doc(\"doc.xml\")/r/dst"
+        ))
+        .unwrap();
+        assert_eq!(
+            run(&mut e, "doc(\"doc.xml\")/r/dst"),
+            "<dst>xabc1  yabc</dst>"
+        );
+        assert_eq!(run(&mut e, "count(doc(\"doc.xml\")/r/dst/text())"), "4");
+        assert_eq!(run(&mut e, "doc(\"doc.xml\")/r/src"), "<src>abc</src>");
+    }
+}
+
+#[test]
 fn document_columns_refresh_after_update() {
     let mut e = engine_with("<r><a/></r>");
     let before = e.database().document_columns("doc.xml").unwrap();

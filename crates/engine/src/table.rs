@@ -160,7 +160,7 @@ impl Table {
 mod tests {
     use super::*;
 
-    fn sample() -> Table {
+    fn sample() -> Result<Table> {
         Table::from_columns(vec![
             ("iter", Column::Int(vec![1, 2, 3])),
             (
@@ -168,69 +168,73 @@ mod tests {
                 Column::from_items(vec![Item::str("a"), Item::str("b"), Item::str("c")]),
             ),
         ])
-        .unwrap()
     }
 
     #[test]
-    fn construction_and_access() {
-        let t = sample();
+    fn construction_and_access() -> Result<()> {
+        let t = sample()?;
         assert_eq!(t.nrows(), 3);
         assert_eq!(t.ncols(), 2);
-        assert_eq!(t.column("iter").unwrap().as_int().unwrap(), &[1, 2, 3]);
+        assert_eq!(t.column("iter")?.as_int()?, &[1, 2, 3]);
         assert!(t.column("nope").is_err());
+        Ok(())
     }
 
     #[test]
-    fn length_mismatch_rejected() {
-        let mut t = sample();
+    fn length_mismatch_rejected() -> Result<()> {
+        let mut t = sample()?;
         assert!(t.add_column("bad", Column::Int(vec![1])).is_err());
+        Ok(())
     }
 
     #[test]
-    fn add_column_replaces_existing() {
-        let mut t = sample();
-        t.add_column("iter", Column::Int(vec![7, 8, 9])).unwrap();
+    fn add_column_replaces_existing() -> Result<()> {
+        let mut t = sample()?;
+        t.add_column("iter", Column::Int(vec![7, 8, 9]))?;
         assert_eq!(t.ncols(), 2);
-        assert_eq!(t.column("iter").unwrap().as_int().unwrap(), &[7, 8, 9]);
+        assert_eq!(t.column("iter")?.as_int()?, &[7, 8, 9]);
+        Ok(())
     }
 
     #[test]
-    fn rename_gather_filter_append() {
-        let mut t = sample();
-        t.rename("item", "value").unwrap();
+    fn rename_gather_filter_append() -> Result<()> {
+        let mut t = sample()?;
+        t.rename("item", "value")?;
         assert_eq!(t.names(), ["iter", "value"]);
         let g = t.gather(&[2, 0]);
-        assert_eq!(g.column("iter").unwrap().as_int().unwrap(), &[3, 1]);
-        let f = t.filter(&[false, true, false]).unwrap();
+        assert_eq!(g.column("iter")?.as_int()?, &[3, 1]);
+        let f = t.filter(&[false, true, false])?;
         assert_eq!(f.nrows(), 1);
         let mut a = t.clone();
-        a.append(&t).unwrap();
+        a.append(&t)?;
         assert_eq!(a.nrows(), 6);
+        Ok(())
     }
 
     #[test]
-    fn append_into_empty_table_adopts_schema() {
+    fn append_into_empty_table_adopts_schema() -> Result<()> {
         let mut empty = Table::new();
-        empty.append(&sample()).unwrap();
+        empty.append(&sample()?)?;
         assert_eq!(empty.nrows(), 3);
         assert_eq!(empty.ncols(), 2);
+        Ok(())
     }
 
     #[test]
-    fn dict_columns_flow_through_table_operations() {
+    fn dict_columns_flow_through_table_operations() -> Result<()> {
         let t = Table::from_columns(vec![
             ("pre", Column::Int(vec![0, 1, 2])),
             ("tag", Column::dict_from_strings(["site", "item", "item"])),
-        ])
-        .unwrap();
+        ])?;
         let g = t.gather(&[2, 0]);
-        assert_eq!(g.column("tag").unwrap().item(0).string_value(), "item");
-        assert!(matches!(g.column("tag").unwrap(), Column::Dict { .. }));
-        let f = t.filter(&[false, true, true]).unwrap();
+        assert_eq!(g.column("tag")?.item(0).string_value(), "item");
+        assert!(matches!(g.column("tag")?, Column::Dict { .. }));
+        let f = t.filter(&[false, true, true])?;
         assert_eq!(f.nrows(), 2);
         let mut a = t.clone();
-        a.append(&t).unwrap();
+        a.append(&t)?;
         assert_eq!(a.nrows(), 6);
-        assert!(matches!(a.column("tag").unwrap(), Column::Dict { .. }));
+        assert!(matches!(a.column("tag")?, Column::Dict { .. }));
+        Ok(())
     }
 }

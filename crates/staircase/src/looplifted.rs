@@ -787,6 +787,38 @@ mod tests {
     }
 
     #[test]
+    fn child_step_in_iteration_order_matches_the_sweep() {
+        let doc = fig4();
+        // one node per iteration, iterations ascending, nodes out of order
+        let ctx = [(1, 5), (2, 0), (3, 7), (4, 2), (6, 3)];
+        for (test, pushdown) in [
+            (NodeTest::AnyKind, false),
+            (NodeTest::named("h"), true),
+            (NodeTest::named("h"), false),
+            (NodeTest::named("nope"), true),
+        ] {
+            let mut got = Vec::new();
+            let mut stats = ScanStats::default();
+            child_step_in_iter_order(&doc, ctx, &test, pushdown, &mut stats, |it, pos, pre| {
+                got.push((it, pos, pre))
+            });
+            let mut want = reference(&doc, &ctx, Axis::Child, &test);
+            want.sort_unstable();
+            let mut numbered: Vec<(i64, i64, u32)> = Vec::new();
+            for (it, pre) in want {
+                let pos = match numbered.last() {
+                    Some(&(last, pos, _)) if last == it => pos + 1,
+                    _ => 1,
+                };
+                numbered.push((it, pos, pre));
+            }
+            assert_eq!(got, numbered, "{test:?}, pushdown {pushdown}");
+            assert_eq!(stats.results, got.len() as u64);
+            assert_eq!((stats.passes, stats.contexts), (1, ctx.len() as u64));
+        }
+    }
+
+    #[test]
     fn empty_context() {
         let doc = fig4();
         let mut stats = ScanStats::default();

@@ -144,3 +144,109 @@ proptest! {
         }
     }
 }
+
+/// The serialization of `query` under the default configuration, after
+/// checking that `ExecConfig::naive()` and the naive interpreter (which
+/// builds its content without `append_content`) serialize the same.
+fn agreed(query: &str) -> String {
+    let db = database();
+    let got = run_checked(&db, query);
+    let naive = db
+        .session_with_config(ExecConfig::naive())
+        .query(query)
+        .unwrap()
+        .serialize()
+        .to_string();
+    assert_eq!(got, naive, "ExecConfig::naive() on {query}");
+    let mut store = DocStore::new();
+    store.load_xml("d.xml", DOC).unwrap();
+    let snap = store.snapshot();
+    let mut oracle = NaiveInterpreter::new(&snap);
+    let items = oracle.run(query).unwrap();
+    assert_eq!(
+        got,
+        oracle.serialize(&items),
+        "naive interpreter on {query}"
+    );
+    got
+}
+
+/// Constructors nested over one loop are built inside their parent; the
+/// cases pin the serializations of the materialize-and-copy build.
+#[test]
+fn nested_constructors_serialize_as_copies() {
+    let cases = [
+        // computed attributes and content at every level
+        (
+            r#"for $a in doc("d.xml")//a
+               return <x n="{$a/@id}">{$a/@id}<y m="{$a//f[1]/text()}">{$a//f/text()}<z k="{count($a//f)}">{$a/f}</z></y>{"end"}</x>"#,
+            "<x n=\"a1\">a1<y m=\"one\">one<z k=\"1\"><f>one</f></z></y>end</x><x n=\"a2\">a2<y m=\"two\">two<z k=\"2\"><f k=\"v\">two</f></z></y>end</x>",
+        ),
+        // a constructor under a different loop is materialized, then copied
+        (
+            r#"<x>{for $a in doc("d.xml")//a return <y i="{$a/@id}">{$a/f}</y>}</x>"#,
+            "<x><y i=\"a1\"><f>one</f></y><y i=\"a2\"><f k=\"v\">two</f></y></x>",
+        ),
+        (
+            r#"for $a in doc("d.xml")//a return <x>{for $f in $a//f return <y>{$f/text()}</y>}<z/></x>"#,
+            "<x><y>one</y><z/></x><x><y>two</y><y/><z/></x>",
+        ),
+        // one constructor shared by two parents and returned itself
+        (
+            r#"let $c := <c k="{1 + 1}">{doc("d.xml")//f[1]/text()}</c> return (<a>{$c}</a>, <b>{$c}{$c}</b>, $c)"#,
+            "<a><c k=\"2\">onetwo</c></a><b><c k=\"2\">onetwo</c><c k=\"2\">onetwo</c></b><c k=\"2\">onetwo</c>",
+        ),
+        (
+            r#"for $a in doc("d.xml")//a let $c := <c>{$a/@id}</c> return <p>{$c}<q>{$c}</q></p>"#,
+            "<p><c>a1</c><q><c>a1</c></q></p><p><c>a2</c><q><c>a2</c></q></p>",
+        ),
+        // node identity inside constructed content
+        (
+            r#"let $x := <x><y><w/></y><z/></x>
+               return ($x/y << $x/z, $x/z << $x/y, $x/y/w << $x/z, $x/y is $x/y, $x/y is $x/z, ($x//w)[1] is $x/y/w)"#,
+            "true false true true false true",
+        ),
+        (
+            r#"let $c := <c/> let $p := <p>{$c}</p> return ($p/c is $c, $p/c is $p/c, count($p/c))"#,
+            "false true 1",
+        ),
+    ];
+    for (query, want) in cases {
+        assert_eq!(agreed(query), want, "{query}");
+    }
+}
+
+/// Adjacent atomics merge into one text node, separated by single spaces;
+/// an empty string adds no separator before the next value.
+#[test]
+fn content_adjacency_rules() {
+    let cases = [
+        (r#"<a>{"x"}{"y"}</a>"#, "<a>x y</a>"),
+        (r#"<a>{""}{"y"}</a>"#, "<a>y</a>"),
+        (r#"<a>{"x"}{""}</a>"#, "<a>x </a>"),
+        (r#"string-length(<a>{"x"}{""}</a>)"#, "2"),
+        (r#"<a>{"x"}<b/>{"y"}</a>"#, "<a>x<b/>y</a>"),
+        (r#"<a>{1}{"x"}</a>"#, "<a>1 x</a>"),
+        (r#"<a>{""}</a>"#, "<a/>"),
+        (r#"count(<a>{""}</a>/node())"#, "0"),
+        (
+            r#"<a>{doc("d.xml")//f[1]/text()}{"x"}</a>"#,
+            "<a>onetwox</a>",
+        ),
+        (
+            r#"<a>{"x"}{doc("d.xml")//f[1]/text()}{2}</a>"#,
+            "<a>xonetwo2</a>",
+        ),
+        (
+            r#"count(<a>{"x"}{doc("d.xml")//f[1]/text()}</a>/text())"#,
+            "3",
+        ),
+        (
+            r#"for $i in (1, 2) return <a>{$i}{"x"}</a>"#,
+            "<a>1 x</a><a>2 x</a>",
+        ),
+    ];
+    for (query, want) in cases {
+        assert_eq!(agreed(query), want, "{query}");
+    }
+}

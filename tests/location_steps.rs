@@ -27,9 +27,10 @@ use std::sync::Arc;
 use mxq::engine::{Column, NodeId};
 use mxq::staircase::{looplifted_step, Axis, NodeTest, ScanStats};
 use mxq::xmark::gen::{generate_xml, GenParams};
+use mxq::xmark::naive::NaiveInterpreter;
 use mxq::xmark::queries::query_text;
 use mxq::xmldb::update::{fragment_from_xml, PagedDocument};
-use mxq::xmldb::{shred, NodeRead, ShredOptions};
+use mxq::xmldb::{shred, DocStore, NodeRead, ShredOptions};
 use mxq::xquery::algebra::Op;
 use mxq::xquery::{
     analysis, parse_statement, Compiler, Database, ExecConfig, Executor, Params, PlanRef, Statement,
@@ -178,4 +179,98 @@ fn a_patch_after_a_publish_copies_only_the_chunks_it_touches() {
         republished.run_named(target.pre, t).offsets.len(),
         "the patched chunk's index gained the new <t>; the published one did not"
     );
+}
+
+/// Two small documents for the child-step cases.
+const D: &str =
+    r#"<r><a id="a1"><f>1</f><f>2</f></a><a id="a2"><f>3</f><g><f>4</f></g></a><e/></r>"#;
+const E: &str = r#"<s><a id="b1"><f>5</f></a><a id="b2"/></s>"#;
+
+/// The serialization of `query` under the default configuration, after
+/// checking that the scanning child step, `ExecConfig::naive()` (the
+/// iterative staircase join) and the naive interpreter agree.
+fn agreed(query: &str) -> String {
+    let db = Arc::new(Database::new());
+    db.load_document("d.xml", D).unwrap();
+    db.load_document("e.xml", E).unwrap();
+    let run = |config| {
+        let mut session = db.session_with_config(config);
+        session.query(query).unwrap().serialize().to_string()
+    };
+    let got = run(ExecConfig::default());
+    let scanning = ExecConfig {
+        nametest_pushdown: false,
+        ..ExecConfig::default()
+    };
+    assert_eq!(got, run(scanning), "scanning child step on {query}");
+    assert_eq!(
+        got,
+        run(ExecConfig::naive()),
+        "ExecConfig::naive() on {query}"
+    );
+    let mut store = DocStore::new();
+    store.load_xml("d.xml", D).unwrap();
+    store.load_xml("e.xml", E).unwrap();
+    let snap = store.snapshot();
+    let mut oracle = NaiveInterpreter::new(&snap);
+    let items = oracle.run(query).unwrap();
+    assert_eq!(
+        got,
+        oracle.serialize(&items),
+        "naive interpreter on {query}"
+    );
+    got
+}
+
+/// Child steps whose context holds one node per iteration walk it in
+/// iteration order; every other context keeps the `(pre, iter)` sweep.
+/// The cases pin the serializations of the sweep.
+#[test]
+fn child_steps_in_iteration_order_agree() {
+    let cases = [
+        // iterations with 0, 1 or many context nodes
+        (
+            r#"for $n in doc("d.xml")/r/* return <i>{count($n/f)}</i>"#,
+            "<i>2</i><i>1</i><i>0</i>",
+        ),
+        (
+            r#"for $i in (1, 2) return <i>{doc("d.xml")//a/f/text()}</i>"#,
+            "<i>123</i><i>123</i>",
+        ),
+        (
+            r#"for $a in doc("d.xml")//a return ($a/f, $a/g/f)"#,
+            "<f>1</f><f>2</f><f>3</f><f>4</f>",
+        ),
+        // nested context nodes in one iteration
+        (
+            r#"for $i in (1, 2) return <i>{(doc("d.xml")//g, doc("d.xml")//a)/f/text()}</i>"#,
+            "<i>1234</i><i>1234</i>",
+        ),
+        // iterations that descend in document order
+        (
+            r#"for $id in ("a2", "a1") return for $a in doc("d.xml")//a where $a/@id = $id return <i>{$a/f/text()}</i>"#,
+            "<i>3</i><i>12</i>",
+        ),
+        (
+            r#"for $id in ("a2", "a1"), $a in doc("d.xml")/r/a[@id = $id] return $a/*"#,
+            "<f>3</f><g><f>4</f></g><f>1</f><f>2</f>",
+        ),
+        // contexts in the statement's transient fragment
+        (
+            r#"let $x := <x><a><f>t1</f></a><a><f>t2</f><f>t3</f></a></x> for $a in $x/a return <i>{$a/f/text()}</i>"#,
+            "<i>t1</i><i>t2t3</i>",
+        ),
+        // contexts in two documents, and in a document and the transient
+        (
+            r#"for $a in (doc("d.xml")//a, doc("e.xml")//a) return <i>{$a/f/text()}</i>"#,
+            "<i>12</i><i>3</i><i>5</i><i/>",
+        ),
+        (
+            r#"for $a in (doc("e.xml")//a, <a><f>t</f></a>, doc("d.xml")//a) return <i>{$a/f/text()}</i>"#,
+            "<i>5</i><i/><i>t</i><i>12</i><i>3</i>",
+        ),
+    ];
+    for (query, want) in cases {
+        assert_eq!(agreed(query), want, "{query}");
+    }
 }
