@@ -20,6 +20,7 @@
 //! stacks hold borrowed runs, and nothing is allocated per context node.
 
 use std::borrow::Cow;
+use std::collections::BTreeMap;
 use std::ops::Range;
 
 use mxq_xmldb::{NamedRun, NodeRead};
@@ -151,11 +152,16 @@ fn finish(mut result: Vec<CtxPair>, stats: &mut ScanStats) -> Vec<CtxPair> {
 
 /// A cursor over the element-name index of one name: remembers the storage
 /// run it looked at last, so consecutive small context regions inside one
-/// run share a single index lookup.
+/// run share a single index lookup, and every run it has looked at, so
+/// contexts that come back to a run (one node per iteration, in iteration
+/// order) find it again without a lookup.
 struct NameIndex<'d, D> {
     doc: &'d D,
     code: u32,
     run: NamedRun<'d>,
+    /// The runs looked up so far, by their last preorder rank (runs are
+    /// disjoint).
+    seen: BTreeMap<u32, NamedRun<'d>>,
 }
 
 impl<'d, D: NodeRead> NameIndex<'d, D> {
@@ -169,13 +175,21 @@ impl<'d, D: NodeRead> NameIndex<'d, D> {
                 offsets: &[],
                 end: 0,
             },
+            seen: BTreeMap::new(),
         }
     }
 
     /// The index entries of the run containing `pre`.
     fn run_at(&mut self, pre: u32, stats: &mut ScanStats) -> NamedRun<'d> {
         if pre < self.run.base || pre > self.run.end {
-            self.run = self.doc.run_named(pre, self.code);
+            self.run = match self.seen.range(pre..).next() {
+                Some((_, &run)) if run.base <= pre => run,
+                _ => {
+                    let run = self.doc.run_named(pre, self.code);
+                    self.seen.insert(run.end, run);
+                    run
+                }
+            };
             if self.run.offsets.is_empty() {
                 // the index rules the whole run out
                 stats.pages_skipped += 1;
