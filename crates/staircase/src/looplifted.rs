@@ -382,10 +382,8 @@ pub fn child_step_in_iter_order<D: NodeRead>(
 ) {
     stats.passes += 1;
     let compiled = test.compile(doc);
-    let mut index = match (test, &compiled) {
-        (NodeTest::Named(_), &CompiledTest::Element(Some(code))) if pushdown => {
-            Some(NameIndex::new(doc, code))
-        }
+    let mut index = match compiled {
+        CompiledTest::Element(Some(code)) if pushdown => Some(NameIndex::new(doc, code)),
         _ => None,
     };
     // a name the container does not hold has no children to find
