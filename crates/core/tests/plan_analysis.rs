@@ -228,3 +228,46 @@ fn update_targets_trust_the_table_convention() {
     assert!(naive_stats.sorts > 0, "{naive_stats:?}");
     assert_eq!(targets, resorted);
 }
+
+#[test]
+fn a_nested_constructor_over_another_loop_is_not_built_in_place() {
+    use mxq_engine::Item;
+    use mxq_xquery::algebra::{ConstItems, Op, Plan};
+    use mxq_xquery::{serialize_items_snapshot, Params};
+
+    // <x>{ <y/> over a loop that selects no iteration }</x>: the inner
+    // constructor builds nothing, so the outer element stays empty
+    let mut next = 0;
+    let mut plan = |op| {
+        next += 1;
+        Arc::new(Plan { id: next, op })
+    };
+    let outer_loop = plan(Op::LoopOne);
+    let cond = plan(Op::ConstSeq {
+        loop_: outer_loop.clone(),
+        items: ConstItems::Inline(vec![Item::Bool(false)]),
+    });
+    let inner_loop = plan(Op::SelectIters {
+        cond,
+        loop_: outer_loop.clone(),
+        negate: false,
+    });
+    let inner = plan(Op::ElemCtor {
+        loop_: inner_loop,
+        name: "y".into(),
+        attrs: Vec::new(),
+        content: Vec::new(),
+    });
+    let outer = plan(Op::ElemCtor {
+        loop_: outer_loop,
+        name: "x".into(),
+        attrs: Vec::new(),
+        content: vec![inner],
+    });
+    let db = Database::new();
+    let snap = db.snapshot();
+    let mut exec = Executor::with_params(&snap, ExecConfig::default(), Params::new());
+    let items = exec.eval_result(&outer).unwrap();
+    let (transient, _) = exec.finish();
+    assert_eq!(serialize_items_snapshot(&snap, &transient, &items), "<x/>");
+}

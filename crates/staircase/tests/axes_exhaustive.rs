@@ -14,7 +14,8 @@
 use proptest::prelude::*;
 
 use mxq_staircase::{
-    looplifted_step, looplifted_step_candidates, staircase_step, Axis, NodeTest, ScanStats,
+    child_step_in_iter_order, looplifted_step, looplifted_step_candidates, staircase_step, Axis,
+    NodeTest, ScanStats,
 };
 use mxq_xmldb::shred::{shred, ShredOptions};
 use mxq_xmldb::update::PagedDocument;
@@ -270,6 +271,43 @@ fn check_steps<D: NodeRead>(doc: &D, flat: &Document, ctx: &[(i64, u32)], what: 
                 assert_eq!(got, want, "{what}: indexed {axis}::{name} for {ctx:?}");
                 assert_eq!(stats.results, want.len() as u64);
             }
+        }
+    }
+    // the child step over one context node per iteration, walked in
+    // iteration order: the nodes come in any document order, so the
+    // name-index cursor revisits storage runs out of order
+    let one_per_iter: Vec<(i64, u32)> = (1..).zip(ctx.iter().map(|&(_, p)| p)).collect();
+    for test in &tests {
+        let mut want = per_iteration(flat, &one_per_iter, Axis::Child, test);
+        want.sort_unstable();
+        for pushdown in [false, true] {
+            let mut got = Vec::new();
+            let mut stats = ScanStats::default();
+            child_step_in_iter_order(
+                doc,
+                one_per_iter.iter().copied(),
+                test,
+                pushdown,
+                &mut stats,
+                |it, pos, pre| got.push((it, pos, pre)),
+            );
+            let positions_run = got.windows(2).all(|w| {
+                if w[0].0 == w[1].0 {
+                    w[1].1 == w[0].1 + 1
+                } else {
+                    w[1].1 == 1
+                }
+            });
+            assert!(
+                got.first().is_none_or(|g| g.1 == 1) && positions_run,
+                "{what}: positions"
+            );
+            let got: Vec<(i64, u32)> = got.into_iter().map(|(it, _, pre)| (it, pre)).collect();
+            assert_eq!(
+                got, want,
+                "{what}: child::{test:?} in iteration order, pushdown {pushdown}"
+            );
+            assert_eq!(stats.results, want.len() as u64);
         }
     }
 }
