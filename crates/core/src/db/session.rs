@@ -158,7 +158,8 @@ impl Session {
 
     /// Execute a query once with per-operator profiling on and return its
     /// [`Profile`] (`EXPLAIN ANALYZE`): per plan node, self and inclusive
-    /// time, rows out, memo hits and the sorts done and avoided.  The plan
+    /// time, rows out, memo hits, the sorts done and avoided, and the
+    /// staircase rows scanned and storage runs skipped.  The plan
     /// is the cached plan of the text's shape, as for
     /// [`Session::execute`]; errors for an updating statement.
     pub fn profile(&mut self, text: &str) -> Result<Profile, Error> {

@@ -4,8 +4,9 @@
 //! evaluates at its one chokepoint, `Executor::eval`: inclusive time from
 //! entry to exit, self time (inclusive minus the inclusive time of the
 //! children evaluated inside it), rows out, memo hits, and the sorts done
-//! and avoided inside the node itself.  Without profiling the sink is
-//! `None` and each evaluation pays one branch.
+//! and avoided and the staircase rows scanned and runs skipped inside the
+//! node itself.  Without profiling the sink is `None` and each evaluation
+//! pays one branch.
 //!
 //! [`Session::profile`](crate::Session::profile) and
 //! [`Prepared::profile`](crate::Prepared::profile) run a query with the
@@ -42,6 +43,12 @@ pub struct OpProfile {
     pub sorts: u64,
     /// Sorts the node skipped because its input's order was known.
     pub sorts_avoided: u64,
+    /// Document rows the node's own location steps examined
+    /// (`ScanStats::nodes_scanned`).
+    pub nodes_scanned: u64,
+    /// Storage runs the node's own location steps passed over untouched
+    /// (`ScanStats::pages_skipped`).
+    pub pages_skipped: u64,
 }
 
 /// The per-operator profile of one query execution.
@@ -72,28 +79,30 @@ impl fmt::Display for Profile {
         let ms = |ns: u64| ns as f64 / 1e6;
         writeln!(
             f,
-            "{:>9} {:>9} {:>8} {:>5} {:>5} {:>5}  operator",
-            "self ms", "total ms", "rows", "memo", "sorts", "avoid"
+            "{:>9} {:>9} {:>8} {:>5} {:>5} {:>5} {:>8} {:>5}  operator",
+            "self ms", "total ms", "rows", "memo", "sorts", "avoid", "scanned", "skip"
         )?;
         for o in &self.ops {
             let indent = "  ".repeat(o.depth);
             if o.evals == 0 {
                 writeln!(
                     f,
-                    "{:>9} {:>9} {:>8} {:>5} {:>5} {:>5}  {indent}[{}] {} (in parent)",
-                    "-", "-", "-", "-", "-", "-", o.id, o.op
+                    "{:>9} {:>9} {:>8} {:>5} {:>5} {:>5} {:>8} {:>5}  {indent}[{}] {} (in parent)",
+                    "-", "-", "-", "-", "-", "-", "-", "-", o.id, o.op
                 )?;
                 continue;
             }
             writeln!(
                 f,
-                "{:>9.3} {:>9.3} {:>8} {:>5} {:>5} {:>5}  {indent}[{}] {}",
+                "{:>9.3} {:>9.3} {:>8} {:>5} {:>5} {:>5} {:>8} {:>5}  {indent}[{}] {}",
                 ms(o.self_ns),
                 ms(o.total_ns),
                 o.rows,
                 o.memo_hits,
                 o.sorts,
                 o.sorts_avoided,
+                o.nodes_scanned,
+                o.pages_skipped,
                 o.id,
                 o.op
             )?;
@@ -108,14 +117,39 @@ impl fmt::Display for Profile {
     }
 }
 
-/// One open evaluation: when it started, and what its children took.
+/// The counters a node is charged for: sorts done and avoided, staircase
+/// rows scanned and runs skipped.
+#[derive(Clone, Copy, Default)]
+struct Work([u64; 4]);
+
+impl Work {
+    fn of(stats: &ExecStats) -> Work {
+        Work([
+            stats.sorts,
+            stats.sorts_avoided,
+            stats.staircase.nodes_scanned,
+            stats.staircase.pages_skipped,
+        ])
+    }
+
+    fn minus(self, other: Work) -> Work {
+        Work(std::array::from_fn(|i| self.0[i] - other.0[i]))
+    }
+
+    fn add(&mut self, other: Work) {
+        for (a, b) in self.0.iter_mut().zip(other.0) {
+            *a += b;
+        }
+    }
+}
+
+/// One open evaluation: when it started, the counters at entry, and what
+/// its children took.
 struct Frame {
     start: Instant,
-    sorts: u64,
-    sorts_avoided: u64,
+    entry: Work,
     child_ns: u64,
-    child_sorts: u64,
-    child_sorts_avoided: u64,
+    child_work: Work,
 }
 
 /// The executor's profile sink: per plan node costs, and the stack of
@@ -136,11 +170,9 @@ impl ProfileSink {
     pub(crate) fn enter(&mut self, stats: &ExecStats) {
         self.open.push(Frame {
             start: Instant::now(),
-            sorts: stats.sorts,
-            sorts_avoided: stats.sorts_avoided,
+            entry: Work::of(stats),
             child_ns: 0,
-            child_sorts: 0,
-            child_sorts_avoided: 0,
+            child_work: Work::default(),
         });
     }
 
@@ -149,20 +181,21 @@ impl ProfileSink {
     pub(crate) fn exit(&mut self, id: usize, rows: Option<usize>, stats: &ExecStats) {
         let Some(frame) = self.open.pop() else { return };
         let total = frame.start.elapsed().as_nanos() as u64;
-        let sorts = stats.sorts - frame.sorts;
-        let avoided = stats.sorts_avoided - frame.sorts_avoided;
+        let work = Work::of(stats).minus(frame.entry);
         if let Some(parent) = self.open.last_mut() {
             parent.child_ns += total;
-            parent.child_sorts += sorts;
-            parent.child_sorts_avoided += avoided;
+            parent.child_work.add(work);
         }
+        let [sorts, avoided, scanned, skipped] = work.minus(frame.child_work).0;
         let cost = self.costs.entry(id).or_default();
         cost.evals += 1;
         cost.total_ns += total;
         cost.self_ns += total.saturating_sub(frame.child_ns);
         cost.rows += rows.unwrap_or(0) as u64;
-        cost.sorts += sorts - frame.child_sorts;
-        cost.sorts_avoided += avoided - frame.child_sorts_avoided;
+        cost.sorts += sorts;
+        cost.sorts_avoided += avoided;
+        cost.nodes_scanned += scanned;
+        cost.pages_skipped += skipped;
     }
 
     /// The rows of `plan`'s nodes, in preorder.

@@ -446,6 +446,21 @@ fn profiles_attribute_the_execution_to_operators() {
         (sorts, avoided + 1),
         (profile.stats.sorts, profile.stats.sorts_avoided)
     );
+    // so do the staircase rows scanned and runs skipped, charged to the
+    // step nodes
+    let scanned: u64 = profile.ops.iter().map(|o| o.nodes_scanned).sum();
+    let skipped: u64 = profile.ops.iter().map(|o| o.pages_skipped).sum();
+    let staircase = profile.stats.staircase;
+    assert!(scanned > 0);
+    assert_eq!(
+        (scanned, skipped),
+        (staircase.nodes_scanned, staircase.pages_skipped)
+    );
+    assert!(profile
+        .ops
+        .iter()
+        .filter(|o| o.nodes_scanned > 0)
+        .all(|o| o.op == "scj"));
     assert!(profile.to_string().contains("[0] loop"));
 
     // the same through a prepared statement; updates have no profile

@@ -9,12 +9,11 @@
 //!
 //! * [`row_number_by_sort`] — a full sort on `[Cg, C1..Cn]`, kept as the
 //!   reference the streaming numbering is tested against.
-//! * [`row_number_streaming`] — the streaming hash-based numbering enabled by
-//!   the `grpord` column property (Section 4.1): when each group's rows are
-//!   already in the desired minor order (not necessarily clustered), a counter
-//!   per group value suffices and no sort is needed.
-
-use std::collections::HashMap;
+//! * [`row_number_streaming`] — the streaming numbering enabled by the
+//!   `grpord` column property (Section 4.1): when each group's rows are
+//!   already in the desired minor order, and the groups ascend (the table
+//!   convention: every `iter` column is sorted), one counter reset at each
+//!   run of equal group values suffices and no sort is needed.
 
 use crate::column::Column;
 use crate::sort::{sort_permutation, SortOrder};
@@ -56,16 +55,25 @@ pub fn row_number_by_sort(
 }
 
 /// Streaming row numbering: assumes the input already respects the desired
-/// order *within* each group (the `grpord` property), so it simply increments
-/// a per-group counter in input order.  Groups do not need to be clustered.
+/// order *within* each group (the `grpord` property) and that the group
+/// values ascend, so each group is one run: the counter restarts at every
+/// change of the group value.
 pub fn row_number_streaming(group: &[i64]) -> Vec<i64> {
-    let mut counters: HashMap<i64, i64> = HashMap::new();
+    debug_assert!(
+        group.windows(2).all(|w| w[0] <= w[1]),
+        "row_number_streaming needs ascending groups"
+    );
+    let mut prev = None;
+    let mut counter = 0i64;
     group
         .iter()
         .map(|&g| {
-            let c = counters.entry(g).or_insert(0);
-            *c += 1;
-            *c
+            if prev != Some(g) {
+                prev = Some(g);
+                counter = 0;
+            }
+            counter += 1;
+            counter
         })
         .collect()
 }
@@ -86,11 +94,13 @@ mod tests {
 
     #[test]
     fn streaming_matches_sort_based_when_grpord_holds() {
-        // rows already ordered within groups (groups interleaved!)
-        let group = vec![1, 2, 1, 2, 1];
-        let pos = Column::Int(vec![1, 1, 2, 2, 3]);
-        let sorted = row_number_by_sort(&[(&pos, SortOrder::Asc)], Some(&group), 5);
+        // ascending groups, rows already ordered within each: runs of
+        // length 1 around one long run, and a gap in the group values
+        let group = vec![1, 2, 2, 2, 2, 2, 3, 5, 5];
+        let pos = Column::Int((0..group.len() as i64).collect());
+        let sorted = row_number_by_sort(&[(&pos, SortOrder::Asc)], Some(&group), group.len());
         let streamed = row_number_streaming(&group);
+        assert_eq!(streamed, vec![1, 1, 2, 3, 4, 5, 1, 1, 2]);
         assert_eq!(sorted, streamed);
     }
 

@@ -43,8 +43,22 @@ fn sort_permutation_is_a_stable_std_sort() {
 #[test]
 fn streaming_row_numbers_equal_sort_based_numbers() {
     let mut rng = Rng(19);
-    // interleaved groups; input order is the order within each group
-    let group: Vec<i64> = (0..N).map(|_| rng.below(200) as i64).collect();
+    // ascending groups (the table convention every caller keeps), input
+    // order the order within each group: mostly runs of length 1, some
+    // short ones, one long run in the middle, gaps in the group values
+    let mut group: Vec<i64> = Vec::with_capacity(N);
+    let mut g = 0i64;
+    while group.len() < N {
+        g += 1 + rng.below(3) as i64;
+        let run = if group.len() >= N / 2 && group.len() < N / 2 + 8 {
+            N / 4
+        } else if rng.below(4) == 0 {
+            2 + rng.below(6) as usize
+        } else {
+            1
+        };
+        group.extend(std::iter::repeat_n(g, run.min(N - group.len())));
+    }
     let row = Column::Int((0..N as i64).collect());
     assert_eq!(
         row_number_streaming(&group),

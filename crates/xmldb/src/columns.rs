@@ -6,7 +6,8 @@
 //! dense columns and the node names in an interned qname container
 //! (Figure 9).  [`DocumentColumns`] is that layout, cut into chunks of a
 //! power-of-two row target (MonetDB/X100-style): each chunk holds its
-//! own `size`/`level`/`kind`/name-code vectors, the text of its
+//! own `size` (u32) / `level` (u16) / `kind` (one byte) / name-code (u32)
+//! vectors — 27 bytes a row with the text slot — the text of its
 //! text/comment/PI rows, plus the `owner|name|value` attribute rows of
 //! *its* nodes (owners stored chunk-locally), with the tag and
 //! attribute-name columns encoded against **shared sorted dictionaries**.
@@ -32,8 +33,11 @@
 //! a match.  Next to them sits the chunk-local **element-name posting
 //! index**: the chunk's element rows ordered by `(name code, offset)`,
 //! rebuilt with the summaries (O(chunk) per structural patch, derived at
-//! load — never stored on disk).  It is the ready-made candidate list of
-//! the name-test push-down (paper §3.2): the paged read view's
+//! load — never stored on disk), and over it a **name directory**: one
+//! `(name code, first posting)` pair per distinct element name, so the run
+//! of one name is a single binary search over a short contiguous list away.
+//! The index is the ready-made candidate list of the name-test push-down
+//! (paper §3.2): the paged read view's
 //! [`NodeRead::run_named`](crate::read::NodeRead::run_named) hands a
 //! location step the elements of one name inside one chunk as a borrowed
 //! slice, so a step visits only the chunks its context regions overlap.
@@ -59,29 +63,6 @@ use crate::update::{tuples_of, Tuple};
 /// Default chunk row target: power-of-two, sized so a chunk's columns fit
 /// comfortably in L1/L2 while keeping the start index tiny.
 pub const DEFAULT_CHUNK_ROWS: usize = 1024;
-
-/// Integer encoding of [`NodeKind`] used in the `kind` column.
-pub(crate) fn kind_code(kind: NodeKind) -> i64 {
-    match kind {
-        NodeKind::Document => 0,
-        NodeKind::Element => 1,
-        NodeKind::Text => 2,
-        NodeKind::Comment => 3,
-        NodeKind::ProcessingInstruction => 4,
-    }
-}
-
-/// Inverse of [`kind_code`].
-pub(crate) fn code_kind(code: i64) -> NodeKind {
-    match code {
-        0 => NodeKind::Document,
-        1 => NodeKind::Element,
-        2 => NodeKind::Text,
-        3 => NodeKind::Comment,
-        4 => NodeKind::ProcessingInstruction,
-        _ => panic!("invalid node-kind code {code}"),
-    }
-}
 
 /// Does a node of `kind` carry text content (and a text-column entry)?
 fn carries_text(kind: NodeKind) -> bool {
@@ -151,9 +132,9 @@ fn remap_codes(column: &mut [u32], remap: &[u32]) {
 /// chunk-local offsets, so a splice renumbers inside the chunk only).
 #[derive(Debug, Clone, Default)]
 struct Chunk {
-    size: Vec<i64>,
-    level: Vec<i64>,
-    kind: Vec<i64>,
+    size: Vec<u32>,
+    level: Vec<u16>,
+    kind: Vec<NodeKind>,
     /// Element name or PI target code (the empty string for other rows).
     name_code: Vec<u32>,
     /// Content of the text, comment and PI rows; `None` on every other row.
@@ -164,17 +145,22 @@ struct Chunk {
     attr_name_code: Vec<u32>,
     attr_value_code: Vec<u32>,
     /// Summaries, rebuilt on every structural patch of the chunk.
-    min_level: i64,
-    max_level: i64,
+    min_level: u16,
+    max_level: u16,
+    /// Bit `kind as u8` set for every node kind in the chunk.
     kind_mask: u8,
     /// Bit `code % 64` set for every name code in the chunk (conservative
     /// — a set bit means "may contain").
     name_buckets: u64,
     /// The chunk-local element-name posting index: the local offsets of the
     /// element rows ordered by `(name code, offset)`, so the elements of one
-    /// name are a contiguous, ascending run found by binary search.  A
-    /// dictionary merge remaps codes monotonically and leaves it valid.
+    /// name are a contiguous, ascending run.  A dictionary merge remaps
+    /// codes monotonically and leaves it valid.
     postings: Vec<u32>,
+    /// The name directory over `postings`: `(name code, first posting)` of
+    /// every distinct element name in the chunk, ascending by code, so a
+    /// name's run is one binary search over this short list away.
+    directory: Vec<(u32, u32)>,
 }
 
 impl Chunk {
@@ -183,17 +169,42 @@ impl Chunk {
     }
 
     fn rebuild_summary(&mut self) {
-        self.min_level = self.level.iter().copied().min().unwrap_or(i64::MAX);
-        self.max_level = self.level.iter().copied().max().unwrap_or(i64::MIN);
-        self.kind_mask = self.kind.iter().fold(0u8, |m, &k| m | (1u8 << k));
+        self.min_level = self.level.iter().copied().min().unwrap_or(u16::MAX);
+        self.max_level = self.level.iter().copied().max().unwrap_or(0);
+        self.kind_mask = self.kind.iter().fold(0u8, |m, &k| m | (1u8 << k as u8));
         self.rebuild_buckets();
-        let element = kind_code(NodeKind::Element);
         self.postings.clear();
         self.postings
-            .extend((0..self.len() as u32).filter(|&l| self.kind[l as usize] == element));
+            .extend((0..self.len() as u32).filter(|&l| self.kind[l as usize] == NodeKind::Element));
         let name_code = &self.name_code;
         self.postings
             .sort_unstable_by_key(|&l| (name_code[l as usize], l));
+        self.directory.clear();
+        for (i, &l) in self.postings.iter().enumerate() {
+            let code = name_code[l as usize];
+            if self.directory.last().is_none_or(|&(c, _)| c != code) {
+                self.directory.push((code, i as u32));
+            }
+        }
+    }
+
+    /// Resident bytes of the chunk's columns, name index and texts: the
+    /// widths of a row's five columns (27 bytes), one offset per posting, a
+    /// `(code, first)` pair per directory entry, three codes per attribute
+    /// row, and the text payloads.
+    fn approx_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let row = size_of::<u32>()
+            + size_of::<u16>()
+            + size_of::<NodeKind>()
+            + size_of::<u32>()
+            + size_of::<Option<Arc<str>>>();
+        let texts: usize = self.text.iter().flatten().map(|t| 16 + t.len()).sum();
+        self.len() * row
+            + self.postings.len() * size_of::<u32>()
+            + self.directory.len() * size_of::<(u32, u32)>()
+            + self.attr_owner.len() * 3 * size_of::<u32>()
+            + texts
     }
 
     fn rebuild_buckets(&mut self) {
@@ -208,10 +219,15 @@ impl Chunk {
         if self.name_buckets & (1u64 << (code % 64)) == 0 {
             return &[];
         }
-        let name = |&l: &u32| self.name_code[l as usize];
-        let start = self.postings.partition_point(|l| name(l) < code);
-        let len = self.postings[start..].partition_point(|l| name(l) == code);
-        &self.postings[start..start + len]
+        let Ok(i) = self.directory.binary_search_by_key(&code, |&(c, _)| c) else {
+            return &[];
+        };
+        let start = self.directory[i].1 as usize;
+        let end = self
+            .directory
+            .get(i + 1)
+            .map_or(self.postings.len(), |&(_, first)| first as usize);
+        &self.postings[start..end]
     }
 
     /// Chunk-local attribute row range of the node at local offset `l`.
@@ -441,22 +457,12 @@ impl DocumentColumns {
     }
 
     /// Rough resident-memory footprint in bytes: the fixed-width columns,
-    /// the text payloads, the attribute rows and the dictionaries.  Used by
-    /// the eviction policy's memory budget — a heuristic, not an
-    /// allocator report.
+    /// the name index, the text payloads, the attribute rows and the
+    /// dictionaries.  Used by the eviction policy's memory budget — a
+    /// heuristic, not an allocator report.
     pub(crate) fn approx_bytes(&self) -> usize {
         let dict_bytes = |d: &Dictionary| d.iter().map(|s| 16 + s.len()).sum::<usize>();
-        let texts: usize = self
-            .chunks
-            .iter()
-            .flat_map(|c| c.text.iter().flatten())
-            .map(|t| 16 + t.len())
-            .sum();
-        // size/level/kind (i64) + name code + text slot per row, three
-        // codes per attribute row
-        self.len * 44
-            + self.attr_count * 12
-            + texts
+        self.chunks.iter().map(|c| c.approx_bytes()).sum::<usize>()
             + dict_bytes(&self.tags)
             + dict_bytes(&self.attr_names)
             + dict_bytes(&self.attr_values)
@@ -481,7 +487,7 @@ impl DocumentColumns {
 
     /// True when chunk `i` may contain a node of `kind` (exact).
     pub(crate) fn chunk_has_kind(&self, i: usize, kind: NodeKind) -> bool {
-        self.chunks[i].kind_mask & (1u8 << kind_code(kind)) != 0
+        self.chunks[i].kind_mask & (1u8 << kind as u8) != 0
     }
 
     /// Index of the chunk holding row `pre`.
@@ -564,21 +570,21 @@ impl DocumentColumns {
     #[inline]
     pub fn node_size(&self, pre: u32) -> u32 {
         let (ci, l) = self.locate(pre);
-        self.chunks[ci].size[l] as u32
+        self.chunks[ci].size[l]
     }
 
     /// Level (depth) at `pre`.
     #[inline]
     pub fn node_level(&self, pre: u32) -> u16 {
         let (ci, l) = self.locate(pre);
-        self.chunks[ci].level[l] as u16
+        self.chunks[ci].level[l]
     }
 
     /// Node kind at `pre`.
     #[inline]
     pub(crate) fn node_kind(&self, pre: u32) -> NodeKind {
         let (ci, l) = self.locate(pre);
-        code_kind(self.chunks[ci].kind[l])
+        self.chunks[ci].kind[l]
     }
 
     /// Name code at `pre` (a [`Self::tags`] code: the element name or PI
@@ -610,14 +616,13 @@ impl DocumentColumns {
         if level == 0 || pos == 0 || self.len == 0 {
             return None;
         }
-        let lvl = level as i64;
         let (mut ci, l) = self.locate(pos.min(self.len as u32) - 1);
         let mut hi = l + 1; // exclusive local upper bound
         loop {
             let chunk = &self.chunks[ci];
-            if chunk.min_level < lvl {
+            if chunk.min_level < level {
                 for v in (0..hi).rev() {
-                    if chunk.level[v] < lvl {
+                    if chunk.level[v] < level {
                         return Some((self.starts[ci] + v) as u32);
                     }
                 }
@@ -649,9 +654,9 @@ impl DocumentColumns {
                     .take_while(|&&o| o as usize == r)
                     .count();
                 f(Row {
-                    size: c.size[r] as u32,
-                    level: c.level[r] as u16,
-                    kind: code_kind(c.kind[r]),
+                    size: c.size[r],
+                    level: c.level[r],
+                    kind: c.kind[r],
                     name_code: c.name_code[r],
                     text: c.text[r].as_ref(),
                     attr_names: &c.attr_name_code[a..b],
@@ -722,14 +727,18 @@ impl DocumentColumns {
     // -- incremental maintenance (the paged update path) ------------------
 
     /// The tag codes of `names`, growing the dictionary (and remapping
-    /// every chunk's name codes and bucket masks) when one is new — the
-    /// only remaining O(document) write cost.
+    /// every chunk's name codes, name directory and bucket masks) when one
+    /// is new — the only remaining O(document) write cost.
     fn encode_tags<'a>(&mut self, names: impl Iterator<Item = &'a str>) -> Vec<u32> {
         let (codes, remap) = encode_in(&mut self.tags, names);
         if let Some(remap) = remap {
             for chunk in &mut self.chunks {
                 let chunk = Arc::make_mut(chunk);
                 remap_codes(&mut chunk.name_code, &remap);
+                // the remap is monotone: the directory stays sorted
+                for (code, _) in &mut chunk.directory {
+                    *code = remap[*code as usize];
+                }
                 chunk.rebuild_buckets();
             }
         }
@@ -763,9 +772,9 @@ impl DocumentColumns {
     fn encode(&mut self, rows: &[Tuple]) -> Chunk {
         let attrs = || rows.iter().flat_map(|t| &t.attrs);
         Chunk {
-            size: rows.iter().map(|t| t.size as i64).collect(),
-            level: rows.iter().map(|t| t.level as i64).collect(),
-            kind: rows.iter().map(|t| kind_code(t.kind)).collect(),
+            size: rows.iter().map(|t| t.size).collect(),
+            level: rows.iter().map(|t| t.level).collect(),
+            kind: rows.iter().map(|t| t.kind).collect(),
             name_code: self.encode_tags(rows.iter().map(tag_name)),
             text: rows
                 .iter()
@@ -852,7 +861,8 @@ impl DocumentColumns {
     /// Ancestor `size` maintenance: add `delta` to the size of `pre`.
     pub(crate) fn add_size(&mut self, pre: u32, delta: i64) {
         let (ci, l) = self.locate(pre);
-        Arc::make_mut(&mut self.chunks[ci]).size[l] += delta;
+        let size = &mut Arc::make_mut(&mut self.chunks[ci]).size[l];
+        *size = (*size as i64 + delta) as u32;
     }
 
     /// In-place rename of the element or PI target at `pre` (a no-op on
@@ -962,7 +972,7 @@ impl DocumentColumns {
                 ));
             }
             for (l, text) in c.text.iter().enumerate() {
-                if text.is_some() != carries_text(code_kind(c.kind[l])) {
+                if text.is_some() != carries_text(c.kind[l]) {
                     return Err(format!(
                         "row {}: text column disagrees with kind",
                         self.starts[ci] + l
@@ -1082,14 +1092,17 @@ impl DocumentColumns {
         Ok(())
     }
 
-    /// Every chunk's maintained summaries and posting index equal the ones
-    /// rebuilt from its rows.
+    /// Every chunk's maintained summaries, posting index and name
+    /// directory equal the ones rebuilt from its rows.
     fn summaries_are_fresh(&self) -> Result<(), String> {
         for (ci, c) in self.chunks.iter().enumerate() {
             let mut fresh = Chunk::clone(c);
             fresh.rebuild_summary();
             if c.postings != fresh.postings {
                 return Err(format!("chunk {ci}: stale element-name posting index"));
+            }
+            if c.directory != fresh.directory {
+                return Err(format!("chunk {ci}: stale name directory"));
             }
             if (c.min_level, c.max_level, c.kind_mask, c.name_buckets)
                 != (
@@ -1275,7 +1288,7 @@ mod tests {
             let (start, len) = cols.chunk_span(i);
             let chunk = &cols.chunks[i];
             for p in start..start + len as u32 {
-                let lv = cols.node_level(p) as i64;
+                let lv = cols.node_level(p);
                 assert!(lv >= chunk.min_level && lv <= chunk.max_level);
                 assert!(cols.chunk_has_kind(i, cols.node_kind(p)));
                 let code = cols.node_name_code(p);
@@ -1329,6 +1342,56 @@ mod tests {
         // and removal restores the original content
         cols.remove_nodes(at, 1);
         cols.same_content(&DocumentColumns::new(&doc)).unwrap();
+    }
+
+    /// Every chunk's name directory answers like a linear filter of the
+    /// chunk's element rows, for every code of the dictionary.
+    fn assert_directory_matches_rows(cols: &DocumentColumns) {
+        for i in 0..cols.chunk_count() {
+            let (start, len) = cols.chunk_span(i);
+            for code in 0..cols.tags().len() as u32 {
+                let run = cols.chunk_named(start, code);
+                let got: Vec<u32> = run.offsets.iter().map(|&o| run.base + o).collect();
+                let want: Vec<u32> = (start..start + len as u32)
+                    .filter(|&p| {
+                        cols.node_kind(p) == NodeKind::Element && cols.node_name_code(p) == code
+                    })
+                    .collect();
+                assert_eq!(got, want, "chunk {i}, name {:?}", cols.tags().str_of(code));
+            }
+        }
+    }
+
+    /// A name that sorts before every element name remaps the codes of
+    /// every chunk, the untouched ones included: their name directories
+    /// must follow.
+    #[test]
+    fn name_directory_follows_a_dictionary_remap() -> Result<(), String> {
+        let doc = wide_doc(30); // 91 nodes
+        let mut cols = DocumentColumns::with_chunk_rows(&doc, 16);
+        assert_directory_matches_rows(&cols);
+        // insert a childless <aa/> before the 12th <r> (chunk 2) …
+        let row = Tuple {
+            size: 0,
+            level: 1,
+            kind: NodeKind::Element,
+            name: Arc::from("aa"),
+            text: Arc::from(""),
+            attrs: Vec::new(),
+        };
+        cols.splice_nodes(1 + 3 * 11, std::slice::from_ref(&row));
+        cols.add_size(0, 1);
+        assert_directory_matches_rows(&cols);
+        cols.check_invariants()?;
+        // … then rename an <r> of chunk 4 to a name that sorts before it
+        let pre = 1 + 3 * 21 + 1; // past the inserted row
+        assert_eq!(cols.node_name(pre), "r");
+        cols.set_name(pre, "a");
+        assert_directory_matches_rows(&cols);
+        cols.check_invariants()?;
+        let tags: Vec<&str> = cols.tags().iter().map(|s| s.as_ref()).collect();
+        assert_eq!(tags, ["", "a", "aa", "r", "root", "t"]);
+        Ok(())
     }
 
     #[test]
