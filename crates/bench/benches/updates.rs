@@ -9,7 +9,7 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mxq_bench::{scale_factors, xmark_xml};
-use mxq_xmldb::update::{fragment_from_xml, NaiveDocument, PagedDocument};
+use mxq_xmldb::update::{fragment_from_xml, NaiveDocument, PagedDocument, StructuralUpdate};
 use mxq_xmldb::{shred, ShredOptions};
 
 fn bench(c: &mut Criterion) {

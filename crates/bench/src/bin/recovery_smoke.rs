@@ -22,7 +22,7 @@
 use std::sync::Arc;
 
 use mxq_xmark::gen::{generate_xml, GenParams};
-use mxq_xmldb::{serialize_document, shred, DocumentColumns, NodeRead, ShredOptions};
+use mxq_xmldb::{serialize_document, shred, ShredOptions};
 use mxq_xquery::{Database, DurabilityOptions};
 
 /// The XMark scale factor: `MXQ_SCALE`, default 0.003; exits with status
@@ -124,7 +124,7 @@ fn verify_doc(db: &Database, name: &str) {
         let frag = store
             .lookup(name)
             .unwrap_or_else(|| panic!("document {name} survives the crash"));
-        serialize_document(&store.container(frag))
+        serialize_document(store.container(frag))
     };
     let opts = ShredOptions {
         document_node: true,
@@ -150,7 +150,7 @@ fn verify_doc(db: &Database, name: &str) {
     }
     db.document_columns(name)
         .unwrap()
-        .same_content(&DocumentColumns::new(&reshred))
+        .same_content(reshred.columns())
         .expect("recovered column image agrees with a from-scratch rebuild");
 }
 

@@ -295,8 +295,8 @@ fn run_checkpoint(
             Some(file) => file.clone(),
             None => {
                 let file = doc_file_name(frag, generation);
-                let image = container.paged_snapshot();
-                mxq_wal::write_atomic(&durable.file(&file), &encode_snapshot(&image))
+                let image = encode_snapshot(container.document());
+                mxq_wal::write_atomic(&durable.file(&file), &image)
                     .map_err(|e| Error::Durability(e.into()))?;
                 file
             }

@@ -12,9 +12,7 @@
 //! state.
 
 use mxq_engine::{Item, NodeId};
-use mxq_xmldb::{
-    ContainerRef, Document, DocumentBuilder, NodeKind, NodeRead, StoreSnapshot, TRANSIENT_FRAG,
-};
+use mxq_xmldb::{Document, DocumentBuilder, NodeKind, NodeRead, StoreSnapshot, TRANSIENT_FRAG};
 
 use crate::pul::{self, PendingUpdateList, PulError, UpdateKind, UpdatePrimitive};
 use crate::Error;
@@ -28,7 +26,7 @@ pub(super) struct PrimitiveCollector<'a> {
 }
 
 impl PrimitiveCollector<'_> {
-    fn container(&self, frag: u32) -> ContainerRef<'_> {
+    fn container(&self, frag: u32) -> &Document {
         self.snap.resolve(self.transient, frag)
     }
 

@@ -35,8 +35,8 @@ use std::sync::{Arc, MutexGuard};
 
 use mxq_engine::Item;
 use mxq_xmldb::{
-    shred, Container, Document, PagedDocument, PagedSnapshot, ShredOptions, StoreSnapshot,
-    UpdateStats, TRANSIENT_FRAG,
+    shred, Container, Document, PagedDocument, ShredOptions, StoreSnapshot, UpdateStats,
+    TRANSIENT_FRAG,
 };
 
 use super::collect::PrimitiveCollector;
@@ -52,7 +52,7 @@ use crate::Error;
 /// What a commit publishes.
 pub(super) enum Change {
     /// Fresh snapshots of existing fragments (an update).
-    Snapshots(Vec<(u32, Arc<PagedSnapshot>)>),
+    Snapshots(Vec<(u32, Arc<Document>)>),
     /// A new document (a load); it gets the next fragment id.
     Load(Box<Document>),
 }
@@ -419,13 +419,12 @@ pub(super) fn splice(
     frag: u32,
     slot: &mut Option<PagedDocument>,
     published: &StoreSnapshot,
-) -> (usize, UpdateStats, Arc<PagedSnapshot>) {
+) -> (usize, UpdateStats, Arc<Document>) {
     let master = slot.get_or_insert_with(|| {
         // an `Arc` clone of the published image (an evicted document is
         // faulted back in from its checkpoint image first); chunks are
         // copied on first write
-        let snap = published.container_owned(frag).paged_snapshot();
-        PagedDocument::from_snapshot(&snap)
+        PagedDocument::from_document(published.container_owned(frag).document())
     });
     let before = master.stats;
     let applied = pul.apply_to(frag, master);

@@ -316,7 +316,7 @@ impl Database {
     pub fn document_columns(&self, name: &str) -> Option<Arc<DocumentColumns>> {
         let store = self.store.read().unwrap();
         let frag = store.lookup(name)?;
-        Some(store.container_owned(frag).paged_snapshot().columns_arc())
+        Some(store.container(frag).columns_arc())
     }
 
     /// Execute a statement with the default configuration and no bindings —

@@ -39,7 +39,7 @@ use mxq_staircase::{
     child_step_in_iter_order, looplifted_step, looplifted_step_candidates, staircase_step, Axis,
     NodeTest, ScanStats,
 };
-use mxq_xmldb::{ContainerRef, Document, DocumentBuilder, NodeRead, StoreSnapshot, TRANSIENT_FRAG};
+use mxq_xmldb::{Document, DocumentBuilder, NodeRead, StoreSnapshot, TRANSIENT_FRAG};
 
 use crate::algebra::{ConstItems, NumFnKind, Op, PlanRef, PosFilterKind, StrFnKind};
 use crate::ast::ArithOp;
@@ -235,7 +235,7 @@ impl<'a> Executor<'a> {
 
     /// Resolve a fragment id: the executor's own transient container for
     /// fragment 0, the snapshot's loaded documents otherwise.
-    fn container(&self, frag: u32) -> ContainerRef<'_> {
+    fn container(&self, frag: u32) -> &Document {
         self.record_read(frag);
         self.snap.resolve(&self.transient, frag)
     }
@@ -1147,14 +1147,8 @@ impl<'a> Executor<'a> {
                 let ctx = iters.iter().zip(nodes).map(|(&it, n)| (it, n.pre));
                 let pushdown = self.config.nametest_pushdown;
                 let mut emit = |it, pos, pre| out.push(it, pos, NodeId::new(frag, pre));
-                match self.container(frag) {
-                    ContainerRef::Doc(d) => {
-                        child_step_in_iter_order(d, ctx, test, pushdown, &mut stats, &mut emit)
-                    }
-                    ContainerRef::Paged(p) => {
-                        child_step_in_iter_order(p, ctx, test, pushdown, &mut stats, &mut emit)
-                    }
-                }
+                let doc = self.container(frag);
+                child_step_in_iter_order(doc, ctx, test, pushdown, &mut stats, &mut emit);
                 self.stats.staircase.merge(&stats);
                 self.stats.sorts_avoided += 1;
                 return out.into_table();
@@ -1184,12 +1178,14 @@ impl<'a> Executor<'a> {
         let mut found: Vec<(i64, NodeId)> = Vec::new();
         let config = self.config;
         for (frag, pairs) in &per_frag {
-            // dispatch once per container so the scan loops monomorphize
-            // over the concrete representation (flat vs. column image)
-            let results = match self.container(*frag) {
-                ContainerRef::Doc(d) => axis_step_on(d, pairs, axis, test, &config, &mut stats),
-                ContainerRef::Paged(p) => axis_step_on(p, pairs, axis, test, &config, &mut stats),
-            };
+            let results = axis_step_on(
+                self.container(*frag),
+                pairs,
+                axis,
+                test,
+                &config,
+                &mut stats,
+            );
             found.extend(
                 results
                     .iter()
@@ -1218,7 +1214,7 @@ impl<'a> Executor<'a> {
         let iters = iter_col(&sorted)?;
         let items = items_col(&sorted)?;
 
-        // Dictionary fast path: when every context node lives in one paged
+        // Dictionary fast path: when every context node lives in one
         // container, the attribute values are already codes into the
         // container's shared value dictionary — emit a `Column::Dict` item
         // column so an equi-join against another attribute column of the
@@ -1228,8 +1224,8 @@ impl<'a> Executor<'a> {
             _ => None,
         });
         let single_frag = frags.next().filter(|&f| frags.all(|g| g == f));
-        if let Some(ContainerRef::Paged(p)) = single_frag.map(|frag| self.container(frag)) {
-            let cols = p.columns_arc();
+        if let Some(doc) = single_frag.map(|frag| self.container(frag)) {
+            let cols = doc.columns_arc();
             let (mut oi, mut codes) = (Vec::new(), Vec::new());
             for (it, item) in iters.iter().zip(&items) {
                 let Item::Node(n) = item else { continue };
@@ -1501,7 +1497,7 @@ impl<'a> Executor<'a> {
 
         // content nodes constructed by child plans already live in the
         // transient container the new elements are appended to
-        let mut builder = DocumentBuilder::append_to(std::mem::take(&mut self.transient), 0);
+        let mut builder = DocumentBuilder::append_to(std::mem::take(&mut self.transient));
         // names are interned / allocated once per call, not per element
         let qids: Vec<u32> = names.iter().map(|n| builder.intern(n)).collect();
 
@@ -1612,9 +1608,8 @@ enum Build {
 
 /// One location step over one container: picks the candidate-pushdown,
 /// loop-lifted or iterative staircase variant according to the config.
-/// Generic so the scan loops specialize per storage representation.
-fn axis_step_on<D: NodeRead>(
-    doc: &D,
+fn axis_step_on(
+    doc: &Document,
     pairs: &[CtxPair],
     axis: Axis,
     test: &NodeTest,
@@ -1782,19 +1777,18 @@ fn zip_firsts(
 /// Format a sequence of result items the way our serializer does for
 /// examples/tests: nodes as XML, atomics as their string value, separated by
 /// single spaces between adjacent atomics.  `container_of` resolves a
-/// fragment id to its container; node items render straight from the
-/// paged store (pages are read on demand).
+/// fragment id to its container; node items render straight from its
+/// column image.
 fn serialize_items_by<'d, F>(container_of: F, items: &[Item]) -> String
 where
-    F: Fn(u32) -> ContainerRef<'d>,
+    F: Fn(u32) -> &'d Document,
 {
     let mut out = String::new();
     let mut prev_atomic = false;
     for item in items {
         match item {
             Item::Node(n) => {
-                let doc = container_of(n.frag);
-                mxq_xmldb::serialize_node(&doc, n.pre, &mut out);
+                mxq_xmldb::serialize_node(container_of(n.frag), n.pre, &mut out);
                 prev_atomic = false;
             }
             Item::Dbl(d) => {

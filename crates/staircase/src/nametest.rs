@@ -118,8 +118,7 @@ impl CompiledTest {
 
     /// May *any* node of the storage run (column chunk) containing `pre`
     /// match the test?  `false` is a guarantee — the sweep skips the whole
-    /// run; `true` only means "scan it".  On a flat document this is
-    /// constant `true` (one run, no summaries).
+    /// run; `true` only means "scan it".
     #[inline]
     pub fn may_match_run<D: NodeRead>(&self, doc: &D, pre: u32) -> bool {
         match self {
@@ -177,8 +176,7 @@ mod tests {
             let c = t.compile(&d);
             for pre in 0..d.len() as u32 {
                 assert_eq!(t.matches(&d, pre), c.matches(&d, pre), "{t:?} at {pre}");
-                // on a flat document a run never rules itself out unless the
-                // name is absent from the container entirely
+                // a run never rules out a node of its own that matches
                 if t.matches(&d, pre) {
                     assert!(c.may_match_run(&d, pre));
                 }

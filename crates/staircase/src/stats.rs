@@ -23,7 +23,6 @@ pub struct ScanStats {
     /// a context region that were passed over without touching a row: their
     /// kind summary ruled the node test out (scanning step), or their
     /// element-name index holds no entry for the name (index-driven step).
-    /// A flat document is one run.
     pub pages_skipped: u64,
 }
 

@@ -371,6 +371,7 @@ pub fn generate_document(params: &GenParams) -> Document {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mxq_xmldb::NodeRead;
 
     #[test]
     fn generation_is_deterministic() {
@@ -419,7 +420,7 @@ mod tests {
             .iter()
             .map(|&pre| doc.attribute(pre, "id").unwrap().to_string())
             .collect();
-        for &b in doc.elements_named("buyer") {
+        for b in doc.elements_named("buyer") {
             let r = doc.attribute(b, "person").unwrap();
             assert!(people.contains(r), "dangling buyer reference {r}");
         }

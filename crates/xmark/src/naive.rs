@@ -17,9 +17,7 @@ use std::fmt;
 
 use mxq_engine::{Item, NodeId};
 use mxq_staircase::{Axis, NodeTest};
-use mxq_xmldb::{
-    ContainerRef, Document, DocumentBuilder, NodeKind, NodeRead, StoreSnapshot, TRANSIENT_FRAG,
-};
+use mxq_xmldb::{Document, DocumentBuilder, NodeKind, NodeRead, StoreSnapshot, TRANSIENT_FRAG};
 use mxq_xquery::ast::*;
 use mxq_xquery::parser::parse_query;
 use mxq_xquery::{serialize_items_snapshot, Params};
@@ -83,7 +81,7 @@ impl<'a> NaiveInterpreter<'a> {
         }
     }
 
-    fn container(&self, frag: u32) -> ContainerRef<'_> {
+    fn container(&self, frag: u32) -> &Document {
         self.snap.resolve(&self.transient, frag)
     }
 
@@ -412,7 +410,7 @@ impl<'a> NaiveInterpreter<'a> {
     /// Per-node axis navigation: a plain recursive tree walk, no skipping, no
     /// pruning, no shared scans.
     fn axis_nodes(&self, node: NodeId, axis: Axis, test: &NodeTest) -> Vec<Item> {
-        let doc = &self.container(node.frag);
+        let doc = self.container(node.frag);
         let pre = node.pre;
         let mk = |p: u32| Item::Node(NodeId::new(node.frag, p));
         match axis {
@@ -705,7 +703,7 @@ impl<'a> NaiveInterpreter<'a> {
         if !pending.is_empty() {
             pieces.push(Piece::Text(pending));
         }
-        let mut builder = DocumentBuilder::append_to(std::mem::take(&mut self.transient), 0);
+        let mut builder = DocumentBuilder::append_to(std::mem::take(&mut self.transient));
         let root = builder.start_element(&ctor.name);
         for (n, v) in &attrs {
             builder.attribute(n, v);
@@ -724,10 +722,10 @@ impl<'a> NaiveInterpreter<'a> {
                     // a document node contributes its children
                     if src.kind(n.pre) == NodeKind::Document {
                         for child in src.children(n.pre) {
-                            builder.copy_subtree(&src, child);
+                            builder.copy_subtree(src, child);
                         }
                     } else {
-                        builder.copy_subtree(&src, n.pre);
+                        builder.copy_subtree(src, n.pre);
                     }
                 }
             }

@@ -1,4 +1,4 @@
-//! The stored form of a loaded document: its relational image, with
+//! The stored form of every node container: its relational image, with
 //! dictionary-encoded name columns, cut into **chunks** that are the
 //! logical pages of the paper's update scheme (Section 5.2).
 //!
@@ -12,8 +12,19 @@
 //! *its* nodes (owners stored chunk-locally), with the tag and
 //! attribute-name columns encoded against **shared sorted dictionaries**.
 //! The name column holds element names and PI targets (every other row
-//! encodes the empty string).  This is the only copy of a loaded
-//! document's nodes: there is no tuple table behind it.
+//! encodes the empty string).  This is the only copy of a container's
+//! nodes — a loaded document's, a shredded one's, a statement's transient's:
+//! there is no tuple table behind it.
+//!
+//! [`crate::DocumentBuilder`] writes the image through a build session
+//! (`Appender`): rows fill the open last chunk, so every chunk but the
+//! last keeps `chunk_rows` rows and locating a row stays a
+//! shift; a string the dictionaries lack gets a provisional code, and the
+//! session's end merges those strings in once (remapping the earlier
+//! chunks' codes only then) and builds the summaries of the chunks it
+//! wrote.  A copy of a subtree is a range copy of column slices within
+//! one image, or a row walk that maps each distinct code once from
+//! another.
 //!
 //! [`crate::update::PagedDocument`] patches the image with every applied
 //! update primitive (row splices, ancestor `size` deltas, in-place
@@ -51,14 +62,14 @@
 //! and never touch a string.
 
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 use mxq_engine::Dictionary;
 
-use crate::doc::Document;
 use crate::node::NodeKind;
 use crate::read::{AttrsIter, NamedRun};
-use crate::update::{tuples_of, Tuple};
+use crate::update::Tuple;
 
 /// Default chunk row target: power-of-two, sized so a chunk's columns fit
 /// comfortably in L1/L2 while keeping the start index tiny.
@@ -81,43 +92,107 @@ fn tag_name(t: &Tuple) -> &str {
     }
 }
 
+/// The codes a batch of strings gets against one sorted dictionary: a
+/// string the dictionary holds keeps its code, one it lacks gets a
+/// provisional code past the dictionary's end.  [`Codes::merge_into`] then
+/// grows the dictionary by the new strings in one merge and remaps every
+/// code handed out.
+#[derive(Debug, Default)]
+pub(crate) struct Codes {
+    /// The codes [`Codes::code`] handed out, by string.
+    seen: HashMap<Arc<str>, u32>,
+    /// The strings the dictionary lacks, one per provisional code.  One
+    /// [`Codes::code_shared`] coded twice is here twice.
+    fresh: Vec<Arc<str>>,
+}
+
+impl Codes {
+    /// The code of `s` in `dict`, or its provisional code: one hash probe,
+    /// so a string coded over and over (a name) costs one entry.
+    fn code(&mut self, dict: &Dictionary, s: &str) -> u32 {
+        if let Some(&code) = self.seen.get(s) {
+            return code;
+        }
+        let (key, code) = match dict.code_of(s) {
+            Some(code) => (dict.str_of(code).clone(), code),
+            None => {
+                let key: Arc<str> = Arc::from(s);
+                self.fresh.push(key.clone());
+                (key, (dict.len() + self.fresh.len() - 1) as u32)
+            }
+        };
+        self.seen.insert(key, code);
+        code
+    }
+
+    /// [`Codes::code`] of a string the caller holds, with no hash: a string
+    /// the dictionary lacks is shared under a provisional code of its own,
+    /// and [`Codes::merge_into`] folds repeats together.  For strings that
+    /// rarely repeat, such as constructed attribute values.
+    fn code_shared(&mut self, dict: &Dictionary, s: &Arc<str>) -> u32 {
+        dict.code_of(s).unwrap_or_else(|| {
+            self.fresh.push(s.clone());
+            (dict.len() + self.fresh.len() - 1) as u32
+        })
+    }
+
+    /// Grow `dict` by the strings it lacked.  Returns `None` when there
+    /// were none, else the remap of every code handed out: the
+    /// dictionary's own codes, then the provisional ones.
+    fn merge_into(self, dict: &mut Arc<Dictionary>) -> Option<Vec<u32>> {
+        if self.fresh.is_empty() {
+            return None;
+        }
+        // sorted on an 8-byte prefix read once per string, so a sort over
+        // strings scattered in memory seldom chases their pointers
+        let prefix = |s: &str| {
+            let mut b = [0u8; 8];
+            let n = s.len().min(8);
+            b[..n].copy_from_slice(&s.as_bytes()[..n]);
+            u64::from_be_bytes(b)
+        };
+        let mut fresh: Vec<(u64, Arc<str>, usize)> = (self.fresh.into_iter().zip(0..))
+            .map(|(s, i)| (prefix(&s), s, i))
+            .collect();
+        fresh.sort_unstable_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
+        // the distinct strings, ascending, and each provisional code's
+        // position among them
+        let mut rank = vec![0; fresh.len()];
+        let mut distinct: Vec<Arc<str>> = Vec::with_capacity(fresh.len());
+        for (_, s, i) in fresh {
+            if distinct.last() != Some(&s) {
+                distinct.push(s);
+            }
+            rank[i] = distinct.len() - 1;
+        }
+        let added = Dictionary::new(distinct);
+        let remap = if dict.is_empty() {
+            *dict = added;
+            rank.iter().map(|&r| r as u32).collect()
+        } else {
+            let (merged, mut remap, new) = Dictionary::merge(dict, &added);
+            remap.extend(rank.iter().map(|&r| new[r]));
+            *dict = merged;
+            remap
+        };
+        Some(remap)
+    }
+}
+
 /// Encode `strings` against `dict`, first growing it by the strings it
 /// lacks.  Returns the codes and, when the sorted dictionary gained
-/// entries, the remap of its old codes — the rare "new name" path.  Each
-/// string costs one hash probe; only the distinct ones are searched.
+/// entries, the remap of its old codes — the rare "new name" path.
 fn encode_in<'a>(
     dict: &mut Arc<Dictionary>,
     strings: impl Iterator<Item = &'a str>,
 ) -> (Vec<u32>, Option<Vec<u32>>) {
-    let mut ids: HashMap<&str, u32> = HashMap::new();
-    let local: Vec<u32> = strings
-        .map(|s| {
-            let next = ids.len() as u32;
-            *ids.entry(s).or_insert(next)
-        })
-        .collect();
-    let mut distinct = vec![""; ids.len()];
-    for (s, i) in ids {
-        distinct[i as usize] = s;
+    let mut codes = Codes::default();
+    let mut out: Vec<u32> = strings.map(|s| codes.code(dict, s)).collect();
+    let remap = codes.merge_into(dict);
+    if let Some(remap) = &remap {
+        remap_codes(&mut out, remap);
     }
-    let missing: Vec<&str> = distinct
-        .iter()
-        .copied()
-        .filter(|s| dict.code_of(s).is_none())
-        .collect();
-    let remap = (!missing.is_empty()).then(|| {
-        let (merged, remap_old, _) = Dictionary::merge(dict, &Dictionary::new(missing));
-        *dict = merged;
-        remap_old
-    });
-    let codes: Vec<u32> = distinct
-        .iter()
-        .map(|s| {
-            dict.code_of(s)
-                .expect("the dictionary was grown to cover it")
-        })
-        .collect();
-    (local.iter().map(|&d| codes[d as usize]).collect(), remap)
+    (out, remap)
 }
 
 /// Rewrite a code column through a dictionary remap.
@@ -168,22 +243,66 @@ impl Chunk {
         self.size.len()
     }
 
+    /// Rebuild the summaries and the name index from the rows, in one
+    /// pass over the structural columns plus a counting sort of the
+    /// element rows by name code (a comparison sort when the codes are
+    /// sparse).
     fn rebuild_summary(&mut self) {
-        self.min_level = self.level.iter().copied().min().unwrap_or(u16::MAX);
-        self.max_level = self.level.iter().copied().max().unwrap_or(0);
-        self.kind_mask = self.kind.iter().fold(0u8, |m, &k| m | (1u8 << k as u8));
-        self.rebuild_buckets();
+        let (mut min, mut max, mut kinds, mut buckets) = (u16::MAX, 0, 0u8, 0u64);
+        // per element name code: its count, then its next posting; codes
+        // past `dense` are sorted instead
+        let (mut next, dense): (Vec<u32>, usize) = (Vec::new(), 4 * self.size.len());
+        let mut sparse = false;
+        let rows = self.level.iter().zip(&self.kind).zip(&self.name_code);
+        for ((&level, &kind), &code) in rows {
+            (min, max) = (min.min(level), max.max(level));
+            kinds |= 1u8 << kind as u8;
+            buckets |= 1u64 << (code % 64);
+            if kind == NodeKind::Element {
+                let code = code as usize;
+                sparse |= code >= dense;
+                if !sparse {
+                    if code >= next.len() {
+                        next.resize(code + 1, 0);
+                    }
+                    next[code] += 1;
+                }
+            }
+        }
+        (self.min_level, self.max_level) = (min, max);
+        (self.kind_mask, self.name_buckets) = (kinds, buckets);
         self.postings.clear();
-        self.postings
-            .extend((0..self.len() as u32).filter(|&l| self.kind[l as usize] == NodeKind::Element));
-        let name_code = &self.name_code;
-        self.postings
-            .sort_unstable_by_key(|&l| (name_code[l as usize], l));
         self.directory.clear();
-        for (i, &l) in self.postings.iter().enumerate() {
-            let code = name_code[l as usize];
-            if self.directory.last().is_none_or(|&(c, _)| c != code) {
-                self.directory.push((code, i as u32));
+        let (kind, name_code) = (&self.kind, &self.name_code);
+        let elements = || {
+            kind.iter()
+                .zip(name_code)
+                .enumerate()
+                .filter(|(_, (&k, _))| k == NodeKind::Element)
+                .map(|(l, (_, &code))| (l as u32, code as usize))
+        };
+        if !sparse {
+            let mut at = 0;
+            for (code, n) in next.iter_mut().enumerate() {
+                if *n > 0 {
+                    self.directory.push((code as u32, at));
+                }
+                (*n, at) = (at, at + *n);
+            }
+            self.postings.resize(at as usize, 0);
+            for (l, code) in elements() {
+                self.postings[next[code] as usize] = l;
+                next[code] += 1;
+            }
+        } else {
+            self.postings.extend(elements().map(|(l, _)| l));
+            self.postings
+                .sort_unstable_by_key(|&l| (name_code[l as usize], l));
+            for (i, &l) in self.postings.iter().enumerate() {
+                let code = name_code[l as usize];
+                if self.directory.last().is_none_or(|&(c, _)| c != code) {
+                    self.directory.push((code, i as u32));
+                }
             }
         }
     }
@@ -230,6 +349,31 @@ impl Chunk {
         &self.postings[start..end]
     }
 
+    /// An empty chunk with room for `rows` rows.
+    fn with_capacity(rows: usize) -> Chunk {
+        Chunk {
+            size: Vec::with_capacity(rows),
+            level: Vec::with_capacity(rows),
+            kind: Vec::with_capacity(rows),
+            name_code: Vec::with_capacity(rows),
+            text: Vec::with_capacity(rows),
+            ..Chunk::default()
+        }
+    }
+
+    /// Add an attribute row to the node at local offset `l`, after its
+    /// others.
+    fn insert_attr(&mut self, l: usize, name_code: u32, value_code: u32) {
+        let at = if l + 1 == self.len() {
+            self.attr_owner.len()
+        } else {
+            self.attr_range(l).end
+        };
+        self.attr_owner.insert(at, l as u32);
+        self.attr_name_code.insert(at, name_code);
+        self.attr_value_code.insert(at, value_code);
+    }
+
     /// Chunk-local attribute row range of the node at local offset `l`.
     fn attr_range(&self, l: usize) -> std::ops::Range<usize> {
         let start = self.attr_owner.partition_point(|&o| (o as usize) < l);
@@ -274,15 +418,46 @@ impl Chunk {
         }
     }
 
+    /// Append copies of the rows `rows` of `src` and of their attribute
+    /// rows (owners re-based).  Summaries are left stale.
+    fn extend_rows(&mut self, src: &Chunk, rows: Range<usize>) {
+        let (base, start) = (self.len() as u32, rows.start as u32);
+        let a = src
+            .attr_owner
+            .partition_point(|&o| (o as usize) < rows.start);
+        let b = src.attr_owner.partition_point(|&o| (o as usize) < rows.end);
+        self.size.extend_from_slice(&src.size[rows.clone()]);
+        self.level.extend_from_slice(&src.level[rows.clone()]);
+        self.kind.extend_from_slice(&src.kind[rows.clone()]);
+        self.name_code
+            .extend_from_slice(&src.name_code[rows.clone()]);
+        self.text.extend_from_slice(&src.text[rows]);
+        self.attr_owner
+            .extend(src.attr_owner[a..b].iter().map(|&o| o - start + base));
+        self.attr_name_code
+            .extend_from_slice(&src.attr_name_code[a..b]);
+        self.attr_value_code
+            .extend_from_slice(&src.attr_value_code[a..b]);
+    }
+
+    /// [`Chunk::extend_rows`] with this chunk as the source, through a
+    /// copy of the rows.
+    fn extend_rows_within(&mut self, rows: Range<usize>) {
+        let mut copy = Chunk::default();
+        copy.extend_rows(self, rows);
+        self.extend_rows(&copy, 0..copy.len());
+    }
+
     /// Move the rows from `a` on into a chunk of their own (owners
-    /// re-based), summaries built; this chunk keeps the rows before `a`.
+    /// re-based), summaries not built; this chunk keeps the rows before
+    /// `a`.
     fn split_off(&mut self, a: usize) -> Chunk {
         let aa = self.attr_owner.partition_point(|&o| (o as usize) < a);
         let mut attr_owner = self.attr_owner.split_off(aa);
         for o in &mut attr_owner {
             *o -= a as u32;
         }
-        let mut piece = Chunk {
+        Chunk {
             size: self.size.split_off(a),
             level: self.level.split_off(a),
             kind: self.kind.split_off(a),
@@ -292,17 +467,20 @@ impl Chunk {
             attr_name_code: self.attr_name_code.split_off(aa),
             attr_value_code: self.attr_value_code.split_off(aa),
             ..Chunk::default()
-        };
-        piece.rebuild_summary();
-        piece
+        }
     }
 
-    /// Cut into pieces of `rows` rows (the last may be shorter).
+    /// Cut into pieces of `rows` rows (the last may be shorter), summaries
+    /// built.
     fn into_pieces(mut self, rows: usize) -> Vec<Arc<Chunk>> {
         let mut pieces: Vec<Arc<Chunk>> = (0..self.len())
             .step_by(rows)
             .rev()
-            .map(|a| Arc::new(self.split_off(a)))
+            .map(|a| {
+                let mut piece = self.split_off(a);
+                piece.rebuild_summary();
+                Arc::new(piece)
+            })
             .collect();
         pieces.reverse();
         pieces
@@ -375,18 +553,6 @@ impl Default for DocumentColumns {
 }
 
 impl DocumentColumns {
-    /// Export a container into its relational, dictionary-encoded chunked
-    /// image at the default chunk size.
-    pub fn new(doc: &Document) -> DocumentColumns {
-        Self::with_chunk_rows(doc, DEFAULT_CHUNK_ROWS)
-    }
-
-    /// Export with an explicit chunk row target (must be a power of two;
-    /// tests use it to cross chunk boundaries on small documents).
-    pub(crate) fn with_chunk_rows(doc: &Document, chunk_rows: usize) -> DocumentColumns {
-        Self::from_rows(&tuples_of(doc), chunk_rows)
-    }
-
     /// Build the image of a preorder row stream (a shredded document's
     /// rows, or the rows an on-disk image decodes to).
     pub(crate) fn from_rows(rows: &[Tuple], chunk_rows: usize) -> DocumentColumns {
@@ -675,12 +841,12 @@ impl DocumentColumns {
         let (ci, l) = self.locate(pre);
         let chunk = &self.chunks[ci];
         let r = chunk.attr_range(l);
-        AttrsIter::Dict {
+        AttrsIter {
             names: &self.attr_names,
-            codes: &chunk.attr_name_code[r.clone()],
             values: &self.attr_values,
-            value_codes: &chunk.attr_value_code[r],
-            idx: 0,
+            codes: chunk.attr_name_code[r.clone()]
+                .iter()
+                .zip(&chunk.attr_value_code[r]),
         }
     }
 
@@ -726,44 +892,52 @@ impl DocumentColumns {
 
     // -- incremental maintenance (the paged update path) ------------------
 
-    /// The tag codes of `names`, growing the dictionary (and remapping
-    /// every chunk's name codes, name directory and bucket masks) when one
-    /// is new — the only remaining O(document) write cost.
-    fn encode_tags<'a>(&mut self, names: impl Iterator<Item = &'a str>) -> Vec<u32> {
-        let (codes, remap) = encode_in(&mut self.tags, names);
-        if let Some(remap) = remap {
-            for chunk in &mut self.chunks {
-                let chunk = Arc::make_mut(chunk);
-                remap_codes(&mut chunk.name_code, &remap);
-                // the remap is monotone: the directory stays sorted
+    /// Rewrite every chunk's codes through the dictionary remaps given:
+    /// name codes with their name directory and bucket mask, attribute
+    /// name and value codes.  A remap is monotone, so directories stay
+    /// sorted.
+    fn remap(&mut self, tags: Option<&[u32]>, names: Option<&[u32]>, values: Option<&[u32]>) {
+        if tags.is_none() && names.is_none() && values.is_none() {
+            return;
+        }
+        for chunk in &mut self.chunks {
+            let chunk = Arc::make_mut(chunk);
+            if let Some(remap) = tags {
+                remap_codes(&mut chunk.name_code, remap);
                 for (code, _) in &mut chunk.directory {
                     *code = remap[*code as usize];
                 }
                 chunk.rebuild_buckets();
             }
+            if let Some(remap) = names {
+                remap_codes(&mut chunk.attr_name_code, remap);
+            }
+            if let Some(remap) = values {
+                remap_codes(&mut chunk.attr_value_code, remap);
+            }
         }
+    }
+
+    /// The tag codes of `names`, growing the dictionary (and remapping
+    /// every chunk's name codes, name directory and bucket masks) when one
+    /// is new — the only remaining O(document) write cost.
+    fn encode_tags<'a>(&mut self, names: impl Iterator<Item = &'a str>) -> Vec<u32> {
+        let (codes, remap) = encode_in(&mut self.tags, names);
+        self.remap(remap.as_deref(), None, None);
         codes
     }
 
     /// The attribute-name codes of `names` (see [`Self::encode_tags`]).
     fn encode_attr_names<'a>(&mut self, names: impl Iterator<Item = &'a str>) -> Vec<u32> {
         let (codes, remap) = encode_in(&mut self.attr_names, names);
-        if let Some(remap) = remap {
-            for chunk in &mut self.chunks {
-                remap_codes(&mut Arc::make_mut(chunk).attr_name_code, &remap);
-            }
-        }
+        self.remap(None, remap.as_deref(), None);
         codes
     }
 
     /// The attribute-value codes of `values` (see [`Self::encode_tags`]).
     fn encode_attr_values<'a>(&mut self, values: impl Iterator<Item = &'a str>) -> Vec<u32> {
         let (codes, remap) = encode_in(&mut self.attr_values, values);
-        if let Some(remap) = remap {
-            for chunk in &mut self.chunks {
-                remap_codes(&mut Arc::make_mut(chunk).attr_value_code, &remap);
-            }
-        }
+        self.remap(None, None, remap.as_deref());
         codes
     }
 
@@ -896,16 +1070,19 @@ impl DocumentColumns {
         let value_code = self.encode_attr_values(std::iter::once(value))[0];
         let (ci, l) = self.locate(pre);
         let chunk = Arc::make_mut(&mut self.chunks[ci]);
-        let r = chunk.attr_range(l);
-        for i in r.clone() {
+        for i in chunk.attr_range(l) {
             if chunk.attr_name_code[i] == code {
                 chunk.attr_value_code[i] = value_code;
                 return;
             }
         }
-        chunk.attr_owner.insert(r.end, l as u32);
-        chunk.attr_name_code.insert(r.end, code);
-        chunk.attr_value_code.insert(r.end, value_code);
+        self.push_attr(pre, code, value_code);
+    }
+
+    /// Add an attribute row to the element at `pre`, after its others.
+    fn push_attr(&mut self, pre: u32, name_code: u32, value_code: u32) {
+        let (ci, l) = self.locate(pre);
+        Arc::make_mut(&mut self.chunks[ci]).insert_attr(l, name_code, value_code);
         self.attr_count += 1;
     }
 
@@ -943,6 +1120,38 @@ impl DocumentColumns {
                 return;
             }
         }
+    }
+
+    // -- appending (a build session) ---------------------------------------
+
+    /// Detach the last chunk when it has room left: the open chunk a build
+    /// session fills.
+    fn take_open(&mut self) -> Chunk {
+        if self
+            .chunks
+            .last()
+            .is_none_or(|c| c.len() >= self.chunk_rows)
+        {
+            return Chunk::default();
+        }
+        let (Some(chunk), Some(_)) = (self.chunks.pop(), self.starts.pop()) else {
+            return Chunk::default();
+        };
+        self.len -= chunk.len();
+        self.attr_count -= chunk.attr_owner.len();
+        Arc::unwrap_or_clone(chunk)
+    }
+
+    /// Attach `chunk` as the last chunk.  The geometry stays uniform only
+    /// while every chunk before it holds exactly `chunk_rows` rows.
+    fn push_chunk(&mut self, chunk: Chunk) {
+        if let Some(last) = self.chunks.last() {
+            self.uniform &= last.len() == self.chunk_rows;
+        }
+        self.starts.push(self.len);
+        self.len += chunk.len();
+        self.attr_count += chunk.attr_owner.len();
+        self.chunks.push(Arc::new(chunk));
     }
 
     // -- verification -----------------------------------------------------
@@ -1119,9 +1328,251 @@ impl DocumentColumns {
     }
 }
 
+/// A build session over an image, through which
+/// [`DocumentBuilder`](crate::DocumentBuilder) appends rows in preorder.
+/// Rows go to the open chunk (the image's last one, when it has room),
+/// which joins the image each time it fills.  A name or attribute string
+/// gets its dictionary code, or a provisional one past the dictionary's
+/// end when the dictionary lacks it; [`Appender::seal`] merges those
+/// strings in once, remapping the chunks' codes only then, and rebuilds
+/// the summaries of the chunks the session wrote.
+#[derive(Debug)]
+pub(crate) struct Appender {
+    /// The image without the open chunk.
+    cols: DocumentColumns,
+    /// The rows from `cols.len` on.
+    open: Chunk,
+    /// The first chunk the session writes.
+    first: usize,
+    tags: SessionDict,
+    names: SessionDict,
+    values: SessionDict,
+    /// Code of the empty string: the name of every row but element and PI
+    /// rows.
+    empty: u32,
+}
+
+/// One dictionary of the image during a build session.
+#[derive(Debug)]
+struct SessionDict {
+    /// The dictionary as the session found it.
+    dict: Arc<Dictionary>,
+    codes: Codes,
+    /// The last copy source's dictionary, and its codes' codes here
+    /// (`u32::MAX`: not mapped yet): each distinct code of a source is
+    /// mapped once.
+    source: Option<Arc<Dictionary>>,
+    mapped: Vec<u32>,
+}
+
+impl SessionDict {
+    fn new(dict: &Arc<Dictionary>) -> SessionDict {
+        SessionDict {
+            dict: dict.clone(),
+            codes: Codes::default(),
+            source: None,
+            mapped: Vec::new(),
+        }
+    }
+
+    fn code(&mut self, s: &str) -> u32 {
+        self.codes.code(&self.dict, s)
+    }
+
+    fn code_shared(&mut self, s: &Arc<str>) -> u32 {
+        self.codes.code_shared(&self.dict, s)
+    }
+
+    /// The code here of code `code` of `src`.
+    fn map(&mut self, src: &Arc<Dictionary>, code: u32) -> u32 {
+        if !self.source.as_ref().is_some_and(|d| Arc::ptr_eq(d, src)) {
+            self.source = Some(src.clone());
+            self.mapped.clear();
+        }
+        let i = code as usize;
+        if i >= self.mapped.len() {
+            self.mapped.resize(i + 1, u32::MAX);
+        }
+        if self.mapped[i] == u32::MAX {
+            self.mapped[i] = self.codes.code_shared(&self.dict, src.str_of(code));
+        }
+        self.mapped[i]
+    }
+}
+
+impl Appender {
+    /// Open a build session appending to `cols`.
+    pub(crate) fn new(mut cols: DocumentColumns) -> Appender {
+        let open = cols.take_open();
+        let mut tags = SessionDict::new(&cols.tags);
+        let empty = tags.code("");
+        Appender {
+            first: cols.chunks.len(),
+            open,
+            tags,
+            names: SessionDict::new(&cols.attr_names),
+            values: SessionDict::new(&cols.attr_values),
+            empty,
+            cols,
+        }
+    }
+
+    /// Number of rows, the ones this session appended included.
+    pub(crate) fn len(&self) -> u32 {
+        (self.cols.len + self.open.len()) as u32
+    }
+
+    /// The (possibly provisional) code of an element name or PI target.
+    pub(crate) fn tag(&mut self, name: &str) -> u32 {
+        self.tags.code(name)
+    }
+
+    /// The code of the empty name, for text, comment and document rows.
+    pub(crate) fn empty(&self) -> u32 {
+        self.empty
+    }
+
+    /// Room for one more row in the open chunk: a full one joins the image.
+    fn room(&mut self) -> usize {
+        if self.open.len() >= self.cols.chunk_rows {
+            // a session that filled one chunk is likely to fill the next
+            let rows = self.cols.chunk_rows;
+            let full = std::mem::replace(&mut self.open, Chunk::with_capacity(rows));
+            self.cols.push_chunk(full);
+        }
+        self.cols.chunk_rows - self.open.len()
+    }
+
+    /// Append a row with size 0 (an element grows by [`Self::close`]).
+    pub(crate) fn push(
+        &mut self,
+        level: u16,
+        kind: NodeKind,
+        name_code: u32,
+        text: Option<Arc<str>>,
+    ) {
+        self.room();
+        let open = &mut self.open;
+        open.size.push(0);
+        open.level.push(level);
+        open.kind.push(kind);
+        open.name_code.push(name_code);
+        open.text.push(text);
+    }
+
+    /// Set the size of the element at `pre` to the rows appended after it.
+    pub(crate) fn close(&mut self, pre: u32) {
+        let size = self.len() - pre - 1;
+        match (pre as usize).checked_sub(self.cols.len) {
+            Some(l) => self.open.size[l] = size,
+            None => self.cols.add_size(pre, size as i64),
+        }
+    }
+
+    /// Add the attribute `name = value` to the element at `owner`.
+    pub(crate) fn attribute(&mut self, owner: u32, name: &str, value: &Arc<str>) {
+        let n = self.names.code(name);
+        let v = self.values.code_shared(value);
+        match (owner as usize).checked_sub(self.cols.len) {
+            Some(l) => self.open.insert_attr(l, n, v),
+            None => self.cols.push_attr(owner, n, v),
+        }
+    }
+
+    /// Append a copy of the subtree at `pre` of this image, its root at
+    /// `level`: a range copy of the column slices, a source chunk (or the
+    /// open chunk itself) at a time.
+    pub(crate) fn copy_within(&mut self, pre: u32, level: u16) {
+        let (size, from) = match (pre as usize).checked_sub(self.cols.len) {
+            Some(l) => (self.open.size[l], self.open.level[l]),
+            None => (self.cols.node_size(pre), self.cols.node_level(pre)),
+        };
+        let (mut at, end) = (pre as usize, pre as usize + size as usize + 1);
+        while at < end {
+            let room = self.room();
+            let (rows, copied) = (
+                self.open.len(),
+                match at.checked_sub(self.cols.len) {
+                    Some(l) => {
+                        let take = room.min(end - at);
+                        self.open.extend_rows_within(l..l + take);
+                        take
+                    }
+                    None => {
+                        let (ci, l) = self.cols.locate(at as u32);
+                        let src = &self.cols.chunks[ci];
+                        let take = room.min(end - at).min(src.len() - l);
+                        self.open.extend_rows(src, l..l + take);
+                        take
+                    }
+                },
+            );
+            for lv in &mut self.open.level[rows..] {
+                *lv = *lv - from + level;
+            }
+            at += copied;
+        }
+    }
+
+    /// Append a copy of the subtree at `pre` of another image `src`, its
+    /// root at `level`: a walk over its rows that shares their texts and
+    /// maps each distinct code once.
+    pub(crate) fn copy_from(&mut self, src: &DocumentColumns, pre: u32, level: u16) {
+        let from = src.node_level(pre);
+        src.walk_rows(pre, src.node_size(pre) as usize + 1, |row| {
+            let name_code = self.tags.map(&src.tags, row.name_code);
+            self.room();
+            let owner = self.open.len() as u32;
+            let open = &mut self.open;
+            open.size.push(row.size);
+            open.level.push(row.level - from + level);
+            open.kind.push(row.kind);
+            open.name_code.push(name_code);
+            open.text.push(row.text.cloned());
+            for (&n, &v) in row.attr_names.iter().zip(row.attr_values) {
+                let n = self.names.map(&src.attr_names, n);
+                let v = self.values.map(&src.attr_values, v);
+                let open = &mut self.open;
+                open.attr_owner.push(owner);
+                open.attr_name_code.push(n);
+                open.attr_value_code.push(v);
+            }
+        });
+    }
+
+    /// End the session: the open chunk joins the image, the strings the
+    /// session brought merge into the dictionaries (remapping every
+    /// chunk's codes when there were any), and the chunks it wrote get
+    /// their summaries.
+    pub(crate) fn seal(self) -> DocumentColumns {
+        let Appender {
+            mut cols,
+            open,
+            first,
+            tags,
+            names,
+            values,
+            ..
+        } = self;
+        if open.len() > 0 {
+            cols.push_chunk(open);
+        }
+        let tags = tags.codes.merge_into(&mut cols.tags);
+        let names = names.codes.merge_into(&mut cols.attr_names);
+        let values = values.codes.merge_into(&mut cols.attr_values);
+        cols.remap(tags.as_deref(), names.as_deref(), values.as_deref());
+        for chunk in &mut cols.chunks[first..] {
+            Arc::make_mut(chunk).rebuild_summary();
+        }
+        cols
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::doc::Document;
+    use crate::read::NodeRead;
     use crate::shred::{shred, ShredOptions};
     use mxq_engine::join::radix_hash_join;
     use mxq_engine::Column;
@@ -1131,7 +1582,7 @@ mod tests {
     /// A shredded document and its column image.
     fn image(xml: &str) -> (Document, DocumentColumns) {
         let doc = shred("t", xml, &ShredOptions::default()).unwrap();
-        let cols = DocumentColumns::new(&doc);
+        let cols = doc.columns().clone();
         (doc, cols)
     }
 
@@ -1174,8 +1625,8 @@ mod tests {
     fn shared_dictionary_enables_code_joins() {
         let xml = r#"<r><p id="a"/><p id="b"/><o by="b"/><o by="a"/><o by="b"/></r>"#;
         let (doc, cols) = image(xml);
-        let people = attr_values_of(&cols, doc.elements_named("p"), "id");
-        let orders = attr_values_of(&cols, doc.elements_named("o"), "by");
+        let people = attr_values_of(&cols, &doc.elements_named("p"), "id");
+        let orders = attr_values_of(&cols, &doc.elements_named("o"), "by");
         let (_, pdict) = people.dict_parts().unwrap();
         let (_, odict) = orders.dict_parts().unwrap();
         assert!(Arc::ptr_eq(pdict, odict), "dictionary is shared");
@@ -1188,7 +1639,7 @@ mod tests {
     #[test]
     fn attribute_values_are_dictionary_encoded() {
         let (doc, cols) = image(XML);
-        let value = attr_values_of(&cols, doc.elements_named("item"), "id");
+        let value = attr_values_of(&cols, &doc.elements_named("item"), "id");
         let (codes, dict) = value.dict_parts().unwrap();
         assert!(
             Arc::ptr_eq(dict, cols.attr_values()),
@@ -1262,7 +1713,7 @@ mod tests {
     fn chunk_geometry_and_rechunking() {
         let doc = wide_doc(100); // 301 nodes
         for rows in [16usize, 64, 256] {
-            let cols = DocumentColumns::with_chunk_rows(&doc, rows);
+            let cols = doc.columns().rechunked(rows);
             assert_eq!(cols.chunk_rows(), rows);
             assert_eq!(cols.chunk_count(), doc.len().div_ceil(rows));
             // spans tile the pre range exactly
@@ -1274,7 +1725,7 @@ mod tests {
             }
             assert_eq!(at as usize, doc.len());
             // content is chunking-invariant
-            cols.same_content(&DocumentColumns::new(&doc)).unwrap();
+            cols.same_content(doc.columns()).unwrap();
             // rechunking round-trips
             cols.rechunked(32).same_content(&cols).unwrap();
         }
@@ -1283,7 +1734,7 @@ mod tests {
     #[test]
     fn chunk_summaries_cover_their_rows() {
         let doc = wide_doc(100);
-        let cols = DocumentColumns::with_chunk_rows(&doc, 64);
+        let cols = doc.columns().rechunked(64);
         for i in 0..cols.chunk_count() {
             let (start, len) = cols.chunk_span(i);
             let chunk = &cols.chunks[i];
@@ -1300,7 +1751,7 @@ mod tests {
     #[test]
     fn anchor_before_matches_linear_scan() {
         let doc = wide_doc(50);
-        let cols = DocumentColumns::with_chunk_rows(&doc, 16);
+        let cols = doc.columns().rechunked(16);
         for pos in 0..doc.len() as u32 {
             for level in 0..4u16 {
                 let expect = (0..pos).rev().find(|&v| cols.node_level(v) < level);
@@ -1316,7 +1767,7 @@ mod tests {
     #[test]
     fn splice_stays_within_one_chunk() {
         let doc = wide_doc(100);
-        let mut cols = DocumentColumns::with_chunk_rows(&doc, 64);
+        let mut cols = doc.columns().rechunked(64);
         let before: Vec<(u32, usize)> = (0..cols.chunk_count())
             .map(|i| cols.chunk_span(i))
             .collect();
@@ -1341,7 +1792,7 @@ mod tests {
         assert_eq!(cols.attr_value_of(at as u32, "k"), Some("v"));
         // and removal restores the original content
         cols.remove_nodes(at, 1);
-        cols.same_content(&DocumentColumns::new(&doc)).unwrap();
+        cols.same_content(doc.columns()).unwrap();
     }
 
     /// Every chunk's name directory answers like a linear filter of the
@@ -1368,7 +1819,7 @@ mod tests {
     #[test]
     fn name_directory_follows_a_dictionary_remap() -> Result<(), String> {
         let doc = wide_doc(30); // 91 nodes
-        let mut cols = DocumentColumns::with_chunk_rows(&doc, 16);
+        let mut cols = doc.columns().rechunked(16);
         assert_directory_matches_rows(&cols);
         // insert a childless <aa/> before the 12th <r> (chunk 2) …
         let row = Tuple {
@@ -1397,7 +1848,7 @@ mod tests {
     #[test]
     fn oversized_chunks_split() {
         let doc = wide_doc(4); // 13 nodes
-        let mut cols = DocumentColumns::with_chunk_rows(&doc, 16);
+        let mut cols = doc.columns().rechunked(16);
         assert_eq!(cols.chunk_count(), 1);
         let rows: Vec<Tuple> = (0..40)
             .map(|i| Tuple {

@@ -1,6 +1,6 @@
-//! On-disk page images: a checksummed, versioned binary encoding of the
-//! paged store's [`PagedSnapshot`] (and of plain [`Document`] fragments,
-//! which the WAL embeds in logged update primitives).
+//! On-disk page images: a checksummed, versioned binary encoding of a
+//! published [`Document`] (and of the content fragments the WAL embeds in
+//! logged update primitives, which are documents too).
 //!
 //! ## Snapshot file format (version 1)
 //!
@@ -32,10 +32,10 @@ use std::sync::Arc;
 
 use mxq_wal::crc32;
 
-use crate::columns::{DocumentColumns, DEFAULT_CHUNK_ROWS};
+use crate::columns::DocumentColumns;
 use crate::doc::Document;
 use crate::node::NodeKind;
-use crate::update::{materialize, tuples_of, PagedSnapshot, Tuple};
+use crate::update::Tuple;
 
 /// Magic bytes of a paged-snapshot image.
 pub const SNAPSHOT_MAGIC: &[u8; 4] = b"MXQP";
@@ -172,9 +172,20 @@ fn put_row<'a>(
     }
 }
 
-fn put_tuple(out: &mut Vec<u8>, t: &Tuple) {
-    let attrs = t.attrs.iter().map(|(n, v)| (&**n, &**v));
-    put_row(out, (t.kind, t.level, t.size), &t.name, &t.text, attrs);
+/// Encode the `count` rows of `cols` from `pre` on as tuples.
+fn put_rows(out: &mut Vec<u8>, cols: &DocumentColumns, pre: u32, count: usize) {
+    let (tags, names, values) = (cols.tags(), cols.attr_names(), cols.attr_values());
+    cols.walk_rows(pre, count, |row| {
+        let name = match row.kind {
+            NodeKind::Element | NodeKind::ProcessingInstruction => tags.str_of(row.name_code),
+            NodeKind::Document => "#document",
+            _ => "",
+        };
+        let attrs = row.attr_names.iter().zip(row.attr_values);
+        let attrs = attrs.map(|(&n, &v)| (&**names.str_of(n), &**values.str_of(v)));
+        let text = row.text.map_or("", |t| t);
+        put_row(out, (row.kind, row.level, row.size), name, text, attrs);
+    });
 }
 
 fn read_tuple(r: &mut Reader<'_>) -> Result<Tuple, DiskError> {
@@ -204,38 +215,21 @@ fn read_tuple(r: &mut Reader<'_>) -> Result<Tuple, DiskError> {
 // snapshot images
 // ---------------------------------------------------------------------------
 
-/// Encode a published snapshot as a self-contained, checksummed image:
+/// Encode a published document as a self-contained, checksummed image:
 /// one page per column chunk.
-pub fn encode_snapshot(snap: &PagedSnapshot) -> Vec<u8> {
+pub fn encode_snapshot(snap: &Document) -> Vec<u8> {
     let cols = snap.columns();
-    let (tags, names, values) = (cols.tags(), cols.attr_names(), cols.attr_values());
     let mut out = Vec::new();
     out.extend_from_slice(SNAPSHOT_MAGIC);
     out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    put_str(&mut out, snap.name());
+    put_str(&mut out, &snap.name);
     out.extend_from_slice(&(cols.chunk_count() as u32).to_le_bytes());
     let mut body = Vec::new();
     for ci in 0..cols.chunk_count() {
         let (start, rows) = cols.chunk_span(ci);
         body.clear();
         body.extend_from_slice(&(rows as u32).to_le_bytes());
-        cols.walk_rows(start, rows, |row| {
-            let name = match row.kind {
-                NodeKind::Element | NodeKind::ProcessingInstruction => tags.str_of(row.name_code),
-                NodeKind::Document => "#document",
-                _ => "",
-            };
-            let attrs = row.attr_names.iter().zip(row.attr_values);
-            let attrs = attrs.map(|(&n, &v)| (&**names.str_of(n), &**values.str_of(v)));
-            let text = row.text.map_or("", |t| t);
-            put_row(
-                &mut body,
-                (row.kind, row.level, row.size),
-                name,
-                text,
-                attrs,
-            );
-        });
+        put_rows(&mut body, cols, start, rows);
         out.extend_from_slice(&(body.len() as u32).to_le_bytes());
         out.extend_from_slice(&crc32(&body).to_le_bytes());
         out.extend_from_slice(&body);
@@ -246,7 +240,7 @@ pub fn encode_snapshot(snap: &PagedSnapshot) -> Vec<u8> {
 /// Decode a snapshot image, verifying the per-page checksums, and build
 /// the column image (at the default chunk row target) and the derived
 /// state (summaries, name index, fragment roots) from its rows.
-pub fn decode_snapshot(bytes: &[u8]) -> Result<PagedSnapshot, DiskError> {
+pub fn decode_snapshot(bytes: &[u8]) -> Result<Document, DiskError> {
     let mut r = Reader::new(bytes);
     if r.take(4)? != SNAPSHOT_MAGIC {
         return Err(DiskError::BadMagic);
@@ -277,30 +271,33 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<PagedSnapshot, DiskError> {
     if !r.done() {
         return Err(DiskError::Malformed("trailing bytes after last page"));
     }
-    let columns = DocumentColumns::from_rows(&rows, DEFAULT_CHUNK_ROWS);
-    // the stored sizes are trusted by every read: hold them to the levels
-    columns
+    checked(name, &rows)
+}
+
+/// The document of a decoded row stream.  The stored sizes are trusted by
+/// every read: they are held to the levels.
+fn checked(name: String, rows: &[Tuple]) -> Result<Document, DiskError> {
+    let doc = Document::from_rows(name, rows);
+    doc.columns()
         .check_tree()
         .map_err(|_| DiskError::Malformed("sizes disagree with the level structure"))?;
-    Ok(PagedSnapshot::new(name, Arc::new(columns)))
+    Ok(doc)
 }
 
 // ---------------------------------------------------------------------------
 // document-fragment images (WAL payload content)
 // ---------------------------------------------------------------------------
 
-/// Encode a flat document (e.g. an update primitive's content fragment)
-/// as one tuple stream.
+/// Encode a document (e.g. an update primitive's content fragment) as one
+/// tuple stream.
 pub fn encode_document(doc: &Document) -> Vec<u8> {
     let mut out = Vec::new();
     out.extend_from_slice(DOCUMENT_MAGIC);
     out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
     put_str(&mut out, &doc.name);
-    let tuples = tuples_of(doc);
-    out.extend_from_slice(&(tuples.len() as u32).to_le_bytes());
-    for t in &tuples {
-        put_tuple(&mut out, t);
-    }
+    let cols = doc.columns();
+    out.extend_from_slice(&(cols.len() as u32).to_le_bytes());
+    put_rows(&mut out, cols, 0, cols.len());
     out
 }
 
@@ -324,16 +321,17 @@ pub fn decode_document(bytes: &[u8]) -> Result<Document, DiskError> {
     if !r.done() {
         return Err(DiskError::Malformed("trailing bytes after document image"));
     }
-    Ok(materialize(&name, tuples.into_iter()))
+    checked(name, &tuples)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::columns::DEFAULT_CHUNK_ROWS;
     use crate::read::NodeRead;
     use crate::serialize::serialize_document;
     use crate::shred::{shred, ShredError, ShredOptions};
-    use crate::update::PagedDocument;
+    use crate::update::{tuples_of, PagedDocument};
 
     type TestResult = Result<(), Box<dyn std::error::Error>>;
 
@@ -348,10 +346,15 @@ mod tests {
         shred("sample.xml", xml, &opts)
     }
 
-    fn sample_snapshot(chunk_rows: usize) -> Result<PagedSnapshot, ShredError> {
+    fn sample_snapshot(chunk_rows: usize) -> Result<Document, ShredError> {
         let mut paged = PagedDocument::from_document(&sample_document()?);
         paged.rechunk_columns(chunk_rows);
         Ok(paged.snapshot())
+    }
+
+    fn put_tuple(out: &mut Vec<u8>, t: &Tuple) {
+        let attrs = t.attrs.iter().map(|(n, v)| (&**n, &**v));
+        put_row(out, (t.kind, t.level, t.size), &t.name, &t.text, attrs);
     }
 
     /// A snapshot image of `pages`, encoded tuple by tuple.
@@ -374,7 +377,7 @@ mod tests {
     }
 
     /// Every row of `a` and `b` reads the same, attributes included.
-    fn assert_same_rows(a: &PagedSnapshot, b: &impl NodeRead) {
+    fn assert_same_rows(a: &Document, b: &impl NodeRead) {
         assert_eq!(a.len(), b.len());
         for pre in 0..a.len() as u32 {
             assert_eq!(a.size(pre), b.size(pre), "size at {pre}");
@@ -393,7 +396,7 @@ mod tests {
             let snap = sample_snapshot(chunk_rows)?;
             let bytes = encode_snapshot(&snap);
             let back = decode_snapshot(&bytes)?;
-            assert_eq!(back.name(), snap.name());
+            assert_eq!(back.name, snap.name);
             assert_same_rows(&back, &snap);
             let mut ids = 0;
             for pre in 0..snap.len() as u32 {
@@ -431,10 +434,10 @@ mod tests {
         assert!(pages.len() > 2, "the image spans several pages");
         let bytes = image_of_pages("old.xml", &pages);
         let back = decode_snapshot(&bytes)?;
-        assert_eq!(back.name(), "old.xml");
+        assert_eq!(back.name, "old.xml");
         assert_same_rows(&back, &doc);
         back.columns().check_invariants()?;
-        back.columns().same_content(&DocumentColumns::new(&doc))?;
+        back.columns().same_content(doc.columns())?;
         assert_eq!(serialize_document(&back), serialize_document(&doc));
         Ok(())
     }

@@ -1,54 +1,39 @@
-//! The pre|size|level document encoding and its builder.
+//! The one node container and its builder.
 //!
-//! A [`Document`] is the relational image of an XML tree (Figure 4 of the
-//! paper): node `v` is the row at index `pre(v)`, carrying `size(v)` (number
-//! of descendants), `level(v)` (depth) and a node-kind discriminator plus a
-//! reference into the per-kind property containers.  A document container may
-//! hold several disjoint fragments (a statement's transient container holds
-//! every node its constructors build); the `frag_roots` list records where
-//! each fragment starts.
+//! A [`Document`] is the relational image of XML trees (Figure 4 of the
+//! paper): node `v` is the row at `pre(v)`, carrying `size(v)` (number of
+//! descendants), `level(v)` (depth), its kind and its name, text and
+//! attributes.  Its rows live in the chunked column image
+//! ([`DocumentColumns`]): a shredded document, a loaded document and the
+//! statement's transient container (fragment 0, which holds the nodes its
+//! constructors build) are one type, read by one set of kernels through
+//! [`NodeRead`].  A container may hold several disjoint fragments; their
+//! roots are its level-0 rows.
 //!
-//! A container is append-only: rows, names, texts and attributes are only
-//! ever added (the builder patches the size of an element it closes, and
-//! nothing else).  A written row never changes, so a copy of a subtree
-//! within one container is a range copy of its rows whose text rows share
-//! the source's text entries.
+//! [`DocumentBuilder`] writes the image in preorder, straight into its
+//! chunks.  A builder over an existing container appends: its rows fill
+//! the open last chunk, and the written rows never change after the
+//! builder finishes (the builder patches the size of an element it
+//! closes, and nothing else), so a copy of a subtree within one container
+//! is a range copy of its column slices.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use mxq_engine::Item;
 
-use crate::columns::DocumentColumns;
-use crate::node::{AttrRow, NodeKind};
+use crate::columns::{Appender, DocumentColumns, DEFAULT_CHUNK_ROWS};
+use crate::node::NodeKind;
 use crate::read::{AttrsIter, NamedRun, NodeRead};
-use crate::store::ContainerRef;
+use crate::update::Tuple;
 
-/// A document container: structural table + property containers.
+/// A document container: a name, the chunked column image of its rows,
+/// and the preorder ranks of its fragment roots.
 #[derive(Debug, Clone, Default)]
 pub struct Document {
     /// Document (container) name, e.g. the URI passed to `fn:doc`.
     pub name: String,
-    size: Vec<u32>,
-    level: Vec<u16>,
-    kind: Vec<NodeKind>,
-    /// Reference into the property container appropriate for `kind`.
-    prop: Vec<u32>,
-    /// Interned qualified names (elements).
-    qnames: Vec<Arc<str>>,
-    qname_ids: HashMap<Arc<str>, u32>,
-    /// Element name index, parallel to `qnames`: qname id → preorder ranks
-    /// of elements with that name, in document order (the "index on element
-    /// names" of Figure 9, used by the nametest pushdown of Section 3.2).
-    name_index: Vec<Vec<u32>>,
-    /// Text/comment/PI content, indexed by `prop`.
-    texts: Vec<Arc<str>>,
-    /// Processing instruction targets (parallel to `texts` for PI nodes).
-    pi_targets: Vec<Arc<str>>,
-    /// Attributes, sorted by owner preorder rank.
-    attrs: Vec<AttrRow>,
-    /// Preorder ranks at which the disjoint tree fragments of this container
-    /// start (a freshly shredded document has a single fragment at 0).
+    columns: Arc<DocumentColumns>,
+    /// The level-0 rows, ascending.
     frag_roots: Vec<u32>,
 }
 
@@ -61,92 +46,46 @@ impl Document {
         }
     }
 
+    /// A container over `columns`, its fragment roots found through the
+    /// per-chunk minimum level.
+    pub(crate) fn from_columns(name: String, columns: Arc<DocumentColumns>) -> Document {
+        Document {
+            name,
+            frag_roots: columns.fragment_roots(),
+            columns,
+        }
+    }
+
+    /// A container over a preorder row stream (the rows an on-disk image
+    /// decodes to, or the naive scheme's), at the default chunk size.
+    pub(crate) fn from_rows(name: String, rows: &[Tuple]) -> Document {
+        let columns = DocumentColumns::from_rows(rows, DEFAULT_CHUNK_ROWS);
+        Document::from_columns(name, Arc::new(columns))
+    }
+
     /// Number of nodes in the container (attributes excluded).
     pub fn len(&self) -> usize {
-        self.size.len()
+        self.columns.len()
     }
 
     /// True if the container holds no nodes.
     pub fn is_empty(&self) -> bool {
-        self.size.is_empty()
+        self.columns.is_empty()
     }
 
-    /// `size(v)`: number of nodes in the subtree below `pre` (excluding `pre`).
-    pub(crate) fn size(&self, pre: u32) -> u32 {
-        self.size[pre as usize]
+    /// The column image.
+    pub fn columns(&self) -> &DocumentColumns {
+        &self.columns
     }
 
-    /// `level(v)`: distance from the fragment root.
-    pub fn level(&self, pre: u32) -> u16 {
-        self.level[pre as usize]
+    /// Shared handle to the column image.
+    pub fn columns_arc(&self) -> Arc<DocumentColumns> {
+        self.columns.clone()
     }
 
-    /// Node kind of `pre`.
-    pub fn kind(&self, pre: u32) -> NodeKind {
-        self.kind[pre as usize]
-    }
-
-    /// Element name of `pre` (empty string for non-elements).
-    pub fn name_of(&self, pre: u32) -> &str {
-        match self.kind(pre) {
-            NodeKind::Element => &self.qnames[self.prop[pre as usize] as usize],
-            NodeKind::ProcessingInstruction => &self.pi_targets[self.prop[pre as usize] as usize],
-            _ => "",
-        }
-    }
-
-    /// Direct text content of a text/comment/PI node (not the recursive
-    /// string value — see [`NodeRead::string_value`]).
-    pub(crate) fn text_of(&self, pre: u32) -> &str {
-        match self.kind(pre) {
-            NodeKind::Text | NodeKind::Comment | NodeKind::ProcessingInstruction => {
-                &self.texts[self.prop[pre as usize] as usize]
-            }
-            _ => "",
-        }
-    }
-
-    /// The shared content of the text node at `pre` (`None` for other
-    /// kinds).
-    pub(crate) fn text_arc(&self, pre: u32) -> Option<&Arc<str>> {
-        (self.kind(pre) == NodeKind::Text).then(|| &self.texts[self.prop[pre as usize] as usize])
-    }
-
-    /// The shared content of the text, comment or PI node at `pre` (`None`
-    /// for other kinds).
-    pub(crate) fn content_arc(&self, pre: u32) -> Option<&Arc<str>> {
-        match self.kind(pre) {
-            NodeKind::Text | NodeKind::Comment | NodeKind::ProcessingInstruction => {
-                Some(&self.texts[self.prop[pre as usize] as usize])
-            }
-            _ => None,
-        }
-    }
-
-    /// The shared name of the element or target of the PI at `pre` (`None`
-    /// for other kinds).
-    pub(crate) fn name_arc(&self, pre: u32) -> Option<&Arc<str>> {
-        let prop = self.prop[pre as usize] as usize;
-        match self.kind(pre) {
-            NodeKind::Element => Some(&self.qnames[prop]),
-            NodeKind::ProcessingInstruction => Some(&self.pi_targets[prop]),
-            _ => None,
-        }
-    }
-
-    /// All attributes of element `pre` (empty slice for non-elements).
-    pub(crate) fn attributes(&self, pre: u32) -> &[AttrRow] {
-        let start = self.attrs.partition_point(|a| a.owner < pre);
-        let end = self.attrs.partition_point(|a| a.owner <= pre);
-        &self.attrs[start..end]
-    }
-
-    /// Value of the attribute `name` on element `pre`, if present.
-    pub fn attribute(&self, pre: u32, name: &str) -> Option<&str> {
-        self.attributes(pre)
-            .iter()
-            .find(|a| a.name.as_ref() == name)
-            .map(|a| a.value.as_ref())
+    /// Rough resident-memory footprint in bytes of the column image.
+    pub(crate) fn approx_bytes(&self) -> usize {
+        self.columns.approx_bytes()
     }
 
     /// Preorder ranks of the fragment roots in this container.
@@ -154,338 +93,172 @@ impl Document {
         &self.frag_roots
     }
 
-    /// Append a whole subtree copied from another container (deep copy).
-    /// The structural rows are copied with levels re-based; names are
-    /// re-interned and texts copied.  Returns the preorder rank of the
-    /// copied root in `self`.  This is the "pasting of encodings" used for
-    /// element construction (Sections 2 and 5.1), generic over
-    /// [`NodeRead`]; the executor's copies take the two bulk paths instead,
-    /// [`Document::copy_subtree_within`] and `Document::copy_from_columns`.
-    pub(crate) fn copy_subtree<D: NodeRead>(
-        &mut self,
-        src: &D,
-        src_pre: u32,
-        level_base: u16,
-    ) -> u32 {
-        let root_new = self.len() as u32;
-        let src_level_base = src.level(src_pre);
-        let end = src_pre + src.size(src_pre);
-        for v in src_pre..=end {
-            let kind = src.kind(v);
-            let prop = match kind {
-                NodeKind::Element => self.intern_qname(src.name_of(v)),
-                // a document row's prop is never read
-                NodeKind::Document => 0,
-                NodeKind::Text | NodeKind::Comment => self.push_text(Arc::from(src.text_of(v))),
-                NodeKind::ProcessingInstruction => {
-                    self.push_pi(Arc::from(src.name_of(v)), Arc::from(src.text_of(v)))
-                }
-            };
-            let owner = self.len() as u32;
-            let level = level_base + (src.level(v) - src_level_base);
-            self.push_row(src.size(v), level, kind, prop);
-            for (name, value) in src.attrs(v) {
-                self.push_attr(owner, name.clone(), value.clone());
-            }
-        }
-        root_new
-    }
-
-    /// [`Document::copy_subtree`] with this container as the source: a
-    /// range copy of the subtree's rows.  `size`, `kind` and `prop` are
-    /// copied as they are — element rows keep their name id, text, comment
-    /// and PI rows share the source's text entry — `level` is shifted, the
-    /// copied elements are appended to the name index, and the subtree's
-    /// attribute run is copied with shifted owners.  The source rows
-    /// precede the rows being appended, so the copy needs no snapshot of
-    /// the container.
-    pub(crate) fn copy_subtree_within(&mut self, src_pre: u32, level_base: u16) -> u32 {
-        let root_new = self.len();
-        let rows = src_pre as usize..(src_pre + self.size(src_pre)) as usize + 1;
-        let src_level = self.level(src_pre);
-        self.size.extend_from_within(rows.clone());
-        self.kind.extend_from_within(rows.clone());
-        self.prop.extend_from_within(rows.clone());
-        self.level.extend_from_within(rows.clone());
-        for level in &mut self.level[root_new..] {
-            *level = *level - src_level + level_base;
-        }
-        let copied = self.kind[root_new..].iter().zip(&self.prop[root_new..]);
-        for (pre, (&kind, &prop)) in (root_new as u32..).zip(copied) {
-            if kind == NodeKind::Element {
-                self.name_index[prop as usize].push(pre);
-            }
-        }
-        // the attributes of the subtree are one contiguous run (sorted by
-        // owner); owners shift with their elements
-        let first = self.attrs.partition_point(|a| a.owner < src_pre);
-        let last = self.attrs.partition_point(|a| a.owner < rows.end as u32);
-        let shift = root_new as u32 - src_pre;
-        self.attrs.extend_from_within(first..last);
-        let copied = self.attrs.len() - (last - first);
-        for a in &mut self.attrs[copied..] {
-            a.owner += shift;
-        }
-        root_new as u32
-    }
-
-    /// [`Document::copy_subtree`] out of the paged store by a walk over
-    /// its chunk rows: the subtree is located once and its rows are read in
-    /// order.  Texts, PI targets and attribute strings are shared with the
-    /// image and its dictionaries (a reference-count bump each), and each
-    /// distinct element name is interned once per copy, through a map from
-    /// the source's tag codes.
-    pub(crate) fn copy_from_columns(
-        &mut self,
-        src: &DocumentColumns,
-        src_pre: u32,
-        level_base: u16,
-    ) -> u32 {
-        let root_new = self.len() as u32;
-        let src_level = src.node_level(src_pre);
-        let (tags, names, values) = (src.tags(), src.attr_names(), src.attr_values());
-        // source tag code → name id in this container (`u32::MAX`: not yet)
-        let mut qids: Vec<u32> = Vec::new();
-        let rows = src.node_size(src_pre) as usize + 1;
-        src.walk_rows(src_pre, rows, |row| {
-            let text = || row.text.cloned().unwrap_or_default();
-            let prop = match row.kind {
-                NodeKind::Element => {
-                    let code = row.name_code as usize;
-                    if code >= qids.len() {
-                        qids.resize(code + 1, u32::MAX);
-                    }
-                    if qids[code] == u32::MAX {
-                        qids[code] = self.intern_qname(tags.str_of(row.name_code));
-                    }
-                    qids[code]
-                }
-                NodeKind::Document => 0,
-                NodeKind::Text | NodeKind::Comment => self.push_text(text()),
-                NodeKind::ProcessingInstruction => {
-                    self.push_pi(tags.str_of(row.name_code).clone(), text())
-                }
-            };
-            let owner = self.len() as u32;
-            self.push_row(
-                row.size,
-                level_base + (row.level - src_level),
-                row.kind,
-                prop,
-            );
-            for (&n, &v) in row.attr_names.iter().zip(row.attr_values) {
-                self.push_attr(owner, names.str_of(n).clone(), values.str_of(v).clone());
-            }
-        });
-        root_new
-    }
-
-    /// Register the start of a new fragment at the given preorder rank.
-    pub(crate) fn add_fragment_root(&mut self, pre: u32) {
-        self.frag_roots.push(pre);
-    }
-
-    /// Preorder ranks (in document order) of all elements named `name`.
-    /// Returns an empty slice when no element with this name exists.
-    pub fn elements_named(&self, name: &str) -> &[u32] {
-        self.lookup_qname(name)
-            .map_or(&[], |qid| self.name_index[qid as usize].as_slice())
-    }
-
-    pub(crate) fn push_row(&mut self, size: u32, level: u16, kind: NodeKind, prop: u32) {
-        if kind == NodeKind::Element {
-            self.name_index[prop as usize].push(self.size.len() as u32);
-        }
-        self.size.push(size);
-        self.level.push(level);
-        self.kind.push(kind);
-        self.prop.push(prop);
-    }
-
-    pub(crate) fn set_size(&mut self, pre: u32, size: u32) {
-        self.size[pre as usize] = size;
-    }
-
-    pub(crate) fn set_kind(&mut self, pre: u32, kind: NodeKind) {
-        self.kind[pre as usize] = kind;
-    }
-
-    pub(crate) fn intern_qname(&mut self, name: &str) -> u32 {
-        if let Some(&id) = self.qname_ids.get(name) {
-            return id;
-        }
-        let name: Arc<str> = Arc::from(name);
-        let id = self.qnames.len() as u32;
-        self.qnames.push(name.clone());
-        self.name_index.push(Vec::new());
-        self.qname_ids.insert(name, id);
-        id
-    }
-
-    pub(crate) fn push_text(&mut self, text: Arc<str>) -> u32 {
-        let id = self.texts.len() as u32;
-        self.texts.push(text);
-        id
-    }
-
-    /// Store a PI's content and target under one id (`pi_targets` stays
-    /// addressable by the `texts` id).
-    fn push_pi(&mut self, target: Arc<str>, content: Arc<str>) -> u32 {
-        let id = self.push_text(content);
-        self.pi_targets.resize(id as usize, Arc::from(""));
-        self.pi_targets.push(target);
-        id
-    }
-
-    pub(crate) fn push_attr(&mut self, owner: u32, name: Arc<str>, value: Arc<str>) {
-        self.attrs.push(AttrRow { owner, name, value });
-    }
-
-    /// Qualified-name id of an element (internal, used by the staircase
-    /// nametest pushdown to pre-filter candidates without string compares).
-    pub(crate) fn qname_id(&self, pre: u32) -> Option<u32> {
+    /// The shared content of the text node at `pre` (`None` for other
+    /// kinds): a caller keeps the stored text without copying it.
+    pub fn text_arc(&self, pre: u32) -> Option<&Arc<str>> {
         match self.kind(pre) {
-            NodeKind::Element => Some(self.prop[pre as usize]),
+            NodeKind::Text => self.columns.node_text(pre),
             _ => None,
         }
     }
 
-    /// Look up the id of an interned element name, if any element with this
-    /// name exists in the container.
-    pub(crate) fn lookup_qname(&self, name: &str) -> Option<u32> {
-        self.qname_ids.get(name).copied()
+    /// Preorder ranks (in document order) of all elements named `name`,
+    /// collected from the per-chunk name index.
+    pub fn elements_named(&self, name: &str) -> Vec<u32> {
+        let (Some(code), false) = (self.lookup_qname(name), self.is_empty()) else {
+            return Vec::new();
+        };
+        let mut out = Vec::new();
+        let mut pre = 0;
+        while (pre as usize) < self.len() {
+            let run = self.run_named(pre, code);
+            out.extend(run.offsets.iter().map(|&o| run.base + o));
+            pre = run.end + 1;
+        }
+        out
     }
 
-    /// Sanity check of the structural invariants:
-    /// * `size(v) < len - v` for all v (subtrees stay in bounds),
-    /// * children are nested properly (every node's subtree is contained in
-    ///   its parent's subtree),
-    /// * levels increase by exactly one from parent to child.
+    /// Check the image against itself (see
+    /// [`DocumentColumns::check_invariants`]) and the fragment roots
+    /// against its level-0 rows.
     pub fn check_invariants(&self) -> Result<(), String> {
-        let n = self.len() as u32;
-        for v in 0..n {
-            let end = v + self.size(v);
-            if end >= n && self.size(v) != 0 && end > n - 1 {
-                return Err(format!("node {v} subtree exceeds document ({end} >= {n})"));
-            }
-            for c in self.children(v) {
-                if self.level(c) != self.level(v) + 1 {
-                    return Err(format!(
-                        "child {c} of {v} has level {} expected {}",
-                        self.level(c),
-                        self.level(v) + 1
-                    ));
-                }
-                if c + self.size(c) > end {
-                    return Err(format!("child {c} subtree leaves parent {v} subtree"));
-                }
-            }
+        self.columns.check_invariants()?;
+        if self.frag_roots != self.columns.fragment_roots() {
+            return Err("fragment roots disagree with the level-0 rows".into());
         }
         Ok(())
     }
 }
 
-/// The canonical read API over a flat document: a single storage run with
-/// always-true kind summaries (see [`NodeRead`]'s `run_*` defaults) whose
-/// name index is the document-wide per-name list.
+/// The canonical read API over the container: structural reads, names,
+/// texts and attribute cursors come from the chunked columns, and the
+/// storage runs of a scan are the chunks.
 impl NodeRead for Document {
     fn len(&self) -> usize {
         Document::len(self)
     }
+
+    #[inline]
     fn size(&self, pre: u32) -> u32 {
-        Document::size(self, pre)
+        self.columns.node_size(pre)
     }
+
+    #[inline]
     fn level(&self, pre: u32) -> u16 {
-        Document::level(self, pre)
+        self.columns.node_level(pre)
     }
+
+    #[inline]
     fn kind(&self, pre: u32) -> NodeKind {
-        Document::kind(self, pre)
+        self.columns.node_kind(pre)
     }
+
     fn name_of(&self, pre: u32) -> &str {
-        Document::name_of(self, pre)
+        match self.kind(pre) {
+            NodeKind::Element | NodeKind::ProcessingInstruction => self.columns.node_name(pre),
+            _ => "",
+        }
     }
+
     fn text_of(&self, pre: u32) -> &str {
-        Document::text_of(self, pre)
+        self.columns.node_text(pre).map_or("", |t| t)
     }
+
     fn qname_id(&self, pre: u32) -> Option<u32> {
-        Document::qname_id(self, pre)
+        match self.kind(pre) {
+            NodeKind::Element => Some(self.columns.node_name_code(pre)),
+            _ => None,
+        }
     }
+
     fn lookup_qname(&self, name: &str) -> Option<u32> {
-        Document::lookup_qname(self, name)
+        self.columns.tags().code_of(name)
     }
+
     fn attribute(&self, pre: u32, name: &str) -> Option<&str> {
-        Document::attribute(self, pre, name)
+        self.columns.attr_value_of(pre, name)
     }
+
     fn attrs(&self, pre: u32) -> AttrsIter<'_> {
-        AttrsIter::Rows(self.attributes(pre).iter())
+        self.columns.attrs_of(pre)
     }
+
     fn root_pres(&self) -> Vec<u32> {
         self.frag_roots.clone()
     }
-    fn run_named(&self, _pre: u32, name_id: u32) -> NamedRun<'_> {
-        NamedRun {
-            base: 0,
-            offsets: &self.name_index[name_id as usize],
-            end: self.len() as u32 - 1,
-        }
+
+    fn run_named(&self, pre: u32, name_id: u32) -> NamedRun<'_> {
+        self.columns.chunk_named(pre, name_id)
+    }
+
+    fn run_end(&self, pre: u32) -> u32 {
+        let (start, len) = self.columns.chunk_span(self.columns.chunk_of(pre));
+        start + len as u32 - 1
+    }
+
+    fn run_has_kind(&self, pre: u32, kind: NodeKind) -> bool {
+        self.columns
+            .chunk_has_kind(self.columns.chunk_of(pre), kind)
+    }
+
+    fn parent(&self, pre: u32) -> Option<u32> {
+        self.columns.anchor_before(pre, self.level(pre))
     }
 }
 
-/// Incremental builder used by the shredder and by element construction.
+/// Incremental builder used by the shredder, element construction and the
+/// XQUF insert sources.
 ///
-/// The builder produces rows in preorder, patching each element's `size` when
-/// it is closed — a purely sequential write pattern, which is why shredding
-/// scales linearly (Section 6, "Shredding and Serialization").
+/// The builder writes rows in preorder straight into the chunks of the
+/// container's column image, patching each element's `size` when it is
+/// closed — a purely sequential write pattern, which is why shredding
+/// scales linearly (Section 6, "Shredding and Serialization").  A row
+/// written while nothing is open is a fragment root.
 #[derive(Debug)]
 pub struct DocumentBuilder {
-    doc: Document,
+    name: String,
+    rows: Appender,
+    frag_roots: Vec<u32>,
     /// Stack of open element pre ranks.
     open: Vec<u32>,
-    level: u16,
-    base_level: u16,
 }
 
 impl DocumentBuilder {
     /// Start building a fresh document container.
     pub fn new(name: impl Into<String>) -> Self {
-        DocumentBuilder {
-            doc: Document::new(name),
-            open: Vec::new(),
-            level: 0,
-            base_level: 0,
-        }
+        Self::append_to(Document::new(name))
     }
 
     /// Continue building *into* an existing container (used by the transient
     /// container: each constructed tree becomes a new fragment).
-    pub fn append_to(doc: Document, base_level: u16) -> Self {
+    pub fn append_to(doc: Document) -> Self {
         DocumentBuilder {
-            doc,
+            name: doc.name,
+            rows: Appender::new(Arc::unwrap_or_clone(doc.columns)),
+            frag_roots: doc.frag_roots,
             open: Vec::new(),
-            level: base_level,
-            base_level,
         }
     }
 
     /// Preorder rank the next node will receive.
     pub fn next_pre(&self) -> u32 {
-        self.doc.len() as u32
+        self.rows.len()
     }
 
-    /// [`DocumentBuilder::next_pre`], registering the next node as a
+    /// Preorder rank and level of the next node, registering it as a
     /// fragment root when nothing is open.
-    fn next_row(&mut self) -> u32 {
+    fn next_row(&mut self) -> (u32, u16) {
         let pre = self.next_pre();
-        if self.open.is_empty() && self.level == self.base_level {
-            self.doc.add_fragment_root(pre);
+        if self.open.is_empty() {
+            self.frag_roots.push(pre);
         }
-        pre
+        (pre, self.open.len() as u16)
     }
 
     /// Intern an element name once, for repeated
     /// [`DocumentBuilder::start_interned`] calls.
     pub fn intern(&mut self, name: &str) -> u32 {
-        self.doc.intern_qname(name)
+        self.rows.tag(name)
     }
 
     /// Open an element with the given name; returns its preorder rank.
@@ -497,11 +270,28 @@ impl DocumentBuilder {
     /// Open an element whose name id [`DocumentBuilder::intern`] returned;
     /// returns its preorder rank.
     pub fn start_interned(&mut self, qid: u32) -> u32 {
-        let pre = self.next_row();
-        self.doc.push_row(0, self.level, NodeKind::Element, qid);
+        self.start(NodeKind::Element, qid)
+    }
+
+    /// Open a document node; returns its preorder rank.
+    pub(crate) fn start_document(&mut self) -> u32 {
+        let empty = self.rows.empty();
+        self.start(NodeKind::Document, empty)
+    }
+
+    fn start(&mut self, kind: NodeKind, name_code: u32) -> u32 {
+        let (pre, level) = self.next_row();
+        self.rows.push(level, kind, name_code, None);
         self.open.push(pre);
-        self.level += 1;
         pre
+    }
+
+    /// The element attributes go to: the innermost open one.
+    ///
+    /// # Panics
+    /// Panics if no element is open.
+    fn owner(&self) -> u32 {
+        *self.open.last().expect("attribute outside of element")
     }
 
     /// Add an attribute to the currently open element.
@@ -509,7 +299,8 @@ impl DocumentBuilder {
     /// # Panics
     /// Panics if no element is open.
     pub fn attribute(&mut self, name: &str, value: &str) {
-        self.shared_attribute(Arc::from(name), Arc::from(value));
+        let owner = self.owner();
+        self.rows.attribute(owner, name, &Arc::from(value));
     }
 
     /// [`DocumentBuilder::attribute`] with strings the caller already
@@ -518,8 +309,8 @@ impl DocumentBuilder {
     /// # Panics
     /// Panics if no element is open.
     pub fn shared_attribute(&mut self, name: Arc<str>, value: Arc<str>) {
-        let owner = *self.open.last().expect("attribute outside of element");
-        self.doc.push_attr(owner, name, value);
+        let owner = self.owner();
+        self.rows.attribute(owner, &name, &value);
     }
 
     /// Close the most recently opened element.
@@ -528,9 +319,7 @@ impl DocumentBuilder {
     /// Panics if no element is open.
     pub fn end_element(&mut self) {
         let pre = self.open.pop().expect("end_element without start_element");
-        self.level -= 1;
-        let size = self.doc.len() as u32 - pre - 1;
-        self.doc.set_size(pre, size);
+        self.rows.close(pre);
     }
 
     /// Add a text node; returns its preorder rank.
@@ -538,46 +327,46 @@ impl DocumentBuilder {
         self.shared_text(Arc::from(content))
     }
 
+    /// Add a text node with a string the caller already holds.
+    fn shared_text(&mut self, content: Arc<str>) -> u32 {
+        let empty = self.rows.empty();
+        self.leaf(NodeKind::Text, empty, content)
+    }
+
     /// Add a comment node.
     pub fn comment(&mut self, content: &str) -> u32 {
-        let pre = self.next_pre();
-        let tid = self.doc.push_text(Arc::from(content));
-        self.doc.push_row(0, self.level, NodeKind::Comment, tid);
-        pre
+        let empty = self.rows.empty();
+        self.leaf(NodeKind::Comment, empty, Arc::from(content))
     }
 
     /// Add a processing instruction node.
     pub fn processing_instruction(&mut self, target: &str, content: &str) -> u32 {
-        let pre = self.next_pre();
-        let tid = self.doc.push_pi(Arc::from(target), Arc::from(content));
-        self.doc
-            .push_row(0, self.level, NodeKind::ProcessingInstruction, tid);
+        let target = self.rows.tag(target);
+        self.leaf(NodeKind::ProcessingInstruction, target, Arc::from(content))
+    }
+
+    fn leaf(&mut self, kind: NodeKind, name_code: u32, content: Arc<str>) -> u32 {
+        let (pre, level) = self.next_row();
+        self.rows.push(level, kind, name_code, Some(content));
         pre
     }
 
-    /// Deep-copy a subtree from another container as a child of the currently
-    /// open element (or as a new fragment if nothing is open).
-    pub fn copy_subtree<D: NodeRead>(&mut self, src: &D, src_pre: u32) -> u32 {
-        self.next_row();
-        self.doc.copy_subtree(src, src_pre, self.level)
+    /// Deep-copy a subtree from another container as a child of the
+    /// currently open element (or as a new fragment if nothing is open):
+    /// a walk over its rows that shares their texts and maps each distinct
+    /// name and attribute code once.
+    pub fn copy_subtree(&mut self, src: &Document, src_pre: u32) -> u32 {
+        let (pre, level) = self.next_row();
+        self.rows.copy_from(src.columns(), src_pre, level);
+        pre
     }
 
     /// [`DocumentBuilder::copy_subtree`] from the container being built
-    /// itself: a range copy, since the source rows precede the rows being
-    /// appended.
+    /// itself: a range copy of its column slices.
     pub fn copy_subtree_within(&mut self, src_pre: u32) -> u32 {
-        self.next_row();
-        self.doc.copy_subtree_within(src_pre, self.level)
-    }
-
-    /// [`DocumentBuilder::copy_subtree`] from a store container, walking
-    /// the chunk rows of a paged one (`Document::copy_from_columns`).
-    fn copy_from(&mut self, src: ContainerRef<'_>, src_pre: u32) -> u32 {
-        self.next_row();
-        match src {
-            ContainerRef::Doc(d) => self.doc.copy_subtree(d, src_pre, self.level),
-            ContainerRef::Paged(p) => self.doc.copy_from_columns(p.columns(), src_pre, self.level),
-        }
+        let (pre, level) = self.next_row();
+        self.rows.copy_within(src_pre, level);
+        pre
     }
 
     /// Append an evaluated content sequence as children of the open element
@@ -593,7 +382,7 @@ impl DocumentBuilder {
     pub fn append_content<'s, I, F>(&mut self, items: I, mut source: F) -> u64
     where
         I: IntoIterator<Item = Item>,
-        F: FnMut(u32) -> Option<ContainerRef<'s>>,
+        F: FnMut(u32) -> Option<&'s Document>,
     {
         let mut copied = 0;
         let mut pending = Pending::Empty;
@@ -606,7 +395,7 @@ impl DocumentBuilder {
                 }
             };
             self.flush(&mut pending);
-            let before = self.doc.len();
+            let before = self.next_pre();
             match source(n.frag) {
                 None => {
                     self.copy_subtree_within(n.pre);
@@ -616,14 +405,14 @@ impl DocumentBuilder {
                         self.shared_text(text.clone());
                     } else if src.kind(n.pre) == NodeKind::Document {
                         for child in src.children(n.pre) {
-                            self.copy_from(src, child);
+                            self.copy_subtree(src, child);
                         }
                     } else {
-                        self.copy_from(src, n.pre);
+                        self.copy_subtree(src, n.pre);
                     }
                 }
             }
-            copied += (self.doc.len() - before) as u64;
+            copied += (self.next_pre() - before) as u64;
         }
         self.flush(&mut pending);
         copied
@@ -642,15 +431,7 @@ impl DocumentBuilder {
         }
     }
 
-    /// Add a text node with a string the caller already holds.
-    fn shared_text(&mut self, content: Arc<str>) -> u32 {
-        let pre = self.next_row();
-        let tid = self.doc.push_text(content);
-        self.doc.push_row(0, self.level, NodeKind::Text, tid);
-        pre
-    }
-
-    /// Finish building and return the document.
+    /// Finish building: seal the image and return the container.
     ///
     /// # Panics
     /// Panics if elements are still open.
@@ -660,7 +441,11 @@ impl DocumentBuilder {
             "unbalanced builder: {} elements still open",
             self.open.len()
         );
-        self.doc
+        Document {
+            name: self.name,
+            columns: Arc::new(self.rows.seal()),
+            frag_roots: self.frag_roots,
+        }
     }
 }
 
@@ -704,7 +489,9 @@ impl Pending {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::update::PagedDocument;
+    use crate::serialize::serialize_document;
+    use crate::shred::{shred, ShredError, ShredOptions};
+    use crate::update::{fragment_from_xml, tuples_of, PagedDocument};
 
     /// Build the ten-node example document of Figure 4 of the paper.
     pub(crate) fn figure4() -> Document {
@@ -802,23 +589,24 @@ mod tests {
     }
 
     #[test]
-    fn copy_subtree_pastes_encoding() {
+    fn copy_subtree_pastes_encoding() -> Result<(), String> {
         let d = figure4();
-        let mut t = Document::new("transient");
-        let root = t.copy_subtree(&d, 7, 0);
+        let mut b = DocumentBuilder::new("transient");
+        let root = b.copy_subtree(&d, 7);
+        let t = b.finish();
         assert_eq!(root, 0);
         assert_eq!(t.len(), 3);
         assert_eq!(t.name_of(0), "h");
         assert_eq!(t.size(0), 2);
         assert_eq!(t.level(1), 1);
-        t.check_invariants().unwrap();
+        t.check_invariants()
     }
 
-    /// The range copy within a container and the column walk out of the
-    /// paged store (four-row chunks, so the copies cross chunk bounds)
-    /// append the rows a per-node copy from a snapshot appends.
+    /// The range copy within a container and the row walk out of a stored
+    /// image (four-row chunks, so the copies cross chunk bounds) append the
+    /// same rows.
     #[test]
-    fn copy_subtree_within_equals_copy_from_a_snapshot() {
+    fn copy_subtree_within_equals_copy_from_a_snapshot() -> Result<(), String> {
         let mut b = DocumentBuilder::new("t");
         b.start_element("a");
         b.attribute("id", "a1");
@@ -834,43 +622,188 @@ mod tests {
         paged.rechunk_columns(4);
         let pages = paged.snapshot();
 
-        let build = |how: u8| {
-            let mut b = DocumentBuilder::append_to(base.clone(), 0);
+        let build = |within: bool| {
+            let mut b = DocumentBuilder::append_to(base.clone());
             b.start_element("wrap");
             b.attribute("w", "1");
             for src in [0, 2] {
-                match how {
-                    0 => b.copy_subtree(&base, src),
-                    1 => b.copy_subtree_within(src),
-                    _ => b.copy_from(ContainerRef::Paged(&pages), src),
-                };
+                if within {
+                    b.copy_subtree_within(src);
+                } else {
+                    b.copy_subtree(&pages, src);
+                }
             }
             b.end_element();
             b.finish()
         };
-        let copied = build(0);
-        for bulk in [build(1), build(2)] {
-            bulk.check_invariants().unwrap();
-            assert_eq!(bulk.len(), copied.len());
-            assert_eq!(bulk.fragment_roots(), copied.fragment_roots());
-            assert_eq!(bulk.attrs, copied.attrs);
-            assert_eq!(bulk.elements_named("b"), copied.elements_named("b"));
-            for pre in 0..bulk.len() as u32 {
-                assert_eq!(
-                    (bulk.size(pre), bulk.level(pre), bulk.kind(pre)),
-                    (copied.size(pre), copied.level(pre), copied.kind(pre)),
-                    "row {pre}"
-                );
-                assert_eq!(bulk.name_of(pre), copied.name_of(pre), "name of {pre}");
-                assert_eq!(bulk.text_of(pre), copied.text_of(pre), "text of {pre}");
+        let (within, walked) = (build(true), build(false));
+        within.check_invariants()?;
+        walked.check_invariants()?;
+        assert_eq!(within.fragment_roots(), walked.fragment_roots());
+        assert_eq!(within.elements_named("b"), vec![2, 8, 11]);
+        assert_eq!(within.elements_named("b"), walked.elements_named("b"));
+        within.columns().same_content(walked.columns())
+    }
+
+    /// One step of a build, for [`rebuilt`] and [`built`].
+    enum Step {
+        Start(&'static str),
+        Attr(&'static str, &'static str),
+        Text(&'static str),
+        End,
+        /// Copy the subtree at this pre of the container being built.
+        Within(u32),
+        /// Copy the subtree at this pre of the stored image.
+        Stored(u32),
+    }
+
+    /// The stored image copies read from, in four-row chunks.
+    fn stored() -> Result<Document, ShredError> {
+        let xml = r#"<s k="v"><u>one</u><?pi t?><u z="w">two</u></s>"#;
+        let mut paged = PagedDocument::from_document(&shred("s", xml, &ShredOptions::default())?);
+        paged.rechunk_columns(4);
+        Ok(paged.snapshot())
+    }
+
+    /// The rows the steps write, kept as plain tuples.
+    fn rebuilt(sessions: &[&[Step]], stored: &Document) -> Vec<Tuple> {
+        let mut rows: Vec<Tuple> = Vec::new();
+        let mut open: Vec<usize> = Vec::new();
+        let tuple = |level: usize, kind, name: &str, text: &str| Tuple {
+            size: 0,
+            level: level as u16,
+            kind,
+            name: Arc::from(name),
+            text: Arc::from(text),
+            attrs: Vec::new(),
+        };
+        let copy = |rows: &mut Vec<Tuple>, src: &[Tuple], pre: u32, level: usize| {
+            let src = &src[pre as usize..=(pre + src[pre as usize].size) as usize];
+            let from = src[0].level;
+            rows.extend(src.iter().map(|t| Tuple {
+                level: t.level - from + level as u16,
+                ..t.clone()
+            }));
+        };
+        let stored = tuples_of(stored);
+        for step in sessions.iter().flat_map(|s| s.iter()) {
+            match *step {
+                Step::Start(name) => {
+                    open.push(rows.len());
+                    rows.push(tuple(open.len() - 1, NodeKind::Element, name, ""));
+                }
+                Step::Attr(n, v) => {
+                    if let Some(&pre) = open.last() {
+                        rows[pre].attrs.push((Arc::from(n), Arc::from(v)));
+                    }
+                }
+                Step::Text(t) => rows.push(tuple(open.len(), NodeKind::Text, "", t)),
+                Step::End => {
+                    if let Some(pre) = open.pop() {
+                        rows[pre].size = (rows.len() - pre - 1) as u32;
+                    }
+                }
+                Step::Within(pre) => {
+                    let src = rows.clone();
+                    copy(&mut rows, &src, pre, open.len());
+                }
+                Step::Stored(pre) => copy(&mut rows, &stored, pre, open.len()),
             }
         }
+        rows
+    }
+
+    /// The steps run through the builder, one build session each, over an
+    /// empty container of `chunk_rows`-row chunks.
+    fn built(sessions: &[&[Step]], stored: &Document, chunk_rows: usize) -> Document {
+        let columns = DocumentColumns::from_rows(&[], chunk_rows);
+        let mut doc = Document::from_columns("t".into(), Arc::new(columns));
+        for session in sessions {
+            let mut b = DocumentBuilder::append_to(doc);
+            for step in *session {
+                match *step {
+                    Step::Start(name) => drop(b.start_element(name)),
+                    Step::Attr(n, v) => b.attribute(n, v),
+                    Step::Text(t) => drop(b.text(t)),
+                    Step::End => b.end_element(),
+                    Step::Within(pre) => drop(b.copy_subtree_within(pre)),
+                    Step::Stored(pre) => drop(b.copy_subtree(stored, pre)),
+                }
+            }
+            doc = b.finish();
+        }
+        doc
+    }
+
+    /// A transient appended over three build sessions equals a `from_rows`
+    /// rebuild of the same rows, at every chunk size.  The third session
+    /// brings a tag, an attribute name and an attribute value that sort
+    /// before every entry of the dictionaries, so the codes of the chunks
+    /// the earlier sessions sealed must be remapped; it also copies a
+    /// subtree within the image across a chunk boundary and one out of a
+    /// stored image.
+    #[test]
+    fn builder_sessions_equal_a_rebuild_of_their_rows() -> Result<(), String> {
+        use Step::*;
+        let first: &[Step] = &[
+            Start("m"),
+            Attr("n", "x"),
+            Text("t1"),
+            Start("p"),
+            Attr("q", "y"),
+            End,
+            Text("t2"),
+            End,
+            Start("p"),
+            End,
+        ];
+        let second: &[Step] = &[Start("r"), Within(0), Stored(1), End, Text("loose")];
+        let third: &[Step] = &[
+            Start("B"),
+            Attr("A", "0"),
+            Within(5),
+            Start("p"),
+            Attr("n", "x"),
+            Stored(0),
+            End,
+            End,
+            Within(0),
+        ];
+        let sessions = [first, second, third];
+        let stored = stored().map_err(|e| e.to_string())?;
+        let rows = rebuilt(&sessions, &stored);
+        for chunk_rows in [2, 4, 1024] {
+            let doc = built(&sessions, &stored, chunk_rows);
+            doc.check_invariants()?;
+            let expect = DocumentColumns::from_rows(&rows, chunk_rows);
+            doc.columns().same_content(&expect)?;
+            assert_eq!(doc.fragment_roots(), expect.fragment_roots());
+            assert_eq!(doc.columns().chunk_count(), rows.len().div_ceil(chunk_rows));
+        }
+        Ok(())
+    }
+
+    /// A top-level PI or comment is a fragment root like any level-0 row.
+    #[test]
+    fn top_level_pi_and_comment_are_fragment_roots() -> Result<(), String> {
+        let doc = fragment_from_xml("<?p d?><a/>");
+        assert_eq!(doc.fragment_roots(), &[0, 1]);
+        assert_eq!(serialize_document(&doc), "<?p d?><a/>");
+        let mut b = DocumentBuilder::new("t");
+        b.comment("c");
+        b.start_element("a");
+        b.end_element();
+        b.processing_instruction("q", "");
+        let doc = b.finish();
+        assert_eq!(doc.fragment_roots(), &[0, 1, 2]);
+        assert_eq!(serialize_document(&doc), "<!--c--><a/><?q?>");
+        doc.check_invariants()
     }
 
     #[test]
     fn builder_fragments_in_transient_container() {
         let t = Document::new("transient");
-        let mut b = DocumentBuilder::append_to(t, 0);
+        let mut b = DocumentBuilder::append_to(t);
         b.start_element("one");
         b.end_element();
         b.start_element("two");

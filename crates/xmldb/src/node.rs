@@ -1,6 +1,4 @@
-//! Node kinds and attribute rows.
-
-use std::sync::Arc;
+//! Node kinds.
 
 /// The node kinds stored in the structural table.
 ///
@@ -19,15 +17,4 @@ pub enum NodeKind {
     Comment,
     /// A processing instruction.
     ProcessingInstruction,
-}
-
-/// One attribute of an element, stored in the attribute property container.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AttrRow {
-    /// Preorder rank of the owning element.
-    pub owner: u32,
-    /// Attribute name.
-    pub name: Arc<str>,
-    /// Attribute value (untyped atomic).
-    pub value: Arc<str>,
 }

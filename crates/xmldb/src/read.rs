@@ -1,35 +1,29 @@
-//! The canonical read API over any container representation.
+//! The canonical read API over the node container.
 //!
 //! Query scans, serialization and the naive comparator all read XML through
 //! [`NodeRead`]: pre/size/level/kind plus name-id, text and attribute
-//! cursors.  Two storage representations implement it —
-//!
-//! * [`Document`](crate::Document), the flat pre|size|level table produced
-//!   by the shredder, and the form of a statement's transient container
-//!   (fragment 0, which belongs to the statement, not to the store: it
-//!   holds the nodes the statement's constructors build) and of content
-//!   fragments, and
-//! * [`PagedSnapshot`](crate::update::PagedSnapshot), the immutable
-//!   published view of the paged store — the chunked column image loaded
-//!   documents live in, end-to-end.
+//! cursors.  [`Document`](crate::Document) implements it, the one
+//! container type: the form of a loaded document (the published view of
+//! the paged store), of a shredded one, of a statement's transient
+//! container (fragment 0, which belongs to the statement, not to the
+//! store: it holds the nodes the statement's constructors build) and of
+//! XQUF content fragments.  The trait keeps the staircase kernels and the
+//! serializer independent of the storage layout.
 //!
 //! The `run_*` methods expose *storage runs* to the staircase-join sweeps:
 //! a run is a contiguous stretch of preorder ranks stored together — a
-//! chunk of the paged store's column image, which is what a scan actually
-//! reads.  The per-run summaries (node-kind mask, minimum level) let a scan
-//! skip a whole run when no node in it can match the node test, and the
-//! per-run element-name index ([`NodeRead::run_named`]) is the candidate
-//! list of the name-test push-down (paper Section 3.2), cut so that a step
-//! touches only the runs its context regions overlap.  The flat
-//! [`Document`](crate::Document) is a single run with an always-true
-//! summary, so the generic scan code costs it one predictable branch per
-//! run, not per node.
+//! chunk of the column image, which is what a scan actually reads.  The
+//! per-run summaries (node-kind mask, minimum level) let a scan skip a
+//! whole run when no node in it can match the node test, and the per-run
+//! element-name index ([`NodeRead::run_named`]) is the candidate list of
+//! the name-test push-down (paper Section 3.2), cut so that a step touches
+//! only the runs its context regions overlap.
 
 use std::sync::Arc;
 
 use mxq_engine::Dictionary;
 
-use crate::node::{AttrRow, NodeKind};
+use crate::node::NodeKind;
 
 /// Read access to one container in the pre|size|level encoding.
 pub trait NodeRead {
@@ -45,8 +39,8 @@ pub trait NodeRead {
     fn name_of(&self, pre: u32) -> &str;
     /// Direct text content of a text/comment/PI node.
     fn text_of(&self, pre: u32) -> &str;
-    /// Interned name id of an element (representation-specific numbering;
-    /// only comparable against ids from the *same* container).
+    /// Interned name id of an element (the container's tag code; only
+    /// comparable against ids from the *same* container).
     fn qname_id(&self, pre: u32) -> Option<u32>;
     /// Resolve an element name to this container's interned id, if any
     /// element with the name exists.
@@ -62,21 +56,16 @@ pub trait NodeRead {
 
     /// The element-name index of the storage run containing `pre`: the
     /// elements of that run whose interned name id ([`Self::lookup_qname`])
-    /// is `name_id`, borrowed from the index the representation maintains.
+    /// is `name_id`, borrowed from the chunk's name index.
     fn run_named(&self, pre: u32, name_id: u32) -> NamedRun<'_>;
     /// Last preorder rank of the storage run containing `pre`.
-    fn run_end(&self, pre: u32) -> u32 {
-        debug_assert!((pre as usize) < self.len());
-        self.len() as u32 - 1
-    }
+    fn run_end(&self, pre: u32) -> u32;
     /// Does the run containing `pre` hold an element with name id `name_id`?
     fn run_has_name(&self, pre: u32, name_id: u32) -> bool {
         !self.run_named(pre, name_id).offsets.is_empty()
     }
     /// May the run containing `pre` hold a node of `kind`?
-    fn run_has_kind(&self, _pre: u32, _kind: NodeKind) -> bool {
-        true
-    }
+    fn run_has_kind(&self, pre: u32, kind: NodeKind) -> bool;
 
     // -- provided navigation ---------------------------------------------
 
@@ -91,20 +80,7 @@ pub trait NodeRead {
     }
 
     /// Parent of `pre`: the closest preceding node with a smaller level.
-    fn parent(&self, pre: u32) -> Option<u32> {
-        let lv = self.level(pre);
-        if lv == 0 {
-            return None;
-        }
-        let mut v = pre;
-        while v > 0 {
-            v -= 1;
-            if self.level(v) < lv {
-                return Some(v);
-            }
-        }
-        None
-    }
+    fn parent(&self, pre: u32) -> Option<u32>;
 
     /// Iterate over the children of `pre` with size-based skipping.
     fn children(&self, pre: u32) -> Children<'_, Self>
@@ -177,48 +153,23 @@ impl<D: NodeRead> Iterator for Children<'_, D> {
     }
 }
 
-/// Iterator over the attributes of one element, unifying the two
-/// attribute storages: [`AttrRow`] slices (flat documents) and the
-/// dictionary-encoded attribute columns (the paged read view).
-pub enum AttrsIter<'a> {
-    /// Attribute rows of a flat [`Document`](crate::Document).
-    Rows(std::slice::Iter<'a, AttrRow>),
-    /// A slice of the dictionary-encoded attribute columns — both the names
-    /// and the values resolve through shared sorted dictionaries.
-    Dict {
-        /// Attribute-name dictionary.
-        names: &'a Dictionary,
-        /// Name codes of the owner's attribute rows.
-        codes: &'a [u32],
-        /// Attribute-value dictionary.
-        values: &'a Dictionary,
-        /// Value codes of the owner's attribute rows.
-        value_codes: &'a [u32],
-        /// Cursor into `codes`/`value_codes`.
-        idx: usize,
-    },
+/// Iterator over the attributes of one element: a slice of the
+/// dictionary-encoded attribute columns, whose names and values resolve
+/// through shared sorted dictionaries.
+pub struct AttrsIter<'a> {
+    /// Attribute-name dictionary.
+    pub(crate) names: &'a Dictionary,
+    /// Attribute-value dictionary.
+    pub(crate) values: &'a Dictionary,
+    /// Name and value codes of the owner's attribute rows.
+    pub(crate) codes: std::iter::Zip<std::slice::Iter<'a, u32>, std::slice::Iter<'a, u32>>,
 }
 
 impl<'a> Iterator for AttrsIter<'a> {
     type Item = (&'a Arc<str>, &'a Arc<str>);
 
     fn next(&mut self) -> Option<(&'a Arc<str>, &'a Arc<str>)> {
-        match self {
-            AttrsIter::Rows(it) => it.next().map(|a| (&a.name, &a.value)),
-            AttrsIter::Dict {
-                names,
-                codes,
-                values,
-                value_codes,
-                idx,
-            } => {
-                if *idx >= codes.len() {
-                    return None;
-                }
-                let i = *idx;
-                *idx += 1;
-                Some((names.str_of(codes[i]), values.str_of(value_codes[i])))
-            }
-        }
+        let (&n, &v) = self.codes.next()?;
+        Some((self.names.str_of(n), self.values.str_of(v)))
     }
 }

@@ -1,12 +1,13 @@
-//! XML serialization: turn (a subtree of) a pre|size|level container back
-//! into XML text with a single sequential scan.
+//! XML serialization: turn (a subtree of) a container back into XML text
+//! with a single sequential scan.
 //!
-//! Generic over [`NodeRead`], so results render directly from the paged
-//! store (pages are read on demand) as well as from flat [`Document`]s —
-//! no materialized read copy is ever built for serialization.
-//!
-//! [`Document`]: crate::doc::Document
+//! A subtree is a contiguous run of rows in preorder, so it serializes by
+//! one walk over the chunks of the column image
+//! ([`DocumentColumns::walk_rows`](crate::DocumentColumns)): a row opens
+//! its element, and the elements still open at or below its level close
+//! before it.  No materialized read copy is ever built for serialization.
 
+use crate::doc::Document;
 use crate::node::NodeKind;
 use crate::read::NodeRead;
 
@@ -33,59 +34,69 @@ fn push_escaped(out: &mut String, s: &str, attr: bool) {
 }
 
 /// Serialize the subtree rooted at `pre` into `out`.
-pub fn serialize_node<D: NodeRead>(doc: &D, pre: u32, out: &mut String) {
-    match doc.kind(pre) {
-        NodeKind::Text => push_escaped(out, doc.text_of(pre), false),
-        NodeKind::Comment => {
-            out.push_str("<!--");
-            out.push_str(doc.text_of(pre));
-            out.push_str("-->");
+pub fn serialize_node(doc: &Document, pre: u32, out: &mut String) {
+    let cols = doc.columns();
+    let (tags, names, values) = (cols.tags(), cols.attr_names(), cols.attr_values());
+    // the open elements: level and name
+    let mut open: Vec<(u16, &str)> = Vec::new();
+    let close = |out: &mut String, name: &str| {
+        out.push_str("</");
+        out.push_str(name);
+        out.push('>');
+    };
+    cols.walk_rows(pre, doc.size(pre) as usize + 1, |row| {
+        while let Some(&(_, name)) = open.last().filter(|&&(level, _)| level >= row.level) {
+            close(out, name);
+            open.pop();
         }
-        NodeKind::ProcessingInstruction => {
-            out.push_str("<?");
-            out.push_str(doc.name_of(pre));
-            let content = doc.text_of(pre);
-            if !content.is_empty() {
-                out.push(' ');
-                out.push_str(content);
+        let text = row.text.map_or("", |t| t);
+        match row.kind {
+            NodeKind::Text => push_escaped(out, text, false),
+            NodeKind::Comment => {
+                out.push_str("<!--");
+                out.push_str(text);
+                out.push_str("-->");
             }
-            out.push_str("?>");
+            NodeKind::ProcessingInstruction => {
+                out.push_str("<?");
+                out.push_str(tags.str_of(row.name_code));
+                if !text.is_empty() {
+                    out.push(' ');
+                    out.push_str(text);
+                }
+                out.push_str("?>");
+            }
+            // a document node contributes its children
+            NodeKind::Document => {}
+            NodeKind::Element => {
+                let name = tags.str_of(row.name_code);
+                out.push('<');
+                out.push_str(name);
+                for (&n, &v) in row.attr_names.iter().zip(row.attr_values) {
+                    out.push(' ');
+                    out.push_str(names.str_of(n));
+                    out.push_str("=\"");
+                    push_escaped(out, values.str_of(v), true);
+                    out.push('"');
+                }
+                if row.size == 0 {
+                    out.push_str("/>");
+                } else {
+                    out.push('>');
+                    open.push((row.level, name));
+                }
+            }
         }
-        NodeKind::Document => {
-            for child in doc.children(pre) {
-                serialize_node(doc, child, out);
-            }
-        }
-        NodeKind::Element => {
-            let name = doc.name_of(pre);
-            out.push('<');
-            out.push_str(name);
-            for (aname, value) in doc.attrs(pre) {
-                out.push(' ');
-                out.push_str(aname);
-                out.push_str("=\"");
-                push_escaped(out, value, true);
-                out.push('"');
-            }
-            if doc.size(pre) == 0 {
-                out.push_str("/>");
-                return;
-            }
-            out.push('>');
-            for child in doc.children(pre) {
-                serialize_node(doc, child, out);
-            }
-            out.push_str("</");
-            out.push_str(name);
-            out.push('>');
-        }
+    });
+    while let Some((_, name)) = open.pop() {
+        close(out, name);
     }
 }
 
 /// Serialize a whole container (all fragments, in order).
-pub fn serialize_document<D: NodeRead>(doc: &D) -> String {
+pub fn serialize_document(doc: &Document) -> String {
     let mut out = String::new();
-    for root in doc.root_pres() {
+    for &root in doc.fragment_roots() {
         serialize_node(doc, root, &mut out);
     }
     out

@@ -64,7 +64,7 @@ pub fn shred(name: &str, xml: &str, opts: &ShredOptions) -> Result<Document, Shr
         opts: opts.clone(),
     };
     if opts.document_node {
-        p.builder.start_element("#document");
+        p.builder.start_document();
     }
     p.parse_prolog()?;
     p.parse_element()?;
@@ -75,11 +75,7 @@ pub fn shred(name: &str, xml: &str, opts: &ShredOptions) -> Result<Document, Shr
     if p.pos < p.input.len() {
         return Err(p.error("trailing content after document element"));
     }
-    let mut doc = p.builder.finish();
-    if opts.document_node {
-        doc.set_kind(0, crate::node::NodeKind::Document);
-    }
-    Ok(doc)
+    Ok(p.builder.finish())
 }
 
 struct Parser<'a> {

@@ -8,13 +8,13 @@
 //! Every statement owns its own transient, and
 //! [`StoreSnapshot::resolve`] is the one place that maps fragment 0 to it.
 //!
-//! **The paged store is the source of truth**: loading a document stores
-//! it as its chunked column image ([`crate::columns::DocumentColumns`],
-//! whose chunks are the logical pages of [`crate::update::PagedDocument`])
-//! and the store keeps only the published immutable view — an
-//! [`Arc<PagedSnapshot>`] pinning that image.  Readers address a loaded
-//! document and a statement's transient alike through [`ContainerRef`],
-//! which implements [`NodeRead`].
+//! **The paged store is the source of truth**: a loaded document is its
+//! chunked column image ([`crate::columns::DocumentColumns`], whose chunks
+//! are the logical pages of [`crate::update::PagedDocument`]), and the
+//! store keeps only the published immutable view — an [`Arc<Document>`]
+//! pinning that image.  Loading a shredded document is an `Arc` wrap: the
+//! shredder already wrote the image.  Readers address a loaded document
+//! and a statement's transient alike as a `&Document`.
 //!
 //! Containers are held behind [`Arc`] so that a [`StoreSnapshot`] — the
 //! immutable view a query executes against — is a cheap clone of the
@@ -32,10 +32,8 @@ use mxq_engine::NodeId;
 
 use crate::disk::decode_snapshot;
 use crate::doc::Document;
-use crate::node::NodeKind;
-use crate::read::{AttrsIter, NamedRun, NodeRead};
+use crate::read::NodeRead;
 use crate::shred::{shred, ShredError, ShredOptions};
-use crate::update::{PagedDocument, PagedSnapshot};
 
 /// Fragment id of a statement's transient container (its constructed
 /// nodes); never the id of a loaded document.
@@ -76,7 +74,7 @@ fn slot(frag: u32) -> usize {
 pub struct EvictedPaged {
     name: String,
     path: PathBuf,
-    cell: OnceLock<Arc<PagedSnapshot>>,
+    cell: OnceLock<Arc<Document>>,
 }
 
 impl EvictedPaged {
@@ -97,7 +95,7 @@ impl EvictedPaged {
     /// checkpointed documents are ever evicted, so a failure here means the
     /// durable copy itself was damaged after the fact — there is no
     /// in-memory fallback, and a read path cannot return an error.
-    pub fn fault_in(&self) -> &Arc<PagedSnapshot> {
+    pub fn fault_in(&self) -> &Arc<Document> {
         self.cell.get_or_init(|| {
             let bytes = std::fs::read(&self.path).unwrap_or_else(|e| {
                 panic!(
@@ -121,7 +119,7 @@ impl EvictedPaged {
 #[derive(Debug, Clone)]
 pub enum Container {
     /// The published view of a paged document (its column image).
-    Paged(Arc<PagedSnapshot>),
+    Paged(Arc<Document>),
     /// A clean paged document dropped under a memory budget; reads fault
     /// it back in from the checkpoint image.
     Evicted(Arc<EvictedPaged>),
@@ -131,113 +129,18 @@ impl Container {
     /// The container name.
     pub fn name(&self) -> &str {
         match self {
-            Container::Paged(p) => p.name(),
+            Container::Paged(p) => &p.name,
             Container::Evicted(e) => &e.name,
         }
     }
 
-    /// A borrowed read handle.  An evicted container faults its snapshot
-    /// back in on the first call.
-    pub fn as_ref(&self) -> ContainerRef<'_> {
-        ContainerRef::Paged(self.resident())
-    }
-
-    /// The paged snapshot behind this container, faulting an evicted one
-    /// back in.
-    pub fn paged_snapshot(&self) -> Arc<PagedSnapshot> {
-        self.resident().clone()
-    }
-
-    fn resident(&self) -> &Arc<PagedSnapshot> {
+    /// The published document behind this container, faulting an evicted
+    /// one back in on the first call.
+    pub fn document(&self) -> &Arc<Document> {
         match self {
             Container::Paged(p) => p,
             Container::Evicted(e) => e.fault_in(),
         }
-    }
-}
-
-/// A borrowed read handle on one container — the type every read path
-/// (executor, serializer, naive comparator) navigates through.  Copy;
-/// dispatches each [`NodeRead`] call with one two-way branch.
-#[derive(Debug, Clone, Copy)]
-pub enum ContainerRef<'a> {
-    /// A flat document container.
-    Doc(&'a Document),
-    /// A paged snapshot container.
-    Paged(&'a PagedSnapshot),
-}
-
-impl<'a> ContainerRef<'a> {
-    /// The shared content of the text node at `pre` (`None` for other
-    /// kinds): a caller keeps the stored text without copying it.
-    pub fn text_arc(&self, pre: u32) -> Option<&'a Arc<str>> {
-        match *self {
-            ContainerRef::Doc(d) => d.text_arc(pre),
-            ContainerRef::Paged(p) => p.text_arc(pre),
-        }
-    }
-}
-
-macro_rules! delegate {
-    ($self:ident, $d:ident => $e:expr) => {
-        match $self {
-            ContainerRef::Doc($d) => $e,
-            ContainerRef::Paged($d) => $e,
-        }
-    };
-}
-
-impl NodeRead for ContainerRef<'_> {
-    fn len(&self) -> usize {
-        delegate!(self, d => NodeRead::len(*d))
-    }
-    fn size(&self, pre: u32) -> u32 {
-        delegate!(self, d => NodeRead::size(*d, pre))
-    }
-    fn level(&self, pre: u32) -> u16 {
-        delegate!(self, d => NodeRead::level(*d, pre))
-    }
-    fn kind(&self, pre: u32) -> NodeKind {
-        delegate!(self, d => NodeRead::kind(*d, pre))
-    }
-    fn name_of(&self, pre: u32) -> &str {
-        delegate!(self, d => NodeRead::name_of(*d, pre))
-    }
-    fn text_of(&self, pre: u32) -> &str {
-        delegate!(self, d => NodeRead::text_of(*d, pre))
-    }
-    fn qname_id(&self, pre: u32) -> Option<u32> {
-        delegate!(self, d => NodeRead::qname_id(*d, pre))
-    }
-    fn lookup_qname(&self, name: &str) -> Option<u32> {
-        delegate!(self, d => NodeRead::lookup_qname(*d, name))
-    }
-    fn attribute(&self, pre: u32, name: &str) -> Option<&str> {
-        delegate!(self, d => NodeRead::attribute(*d, pre, name))
-    }
-    fn attrs(&self, pre: u32) -> AttrsIter<'_> {
-        delegate!(self, d => NodeRead::attrs(*d, pre))
-    }
-    fn root_pres(&self) -> Vec<u32> {
-        delegate!(self, d => NodeRead::root_pres(*d))
-    }
-    fn run_named(&self, pre: u32, name_id: u32) -> NamedRun<'_> {
-        delegate!(self, d => NodeRead::run_named(*d, pre, name_id))
-    }
-    fn run_end(&self, pre: u32) -> u32 {
-        delegate!(self, d => NodeRead::run_end(*d, pre))
-    }
-    fn run_has_name(&self, pre: u32, name_id: u32) -> bool {
-        delegate!(self, d => NodeRead::run_has_name(*d, pre, name_id))
-    }
-    fn run_has_kind(&self, pre: u32, kind: NodeKind) -> bool {
-        delegate!(self, d => NodeRead::run_has_kind(*d, pre, kind))
-    }
-    fn parent(&self, pre: u32) -> Option<u32> {
-        delegate!(self, d => NodeRead::parent(*d, pre))
-    }
-    fn string_value(&self, pre: u32) -> String {
-        delegate!(self, d => NodeRead::string_value(*d, pre))
     }
 }
 
@@ -275,16 +178,16 @@ impl DocStore {
         self.generation
     }
 
-    /// Load an already shredded document: stores it as its column image
-    /// and publishes the paged view.  Returns the fragment id.
+    /// Load an already shredded document: its column image is the paged
+    /// view.  Returns the fragment id.
     pub fn add_document(&mut self, doc: Document) -> u32 {
-        let paged = PagedDocument::from_document(&doc);
-        self.add_paged(&doc.name, Arc::new(paged.snapshot()))
+        let name = doc.name.clone();
+        self.add_paged(&name, Arc::new(doc))
     }
 
     /// Register a published paged view under a name, returning its fragment
     /// id.
-    pub fn add_paged(&mut self, name: &str, snap: Arc<PagedSnapshot>) -> u32 {
+    pub fn add_paged(&mut self, name: &str, snap: Arc<Document>) -> u32 {
         self.containers.push(Container::Paged(snap));
         let frag = self.containers.len() as u32;
         Arc::make_mut(&mut self.by_name).insert(name.to_string(), frag);
@@ -316,7 +219,7 @@ impl DocStore {
     ///
     /// Fails with [`StoreError`] if the fragment id names no loaded
     /// document; the store is left untouched.
-    pub fn publish(&mut self, frag: u32, snap: Arc<PagedSnapshot>) -> Result<(), StoreError> {
+    pub fn publish(&mut self, frag: u32, snap: Arc<Document>) -> Result<(), StoreError> {
         let container = self
             .containers
             .get_mut(slot(frag))
@@ -330,8 +233,8 @@ impl DocStore {
     ///
     /// # Panics
     /// Panics if the fragment id names no loaded document.
-    pub fn container(&self, frag: u32) -> ContainerRef<'_> {
-        self.containers[slot(frag)].as_ref()
+    pub fn container(&self, frag: u32) -> &Document {
+        self.containers[slot(frag)].document()
     }
 
     /// Shared handle to a container by fragment id (cheap `Arc` clone).
@@ -354,7 +257,7 @@ impl DocStore {
 
     /// Total number of nodes over all loaded documents (diagnostics).
     pub fn total_nodes(&self) -> usize {
-        self.containers.iter().map(|c| c.as_ref().len()).sum()
+        self.containers.iter().map(|c| c.document().len()).sum()
     }
 
     /// Force the generation counter (crash recovery replays a WAL whose
@@ -444,8 +347,8 @@ impl StoreSnapshot {
     ///
     /// # Panics
     /// Panics if the fragment id names no loaded document.
-    pub fn container(&self, frag: u32) -> ContainerRef<'_> {
-        self.containers[slot(frag)].as_ref()
+    pub fn container(&self, frag: u32) -> &Document {
+        self.containers[slot(frag)].document()
     }
 
     /// Resolve a fragment id for a statement evaluated against this
@@ -454,9 +357,9 @@ impl StoreSnapshot {
     ///
     /// # Panics
     /// Panics if a nonzero fragment id names no loaded document.
-    pub fn resolve<'a>(&'a self, transient: &'a Document, frag: u32) -> ContainerRef<'a> {
+    pub fn resolve<'a>(&'a self, transient: &'a Document, frag: u32) -> &'a Document {
         if frag == TRANSIENT_FRAG {
-            ContainerRef::Doc(transient)
+            transient
         } else {
             self.container(frag)
         }
@@ -489,6 +392,7 @@ impl StoreSnapshot {
 mod tests {
     use super::*;
     use crate::doc::DocumentBuilder;
+    use crate::update::PagedDocument;
 
     #[test]
     fn load_lookup_and_roots() {
@@ -503,8 +407,6 @@ mod tests {
         let doc = store.container(root.frag);
         let first_child = doc.children(root.pre).next().unwrap();
         assert_eq!(doc.name_of(first_child), "a");
-        // loaded documents live in the paged store
-        assert!(matches!(store.container(frag), ContainerRef::Paged(_)));
     }
 
     /// Constructed fragments append to the statement's own transient,
@@ -517,16 +419,16 @@ mod tests {
         let snap = store.snapshot();
         let mut builder = DocumentBuilder::new("#transient");
         let n1 = builder.start_element("greeting");
-        builder.copy_subtree(&snap.container(frag), 2);
+        builder.copy_subtree(snap.container(frag), 2);
         builder.end_element();
-        let mut builder = DocumentBuilder::append_to(builder.finish(), 0);
+        let mut builder = DocumentBuilder::append_to(builder.finish());
         let n2 = builder.start_element("other");
         builder.end_element();
         let transient = builder.finish();
         assert!(n1 < n2);
         assert_eq!(transient.fragment_roots().len(), 2);
         let resolved = snap.resolve(&transient, TRANSIENT_FRAG);
-        assert!(matches!(resolved, ContainerRef::Doc(_)));
+        assert!(std::ptr::eq(resolved, &transient));
         assert_eq!(resolved.string_value(n1), "hi");
         assert_eq!(resolved.name_of(n2), "other");
         assert_eq!(snap.resolve(&transient, frag).name_of(1), "a");
@@ -550,7 +452,7 @@ mod tests {
     fn publish_to_bad_fragment_is_an_error_not_an_abort() {
         let mut store = DocStore::new();
         let frag = store.load_xml("a.xml", "<a/>").unwrap();
-        let snap = store.container_owned(frag).paged_snapshot();
+        let snap = store.container_owned(frag).document().clone();
         let gen_before = store.generation();
         assert_eq!(
             store.publish(TRANSIENT_FRAG, snap.clone()),
@@ -617,7 +519,7 @@ mod tests {
             assert_eq!(paged.kind(p), flat.kind(p), "kind at {p}");
             assert_eq!(paged.name_of(p), flat.name_of(p), "name at {p}");
             assert_eq!(paged.text_of(p), flat.text_of(p), "text at {p}");
-            assert_eq!(NodeRead::parent(&paged, p), flat.parent(p), "parent at {p}");
+            assert_eq!(paged.parent(p), flat.parent(p), "parent at {p}");
             assert_eq!(paged.string_value(p), flat.string_value(p));
         }
         assert_eq!(paged.attribute(1, "a"), Some("1"));

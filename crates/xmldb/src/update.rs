@@ -9,7 +9,8 @@
 //! image ([`DocumentColumns`]): a splice lands in one chunk and shifts only
 //! its rows, a chunk that outgrows twice its row target splits into
 //! row-target pieces, and a chunk emptied by deletes is dropped.  The chunk
-//! image is the document's only store.
+//! image is the document's only store, and [`PagedDocument::snapshot`]
+//! publishes it as a [`Document`], the one container type.
 //!
 //! Two implementations are provided so the ablation (README, "Updates")
 //! can compare them:
@@ -27,9 +28,8 @@
 use std::sync::Arc;
 
 use crate::columns::DocumentColumns;
-use crate::doc::{Document, DocumentBuilder};
+use crate::doc::Document;
 use crate::node::NodeKind;
-use crate::read::{AttrsIter, NamedRun, NodeRead};
 
 /// Cost counters accumulated by the update schemes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -66,7 +66,8 @@ impl UpdateStats {
 ///
 /// All positions are *logical* preorder ranks in the current document state.
 /// Inserted fragments may hold several fragment roots (a sequence of nodes);
-/// their levels are re-based onto the insertion point.
+/// their rows are read in one walk over their chunks and their levels
+/// re-based onto the insertion point.
 pub trait StructuralUpdate {
     /// Number of nodes in the logical view.
     fn node_count(&self) -> usize;
@@ -107,7 +108,7 @@ pub trait StructuralUpdate {
     fn remove_attribute(&mut self, pre: u32, name: &str);
     /// Rename an attribute of the element at `pre` (no-op if absent).
     fn rename_attribute(&mut self, pre: u32, name: &str, new_name: &str);
-    /// Materialize the logical view as a read-only [`Document`].
+    /// The logical view as a read-only [`Document`].
     fn to_document(&self) -> Document;
     /// Accumulated cost counters.
     fn update_stats(&self) -> UpdateStats;
@@ -132,25 +133,30 @@ pub(crate) struct Tuple {
 /// The rows of `doc` in preorder, sharing its name, text and attribute
 /// strings.
 pub(crate) fn tuples_of(doc: &Document) -> Vec<Tuple> {
+    let cols = doc.columns();
+    let (tags, names, values) = (cols.tags(), cols.attr_names(), cols.attr_values());
     let empty: Arc<str> = Arc::from("");
     let document: Arc<str> = Arc::from("#document");
-    (0..doc.len() as u32)
-        .map(|pre| Tuple {
-            size: doc.size(pre),
-            level: doc.level(pre),
-            kind: doc.kind(pre),
-            name: match doc.kind(pre) {
+    let mut rows = Vec::with_capacity(cols.len());
+    cols.walk_rows(0, cols.len(), |row| {
+        rows.push(Tuple {
+            size: row.size,
+            level: row.level,
+            kind: row.kind,
+            name: match row.kind {
                 NodeKind::Document => document.clone(),
-                _ => doc.name_arc(pre).unwrap_or(&empty).clone(),
+                _ => tags.str_of(row.name_code).clone(),
             },
-            text: doc.content_arc(pre).unwrap_or(&empty).clone(),
-            attrs: doc
-                .attributes(pre)
+            text: row.text.unwrap_or(&empty).clone(),
+            attrs: row
+                .attr_names
                 .iter()
-                .map(|a| (a.name.clone(), a.value.clone()))
+                .zip(row.attr_values)
+                .map(|(&n, &v)| (names.str_of(n).clone(), values.str_of(v).clone()))
                 .collect(),
         })
-        .collect()
+    });
+    rows
 }
 
 /// A childless text row at `level`.
@@ -167,64 +173,11 @@ fn text_tuple(level: u16, text: &str) -> Tuple {
 
 /// Fragment tuples with their levels re-based onto `level_base`.
 fn rebased_tuples(fragment: &Document, level_base: u16) -> Vec<Tuple> {
-    tuples_of(fragment)
-        .into_iter()
-        .map(|mut t| {
-            t.level += level_base;
-            t
-        })
-        .collect()
-}
-
-/// Rebuild a read-only [`Document`] from a preorder tuple stream.  Built
-/// through [`DocumentBuilder`] so all property containers (qname index,
-/// PI targets, attribute rows) are re-established and subtree sizes are
-/// recomputed from the level structure.
-pub(crate) fn materialize(name: &str, tuples: impl Iterator<Item = Tuple>) -> Document {
-    let mut b = DocumentBuilder::new(name);
-    // stack of open element levels
-    let mut open: Vec<u16> = Vec::new();
-    // preorder ranks that must become document-kind nodes
-    let mut doc_nodes: Vec<u32> = Vec::new();
-    for t in tuples {
-        while let Some(&lv) = open.last() {
-            if t.level <= lv {
-                b.end_element();
-                open.pop();
-            } else {
-                break;
-            }
-        }
-        match t.kind {
-            NodeKind::Element | NodeKind::Document => {
-                let pre = b.start_element(&t.name);
-                if t.kind == NodeKind::Document {
-                    doc_nodes.push(pre);
-                }
-                for (n, v) in &t.attrs {
-                    b.attribute(n, v);
-                }
-                open.push(t.level);
-            }
-            NodeKind::Text => {
-                b.text(&t.text);
-            }
-            NodeKind::Comment => {
-                b.comment(&t.text);
-            }
-            NodeKind::ProcessingInstruction => {
-                b.processing_instruction(&t.name, &t.text);
-            }
-        }
+    let mut rows = tuples_of(fragment);
+    for t in &mut rows {
+        t.level += level_base;
     }
-    while open.pop().is_some() {
-        b.end_element();
-    }
-    let mut doc = b.finish();
-    for pre in doc_nodes {
-        doc.set_kind(pre, NodeKind::Document);
-    }
-    doc
+    rows
 }
 
 // ---------------------------------------------------------------------------
@@ -334,9 +287,26 @@ impl NaiveDocument {
             anc = self.parent(a);
         }
     }
+}
 
-    /// Insert `fragment` as the first child of `parent_pre`.
-    pub fn insert_first_child(&mut self, parent_pre: u32, fragment: &Document) {
+impl StructuralUpdate for NaiveDocument {
+    fn node_count(&self) -> usize {
+        self.len()
+    }
+    fn node_kind(&self, pre: u32) -> NodeKind {
+        self.kind(pre)
+    }
+    fn node_size(&self, pre: u32) -> u32 {
+        self.size(pre)
+    }
+    fn node_level(&self, pre: u32) -> u16 {
+        self.level(pre)
+    }
+    fn node_parent(&self, pre: u32) -> Option<u32> {
+        self.parent(pre)
+    }
+
+    fn insert_first_child(&mut self, parent_pre: u32, fragment: &Document) {
         self.assert_container(parent_pre, "insert_first_child");
         let level = self.level(parent_pre) + 1;
         self.splice_in(
@@ -346,43 +316,36 @@ impl NaiveDocument {
         );
     }
 
-    /// Insert `fragment` as the last child of `parent_pre`.
-    pub fn insert_last_child(&mut self, parent_pre: u32, fragment: &Document) {
+    fn insert_last_child(&mut self, parent_pre: u32, fragment: &Document) {
         self.assert_container(parent_pre, "insert_last_child");
         let insert_at = (parent_pre + self.size(parent_pre) + 1) as usize;
         let level = self.level(parent_pre) + 1;
         self.splice_in(insert_at, rebased_tuples(fragment, level), Some(parent_pre));
     }
 
-    /// Insert `fragment` immediately before the node at `pre` (as siblings).
-    pub fn insert_before(&mut self, pre: u32, fragment: &Document) {
+    fn insert_before(&mut self, pre: u32, fragment: &Document) {
         self.insert_at(pre, self.level(pre), fragment);
     }
 
-    /// Insert `fragment` at logical position `pos` with the given level (see
-    /// [`StructuralUpdate::insert_at`]).
-    pub fn insert_at(&mut self, pos: u32, level: u16, fragment: &Document) {
+    fn insert_at(&mut self, pos: u32, level: u16, fragment: &Document) {
         let anchor = self.anchor_before(pos, level);
         self.splice_in(pos as usize, rebased_tuples(fragment, level), anchor);
     }
 
-    /// Insert `fragment` immediately after the subtree of the node at `pre`.
-    pub fn insert_after(&mut self, pre: u32, fragment: &Document) {
+    fn insert_after(&mut self, pre: u32, fragment: &Document) {
         let level = self.level(pre);
         let insert_at = pre + self.size(pre) + 1;
         self.insert_at(insert_at, level, fragment);
     }
 
-    /// Delete the subtree rooted at `pre`.
-    pub fn delete_subtree(&mut self, pre: u32) {
+    fn delete_subtree(&mut self, pre: u32) {
         let removed = self.size(pre) + 1;
         let parent = self.parent(pre);
         self.remove_range(pre as usize, removed as usize);
         self.shrink_ancestors(parent, removed);
     }
 
-    /// Replace the subtree rooted at `pre` with `fragment`.
-    pub fn replace_subtree(&mut self, pre: u32, fragment: &Document) {
+    fn replace_subtree(&mut self, pre: u32, fragment: &Document) {
         let removed = self.size(pre) + 1;
         let level = self.level(pre);
         let anchor = self.parent(pre);
@@ -391,9 +354,7 @@ impl NaiveDocument {
         self.splice_in(pre as usize, rebased_tuples(fragment, level), anchor);
     }
 
-    /// Replace the value of the node at `pre` (see
-    /// [`StructuralUpdate::replace_value`]).
-    pub fn replace_value(&mut self, pre: u32, text: &str) {
+    fn replace_value(&mut self, pre: u32, text: &str) {
         match self.kind(pre) {
             NodeKind::Text | NodeKind::Comment | NodeKind::ProcessingInstruction => {
                 self.tuples[pre as usize].text = Arc::from(text);
@@ -417,8 +378,7 @@ impl NaiveDocument {
         }
     }
 
-    /// Rename the element or processing instruction at `pre`.
-    pub fn rename(&mut self, pre: u32, name: &str) {
+    fn rename(&mut self, pre: u32, name: &str) {
         if matches!(
             self.kind(pre),
             NodeKind::Element | NodeKind::ProcessingInstruction
@@ -428,8 +388,7 @@ impl NaiveDocument {
         }
     }
 
-    /// Set (or insert) an attribute on the element at `pre`.
-    pub fn set_attribute(&mut self, pre: u32, name: &str, value: &str) {
+    fn set_attribute(&mut self, pre: u32, name: &str, value: &str) {
         self.assert_container(pre, "set_attribute");
         let attrs = &mut self.tuples[pre as usize].attrs;
         match attrs.iter_mut().find(|(n, _)| n.as_ref() == name) {
@@ -439,16 +398,14 @@ impl NaiveDocument {
         self.stats.tuples_written += 1;
     }
 
-    /// Remove an attribute from the element at `pre` (no-op if absent).
-    pub fn remove_attribute(&mut self, pre: u32, name: &str) {
+    fn remove_attribute(&mut self, pre: u32, name: &str) {
         self.tuples[pre as usize]
             .attrs
             .retain(|(n, _)| n.as_ref() != name);
         self.stats.tuples_written += 1;
     }
 
-    /// Rename an attribute of the element at `pre` (no-op if absent).
-    pub fn rename_attribute(&mut self, pre: u32, name: &str, new_name: &str) {
+    fn rename_attribute(&mut self, pre: u32, name: &str, new_name: &str) {
         if let Some((n, _)) = self.tuples[pre as usize]
             .attrs
             .iter_mut()
@@ -459,9 +416,13 @@ impl NaiveDocument {
         self.stats.tuples_written += 1;
     }
 
-    /// Materialize a read-only [`Document`] for querying / verification.
-    pub fn to_document(&self) -> Document {
-        materialize(&self.name, self.tuples.iter().cloned())
+    /// The tuples rebuilt into a container, for querying / verification.
+    fn to_document(&self) -> Document {
+        Document::from_rows(self.name.clone(), &self.tuples)
+    }
+
+    fn update_stats(&self) -> UpdateStats {
+        self.stats
     }
 }
 
@@ -477,9 +438,9 @@ impl NaiveDocument {
 /// the image — a splice that lands in one chunk (splitting it when it
 /// outgrows twice the row target), a removal, a size delta, or an in-place
 /// name, text or attribute write.  Chunks are copied on their first write
-/// after a publish.  [`PagedDocument::snapshot`] publishes an immutable
-/// [`PagedSnapshot`] in O(1) plus the fragment-root scan: the read view
-/// queries scan.
+/// after a publish.  [`PagedDocument::snapshot`] publishes the image as an
+/// immutable [`Document`] in O(1) plus the fragment-root scan: the read
+/// view queries scan.
 #[derive(Debug, Clone)]
 pub struct PagedDocument {
     name: String,
@@ -491,21 +452,12 @@ pub struct PagedDocument {
 }
 
 impl PagedDocument {
-    /// Store an existing document as its chunked column image.
+    /// The updatable master of a container: an `Arc` clone of its image;
+    /// chunks are copied on first write only.
     pub fn from_document(doc: &Document) -> Self {
         PagedDocument {
             name: doc.name.clone(),
-            columns: Arc::new(DocumentColumns::new(doc)),
-            stats: UpdateStats::default(),
-        }
-    }
-
-    /// Reconstruct the mutable master from a published [`PagedSnapshot`] —
-    /// an `Arc` clone of the image; chunks are copied on first write only.
-    pub fn from_snapshot(snap: &PagedSnapshot) -> Self {
-        PagedDocument {
-            name: snap.name.clone(),
-            columns: snap.columns.clone(),
+            columns: doc.columns_arc(),
             stats: UpdateStats::default(),
         }
     }
@@ -513,11 +465,6 @@ impl PagedDocument {
     /// The incrementally maintained relational image of the current state.
     pub fn columns(&self) -> &DocumentColumns {
         &self.columns
-    }
-
-    /// Shared handle to the relational image (what a publish pins).
-    pub fn columns_arc(&self) -> Arc<DocumentColumns> {
-        self.columns.clone()
     }
 
     /// Rebuild the column image at a different chunk row target (must be a
@@ -528,10 +475,10 @@ impl PagedDocument {
         self.columns = Arc::new(self.columns.rechunked(chunk_rows));
     }
 
-    /// Publish the current state as an immutable snapshot: the column
+    /// Publish the current state as an immutable container: the column
     /// image (an `Arc` clone) and its fragment roots.
-    pub fn snapshot(&self) -> PagedSnapshot {
-        PagedSnapshot::new(self.name.clone(), self.columns.clone())
+    pub fn snapshot(&self) -> Document {
+        Document::from_columns(self.name.clone(), self.columns.clone())
     }
 
     /// Number of nodes in the logical view.
@@ -636,74 +583,78 @@ impl PagedDocument {
         self.stats.pages_touched += 1;
     }
 
-    /// Insert `fragment` as the first child of the node at `parent_pre`.
-    pub fn insert_first_child(&mut self, parent_pre: u32, fragment: &Document) {
-        self.assert_container(parent_pre, "insert_first_child");
-        let level = self.level(parent_pre) + 1;
-        let rows = rebased_tuples(fragment, level);
-        let added = rows.len() as i64;
-        self.insert_rows_at(parent_pre as usize + 1, rows);
-        self.bump_ancestors(Some(parent_pre), added);
-    }
-
-    /// Insert `fragment` as the last child of the node at logical position
-    /// `parent_pre`.
-    pub fn insert_last_child(&mut self, parent_pre: u32, fragment: &Document) {
-        self.assert_container(parent_pre, "insert_last_child");
-        let insert_pos = (parent_pre + self.size(parent_pre) + 1) as usize;
-        let level = self.level(parent_pre) + 1;
-        let rows = rebased_tuples(fragment, level);
-        let added = rows.len() as i64;
-        self.insert_rows_at(insert_pos, rows);
-        self.bump_ancestors(Some(parent_pre), added);
-    }
-
-    /// Insert `fragment` immediately before the node at `pre` (as siblings).
-    pub fn insert_before(&mut self, pre: u32, fragment: &Document) {
-        self.insert_at(pre, self.level(pre), fragment);
-    }
-
-    /// Insert `fragment` at logical position `pos` with the given level (see
-    /// [`StructuralUpdate::insert_at`]).
-    pub fn insert_at(&mut self, pos: u32, level: u16, fragment: &Document) {
-        let anchor = self.anchor_before(pos, level);
+    /// Insert `fragment` at `pos` with its roots at `level`, growing the
+    /// ancestors from `anchor` on.
+    fn insert_fragment(&mut self, pos: u32, level: u16, anchor: Option<u32>, fragment: &Document) {
         let rows = rebased_tuples(fragment, level);
         let added = rows.len() as i64;
         self.insert_rows_at(pos as usize, rows);
         self.bump_ancestors(anchor, added);
     }
+}
 
-    /// Insert `fragment` immediately after the subtree of the node at `pre`.
-    pub fn insert_after(&mut self, pre: u32, fragment: &Document) {
-        let level = self.level(pre);
-        let insert_pos = pre + self.size(pre) + 1;
-        self.insert_at(insert_pos, level, fragment);
+impl StructuralUpdate for PagedDocument {
+    fn node_count(&self) -> usize {
+        self.len()
+    }
+    fn node_kind(&self, pre: u32) -> NodeKind {
+        self.kind(pre)
+    }
+    fn node_size(&self, pre: u32) -> u32 {
+        self.size(pre)
+    }
+    fn node_level(&self, pre: u32) -> u16 {
+        self.level(pre)
+    }
+    fn node_parent(&self, pre: u32) -> Option<u32> {
+        self.parent(pre)
     }
 
-    /// Delete the subtree rooted at logical position `pre`.
-    pub fn delete_subtree(&mut self, pre: u32) {
+    fn insert_first_child(&mut self, parent_pre: u32, fragment: &Document) {
+        self.assert_container(parent_pre, "insert_first_child");
+        let level = self.level(parent_pre) + 1;
+        self.insert_fragment(parent_pre + 1, level, Some(parent_pre), fragment);
+    }
+
+    fn insert_last_child(&mut self, parent_pre: u32, fragment: &Document) {
+        self.assert_container(parent_pre, "insert_last_child");
+        let pos = parent_pre + self.size(parent_pre) + 1;
+        let level = self.level(parent_pre) + 1;
+        self.insert_fragment(pos, level, Some(parent_pre), fragment);
+    }
+
+    fn insert_before(&mut self, pre: u32, fragment: &Document) {
+        self.insert_at(pre, self.level(pre), fragment);
+    }
+
+    fn insert_at(&mut self, pos: u32, level: u16, fragment: &Document) {
+        let anchor = self.anchor_before(pos, level);
+        self.insert_fragment(pos, level, anchor, fragment);
+    }
+
+    fn insert_after(&mut self, pre: u32, fragment: &Document) {
+        let level = self.level(pre);
+        let pos = pre + self.size(pre) + 1;
+        self.insert_at(pos, level, fragment);
+    }
+
+    fn delete_subtree(&mut self, pre: u32) {
         let removed = self.size(pre) + 1;
         let parent = self.parent(pre);
         self.remove_range(pre as usize, removed as usize);
         self.bump_ancestors(parent, -(removed as i64));
     }
 
-    /// Replace the subtree rooted at `pre` with `fragment`.
-    pub fn replace_subtree(&mut self, pre: u32, fragment: &Document) {
+    fn replace_subtree(&mut self, pre: u32, fragment: &Document) {
         let removed = self.size(pre) + 1;
         let level = self.level(pre);
         let anchor = self.parent(pre);
         self.remove_range(pre as usize, removed as usize);
         self.bump_ancestors(anchor, -(removed as i64));
-        let rows = rebased_tuples(fragment, level);
-        let added = rows.len() as i64;
-        self.insert_rows_at(pre as usize, rows);
-        self.bump_ancestors(anchor, added);
+        self.insert_fragment(pre, level, anchor, fragment);
     }
 
-    /// Replace the value of the node at `pre` (see
-    /// [`StructuralUpdate::replace_value`]).
-    pub fn replace_value(&mut self, pre: u32, text: &str) {
+    fn replace_value(&mut self, pre: u32, text: &str) {
         match self.kind(pre) {
             NodeKind::Text | NodeKind::Comment | NodeKind::ProcessingInstruction => {
                 self.columns_mut().set_text(pre, text);
@@ -724,8 +675,7 @@ impl PagedDocument {
         }
     }
 
-    /// Rename the element or processing instruction at `pre`.
-    pub fn rename(&mut self, pre: u32, name: &str) {
+    fn rename(&mut self, pre: u32, name: &str) {
         if matches!(
             self.kind(pre),
             NodeKind::Element | NodeKind::ProcessingInstruction
@@ -735,242 +685,32 @@ impl PagedDocument {
         }
     }
 
-    /// Set (or insert) an attribute on the element at `pre`.
-    pub fn set_attribute(&mut self, pre: u32, name: &str, value: &str) {
+    fn set_attribute(&mut self, pre: u32, name: &str, value: &str) {
         self.assert_container(pre, "set_attribute");
         self.columns_mut().set_attribute(pre, name, value);
         self.count_row_write();
     }
 
-    /// Remove an attribute from the element at `pre` (no-op if absent).
-    pub fn remove_attribute(&mut self, pre: u32, name: &str) {
+    fn remove_attribute(&mut self, pre: u32, name: &str) {
         self.columns_mut().remove_attribute(pre, name);
         self.count_row_write();
     }
 
-    /// Rename an attribute of the element at `pre` (no-op if absent).
-    pub fn rename_attribute(&mut self, pre: u32, name: &str, new_name: &str) {
+    fn rename_attribute(&mut self, pre: u32, name: &str, new_name: &str) {
         self.columns_mut().rename_attribute(pre, name, new_name);
         self.count_row_write();
     }
 
-    /// Materialize the logical view as a read-only [`Document`] (the
-    /// "pre|size|level table view with pages in logical order" of Fig. 11).
-    /// Used by the differential tests and the naive comparator — the query
-    /// path reads the columns directly via [`PagedSnapshot`].
-    pub fn to_document(&self) -> Document {
-        self.snapshot().to_document()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// the published, immutable read view
-// ---------------------------------------------------------------------------
-
-/// An immutable snapshot of a [`PagedDocument`]: the pinned column image
-/// and its fragment roots.  This is what the store publishes and what
-/// queries scan — structural reads, names, texts and attribute cursors all
-/// come from the chunked columns.
-#[derive(Debug, Clone)]
-pub struct PagedSnapshot {
-    name: String,
-    columns: Arc<DocumentColumns>,
-    frag_roots: Vec<u32>,
-}
-
-impl PagedSnapshot {
-    /// A snapshot of `columns` under the document name `name`.
-    pub(crate) fn new(name: String, columns: Arc<DocumentColumns>) -> PagedSnapshot {
-        PagedSnapshot {
-            name,
-            frag_roots: columns.fragment_roots(),
-            columns,
-        }
-    }
-
-    /// The document (container) name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Rough resident-memory footprint in bytes of the column image.
-    pub fn approx_bytes(&self) -> usize {
-        self.columns.approx_bytes()
-    }
-
-    /// The pinned relational image.
-    pub fn columns(&self) -> &DocumentColumns {
-        &self.columns
-    }
-
-    /// Shared handle to the relational image.
-    pub fn columns_arc(&self) -> Arc<DocumentColumns> {
-        self.columns.clone()
-    }
-
-    /// The shared content of the text node at `pre` (`None` for other
-    /// kinds).
-    pub(crate) fn text_arc(&self, pre: u32) -> Option<&Arc<str>> {
-        match self.kind(pre) {
-            NodeKind::Text => self.columns.node_text(pre),
-            _ => None,
-        }
-    }
-
-    /// Copy the whole view into a flat [`Document`], one fragment per
-    /// root, by a walk over the chunk rows.
+    /// The "pre|size|level table view with pages in logical order" of
+    /// Fig. 11: the published snapshot.
     fn to_document(&self) -> Document {
-        let mut doc = Document::new(self.name.clone());
-        for &root in &self.frag_roots {
-            doc.add_fragment_root(doc.len() as u32);
-            doc.copy_from_columns(&self.columns, root, 0);
-        }
-        doc
+        self.snapshot()
+    }
+
+    fn update_stats(&self) -> UpdateStats {
+        self.stats
     }
 }
-
-impl NodeRead for PagedSnapshot {
-    fn len(&self) -> usize {
-        self.columns.len()
-    }
-
-    #[inline]
-    fn size(&self, pre: u32) -> u32 {
-        self.columns.node_size(pre)
-    }
-
-    #[inline]
-    fn level(&self, pre: u32) -> u16 {
-        self.columns.node_level(pre)
-    }
-
-    #[inline]
-    fn kind(&self, pre: u32) -> NodeKind {
-        self.columns.node_kind(pre)
-    }
-
-    fn name_of(&self, pre: u32) -> &str {
-        match self.kind(pre) {
-            NodeKind::Element | NodeKind::ProcessingInstruction => self.columns.node_name(pre),
-            _ => "",
-        }
-    }
-
-    fn text_of(&self, pre: u32) -> &str {
-        self.columns.node_text(pre).map_or("", |t| t)
-    }
-
-    fn qname_id(&self, pre: u32) -> Option<u32> {
-        match self.kind(pre) {
-            NodeKind::Element => Some(self.columns.node_name_code(pre)),
-            _ => None,
-        }
-    }
-
-    fn lookup_qname(&self, name: &str) -> Option<u32> {
-        self.columns.tags().code_of(name)
-    }
-
-    fn attribute(&self, pre: u32, name: &str) -> Option<&str> {
-        self.columns.attr_value_of(pre, name)
-    }
-
-    fn attrs(&self, pre: u32) -> AttrsIter<'_> {
-        self.columns.attrs_of(pre)
-    }
-
-    fn root_pres(&self) -> Vec<u32> {
-        self.frag_roots.clone()
-    }
-
-    // the storage runs of the read view are the chunks of the column image
-    // — the rows a structural scan actually reads
-
-    fn run_named(&self, pre: u32, name_id: u32) -> NamedRun<'_> {
-        self.columns.chunk_named(pre, name_id)
-    }
-
-    fn run_end(&self, pre: u32) -> u32 {
-        let (start, len) = self.columns.chunk_span(self.columns.chunk_of(pre));
-        start + len as u32 - 1
-    }
-
-    fn run_has_kind(&self, pre: u32, kind: NodeKind) -> bool {
-        self.columns
-            .chunk_has_kind(self.columns.chunk_of(pre), kind)
-    }
-
-    fn parent(&self, pre: u32) -> Option<u32> {
-        self.columns.anchor_before(pre, self.level(pre))
-    }
-}
-
-macro_rules! impl_structural_update {
-    ($ty:ty) => {
-        impl StructuralUpdate for $ty {
-            fn node_count(&self) -> usize {
-                self.len()
-            }
-            fn node_kind(&self, pre: u32) -> NodeKind {
-                self.kind(pre)
-            }
-            fn node_size(&self, pre: u32) -> u32 {
-                self.size(pre)
-            }
-            fn node_level(&self, pre: u32) -> u16 {
-                self.level(pre)
-            }
-            fn node_parent(&self, pre: u32) -> Option<u32> {
-                self.parent(pre)
-            }
-            fn insert_first_child(&mut self, parent_pre: u32, fragment: &Document) {
-                <$ty>::insert_first_child(self, parent_pre, fragment)
-            }
-            fn insert_last_child(&mut self, parent_pre: u32, fragment: &Document) {
-                <$ty>::insert_last_child(self, parent_pre, fragment)
-            }
-            fn insert_before(&mut self, pre: u32, fragment: &Document) {
-                <$ty>::insert_before(self, pre, fragment)
-            }
-            fn insert_at(&mut self, pos: u32, level: u16, fragment: &Document) {
-                <$ty>::insert_at(self, pos, level, fragment)
-            }
-            fn insert_after(&mut self, pre: u32, fragment: &Document) {
-                <$ty>::insert_after(self, pre, fragment)
-            }
-            fn delete_subtree(&mut self, pre: u32) {
-                <$ty>::delete_subtree(self, pre)
-            }
-            fn replace_subtree(&mut self, pre: u32, fragment: &Document) {
-                <$ty>::replace_subtree(self, pre, fragment)
-            }
-            fn replace_value(&mut self, pre: u32, text: &str) {
-                <$ty>::replace_value(self, pre, text)
-            }
-            fn rename(&mut self, pre: u32, name: &str) {
-                <$ty>::rename(self, pre, name)
-            }
-            fn set_attribute(&mut self, pre: u32, name: &str, value: &str) {
-                <$ty>::set_attribute(self, pre, name, value)
-            }
-            fn remove_attribute(&mut self, pre: u32, name: &str) {
-                <$ty>::remove_attribute(self, pre, name)
-            }
-            fn rename_attribute(&mut self, pre: u32, name: &str, new_name: &str) {
-                <$ty>::rename_attribute(self, pre, name, new_name)
-            }
-            fn to_document(&self) -> Document {
-                <$ty>::to_document(self)
-            }
-            fn update_stats(&self) -> UpdateStats {
-                self.stats
-            }
-        }
-    };
-}
-
-impl_structural_update!(NaiveDocument);
-impl_structural_update!(PagedDocument);
 
 /// Build a small XML fragment document from text (helper used by examples,
 /// benches and tests when composing subtrees to insert).
@@ -979,16 +719,11 @@ pub fn fragment_from_xml(xml: &str) -> Document {
         .expect("invalid fragment XML")
 }
 
-/// Build a fragment programmatically from a builder closure.
-pub fn fragment<F: FnOnce(&mut DocumentBuilder)>(f: F) -> Document {
-    let mut b = DocumentBuilder::new("#fragment");
-    f(&mut b);
-    b.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::doc::DocumentBuilder;
+    use crate::read::NodeRead;
     use crate::serialize::serialize_document;
     use crate::shred::{shred, ShredOptions};
 

@@ -12,7 +12,7 @@
 
 use mxq::xmark::gen::{generate_xml, GenParams};
 use mxq::xmldb::columns::DEFAULT_CHUNK_ROWS;
-use mxq::xmldb::update::{fragment_from_xml, NaiveDocument, PagedDocument};
+use mxq::xmldb::update::{fragment_from_xml, NaiveDocument, PagedDocument, StructuralUpdate};
 use mxq::xmldb::{serialize_document, shred, Document, ShredOptions};
 use std::sync::Arc;
 

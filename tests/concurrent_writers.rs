@@ -22,7 +22,7 @@ use std::time::Duration;
 use proptest::prelude::*;
 
 use mxq::wal::{read_records, SyncPolicy};
-use mxq::xmldb::{serialize_document, shred, DocumentColumns, ShredOptions};
+use mxq::xmldb::{serialize_document, shred, ShredOptions};
 use mxq::xquery::{Database, DurabilityOptions};
 
 // ---------------------------------------------------------------------------
@@ -61,7 +61,7 @@ fn writer_doc(w: usize) -> String {
 fn doc_text(db: &Database, name: &str) -> String {
     let store = db.store();
     let frag = store.lookup(name).expect("document is loaded");
-    serialize_document(&store.container(frag))
+    serialize_document(store.container(frag))
 }
 
 /// The update-differential bar applied to one document: reshred fixpoint,
@@ -78,7 +78,7 @@ fn assert_doc_integrity(db: &Database, name: &str) {
     assert_eq!(serialize_document(&reshred), text, "reshred fixpoint");
     db.document_columns(name)
         .unwrap()
-        .same_content(&DocumentColumns::new(&reshred))
+        .same_content(reshred.columns())
         .expect("live columns diverged from a reshred of the store");
 }
 

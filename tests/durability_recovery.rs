@@ -17,7 +17,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use mxq::wal::{read_records, SyncPolicy, RECORD_HEADER_LEN};
-use mxq::xmldb::{serialize_document, shred, DocumentColumns, NodeRead, ShredOptions};
+use mxq::xmldb::{serialize_document, shred, ShredOptions};
 use mxq::xquery::{Database, DurabilityOptions, Error};
 
 // ---------------------------------------------------------------------------
@@ -82,7 +82,7 @@ fn image_files(dir: &Path) -> Vec<String> {
 fn doc_text(db: &Database, name: &str) -> String {
     let store = db.store();
     let frag = store.lookup(name).expect("document is loaded");
-    serialize_document(&store.container(frag))
+    serialize_document(store.container(frag))
 }
 
 /// The in-memory oracle: a fresh database fed `DOC` plus the first
@@ -125,7 +125,7 @@ fn assert_matches_oracle(recovered: &Database, oracle: &Database) {
     recovered
         .document_columns("d.xml")
         .unwrap()
-        .same_content(&DocumentColumns::new(&reshred))
+        .same_content(reshred.columns())
         .expect("recovered columns diverged from a reshred of the store");
     recovered
         .document_columns("d.xml")

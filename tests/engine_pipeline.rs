@@ -3,7 +3,7 @@
 
 use mxq::xmark::gen::{generate_xml, GenParams};
 use mxq::xmark::queries::query_text;
-use mxq::xmldb::update::{fragment_from_xml, PagedDocument};
+use mxq::xmldb::update::{fragment_from_xml, PagedDocument, StructuralUpdate};
 use mxq::xmldb::{serialize_document, shred, ShredOptions};
 use mxq::xquery::{Database, ExecConfig, Session};
 use std::sync::Arc;

@@ -29,7 +29,7 @@ use mxq::staircase::{looplifted_step, Axis, NodeTest, ScanStats};
 use mxq::xmark::gen::{generate_xml, GenParams};
 use mxq::xmark::naive::NaiveInterpreter;
 use mxq::xmark::queries::query_text;
-use mxq::xmldb::update::{fragment_from_xml, PagedDocument};
+use mxq::xmldb::update::{fragment_from_xml, PagedDocument, StructuralUpdate};
 use mxq::xmldb::{shred, DocStore, NodeRead, ShredOptions};
 use mxq::xquery::algebra::Op;
 use mxq::xquery::{
@@ -118,7 +118,7 @@ fn named_steps_touch_context_plus_result_rows() {
                         .collect();
                     let container = snapshot.resolve(executor.transient(), frag);
                     let mut any = ScanStats::default();
-                    looplifted_step(&container, &pairs, *axis, &NodeTest::AnyKind, &mut any);
+                    looplifted_step(container, &pairs, *axis, &NodeTest::AnyKind, &mut any);
                     unfiltered += any.results;
                 }
                 let bound = match leg {

@@ -18,7 +18,7 @@ use proptest::prelude::*;
 
 use mxq::engine::{Column, Dictionary};
 use mxq::staircase::{looplifted_step, staircase_step, Axis, NodeTest, ScanStats};
-use mxq::xmldb::update::{fragment_from_xml, NaiveDocument, PagedDocument};
+use mxq::xmldb::update::{fragment_from_xml, NaiveDocument, PagedDocument, StructuralUpdate};
 use mxq::xmldb::{serialize_document, shred, Document, ShredOptions};
 use mxq::xmldb::{NodeKind, NodeRead};
 use mxq::xquery::Database;

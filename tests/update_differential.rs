@@ -14,8 +14,8 @@ use proptest::prelude::*;
 
 use mxq::engine::NodeId;
 use mxq::xmldb::columns::DEFAULT_CHUNK_ROWS;
-use mxq::xmldb::update::{fragment_from_xml, NaiveDocument, PagedDocument};
-use mxq::xmldb::{serialize_document, shred, Document, DocumentColumns, NodeKind, ShredOptions};
+use mxq::xmldb::update::{fragment_from_xml, NaiveDocument, PagedDocument, StructuralUpdate};
+use mxq::xmldb::{serialize_document, shred, Document, NodeKind, NodeRead, ShredOptions};
 use mxq::xquery::{Database, PendingUpdateList, UpdatePrimitive};
 use std::sync::Arc;
 
@@ -244,10 +244,9 @@ fn check_script_at(xml: &str, script: &[ScriptOp], chunk_sizes: &[usize]) {
         let cols = paged.columns();
         cols.check_invariants()
             .unwrap_or_else(|e| panic!("chunk size {chunk_rows}: broken image: {e}"));
-        cols.same_content(&DocumentColumns::new(&naive_doc))
-            .unwrap_or_else(|e| {
-                panic!("chunk size {chunk_rows}: incremental vs rebuilt columns diverged: {e}")
-            });
+        cols.same_content(naive_doc.columns()).unwrap_or_else(|e| {
+            panic!("chunk size {chunk_rows}: incremental vs rebuilt columns diverged: {e}")
+        });
         // the published snapshot serves the same logical view
         assert_eq!(serialize_document(&paged.snapshot()), naive_xml);
     }
@@ -318,7 +317,7 @@ fn name_index_survives_chunk_splits() {
             let now = paged.to_document();
             paged
                 .columns()
-                .same_content(&DocumentColumns::new(&now))
+                .same_content(now.columns())
                 .unwrap_or_else(|e| panic!("chunk size {chunk_rows}, insert {i}: {e}"));
             let snap = paged.snapshot();
             for axis in [Axis::Child, Axis::Descendant] {
@@ -398,7 +397,7 @@ fn xmark_mixed_query_update_round_trip() {
     let text = {
         let store = db.store();
         let frag = store.lookup("auction.xml").unwrap();
-        serialize_document(&store.container(frag))
+        serialize_document(store.container(frag))
     };
     let opts = ShredOptions {
         document_node: true,
@@ -413,12 +412,11 @@ fn xmark_mixed_query_update_round_trip() {
     {
         let store = db.store();
         let frag = store.lookup("auction.xml").unwrap();
-        use mxq::xmldb::NodeRead;
         assert_eq!(store.container(frag).len(), reshred.len());
     }
     db.document_columns("auction.xml")
         .unwrap()
-        .same_content(&DocumentColumns::new(&reshred))
+        .same_content(reshred.columns())
         .expect("published columns diverged from a reshred of the store");
 }
 
@@ -469,7 +467,7 @@ fn recovered_store_agrees_with_in_memory_oracle() {
     let text_of = |db: &Database| {
         let store = db.store();
         let frag = store.lookup("auction.xml").unwrap();
-        serialize_document(&store.container(frag))
+        serialize_document(store.container(frag))
     };
     let text = text_of(&recovered);
     assert_eq!(text, text_of(&mem), "recovered vs in-memory serialization");
@@ -485,7 +483,7 @@ fn recovered_store_agrees_with_in_memory_oracle() {
     recovered
         .document_columns("auction.xml")
         .unwrap()
-        .same_content(&DocumentColumns::new(&reshred))
+        .same_content(reshred.columns())
         .expect("recovered columns diverged from a reshred of the store");
     recovered
         .document_columns("auction.xml")

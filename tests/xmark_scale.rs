@@ -122,7 +122,7 @@ fn xmark_scale_01_queries_and_updates_match_full_reshred() {
     let text = {
         let store = db.store();
         let frag = store.lookup("auction.xml").unwrap();
-        serialize_document(&store.container(frag))
+        serialize_document(store.container(frag))
     };
     let oracle = Arc::new(Database::new());
     oracle.load_document("auction.xml", &text).unwrap();
