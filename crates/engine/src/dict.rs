@@ -14,53 +14,25 @@
 //!
 //! [`Column::Dict`]: crate::column::Column::Dict
 
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// An immutable, sorted, deduplicated string dictionary.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Dictionary {
     /// The distinct strings, ascending; the code of a string is its index.
     strings: Vec<Arc<str>>,
-    /// The numeric join keys, parsed on first use: only joins read them.
-    numeric: OnceLock<NumericKeys>,
-}
-
-/// The numeric reading of a dictionary's entries.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct NumericKeys {
+    /// Whether any entry parses as a number (`"10"`, `" 3.5 "`).  Columns
+    /// over purely non-numeric dictionaries (tag names, attribute names) can
+    /// skip the numeric-string normalisation of the XQuery general
+    /// comparison during joins.
+    any_numeric: bool,
     /// Per-code numeric join key: the `f64` bit pattern (`-0` folded onto
     /// `+0`) of entries that parse as a number other than NaN, `None` for
     /// everything else.  Lets a join over a *mixed* dictionary (attribute
     /// values: ids and prices side by side) still run per code instead of
     /// per row.
-    keys: Vec<Option<u64>>,
-    /// Whether any entry parses as a number (`"10"`, `" 3.5 "`).  Columns
-    /// over purely non-numeric dictionaries (tag names, attribute names) can
-    /// skip the numeric-string normalisation of the XQuery general
-    /// comparison during joins.
-    any: bool,
+    numeric_keys: Vec<Option<u64>>,
 }
-
-impl NumericKeys {
-    fn new(keys: Vec<Option<u64>>) -> NumericKeys {
-        let any = keys.iter().any(Option::is_some);
-        NumericKeys { keys, any }
-    }
-}
-
-/// The numeric join key of one entry (see [`Dictionary::numeric_key_of`]).
-fn numeric_key(s: &str) -> Option<u64> {
-    s.trim().parse().ok().and_then(crate::join::numeric_key)
-}
-
-/// Dictionaries are equal when their strings are: the numeric keys follow.
-impl PartialEq for Dictionary {
-    fn eq(&self, other: &Dictionary) -> bool {
-        self.strings == other.strings
-    }
-}
-
-impl Eq for Dictionary {}
 
 impl Dictionary {
     /// Build a dictionary from arbitrary strings (sorted and deduplicated).
@@ -76,15 +48,16 @@ impl Dictionary {
     }
 
     fn from_sorted(strings: Vec<Arc<str>>) -> Dictionary {
+        let numeric_keys: Vec<Option<u64>> = strings
+            .iter()
+            .map(|s| s.trim().parse().ok().and_then(crate::join::numeric_key))
+            .collect();
+        let any_numeric = numeric_keys.iter().any(Option::is_some);
         Dictionary {
             strings,
-            numeric: OnceLock::new(),
+            any_numeric,
+            numeric_keys,
         }
-    }
-
-    fn numeric(&self) -> &NumericKeys {
-        self.numeric
-            .get_or_init(|| NumericKeys::new(self.strings.iter().map(|s| numeric_key(s)).collect()))
     }
 
     /// Number of distinct strings (the code domain is `0..len`).
@@ -122,7 +95,7 @@ impl Dictionary {
     /// exactly XQuery general-comparison equality for this dictionary, so
     /// joins may compare codes directly.
     pub fn any_numeric(&self) -> bool {
-        self.numeric().any
+        self.any_numeric
     }
 
     /// Numeric join key of a code: the `f64` bit pattern (`-0` folded onto
@@ -133,7 +106,7 @@ impl Dictionary {
     /// # Panics
     /// Panics when `code` is outside `0..len` (codes are dense).
     pub fn numeric_key_of(&self, code: u32) -> Option<u64> {
-        self.numeric().keys[code as usize]
+        self.numeric_keys[code as usize]
     }
 
     /// Encode a batch of strings, building the dictionary and the per-row
@@ -157,8 +130,7 @@ impl Dictionary {
     /// of `a` becomes `remap_a[c]` in the merged dictionary.
     pub fn merge(a: &Dictionary, b: &Dictionary) -> (Arc<Dictionary>, Vec<u32>, Vec<u32>) {
         use std::cmp::Ordering;
-        let n = a.len() + b.len();
-        let mut strings = Vec::with_capacity(n);
+        let mut strings = Vec::with_capacity(a.len() + b.len());
         let (mut ra, mut rb) = (Vec::with_capacity(a.len()), Vec::with_capacity(b.len()));
         let (mut i, mut j) = (0, 0);
         // one walk over both: each entry's new code is where it lands
@@ -182,19 +154,7 @@ impl Dictionary {
                 j += 1;
             }
         }
-        let merged = Dictionary::from_sorted(strings);
-        // keys `a` has parsed carry over; only `b`'s entries are parsed
-        if let Some(old) = a.numeric.get() {
-            let mut keys = vec![None; merged.len()];
-            for (&code, &key) in ra.iter().zip(&old.keys) {
-                keys[code as usize] = key;
-            }
-            for &code in &rb {
-                keys[code as usize] = numeric_key(&merged.strings[code as usize]);
-            }
-            let _ = merged.numeric.set(NumericKeys::new(keys));
-        }
-        (Arc::new(merged), ra, rb)
+        (Arc::new(Dictionary::from_sorted(strings)), ra, rb)
     }
 }
 

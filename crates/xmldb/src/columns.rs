@@ -101,8 +101,7 @@ fn tag_name(t: &Tuple) -> &str {
 pub(crate) struct Codes {
     /// The codes [`Codes::code`] handed out, by string.
     seen: HashMap<Arc<str>, u32>,
-    /// The strings the dictionary lacks, one per provisional code.  One
-    /// [`Codes::code_shared`] coded twice is here twice.
+    /// The strings the dictionary lacks, one per provisional code.
     fresh: Vec<Arc<str>>,
 }
 
@@ -125,17 +124,6 @@ impl Codes {
         code
     }
 
-    /// [`Codes::code`] of a string the caller holds, with no hash: a string
-    /// the dictionary lacks is shared under a provisional code of its own,
-    /// and [`Codes::merge_into`] folds repeats together.  For strings that
-    /// rarely repeat, such as constructed attribute values.
-    fn code_shared(&mut self, dict: &Dictionary, s: &Arc<str>) -> u32 {
-        dict.code_of(s).unwrap_or_else(|| {
-            self.fresh.push(s.clone());
-            (dict.len() + self.fresh.len() - 1) as u32
-        })
-    }
-
     /// Grow `dict` by the strings it lacked.  Returns `None` when there
     /// were none, else the remap of every code handed out: the
     /// dictionary's own codes, then the provisional ones.
@@ -143,29 +131,14 @@ impl Codes {
         if self.fresh.is_empty() {
             return None;
         }
-        // sorted on an 8-byte prefix read once per string, so a sort over
-        // strings scattered in memory seldom chases their pointers
-        let prefix = |s: &str| {
-            let mut b = [0u8; 8];
-            let n = s.len().min(8);
-            b[..n].copy_from_slice(&s.as_bytes()[..n]);
-            u64::from_be_bytes(b)
-        };
-        let mut fresh: Vec<(u64, Arc<str>, usize)> = (self.fresh.into_iter().zip(0..))
-            .map(|(s, i)| (prefix(&s), s, i))
-            .collect();
-        fresh.sort_unstable_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
-        // the distinct strings, ascending, and each provisional code's
-        // position among them
+        // the fresh strings are distinct: each one's rank among them
+        let mut fresh: Vec<(Arc<str>, usize)> = self.fresh.into_iter().zip(0..).collect();
+        fresh.sort_unstable();
         let mut rank = vec![0; fresh.len()];
-        let mut distinct: Vec<Arc<str>> = Vec::with_capacity(fresh.len());
-        for (_, s, i) in fresh {
-            if distinct.last() != Some(&s) {
-                distinct.push(s);
-            }
-            rank[i] = distinct.len() - 1;
+        for (r, (_, i)) in fresh.iter().enumerate() {
+            rank[*i] = r;
         }
-        let added = Dictionary::new(distinct);
+        let added = Dictionary::new(fresh.into_iter().map(|(s, _)| s));
         let remap = if dict.is_empty() {
             *dict = added;
             rank.iter().map(|&r| r as u32).collect()
@@ -202,6 +175,19 @@ fn remap_codes(column: &mut [u32], remap: &[u32]) {
     }
 }
 
+/// The first code a dictionary remap moves (`u32::MAX` when it moves
+/// none): the codes below it keep their value.
+fn first_moved(remap: &[u32]) -> u32 {
+    (remap.iter().zip(0..))
+        .position(|(&c, i)| c != i)
+        .map_or(u32::MAX, |i| i as u32)
+}
+
+/// One past the largest code of a column (0 when it is empty).
+fn code_end(column: &[u32]) -> u32 {
+    column.iter().max().map_or(0, |&c| c + 1)
+}
+
 /// One piece of the column image — the logical page of Section 5.2: a run
 /// of consecutive node rows plus the attribute rows they own (owners are
 /// chunk-local offsets, so a splice renumbers inside the chunk only).
@@ -236,6 +222,11 @@ struct Chunk {
     /// every distinct element name in the chunk, ascending by code, so a
     /// name's run is one binary search over this short list away.
     directory: Vec<(u32, u32)>,
+    /// Upper bounds, one past the largest code, of `name_code`,
+    /// `attr_name_code` and `attr_value_code`, kept by every write: a
+    /// dictionary remap that moves no code below them leaves the chunk
+    /// (and its sharing) alone.
+    code_ends: [u32; 3],
 }
 
 impl Chunk {
@@ -243,66 +234,24 @@ impl Chunk {
         self.size.len()
     }
 
-    /// Rebuild the summaries and the name index from the rows, in one
-    /// pass over the structural columns plus a counting sort of the
-    /// element rows by name code (a comparison sort when the codes are
-    /// sparse).
+    /// Rebuild the summaries and the name index from the rows.
     fn rebuild_summary(&mut self) {
-        let (mut min, mut max, mut kinds, mut buckets) = (u16::MAX, 0, 0u8, 0u64);
-        // per element name code: its count, then its next posting; codes
-        // past `dense` are sorted instead
-        let (mut next, dense): (Vec<u32>, usize) = (Vec::new(), 4 * self.size.len());
-        let mut sparse = false;
-        let rows = self.level.iter().zip(&self.kind).zip(&self.name_code);
-        for ((&level, &kind), &code) in rows {
-            (min, max) = (min.min(level), max.max(level));
-            kinds |= 1u8 << kind as u8;
-            buckets |= 1u64 << (code % 64);
-            if kind == NodeKind::Element {
-                let code = code as usize;
-                sparse |= code >= dense;
-                if !sparse {
-                    if code >= next.len() {
-                        next.resize(code + 1, 0);
-                    }
-                    next[code] += 1;
-                }
-            }
-        }
-        (self.min_level, self.max_level) = (min, max);
-        (self.kind_mask, self.name_buckets) = (kinds, buckets);
+        self.min_level = self.level.iter().copied().min().unwrap_or(u16::MAX);
+        self.max_level = self.level.iter().copied().max().unwrap_or(0);
+        self.kind_mask = self.kind.iter().fold(0u8, |m, &k| m | (1u8 << k as u8));
+        self.rebuild_buckets();
+        self.code_ends = self.exact_code_ends();
         self.postings.clear();
+        self.postings
+            .extend((0..self.len() as u32).filter(|&l| self.kind[l as usize] == NodeKind::Element));
+        let name_code = &self.name_code;
+        self.postings
+            .sort_unstable_by_key(|&l| (name_code[l as usize], l));
         self.directory.clear();
-        let (kind, name_code) = (&self.kind, &self.name_code);
-        let elements = || {
-            kind.iter()
-                .zip(name_code)
-                .enumerate()
-                .filter(|(_, (&k, _))| k == NodeKind::Element)
-                .map(|(l, (_, &code))| (l as u32, code as usize))
-        };
-        if !sparse {
-            let mut at = 0;
-            for (code, n) in next.iter_mut().enumerate() {
-                if *n > 0 {
-                    self.directory.push((code as u32, at));
-                }
-                (*n, at) = (at, at + *n);
-            }
-            self.postings.resize(at as usize, 0);
-            for (l, code) in elements() {
-                self.postings[next[code] as usize] = l;
-                next[code] += 1;
-            }
-        } else {
-            self.postings.extend(elements().map(|(l, _)| l));
-            self.postings
-                .sort_unstable_by_key(|&l| (name_code[l as usize], l));
-            for (i, &l) in self.postings.iter().enumerate() {
-                let code = name_code[l as usize];
-                if self.directory.last().is_none_or(|&(c, _)| c != code) {
-                    self.directory.push((code, i as u32));
-                }
+        for (i, &l) in self.postings.iter().enumerate() {
+            let code = name_code[l as usize];
+            if self.directory.last().is_none_or(|&(c, _)| c != code) {
+                self.directory.push((code, i as u32));
             }
         }
     }
@@ -372,6 +321,23 @@ impl Chunk {
         self.attr_owner.insert(at, l as u32);
         self.attr_name_code.insert(at, name_code);
         self.attr_value_code.insert(at, value_code);
+        self.bound_codes([0, name_code + 1, value_code + 1]);
+    }
+
+    /// One past the largest name, attribute-name and attribute-value code.
+    fn exact_code_ends(&self) -> [u32; 3] {
+        [
+            code_end(&self.name_code),
+            code_end(&self.attr_name_code),
+            code_end(&self.attr_value_code),
+        ]
+    }
+
+    /// Raise the code bounds to cover `ends`.
+    fn bound_codes(&mut self, ends: [u32; 3]) {
+        for (end, new) in self.code_ends.iter_mut().zip(ends) {
+            *end = (*end).max(new);
+        }
     }
 
     /// Chunk-local attribute row range of the node at local offset `l`.
@@ -385,6 +351,7 @@ impl Chunk {
     /// `l` and their attribute owners shift.  Summaries are left stale.
     fn splice_in(&mut self, l: usize, piece: Chunk) {
         let k = piece.len() as u32;
+        self.bound_codes(piece.exact_code_ends());
         self.size.splice(l..l, piece.size);
         self.level.splice(l..l, piece.level);
         self.kind.splice(l..l, piece.kind);
@@ -426,6 +393,7 @@ impl Chunk {
             .attr_owner
             .partition_point(|&o| (o as usize) < rows.start);
         let b = src.attr_owner.partition_point(|&o| (o as usize) < rows.end);
+        self.bound_codes(src.code_ends);
         self.size.extend_from_slice(&src.size[rows.clone()]);
         self.level.extend_from_slice(&src.level[rows.clone()]);
         self.kind.extend_from_slice(&src.kind[rows.clone()]);
@@ -892,15 +860,22 @@ impl DocumentColumns {
 
     // -- incremental maintenance (the paged update path) ------------------
 
-    /// Rewrite every chunk's codes through the dictionary remaps given:
+    /// Rewrite the chunks' codes through the dictionary remaps given:
     /// name codes with their name directory and bucket mask, attribute
-    /// name and value codes.  A remap is monotone, so directories stay
-    /// sorted.
+    /// name and value codes.  A remap is monotone on the dictionary's own
+    /// codes, so directories stay sorted.  A chunk whose codes all lie
+    /// below the first code each remap moves is left alone, its allocation
+    /// still shared: a string that sorts after every existing one costs
+    /// no chunk copy.
     fn remap(&mut self, tags: Option<&[u32]>, names: Option<&[u32]>, values: Option<&[u32]>) {
-        if tags.is_none() && names.is_none() && values.is_none() {
+        let moved = [tags, names, values].map(|r| r.map_or(u32::MAX, first_moved));
+        if moved == [u32::MAX; 3] {
             return;
         }
         for chunk in &mut self.chunks {
+            if chunk.code_ends.iter().zip(moved).all(|(&end, m)| end <= m) {
+                continue;
+            }
             let chunk = Arc::make_mut(chunk);
             if let Some(remap) = tags {
                 remap_codes(&mut chunk.name_code, remap);
@@ -915,6 +890,7 @@ impl DocumentColumns {
             if let Some(remap) = values {
                 remap_codes(&mut chunk.attr_value_code, remap);
             }
+            chunk.code_ends = chunk.exact_code_ends();
         }
     }
 
@@ -1073,6 +1049,7 @@ impl DocumentColumns {
         for i in chunk.attr_range(l) {
             if chunk.attr_name_code[i] == code {
                 chunk.attr_value_code[i] = value_code;
+                chunk.bound_codes([0, 0, value_code + 1]);
                 return;
             }
         }
@@ -1117,6 +1094,7 @@ impl DocumentColumns {
         for i in chunk.attr_range(l) {
             if chunk.attr_name_code[i] == code {
                 chunk.attr_name_code[i] = new_code;
+                chunk.bound_codes([0, new_code + 1, 0]);
                 return;
             }
         }
@@ -1323,6 +1301,13 @@ impl DocumentColumns {
             {
                 return Err(format!("chunk {ci}: stale level/kind/name summary"));
             }
+            if c.code_ends
+                .iter()
+                .zip(fresh.code_ends)
+                .any(|(&end, e)| end < e)
+            {
+                return Err(format!("chunk {ci}: a code past its code bound"));
+            }
         }
         Ok(())
     }
@@ -1379,10 +1364,6 @@ impl SessionDict {
         self.codes.code(&self.dict, s)
     }
 
-    fn code_shared(&mut self, s: &Arc<str>) -> u32 {
-        self.codes.code_shared(&self.dict, s)
-    }
-
     /// The code here of code `code` of `src`.
     fn map(&mut self, src: &Arc<Dictionary>, code: u32) -> u32 {
         if !self.source.as_ref().is_some_and(|d| Arc::ptr_eq(d, src)) {
@@ -1394,7 +1375,7 @@ impl SessionDict {
             self.mapped.resize(i + 1, u32::MAX);
         }
         if self.mapped[i] == u32::MAX {
-            self.mapped[i] = self.codes.code_shared(&self.dict, src.str_of(code));
+            self.mapped[i] = self.codes.code(&self.dict, src.str_of(code));
         }
         self.mapped[i]
     }
@@ -1458,6 +1439,7 @@ impl Appender {
         open.kind.push(kind);
         open.name_code.push(name_code);
         open.text.push(text);
+        open.bound_codes([name_code + 1, 0, 0]);
     }
 
     /// Set the size of the element at `pre` to the rows appended after it.
@@ -1470,9 +1452,9 @@ impl Appender {
     }
 
     /// Add the attribute `name = value` to the element at `owner`.
-    pub(crate) fn attribute(&mut self, owner: u32, name: &str, value: &Arc<str>) {
+    pub(crate) fn attribute(&mut self, owner: u32, name: &str, value: &str) {
         let n = self.names.code(name);
-        let v = self.values.code_shared(value);
+        let v = self.values.code(value);
         match (owner as usize).checked_sub(self.cols.len) {
             Some(l) => self.open.insert_attr(l, n, v),
             None => self.cols.push_attr(owner, n, v),
@@ -1529,6 +1511,7 @@ impl Appender {
             open.kind.push(row.kind);
             open.name_code.push(name_code);
             open.text.push(row.text.cloned());
+            open.bound_codes([name_code + 1, 0, 0]);
             for (&n, &v) in row.attr_names.iter().zip(row.attr_values) {
                 let n = self.names.map(&src.attr_names, n);
                 let v = self.values.map(&src.attr_values, v);
@@ -1536,6 +1519,7 @@ impl Appender {
                 open.attr_owner.push(owner);
                 open.attr_name_code.push(n);
                 open.attr_value_code.push(v);
+                open.bound_codes([0, n + 1, v + 1]);
             }
         });
     }
@@ -1572,7 +1556,6 @@ impl Appender {
 mod tests {
     use super::*;
     use crate::doc::Document;
-    use crate::read::NodeRead;
     use crate::shred::{shred, ShredOptions};
     use mxq_engine::join::radix_hash_join;
     use mxq_engine::Column;
@@ -1599,12 +1582,15 @@ mod tests {
         // row 0 is the root element
         assert_eq!(cols.node_name(0), "site");
         assert_eq!(cols.tags().str_of(cols.node_name_code(0)).as_ref(), "site");
-        // dense read path agrees with the document
-        for p in 0..doc.len() as u32 {
-            assert_eq!(cols.node_size(p), doc.size(p));
-            assert_eq!(cols.node_level(p), doc.level(p));
-            assert_eq!(cols.node_kind(p), doc.kind(p));
-        }
+        // the dense read path: site, item, name, "a", item
+        let (e, t) = (NodeKind::Element, NodeKind::Text);
+        let rows: Vec<(u32, u16, NodeKind)> = (0..doc.len() as u32)
+            .map(|p| (cols.node_size(p), cols.node_level(p), cols.node_kind(p)))
+            .collect();
+        assert_eq!(
+            rows,
+            [(4, 0, e), (2, 1, e), (1, 2, e), (0, 3, t), (0, 1, e)]
+        );
         assert_eq!(cols.attr_value_of(1, "id"), Some("1"));
         assert_eq!(cols.attr_value_of(1, "missing"), None);
     }
@@ -1688,9 +1674,10 @@ mod tests {
         let xml = "<a><!--note--><?tgt data?>x<b/></a>";
         let (doc, cols) = image(xml);
         cols.check_invariants()?;
-        for pre in 0..doc.len() as u32 {
-            assert_eq!(cols.node_text(pre).map_or("", |t| t), doc.text_of(pre));
-        }
+        let texts: Vec<Option<&str>> = (0..doc.len() as u32)
+            .map(|pre| cols.node_text(pre).map(|t| &**t))
+            .collect();
+        assert_eq!(texts, [None, Some("note"), Some("data"), Some("x"), None]);
         assert_eq!(cols.node_name(2), "tgt");
         // the posting index holds elements only: the PI target is no step
         // candidate
@@ -1781,7 +1768,13 @@ mod tests {
             text: Arc::from(""),
             attrs: vec![(Arc::from("k"), Arc::from("v"))],
         };
+        let published = cols.clone();
         cols.splice_nodes(at, std::slice::from_ref(&row));
+        // its names sort after every other one: no chunk but the spliced
+        // one is copied
+        for i in (0..cols.chunk_count()).filter(|&i| i != 2) {
+            assert!(cols.shares_chunk(i, &published, i), "chunk {i} copied");
+        }
         // chunks before the splice point kept their row counts; only the
         // spliced chunk grew
         assert_eq!(cols.chunk_span(2).1, before[2].1 + 1);

@@ -300,11 +300,11 @@ impl DocumentBuilder {
     /// Panics if no element is open.
     pub fn attribute(&mut self, name: &str, value: &str) {
         let owner = self.owner();
-        self.rows.attribute(owner, name, &Arc::from(value));
+        self.rows.attribute(owner, name, value);
     }
 
     /// [`DocumentBuilder::attribute`] with strings the caller already
-    /// holds: they are shared, not copied.
+    /// holds.
     ///
     /// # Panics
     /// Panics if no element is open.
@@ -781,6 +781,35 @@ mod tests {
             assert_eq!(doc.columns().chunk_count(), rows.len().div_ceil(chunk_rows));
         }
         Ok(())
+    }
+
+    /// A session remaps only the sealed chunks that hold a code its new
+    /// names move: a name that sorts after every other one copies no
+    /// earlier chunk, one that sorts between copies the chunks above it.
+    #[test]
+    fn a_session_copies_only_the_chunks_its_new_names_move() -> Result<(), String> {
+        fn session(doc: Document, names: &[&str]) -> Document {
+            let mut b = DocumentBuilder::append_to(doc);
+            for name in names {
+                b.start_element(name);
+                b.end_element();
+            }
+            b.finish()
+        }
+        let empty = DocumentColumns::from_rows(&[], 2);
+        let first = session(
+            Document::from_columns("t".into(), Arc::new(empty)),
+            &["a", "b", "c", "d"],
+        );
+        let second = session(first.clone(), &["e"]);
+        let third = session(second.clone(), &["bb"]);
+        let (f, s, t) = (first.columns(), second.columns(), third.columns());
+        assert!(s.shares_chunk(0, f, 0) && s.shares_chunk(1, f, 1));
+        assert!(t.shares_chunk(0, s, 0), "a and b sort before bb");
+        assert!(!t.shares_chunk(1, s, 1), "c and d sort after bb");
+        let names: Vec<&str> = (0..third.len() as u32).map(|p| third.name_of(p)).collect();
+        assert_eq!(names, ["a", "b", "c", "d", "e", "bb"]);
+        third.check_invariants()
     }
 
     /// A top-level PI or comment is a fragment root like any level-0 row.

@@ -314,7 +314,14 @@ fn name_index_survives_chunk_splits() {
             if i % (chunk_rows / 8) != 0 && i + 1 != inserts {
                 continue;
             }
-            let now = paged.to_document();
+            // an independent image of the same state: a reshred of its
+            // serialization, chunked and indexed from scratch
+            let now = shred(
+                "d.xml",
+                &serialize_document(&paged.snapshot()),
+                &ShredOptions::default(),
+            )
+            .unwrap();
             paged
                 .columns()
                 .same_content(now.columns())
