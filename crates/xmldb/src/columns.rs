@@ -20,17 +20,19 @@
 //! (`Appender`): rows fill the open last chunk, so every chunk but the
 //! last keeps `chunk_rows` rows and locating a row stays a
 //! shift; a string the dictionaries lack gets a provisional code, and the
-//! session's end merges those strings in once (remapping the earlier
-//! chunks' codes only then) and builds the summaries of the chunks it
-//! wrote.  A copy of a subtree is a range copy of column slices within
+//! session's end merges those strings in once, remaps the codes of the
+//! chunks that hold a code the merge moves, and builds the summaries of
+//! the chunks it wrote.  A copy of a subtree is a range copy of column slices within
 //! one image, or a row walk that maps each distinct code once from
 //! another.
 //!
 //! [`crate::update::PagedDocument`] patches the image with every applied
 //! update primitive (row splices, ancestor `size` deltas, in-place
 //! renames, text and attribute patches), merging new names into the
-//! dictionaries (with a code remap) only when an update introduces a
-//! string the dictionary has never seen.  A chunk is the unit of the
+//! dictionaries only when an update introduces a string the dictionary
+//! has never seen.  Every chunk keeps upper bounds of its codes, so such a
+//! merge rewrites (and copies) only the chunks holding a code it moves —
+//! none when the new string sorts after every other one.  A chunk is the unit of the
 //! paper's remappable pre numbers: a row splice lands in exactly one
 //! chunk, shifts only that chunk's rows and chunk-local attribute owners,
 //! and then fixes up the O(#chunks) start index — O(chunk), not
@@ -234,25 +236,32 @@ impl Chunk {
         self.size.len()
     }
 
-    /// Rebuild the summaries and the name index from the rows.
+    /// Rebuild the summaries and the name index from the rows: one pass
+    /// over the structural columns, then one sort of the element rows
+    /// keyed `(name code, offset)`.
     fn rebuild_summary(&mut self) {
-        self.min_level = self.level.iter().copied().min().unwrap_or(u16::MAX);
-        self.max_level = self.level.iter().copied().max().unwrap_or(0);
-        self.kind_mask = self.kind.iter().fold(0u8, |m, &k| m | (1u8 << k as u8));
+        let (mut min, mut max, mut kinds) = (u16::MAX, 0, 0u8);
+        let mut keys: Vec<u64> = Vec::new();
+        let rows = self.level.iter().zip(&self.kind).zip(&self.name_code);
+        for (l, ((&level, &kind), &code)) in rows.enumerate() {
+            (min, max) = (min.min(level), max.max(level));
+            kinds |= 1u8 << kind as u8;
+            if kind == NodeKind::Element {
+                keys.push(u64::from(code) << 32 | l as u64);
+            }
+        }
+        (self.min_level, self.max_level, self.kind_mask) = (min, max, kinds);
         self.rebuild_buckets();
         self.code_ends = self.exact_code_ends();
+        keys.sort_unstable();
         self.postings.clear();
-        self.postings
-            .extend((0..self.len() as u32).filter(|&l| self.kind[l as usize] == NodeKind::Element));
-        let name_code = &self.name_code;
-        self.postings
-            .sort_unstable_by_key(|&l| (name_code[l as usize], l));
         self.directory.clear();
-        for (i, &l) in self.postings.iter().enumerate() {
-            let code = name_code[l as usize];
+        for (i, key) in keys.into_iter().enumerate() {
+            let code = (key >> 32) as u32;
             if self.directory.last().is_none_or(|&(c, _)| c != code) {
                 self.directory.push((code, i as u32));
             }
+            self.postings.push(key as u32);
         }
     }
 
@@ -1439,7 +1448,7 @@ impl Appender {
         open.kind.push(kind);
         open.name_code.push(name_code);
         open.text.push(text);
-        open.bound_codes([name_code + 1, 0, 0]);
+        open.code_ends[0] = open.code_ends[0].max(name_code + 1);
     }
 
     /// Set the size of the element at `pre` to the rows appended after it.
