@@ -1512,8 +1512,7 @@ impl<'a> Executor<'a> {
                     }
                     Build::Attr(aname, t) => {
                         let (values, runs) = &mut parts[*t];
-                        builder
-                            .shared_attribute(aname.clone(), self.first_arc(values, runs.of(it)));
+                        builder.attribute(aname, &self.first_arc(values, runs.of(it)));
                     }
                     Build::Content(ts) => {
                         let items = ts.iter().flat_map(|&t| {

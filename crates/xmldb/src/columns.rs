@@ -18,21 +18,23 @@
 //!
 //! [`crate::DocumentBuilder`] writes the image through a build session
 //! (`Appender`): rows fill the open last chunk, so every chunk but the
-//! last keeps `chunk_rows` rows and locating a row stays a
-//! shift; a string the dictionaries lack gets a provisional code, and the
-//! session's end merges those strings in once, remaps the codes of the
-//! chunks that hold a code the merge moves, and builds the summaries of
-//! the chunks it wrote.  A copy of a subtree is a range copy of column slices within
-//! one image, or a row walk that maps each distinct code once from
-//! another.
+//! last keeps `chunk_rows` rows and locating a row stays a shift.  The
+//! shredder, construction, the XQUF insert sources, the on-disk decoders
+//! and the naive scheme's rebuild all write rows that way; a copy of a
+//! subtree is a range copy of column slices within one image, or a row
+//! walk that maps each distinct code once from another.
 //!
-//! [`crate::update::PagedDocument`] patches the image with every applied
-//! update primitive (row splices, ancestor `size` deltas, in-place
-//! renames, text and attribute patches), merging new names into the
-//! dictionaries only when an update introduces a string the dictionary
-//! has never seen.  Every chunk keeps upper bounds of its codes, so such a
-//! merge rewrites (and copies) only the chunks holding a code it moves —
-//! none when the new string sorts after every other one.  A chunk is the unit of the
+//! One path turns strings into codes: a write's session dictionaries (one
+//! per dictionary) give a string the dictionaries lack a provisional code,
+//! and the write's end merges those strings in once and remaps the codes
+//! of the chunks that hold a code the merge moves.  A build session ends
+//! so, and so does every patch of [`crate::update::PagedDocument`] that
+//! brings a string: the splice of an inserted fragment's rows (mapped
+//! from the fragment's own image), an in-place rename, an attribute write.
+//! Its other patches (removals, ancestor `size` deltas, text writes) touch
+//! no dictionary.  Every chunk keeps upper bounds of its codes, so a merge
+//! rewrites (and copies) only the chunks holding a code it moves — none
+//! when the new string sorts after every other one.  A chunk is the unit of the
 //! paper's remappable pre numbers: a row splice lands in exactly one
 //! chunk, shifts only that chunk's rows and chunk-local attribute owners,
 //! and then fixes up the O(#chunks) start index — O(chunk), not
@@ -71,7 +73,6 @@ use mxq_engine::Dictionary;
 
 use crate::node::NodeKind;
 use crate::read::{AttrsIter, NamedRun};
-use crate::update::Tuple;
 
 /// Default chunk row target: power-of-two, sized so a chunk's columns fit
 /// comfortably in L1/L2 while keeping the start index tiny.
@@ -85,90 +86,16 @@ fn carries_text(kind: NodeKind) -> bool {
     )
 }
 
-/// The name-column string of a row: the element name or PI target, the
-/// empty string for every other kind.
-fn tag_name(t: &Tuple) -> &str {
-    match t.kind {
-        NodeKind::Element | NodeKind::ProcessingInstruction => &t.name,
-        _ => "",
-    }
-}
+/// Index of the tag, attribute-name and attribute-value dictionary in a
+/// write's session dictionaries, in the remaps of its merge and in a
+/// chunk's code bounds.
+const TAGS: usize = 0;
+const NAMES: usize = 1;
+const VALUES: usize = 2;
 
-/// The codes a batch of strings gets against one sorted dictionary: a
-/// string the dictionary holds keeps its code, one it lacks gets a
-/// provisional code past the dictionary's end.  [`Codes::merge_into`] then
-/// grows the dictionary by the new strings in one merge and remaps every
-/// code handed out.
-#[derive(Debug, Default)]
-pub(crate) struct Codes {
-    /// The codes [`Codes::code`] handed out, by string.
-    seen: HashMap<Arc<str>, u32>,
-    /// The strings the dictionary lacks, one per provisional code.
-    fresh: Vec<Arc<str>>,
-}
-
-impl Codes {
-    /// The code of `s` in `dict`, or its provisional code: one hash probe,
-    /// so a string coded over and over (a name) costs one entry.
-    fn code(&mut self, dict: &Dictionary, s: &str) -> u32 {
-        if let Some(&code) = self.seen.get(s) {
-            return code;
-        }
-        let (key, code) = match dict.code_of(s) {
-            Some(code) => (dict.str_of(code).clone(), code),
-            None => {
-                let key: Arc<str> = Arc::from(s);
-                self.fresh.push(key.clone());
-                (key, (dict.len() + self.fresh.len() - 1) as u32)
-            }
-        };
-        self.seen.insert(key, code);
-        code
-    }
-
-    /// Grow `dict` by the strings it lacked.  Returns `None` when there
-    /// were none, else the remap of every code handed out: the
-    /// dictionary's own codes, then the provisional ones.
-    fn merge_into(self, dict: &mut Arc<Dictionary>) -> Option<Vec<u32>> {
-        if self.fresh.is_empty() {
-            return None;
-        }
-        // the fresh strings are distinct: each one's rank among them
-        let mut fresh: Vec<(Arc<str>, usize)> = self.fresh.into_iter().zip(0..).collect();
-        fresh.sort_unstable();
-        let mut rank = vec![0; fresh.len()];
-        for (r, (_, i)) in fresh.iter().enumerate() {
-            rank[*i] = r;
-        }
-        let added = Dictionary::new(fresh.into_iter().map(|(s, _)| s));
-        let remap = if dict.is_empty() {
-            *dict = added;
-            rank.iter().map(|&r| r as u32).collect()
-        } else {
-            let (merged, mut remap, new) = Dictionary::merge(dict, &added);
-            remap.extend(rank.iter().map(|&r| new[r]));
-            *dict = merged;
-            remap
-        };
-        Some(remap)
-    }
-}
-
-/// Encode `strings` against `dict`, first growing it by the strings it
-/// lacks.  Returns the codes and, when the sorted dictionary gained
-/// entries, the remap of its old codes — the rare "new name" path.
-fn encode_in<'a>(
-    dict: &mut Arc<Dictionary>,
-    strings: impl Iterator<Item = &'a str>,
-) -> (Vec<u32>, Option<Vec<u32>>) {
-    let mut codes = Codes::default();
-    let mut out: Vec<u32> = strings.map(|s| codes.code(dict, s)).collect();
-    let remap = codes.merge_into(dict);
-    if let Some(remap) = &remap {
-        remap_codes(&mut out, remap);
-    }
-    (out, remap)
-}
+/// The remap each dictionary got from a write's merge (`None`: it gained
+/// no string), indexed like the session dictionaries.
+type Remaps = [Option<Vec<u32>>; 3];
 
 /// Rewrite a code column through a dictionary remap.
 fn remap_codes(column: &mut [u32], remap: &[u32]) {
@@ -425,6 +352,57 @@ impl Chunk {
         self.extend_rows(&copy, 0..copy.len());
     }
 
+    /// Append row `row` of the image `src` at `level`, its name and
+    /// attribute codes mapped into the dictionaries of `dicts` (each
+    /// distinct code of `src` once), its text shared.  Summaries are left
+    /// stale.
+    fn push_mapped(
+        &mut self,
+        row: Row<'_>,
+        level: u16,
+        src: &DocumentColumns,
+        dicts: &mut [SessionDict; 3],
+    ) {
+        let owner = self.len() as u32;
+        let name_code = dicts[TAGS].map(&src.tags, row.name_code);
+        self.size.push(row.size);
+        self.level.push(level);
+        self.kind.push(row.kind);
+        self.name_code.push(name_code);
+        self.text.push(row.text.cloned());
+        self.bound_codes([name_code + 1, 0, 0]);
+        for (&n, &v) in row.attr_names.iter().zip(row.attr_values) {
+            let n = dicts[NAMES].map(&src.attr_names, n);
+            let v = dicts[VALUES].map(&src.attr_values, v);
+            self.attr_owner.push(owner);
+            self.attr_name_code.push(n);
+            self.attr_value_code.push(v);
+            self.bound_codes([0, n + 1, v + 1]);
+        }
+    }
+
+    /// Rewrite the codes through `remaps`: name codes with the name
+    /// directory and bucket mask, attribute name and value codes.  A remap
+    /// is monotone on the dictionary's own codes, so the directory stays
+    /// sorted.
+    fn remap(&mut self, remaps: &Remaps) {
+        let [tags, names, values] = remaps;
+        if let Some(remap) = tags {
+            remap_codes(&mut self.name_code, remap);
+            for (code, _) in &mut self.directory {
+                *code = remap[*code as usize];
+            }
+            self.rebuild_buckets();
+        }
+        if let Some(remap) = names {
+            remap_codes(&mut self.attr_name_code, remap);
+        }
+        if let Some(remap) = values {
+            remap_codes(&mut self.attr_value_code, remap);
+        }
+        self.code_ends = self.exact_code_ends();
+    }
+
     /// Move the rows from `a` on into a chunk of their own (owners
     /// re-based), summaries not built; this chunk keeps the rows before
     /// `a`.
@@ -530,22 +508,6 @@ impl Default for DocumentColumns {
 }
 
 impl DocumentColumns {
-    /// Build the image of a preorder row stream (a shredded document's
-    /// rows, or the rows an on-disk image decodes to).
-    pub(crate) fn from_rows(rows: &[Tuple], chunk_rows: usize) -> DocumentColumns {
-        assert!(
-            chunk_rows.is_power_of_two(),
-            "chunk_rows must be a power of two, got {chunk_rows}"
-        );
-        let mut cols = DocumentColumns {
-            chunk_rows,
-            ..DocumentColumns::default()
-        };
-        cols.chunks = cols.encode(rows).into_pieces(chunk_rows);
-        cols.rebuild_starts();
-        cols
-    }
-
     /// Rebuild the same content at a different chunk row target (must be a
     /// power of two) — dictionaries and codes are reused as-is.
     pub(crate) fn rechunked(&self, chunk_rows: usize) -> DocumentColumns {
@@ -867,101 +829,77 @@ impl DocumentColumns {
         })
     }
 
+    // -- coding strings: every write's session dictionaries ---------------
+
+    /// The session dictionaries of a write over the image: the codes it
+    /// gives its strings, provisional ones for the strings the image lacks.
+    fn session(&self) -> [SessionDict; 3] {
+        [&self.tags, &self.attr_names, &self.attr_values].map(SessionDict::new)
+    }
+
+    /// End a write's session: the strings it brought merge into the
+    /// dictionaries, and the chunks holding a code the merge moves are
+    /// remapped.  Returns the remaps, for the rows the write holds outside
+    /// the image.
+    fn merge(&mut self, session: [SessionDict; 3]) -> Remaps {
+        let [tags, names, values] = session;
+        let remaps = [
+            tags.merge_into(&mut self.tags),
+            names.merge_into(&mut self.attr_names),
+            values.merge_into(&mut self.attr_values),
+        ];
+        let moved =
+            [TAGS, NAMES, VALUES].map(|d| remaps[d].as_deref().map_or(u32::MAX, first_moved));
+        if moved == [u32::MAX; 3] {
+            return remaps;
+        }
+        // a chunk whose codes all lie below the first code each remap
+        // moves keeps its allocation: a string that sorts after every
+        // existing one costs no chunk copy
+        for chunk in &mut self.chunks {
+            if chunk.code_ends.iter().zip(moved).any(|(&end, m)| end > m) {
+                Arc::make_mut(chunk).remap(&remaps);
+            }
+        }
+        remaps
+    }
+
     // -- incremental maintenance (the paged update path) ------------------
 
-    /// Rewrite the chunks' codes through the dictionary remaps given:
-    /// name codes with their name directory and bucket mask, attribute
-    /// name and value codes.  A remap is monotone on the dictionary's own
-    /// codes, so directories stay sorted.  A chunk whose codes all lie
-    /// below the first code each remap moves is left alone, its allocation
-    /// still shared: a string that sorts after every existing one costs
-    /// no chunk copy.
-    fn remap(&mut self, tags: Option<&[u32]>, names: Option<&[u32]>, values: Option<&[u32]>) {
-        let moved = [tags, names, values].map(|r| r.map_or(u32::MAX, first_moved));
-        if moved == [u32::MAX; 3] {
-            return;
-        }
-        for chunk in &mut self.chunks {
-            if chunk.code_ends.iter().zip(moved).all(|(&end, m)| end <= m) {
-                continue;
-            }
-            let chunk = Arc::make_mut(chunk);
-            if let Some(remap) = tags {
-                remap_codes(&mut chunk.name_code, remap);
-                for (code, _) in &mut chunk.directory {
-                    *code = remap[*code as usize];
-                }
-                chunk.rebuild_buckets();
-            }
-            if let Some(remap) = names {
-                remap_codes(&mut chunk.attr_name_code, remap);
-            }
-            if let Some(remap) = values {
-                remap_codes(&mut chunk.attr_value_code, remap);
-            }
-            chunk.code_ends = chunk.exact_code_ends();
-        }
+    /// The final codes of `strings`, each in the dictionary its index
+    /// names, coded through one session.
+    fn codes<const N: usize>(&mut self, strings: [(usize, &str); N]) -> [u32; N] {
+        let mut session = self.session();
+        let codes = strings.map(|(d, s)| (d, session[d].code(s)));
+        let remaps = self.merge(session);
+        codes.map(|(d, code)| remaps[d].as_ref().map_or(code, |r| r[code as usize]))
     }
 
-    /// The tag codes of `names`, growing the dictionary (and remapping
-    /// every chunk's name codes, name directory and bucket masks) when one
-    /// is new — the only remaining O(document) write cost.
-    fn encode_tags<'a>(&mut self, names: impl Iterator<Item = &'a str>) -> Vec<u32> {
-        let (codes, remap) = encode_in(&mut self.tags, names);
-        self.remap(remap.as_deref(), None, None);
-        codes
-    }
-
-    /// The attribute-name codes of `names` (see [`Self::encode_tags`]).
-    fn encode_attr_names<'a>(&mut self, names: impl Iterator<Item = &'a str>) -> Vec<u32> {
-        let (codes, remap) = encode_in(&mut self.attr_names, names);
-        self.remap(None, remap.as_deref(), None);
-        codes
-    }
-
-    /// The attribute-value codes of `values` (see [`Self::encode_tags`]).
-    fn encode_attr_values<'a>(&mut self, values: impl Iterator<Item = &'a str>) -> Vec<u32> {
-        let (codes, remap) = encode_in(&mut self.attr_values, values);
-        self.remap(None, None, remap.as_deref());
-        codes
-    }
-
-    /// Encode `rows` against the image's dictionaries (growing them as
-    /// needed) into a chunk of their own, summaries not yet built.
-    fn encode(&mut self, rows: &[Tuple]) -> Chunk {
-        let attrs = || rows.iter().flat_map(|t| &t.attrs);
-        Chunk {
-            size: rows.iter().map(|t| t.size).collect(),
-            level: rows.iter().map(|t| t.level).collect(),
-            kind: rows.iter().map(|t| t.kind).collect(),
-            name_code: self.encode_tags(rows.iter().map(tag_name)),
-            text: rows
-                .iter()
-                .map(|t| carries_text(t.kind).then(|| t.text.clone()))
-                .collect(),
-            attr_owner: (0..rows.len() as u32)
-                .zip(rows)
-                .flat_map(|(i, t)| t.attrs.iter().map(move |_| i))
-                .collect(),
-            attr_name_code: self.encode_attr_names(attrs().map(|(n, _)| &**n)),
-            attr_value_code: self.encode_attr_values(attrs().map(|(_, v)| &**v)),
-            ..Chunk::default()
-        }
-    }
-
-    /// Splice `rows` into the image at position `at`.  The splice lands in
-    /// exactly one chunk: that chunk's rows shift, its chunk-local
+    /// Splice the rows of `fragment` into the image at position `at`, its
+    /// roots at `level`: a walk over its rows that maps each distinct code
+    /// once, then the merge of the strings the image lacks.  The splice
+    /// lands in exactly one chunk: that chunk's rows shift, its chunk-local
     /// attribute owners renumber, and the start index is patched —
     /// O(chunk size plus rows inserted plus #chunks), never a whole-image
-    /// memmove.  Plus a dictionary merge when a row carries a never-seen
-    /// name.  A chunk grown past twice the row target splits into
+    /// memmove.  A chunk grown past twice the row target splits into
     /// row-target pieces; returns the number of chunks the split added
     /// (0 when the rows fit).
-    pub(crate) fn splice_nodes(&mut self, at: usize, rows: &[Tuple]) -> usize {
-        if rows.is_empty() {
+    pub(crate) fn splice_nodes(
+        &mut self,
+        at: usize,
+        fragment: &DocumentColumns,
+        level: u16,
+    ) -> usize {
+        if fragment.is_empty() {
             return 0;
         }
-        let piece = self.encode(rows);
+        let mut session = self.session();
+        let mut piece = Chunk::with_capacity(fragment.len());
+        fragment.walk_rows(0, fragment.len(), |row| {
+            let row_level = row.level + level;
+            piece.push_mapped(row, row_level, fragment, &mut session);
+        });
+        piece.remap(&self.merge(session));
         if self.chunks.is_empty() {
             self.chunks = piece.into_pieces(self.chunk_rows);
             self.rebuild_starts();
@@ -1019,9 +957,14 @@ impl DocumentColumns {
 
     /// Ancestor `size` maintenance: add `delta` to the size of `pre`.
     pub(crate) fn add_size(&mut self, pre: u32, delta: i64) {
-        let (ci, l) = self.locate(pre);
-        let size = &mut Arc::make_mut(&mut self.chunks[ci]).size[l];
+        let size = self.size_mut(pre);
         *size = (*size as i64 + delta) as u32;
+    }
+
+    /// The size slot of `pre`, its chunk copied first when it is shared.
+    fn size_mut(&mut self, pre: u32) -> &mut u32 {
+        let (ci, l) = self.locate(pre);
+        &mut Arc::make_mut(&mut self.chunks[ci]).size[l]
     }
 
     /// In-place rename of the element or PI target at `pre` (a no-op on
@@ -1033,7 +976,7 @@ impl DocumentColumns {
         ) {
             return;
         }
-        let code = self.encode_tags(std::iter::once(name))[0];
+        let [code] = self.codes([(TAGS, name)]);
         let (ci, l) = self.locate(pre);
         let chunk = Arc::make_mut(&mut self.chunks[ci]);
         chunk.name_code[l] = code;
@@ -1051,8 +994,7 @@ impl DocumentColumns {
 
     /// Set (or insert, at the end of the owner's run) an attribute.
     pub(crate) fn set_attribute(&mut self, pre: u32, name: &str, value: &str) {
-        let code = self.encode_attr_names(std::iter::once(name))[0];
-        let value_code = self.encode_attr_values(std::iter::once(value))[0];
+        let [code, value_code] = self.codes([(NAMES, name), (VALUES, value)]);
         let (ci, l) = self.locate(pre);
         let chunk = Arc::make_mut(&mut self.chunks[ci]);
         for i in chunk.attr_range(l) {
@@ -1096,8 +1038,7 @@ impl DocumentColumns {
             return;
         }
         // both codes after the merge, which may remap the old name's
-        let codes = self.encode_attr_names([name, new_name].into_iter());
-        let (code, new_code) = (codes[0], codes[1]);
+        let [code, new_code] = self.codes([(NAMES, name), (NAMES, new_name)]);
         let (ci, l) = self.locate(pre);
         let chunk = Arc::make_mut(&mut self.chunks[ci]);
         for i in chunk.attr_range(l) {
@@ -1189,7 +1130,7 @@ impl DocumentColumns {
     /// Every `size` matches the level structure, and levels step down from
     /// the fragment roots (level 0) by one — checked against a stack of
     /// the open ancestors.
-    pub(crate) fn check_tree(&self) -> Result<(), String> {
+    fn check_tree(&self) -> Result<(), String> {
         let mut open: Vec<(u32, u16)> = Vec::new();
         let close = |open: &mut Vec<(u32, u16)>, until: u16, at: u32| {
             while let Some(&(p, lv)) = open.last() {
@@ -1326,10 +1267,9 @@ impl DocumentColumns {
 /// [`DocumentBuilder`](crate::DocumentBuilder) appends rows in preorder.
 /// Rows go to the open chunk (the image's last one, when it has room),
 /// which joins the image each time it fills.  A name or attribute string
-/// gets its dictionary code, or a provisional one past the dictionary's
-/// end when the dictionary lacks it; [`Appender::seal`] merges those
-/// strings in once, remapping the chunks' codes only then, and rebuilds
-/// the summaries of the chunks the session wrote.
+/// gets its code through the session dictionaries; [`Appender::seal`]
+/// merges the strings they lacked in once, remapping the chunks' codes only
+/// then, and rebuilds the summaries of the chunks the session wrote.
 #[derive(Debug)]
 pub(crate) struct Appender {
     /// The image without the open chunk.
@@ -1338,20 +1278,25 @@ pub(crate) struct Appender {
     open: Chunk,
     /// The first chunk the session writes.
     first: usize,
-    tags: SessionDict,
-    names: SessionDict,
-    values: SessionDict,
+    dicts: [SessionDict; 3],
     /// Code of the empty string: the name of every row but element and PI
     /// rows.
     empty: u32,
 }
 
-/// One dictionary of the image during a build session.
+/// One dictionary of the image during a write (a build session, a splice
+/// or an in-place patch).  A string the dictionary holds keeps its code,
+/// one it lacks gets a provisional code past the dictionary's end;
+/// [`SessionDict::merge_into`] then grows the dictionary by the new
+/// strings in one merge and remaps every code handed out.
 #[derive(Debug)]
 struct SessionDict {
     /// The dictionary as the session found it.
     dict: Arc<Dictionary>,
-    codes: Codes,
+    /// The codes handed out, by string.
+    seen: HashMap<Arc<str>, u32>,
+    /// The strings the dictionary lacks, one per provisional code.
+    fresh: Vec<Arc<str>>,
     /// The last copy source's dictionary, and its codes' codes here
     /// (`u32::MAX`: not mapped yet): each distinct code of a source is
     /// mapped once.
@@ -1363,14 +1308,29 @@ impl SessionDict {
     fn new(dict: &Arc<Dictionary>) -> SessionDict {
         SessionDict {
             dict: dict.clone(),
-            codes: Codes::default(),
+            seen: HashMap::new(),
+            fresh: Vec::new(),
             source: None,
             mapped: Vec::new(),
         }
     }
 
+    /// The code of `s`, or its provisional code: one hash probe, so a
+    /// string coded over and over (a name) costs one entry.
     fn code(&mut self, s: &str) -> u32 {
-        self.codes.code(&self.dict, s)
+        if let Some(&code) = self.seen.get(s) {
+            return code;
+        }
+        let (key, code) = match self.dict.code_of(s) {
+            Some(code) => (self.dict.str_of(code).clone(), code),
+            None => {
+                let key: Arc<str> = Arc::from(s);
+                self.fresh.push(key.clone());
+                (key, (self.dict.len() + self.fresh.len() - 1) as u32)
+            }
+        };
+        self.seen.insert(key, code);
+        code
     }
 
     /// The code here of code `code` of `src`.
@@ -1384,9 +1344,37 @@ impl SessionDict {
             self.mapped.resize(i + 1, u32::MAX);
         }
         if self.mapped[i] == u32::MAX {
-            self.mapped[i] = self.codes.code(&self.dict, src.str_of(code));
+            self.mapped[i] = self.code(src.str_of(code));
         }
         self.mapped[i]
+    }
+
+    /// Grow `dict`, the dictionary the session started from, by the
+    /// strings it lacked.  Returns `None` when there were none, else the
+    /// remap of every code handed out: the dictionary's own codes, then the
+    /// provisional ones.
+    fn merge_into(self, dict: &mut Arc<Dictionary>) -> Option<Vec<u32>> {
+        if self.fresh.is_empty() {
+            return None;
+        }
+        // the fresh strings are distinct: each one's rank among them
+        let mut fresh: Vec<(Arc<str>, usize)> = self.fresh.into_iter().zip(0..).collect();
+        fresh.sort_unstable();
+        let mut rank = vec![0; fresh.len()];
+        for (r, (_, i)) in fresh.iter().enumerate() {
+            rank[*i] = r;
+        }
+        let added = Dictionary::new(fresh.into_iter().map(|(s, _)| s));
+        let remap = if dict.is_empty() {
+            *dict = added;
+            rank.iter().map(|&r| r as u32).collect()
+        } else {
+            let (merged, mut remap, new) = Dictionary::merge(dict, &added);
+            remap.extend(rank.iter().map(|&r| new[r]));
+            *dict = merged;
+            remap
+        };
+        Some(remap)
     }
 }
 
@@ -1394,14 +1382,12 @@ impl Appender {
     /// Open a build session appending to `cols`.
     pub(crate) fn new(mut cols: DocumentColumns) -> Appender {
         let open = cols.take_open();
-        let mut tags = SessionDict::new(&cols.tags);
-        let empty = tags.code("");
+        let mut dicts = cols.session();
+        let empty = dicts[TAGS].code("");
         Appender {
             first: cols.chunks.len(),
             open,
-            tags,
-            names: SessionDict::new(&cols.attr_names),
-            values: SessionDict::new(&cols.attr_values),
+            dicts,
             empty,
             cols,
         }
@@ -1414,7 +1400,7 @@ impl Appender {
 
     /// The (possibly provisional) code of an element name or PI target.
     pub(crate) fn tag(&mut self, name: &str) -> u32 {
-        self.tags.code(name)
+        self.dicts[TAGS].code(name)
     }
 
     /// The code of the empty name, for text, comment and document rows.
@@ -1433,37 +1419,39 @@ impl Appender {
         self.cols.chunk_rows - self.open.len()
     }
 
-    /// Append a row with size 0 (an element grows by [`Self::close`]).
+    /// Append a row.  An element's `size` is a placeholder until
+    /// [`Self::close`] sets it.
     pub(crate) fn push(
         &mut self,
-        level: u16,
-        kind: NodeKind,
+        (kind, level, size): (NodeKind, u16, u32),
         name_code: u32,
         text: Option<Arc<str>>,
     ) {
         self.room();
         let open = &mut self.open;
-        open.size.push(0);
+        open.size.push(size);
         open.level.push(level);
         open.kind.push(kind);
         open.name_code.push(name_code);
         open.text.push(text);
-        open.code_ends[0] = open.code_ends[0].max(name_code + 1);
+        open.code_ends[TAGS] = open.code_ends[TAGS].max(name_code + 1);
     }
 
-    /// Set the size of the element at `pre` to the rows appended after it.
-    pub(crate) fn close(&mut self, pre: u32) {
+    /// Set the size of the row at `pre` to the rows appended after it;
+    /// returns the placeholder it replaces.
+    pub(crate) fn close(&mut self, pre: u32) -> u32 {
         let size = self.len() - pre - 1;
-        match (pre as usize).checked_sub(self.cols.len) {
-            Some(l) => self.open.size[l] = size,
-            None => self.cols.add_size(pre, size as i64),
-        }
+        let slot = match (pre as usize).checked_sub(self.cols.len) {
+            Some(l) => &mut self.open.size[l],
+            None => self.cols.size_mut(pre),
+        };
+        std::mem::replace(slot, size)
     }
 
     /// Add the attribute `name = value` to the element at `owner`.
     pub(crate) fn attribute(&mut self, owner: u32, name: &str, value: &str) {
-        let n = self.names.code(name);
-        let v = self.values.code(value);
+        let n = self.dicts[NAMES].code(name);
+        let v = self.dicts[VALUES].code(value);
         match (owner as usize).checked_sub(self.cols.len) {
             Some(l) => self.open.insert_attr(l, n, v),
             None => self.cols.push_attr(owner, n, v),
@@ -1511,49 +1499,28 @@ impl Appender {
     pub(crate) fn copy_from(&mut self, src: &DocumentColumns, pre: u32, level: u16) {
         let from = src.node_level(pre);
         src.walk_rows(pre, src.node_size(pre) as usize + 1, |row| {
-            let name_code = self.tags.map(&src.tags, row.name_code);
             self.room();
-            let owner = self.open.len() as u32;
-            let open = &mut self.open;
-            open.size.push(row.size);
-            open.level.push(row.level - from + level);
-            open.kind.push(row.kind);
-            open.name_code.push(name_code);
-            open.text.push(row.text.cloned());
-            open.bound_codes([name_code + 1, 0, 0]);
-            for (&n, &v) in row.attr_names.iter().zip(row.attr_values) {
-                let n = self.names.map(&src.attr_names, n);
-                let v = self.values.map(&src.attr_values, v);
-                let open = &mut self.open;
-                open.attr_owner.push(owner);
-                open.attr_name_code.push(n);
-                open.attr_value_code.push(v);
-                open.bound_codes([0, n + 1, v + 1]);
-            }
+            let row_level = row.level - from + level;
+            self.open.push_mapped(row, row_level, src, &mut self.dicts);
         });
     }
 
     /// End the session: the open chunk joins the image, the strings the
-    /// session brought merge into the dictionaries (remapping every
-    /// chunk's codes when there were any), and the chunks it wrote get
-    /// their summaries.
+    /// session brought merge into the dictionaries (remapping the chunks
+    /// holding a code the merge moves), and the chunks it wrote get their
+    /// summaries.
     pub(crate) fn seal(self) -> DocumentColumns {
         let Appender {
             mut cols,
             open,
             first,
-            tags,
-            names,
-            values,
+            dicts,
             ..
         } = self;
         if open.len() > 0 {
             cols.push_chunk(open);
         }
-        let tags = tags.codes.merge_into(&mut cols.tags);
-        let names = names.codes.merge_into(&mut cols.attr_names);
-        let values = values.codes.merge_into(&mut cols.attr_values);
-        cols.remap(tags.as_deref(), names.as_deref(), values.as_deref());
+        cols.merge(dicts);
         for chunk in &mut cols.chunks[first..] {
             Arc::make_mut(chunk).rebuild_summary();
         }
@@ -1564,7 +1531,7 @@ impl Appender {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::doc::Document;
+    use crate::doc::{Document, DocumentBuilder};
     use crate::shred::{shred, ShredOptions};
     use mxq_engine::join::radix_hash_join;
     use mxq_engine::Column;
@@ -1695,6 +1662,13 @@ mod tests {
         Ok(())
     }
 
+    /// A fragment the builder writes.
+    fn built(build: impl FnOnce(&mut DocumentBuilder)) -> Document {
+        let mut b = DocumentBuilder::new("#fragment");
+        build(&mut b);
+        b.finish()
+    }
+
     /// A wide flat document: root + n <r i="i"><t>text</t></r> children.
     fn wide_doc(n: usize) -> Document {
         let mut xml = String::from("<root>");
@@ -1769,16 +1743,13 @@ mod tests {
             .collect();
         // splice a childless element row into the middle of chunk 2
         let at = (before[2].0 as usize) + 10;
-        let row = Tuple {
-            size: 0,
-            level: 1,
-            kind: NodeKind::Element,
-            name: Arc::from("zzz"),
-            text: Arc::from(""),
-            attrs: vec![(Arc::from("k"), Arc::from("v"))],
-        };
+        let row = built(|b| {
+            b.start_element("zzz");
+            b.attribute("k", "v");
+            b.end_element();
+        });
         let published = cols.clone();
-        cols.splice_nodes(at, std::slice::from_ref(&row));
+        cols.splice_nodes(at, row.columns(), 1);
         // its names sort after every other one: no chunk but the spliced
         // one is copied
         for i in (0..cols.chunk_count()).filter(|&i| i != 2) {
@@ -1824,15 +1795,11 @@ mod tests {
         let mut cols = doc.columns().rechunked(16);
         assert_directory_matches_rows(&cols);
         // insert a childless <aa/> before the 12th <r> (chunk 2) …
-        let row = Tuple {
-            size: 0,
-            level: 1,
-            kind: NodeKind::Element,
-            name: Arc::from("aa"),
-            text: Arc::from(""),
-            attrs: Vec::new(),
-        };
-        cols.splice_nodes(1 + 3 * 11, std::slice::from_ref(&row));
+        let row = built(|b| {
+            b.start_element("aa");
+            b.end_element();
+        });
+        cols.splice_nodes(1 + 3 * 11, row.columns(), 1);
         cols.add_size(0, 1);
         assert_directory_matches_rows(&cols);
         cols.check_invariants()?;
@@ -1852,17 +1819,12 @@ mod tests {
         let doc = wide_doc(4); // 13 nodes
         let mut cols = doc.columns().rechunked(16);
         assert_eq!(cols.chunk_count(), 1);
-        let rows: Vec<Tuple> = (0..40)
-            .map(|i| Tuple {
-                size: 0,
-                level: 1,
-                kind: NodeKind::Text,
-                name: Arc::from(""),
-                text: Arc::from(format!("t{i}")),
-                attrs: Vec::new(),
-            })
-            .collect();
-        cols.splice_nodes(13, &rows);
+        let rows = built(|b| {
+            for i in 0..40 {
+                b.text(&format!("t{i}"));
+            }
+        });
+        cols.splice_nodes(13, rows.columns(), 1);
         assert!(cols.chunk_count() > 1, "oversized chunk must split");
         for i in 0..cols.chunk_count() {
             assert!(cols.chunk_span(i).1 <= 2 * cols.chunk_rows());

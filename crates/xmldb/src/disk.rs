@@ -27,15 +27,20 @@
 //!
 //! Document fragments (WAL payload content) use the same tuple stream
 //! under a different magic, without page structure.
-
-use std::sync::Arc;
+//!
+//! The encoders read the rows straight out of the column image.  The
+//! decoders hold no row type of their own: each decoded tuple goes to the
+//! builder's checked stored-row entry ([`DocumentBuilder`]), the writer
+//! every other container is made by, which rejects what no encoder writes
+//! — a level that jumps past a child of the open row, a stored size the
+//! levels contradict, a text, comment or PI row with children or
+//! attributes — as [`DiskError::Malformed`].
 
 use mxq_wal::crc32;
 
 use crate::columns::DocumentColumns;
-use crate::doc::Document;
+use crate::doc::{Document, DocumentBuilder};
 use crate::node::NodeKind;
-use crate::update::Tuple;
 
 /// Magic bytes of a paged-snapshot image.
 pub const SNAPSHOT_MAGIC: &[u8; 4] = b"MXQP";
@@ -109,12 +114,16 @@ impl<'a> Reader<'a> {
         Ok(self.take(1)?[0])
     }
 
+    fn bytes<const N: usize>(&mut self) -> Result<[u8; N], DiskError> {
+        self.take(N)?.try_into().map_err(|_| DiskError::Truncated)
+    }
+
     fn u16(&mut self) -> Result<u16, DiskError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
+        Ok(u16::from_le_bytes(self.bytes()?))
     }
 
     fn u32(&mut self) -> Result<u32, DiskError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+        Ok(u32::from_le_bytes(self.bytes()?))
     }
 
     fn str(&mut self) -> Result<&'a str, DiskError> {
@@ -188,27 +197,23 @@ fn put_rows(out: &mut Vec<u8>, cols: &DocumentColumns, pre: u32, count: usize) {
     });
 }
 
-fn read_tuple(r: &mut Reader<'_>) -> Result<Tuple, DiskError> {
+/// Decode one tuple and write it through `b`'s checked stored-row entry;
+/// `attrs` is the buffer of its attributes.
+fn read_row<'a>(
+    r: &mut Reader<'a>,
+    b: &mut DocumentBuilder,
+    attrs: &mut Vec<(&'a str, &'a str)>,
+) -> Result<(), DiskError> {
     let kind = byte_kind(r.u8()?)?;
     let level = r.u16()?;
     let size = r.u32()?;
-    let name: Arc<str> = Arc::from(r.str()?);
-    let text: Arc<str> = Arc::from(r.str()?);
-    let attr_count = r.u16()? as usize;
-    let mut attrs = Vec::with_capacity(attr_count);
-    for _ in 0..attr_count {
-        let n: Arc<str> = Arc::from(r.str()?);
-        let v: Arc<str> = Arc::from(r.str()?);
-        attrs.push((n, v));
+    let (name, text) = (r.str()?, r.str()?);
+    attrs.clear();
+    for _ in 0..r.u16()? {
+        attrs.push((r.str()?, r.str()?));
     }
-    Ok(Tuple {
-        size,
-        level,
-        kind,
-        name,
-        text,
-        attrs,
-    })
+    b.stored_row((kind, level, size), name, text, attrs.iter().copied())
+        .map_err(DiskError::Malformed)
 }
 
 // ---------------------------------------------------------------------------
@@ -237,9 +242,10 @@ pub fn encode_snapshot(snap: &Document) -> Vec<u8> {
     out
 }
 
-/// Decode a snapshot image, verifying the per-page checksums, and build
-/// the column image (at the default chunk row target) and the derived
-/// state (summaries, name index, fragment roots) from its rows.
+/// Decode a snapshot image, verifying the per-page checksums, and write
+/// its rows through the builder, which holds every stored size to the
+/// levels and builds the column image (at the default chunk row target)
+/// and the derived state (summaries, name index, fragment roots).
 pub fn decode_snapshot(bytes: &[u8]) -> Result<Document, DiskError> {
     let mut r = Reader::new(bytes);
     if r.take(4)? != SNAPSHOT_MAGIC {
@@ -249,9 +255,9 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<Document, DiskError> {
     if version != FORMAT_VERSION {
         return Err(DiskError::BadVersion(version));
     }
-    let name = r.str()?.to_string();
+    let mut b = DocumentBuilder::new(r.str()?);
     let page_count = r.u32()? as usize;
-    let mut rows = Vec::new();
+    let mut attrs = Vec::new();
     for page_idx in 0..page_count {
         let body_len = r.u32()? as usize;
         let crc = r.u32()?;
@@ -262,7 +268,7 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<Document, DiskError> {
         let mut pr = Reader::new(body);
         let tuple_count = pr.u32()? as usize;
         for _ in 0..tuple_count {
-            rows.push(read_tuple(&mut pr)?);
+            read_row(&mut pr, &mut b, &mut attrs)?;
         }
         if !pr.done() {
             return Err(DiskError::Malformed("trailing bytes in page body"));
@@ -271,17 +277,7 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<Document, DiskError> {
     if !r.done() {
         return Err(DiskError::Malformed("trailing bytes after last page"));
     }
-    checked(name, &rows)
-}
-
-/// The document of a decoded row stream.  The stored sizes are trusted by
-/// every read: they are held to the levels.
-fn checked(name: String, rows: &[Tuple]) -> Result<Document, DiskError> {
-    let doc = Document::from_rows(name, rows);
-    doc.columns()
-        .check_tree()
-        .map_err(|_| DiskError::Malformed("sizes disagree with the level structure"))?;
-    Ok(doc)
+    b.finish_stored().map_err(DiskError::Malformed)
 }
 
 // ---------------------------------------------------------------------------
@@ -312,26 +308,28 @@ pub fn decode_document(bytes: &[u8]) -> Result<Document, DiskError> {
     if version != FORMAT_VERSION {
         return Err(DiskError::BadVersion(version));
     }
-    let name = r.str()?.to_string();
+    let mut b = DocumentBuilder::new(r.str()?);
     let tuple_count = r.u32()? as usize;
-    let mut tuples = Vec::with_capacity(tuple_count);
+    let mut attrs = Vec::new();
     for _ in 0..tuple_count {
-        tuples.push(read_tuple(&mut r)?);
+        read_row(&mut r, &mut b, &mut attrs)?;
     }
     if !r.done() {
         return Err(DiskError::Malformed("trailing bytes after document image"));
     }
-    checked(name, &tuples)
+    b.finish_stored().map_err(DiskError::Malformed)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
+
     use crate::columns::DEFAULT_CHUNK_ROWS;
     use crate::read::NodeRead;
     use crate::serialize::serialize_document;
     use crate::shred::{shred, ShredError, ShredOptions};
-    use crate::update::{tuples_of, PagedDocument};
+    use crate::update::{tuples_of, PagedDocument, Tuple};
 
     type TestResult = Result<(), Box<dyn std::error::Error>>;
 
@@ -372,6 +370,18 @@ mod tests {
             bytes.extend_from_slice(&(body.len() as u32).to_le_bytes());
             bytes.extend_from_slice(&crc32(&body).to_le_bytes());
             bytes.extend_from_slice(&body);
+        }
+        bytes
+    }
+
+    /// A document-fragment image of `rows`, encoded tuple by tuple.
+    fn document_image(name: &str, rows: &[Tuple]) -> Vec<u8> {
+        let mut bytes = DOCUMENT_MAGIC.to_vec();
+        bytes.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+        put_str(&mut bytes, name);
+        bytes.extend_from_slice(&(rows.len() as u32).to_le_bytes());
+        for t in rows {
+            put_tuple(&mut bytes, t);
         }
         bytes
     }
@@ -453,6 +463,131 @@ mod tests {
             decode_snapshot(&bytes),
             Err(DiskError::Malformed(_))
         ));
+        Ok(())
+    }
+
+    /// One stored row.
+    fn row(
+        kind: NodeKind,
+        (level, size): (u16, u32),
+        name: &str,
+        text: &str,
+        attrs: &[(&str, &str)],
+    ) -> Tuple {
+        Tuple {
+            size,
+            level,
+            kind,
+            name: Arc::from(name),
+            text: Arc::from(text),
+            attrs: attrs
+                .iter()
+                .map(|&(n, v)| (Arc::from(n), Arc::from(v)))
+                .collect(),
+        }
+    }
+
+    /// Checksum-valid rows no encoder writes — a text row with a child, an
+    /// attribute on a text, comment or PI row, a level jump — are rejected
+    /// by both decoders, not loaded.
+    #[test]
+    fn hostile_rows_are_rejected() -> TestResult {
+        use NodeKind::{Comment, Element, ProcessingInstruction, Text};
+        let a = |size| row(Element, (0, size), "a", "", &[]);
+        let b = |level| row(Element, (level, 0), "b", "", &[]);
+        let kv = [("k", "v")];
+        let cases = [
+            (
+                "a text row with a child",
+                vec![a(2), row(Text, (1, 1), "", "x", &[]), b(2)],
+            ),
+            (
+                "a child under a text row of size 0",
+                vec![a(2), row(Text, (1, 0), "", "x", &[]), b(2)],
+            ),
+            (
+                "an attribute on a text row",
+                vec![a(1), row(Text, (1, 0), "", "x", &kv)],
+            ),
+            (
+                "an attribute on a comment row",
+                vec![a(1), row(Comment, (1, 0), "", "c", &kv)],
+            ),
+            (
+                "an attribute on a PI row",
+                vec![a(1), row(ProcessingInstruction, (1, 0), "p", "d", &kv)],
+            ),
+            ("a level jump", vec![a(1), b(2)]),
+        ];
+        for (case, rows) in &cases {
+            let snapshot = decode_snapshot(&image_of_pages("bad.xml", &[rows]));
+            let fragment = decode_document(&document_image("bad", rows));
+            for got in [snapshot, fragment] {
+                assert!(
+                    matches!(got, Err(DiskError::Malformed(_))),
+                    "{case}: {got:?}"
+                );
+            }
+        }
+        // the same encoding of well-formed rows loads
+        let rows = [
+            a(2),
+            row(Text, (1, 0), "", "x", &[]),
+            row(Element, (1, 0), "b", "", &kv),
+        ];
+        for doc in [
+            decode_snapshot(&image_of_pages("ok.xml", &[&rows]))?,
+            decode_document(&document_image("ok", &rows))?,
+        ] {
+            doc.check_invariants()?;
+            assert_eq!(serialize_document(&doc), "<a>x<b k=\"v\"/></a>");
+        }
+        Ok(())
+    }
+
+    /// The document the pinned images were written from: a document node,
+    /// attributes, a comment, PIs and 1 045 rows, text rows on both sides of
+    /// the first 1 024-row chunk.
+    fn pinned_xml() -> String {
+        let mut xml = String::from("<?lead x?><site id=\"s1\" lang=\"en\"><!--note--><?pi data?>");
+        for i in 0..520 {
+            if i % 100 == 0 {
+                xml.push_str(&format!("<i n=\"{i}\">t{i}</i>"));
+            } else {
+                xml.push_str(&format!("<i>t{i}</i>"));
+            }
+        }
+        xml.push_str("</site>");
+        xml
+    }
+
+    /// Images the version-1 encoders wrote (`testdata/v1.mxqp`, two pages,
+    /// and `testdata/v1.mxqd`, of `pinned_xml()` shredded with a document
+    /// node) decode to that document, and the encoders write the same bytes
+    /// again: the format is pinned.
+    #[test]
+    fn version_1_images_decode_and_reencode() -> TestResult {
+        let snapshot: &[u8] = include_bytes!("../testdata/v1.mxqp");
+        let fragment: &[u8] = include_bytes!("../testdata/v1.mxqd");
+        let xml = pinned_xml();
+        let (from_snapshot, from_fragment) =
+            (decode_snapshot(snapshot)?, decode_document(fragment)?);
+        for doc in [&from_snapshot, &from_fragment] {
+            doc.check_invariants()?;
+            assert_eq!(doc.name, "pin.xml");
+            assert_eq!((doc.len(), doc.columns().chunk_count()), (1045, 2));
+            assert_eq!(doc.kind(0), NodeKind::Document);
+            assert_eq!(serialize_document(doc), xml);
+        }
+        assert_eq!(FORMAT_VERSION, 1);
+        assert!(
+            encode_snapshot(&from_snapshot) == snapshot,
+            "snapshot bytes differ"
+        );
+        assert!(
+            encode_document(&from_fragment) == fragment,
+            "fragment bytes differ"
+        );
         Ok(())
     }
 

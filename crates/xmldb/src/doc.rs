@@ -11,20 +11,23 @@
 //! roots are its level-0 rows.
 //!
 //! [`DocumentBuilder`] writes the image in preorder, straight into its
-//! chunks.  A builder over an existing container appends: its rows fill
-//! the open last chunk, and the written rows never change after the
-//! builder finishes (the builder patches the size of an element it
-//! closes, and nothing else), so a copy of a subtree within one container
-//! is a range copy of its column slices.
+//! chunks; it is the one row writer.  The shredder, construction and the
+//! XQUF insert sources call its element, text and copy methods; the
+//! on-disk decoders and the naive update scheme's rebuild hand it stored
+//! rows (with their sizes) through one checked entry, which errs on rows
+//! no well-formed tree has.  A builder over an existing container
+//! appends: its rows fill the open last chunk, and the written rows never
+//! change after the builder finishes (the builder patches the size of an
+//! element it closes, and nothing else), so a copy of a subtree within
+//! one container is a range copy of its column slices.
 
 use std::sync::Arc;
 
 use mxq_engine::Item;
 
-use crate::columns::{Appender, DocumentColumns, DEFAULT_CHUNK_ROWS};
+use crate::columns::{Appender, DocumentColumns};
 use crate::node::NodeKind;
 use crate::read::{AttrsIter, NamedRun, NodeRead};
-use crate::update::Tuple;
 
 /// A document container: a name, the chunked column image of its rows,
 /// and the preorder ranks of its fragment roots.
@@ -54,13 +57,6 @@ impl Document {
             frag_roots: columns.fragment_roots(),
             columns,
         }
-    }
-
-    /// A container over a preorder row stream (the rows an on-disk image
-    /// decodes to, or the naive scheme's), at the default chunk size.
-    pub(crate) fn from_rows(name: String, rows: &[Tuple]) -> Document {
-        let columns = DocumentColumns::from_rows(rows, DEFAULT_CHUNK_ROWS);
-        Document::from_columns(name, Arc::new(columns))
     }
 
     /// Number of nodes in the container (attributes excluded).
@@ -270,18 +266,20 @@ impl DocumentBuilder {
     /// Open an element whose name id [`DocumentBuilder::intern`] returned;
     /// returns its preorder rank.
     pub fn start_interned(&mut self, qid: u32) -> u32 {
-        self.start(NodeKind::Element, qid)
+        self.start(NodeKind::Element, qid, 0)
     }
 
     /// Open a document node; returns its preorder rank.
     pub(crate) fn start_document(&mut self) -> u32 {
         let empty = self.rows.empty();
-        self.start(NodeKind::Document, empty)
+        self.start(NodeKind::Document, empty, 0)
     }
 
-    fn start(&mut self, kind: NodeKind, name_code: u32) -> u32 {
+    /// Open an element or document row whose size is `size` until it is
+    /// closed.
+    fn start(&mut self, kind: NodeKind, name_code: u32, size: u32) -> u32 {
         let (pre, level) = self.next_row();
-        self.rows.push(level, kind, name_code, None);
+        self.rows.push((kind, level, size), name_code, None);
         self.open.push(pre);
         pre
     }
@@ -301,16 +299,6 @@ impl DocumentBuilder {
     pub fn attribute(&mut self, name: &str, value: &str) {
         let owner = self.owner();
         self.rows.attribute(owner, name, value);
-    }
-
-    /// [`DocumentBuilder::attribute`] with strings the caller already
-    /// holds.
-    ///
-    /// # Panics
-    /// Panics if no element is open.
-    pub fn shared_attribute(&mut self, name: Arc<str>, value: Arc<str>) {
-        let owner = self.owner();
-        self.rows.attribute(owner, &name, &value);
     }
 
     /// Close the most recently opened element.
@@ -347,8 +335,70 @@ impl DocumentBuilder {
 
     fn leaf(&mut self, kind: NodeKind, name_code: u32, content: Arc<str>) -> u32 {
         let (pre, level) = self.next_row();
-        self.rows.push(level, kind, name_code, Some(content));
+        self.rows.push((kind, level, 0), name_code, Some(content));
         pre
+    }
+
+    /// Append one stored preorder row — a decoded image's or the naive
+    /// scheme's — checked against the rows before it: the rows open at
+    /// `level` or deeper close first, each against the size it was stored
+    /// with.  Errs on a row deeper than a child of the open row, on a
+    /// stored size the level structure contradicts, and on a text,
+    /// comment or PI row with children or attributes.  The image keeps no
+    /// name for a text, comment or document row and no text for an
+    /// element or document row: those arguments are ignored.
+    pub(crate) fn stored_row<'s>(
+        &mut self,
+        (kind, level, size): (NodeKind, u16, u32),
+        name: &str,
+        text: &str,
+        attrs: impl IntoIterator<Item = (&'s str, &'s str)>,
+    ) -> Result<(), &'static str> {
+        while self.open.len() > level as usize {
+            self.close_stored()?;
+        }
+        if self.open.len() < level as usize {
+            return Err("a row's level jumps past a child of its parent");
+        }
+        let name_code = match kind {
+            NodeKind::Element | NodeKind::ProcessingInstruction => self.rows.tag(name),
+            _ => self.rows.empty(),
+        };
+        let mut attrs = attrs.into_iter().peekable();
+        match kind {
+            NodeKind::Element | NodeKind::Document => {
+                let pre = self.start(kind, name_code, size);
+                for (n, v) in attrs {
+                    self.rows.attribute(pre, n, v);
+                }
+            }
+            _ if size != 0 => return Err("a text, comment or PI row with children"),
+            _ if attrs.peek().is_some() => return Err("an attribute on a text, comment or PI row"),
+            _ => drop(self.leaf(kind, name_code, Arc::from(text))),
+        }
+        Ok(())
+    }
+
+    /// Close the innermost open row of a stored row stream against the
+    /// size it was stored with.
+    fn close_stored(&mut self) -> Result<(), &'static str> {
+        if let Some(pre) = self.open.pop() {
+            let size = self.next_pre() - pre - 1;
+            if self.rows.close(pre) != size {
+                return Err("a stored size disagrees with the level structure");
+            }
+        }
+        Ok(())
+    }
+
+    /// Finish a stored row stream ([`DocumentBuilder::stored_row`]): the
+    /// rows still open close against their stored sizes, then the image is
+    /// sealed.
+    pub(crate) fn finish_stored(mut self) -> Result<Document, &'static str> {
+        while !self.open.is_empty() {
+            self.close_stored()?;
+        }
+        Ok(self.finish())
     }
 
     /// Deep-copy a subtree from another container as a child of the
@@ -491,7 +541,7 @@ mod tests {
     use super::*;
     use crate::serialize::serialize_document;
     use crate::shred::{shred, ShredError, ShredOptions};
-    use crate::update::{fragment_from_xml, tuples_of, PagedDocument};
+    use crate::update::{fragment_from_xml, tuples_of, PagedDocument, Tuple};
 
     /// Build the ten-node example document of Figure 4 of the paper.
     pub(crate) fn figure4() -> Document {
@@ -520,7 +570,7 @@ mod tests {
     }
 
     #[test]
-    fn figure4_encoding_matches_paper() {
+    fn figure4_encoding_matches_paper() -> Result<(), String> {
         let d = figure4();
         assert_eq!(d.len(), 10);
         // pre, size, level from Figure 4
@@ -544,7 +594,8 @@ mod tests {
         assert_eq!(d.post(0), 9);
         assert_eq!(d.post(1), 3);
         assert_eq!(d.post(5), 8);
-        d.check_invariants().unwrap();
+        d.check_invariants()?;
+        Ok(())
     }
 
     #[test]
@@ -713,11 +764,16 @@ mod tests {
         rows
     }
 
+    /// An empty container of `chunk_rows`-row chunks.
+    fn empty(chunk_rows: usize) -> Document {
+        let columns = DocumentColumns::default().rechunked(chunk_rows);
+        Document::from_columns("t".into(), Arc::new(columns))
+    }
+
     /// The steps run through the builder, one build session each, over an
     /// empty container of `chunk_rows`-row chunks.
     fn built(sessions: &[&[Step]], stored: &Document, chunk_rows: usize) -> Document {
-        let columns = DocumentColumns::from_rows(&[], chunk_rows);
-        let mut doc = Document::from_columns("t".into(), Arc::new(columns));
+        let mut doc = empty(chunk_rows);
         for session in sessions {
             let mut b = DocumentBuilder::append_to(doc);
             for step in *session {
@@ -735,8 +791,24 @@ mod tests {
         doc
     }
 
-    /// A transient appended over three build sessions equals a `from_rows`
-    /// rebuild of the same rows, at every chunk size.  The third session
+    /// Every row of `doc` reads as the plain tuple of `rows`: size, level,
+    /// kind, name, text and attributes, as decoded strings.
+    fn assert_rows(doc: &Document, rows: &[Tuple]) {
+        assert_eq!(doc.len(), rows.len(), "row count");
+        for (pre, t) in (0..).zip(rows) {
+            let row = (doc.size(pre), doc.level(pre), doc.kind(pre));
+            assert_eq!(row, (t.size, t.level, t.kind), "row {pre}");
+            assert_eq!(doc.name_of(pre), &*t.name, "name at {pre}");
+            assert_eq!(doc.text_of(pre), &*t.text, "text at {pre}");
+            assert!(
+                doc.attrs(pre).eq(t.attrs.iter().map(|(n, v)| (n, v))),
+                "attributes at {pre}"
+            );
+        }
+    }
+
+    /// A transient appended over three build sessions holds the rows the
+    /// steps write, kept as plain tuples, at every chunk size.  The third session
     /// brings a tag, an attribute name and an attribute value that sort
     /// before every entry of the dictionaries, so the codes of the chunks
     /// the earlier sessions sealed must be remapped; it also copies a
@@ -772,12 +844,16 @@ mod tests {
         let sessions = [first, second, third];
         let stored = stored().map_err(|e| e.to_string())?;
         let rows = rebuilt(&sessions, &stored);
+        let roots: Vec<u32> = (0..)
+            .zip(&rows)
+            .filter(|(_, t)| t.level == 0)
+            .map(|(pre, _)| pre)
+            .collect();
         for chunk_rows in [2, 4, 1024] {
             let doc = built(&sessions, &stored, chunk_rows);
             doc.check_invariants()?;
-            let expect = DocumentColumns::from_rows(&rows, chunk_rows);
-            doc.columns().same_content(&expect)?;
-            assert_eq!(doc.fragment_roots(), expect.fragment_roots());
+            assert_rows(&doc, &rows);
+            assert_eq!(doc.fragment_roots(), roots);
             assert_eq!(doc.columns().chunk_count(), rows.len().div_ceil(chunk_rows));
         }
         Ok(())
@@ -796,11 +872,7 @@ mod tests {
             }
             b.finish()
         }
-        let empty = DocumentColumns::from_rows(&[], 2);
-        let first = session(
-            Document::from_columns("t".into(), Arc::new(empty)),
-            &["a", "b", "c", "d"],
-        );
+        let first = session(empty(2), &["a", "b", "c", "d"]);
         let second = session(first.clone(), &["e"]);
         let third = session(second.clone(), &["bb"]);
         let (f, s, t) = (first.columns(), second.columns(), third.columns());

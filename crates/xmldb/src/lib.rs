@@ -11,10 +11,12 @@
 //!   **relational image** ([`columns`]) — dense structural, text and
 //!   attribute columns with dictionary-encoded names (`Column::Dict` over
 //!   shared sorted dictionaries).  The shredder, element construction, XQUF
-//!   insert sources, the on-disk decoder and the statement's transient all
+//!   insert sources, the on-disk decoders and the statement's transient all
 //!   produce it, so one set of kernels reads it;
 //! * a **document builder** ([`DocumentBuilder`]) that writes the image in
-//!   preorder straight into its chunks, a **document shredder**
+//!   preorder straight into its chunks — the one row writer, which the
+//!   on-disk decoders and the naive update scheme also write through — a
+//!   **document shredder**
 //!   ([`shred()`](shred::shred)) that parses XML text through it, and a
 //!   **serializer** ([`serialize`]) that reconstructs XML text with one
 //!   sequential walk over the rows;

@@ -4,8 +4,10 @@
 //! The parser is hand written (no external XML crate) and covers the XML
 //! subset relevant for database documents: the prolog, elements, attributes,
 //! character data with the five predefined entities and numeric character
-//! references, CDATA sections, comments and processing instructions.
-//! DTDs are skipped, namespaces are treated as plain prefixed names.
+//! references, CDATA sections, comments and processing instructions —
+//! also the ones before and after the document element, which become
+//! fragment roots (or children of the document node).  The XML declaration
+//! and DTDs are skipped, namespaces are treated as plain prefixed names.
 
 use std::fmt;
 
@@ -66,9 +68,9 @@ pub fn shred(name: &str, xml: &str, opts: &ShredOptions) -> Result<Document, Shr
     if opts.document_node {
         p.builder.start_document();
     }
-    p.parse_prolog()?;
+    p.parse_misc(true)?;
     p.parse_element()?;
-    p.skip_misc()?;
+    p.parse_misc(false)?;
     if opts.document_node {
         p.builder.end_element();
     }
@@ -133,15 +135,14 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_prolog(&mut self) -> Result<(), ShredError> {
+    /// Parse the comments and PIs before (`prolog`) or after the document
+    /// element; the prolog's XML declaration and DOCTYPE are skipped.
+    fn parse_misc(&mut self, prolog: bool) -> Result<(), ShredError> {
         loop {
             self.skip_ws();
-            if self.starts_with("<?xml") {
+            if prolog && self.starts_with("<?xml") {
                 self.read_until("?>")?;
-            } else if self.starts_with("<!--") {
-                self.bump(4);
-                self.read_until("-->")?;
-            } else if self.starts_with("<!DOCTYPE") {
+            } else if prolog && self.starts_with("<!DOCTYPE") {
                 // skip a (possibly bracketed) DTD
                 let mut depth = 0usize;
                 while let Some(c) = self.peek() {
@@ -158,31 +159,29 @@ impl<'a> Parser<'a> {
                         _ => {}
                     }
                 }
-            } else if self.starts_with("<?") {
-                self.bump(2);
-                let content = self.read_until("?>")?;
-                let (target, rest) = split_name(content);
-                self.builder
-                    .processing_instruction(target, rest.trim_start());
-            } else {
+            } else if !self.misc_node()? {
                 return Ok(());
             }
         }
     }
 
-    fn skip_misc(&mut self) -> Result<(), ShredError> {
-        loop {
-            self.skip_ws();
-            if self.starts_with("<!--") {
-                self.bump(4);
-                self.read_until("-->")?;
-            } else if self.starts_with("<?") {
-                self.bump(2);
-                self.read_until("?>")?;
-            } else {
-                return Ok(());
-            }
+    /// Parse a comment or PI at the cursor into a node; false when the
+    /// cursor is at neither.
+    fn misc_node(&mut self) -> Result<bool, ShredError> {
+        if self.starts_with("<!--") {
+            self.bump(4);
+            let c = self.read_until("-->")?;
+            self.builder.comment(c);
+        } else if self.starts_with("<?") {
+            self.bump(2);
+            let content = self.read_until("?>")?;
+            let (target, rest) = split_name(content);
+            self.builder
+                .processing_instruction(target, rest.trim_start());
+        } else {
+            return Ok(false);
         }
+        Ok(true)
     }
 
     fn parse_name(&mut self) -> Result<String, ShredError> {
@@ -260,25 +259,15 @@ impl<'a> Parser<'a> {
                 self.expect(">")?;
                 self.builder.end_element();
                 return Ok(());
-            } else if self.starts_with("<!--") {
-                self.flush_text(&mut text);
-                self.bump(4);
-                let c = self.read_until("-->")?;
-                self.builder.comment(c);
             } else if self.starts_with("<![CDATA[") {
                 self.bump(9);
                 let c = self.read_until("]]>")?;
                 text.push_str(c);
-            } else if self.starts_with("<?") {
-                self.flush_text(&mut text);
-                self.bump(2);
-                let content = self.read_until("?>")?;
-                let (target, rest) = split_name(content);
-                self.builder
-                    .processing_instruction(target, rest.trim_start());
             } else if self.starts_with("<") {
                 self.flush_text(&mut text);
-                self.parse_element()?;
+                if !self.misc_node()? {
+                    self.parse_element()?;
+                }
             } else {
                 // character data up to the next markup
                 let start = self.pos;
@@ -370,8 +359,10 @@ pub fn decode_entities(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::disk::{decode_snapshot, encode_snapshot};
     use crate::node::NodeKind;
     use crate::read::NodeRead;
+    use crate::serialize::serialize_document;
 
     #[test]
     fn shreds_figure4_document() {
@@ -395,15 +386,56 @@ mod tests {
     }
 
     #[test]
-    fn prolog_comments_cdata_pi() {
+    fn prolog_comments_cdata_pi() -> Result<(), ShredError> {
         let xml =
             "<?xml version=\"1.0\"?><!-- top --><r><![CDATA[a<b]]><!-- in --><?php echo?></r>";
-        let d = shred("t", xml, &ShredOptions::default()).unwrap();
-        assert_eq!(d.name_of(0), "r");
-        assert_eq!(d.string_value(0), "a<b");
-        let kinds: Vec<NodeKind> = (0..d.len() as u32).map(|p| d.kind(p)).collect();
+        let d = shred("t", xml, &ShredOptions::default())?;
+        // the prolog comment is the first fragment root, the document
+        // element the second; the XML declaration is skipped
+        assert_eq!((d.kind(0), d.text_of(0)), (NodeKind::Comment, " top "));
+        assert_eq!(d.fragment_roots(), &[0, 1]);
+        assert_eq!(d.name_of(1), "r");
+        assert_eq!(d.string_value(1), "a<b");
+        let kinds: Vec<NodeKind> = (2..d.len() as u32).map(|p| d.kind(p)).collect();
         assert!(kinds.contains(&NodeKind::Comment));
         assert!(kinds.contains(&NodeKind::ProcessingInstruction));
+        Ok(())
+    }
+
+    /// Comments and PIs before and after the document element are kept in
+    /// document order, as fragment roots or as children of the document
+    /// node, and survive a snapshot image round trip.
+    #[test]
+    fn misc_nodes_around_the_document_element_are_kept() -> Result<(), Box<dyn std::error::Error>> {
+        let xml = "<!--c--><a/><!--d--><?p x?>";
+        for document_node in [false, true] {
+            let opts = ShredOptions {
+                document_node,
+                ..ShredOptions::default()
+            };
+            let d = shred("t", xml, &opts)?;
+            d.check_invariants()?;
+            assert_eq!(
+                serialize_document(&d),
+                xml,
+                "document node: {document_node}"
+            );
+            let back = decode_snapshot(&encode_snapshot(&d))?;
+            back.check_invariants()?;
+            assert_eq!(
+                serialize_document(&back),
+                xml,
+                "document node: {document_node}"
+            );
+        }
+        // the XML declaration and a DOCTYPE still make no node
+        let d = shred(
+            "t",
+            "<?xml version=\"1.0\"?><!DOCTYPE a><!--c--><a/>",
+            &ShredOptions::default(),
+        )?;
+        assert_eq!(serialize_document(&d), "<!--c--><a/>");
+        Ok(())
     }
 
     #[test]

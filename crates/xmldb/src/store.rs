@@ -32,6 +32,7 @@ use mxq_engine::NodeId;
 
 use crate::disk::decode_snapshot;
 use crate::doc::Document;
+use crate::node::NodeKind;
 use crate::read::NodeRead;
 use crate::shred::{shred, ShredError, ShredOptions};
 
@@ -378,13 +379,15 @@ impl StoreSnapshot {
         self.by_name.get(name).copied()
     }
 
-    /// The root node of the document loaded under `name`.
+    /// The root node of the document loaded under `name`: its document
+    /// node, or without one its document element (the comments and PIs
+    /// around it are fragment roots too).
     pub fn document_root(&self, name: &str) -> Option<NodeId> {
         let frag = self.lookup(name)?;
-        self.container(frag)
-            .root_pres()
-            .first()
-            .map(|&pre| NodeId::new(frag, pre))
+        let doc = self.container(frag);
+        let is_root = |&pre: &u32| matches!(doc.kind(pre), NodeKind::Element | NodeKind::Document);
+        let pre = doc.fragment_roots().iter().copied().find(is_root)?;
+        Some(NodeId::new(frag, pre))
     }
 }
 

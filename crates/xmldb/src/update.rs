@@ -10,7 +10,10 @@
 //! its rows, a chunk that outgrows twice its row target splits into
 //! row-target pieces, and a chunk emptied by deletes is dropped.  The chunk
 //! image is the document's only store, and [`PagedDocument::snapshot`]
-//! publishes it as a [`Document`], the one container type.
+//! publishes it as a [`Document`], the one container type.  An inserted
+//! fragment is a [`Document`] the builder wrote, in the same encoding: the
+//! splice copies its rows out of its own image, mapping each distinct name
+//! and attribute code once, with no row type in between.
 //!
 //! Two implementations are provided so the ablation (README, "Updates")
 //! can compare them:
@@ -23,12 +26,14 @@
 //! subset of `mxq-xquery` compiles to: child/sibling inserts, subtree
 //! deletion and replacement, value replacement, renames and attribute
 //! patching.  The naive scheme doubles as the differential-testing reference
-//! for the paged one.
+//! for the paged one; its flat `Tuple` vector is the only row type outside
+//! the chunk image, and its rebuild into a container goes through the
+//! builder's checked stored-row entry.
 
 use std::sync::Arc;
 
 use crate::columns::DocumentColumns;
-use crate::doc::Document;
+use crate::doc::{Document, DocumentBuilder};
 use crate::node::NodeKind;
 
 /// Cost counters accumulated by the update schemes.
@@ -115,8 +120,7 @@ pub trait StructuralUpdate {
 }
 
 /// One node row with its properties inline: the row type of the naive
-/// scheme, of the on-disk and WAL codec, and of the rows a splice inserts
-/// into the column image.
+/// scheme.
 #[derive(Debug, Clone)]
 pub(crate) struct Tuple {
     pub(crate) size: u32,
@@ -159,25 +163,12 @@ pub(crate) fn tuples_of(doc: &Document) -> Vec<Tuple> {
     rows
 }
 
-/// A childless text row at `level`.
-fn text_tuple(level: u16, text: &str) -> Tuple {
-    Tuple {
-        size: 0,
-        level,
-        kind: NodeKind::Text,
-        name: Arc::from(""),
-        text: Arc::from(text),
-        attrs: Vec::new(),
-    }
-}
-
-/// Fragment tuples with their levels re-based onto `level_base`.
-fn rebased_tuples(fragment: &Document, level_base: u16) -> Vec<Tuple> {
-    let mut rows = tuples_of(fragment);
-    for t in &mut rows {
-        t.level += level_base;
-    }
-    rows
+/// A fragment of one text node, the content an element's value
+/// replacement inserts.
+fn text_fragment(text: &str) -> Document {
+    let mut b = DocumentBuilder::new("#text");
+    b.text(text);
+    b.finish()
 }
 
 // ---------------------------------------------------------------------------
@@ -270,6 +261,16 @@ impl NaiveDocument {
         }
     }
 
+    /// Insert `fragment` at `pos` with its roots at `level`, growing the
+    /// ancestors from `anchor` on.
+    fn insert_fragment(&mut self, pos: u32, level: u16, anchor: Option<u32>, fragment: &Document) {
+        let mut rows = tuples_of(fragment);
+        for t in &mut rows {
+            t.level += level;
+        }
+        self.splice_in(pos as usize, rows, anchor);
+    }
+
     /// Remove `count` tuples starting at `start` (no ancestor maintenance).
     fn remove_range(&mut self, start: usize, count: usize) {
         if count == 0 {
@@ -309,18 +310,14 @@ impl StructuralUpdate for NaiveDocument {
     fn insert_first_child(&mut self, parent_pre: u32, fragment: &Document) {
         self.assert_container(parent_pre, "insert_first_child");
         let level = self.level(parent_pre) + 1;
-        self.splice_in(
-            parent_pre as usize + 1,
-            rebased_tuples(fragment, level),
-            Some(parent_pre),
-        );
+        self.insert_fragment(parent_pre + 1, level, Some(parent_pre), fragment);
     }
 
     fn insert_last_child(&mut self, parent_pre: u32, fragment: &Document) {
         self.assert_container(parent_pre, "insert_last_child");
-        let insert_at = (parent_pre + self.size(parent_pre) + 1) as usize;
+        let pos = parent_pre + self.size(parent_pre) + 1;
         let level = self.level(parent_pre) + 1;
-        self.splice_in(insert_at, rebased_tuples(fragment, level), Some(parent_pre));
+        self.insert_fragment(pos, level, Some(parent_pre), fragment);
     }
 
     fn insert_before(&mut self, pre: u32, fragment: &Document) {
@@ -329,7 +326,7 @@ impl StructuralUpdate for NaiveDocument {
 
     fn insert_at(&mut self, pos: u32, level: u16, fragment: &Document) {
         let anchor = self.anchor_before(pos, level);
-        self.splice_in(pos as usize, rebased_tuples(fragment, level), anchor);
+        self.insert_fragment(pos, level, anchor, fragment);
     }
 
     fn insert_after(&mut self, pre: u32, fragment: &Document) {
@@ -351,7 +348,7 @@ impl StructuralUpdate for NaiveDocument {
         let anchor = self.parent(pre);
         self.remove_range(pre as usize, removed as usize);
         self.shrink_ancestors(anchor, removed);
-        self.splice_in(pre as usize, rebased_tuples(fragment, level), anchor);
+        self.insert_fragment(pre, level, anchor, fragment);
     }
 
     fn replace_value(&mut self, pre: u32, text: &str) {
@@ -368,11 +365,7 @@ impl StructuralUpdate for NaiveDocument {
                 let parent = self.parent(pre);
                 self.shrink_ancestors(parent, removed);
                 if !text.is_empty() {
-                    self.splice_in(
-                        pre as usize + 1,
-                        vec![text_tuple(level + 1, text)],
-                        Some(pre),
-                    );
+                    self.insert_fragment(pre + 1, level + 1, Some(pre), &text_fragment(text));
                 }
             }
         }
@@ -416,9 +409,20 @@ impl StructuralUpdate for NaiveDocument {
         self.stats.tuples_written += 1;
     }
 
-    /// The tuples rebuilt into a container, for querying / verification.
+    /// The tuples written into a container through the builder's checked
+    /// stored-row entry, for querying / verification.
+    ///
+    /// # Panics
+    /// Panics if the rows are not a well-formed preorder encoding — a
+    /// fault of this scheme, which keeps them so.
     fn to_document(&self) -> Document {
-        Document::from_rows(self.name.clone(), &self.tuples)
+        let mut b = DocumentBuilder::new(self.name.clone());
+        let rows = self.tuples.iter().try_for_each(|t| {
+            let attrs = t.attrs.iter().map(|(n, v)| (&**n, &**v));
+            b.stored_row((t.kind, t.level, t.size), &t.name, &t.text, attrs)
+        });
+        rows.and_then(|()| b.finish_stored())
+            .expect("the naive scheme keeps well-formed rows")
     }
 
     fn update_stats(&self) -> UpdateStats {
@@ -532,25 +536,6 @@ impl PagedDocument {
         );
     }
 
-    /// Insert rows at a logical position: one chunk is patched, and split
-    /// into row-target pieces when it outgrows twice the target, so
-    /// repeated inserts into one region keep splitting locally instead of
-    /// remapping O(N) rows (Figure 11).
-    fn insert_rows_at(&mut self, insert_pos: usize, rows: Vec<Tuple>) {
-        if rows.is_empty() {
-            return;
-        }
-        let added = self.columns_mut().splice_nodes(insert_pos, &rows);
-        self.stats.pages_touched += 1 + added as u64;
-        self.stats.pages_allocated += added as u64;
-        self.stats.tuples_written += rows.len() as u64;
-        if added > 0 {
-            // a split copies the chunk — more than twice the row target —
-            // into its pieces; count the threshold
-            self.stats.tuples_written += 2 * self.columns.chunk_rows() as u64;
-        }
-    }
-
     /// Remove `count` rows starting at logical position `start`; only the
     /// chunks holding them are patched.
     fn remove_range(&mut self, start: usize, count: usize) {
@@ -584,12 +569,27 @@ impl PagedDocument {
     }
 
     /// Insert `fragment` at `pos` with its roots at `level`, growing the
-    /// ancestors from `anchor` on.
+    /// ancestors from `anchor` on.  Its rows land in one chunk, which splits
+    /// into row-target pieces when it outgrows twice the target, so
+    /// repeated inserts into one region keep splitting locally instead of
+    /// remapping O(N) rows (Figure 11).
     fn insert_fragment(&mut self, pos: u32, level: u16, anchor: Option<u32>, fragment: &Document) {
-        let rows = rebased_tuples(fragment, level);
-        let added = rows.len() as i64;
-        self.insert_rows_at(pos as usize, rows);
-        self.bump_ancestors(anchor, added);
+        let rows = fragment.len();
+        if rows == 0 {
+            return;
+        }
+        let added = self
+            .columns_mut()
+            .splice_nodes(pos as usize, fragment.columns(), level);
+        self.stats.pages_touched += 1 + added as u64;
+        self.stats.pages_allocated += added as u64;
+        self.stats.tuples_written += rows as u64;
+        if added > 0 {
+            // a split copies the chunk — more than twice the row target —
+            // into its pieces; count the threshold
+            self.stats.tuples_written += 2 * self.columns.chunk_rows() as u64;
+        }
+        self.bump_ancestors(anchor, rows as i64);
     }
 }
 
@@ -668,8 +668,7 @@ impl StructuralUpdate for PagedDocument {
                 let parent = self.parent(pre);
                 self.bump_ancestors(parent, -(removed as i64));
                 if !text.is_empty() {
-                    self.insert_rows_at(pre as usize + 1, vec![text_tuple(level + 1, text)]);
-                    self.bump_ancestors(Some(pre), 1);
+                    self.insert_fragment(pre + 1, level + 1, Some(pre), &text_fragment(text));
                 }
             }
         }
