@@ -11,7 +11,7 @@
 //! store snapshot.  It is pure: no lock, no latch, no mutation of shared
 //! state.
 
-use mxq_engine::{Item, NodeId};
+use mxq_engine::{Column, Item, NodeId};
 use mxq_xmldb::{Document, DocumentBuilder, NodeKind, NodeRead, StoreSnapshot, TRANSIENT_FRAG};
 
 use crate::pul::{self, PendingUpdateList, PulError, UpdateKind, UpdatePrimitive};
@@ -211,7 +211,10 @@ impl PrimitiveCollector<'_> {
     /// [`DocumentBuilder::append_content`]).
     fn materialize_content(&self, items: &[Item]) -> Document {
         let mut b = DocumentBuilder::new("#update-content");
-        b.append_content(items.iter().cloned(), |frag| Some(self.container(frag)));
+        let items = Column::Item(items.to_vec());
+        b.append_content([(&items, 0..items.len())], |frag| {
+            Some(self.container(frag))
+        });
         b.finish()
     }
 

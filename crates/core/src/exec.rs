@@ -20,6 +20,7 @@
 //! concurrently — every execution has its own scratch space and pins its own
 //! store snapshot.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
 use std::ops::Range;
@@ -39,7 +40,7 @@ use mxq_staircase::{
     child_step_in_iter_order, looplifted_step, looplifted_step_candidates, staircase_step, Axis,
     NodeTest, ScanStats,
 };
-use mxq_xmldb::{Document, DocumentBuilder, NodeRead, StoreSnapshot, TRANSIENT_FRAG};
+use mxq_xmldb::{Document, DocumentBuilder, NodeKind, NodeRead, StoreSnapshot, TRANSIENT_FRAG};
 
 use crate::algebra::{ConstItems, NumFnKind, Op, PlanRef, PosFilterKind, StrFnKind};
 use crate::ast::ArithOp;
@@ -96,6 +97,41 @@ impl From<EngineError> for ExecError {
 
 type EResult<T> = Result<T, ExecError>;
 
+/// The element and attribute names a plan's constructors build, each once:
+/// collected per compiled plan (the plan cache keeps them with it), and
+/// interned by an execution's first build session, so that session's seal
+/// merges every name the statement constructs and a later constructor of
+/// the statement remaps no chunk of the transient container for a name.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct CtorNames {
+    tags: Vec<String>,
+    attrs: Vec<String>,
+}
+
+impl CtorNames {
+    /// The names the constructors of `plan` build.
+    pub fn of(plan: &PlanRef) -> CtorNames {
+        let mut names = CtorNames::default();
+        let mut seen = std::collections::HashSet::new();
+        let mut stack = vec![plan.clone()];
+        while let Some(p) = stack.pop() {
+            if !seen.insert(p.id) {
+                continue;
+            }
+            if let Op::ElemCtor { name, attrs, .. } = &p.op {
+                names.tags.push(name.clone());
+                names.attrs.extend(attrs.iter().map(|(n, _)| n.clone()));
+            }
+            stack.extend(p.children());
+        }
+        for list in [&mut names.tags, &mut names.attrs] {
+            list.sort_unstable();
+            list.dedup();
+        }
+        names
+    }
+}
+
 /// The executor.  Reads loaded documents through an immutable store
 /// snapshot, constructs new nodes into a private transient container, and
 /// resolves external variables against a [`Params`] binding set.
@@ -124,6 +160,9 @@ pub struct Executor<'a> {
     /// Per-operator costs; `Some` for a profiled execution
     /// ([`Executor::with_profiling`]).
     profile: Option<Box<ProfileSink>>,
+    /// The names the first build session interns, taken by it
+    /// ([`Executor::with_ctor_names`]).
+    ctor_names: Option<Arc<CtorNames>>,
 }
 
 // -- small helpers over sequence tables --------------------------------------
@@ -183,7 +222,15 @@ impl<'a> Executor<'a> {
             reads: std::cell::RefCell::new(std::collections::HashSet::new()),
             last_read: std::cell::Cell::new(TRANSIENT_FRAG),
             profile: None,
+            ctor_names: None,
         }
+    }
+
+    /// Intern `names` (those of the plans this execution evaluates, see
+    /// [`CtorNames::of`]) in the execution's first build session.
+    pub fn with_ctor_names(mut self, names: Arc<CtorNames>) -> Self {
+        self.ctor_names = Some(names);
+        self
     }
 
     /// Profile this execution: every plan node [`Executor::eval`] evaluates
@@ -361,31 +408,30 @@ impl<'a> Executor<'a> {
         }
     }
 
-    /// String value of the first item of a run (`""` for an empty run).
-    fn first_string(&self, items: &Column, run: Range<usize>) -> String {
-        if run.is_empty() {
-            String::new()
-        } else {
-            self.item_string(&items.item(run.start))
-        }
-    }
-
-    /// [`Self::first_string`] as a shared string: the string of a string
-    /// item or of a stored text node is shared, not copied.
-    fn first_arc(&self, items: &Column, run: Range<usize>) -> Arc<str> {
-        if run.is_empty() {
-            return Arc::from("");
-        }
-        match items.item(run.start) {
-            Item::Str(s) => s,
-            Item::Node(n) => {
-                let doc = self.container(n.frag);
-                match doc.text_arc(n.pre) {
-                    Some(text) => text.clone(),
-                    None => Arc::from(doc.string_value(n.pre)),
-                }
+    /// String value of the first item of a run (`""` for an empty run),
+    /// borrowed where the column holds it: the string of a string item, or
+    /// the heap bytes of a stored text, comment or PI node.
+    fn first_str<'c>(&'c self, items: &'c Column, run: Range<usize>) -> Cow<'c, str> {
+        let node = |n: NodeId| {
+            let doc = self.container(n.frag);
+            match doc.kind(n.pre) {
+                NodeKind::Element | NodeKind::Document => Cow::Owned(doc.string_value(n.pre)),
+                _ => Cow::Borrowed(doc.text_of(n.pre)),
             }
-            atomic => Arc::from(atomic.string_value()),
+        };
+        if run.is_empty() {
+            return Cow::Borrowed("");
+        }
+        match items {
+            Column::Str(strings) => Cow::Borrowed(&strings[run.start]),
+            Column::Dict { codes, dict } => Cow::Borrowed(dict.str_of(codes[run.start])),
+            Column::Node(nodes) => node(nodes[run.start]),
+            Column::Item(all) => match &all[run.start] {
+                Item::Str(s) => Cow::Borrowed(s),
+                Item::Node(n) => node(*n),
+                atomic => Cow::Owned(atomic.string_value()),
+            },
+            atomics => Cow::Owned(atomics.item(run.start).string_value()),
         }
     }
 
@@ -689,9 +735,17 @@ impl<'a> Executor<'a> {
                 let mut runs = IterRuns::new(iter_col(&t)?);
                 let values = t.column("item")?;
                 let iters = self.loop_iters(loop_)?;
+                // a string item keeps its shared string; only a node's
+                // string value is allocated
                 let items: Vec<Item> = iters
                     .iter()
-                    .map(|&it| Item::Str(self.first_arc(values, runs.of(it))))
+                    .map(|&it| {
+                        let run = runs.of(it);
+                        match run.clone().next().map(|row| values.item(row)) {
+                            Some(s @ Item::Str(_)) => s,
+                            _ => Item::str(self.first_str(values, run)),
+                        }
+                    })
                     .collect();
                 let n = iters.len();
                 Ok(seq_table(iters, vec![1; n], items))
@@ -1392,13 +1446,13 @@ impl<'a> Executor<'a> {
             runs.extend(cursors.iter_mut().map(|c| c.of(it)));
             // string value of an argument's first item ("" for none)
             let get = |idx: usize| match runs.get(idx) {
-                Some(run) => self.first_string(values[idx], run.clone()),
-                None => String::new(),
+                Some(run) => self.first_str(values[idx], run.clone()),
+                None => Cow::Borrowed(""),
             };
             let result = match kind {
-                StrFnKind::Contains => Item::Bool(get(0).contains(&get(1))),
-                StrFnKind::StartsWith => Item::Bool(get(0).starts_with(&get(1))),
-                StrFnKind::EndsWith => Item::Bool(get(0).ends_with(&get(1))),
+                StrFnKind::Contains => Item::Bool(get(0).contains(&*get(1))),
+                StrFnKind::StartsWith => Item::Bool(get(0).starts_with(&*get(1))),
+                StrFnKind::EndsWith => Item::Bool(get(0).ends_with(&*get(1))),
                 StrFnKind::Concat => {
                     let mut s = String::new();
                     for idx in 0..args.len() {
@@ -1490,14 +1544,20 @@ impl<'a> Executor<'a> {
             names,
             tables,
         } = layout;
-        let mut parts = Vec::with_capacity(tables.len());
+        let mut columns = Vec::with_capacity(tables.len());
+        let mut cursors = Vec::with_capacity(tables.len());
         for t in &tables {
-            parts.push((t.column("item")?, IterRuns::new(iter_col(t)?)));
+            columns.push(t.column("item")?);
+            cursors.push(IterRuns::new(iter_col(t)?));
         }
 
         // content nodes constructed by child plans already live in the
         // transient container the new elements are appended to
         let mut builder = DocumentBuilder::append_to(std::mem::take(&mut self.transient));
+        if let Some(all) = self.ctor_names.take() {
+            let (tags, attrs) = (all.tags.iter(), all.attrs.iter());
+            builder.intern_names(tags.map(String::as_str), attrs.map(String::as_str));
+        }
         // names are interned / allocated once per call, not per element
         let qids: Vec<u32> = names.iter().map(|n| builder.intern(n)).collect();
 
@@ -1511,16 +1571,12 @@ impl<'a> Executor<'a> {
                         self.stats.constructed_nodes += 1;
                     }
                     Build::Attr(aname, t) => {
-                        let (values, runs) = &mut parts[*t];
-                        builder.attribute(aname, &self.first_arc(values, runs.of(it)));
+                        let run = cursors[*t].of(it);
+                        builder.attribute(aname, &self.first_str(columns[*t], run));
                     }
                     Build::Content(ts) => {
-                        let items = ts.iter().flat_map(|&t| {
-                            let (values, runs) = &mut parts[t];
-                            let values: &Column = values;
-                            runs.of(it).map(move |row| values.item(row))
-                        });
-                        self.stats.copied_nodes += builder.append_content(items, |frag| {
+                        let runs = ts.iter().map(|&t| (columns[t], cursors[t].of(it)));
+                        self.stats.copied_nodes += builder.append_content(runs, |frag| {
                             (frag != TRANSIENT_FRAG).then(|| self.container(frag))
                         });
                     }

@@ -7,10 +7,14 @@
 //! (Figure 9).  [`DocumentColumns`] is that layout, cut into chunks of a
 //! power-of-two row target (MonetDB/X100-style): each chunk holds its
 //! own `size` (u32) / `level` (u16) / `kind` (one byte) / name-code (u32)
-//! vectors — 27 bytes a row with the text slot — the text of its
-//! text/comment/PI rows, plus the `owner|name|value` attribute rows of
-//! *its* nodes (owners stored chunk-locally), with the tag and
-//! attribute-name columns encoded against **shared sorted dictionaries**.
+//! vectors plus a u32 text end offset — 15 bytes a row — and one text
+//! heap: the content of its text/comment/PI rows back to back, each row's
+//! text the heap bytes between the end of the row before it and its own
+//! (MonetDB's string heap, per chunk), so element and document rows hold
+//! empty spans and a text costs its bytes and nothing else.  Next to them
+//! sit the `owner|name|value` attribute rows of *its* nodes (owners stored
+//! chunk-locally), with the tag and attribute-name columns encoded against
+//! **shared sorted dictionaries**.
 //! The name column holds element names and PI targets (every other row
 //! encodes the empty string).  This is the only copy of a container's
 //! nodes — a loaded document's, a shredded one's, a statement's transient's:
@@ -21,8 +25,9 @@
 //! last keeps `chunk_rows` rows and locating a row stays a shift.  The
 //! shredder, construction, the XQUF insert sources, the on-disk decoders
 //! and the naive scheme's rebuild all write rows that way; a copy of a
-//! subtree is a range copy of column slices within one image, or a row
-//! walk that maps each distinct code once from another.
+//! subtree is a range copy of column slices and heap bytes within one
+//! image, or a row walk that maps each distinct code once (and copies each
+//! text's bytes) from another.
 //!
 //! One path turns strings into codes: a write's session dictionaries (one
 //! per dictionary) give a string the dictionaries lack a provisional code,
@@ -78,7 +83,8 @@ use crate::read::{AttrsIter, NamedRun};
 /// comfortably in L1/L2 while keeping the start index tiny.
 pub const DEFAULT_CHUNK_ROWS: usize = 1024;
 
-/// Does a node of `kind` carry text content (and a text-column entry)?
+/// Does a node of `kind` carry text content (a non-empty heap span may be
+/// its)?
 fn carries_text(kind: NodeKind) -> bool {
     matches!(
         kind,
@@ -112,6 +118,15 @@ fn first_moved(remap: &[u32]) -> u32 {
         .map_or(u32::MAX, |i| i as u32)
 }
 
+/// The length of a chunk's text heap as a row end offset; every write
+/// that grows a heap checks it, so the other offsets fit as well.
+///
+/// # Panics
+/// Panics when one chunk's texts pass 4 GiB.
+fn heap_end(heap: &str) -> u32 {
+    u32::try_from(heap.len()).expect("a chunk's text heap stays below 4 GiB")
+}
+
 /// One past the largest code of a column (0 when it is empty).
 fn code_end(column: &[u32]) -> u32 {
     column.iter().max().map_or(0, |&c| c + 1)
@@ -127,8 +142,13 @@ struct Chunk {
     kind: Vec<NodeKind>,
     /// Element name or PI target code (the empty string for other rows).
     name_code: Vec<u32>,
-    /// Content of the text, comment and PI rows; `None` on every other row.
-    text: Vec<Option<Arc<str>>>,
+    /// The content of the text, comment and PI rows, back to back in row
+    /// order.
+    heap: String,
+    /// End offset in `heap` of each row's text; a row's text starts where
+    /// the row before it ends (row 0's at 0), so element and document rows
+    /// hold empty spans.
+    ends: Vec<u32>,
     /// Attribute rows of this chunk's nodes, owner-ordered; the owner is
     /// the node's offset *within this chunk*.
     attr_owner: Vec<u32>,
@@ -163,6 +183,39 @@ impl Chunk {
         self.size.len()
     }
 
+    /// Heap offset where the text of row `l` starts (`l == len`: the end
+    /// of the heap).
+    fn start(&self, l: usize) -> usize {
+        l.checked_sub(1).map_or(0, |p| self.ends[p] as usize)
+    }
+
+    /// The heap bytes of the rows `rows`.
+    fn span(&self, rows: Range<usize>) -> Range<usize> {
+        self.start(rows.start)..self.start(rows.end)
+    }
+
+    /// The text of row `l` (empty for element and document rows).
+    fn text(&self, l: usize) -> &str {
+        &self.heap[self.span(l..l + 1)]
+    }
+
+    /// Append `text` to the heap as the text of a new row.
+    fn push_text(&mut self, text: &str) {
+        self.heap.push_str(text);
+        self.ends.push(heap_end(&self.heap));
+    }
+
+    /// Replace the text of row `l`: the heap bytes after it move.
+    fn set_text(&mut self, l: usize, text: &str) {
+        let span = self.span(l..l + 1);
+        let (old, new) = (span.len() as u32, text.len() as u32);
+        self.heap.replace_range(span, text);
+        heap_end(&self.heap);
+        for end in &mut self.ends[l..] {
+            *end = *end - old + new;
+        }
+    }
+
     /// Rebuild the summaries and the name index from the rows: one pass
     /// over the structural columns, then one sort of the element rows
     /// keyed `(name code, offset)`.
@@ -192,23 +245,22 @@ impl Chunk {
         }
     }
 
-    /// Resident bytes of the chunk's columns, name index and texts: the
-    /// widths of a row's five columns (27 bytes), one offset per posting, a
-    /// `(code, first)` pair per directory entry, three codes per attribute
-    /// row, and the text payloads.
+    /// Resident bytes of the chunk's columns, heap and name index: the
+    /// widths of a row's five columns (15 bytes), the heap's bytes, one
+    /// offset per posting, a `(code, first)` pair per directory entry and
+    /// three codes per attribute row.
     fn approx_bytes(&self) -> usize {
         use std::mem::size_of;
         let row = size_of::<u32>()
             + size_of::<u16>()
             + size_of::<NodeKind>()
             + size_of::<u32>()
-            + size_of::<Option<Arc<str>>>();
-        let texts: usize = self.text.iter().flatten().map(|t| 16 + t.len()).sum();
+            + size_of::<u32>();
         self.len() * row
+            + self.heap.len()
             + self.postings.len() * size_of::<u32>()
             + self.directory.len() * size_of::<(u32, u32)>()
             + self.attr_owner.len() * 3 * size_of::<u32>()
-            + texts
     }
 
     fn rebuild_buckets(&mut self) {
@@ -241,7 +293,7 @@ impl Chunk {
             level: Vec::with_capacity(rows),
             kind: Vec::with_capacity(rows),
             name_code: Vec::with_capacity(rows),
-            text: Vec::with_capacity(rows),
+            ends: Vec::with_capacity(rows),
             ..Chunk::default()
         }
     }
@@ -252,7 +304,7 @@ impl Chunk {
         let at = if l + 1 == self.len() {
             self.attr_owner.len()
         } else {
-            self.attr_range(l).end
+            self.attr_range(l..l + 1).end
         };
         self.attr_owner.insert(at, l as u32);
         self.attr_name_code.insert(at, name_code);
@@ -276,15 +328,18 @@ impl Chunk {
         }
     }
 
-    /// Chunk-local attribute row range of the node at local offset `l`.
-    fn attr_range(&self, l: usize) -> std::ops::Range<usize> {
-        let start = self.attr_owner.partition_point(|&o| (o as usize) < l);
-        let end = self.attr_owner.partition_point(|&o| (o as usize) <= l);
-        start..end
+    /// Chunk-local attribute row range of the nodes at the local offsets
+    /// `rows`.
+    fn attr_range(&self, rows: Range<usize>) -> Range<usize> {
+        let a = self
+            .attr_owner
+            .partition_point(|&o| (o as usize) < rows.start);
+        a..a + self.attr_owner[a..].partition_point(|&o| (o as usize) < rows.end)
     }
 
     /// Splice the rows of `piece` in at local offset `l`: the rows after
-    /// `l` and their attribute owners shift.  Summaries are left stale.
+    /// `l`, their heap bytes and their attribute owners shift.  Summaries
+    /// are left stale.
     fn splice_in(&mut self, l: usize, piece: Chunk) {
         let k = piece.len() as u32;
         self.bound_codes(piece.exact_code_ends());
@@ -292,7 +347,15 @@ impl Chunk {
         self.level.splice(l..l, piece.level);
         self.kind.splice(l..l, piece.kind);
         self.name_code.splice(l..l, piece.name_code);
-        self.text.splice(l..l, piece.text);
+        let (at, before) = (self.start(l), self.start(self.ends.len()));
+        self.heap.insert_str(at, &piece.heap);
+        let bytes = heap_end(&self.heap) - before as u32;
+        let at = at as u32;
+        for end in &mut self.ends[l..] {
+            *end += bytes;
+        }
+        self.ends
+            .splice(l..l, piece.ends.iter().map(|&end| end + at));
         let a = self.attr_owner.partition_point(|&o| (o as usize) < l);
         for o in &mut self.attr_owner[a..] {
             *o += k;
@@ -310,51 +373,81 @@ impl Chunk {
         self.level.drain(l..l + c);
         self.kind.drain(l..l + c);
         self.name_code.drain(l..l + c);
-        self.text.drain(l..l + c);
-        let a = self.attr_owner.partition_point(|&o| (o as usize) < l);
-        let b = self.attr_owner.partition_point(|&o| (o as usize) < l + c);
-        self.attr_owner.drain(a..b);
-        self.attr_name_code.drain(a..b);
-        self.attr_value_code.drain(a..b);
+        let span = self.span(l..l + c);
+        let bytes = span.len() as u32;
+        self.heap.replace_range(span, "");
+        self.ends.drain(l..l + c);
+        for end in &mut self.ends[l..] {
+            *end -= bytes;
+        }
+        let attrs = self.attr_range(l..l + c);
+        let a = attrs.start;
+        self.attr_owner.drain(attrs.clone());
+        self.attr_name_code.drain(attrs.clone());
+        self.attr_value_code.drain(attrs);
         for o in &mut self.attr_owner[a..] {
             *o -= c as u32;
         }
     }
 
-    /// Append copies of the rows `rows` of `src` and of their attribute
-    /// rows (owners re-based).  Summaries are left stale.
+    /// Append copies of the rows `rows` of `src`, of their heap bytes and
+    /// of their attribute rows (owners re-based).  Summaries are left
+    /// stale.
     fn extend_rows(&mut self, src: &Chunk, rows: Range<usize>) {
         let (base, start) = (self.len() as u32, rows.start as u32);
-        let a = src
-            .attr_owner
-            .partition_point(|&o| (o as usize) < rows.start);
-        let b = src.attr_owner.partition_point(|&o| (o as usize) < rows.end);
+        let attrs = src.attr_range(rows.clone());
+        let span = src.span(rows.clone());
+        let (at, from) = (self.heap.len() as u32, span.start as u32);
+        self.heap.push_str(&src.heap[span]);
+        heap_end(&self.heap);
         self.bound_codes(src.code_ends);
         self.size.extend_from_slice(&src.size[rows.clone()]);
         self.level.extend_from_slice(&src.level[rows.clone()]);
         self.kind.extend_from_slice(&src.kind[rows.clone()]);
         self.name_code
             .extend_from_slice(&src.name_code[rows.clone()]);
-        self.text.extend_from_slice(&src.text[rows]);
-        self.attr_owner
-            .extend(src.attr_owner[a..b].iter().map(|&o| o - start + base));
+        self.ends
+            .extend(src.ends[rows].iter().map(|&end| end - from + at));
+        self.attr_owner.extend(
+            src.attr_owner[attrs.clone()]
+                .iter()
+                .map(|&o| o - start + base),
+        );
         self.attr_name_code
-            .extend_from_slice(&src.attr_name_code[a..b]);
+            .extend_from_slice(&src.attr_name_code[attrs.clone()]);
         self.attr_value_code
-            .extend_from_slice(&src.attr_value_code[a..b]);
+            .extend_from_slice(&src.attr_value_code[attrs]);
     }
 
-    /// [`Chunk::extend_rows`] with this chunk as the source, through a
-    /// copy of the rows.
+    /// [`Chunk::extend_rows`] with this chunk as the source: each column
+    /// copies its own slice in place.
     fn extend_rows_within(&mut self, rows: Range<usize>) {
-        let mut copy = Chunk::default();
-        copy.extend_rows(self, rows);
-        self.extend_rows(&copy, 0..copy.len());
+        let (base, start) = (self.len(), rows.start as u32);
+        let attrs = self.attr_range(rows.clone());
+        let span = self.span(rows.clone());
+        let (at, from) = (self.heap.len() as u32, span.start as u32);
+        self.heap.extend_from_within(span);
+        heap_end(&self.heap);
+        self.size.extend_from_within(rows.clone());
+        self.level.extend_from_within(rows.clone());
+        self.kind.extend_from_within(rows.clone());
+        self.name_code.extend_from_within(rows.clone());
+        self.ends.extend_from_within(rows);
+        for end in &mut self.ends[base..] {
+            *end = *end - from + at;
+        }
+        let owners = self.attr_owner.len();
+        self.attr_owner.extend_from_within(attrs.clone());
+        for o in &mut self.attr_owner[owners..] {
+            *o = *o - start + base as u32;
+        }
+        self.attr_name_code.extend_from_within(attrs.clone());
+        self.attr_value_code.extend_from_within(attrs);
     }
 
     /// Append row `row` of the image `src` at `level`, its name and
     /// attribute codes mapped into the dictionaries of `dicts` (each
-    /// distinct code of `src` once), its text shared.  Summaries are left
+    /// distinct code of `src` once), its text copied.  Summaries are left
     /// stale.
     fn push_mapped(
         &mut self,
@@ -369,7 +462,7 @@ impl Chunk {
         self.level.push(level);
         self.kind.push(row.kind);
         self.name_code.push(name_code);
-        self.text.push(row.text.cloned());
+        self.push_text(row.text);
         self.bound_codes([name_code + 1, 0, 0]);
         for (&n, &v) in row.attr_names.iter().zip(row.attr_values) {
             let n = dicts[NAMES].map(&src.attr_names, n);
@@ -403,21 +496,27 @@ impl Chunk {
         self.code_ends = self.exact_code_ends();
     }
 
-    /// Move the rows from `a` on into a chunk of their own (owners
-    /// re-based), summaries not built; this chunk keeps the rows before
-    /// `a`.
+    /// Move the rows from `a` on into a chunk of their own (owners and
+    /// text ends re-based), summaries not built; this chunk keeps the rows
+    /// before `a`.
     fn split_off(&mut self, a: usize) -> Chunk {
         let aa = self.attr_owner.partition_point(|&o| (o as usize) < a);
         let mut attr_owner = self.attr_owner.split_off(aa);
         for o in &mut attr_owner {
             *o -= a as u32;
         }
+        let at = self.start(a);
+        let mut ends = self.ends.split_off(a);
+        for end in &mut ends {
+            *end -= at as u32;
+        }
         Chunk {
             size: self.size.split_off(a),
             level: self.level.split_off(a),
             kind: self.kind.split_off(a),
             name_code: self.name_code.split_off(a),
-            text: self.text.split_off(a),
+            heap: self.heap.split_off(at),
+            ends,
             attr_owner,
             attr_name_code: self.attr_name_code.split_off(aa),
             attr_value_code: self.attr_value_code.split_off(aa),
@@ -449,8 +548,8 @@ pub(crate) struct Row<'a> {
     pub(crate) kind: NodeKind,
     /// Element name or PI target code (a [`DocumentColumns::tags`] code).
     pub(crate) name_code: u32,
-    /// Content of a text, comment or PI row.
-    pub(crate) text: Option<&'a Arc<str>>,
+    /// Content of a text, comment or PI row (empty for other rows).
+    pub(crate) text: &'a str,
     /// Name codes of the row's attributes ([`DocumentColumns::attr_names`]).
     pub(crate) attr_names: &'a [u32],
     /// Value codes of the row's attributes ([`DocumentColumns::attr_values`]).
@@ -706,12 +805,12 @@ impl DocumentColumns {
         self.tags.str_of(self.node_name_code(pre))
     }
 
-    /// The shared content of the text, comment or PI row at `pre` (`None`
-    /// for element and document rows).
+    /// The content of the text, comment or PI row at `pre`, borrowed from
+    /// its chunk's heap (empty for element and document rows).
     #[inline]
-    pub(crate) fn node_text(&self, pre: u32) -> Option<&Arc<str>> {
+    pub(crate) fn node_text(&self, pre: u32) -> &str {
         let (ci, l) = self.locate(pre);
-        self.chunks[ci].text[l].as_ref()
+        self.chunks[ci].text(l)
     }
 
     /// Closest node before position `pos` whose level is strictly below
@@ -763,7 +862,7 @@ impl DocumentColumns {
                     level: c.level[r],
                     kind: c.kind[r],
                     name_code: c.name_code[r],
-                    text: c.text[r].as_ref(),
+                    text: c.text(r),
                     attr_names: &c.attr_name_code[a..b],
                     attr_values: &c.attr_value_code[a..b],
                 });
@@ -779,7 +878,7 @@ impl DocumentColumns {
     pub(crate) fn attrs_of(&self, pre: u32) -> AttrsIter<'_> {
         let (ci, l) = self.locate(pre);
         let chunk = &self.chunks[ci];
-        let r = chunk.attr_range(l);
+        let r = chunk.attr_range(l..l + 1);
         AttrsIter {
             names: &self.attr_names,
             values: &self.attr_values,
@@ -799,7 +898,7 @@ impl DocumentColumns {
     pub fn attr_value_codes_of(&self, pre: u32) -> &[u32] {
         let (ci, l) = self.locate(pre);
         let chunk = &self.chunks[ci];
-        &chunk.attr_value_code[chunk.attr_range(l)]
+        &chunk.attr_value_code[chunk.attr_range(l..l + 1)]
     }
 
     /// Value *code* (into [`Self::attr_values`]) of attribute `name` on
@@ -808,7 +907,7 @@ impl DocumentColumns {
         let code = self.attr_names.code_of(name)?;
         let (ci, l) = self.locate(pre);
         let chunk = &self.chunks[ci];
-        for i in chunk.attr_range(l) {
+        for i in chunk.attr_range(l..l + 1) {
             if chunk.attr_name_code[i] == code {
                 return Some(chunk.attr_value_code[i]);
             }
@@ -989,7 +1088,7 @@ impl DocumentColumns {
     pub(crate) fn set_text(&mut self, pre: u32, text: &str) {
         debug_assert!(carries_text(self.node_kind(pre)));
         let (ci, l) = self.locate(pre);
-        Arc::make_mut(&mut self.chunks[ci]).text[l] = Some(Arc::from(text));
+        Arc::make_mut(&mut self.chunks[ci]).set_text(l, text);
     }
 
     /// Set (or insert, at the end of the owner's run) an attribute.
@@ -997,7 +1096,7 @@ impl DocumentColumns {
         let [code, value_code] = self.codes([(NAMES, name), (VALUES, value)]);
         let (ci, l) = self.locate(pre);
         let chunk = Arc::make_mut(&mut self.chunks[ci]);
-        for i in chunk.attr_range(l) {
+        for i in chunk.attr_range(l..l + 1) {
             if chunk.attr_name_code[i] == code {
                 chunk.attr_value_code[i] = value_code;
                 chunk.bound_codes([0, 0, value_code + 1]);
@@ -1021,7 +1120,7 @@ impl DocumentColumns {
         };
         let (ci, l) = self.locate(pre);
         let chunk = Arc::make_mut(&mut self.chunks[ci]);
-        for i in chunk.attr_range(l) {
+        for i in chunk.attr_range(l..l + 1) {
             if chunk.attr_name_code[i] == code {
                 chunk.attr_owner.remove(i);
                 chunk.attr_name_code.remove(i);
@@ -1041,7 +1140,7 @@ impl DocumentColumns {
         let [code, new_code] = self.codes([(NAMES, name), (NAMES, new_name)]);
         let (ci, l) = self.locate(pre);
         let chunk = Arc::make_mut(&mut self.chunks[ci]);
-        for i in chunk.attr_range(l) {
+        for i in chunk.attr_range(l..l + 1) {
             if chunk.attr_name_code[i] == code {
                 chunk.attr_name_code[i] = new_code;
                 chunk.bound_codes([0, new_code + 1, 0]);
@@ -1087,8 +1186,10 @@ impl DocumentColumns {
     /// Check the image against itself: every `size` matches the level
     /// structure, levels step down from the fragment roots by one, the
     /// chunk summaries and posting indexes equal a rebuild from the rows,
-    /// attribute owners are in range and ordered, only text, comment and
-    /// PI rows carry text, and the start index and counts add up.
+    /// attribute owners are in range and ordered, the text ends never
+    /// decrease, fall on char boundaries and end at the heap's end, only
+    /// text, comment and PI rows carry text, and the start index and
+    /// counts add up.
     pub fn check_invariants(&self) -> Result<(), String> {
         let mut rows = 0usize;
         let mut attrs = 0usize;
@@ -1108,10 +1209,22 @@ impl DocumentColumns {
                     "chunk {ci}: attribute owners out of order or range"
                 ));
             }
-            for (l, text) in c.text.iter().enumerate() {
-                if text.is_some() != carries_text(c.kind[l]) {
+            if c.ends.len() != c.len()
+                || c.ends.windows(2).any(|w| w[0] > w[1])
+                || c.ends.last().map(|&end| end as usize) != Some(c.heap.len())
+                || !c
+                    .ends
+                    .iter()
+                    .all(|&end| c.heap.is_char_boundary(end as usize))
+            {
+                return Err(format!(
+                    "chunk {ci}: text ends out of order or off the heap"
+                ));
+            }
+            for l in 0..c.len() {
+                if !carries_text(c.kind[l]) && !c.span(l..l + 1).is_empty() {
                     return Err(format!(
-                        "row {}: text column disagrees with kind",
+                        "row {}: an element or document row with text",
                         self.starts[ci] + l
                     ));
                 }
@@ -1403,6 +1516,11 @@ impl Appender {
         self.dicts[TAGS].code(name)
     }
 
+    /// The (possibly provisional) code of an attribute name.
+    pub(crate) fn attr_name(&mut self, name: &str) -> u32 {
+        self.dicts[NAMES].code(name)
+    }
+
     /// The code of the empty name, for text, comment and document rows.
     pub(crate) fn empty(&self) -> u32 {
         self.empty
@@ -1425,7 +1543,7 @@ impl Appender {
         &mut self,
         (kind, level, size): (NodeKind, u16, u32),
         name_code: u32,
-        text: Option<Arc<str>>,
+        text: &str,
     ) {
         self.room();
         let open = &mut self.open;
@@ -1433,7 +1551,7 @@ impl Appender {
         open.level.push(level);
         open.kind.push(kind);
         open.name_code.push(name_code);
-        open.text.push(text);
+        open.push_text(text);
         open.code_ends[TAGS] = open.code_ends[TAGS].max(name_code + 1);
     }
 
@@ -1450,7 +1568,7 @@ impl Appender {
 
     /// Add the attribute `name = value` to the element at `owner`.
     pub(crate) fn attribute(&mut self, owner: u32, name: &str, value: &str) {
-        let n = self.dicts[NAMES].code(name);
+        let n = self.attr_name(name);
         let v = self.dicts[VALUES].code(value);
         match (owner as usize).checked_sub(self.cols.len) {
             Some(l) => self.open.insert_attr(l, n, v),
@@ -1459,8 +1577,8 @@ impl Appender {
     }
 
     /// Append a copy of the subtree at `pre` of this image, its root at
-    /// `level`: a range copy of the column slices, a source chunk (or the
-    /// open chunk itself) at a time.
+    /// `level`: a range copy of the column slices and heap bytes, a source
+    /// chunk (or the open chunk itself) at a time.
     pub(crate) fn copy_within(&mut self, pre: u32, level: u16) {
         let (size, from) = match (pre as usize).checked_sub(self.cols.len) {
             Some(l) => (self.open.size[l], self.open.level[l]),
@@ -1494,7 +1612,7 @@ impl Appender {
     }
 
     /// Append a copy of the subtree at `pre` of another image `src`, its
-    /// root at `level`: a walk over its rows that shares their texts and
+    /// root at `level`: a walk over its rows that copies their texts and
     /// maps each distinct code once.
     pub(crate) fn copy_from(&mut self, src: &DocumentColumns, pre: u32, level: u16) {
         let from = src.node_level(pre);
@@ -1638,22 +1756,32 @@ mod tests {
         cols.add_size(1, -1);
         // text on an element row
         let (ci, l) = cols.locate(1);
-        Arc::make_mut(&mut cols.chunks[ci]).text[l] = Some(Arc::from("x"));
+        Arc::make_mut(&mut cols.chunks[ci]).set_text(l, "x");
+        assert!(cols.check_invariants().is_err());
+        Arc::make_mut(&mut cols.chunks[ci]).set_text(l, "");
+        cols.check_invariants()?;
+        // a text end that splits a character
+        let (ci, l) = cols.locate(3);
+        let chunk = Arc::make_mut(&mut cols.chunks[ci]);
+        chunk.set_text(l, "é");
+        chunk.ends[l] -= 1;
+        chunk.heap.pop();
         assert!(cols.check_invariants().is_err());
         Ok(())
     }
 
-    /// Texts and PI targets live in the chunk: the text column holds the
-    /// content of text, comment and PI rows, the name column the PI target.
+    /// Texts and PI targets live in the chunk: the heap holds the content
+    /// of text, comment and PI rows, the name column the PI target.
     #[test]
-    fn text_column_and_pi_targets() -> Result<(), Box<dyn std::error::Error>> {
+    fn text_heap_and_pi_targets() -> Result<(), Box<dyn std::error::Error>> {
         let xml = "<a><!--note--><?tgt data?>x<b/></a>";
         let (doc, cols) = image(xml);
         cols.check_invariants()?;
-        let texts: Vec<Option<&str>> = (0..doc.len() as u32)
-            .map(|pre| cols.node_text(pre).map(|t| &**t))
+        let texts: Vec<&str> = (0..doc.len() as u32)
+            .map(|pre| cols.node_text(pre))
             .collect();
-        assert_eq!(texts, [None, Some("note"), Some("data"), Some("x"), None]);
+        assert_eq!(texts, ["", "note", "data", "x", ""]);
+        assert_eq!(cols.chunks[0].heap, "notedatax");
         assert_eq!(cols.node_name(2), "tgt");
         // the posting index holds elements only: the PI target is no step
         // candidate
@@ -1680,7 +1808,7 @@ mod tests {
     }
 
     #[test]
-    fn chunk_geometry_and_rechunking() {
+    fn chunk_geometry_and_rechunking() -> Result<(), String> {
         let doc = wide_doc(100); // 301 nodes
         for rows in [16usize, 64, 256] {
             let cols = doc.columns().rechunked(rows);
@@ -1694,11 +1822,13 @@ mod tests {
                 at += len as u32;
             }
             assert_eq!(at as usize, doc.len());
-            // content is chunking-invariant
-            cols.same_content(doc.columns()).unwrap();
+            // content (the heaps' bytes included) is chunking-invariant
+            cols.check_invariants()?;
+            cols.same_content(doc.columns())?;
             // rechunking round-trips
-            cols.rechunked(32).same_content(&cols).unwrap();
+            cols.rechunked(32).same_content(&cols)?;
         }
+        Ok(())
     }
 
     #[test]
@@ -1830,5 +1960,74 @@ mod tests {
             assert!(cols.chunk_span(i).1 <= 2 * cols.chunk_rows());
         }
         assert_eq!(cols.len(), 53);
+    }
+
+    /// The text of every row, read back.
+    fn texts(cols: &DocumentColumns) -> Vec<String> {
+        (0..cols.len() as u32)
+            .map(|pre| cols.node_text(pre).to_string())
+            .collect()
+    }
+
+    /// The image passes its checks, every row reads the text of `want`,
+    /// and every heap holds exactly the bytes of its rows' texts.
+    fn assert_texts(cols: &DocumentColumns, want: &[String]) -> Result<(), String> {
+        cols.check_invariants()?;
+        assert_eq!(texts(cols), want);
+        for c in &cols.chunks {
+            let live: usize = (0..c.len()).map(|l| c.text(l).len()).sum();
+            assert_eq!(c.heap.len(), live, "dead bytes in a heap");
+        }
+        Ok(())
+    }
+
+    /// Growing and shrinking a text in place, a splice into the middle of
+    /// a chunk, a removal across chunks and the split of an oversized
+    /// chunk move heap bytes with their rows and leave every text intact.
+    #[test]
+    fn text_heaps_follow_every_patch() -> Result<(), String> {
+        let doc = wide_doc(12); // 37 rows, texts at rows 3, 6, …
+        for rows in [2usize, 4, 16] {
+            let mut cols = doc.columns().rechunked(rows);
+            let mut want = texts(&cols);
+            for (pre, text) in [
+                (3, "a text much longer than x0"),
+                (6, ""),
+                (9, "é"),
+                (3, "y"),
+            ] {
+                cols.set_text(pre, text);
+                want[pre as usize] = text.to_string();
+                assert_texts(&cols, &want)?;
+            }
+            // three text rows spliced in at a chunk-local offset of 1
+            let piece = built(|b| {
+                b.text("s1");
+                b.comment("s2 ü");
+                b.processing_instruction("p", "s3");
+            });
+            cols.splice_nodes(13, piece.columns(), 1);
+            cols.add_size(0, 3);
+            want.splice(13..13, ["s1", "s2 ü", "s3"].map(String::from));
+            assert_texts(&cols, &want)?;
+            // the third <r> subtree, across chunk bounds at 2 and 4 rows
+            cols.remove_nodes(7, 3);
+            cols.add_size(0, -3);
+            want.drain(7..10);
+            assert_texts(&cols, &want)?;
+            // forty text rows into one chunk: it splits
+            let many = built(|b| {
+                for i in 0..40 {
+                    b.text(&format!("many {i}"));
+                }
+            });
+            let chunks = cols.chunk_count();
+            cols.splice_nodes(4, many.columns(), 1);
+            cols.add_size(0, 40);
+            want.splice(4..4, (0..40).map(|i| format!("many {i}")));
+            assert!(cols.chunk_count() > chunks + 1, "the chunk split");
+            assert_texts(&cols, &want)?;
+        }
+        Ok(())
     }
 }

@@ -192,8 +192,7 @@ fn put_rows(out: &mut Vec<u8>, cols: &DocumentColumns, pre: u32, count: usize) {
         };
         let attrs = row.attr_names.iter().zip(row.attr_values);
         let attrs = attrs.map(|(&n, &v)| (&**names.str_of(n), &**values.str_of(v)));
-        let text = row.text.map_or("", |t| t);
-        put_row(out, (row.kind, row.level, row.size), name, text, attrs);
+        put_row(out, (row.kind, row.level, row.size), name, row.text, attrs);
     });
 }
 

@@ -12,18 +12,22 @@
 //!
 //! [`DocumentBuilder`] writes the image in preorder, straight into its
 //! chunks; it is the one row writer.  The shredder, construction and the
-//! XQUF insert sources call its element, text and copy methods; the
+//! XQUF insert sources call its element, text and copy methods
+//! (construction hands it content as column runs through
+//! [`DocumentBuilder::append_content`], which copies a text's bytes into
+//! the open chunk's heap); the
 //! on-disk decoders and the naive update scheme's rebuild hand it stored
 //! rows (with their sizes) through one checked entry, which errs on rows
 //! no well-formed tree has.  A builder over an existing container
 //! appends: its rows fill the open last chunk, and the written rows never
 //! change after the builder finishes (the builder patches the size of an
 //! element it closes, and nothing else), so a copy of a subtree within
-//! one container is a range copy of its column slices.
+//! one container is a range copy of its column slices and heap bytes.
 
+use std::ops::Range;
 use std::sync::Arc;
 
-use mxq_engine::Item;
+use mxq_engine::{Column, Item, NodeId};
 
 use crate::columns::{Appender, DocumentColumns};
 use crate::node::NodeKind;
@@ -89,15 +93,6 @@ impl Document {
         &self.frag_roots
     }
 
-    /// The shared content of the text node at `pre` (`None` for other
-    /// kinds): a caller keeps the stored text without copying it.
-    pub fn text_arc(&self, pre: u32) -> Option<&Arc<str>> {
-        match self.kind(pre) {
-            NodeKind::Text => self.columns.node_text(pre),
-            _ => None,
-        }
-    }
-
     /// Preorder ranks (in document order) of all elements named `name`,
     /// collected from the per-chunk name index.
     pub fn elements_named(&self, name: &str) -> Vec<u32> {
@@ -157,7 +152,7 @@ impl NodeRead for Document {
     }
 
     fn text_of(&self, pre: u32) -> &str {
-        self.columns.node_text(pre).map_or("", |t| t)
+        self.columns.node_text(pre)
     }
 
     fn qname_id(&self, pre: u32) -> Option<u32> {
@@ -217,6 +212,10 @@ pub struct DocumentBuilder {
     frag_roots: Vec<u32>,
     /// Stack of open element pre ranks.
     open: Vec<u32>,
+    /// The string values of the adjacent atomics of a content sequence
+    /// not yet written as a text node, joined by single spaces (the
+    /// buffer is kept across calls).
+    atomics: String,
 }
 
 impl DocumentBuilder {
@@ -233,6 +232,7 @@ impl DocumentBuilder {
             rows: Appender::new(Arc::unwrap_or_clone(doc.columns)),
             frag_roots: doc.frag_roots,
             open: Vec::new(),
+            atomics: String::new(),
         }
     }
 
@@ -257,6 +257,23 @@ impl DocumentBuilder {
         self.rows.tag(name)
     }
 
+    /// Intern element names (and PI targets) and attribute names this
+    /// session or a later one over the same container may write: the
+    /// session's end merges them all into the dictionaries at once, so a
+    /// later session that writes only these names remaps no chunk.
+    pub fn intern_names<'n>(
+        &mut self,
+        tags: impl IntoIterator<Item = &'n str>,
+        attr_names: impl IntoIterator<Item = &'n str>,
+    ) {
+        for tag in tags {
+            self.rows.tag(tag);
+        }
+        for name in attr_names {
+            self.rows.attr_name(name);
+        }
+    }
+
     /// Open an element with the given name; returns its preorder rank.
     pub fn start_element(&mut self, name: &str) -> u32 {
         let qid = self.intern(name);
@@ -279,7 +296,7 @@ impl DocumentBuilder {
     /// closed.
     fn start(&mut self, kind: NodeKind, name_code: u32, size: u32) -> u32 {
         let (pre, level) = self.next_row();
-        self.rows.push((kind, level, size), name_code, None);
+        self.rows.push((kind, level, size), name_code, "");
         self.open.push(pre);
         pre
     }
@@ -310,13 +327,9 @@ impl DocumentBuilder {
         self.rows.close(pre);
     }
 
-    /// Add a text node; returns its preorder rank.
+    /// Add a text node (its bytes copied into the open chunk's heap);
+    /// returns its preorder rank.
     pub fn text(&mut self, content: &str) -> u32 {
-        self.shared_text(Arc::from(content))
-    }
-
-    /// Add a text node with a string the caller already holds.
-    fn shared_text(&mut self, content: Arc<str>) -> u32 {
         let empty = self.rows.empty();
         self.leaf(NodeKind::Text, empty, content)
     }
@@ -324,18 +337,18 @@ impl DocumentBuilder {
     /// Add a comment node.
     pub fn comment(&mut self, content: &str) -> u32 {
         let empty = self.rows.empty();
-        self.leaf(NodeKind::Comment, empty, Arc::from(content))
+        self.leaf(NodeKind::Comment, empty, content)
     }
 
     /// Add a processing instruction node.
     pub fn processing_instruction(&mut self, target: &str, content: &str) -> u32 {
         let target = self.rows.tag(target);
-        self.leaf(NodeKind::ProcessingInstruction, target, Arc::from(content))
+        self.leaf(NodeKind::ProcessingInstruction, target, content)
     }
 
-    fn leaf(&mut self, kind: NodeKind, name_code: u32, content: Arc<str>) -> u32 {
+    fn leaf(&mut self, kind: NodeKind, name_code: u32, content: &str) -> u32 {
         let (pre, level) = self.next_row();
-        self.rows.push((kind, level, 0), name_code, Some(content));
+        self.rows.push((kind, level, 0), name_code, content);
         pre
     }
 
@@ -374,7 +387,7 @@ impl DocumentBuilder {
             }
             _ if size != 0 => return Err("a text, comment or PI row with children"),
             _ if attrs.peek().is_some() => return Err("an attribute on a text, comment or PI row"),
-            _ => drop(self.leaf(kind, name_code, Arc::from(text))),
+            _ => drop(self.leaf(kind, name_code, text)),
         }
         Ok(())
     }
@@ -419,65 +432,104 @@ impl DocumentBuilder {
         pre
     }
 
-    /// Append an evaluated content sequence as children of the open element
-    /// (or as new fragments when nothing is open), by the rules element
-    /// construction and the XQUF insert sources share: a node item is
-    /// deep-copied, a document node as its children, and adjacent atomic
-    /// items merge into one text node, separated by single spaces.  A lone
-    /// string becomes a text node that shares its string, and a text node
-    /// is copied as its shared content.  `source` resolves a node's
-    /// fragment id to its container, or to `None` for the container being
-    /// built (which holds no document nodes).  Returns the number of rows
-    /// the copies appended.
-    pub fn append_content<'s, I, F>(&mut self, items: I, mut source: F) -> u64
+    /// Append an evaluated content sequence, given as column runs, as
+    /// children of the open element (or as new fragments when nothing is
+    /// open), by the rules element construction and the XQUF insert
+    /// sources share: a node item is deep-copied, a document node as its
+    /// children, a text node as its bytes, and adjacent atomic items merge
+    /// into one text node, their string values joined by single spaces and
+    /// written once (an empty string value before any other adds nothing,
+    /// and empty merged text writes no node).  Each run's column type is
+    /// matched once.  `source` resolves a node's fragment id to its
+    /// container, or to `None` for the container being built (which holds
+    /// no document nodes).  Returns the number of rows the node copies
+    /// appended.
+    pub fn append_content<'c, 's, F>(
+        &mut self,
+        runs: impl IntoIterator<Item = (&'c Column, Range<usize>)>,
+        mut source: F,
+    ) -> u64
     where
-        I: IntoIterator<Item = Item>,
         F: FnMut(u32) -> Option<&'s Document>,
     {
         let mut copied = 0;
-        let mut pending = Pending::Empty;
-        for item in items {
-            let n = match item {
-                Item::Node(n) => n,
-                atomic => {
-                    pending.push(atomic);
-                    continue;
+        for (column, rows) in runs {
+            match column {
+                Column::Node(nodes) => {
+                    for &n in &nodes[rows] {
+                        copied += self.append_node(n, &mut source);
+                    }
                 }
-            };
-            self.flush(&mut pending);
-            let before = self.next_pre();
-            match source(n.frag) {
-                None => {
-                    self.copy_subtree_within(n.pre);
-                }
-                Some(src) => {
-                    if let Some(text) = src.text_arc(n.pre) {
-                        self.shared_text(text.clone());
-                    } else if src.kind(n.pre) == NodeKind::Document {
-                        for child in src.children(n.pre) {
-                            self.copy_subtree(src, child);
+                Column::Item(items) => {
+                    for item in &items[rows] {
+                        match item {
+                            Item::Node(n) => copied += self.append_node(*n, &mut source),
+                            Item::Str(s) => self.push_atomic(s),
+                            atomic => self.push_atomic(&atomic.string_value()),
                         }
-                    } else {
-                        self.copy_subtree(src, n.pre);
+                    }
+                }
+                Column::Str(strings) => {
+                    for s in &strings[rows] {
+                        self.push_atomic(s);
+                    }
+                }
+                Column::Dict { codes, dict } => {
+                    for &code in &codes[rows] {
+                        self.push_atomic(dict.str_of(code));
+                    }
+                }
+                atomics => {
+                    for row in rows {
+                        self.push_atomic(&atomics.item(row).string_value());
                     }
                 }
             }
-            copied += (self.next_pre() - before) as u64;
         }
-        self.flush(&mut pending);
+        self.flush_atomics();
         copied
     }
 
+    /// Append a copy of the node `n` (see [`Self::append_content`]);
+    /// returns the number of rows it appended.
+    fn append_node<'s>(
+        &mut self,
+        n: NodeId,
+        source: &mut impl FnMut(u32) -> Option<&'s Document>,
+    ) -> u64 {
+        self.flush_atomics();
+        let before = self.next_pre();
+        match source(n.frag) {
+            None => drop(self.copy_subtree_within(n.pre)),
+            Some(src) => match src.kind(n.pre) {
+                NodeKind::Text => drop(self.text(src.text_of(n.pre))),
+                NodeKind::Document => {
+                    for child in src.children(n.pre) {
+                        self.copy_subtree(src, child);
+                    }
+                }
+                _ => drop(self.copy_subtree(src, n.pre)),
+            },
+        }
+        (self.next_pre() - before) as u64
+    }
+
+    /// Add the string value of an atomic item to the pending text, after a
+    /// separating space when the text is not empty.
+    fn push_atomic(&mut self, value: &str) {
+        if !self.atomics.is_empty() {
+            self.atomics.push(' ');
+        }
+        self.atomics.push_str(value);
+    }
+
     /// Add the pending atomics as a text node (none when they are empty).
-    fn flush(&mut self, pending: &mut Pending) {
-        match std::mem::replace(pending, Pending::Empty) {
-            Pending::Empty => {}
-            Pending::Shared(text) => {
-                self.shared_text(text);
-            }
-            Pending::Owned(text) => {
-                self.shared_text(Arc::from(text));
-            }
+    fn flush_atomics(&mut self) {
+        if !self.atomics.is_empty() {
+            let text = std::mem::take(&mut self.atomics);
+            self.text(&text);
+            self.atomics = text;
+            self.atomics.clear();
         }
     }
 
@@ -496,43 +548,6 @@ impl DocumentBuilder {
             columns: Arc::new(self.rows.seal()),
             frag_roots: self.frag_roots,
         }
-    }
-}
-
-/// The atomics of a content sequence not yet written as a text node:
-/// their string values, joined by single spaces.  An empty string value
-/// contributes no separator (`""` then `"y"` is `"y"`), and empty pending
-/// text writes no node.
-enum Pending {
-    Empty,
-    /// One non-empty string, shared with the item it came from.
-    Shared(Arc<str>),
-    /// Several string values, joined.
-    Owned(String),
-}
-
-impl Pending {
-    fn push(&mut self, atomic: Item) {
-        *self = match (std::mem::replace(self, Pending::Empty), atomic) {
-            (Pending::Empty, Item::Str(s)) if s.is_empty() => Pending::Empty,
-            (Pending::Empty, Item::Str(s)) => Pending::Shared(s),
-            (Pending::Empty, atomic) => {
-                let text = atomic.string_value();
-                if text.is_empty() {
-                    Pending::Empty
-                } else {
-                    Pending::Owned(text)
-                }
-            }
-            (Pending::Shared(s), atomic) => {
-                Pending::Owned(format!("{s} {}", atomic.string_value()))
-            }
-            (Pending::Owned(mut text), atomic) => {
-                text.push(' ');
-                text.push_str(&atomic.string_value());
-                Pending::Owned(text)
-            }
-        };
     }
 }
 
@@ -882,6 +897,44 @@ mod tests {
         let names: Vec<&str> = (0..third.len() as u32).map(|p| third.name_of(p)).collect();
         assert_eq!(names, ["a", "b", "c", "d", "e", "bb"]);
         third.check_invariants()
+    }
+
+    /// Names interned up front by the first session merge with its seal,
+    /// so a later session that writes one of them before the others in
+    /// sort order copies no earlier chunk; without them, it does.
+    #[test]
+    fn names_interned_up_front_leave_earlier_chunks_shared() -> Result<(), String> {
+        fn sessions(up_front: bool) -> (Document, Document) {
+            let mut b = DocumentBuilder::append_to(empty(2));
+            if up_front {
+                b.intern_names(["b", "a"], ["k"]);
+            }
+            for _ in 0..4 {
+                b.start_element("b");
+                b.attribute("k", "v");
+                b.end_element();
+            }
+            let first = b.finish();
+            let mut b = DocumentBuilder::append_to(first.clone());
+            b.start_element("a");
+            b.attribute("k", "v");
+            b.end_element();
+            (first, b.finish())
+        }
+        let (first, second) = sessions(true);
+        let (f, s) = (first.columns(), second.columns());
+        assert!(s.shares_chunk(0, f, 0) && s.shares_chunk(1, f, 1));
+        second.check_invariants()?;
+        let (first, second) = sessions(false);
+        assert!(
+            !second.columns().shares_chunk(0, first.columns(), 0),
+            "b sorts after a"
+        );
+        let names: Vec<&str> = (0..second.len() as u32)
+            .map(|p| second.name_of(p))
+            .collect();
+        assert_eq!(names, ["b", "b", "b", "b", "a"]);
+        second.check_invariants()
     }
 
     /// A top-level PI or comment is a fragment root like any level-0 row.

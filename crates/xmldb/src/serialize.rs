@@ -49,7 +49,7 @@ pub fn serialize_node(doc: &Document, pre: u32, out: &mut String) {
             close(out, name);
             open.pop();
         }
-        let text = row.text.map_or("", |t| t);
+        let text = row.text;
         match row.kind {
             NodeKind::Text => push_escaped(out, text, false),
             NodeKind::Comment => {

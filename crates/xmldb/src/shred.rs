@@ -136,11 +136,18 @@ impl<'a> Parser<'a> {
     }
 
     /// Parse the comments and PIs before (`prolog`) or after the document
-    /// element; the prolog's XML declaration and DOCTYPE are skipped.
+    /// element; the prolog's XML declaration and DOCTYPE are skipped.  The
+    /// declaration is `<?xml` followed by whitespace: a PI whose target
+    /// only starts with `xml` (`<?xml-stylesheet …?>`) is a node.
     fn parse_misc(&mut self, prolog: bool) -> Result<(), ShredError> {
         loop {
             self.skip_ws();
-            if prolog && self.starts_with("<?xml") {
+            let declaration = self.starts_with("<?xml")
+                && matches!(
+                    self.input.get(self.pos + 5),
+                    Some(b' ' | b'\t' | b'\r' | b'\n')
+                );
+            if prolog && declaration {
                 self.read_until("?>")?;
             } else if prolog && self.starts_with("<!DOCTYPE") {
                 // skip a (possibly bracketed) DTD
@@ -435,6 +442,28 @@ mod tests {
             &ShredOptions::default(),
         )?;
         assert_eq!(serialize_document(&d), "<!--c--><a/>");
+        Ok(())
+    }
+
+    /// A prolog PI whose target starts with `xml` is a node, not the XML
+    /// declaration, with and without a document node.
+    #[test]
+    fn xml_prefixed_prolog_pis_are_kept() -> Result<(), ShredError> {
+        let xml = "<?xml-stylesheet href=\"s.xsl\"?><a/>";
+        for document_node in [false, true] {
+            let opts = ShredOptions {
+                document_node,
+                ..ShredOptions::default()
+            };
+            let d = shred("t", xml, &opts)?;
+            assert_eq!(
+                serialize_document(&d),
+                xml,
+                "document node: {document_node}"
+            );
+        }
+        let d = shred("t", "<?xml version=\"1.0\"?><a/>", &ShredOptions::default())?;
+        assert_eq!(serialize_document(&d), "<a/>");
         Ok(())
     }
 

@@ -151,7 +151,10 @@ pub(crate) fn tuples_of(doc: &Document) -> Vec<Tuple> {
                 NodeKind::Document => document.clone(),
                 _ => tags.str_of(row.name_code).clone(),
             },
-            text: row.text.unwrap_or(&empty).clone(),
+            text: match row.text {
+                "" => empty.clone(),
+                text => Arc::from(text),
+            },
             attrs: row
                 .attr_names
                 .iter()
