@@ -1773,7 +1773,7 @@ mod tests {
     /// Texts and PI targets live in the chunk: the heap holds the content
     /// of text, comment and PI rows, the name column the PI target.
     #[test]
-    fn text_heap_and_pi_targets() -> Result<(), Box<dyn std::error::Error>> {
+    fn text_column_and_pi_targets() -> Result<(), Box<dyn std::error::Error>> {
         let xml = "<a><!--note--><?tgt data?>x<b/></a>";
         let (doc, cols) = image(xml);
         cols.check_invariants()?;
