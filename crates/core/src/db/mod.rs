@@ -71,7 +71,7 @@ use mxq_xmldb::{DocStore, DocumentColumns, StoreSnapshot};
 use crate::algebra::PlanRef;
 use crate::config::ExecConfig;
 use crate::durability::{DurabilityOptions, Durable};
-use crate::exec::{CtorNames, Executor};
+use crate::exec::Executor;
 use crate::params::Params;
 use crate::profile::Profile;
 use crate::Error;
@@ -341,14 +341,10 @@ impl Database {
     ) -> Result<(StatementResult, QueryReport), Error> {
         match stmt {
             CompiledStatement::Query {
-                plan,
-                operators,
-                names,
-                ..
+                plan, operators, ..
             } => {
                 let snap = self.snapshot();
-                let (result, report) =
-                    self.run_query_on(snap, (plan, *operators, names), config, params)?;
+                let (result, report) = self.run_query_on(snap, plan, *operators, config, params)?;
                 Ok((StatementResult::Query(result), report))
             }
             CompiledStatement::Update { plan, .. } => {
@@ -358,16 +354,16 @@ impl Database {
         }
     }
 
-    /// Evaluate a compiled query plan (with its operator count and
-    /// constructed names) against a given snapshot.
+    /// Evaluate a compiled query plan against a given snapshot.
     fn run_query_on(
         &self,
         snap: StoreSnapshot,
-        (plan, operators, names): (&PlanRef, usize, &Arc<CtorNames>),
+        plan: &PlanRef,
+        operators: usize,
         config: ExecConfig,
         params: Params,
     ) -> Result<(QueryResult, QueryReport), Error> {
-        let mut exec = Executor::with_params(&snap, config, params).with_ctor_names(names.clone());
+        let mut exec = Executor::with_params(&snap, config, params);
         let items = exec.eval_result(plan)?;
         let (transient, stats) = exec.finish();
         self.counters.queries.fetch_add(1, Ordering::Relaxed);
@@ -388,13 +384,11 @@ impl Database {
         config: ExecConfig,
         params: Params,
     ) -> Result<Profile, Error> {
-        let CompiledStatement::Query { plan, names, .. } = stmt else {
+        let CompiledStatement::Query { plan, .. } = stmt else {
             return Err(Error::WrongStatementKind { expected: "query" });
         };
         let snap = self.snapshot();
-        let mut exec = Executor::with_params(&snap, config, params)
-            .with_ctor_names(names.clone())
-            .with_profiling();
+        let mut exec = Executor::with_params(&snap, config, params).with_profiling();
         let start = Instant::now();
         let items = exec.eval_result(plan)?;
         let exec_ns = start.elapsed().as_nanos() as u64;

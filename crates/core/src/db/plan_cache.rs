@@ -22,7 +22,6 @@ use crate::analysis::{self, Analysis, Rewrite};
 use crate::ast::Statement;
 use crate::compile::{lift_literals, Compiler};
 use crate::config::ExecConfig;
-use crate::exec::CtorNames;
 use crate::parser::parse_statement;
 use crate::pul::UpdatePlan;
 use crate::Error;
@@ -37,8 +36,6 @@ pub(crate) enum CompiledStatement {
     Query {
         plan: PlanRef,
         operators: usize,
-        /// The names its constructors build, interned up front.
-        names: Arc<CtorNames>,
         externals: Vec<String>,
         /// Property-driven rewrites the simplifier applied at compile time.
         rewrites: Vec<Rewrite>,
@@ -214,7 +211,6 @@ impl Database {
                 analysis::verify(&plan, &analysis::analyze(&plan))?;
                 let operators = plan.operator_count();
                 Ok(CompiledStatement::Query {
-                    names: Arc::new(CtorNames::of(&plan)),
                     plan,
                     operators,
                     externals: compiler.external_variables().to_vec(),

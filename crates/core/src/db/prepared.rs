@@ -148,14 +148,12 @@ impl Prepared {
         let params = params.clone().with_literals(self.literals.clone());
         match &*self.compiled {
             CompiledStatement::Query {
-                plan,
-                operators,
-                names,
-                ..
+                plan, operators, ..
             } => {
                 let snap = self.current_snapshot();
-                let query = (plan, *operators, names);
-                let (result, _) = self.db.run_query_on(snap, query, self.config, params)?;
+                let (result, _) =
+                    self.db
+                        .run_query_on(snap, plan, *operators, self.config, params)?;
                 Ok(StatementResult::Query(result))
             }
             CompiledStatement::Update { plan, .. } => self

@@ -97,41 +97,6 @@ impl From<EngineError> for ExecError {
 
 type EResult<T> = Result<T, ExecError>;
 
-/// The element and attribute names a plan's constructors build, each once:
-/// collected per compiled plan (the plan cache keeps them with it), and
-/// interned by an execution's first build session, so that session's seal
-/// merges every name the statement constructs and a later constructor of
-/// the statement remaps no chunk of the transient container for a name.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct CtorNames {
-    tags: Vec<String>,
-    attrs: Vec<String>,
-}
-
-impl CtorNames {
-    /// The names the constructors of `plan` build.
-    pub fn of(plan: &PlanRef) -> CtorNames {
-        let mut names = CtorNames::default();
-        let mut seen = std::collections::HashSet::new();
-        let mut stack = vec![plan.clone()];
-        while let Some(p) = stack.pop() {
-            if !seen.insert(p.id) {
-                continue;
-            }
-            if let Op::ElemCtor { name, attrs, .. } = &p.op {
-                names.tags.push(name.clone());
-                names.attrs.extend(attrs.iter().map(|(n, _)| n.clone()));
-            }
-            stack.extend(p.children());
-        }
-        for list in [&mut names.tags, &mut names.attrs] {
-            list.sort_unstable();
-            list.dedup();
-        }
-        names
-    }
-}
-
 /// The executor.  Reads loaded documents through an immutable store
 /// snapshot, constructs new nodes into a private transient container, and
 /// resolves external variables against a [`Params`] binding set.
@@ -160,9 +125,6 @@ pub struct Executor<'a> {
     /// Per-operator costs; `Some` for a profiled execution
     /// ([`Executor::with_profiling`]).
     profile: Option<Box<ProfileSink>>,
-    /// The names the first build session interns, taken by it
-    /// ([`Executor::with_ctor_names`]).
-    ctor_names: Option<Arc<CtorNames>>,
 }
 
 // -- small helpers over sequence tables --------------------------------------
@@ -222,15 +184,7 @@ impl<'a> Executor<'a> {
             reads: std::cell::RefCell::new(std::collections::HashSet::new()),
             last_read: std::cell::Cell::new(TRANSIENT_FRAG),
             profile: None,
-            ctor_names: None,
         }
-    }
-
-    /// Intern `names` (those of the plans this execution evaluates, see
-    /// [`CtorNames::of`]) in the execution's first build session.
-    pub fn with_ctor_names(mut self, names: Arc<CtorNames>) -> Self {
-        self.ctor_names = Some(names);
-        self
     }
 
     /// Profile this execution: every plan node [`Executor::eval`] evaluates
@@ -1280,11 +1234,15 @@ impl<'a> Executor<'a> {
         let single_frag = frags.next().filter(|&f| frags.all(|g| g == f));
         if let Some(doc) = single_frag.map(|frag| self.container(frag)) {
             let cols = doc.columns_arc();
+            // the name's code, resolved once per step (`None`: no node of
+            // the container has the attribute)
+            let code = name.map(|a| cols.attr_names().code_of(a));
             let (mut oi, mut codes) = (Vec::new(), Vec::new());
             for (it, item) in iters.iter().zip(&items) {
                 let Item::Node(n) = item else { continue };
-                match name {
-                    Some(a) => {
+                match code {
+                    Some(None) => break,
+                    Some(Some(a)) => {
                         if let Some(c) = cols.attr_value_code_of(n.pre, a) {
                             oi.push(*it);
                             codes.push(c);
@@ -1554,10 +1512,6 @@ impl<'a> Executor<'a> {
         // content nodes constructed by child plans already live in the
         // transient container the new elements are appended to
         let mut builder = DocumentBuilder::append_to(std::mem::take(&mut self.transient));
-        if let Some(all) = self.ctor_names.take() {
-            let (tags, attrs) = (all.tags.iter(), all.attrs.iter());
-            builder.intern_names(tags.map(String::as_str), attrs.map(String::as_str));
-        }
         // names are interned / allocated once per call, not per element
         let qids: Vec<u32> = names.iter().map(|n| builder.intern(n)).collect();
 

@@ -88,7 +88,7 @@ pub use db::{
     SessionStats, StatementResult, StoreReadGuard, UpdateReport,
 };
 pub use durability::{DurabilityError, DurabilityOptions};
-pub use exec::{serialize_items_snapshot, CtorNames, ExecError, Executor};
+pub use exec::{serialize_items_snapshot, ExecError, Executor};
 pub use params::Params;
 pub use parser::{parse_expr, parse_query, parse_statement, parse_update, ParseError};
 pub use profile::{OpProfile, Profile};

@@ -1,5 +1,5 @@
 //! The stored form of every node container: its relational image, with
-//! dictionary-encoded name columns, cut into **chunks** that are the
+//! coded name and attribute columns, cut into **chunks** that are the
 //! logical pages of the paper's update scheme (Section 5.2).
 //!
 //! The paper's storage layer keeps the structural `pre|size|level` table in
@@ -13,8 +13,11 @@
 //! (MonetDB's string heap, per chunk), so element and document rows hold
 //! empty spans and a text costs its bytes and nothing else.  Next to them
 //! sit the `owner|name|value` attribute rows of *its* nodes (owners stored
-//! chunk-locally), with the tag and attribute-name columns encoded against
-//! **shared sorted dictionaries**.
+//! chunk-locally).  Element names (with PI targets) and attribute names
+//! are coded by two **append-only interners** ([`Names`]): a name's code
+//! is the rank it was first seen at and never moves.  Attribute *values*
+//! are coded against a **shared sorted dictionary**, since value codes are
+//! compared: sorts, min/max and the shared-code joins run on them.
 //! The name column holds element names and PI targets (every other row
 //! encodes the empty string).  This is the only copy of a container's
 //! nodes — a loaded document's, a shredded one's, a statement's transient's:
@@ -29,17 +32,20 @@
 //! image, or a row walk that maps each distinct code once (and copies each
 //! text's bytes) from another.
 //!
-//! One path turns strings into codes: a write's session dictionaries (one
-//! per dictionary) give a string the dictionaries lack a provisional code,
-//! and the write's end merges those strings in once and remaps the codes
-//! of the chunks that hold a code the merge moves.  A build session ends
-//! so, and so does every patch of [`crate::update::PagedDocument`] that
-//! brings a string: the splice of an inserted fragment's rows (mapped
-//! from the fragment's own image), an in-place rename, an attribute write.
-//! Its other patches (removals, ancestor `size` deltas, text writes) touch
-//! no dictionary.  Every chunk keeps upper bounds of its codes, so a merge
-//! rewrites (and copies) only the chunks holding a code it moves — none
-//! when the new string sorts after every other one.  A chunk is the unit of the
+//! Every write interns the names it brings straight into the image's
+//! interners (copying an interner a published snapshot still shares on its
+//! first new name), so a new name rewrites no chunk.  One path turns
+//! attribute values into codes: a write's session dictionary gives a value
+//! the dictionary lacks a provisional code, and the write's end merges
+//! those values in once and remaps the value codes of the chunks that hold
+//! one the merge moves.  A build session ends so, and so does every patch
+//! of [`crate::update::PagedDocument`] that brings a value: the splice of
+//! an inserted fragment's rows (mapped from the fragment's own image) and
+//! an attribute write.  Its other patches (removals, ancestor `size`
+//! deltas, renames, text writes) touch no dictionary.  Every chunk keeps
+//! an upper bound of its value codes, so a merge rewrites (and copies)
+//! only the chunks holding a code it moves — none when the new value
+//! sorts after every other one.  A chunk is the unit of the
 //! paper's remappable pre numbers: a row splice lands in exactly one
 //! chunk, shifts only that chunk's rows and chunk-local attribute owners,
 //! and then fixes up the O(#chunks) start index — O(chunk), not
@@ -92,21 +98,75 @@ fn carries_text(kind: NodeKind) -> bool {
     )
 }
 
-/// Index of the tag, attribute-name and attribute-value dictionary in a
-/// write's session dictionaries, in the remaps of its merge and in a
-/// chunk's code bounds.
-const TAGS: usize = 0;
-const NAMES: usize = 1;
-const VALUES: usize = 2;
+/// An append-only interner of element names (and PI targets) or of
+/// attribute names: a name's code is the rank it was first interned at,
+/// and it never moves, so a write that brings a new name rewrites no row.
+/// Code order is not string order; nothing compares name codes but for
+/// equality.
+#[derive(Debug, Clone, Default)]
+pub struct Names {
+    /// The names, by code.
+    strings: Vec<Arc<str>>,
+    /// The code of every name.
+    codes: HashMap<Arc<str>, u32>,
+}
 
-/// The remap each dictionary got from a write's merge (`None`: it gained
-/// no string), indexed like the session dictionaries.
-type Remaps = [Option<Vec<u32>>; 3];
+impl Names {
+    /// Code of `name`, if it was interned.
+    pub fn code_of(&self, name: &str) -> Option<u32> {
+        self.codes.get(name).copied()
+    }
 
-/// Rewrite a code column through a dictionary remap.
-fn remap_codes(column: &mut [u32], remap: &[u32]) {
-    for c in column {
-        *c = remap[*c as usize];
+    /// The name of code `code`.
+    pub fn str_of(&self, code: u32) -> &Arc<str> {
+        &self.strings[code as usize]
+    }
+
+    /// Number of names interned.
+    pub fn len(&self) -> usize {
+        self.strings.len()
+    }
+
+    /// True when no name was interned.
+    pub fn is_empty(&self) -> bool {
+        self.strings.is_empty()
+    }
+
+    /// The names in code order (the order they were first interned in).
+    pub fn iter(&self) -> std::slice::Iter<'_, Arc<str>> {
+        self.strings.iter()
+    }
+
+    /// Does every name have the code of its place in the list, and the
+    /// map no other entry?
+    fn check(&self) -> Result<(), String> {
+        if self.codes.len() != self.strings.len() {
+            return Err(format!(
+                "{} codes for {} names",
+                self.codes.len(),
+                self.strings.len()
+            ));
+        }
+        for (code, name) in (0..).zip(&self.strings) {
+            if self.code_of(name) != Some(code) {
+                return Err(format!("name {name:?} does not map to its code {code}"));
+            }
+        }
+        Ok(())
+    }
+
+    /// The code of `name`, a new one past the others when it is new (the
+    /// interner copied first when a published image still shares it).
+    fn intern(self: &mut Arc<Names>, name: &str) -> u32 {
+        if let Some(code) = self.code_of(name) {
+            return code;
+        }
+        let names = Arc::make_mut(self);
+        let code = names.strings.len() as u32;
+        let name: Arc<str> = Arc::from(name);
+        names.strings.push(name.clone());
+        names.codes.insert(name, code);
+        code
     }
 }
 
@@ -164,18 +224,16 @@ struct Chunk {
     name_buckets: u64,
     /// The chunk-local element-name posting index: the local offsets of the
     /// element rows ordered by `(name code, offset)`, so the elements of one
-    /// name are a contiguous, ascending run.  A dictionary merge remaps
-    /// codes monotonically and leaves it valid.
+    /// name are a contiguous, ascending run.
     postings: Vec<u32>,
     /// The name directory over `postings`: `(name code, first posting)` of
     /// every distinct element name in the chunk, ascending by code, so a
     /// name's run is one binary search over this short list away.
     directory: Vec<(u32, u32)>,
-    /// Upper bounds, one past the largest code, of `name_code`,
-    /// `attr_name_code` and `attr_value_code`, kept by every write: a
-    /// dictionary remap that moves no code below them leaves the chunk
-    /// (and its sharing) alone.
-    code_ends: [u32; 3],
+    /// An upper bound, one past the largest code, of `attr_value_code`,
+    /// kept by every write: a value dictionary remap that moves no code
+    /// below it leaves the chunk (and its sharing) alone.
+    value_end: u32,
 }
 
 impl Chunk {
@@ -195,6 +253,7 @@ impl Chunk {
     }
 
     /// The text of row `l` (empty for element and document rows).
+    #[inline]
     fn text(&self, l: usize) -> &str {
         &self.heap[self.span(l..l + 1)]
     }
@@ -232,7 +291,7 @@ impl Chunk {
         }
         (self.min_level, self.max_level, self.kind_mask) = (min, max, kinds);
         self.rebuild_buckets();
-        self.code_ends = self.exact_code_ends();
+        self.value_end = code_end(&self.attr_value_code);
         keys.sort_unstable();
         self.postings.clear();
         self.directory.clear();
@@ -309,23 +368,12 @@ impl Chunk {
         self.attr_owner.insert(at, l as u32);
         self.attr_name_code.insert(at, name_code);
         self.attr_value_code.insert(at, value_code);
-        self.bound_codes([0, name_code + 1, value_code + 1]);
+        self.bound_value(value_code + 1);
     }
 
-    /// One past the largest name, attribute-name and attribute-value code.
-    fn exact_code_ends(&self) -> [u32; 3] {
-        [
-            code_end(&self.name_code),
-            code_end(&self.attr_name_code),
-            code_end(&self.attr_value_code),
-        ]
-    }
-
-    /// Raise the code bounds to cover `ends`.
-    fn bound_codes(&mut self, ends: [u32; 3]) {
-        for (end, new) in self.code_ends.iter_mut().zip(ends) {
-            *end = (*end).max(new);
-        }
+    /// Raise the value code bound to cover `end`.
+    fn bound_value(&mut self, end: u32) {
+        self.value_end = self.value_end.max(end);
     }
 
     /// Chunk-local attribute row range of the nodes at the local offsets
@@ -342,7 +390,7 @@ impl Chunk {
     /// are left stale.
     fn splice_in(&mut self, l: usize, piece: Chunk) {
         let k = piece.len() as u32;
-        self.bound_codes(piece.exact_code_ends());
+        self.bound_value(code_end(&piece.attr_value_code));
         self.size.splice(l..l, piece.size);
         self.level.splice(l..l, piece.level);
         self.kind.splice(l..l, piece.kind);
@@ -400,7 +448,7 @@ impl Chunk {
         let (at, from) = (self.heap.len() as u32, span.start as u32);
         self.heap.push_str(&src.heap[span]);
         heap_end(&self.heap);
-        self.bound_codes(src.code_ends);
+        self.bound_value(src.value_end);
         self.size.extend_from_slice(&src.size[rows.clone()]);
         self.level.extend_from_slice(&src.level[rows.clone()]);
         self.kind.extend_from_slice(&src.kind[rows.clone()]);
@@ -445,55 +493,50 @@ impl Chunk {
         self.attr_value_code.extend_from_within(attrs);
     }
 
-    /// Append row `row` of the image `src` at `level`, its name and
-    /// attribute codes mapped into the dictionaries of `dicts` (each
-    /// distinct code of `src` once), its text copied.  Summaries are left
-    /// stale.
+    /// Append row `row` of the image `src` at `level`, its text copied:
+    /// its names interned in `names` (the element and the attribute-name
+    /// interner), its values coded through the session dictionary
+    /// `values`, each distinct code of `src` mapped once through `maps`.
+    /// Summaries are left stale.
     fn push_mapped(
         &mut self,
         row: Row<'_>,
         level: u16,
         src: &DocumentColumns,
-        dicts: &mut [SessionDict; 3],
+        [tags, attr_names]: [&mut Arc<Names>; 2],
+        values: &mut SessionDict,
+        maps: &mut CopyMaps,
     ) {
         let owner = self.len() as u32;
-        let name_code = dicts[TAGS].map(&src.tags, row.name_code);
+        let code = row.name_code;
+        let name_code = maps
+            .tags
+            .map(&src.tags, code, |d| tags.intern(d.str_of(code)));
         self.size.push(row.size);
         self.level.push(level);
         self.kind.push(row.kind);
         self.name_code.push(name_code);
         self.push_text(row.text);
-        self.bound_codes([name_code + 1, 0, 0]);
         for (&n, &v) in row.attr_names.iter().zip(row.attr_values) {
-            let n = dicts[NAMES].map(&src.attr_names, n);
-            let v = dicts[VALUES].map(&src.attr_values, v);
+            let n = maps
+                .attr_names
+                .map(&src.attr_names, n, |d| attr_names.intern(d.str_of(n)));
+            let v = maps
+                .values
+                .map(&src.attr_values, v, |d| values.code(d.str_of(v)));
             self.attr_owner.push(owner);
             self.attr_name_code.push(n);
             self.attr_value_code.push(v);
-            self.bound_codes([0, n + 1, v + 1]);
+            self.bound_value(v + 1);
         }
     }
 
-    /// Rewrite the codes through `remaps`: name codes with the name
-    /// directory and bucket mask, attribute name and value codes.  A remap
-    /// is monotone on the dictionary's own codes, so the directory stays
-    /// sorted.
-    fn remap(&mut self, remaps: &Remaps) {
-        let [tags, names, values] = remaps;
-        if let Some(remap) = tags {
-            remap_codes(&mut self.name_code, remap);
-            for (code, _) in &mut self.directory {
-                *code = remap[*code as usize];
-            }
-            self.rebuild_buckets();
+    /// Rewrite the value codes through a value dictionary remap.
+    fn remap(&mut self, remap: &[u32]) {
+        for code in &mut self.attr_value_code {
+            *code = remap[*code as usize];
         }
-        if let Some(remap) = names {
-            remap_codes(&mut self.attr_name_code, remap);
-        }
-        if let Some(remap) = values {
-            remap_codes(&mut self.attr_value_code, remap);
-        }
-        self.code_ends = self.exact_code_ends();
+        self.value_end = code_end(&self.attr_value_code);
     }
 
     /// Move the rows from `a` on into a chunk of their own (owners and
@@ -557,20 +600,20 @@ pub(crate) struct Row<'a> {
 }
 
 /// The chunked relational image of one document container, with
-/// dictionary-encoded string columns (see the module docs).
+/// coded string columns (see the module docs).
 #[derive(Debug, Clone)]
 pub struct DocumentColumns {
-    /// Sorted dictionary over the element names and PI targets (plus the
-    /// empty string used for every other row).  Grows monotonically under
-    /// incremental maintenance: names deleted from the document may linger
-    /// as unused entries — harmless, since code order still equals string
-    /// order.
-    tags: Arc<Dictionary>,
-    /// Sorted dictionary over the attribute names.
-    attr_names: Arc<Dictionary>,
-    /// Sorted dictionary over the attribute *values* — mixed content (ids,
-    /// keywords, numeric strings side by side), so joins over it go through
-    /// the per-code numeric keys of [`Dictionary::numeric_key_of`].
+    /// Interner of the element names and PI targets (plus the empty
+    /// string used for every other row), shared with the published images
+    /// until a write brings a new name.  Append-only: names deleted from
+    /// the document linger as unused entries, and no code ever moves.
+    tags: Arc<Names>,
+    /// Interner of the attribute names, shared and grown like `tags`.
+    attr_names: Arc<Names>,
+    /// Sorted dictionary over the attribute *values* (code order is string
+    /// order) — mixed content (ids, keywords, numeric strings side by
+    /// side), so joins over it go through the per-code numeric keys of
+    /// [`Dictionary::numeric_key_of`].
     attr_values: Arc<Dictionary>,
     /// Shared per chunk: cloning the image (the first patch after a publish)
     /// copies pointers, and a patch then copies only the chunk it touches
@@ -593,8 +636,8 @@ pub struct DocumentColumns {
 impl Default for DocumentColumns {
     fn default() -> DocumentColumns {
         DocumentColumns {
-            tags: Dictionary::new(Vec::<Arc<str>>::new()),
-            attr_names: Dictionary::new(Vec::<Arc<str>>::new()),
+            tags: Arc::default(),
+            attr_names: Arc::default(),
             attr_values: Dictionary::new(Vec::<Arc<str>>::new()),
             chunks: Vec::new(),
             starts: Vec::new(),
@@ -608,7 +651,7 @@ impl Default for DocumentColumns {
 
 impl DocumentColumns {
     /// Rebuild the same content at a different chunk row target (must be a
-    /// power of two) — dictionaries and codes are reused as-is.
+    /// power of two) — interners, dictionary and codes are reused as-is.
     pub(crate) fn rechunked(&self, chunk_rows: usize) -> DocumentColumns {
         assert!(
             chunk_rows.is_power_of_two(),
@@ -645,13 +688,13 @@ impl DocumentColumns {
         self.attr_count
     }
 
-    /// The element-name (and PI-target) dictionary.
-    pub fn tags(&self) -> &Arc<Dictionary> {
+    /// The element-name (and PI-target) interner.
+    pub fn tags(&self) -> &Names {
         &self.tags
     }
 
-    /// The attribute-name dictionary.
-    pub fn attr_names(&self) -> &Arc<Dictionary> {
+    /// The attribute-name interner.
+    pub fn attr_names(&self) -> &Names {
         &self.attr_names
     }
 
@@ -661,15 +704,16 @@ impl DocumentColumns {
     }
 
     /// Rough resident-memory footprint in bytes: the fixed-width columns,
-    /// the name index, the text payloads, the attribute rows and the
-    /// dictionaries.  Used by the eviction policy's memory budget — a
+    /// the name index, the text payloads, the attribute rows, the
+    /// interners and the value dictionary.  Used by the eviction policy's memory budget — a
     /// heuristic, not an allocator report.
     pub(crate) fn approx_bytes(&self) -> usize {
-        let dict_bytes = |d: &Dictionary| d.iter().map(|s| 16 + s.len()).sum::<usize>();
+        let bytes = |s: &Arc<str>| 16 + s.len();
+        let names = |n: &Names| n.iter().map(bytes).sum::<usize>();
         self.chunks.iter().map(|c| c.approx_bytes()).sum::<usize>()
-            + dict_bytes(&self.tags)
-            + dict_bytes(&self.attr_names)
-            + dict_bytes(&self.attr_values)
+            + names(&self.tags)
+            + names(&self.attr_names)
+            + self.attr_values.iter().map(bytes).sum::<usize>()
     }
 
     // -- chunk geometry and summaries -------------------------------------
@@ -841,7 +885,7 @@ impl DocumentColumns {
 
     /// Hand the `count` rows starting at `pre` to `f`, in document order:
     /// the position is located once, then the chunks are walked with a
-    /// running attribute cursor.
+    /// running attribute cursor and a running heap offset.
     pub(crate) fn walk_rows(&self, pre: u32, count: usize, mut f: impl FnMut(Row<'_>)) {
         if count == 0 {
             return;
@@ -852,21 +896,23 @@ impl DocumentColumns {
             let c = &self.chunks[ci];
             let end = (l + left).min(c.len());
             let mut a = c.attr_owner.partition_point(|&o| (o as usize) < l);
+            let mut from = c.start(l);
             for r in l..end {
                 let b = a + c.attr_owner[a..]
                     .iter()
                     .take_while(|&&o| o as usize == r)
                     .count();
+                let to = c.ends[r] as usize;
                 f(Row {
                     size: c.size[r],
                     level: c.level[r],
                     kind: c.kind[r],
                     name_code: c.name_code[r],
-                    text: c.text(r),
+                    text: &c.heap[from..to],
                     attr_names: &c.attr_name_code[a..b],
                     attr_values: &c.attr_value_code[a..b],
                 });
-                a = b;
+                (a, from) = (b, to);
             }
             left -= end - l;
             ci += 1;
@@ -890,7 +936,8 @@ impl DocumentColumns {
 
     /// Value of attribute `name` on element `pre`.
     pub(crate) fn attr_value_of(&self, pre: u32, name: &str) -> Option<&str> {
-        Some(self.attr_values.str_of(self.attr_value_code_of(pre, name)?))
+        let code = self.attr_names.code_of(name)?;
+        Some(self.attr_values.str_of(self.attr_value_code_of(pre, code)?))
     }
 
     /// Value codes (into [`Self::attr_values`]) of all attribute rows of
@@ -901,18 +948,24 @@ impl DocumentColumns {
         &chunk.attr_value_code[chunk.attr_range(l..l + 1)]
     }
 
-    /// Value *code* (into [`Self::attr_values`]) of attribute `name` on
-    /// element `pre` — the dictionary-encoded form of its value.
-    pub fn attr_value_code_of(&self, pre: u32, name: &str) -> Option<u32> {
-        let code = self.attr_names.code_of(name)?;
+    /// Value *code* (into [`Self::attr_values`]) of the attribute with
+    /// name code `name` (an [`Self::attr_names`] code) on element `pre` —
+    /// the dictionary-encoded form of its value.
+    pub fn attr_value_code_of(&self, pre: u32, name: u32) -> Option<u32> {
+        let (ci, i) = self.attr_slot(pre, name)?;
+        Some(self.chunks[ci].attr_value_code[i])
+    }
+
+    /// Chunk index and chunk attribute row of the attribute with name code
+    /// `name` on element `pre`.
+    fn attr_slot(&self, pre: u32, name: u32) -> Option<(usize, usize)> {
         let (ci, l) = self.locate(pre);
         let chunk = &self.chunks[ci];
-        for i in chunk.attr_range(l..l + 1) {
-            if chunk.attr_name_code[i] == code {
-                return Some(chunk.attr_value_code[i]);
-            }
-        }
-        None
+        let rows = chunk.attr_range(l..l + 1);
+        let i = chunk.attr_name_code[rows.clone()]
+            .iter()
+            .position(|&n| n == name)?;
+        Some((ci, rows.start + i))
     }
 
     /// All attribute rows as `(global owner, name code, value code)` in
@@ -928,55 +981,41 @@ impl DocumentColumns {
         })
     }
 
-    // -- coding strings: every write's session dictionaries ---------------
+    // -- coding values: every write's session dictionary ------------------
 
-    /// The session dictionaries of a write over the image: the codes it
-    /// gives its strings, provisional ones for the strings the image lacks.
-    fn session(&self) -> [SessionDict; 3] {
-        [&self.tags, &self.attr_names, &self.attr_values].map(SessionDict::new)
-    }
-
-    /// End a write's session: the strings it brought merge into the
-    /// dictionaries, and the chunks holding a code the merge moves are
-    /// remapped.  Returns the remaps, for the rows the write holds outside
-    /// the image.
-    fn merge(&mut self, session: [SessionDict; 3]) -> Remaps {
-        let [tags, names, values] = session;
-        let remaps = [
-            tags.merge_into(&mut self.tags),
-            names.merge_into(&mut self.attr_names),
-            values.merge_into(&mut self.attr_values),
-        ];
-        let moved =
-            [TAGS, NAMES, VALUES].map(|d| remaps[d].as_deref().map_or(u32::MAX, first_moved));
-        if moved == [u32::MAX; 3] {
-            return remaps;
-        }
-        // a chunk whose codes all lie below the first code each remap
-        // moves keeps its allocation: a string that sorts after every
+    /// End a write's session: the values it brought merge into the value
+    /// dictionary, and the chunks holding a code the merge moves are
+    /// remapped.  Returns the remap, for the rows the write holds outside
+    /// the image (`None`: the write brought no new value).
+    fn merge(&mut self, values: SessionDict) -> Option<Vec<u32>> {
+        let remap = values.merge_into(&mut self.attr_values)?;
+        // a chunk whose value codes all lie below the first code the remap
+        // moves keeps its allocation: a value that sorts after every
         // existing one costs no chunk copy
+        let moved = first_moved(&remap);
         for chunk in &mut self.chunks {
-            if chunk.code_ends.iter().zip(moved).any(|(&end, m)| end > m) {
-                Arc::make_mut(chunk).remap(&remaps);
+            if chunk.value_end > moved {
+                Arc::make_mut(chunk).remap(&remap);
             }
         }
-        remaps
+        Some(remap)
     }
 
     // -- incremental maintenance (the paged update path) ------------------
 
-    /// The final codes of `strings`, each in the dictionary its index
-    /// names, coded through one session.
-    fn codes<const N: usize>(&mut self, strings: [(usize, &str); N]) -> [u32; N] {
-        let mut session = self.session();
-        let codes = strings.map(|(d, s)| (d, session[d].code(s)));
-        let remaps = self.merge(session);
-        codes.map(|(d, code)| remaps[d].as_ref().map_or(code, |r| r[code as usize]))
+    /// The final code of the attribute value `value`, merged into the value
+    /// dictionary when it is new.
+    fn value_code(&mut self, value: &str) -> u32 {
+        let mut values = SessionDict::new(&self.attr_values);
+        let code = values.code(value);
+        self.merge(values)
+            .map_or(code, |remap| remap[code as usize])
     }
 
     /// Splice the rows of `fragment` into the image at position `at`, its
     /// roots at `level`: a walk over its rows that maps each distinct code
-    /// once, then the merge of the strings the image lacks.  The splice
+    /// once (interning the names the image lacks), then the merge of the
+    /// values it lacks.  The splice
     /// lands in exactly one chunk: that chunk's rows shift, its chunk-local
     /// attribute owners renumber, and the start index is patched —
     /// O(chunk size plus rows inserted plus #chunks), never a whole-image
@@ -992,13 +1031,18 @@ impl DocumentColumns {
         if fragment.is_empty() {
             return 0;
         }
-        let mut session = self.session();
+        let mut values = SessionDict::new(&self.attr_values);
+        let mut maps = CopyMaps::default();
         let mut piece = Chunk::with_capacity(fragment.len());
+        let (tags, attr_names) = (&mut self.tags, &mut self.attr_names);
         fragment.walk_rows(0, fragment.len(), |row| {
+            let names = [&mut *tags, &mut *attr_names];
             let row_level = row.level + level;
-            piece.push_mapped(row, row_level, fragment, &mut session);
+            piece.push_mapped(row, row_level, fragment, names, &mut values, &mut maps);
         });
-        piece.remap(&self.merge(session));
+        if let Some(remap) = self.merge(values) {
+            piece.remap(&remap);
+        }
         if self.chunks.is_empty() {
             self.chunks = piece.into_pieces(self.chunk_rows);
             self.rebuild_starts();
@@ -1075,7 +1119,7 @@ impl DocumentColumns {
         ) {
             return;
         }
-        let [code] = self.codes([(TAGS, name)]);
+        let code = self.tags.intern(name);
         let (ci, l) = self.locate(pre);
         let chunk = Arc::make_mut(&mut self.chunks[ci]);
         chunk.name_code[l] = code;
@@ -1093,17 +1137,16 @@ impl DocumentColumns {
 
     /// Set (or insert, at the end of the owner's run) an attribute.
     pub(crate) fn set_attribute(&mut self, pre: u32, name: &str, value: &str) {
-        let [code, value_code] = self.codes([(NAMES, name), (VALUES, value)]);
-        let (ci, l) = self.locate(pre);
-        let chunk = Arc::make_mut(&mut self.chunks[ci]);
-        for i in chunk.attr_range(l..l + 1) {
-            if chunk.attr_name_code[i] == code {
+        let value_code = self.value_code(value);
+        let code = self.attr_names.intern(name);
+        match self.attr_slot(pre, code) {
+            Some((ci, i)) => {
+                let chunk = Arc::make_mut(&mut self.chunks[ci]);
                 chunk.attr_value_code[i] = value_code;
-                chunk.bound_codes([0, 0, value_code + 1]);
-                return;
+                chunk.bound_value(value_code + 1);
             }
+            None => self.push_attr(pre, code, value_code),
         }
-        self.push_attr(pre, code, value_code);
     }
 
     /// Add an attribute row to the element at `pre`, after its others.
@@ -1115,38 +1158,25 @@ impl DocumentColumns {
 
     /// Remove an attribute (no-op if absent).
     pub(crate) fn remove_attribute(&mut self, pre: u32, name: &str) {
-        let Some(code) = self.attr_names.code_of(name) else {
+        let code = self.attr_names.code_of(name);
+        let Some((ci, i)) = code.and_then(|code| self.attr_slot(pre, code)) else {
             return;
         };
-        let (ci, l) = self.locate(pre);
         let chunk = Arc::make_mut(&mut self.chunks[ci]);
-        for i in chunk.attr_range(l..l + 1) {
-            if chunk.attr_name_code[i] == code {
-                chunk.attr_owner.remove(i);
-                chunk.attr_name_code.remove(i);
-                chunk.attr_value_code.remove(i);
-                self.attr_count -= 1;
-                return;
-            }
-        }
+        chunk.attr_owner.remove(i);
+        chunk.attr_name_code.remove(i);
+        chunk.attr_value_code.remove(i);
+        self.attr_count -= 1;
     }
 
     /// Rename an attribute in place (no-op if absent).
     pub(crate) fn rename_attribute(&mut self, pre: u32, name: &str, new_name: &str) {
-        if self.attr_names.code_of(name).is_none() {
+        let code = self.attr_names.code_of(name);
+        let Some((ci, i)) = code.and_then(|code| self.attr_slot(pre, code)) else {
             return;
-        }
-        // both codes after the merge, which may remap the old name's
-        let [code, new_code] = self.codes([(NAMES, name), (NAMES, new_name)]);
-        let (ci, l) = self.locate(pre);
-        let chunk = Arc::make_mut(&mut self.chunks[ci]);
-        for i in chunk.attr_range(l..l + 1) {
-            if chunk.attr_name_code[i] == code {
-                chunk.attr_name_code[i] = new_code;
-                chunk.bound_codes([0, new_code + 1, 0]);
-                return;
-            }
-        }
+        };
+        let new_code = self.attr_names.intern(new_name);
+        Arc::make_mut(&mut self.chunks[ci]).attr_name_code[i] = new_code;
     }
 
     // -- appending (a build session) ---------------------------------------
@@ -1188,12 +1218,30 @@ impl DocumentColumns {
     /// chunk summaries and posting indexes equal a rebuild from the rows,
     /// attribute owners are in range and ordered, the text ends never
     /// decrease, fall on char boundaries and end at the heap's end, only
-    /// text, comment and PI rows carry text, and the start index and
-    /// counts add up.
+    /// text, comment and PI rows carry text, every code lies below the
+    /// length of its interner or dictionary, each interner's list and map
+    /// agree, and the start index and counts add up.
     pub fn check_invariants(&self) -> Result<(), String> {
+        self.tags.check().map_err(|e| format!("tags: {e}"))?;
+        self.attr_names
+            .check()
+            .map_err(|e| format!("attribute names: {e}"))?;
         let mut rows = 0usize;
         let mut attrs = 0usize;
         for (ci, c) in self.chunks.iter().enumerate() {
+            for (column, codes, len) in [
+                ("name", &c.name_code, self.tags.len()),
+                ("attribute-name", &c.attr_name_code, self.attr_names.len()),
+                (
+                    "attribute-value",
+                    &c.attr_value_code,
+                    self.attr_values.len(),
+                ),
+            ] {
+                if codes.iter().any(|&code| code as usize >= len) {
+                    return Err(format!("chunk {ci}: a {column} code out of range"));
+                }
+            }
             if c.len() == 0 {
                 return Err(format!("chunk {ci} is empty"));
             }
@@ -1276,7 +1324,7 @@ impl DocumentColumns {
     /// Compare the *decoded* content of two images: per-row structural
     /// values, names and texts, and per-row attributes.  Dictionary
     /// identity and chunk geometry are deliberately not compared — the
-    /// incrementally maintained image may keep dictionary entries for
+    /// incrementally maintained image may keep interner entries for
     /// names no longer present and may have ragged chunks, and the two
     /// sides may even use different chunk row targets.
     pub fn same_content(&self, other: &DocumentColumns) -> Result<(), String> {
@@ -1364,12 +1412,8 @@ impl DocumentColumns {
             {
                 return Err(format!("chunk {ci}: stale level/kind/name summary"));
             }
-            if c.code_ends
-                .iter()
-                .zip(fresh.code_ends)
-                .any(|(&end, e)| end < e)
-            {
-                return Err(format!("chunk {ci}: a code past its code bound"));
+            if c.value_end < fresh.value_end {
+                return Err(format!("chunk {ci}: a value code past its bound"));
             }
         }
         Ok(())
@@ -1379,10 +1423,11 @@ impl DocumentColumns {
 /// A build session over an image, through which
 /// [`DocumentBuilder`](crate::DocumentBuilder) appends rows in preorder.
 /// Rows go to the open chunk (the image's last one, when it has room),
-/// which joins the image each time it fills.  A name or attribute string
-/// gets its code through the session dictionaries; [`Appender::seal`]
-/// merges the strings they lacked in once, remapping the chunks' codes only
-/// then, and rebuilds the summaries of the chunks the session wrote.
+/// which joins the image each time it fills.  A name gets its final code
+/// from the image's interners at once; an attribute value gets its code
+/// through the session dictionary, and [`Appender::seal`] merges the
+/// values it lacked in once, remapping the chunks' value codes only then,
+/// and rebuilds the summaries of the chunks the session wrote.
 #[derive(Debug)]
 pub(crate) struct Appender {
     /// The image without the open chunk.
@@ -1391,17 +1436,19 @@ pub(crate) struct Appender {
     open: Chunk,
     /// The first chunk the session writes.
     first: usize,
-    dicts: [SessionDict; 3],
+    values: SessionDict,
+    /// The codes here of the copy sources' codes.
+    maps: CopyMaps,
     /// Code of the empty string: the name of every row but element and PI
     /// rows.
     empty: u32,
 }
 
-/// One dictionary of the image during a write (a build session, a splice
-/// or an in-place patch).  A string the dictionary holds keeps its code,
-/// one it lacks gets a provisional code past the dictionary's end;
+/// The value dictionary of the image during a write (a build session, a
+/// splice or an attribute write).  A value the dictionary holds keeps its
+/// code, one it lacks gets a provisional code past the dictionary's end;
 /// [`SessionDict::merge_into`] then grows the dictionary by the new
-/// strings in one merge and remaps every code handed out.
+/// values in one merge and remaps every code handed out.
 #[derive(Debug)]
 struct SessionDict {
     /// The dictionary as the session found it.
@@ -1410,11 +1457,52 @@ struct SessionDict {
     seen: HashMap<Arc<str>, u32>,
     /// The strings the dictionary lacks, one per provisional code.
     fresh: Vec<Arc<str>>,
-    /// The last copy source's dictionary, and its codes' codes here
-    /// (`u32::MAX`: not mapped yet): each distinct code of a source is
-    /// mapped once.
-    source: Option<Arc<Dictionary>>,
+}
+
+/// The codes in the image being written of one copy source's codes
+/// (`u32::MAX`: not mapped yet), so each distinct code of a source is
+/// mapped once; a new source starts it over.
+#[derive(Debug)]
+struct CodeMap<D> {
+    source: Option<Arc<D>>,
     mapped: Vec<u32>,
+}
+
+impl<D> Default for CodeMap<D> {
+    fn default() -> Self {
+        CodeMap {
+            source: None,
+            mapped: Vec::new(),
+        }
+    }
+}
+
+impl<D> CodeMap<D> {
+    /// The code here of code `code` of `src`: `code_here` codes it on its
+    /// first use.
+    fn map(&mut self, src: &Arc<D>, code: u32, code_here: impl FnOnce(&D) -> u32) -> u32 {
+        if !self.source.as_ref().is_some_and(|d| Arc::ptr_eq(d, src)) {
+            self.source = Some(src.clone());
+            self.mapped.clear();
+        }
+        let i = code as usize;
+        if i >= self.mapped.len() {
+            self.mapped.resize(i + 1, u32::MAX);
+        }
+        if self.mapped[i] == u32::MAX {
+            self.mapped[i] = code_here(src);
+        }
+        self.mapped[i]
+    }
+}
+
+/// The code maps of a write that copies rows out of other images, one per
+/// code column.
+#[derive(Debug, Default)]
+struct CopyMaps {
+    tags: CodeMap<Names>,
+    attr_names: CodeMap<Names>,
+    values: CodeMap<Dictionary>,
 }
 
 impl SessionDict {
@@ -1423,13 +1511,11 @@ impl SessionDict {
             dict: dict.clone(),
             seen: HashMap::new(),
             fresh: Vec::new(),
-            source: None,
-            mapped: Vec::new(),
         }
     }
 
     /// The code of `s`, or its provisional code: one hash probe, so a
-    /// string coded over and over (a name) costs one entry.
+    /// value coded over and over costs one entry.
     fn code(&mut self, s: &str) -> u32 {
         if let Some(&code) = self.seen.get(s) {
             return code;
@@ -1444,22 +1530,6 @@ impl SessionDict {
         };
         self.seen.insert(key, code);
         code
-    }
-
-    /// The code here of code `code` of `src`.
-    fn map(&mut self, src: &Arc<Dictionary>, code: u32) -> u32 {
-        if !self.source.as_ref().is_some_and(|d| Arc::ptr_eq(d, src)) {
-            self.source = Some(src.clone());
-            self.mapped.clear();
-        }
-        let i = code as usize;
-        if i >= self.mapped.len() {
-            self.mapped.resize(i + 1, u32::MAX);
-        }
-        if self.mapped[i] == u32::MAX {
-            self.mapped[i] = self.code(src.str_of(code));
-        }
-        self.mapped[i]
     }
 
     /// Grow `dict`, the dictionary the session started from, by the
@@ -1495,12 +1565,12 @@ impl Appender {
     /// Open a build session appending to `cols`.
     pub(crate) fn new(mut cols: DocumentColumns) -> Appender {
         let open = cols.take_open();
-        let mut dicts = cols.session();
-        let empty = dicts[TAGS].code("");
+        let empty = cols.tags.intern("");
         Appender {
             first: cols.chunks.len(),
             open,
-            dicts,
+            values: SessionDict::new(&cols.attr_values),
+            maps: CopyMaps::default(),
             empty,
             cols,
         }
@@ -1511,14 +1581,9 @@ impl Appender {
         (self.cols.len + self.open.len()) as u32
     }
 
-    /// The (possibly provisional) code of an element name or PI target.
+    /// The code of an element name or PI target.
     pub(crate) fn tag(&mut self, name: &str) -> u32 {
-        self.dicts[TAGS].code(name)
-    }
-
-    /// The (possibly provisional) code of an attribute name.
-    pub(crate) fn attr_name(&mut self, name: &str) -> u32 {
-        self.dicts[NAMES].code(name)
+        self.cols.tags.intern(name)
     }
 
     /// The code of the empty name, for text, comment and document rows.
@@ -1552,7 +1617,6 @@ impl Appender {
         open.kind.push(kind);
         open.name_code.push(name_code);
         open.push_text(text);
-        open.code_ends[TAGS] = open.code_ends[TAGS].max(name_code + 1);
     }
 
     /// Set the size of the row at `pre` to the rows appended after it;
@@ -1568,8 +1632,8 @@ impl Appender {
 
     /// Add the attribute `name = value` to the element at `owner`.
     pub(crate) fn attribute(&mut self, owner: u32, name: &str, value: &str) {
-        let n = self.attr_name(name);
-        let v = self.dicts[VALUES].code(value);
+        let n = self.cols.attr_names.intern(name);
+        let v = self.values.code(value);
         match (owner as usize).checked_sub(self.cols.len) {
             Some(l) => self.open.insert_attr(l, n, v),
             None => self.cols.push_attr(owner, n, v),
@@ -1619,26 +1683,29 @@ impl Appender {
         src.walk_rows(pre, src.node_size(pre) as usize + 1, |row| {
             self.room();
             let row_level = row.level - from + level;
-            self.open.push_mapped(row, row_level, src, &mut self.dicts);
+            let names = [&mut self.cols.tags, &mut self.cols.attr_names];
+            let (values, maps) = (&mut self.values, &mut self.maps);
+            self.open
+                .push_mapped(row, row_level, src, names, values, maps);
         });
     }
 
-    /// End the session: the open chunk joins the image, the strings the
-    /// session brought merge into the dictionaries (remapping the chunks
-    /// holding a code the merge moves), and the chunks it wrote get their
-    /// summaries.
+    /// End the session: the open chunk joins the image, the values the
+    /// session brought merge into the value dictionary (remapping the
+    /// chunks holding a code the merge moves), and the chunks it wrote get
+    /// their summaries.
     pub(crate) fn seal(self) -> DocumentColumns {
         let Appender {
             mut cols,
             open,
             first,
-            dicts,
+            values,
             ..
         } = self;
         if open.len() > 0 {
             cols.push_chunk(open);
         }
-        cols.merge(dicts);
+        cols.merge(values);
         for chunk in &mut cols.chunks[first..] {
             Arc::make_mut(chunk).rebuild_summary();
         }
@@ -1668,9 +1735,9 @@ mod tests {
         let (doc, cols) = image(XML);
         assert_eq!(cols.len(), doc.len());
         assert_eq!(cols.attr_count(), 2);
-        // tag dictionary: "", item, name, site — sorted
+        // tag interner: "", site, item, name — in first-seen order
         let tags: Vec<&str> = cols.tags().iter().map(|s| s.as_ref()).collect();
-        assert_eq!(tags, ["", "item", "name", "site"]);
+        assert_eq!(tags, ["", "site", "item", "name"]);
         let attr_names: Vec<&str> = cols.attr_names().iter().map(|s| s.as_ref()).collect();
         assert_eq!(attr_names, ["id"]);
         // row 0 is the root element
@@ -1692,6 +1759,7 @@ mod tests {
     /// The `Dict` column an attribute step emits over `owners`: value codes
     /// straight from the image, over its shared value dictionary.
     fn attr_values_of(cols: &DocumentColumns, owners: &[u32], name: &str) -> Column {
+        let name = cols.attr_names().code_of(name).unwrap_or(u32::MAX);
         Column::Dict {
             codes: owners
                 .iter()
@@ -1767,6 +1835,24 @@ mod tests {
         chunk.ends[l] -= 1;
         chunk.heap.pop();
         assert!(cols.check_invariants().is_err());
+        // codes past their interner or dictionary (one name, two values)
+        for column in ["name", "attribute-name", "attribute-value"] {
+            let (_, mut cols) = image(XML);
+            let chunk = Arc::make_mut(&mut cols.chunks[0]);
+            let codes = match column {
+                "name" => &mut chunk.name_code,
+                "attribute-name" => &mut chunk.attr_name_code,
+                _ => &mut chunk.attr_value_code,
+            };
+            codes[0] = 4;
+            let err = cols.check_invariants().expect_err(column);
+            assert!(err.contains(&format!("a {column} code")), "{err}");
+        }
+        // an interner whose map disagrees with its list
+        let (_, mut cols) = image(XML);
+        Arc::make_mut(&mut cols.tags).strings.swap(1, 2);
+        let err = cols.check_invariants().expect_err("a swapped interner");
+        assert!(err.starts_with("tags: "), "{err}");
         Ok(())
     }
 
@@ -1899,7 +1985,7 @@ mod tests {
     }
 
     /// Every chunk's name directory answers like a linear filter of the
-    /// chunk's element rows, for every code of the dictionary.
+    /// chunk's element rows, for every code of the tag interner.
     fn assert_directory_matches_rows(cols: &DocumentColumns) {
         for i in 0..cols.chunk_count() {
             let (start, len) = cols.chunk_span(i);
@@ -1916,9 +2002,9 @@ mod tests {
         }
     }
 
-    /// A name that sorts before every element name remaps the codes of
-    /// every chunk, the untouched ones included: their name directories
-    /// must follow.
+    /// A new name gets the next code, also one that sorts before every
+    /// element name: an insert and a rename that bring one leave every
+    /// chunk's name directory answering like a linear filter.
     #[test]
     fn name_directory_follows_a_dictionary_remap() -> Result<(), String> {
         let doc = wide_doc(30); // 91 nodes
@@ -1940,7 +2026,7 @@ mod tests {
         assert_directory_matches_rows(&cols);
         cols.check_invariants()?;
         let tags: Vec<&str> = cols.tags().iter().map(|s| s.as_ref()).collect();
-        assert_eq!(tags, ["", "a", "aa", "r", "root", "t"]);
+        assert_eq!(tags, ["", "root", "r", "t", "aa", "a"]);
         Ok(())
     }
 

@@ -257,23 +257,6 @@ impl DocumentBuilder {
         self.rows.tag(name)
     }
 
-    /// Intern element names (and PI targets) and attribute names this
-    /// session or a later one over the same container may write: the
-    /// session's end merges them all into the dictionaries at once, so a
-    /// later session that writes only these names remaps no chunk.
-    pub fn intern_names<'n>(
-        &mut self,
-        tags: impl IntoIterator<Item = &'n str>,
-        attr_names: impl IntoIterator<Item = &'n str>,
-    ) {
-        for tag in tags {
-            self.rows.tag(tag);
-        }
-        for name in attr_names {
-            self.rows.attr_name(name);
-        }
-    }
-
     /// Open an element with the given name; returns its preorder rank.
     pub fn start_element(&mut self, name: &str) -> u32 {
         let qid = self.intern(name);
@@ -823,12 +806,12 @@ mod tests {
     }
 
     /// A transient appended over three build sessions holds the rows the
-    /// steps write, kept as plain tuples, at every chunk size.  The third session
-    /// brings a tag, an attribute name and an attribute value that sort
-    /// before every entry of the dictionaries, so the codes of the chunks
-    /// the earlier sessions sealed must be remapped; it also copies a
-    /// subtree within the image across a chunk boundary and one out of a
-    /// stored image.
+    /// steps write, kept as plain tuples, at every chunk size.  The third
+    /// session brings a tag and an attribute name, which get the next codes,
+    /// and an attribute value that sorts before every other one, so the
+    /// value codes of the chunks the earlier sessions sealed must be
+    /// remapped; it also copies a subtree within the image across a chunk
+    /// boundary and one out of a stored image.
     #[test]
     fn builder_sessions_equal_a_rebuild_of_their_rows() -> Result<(), String> {
         use Step::*;
@@ -874,67 +857,84 @@ mod tests {
         Ok(())
     }
 
-    /// A session remaps only the sealed chunks that hold a code its new
-    /// names move: a name that sorts after every other one copies no
-    /// earlier chunk, one that sorts between copies the chunks above it.
+    /// A new element or attribute name gets the next code and moves none:
+    /// a build session, a paged splice, an element rename and an attribute
+    /// rename that each bring a name sorting before the others copy no chunk
+    /// but the one they write.
     #[test]
-    fn a_session_copies_only_the_chunks_its_new_names_move() -> Result<(), String> {
-        fn session(doc: Document, names: &[&str]) -> Document {
+    fn a_new_name_leaves_every_earlier_chunk_shared() -> Result<(), String> {
+        let mut b = DocumentBuilder::append_to(empty(2));
+        for _ in 0..4 {
+            b.start_element("b");
+            b.attribute("k", "v");
+            b.end_element();
+        }
+        let first = b.finish();
+        // a build session: rows 0..4 in chunks 0 and 1, row 4 in chunk 2
+        let mut b = DocumentBuilder::append_to(first.clone());
+        b.start_element("a");
+        b.attribute("a", "v");
+        b.end_element();
+        let second = b.finish();
+        let (f, s) = (first.columns(), second.columns());
+        assert!(s.shares_chunk(0, f, 0) && s.shares_chunk(1, f, 1));
+        second.check_invariants()?;
+        let mut cols = s.clone();
+        let written = |cols: &DocumentColumns, before: &DocumentColumns, chunk: usize| {
+            for i in (0..cols.chunk_count()).filter(|&i| i != chunk) {
+                assert!(cols.shares_chunk(i, before, i), "chunk {i} copied");
+            }
+            cols.check_invariants()
+        };
+        // a paged splice into chunk 0
+        let before = cols.clone();
+        let row = fragment_from_xml(r#"<A A="v"/>"#);
+        cols.splice_nodes(1, row.columns(), 0);
+        written(&cols, &before, 0)?;
+        // an element rename in chunk 2
+        let before = cols.clone();
+        cols.set_name(5, "AA");
+        written(&cols, &before, 2)?;
+        // an attribute rename in chunk 1
+        let before = cols.clone();
+        cols.rename_attribute(3, "k", "Ak");
+        written(&cols, &before, 1)?;
+        let names: Vec<&str> = cols.tags().iter().map(|s| s.as_ref()).collect();
+        assert_eq!(names, ["", "b", "a", "A", "AA"], "first-seen order");
+        let doc = Document::from_columns("t".into(), Arc::new(cols));
+        assert_eq!(
+            serialize_document(&doc),
+            r#"<b k="v"/><A A="v"/><b k="v"/><b Ak="v"/><b k="v"/><AA a="v"/>"#
+        );
+        Ok(())
+    }
+
+    /// Attribute values keep their codes in string order: a session that
+    /// brings a value sorting between the others remaps only the sealed
+    /// chunks holding a value code it moves.
+    #[test]
+    fn a_session_copies_only_the_chunks_its_new_values_move() -> Result<(), String> {
+        fn session(doc: Document, values: &[&str]) -> Document {
             let mut b = DocumentBuilder::append_to(doc);
-            for name in names {
-                b.start_element(name);
+            for value in values {
+                b.start_element("x");
+                b.attribute("k", value);
                 b.end_element();
             }
             b.finish()
         }
-        let first = session(empty(2), &["a", "b", "c", "d"]);
-        let second = session(first.clone(), &["e"]);
-        let third = session(second.clone(), &["bb"]);
+        let first = session(empty(2), &["a", "b", "d", "e"]);
+        let second = session(first.clone(), &["f"]);
+        let third = session(second.clone(), &["c"]);
         let (f, s, t) = (first.columns(), second.columns(), third.columns());
         assert!(s.shares_chunk(0, f, 0) && s.shares_chunk(1, f, 1));
-        assert!(t.shares_chunk(0, s, 0), "a and b sort before bb");
-        assert!(!t.shares_chunk(1, s, 1), "c and d sort after bb");
-        let names: Vec<&str> = (0..third.len() as u32).map(|p| third.name_of(p)).collect();
-        assert_eq!(names, ["a", "b", "c", "d", "e", "bb"]);
-        third.check_invariants()
-    }
-
-    /// Names interned up front by the first session merge with its seal,
-    /// so a later session that writes one of them before the others in
-    /// sort order copies no earlier chunk; without them, it does.
-    #[test]
-    fn names_interned_up_front_leave_earlier_chunks_shared() -> Result<(), String> {
-        fn sessions(up_front: bool) -> (Document, Document) {
-            let mut b = DocumentBuilder::append_to(empty(2));
-            if up_front {
-                b.intern_names(["b", "a"], ["k"]);
-            }
-            for _ in 0..4 {
-                b.start_element("b");
-                b.attribute("k", "v");
-                b.end_element();
-            }
-            let first = b.finish();
-            let mut b = DocumentBuilder::append_to(first.clone());
-            b.start_element("a");
-            b.attribute("k", "v");
-            b.end_element();
-            (first, b.finish())
-        }
-        let (first, second) = sessions(true);
-        let (f, s) = (first.columns(), second.columns());
-        assert!(s.shares_chunk(0, f, 0) && s.shares_chunk(1, f, 1));
-        second.check_invariants()?;
-        let (first, second) = sessions(false);
-        assert!(
-            !second.columns().shares_chunk(0, first.columns(), 0),
-            "b sorts after a"
-        );
-        let names: Vec<&str> = (0..second.len() as u32)
-            .map(|p| second.name_of(p))
+        assert!(t.shares_chunk(0, s, 0), "a and b sort before c");
+        assert!(!t.shares_chunk(1, s, 1), "d and e sort after c");
+        let values: Vec<&str> = (0..third.len() as u32)
+            .map(|p| third.attribute(p, "k").unwrap_or_default())
             .collect();
-        assert_eq!(names, ["b", "b", "b", "b", "a"]);
-        second.check_invariants()
+        assert_eq!(values, ["a", "b", "d", "e", "f", "c"]);
+        third.check_invariants()
     }
 
     /// A top-level PI or comment is a fragment root like any level-0 row.

@@ -23,6 +23,7 @@ use std::sync::Arc;
 
 use mxq_engine::Dictionary;
 
+use crate::columns::Names;
 use crate::node::NodeKind;
 
 /// Read access to one container in the pre|size|level encoding.
@@ -154,11 +155,12 @@ impl<D: NodeRead> Iterator for Children<'_, D> {
 }
 
 /// Iterator over the attributes of one element: a slice of the
-/// dictionary-encoded attribute columns, whose names and values resolve
-/// through shared sorted dictionaries.
+/// dictionary-encoded attribute columns, whose names resolve through the
+/// attribute-name interner and whose values through the shared sorted
+/// value dictionary.
 pub struct AttrsIter<'a> {
-    /// Attribute-name dictionary.
-    pub(crate) names: &'a Dictionary,
+    /// Attribute-name interner.
+    pub(crate) names: &'a Names,
     /// Attribute-value dictionary.
     pub(crate) values: &'a Dictionary,
     /// Name and value codes of the owner's attribute rows.

@@ -19,7 +19,7 @@ use proptest::prelude::*;
 
 use mxq::xmark::naive::NaiveInterpreter;
 use mxq::xmldb::DocStore;
-use mxq::xquery::{serialize_items_snapshot, CtorNames, Database, ExecConfig, Executor, Params};
+use mxq::xquery::{serialize_items_snapshot, Database, ExecConfig, Executor, Params};
 
 /// The stored document: nested elements with attributes, text, a comment
 /// and a processing instruction.
@@ -101,8 +101,7 @@ fn database() -> Arc<Database> {
     db
 }
 
-/// Serialize `query` under the default configuration, its constructed
-/// names interned up front as the plan cache's executions do, checking the
+/// Serialize `query` under the default configuration, checking the
 /// structural invariants of the transient container it built.
 fn run_checked(db: &Arc<Database>, query: &str) -> String {
     let plan = db
@@ -110,8 +109,7 @@ fn run_checked(db: &Arc<Database>, query: &str) -> String {
         .compile(query)
         .unwrap_or_else(|e| panic!("{query}: {e}"));
     let snap = db.snapshot();
-    let mut exec = Executor::with_params(&snap, ExecConfig::default(), Params::new())
-        .with_ctor_names(Arc::new(CtorNames::of(&plan)));
+    let mut exec = Executor::with_params(&snap, ExecConfig::default(), Params::new());
     let items = exec.eval_result(&plan).unwrap();
     let (transient, stats) = exec.finish();
     transient
@@ -254,8 +252,8 @@ fn content_adjacency_rules() {
 }
 
 /// Two constructors of one statement build in two sessions, the second's
-/// tag and attribute name sorting before the first's: the first session
-/// interns both, and the second copies the first's elements unchanged.
+/// tag and attribute name sorting before the first's: the second session
+/// gives them the next codes and copies the first's elements unchanged.
 #[test]
 fn a_later_constructor_whose_tag_sorts_first() {
     let query = r#"let $z := for $f in doc("d.xml")//f return <z k="{$f/text()}">{$f/text()}</z> return <a b="{count($z)}">{$z}</a>"#;

@@ -117,7 +117,7 @@ fn arb_item() -> impl Strategy<Value = Item> {
 
 /// Non-numeric vocabulary (tag-name shaped): the shared-dictionary join must
 /// take the code-to-code path.
-const TAGS: [&str; 6] = [
+const WORDS: [&str; 6] = [
     "item",
     "person",
     "open_auction",
@@ -166,7 +166,7 @@ proptest! {
     ) {
         // both sides encoded against the SAME dictionary instance — this is
         // the code-to-code fast path of the radix join
-        let (lcodes, dict) = dict_column_over(&TAGS, lp);
+        let (lcodes, dict) = dict_column_over(&WORDS, lp);
         let rcodes: Vec<u32> = rp.into_iter().map(|p| (p % dict.len()) as u32).collect();
         let left = Column::Dict { codes: lcodes, dict: dict.clone() };
         let right = Column::Dict { codes: rcodes, dict };
@@ -194,7 +194,7 @@ proptest! {
     ) {
         // overlapping vocabularies, but distinct dictionary instances: the
         // radix join must not assume code compatibility
-        let (lcodes, ldict) = dict_column_over(&TAGS, lp);
+        let (lcodes, ldict) = dict_column_over(&WORDS, lp);
         let (rcodes, rdict) = dict_column_over(&MIXED, rp);
         let left = Column::Dict { codes: lcodes, dict: ldict };
         let right = Column::Dict { codes: rcodes, dict: rdict };
@@ -375,7 +375,7 @@ proptest! {
         let left = Column::Dict { codes: lcodes, dict: dict.clone() };
         assert_theta_agrees(&left, &Column::Dict { codes: rcodes, dict }, "shared dictionary");
         // separate dictionary instances: codes are not comparable
-        let (rcodes, rdict) = dict_column_over(&TAGS, rp);
+        let (rcodes, rdict) = dict_column_over(&WORDS, rp);
         assert_theta_agrees(&left, &Column::Dict { codes: rcodes, dict: rdict }, "separate dictionaries");
         // untyped dictionary strings against typed and mixed items
         assert_theta_agrees(&left, &Column::Item(right.clone()), "dict vs items");
@@ -406,7 +406,7 @@ proptest! {
         let rcodes: Vec<u32> = rp.iter().map(|p| (p % dict.len()) as u32).collect();
         let left = Column::Dict { codes: lcodes, dict: dict.clone() };
         assert_counts_agree(&left, &Column::Dict { codes: rcodes, dict }, "shared dictionary");
-        let (rcodes, rdict) = dict_column_over(&TAGS, rp);
+        let (rcodes, rdict) = dict_column_over(&WORDS, rp);
         assert_counts_agree(&left, &Column::Dict { codes: rcodes, dict: rdict }, "separate dictionaries");
         assert_counts_agree(&left, &Column::Item(right.clone()), "dict vs items");
         assert_counts_agree(&Column::Item(right), &left, "items vs dict");
