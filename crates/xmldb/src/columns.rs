@@ -137,22 +137,17 @@ impl Names {
         self.strings.iter()
     }
 
-    /// Does every name have the code of its place in the list, and the
-    /// map no other entry?
+    /// Does every name map to its place in the list, and the map hold no
+    /// other entry?
     fn check(&self) -> Result<(), String> {
-        if self.codes.len() != self.strings.len() {
-            return Err(format!(
-                "{} codes for {} names",
-                self.codes.len(),
-                self.strings.len()
-            ));
+        let agree = (0..)
+            .zip(&self.strings)
+            .all(|(code, s)| self.code_of(s) == Some(code));
+        if agree && self.codes.len() == self.strings.len() {
+            Ok(())
+        } else {
+            Err("the name list and the code map disagree".into())
         }
-        for (code, name) in (0..).zip(&self.strings) {
-            if self.code_of(name) != Some(code) {
-                return Err(format!("name {name:?} does not map to its code {code}"));
-            }
-        }
-        Ok(())
     }
 
     /// The code of `name`, a new one past the others when it is new (the
