@@ -164,11 +164,6 @@ pub enum Op {
         right: PlanRef,
         /// The comparison operator (existential semantics).
         op: CmpOp,
-        /// Statically committed to the code-to-code join: the plan analyser
-        /// proved both operands are encoded against the same dictionary, so
-        /// the executor may (and the stats do) count on the fast path
-        /// without a runtime `Arc::ptr_eq` probe succeeding by luck.
-        dict_join: bool,
     },
     /// Inner loop relation of a nest map (`iter` = the `inner` column).
     NestLoop {

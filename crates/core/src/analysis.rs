@@ -18,10 +18,8 @@
 //!   answer;
 //! * [`simplify`] removes operators the properties prove redundant (a
 //!   `docorder-δ` whose input is already in document order and duplicate
-//!   free, a `distinct` over at-most-one-item iterations), statically commits
-//!   a recognised join to the code-to-code fast path when both operands
-//!   provably share one dictionary, fuses `count` over a recognised join
-//!   into `count(⋈)` (no pairs built);
+//!   free, a `distinct` over at-most-one-item iterations) and fuses `count`
+//!   over a recognised join into `count(⋈)` (no pairs built);
 //! * [`validate_table`] asserts the table convention and the inferred
 //!   properties against actually executed tables when the environment sets
 //!   `MXQ_VALIDATE_PLANS=1` — the analysis is itself tested differentially,
@@ -858,7 +856,7 @@ impl fmt::Display for Rewrite {
 pub struct Simplified {
     /// The rewritten plan (shares untouched sub-DAGs with the input).
     pub plan: PlanRef,
-    /// Operator eliminations and join commitments, in application order.
+    /// Operator eliminations and fusions, in application order.
     pub rewrites: Vec<Rewrite>,
 }
 
@@ -875,9 +873,6 @@ struct Simplifier<'a> {
 ///   order and duplicate free — the δ would be an expensive no-op;
 /// * replace a [`Op::DistinctValues`] over at-most-one-item iterations with
 ///   plain atomisation;
-/// * set the `dict_join` flag on a [`Op::NestFromJoin`] whose operands
-///   provably share one dictionary, committing the executor to the
-///   code-to-code join without a runtime check;
 /// * drop a `⋉` under `count` that restricts to the count's own loop, and
 ///   fuse `count(for $x in S where L op R return $x)` over a recognised join
 ///   into [`Op::JoinCount`];
@@ -1041,53 +1036,17 @@ impl Simplifier<'_> {
     }
 
     /// Rebuild the operator with rewritten children; `None` when every child
-    /// rewrote to itself (pointer-identical) and no flag changed.
+    /// rewrote to itself (pointer-identical).
     fn rebuild_op(&mut self, p: &PlanRef) -> Option<Op> {
         let before: Vec<PlanRef> = p.children();
         let after: Vec<PlanRef> = before.iter().map(|c| self.rewrite(c)).collect();
-        let unchanged = before.iter().zip(&after).all(|(a, b)| Arc::ptr_eq(a, b));
-        let dict_commit = self.dict_join_commit(p);
-        if unchanged && !dict_commit {
+        if before.iter().zip(&after).all(|(a, b)| Arc::ptr_eq(a, b)) {
             return None;
         }
-        Some(self.rebuild_with(p, dict_commit))
+        Some(self.rebuild_with(p))
     }
 
-    /// Does this node qualify for the static code-to-code join commitment?
-    fn dict_join_commit(&mut self, p: &PlanRef) -> bool {
-        let Op::NestFromJoin {
-            left,
-            right,
-            op,
-            dict_join,
-            ..
-        } = &p.op
-        else {
-            return false;
-        };
-        if *dict_join || !op.is_equality() {
-            return false;
-        }
-        let (Some(ld), Some(rd)) = (
-            &self.analysis.props(left.id).dict,
-            &self.analysis.props(right.id).dict,
-        ) else {
-            return false;
-        };
-        if ld != rd {
-            return false;
-        }
-        self.rewrites.push(Rewrite {
-            plan_id: p.id,
-            description: format!(
-                "committed nest(⋈) to the code-to-code join: both operands are \
-                 encoded against {ld}"
-            ),
-        });
-        true
-    }
-
-    fn rebuild_with(&mut self, p: &PlanRef, dict_commit: bool) -> Op {
+    fn rebuild_with(&mut self, p: &PlanRef) -> Op {
         let rw = |s: &mut Self, r: &PlanRef| s.rewrite(r);
         match &p.op {
             Op::LoopOne => Op::LoopOne,
@@ -1115,14 +1074,12 @@ impl Simplifier<'_> {
                 left,
                 right,
                 op,
-                dict_join,
             } => Op::NestFromJoin {
                 source: rw(self, source),
                 outer_loop: rw(self, outer_loop),
                 left: rw(self, left),
                 right: rw(self, right),
                 op: *op,
-                dict_join: *dict_join || dict_commit,
             },
             Op::NestLoop { nest } => Op::NestLoop {
                 nest: rw(self, nest),
@@ -1393,8 +1350,7 @@ pub fn validate_table(props: &NodeProps, t: &Table) -> Result<(), String> {
 // ---------------------------------------------------------------------------
 
 /// Render the DAG like [`Plan::explain`], annotating every node with its
-/// inferred properties (and the code-to-code commitment of a recognised
-/// join).  Shared nodes are expanded once.
+/// inferred properties.  Shared nodes are expanded once.
 pub fn explain_annotated(root: &PlanRef, analysis: &Analysis) -> String {
     let mut out = String::new();
     let mut seen = std::collections::HashSet::new();
@@ -1410,17 +1366,11 @@ pub fn explain_annotated(root: &PlanRef, analysis: &Analysis) -> String {
             out.push_str(&format!("[{}] {} (shared)\n", p.id, p.op_name()));
             return;
         }
-        let commit = match &p.op {
-            Op::NestFromJoin {
-                dict_join: true, ..
-            } => " code=code",
-            _ => "",
-        };
         let ann = analysis
             .get(p.id)
             .map(|np| np.annotation())
             .unwrap_or_default();
-        out.push_str(&format!("[{}] {}{} {}\n", p.id, p.op_name(), commit, ann));
+        out.push_str(&format!("[{}] {} {}\n", p.id, p.op_name(), ann));
         for c in p.children() {
             walk(&c, depth + 1, analysis, seen, out);
         }
@@ -1601,24 +1551,26 @@ mod tests {
     }
 
     #[test]
-    fn simplifier_commits_shared_dictionary_joins() {
+    fn join_operands_share_the_value_dictionary() {
         let plan = plan_of(
             "for $p in doc(\"d.xml\")/site/people/person \
              for $o in doc(\"d.xml\")/site/orders/order \
              where $o/@buyer = $p/@id return $p",
         );
-        assert!(
-            plan.explain().contains("nest(⋈)"),
-            "join must be recognised"
-        );
+        fn join_of(p: &PlanRef) -> Option<PlanRef> {
+            match &p.op {
+                Op::NestFromJoin { .. } => Some(p.clone()),
+                _ => p.children().iter().find_map(join_of),
+            }
+        }
         let a = analyze(&plan);
-        let simplified = simplify(&plan, &a);
-        assert!(simplified
-            .rewrites
-            .iter()
-            .any(|r| r.description.contains("code-to-code")));
-        let re = analyze(&simplified.plan);
-        assert!(explain_annotated(&simplified.plan, &re).contains("code=code"));
+        // source, outer loop, left operand, right operand
+        let children = join_of(&plan).map(|j| j.children()).unwrap_or_default();
+        assert_eq!(children.len(), 4, "join must be recognised");
+        let origin = Some(DictOrigin::AttrValues("d.xml".to_string()));
+        for operand in &children[2..] {
+            assert_eq!(a.props(operand.id).dict, origin);
+        }
     }
 
     #[test]

@@ -601,7 +601,6 @@ impl Compiler {
             left,
             right,
             op,
-            dict_join: false,
         });
 
         // inner scope from the join-built nest, same as the standard case

@@ -120,8 +120,8 @@ pub struct ExecStats {
     /// Node rows element construction appended by copying content
     /// subtrees (within the transient container and out of the store).
     pub copied_nodes: u64,
-    /// Equi-joins executed on the code-to-code fast path because the plan
-    /// analyser statically proved both operands share one dictionary.
+    /// Equi-joins whose operands are `Dict` columns over one dictionary
+    /// instance: the joins that run code-to-code.
     pub proven_dict_joins: u64,
 }
 

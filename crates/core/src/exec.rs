@@ -960,7 +960,6 @@ impl<'a> Executor<'a> {
             left,
             right,
             op,
-            dict_join,
             ..
         } = &join.op
         else {
@@ -1035,10 +1034,8 @@ impl<'a> Executor<'a> {
             // columns sharing a dictionary code-to-code.  The δ afterwards
             // works on the [iter1, iter2]-ordered output (Section 4.2,
             // Figure 8(a)).
-            if *dict_join {
-                // the analyser proved both operands share one dictionary, so
-                // this join runs code-to-code by construction
-                self.stats.proven_dict_joins += 1;
+            if let (Some((_, ld)), Some((_, rd))) = (l_col.dict_parts(), r_col.dict_parts()) {
+                self.stats.proven_dict_joins += Arc::ptr_eq(ld, rd) as u64;
             }
             radix_hash_join(l_col, r_col)
         } else {

@@ -125,8 +125,8 @@ pub fn aggregate_grouped(iter: &[i64], items: &Column, func: AggFunc) -> Result<
 
 /// Reduce one non-empty group run of a typed column without materialising
 /// its items: `count` is the run length, min/max compare rows in place
-/// (codes for a `Dict` column, whose dictionary is sorted) and clone only
-/// the winner, sums over `Int`/`Dbl` columns are plain numeric loops.  Every
+/// (the strings behind the codes for a `Dict` column) and clone only the
+/// winner, sums over `Int`/`Dbl` columns are plain numeric loops.  Every
 /// result equals [`finish`] over the run's items.
 fn reduce_run(items: &Column, func: AggFunc, run: std::ops::Range<usize>) -> Result<Item> {
     match func {

@@ -12,13 +12,13 @@
 //! [`Column::Str`] stores one `Arc<str>` per row — fine for low-duplication
 //! payloads, but the XMark hot paths (tag names, attribute names, keyword
 //! terms) are highly repetitive.  [`Column::Dict`] stores those as a dense
-//! `Vec<u32>` of codes into a shared, **sorted** [`Dictionary`]:
+//! `Vec<u32>` of codes into a shared, append-only [`Dictionary`]:
 //!
-//! * the dictionary is sorted, so code order = string order and `sort`,
-//!   `rank` and min/max aggregation run entirely on the codes;
 //! * the dictionary is shared (`Arc`), so two columns encoded against the
 //!   same instance join code-to-code (see
 //!   [`crate::join::radix_hash_join`]) — no string hashing at all;
+//! * code order is the order strings were first seen in, not string order,
+//!   so sorting and min/max compare the strings behind the codes;
 //! * [`Column::decode`] is the escape hatch: any operator that does not know
 //!   about codes can decode to a plain [`Column::Str`] first, and
 //!   [`Column::item`] transparently materialises `Item::Str` values, so
@@ -44,8 +44,8 @@ pub enum Column {
     Dbl(Vec<f64>),
     /// Strings (shared, cheap to duplicate).
     Str(Vec<Arc<str>>),
-    /// Dictionary-encoded strings: dense codes into a shared sorted
-    /// [`Dictionary`] (code order = string order).
+    /// Dictionary-encoded strings: dense codes into a shared
+    /// [`Dictionary`].
     Dict {
         /// Per-row codes, each `< dict.len()`.
         codes: Vec<u32>,
@@ -67,7 +67,7 @@ impl Column {
     }
 
     /// Dictionary-encode a batch of strings into a `Dict` column with a
-    /// freshly built (sorted, deduplicated) dictionary.
+    /// freshly built dictionary.
     pub fn dict_from_strings<I, S>(strings: I) -> Self
     where
         I: IntoIterator<Item = S>,
@@ -218,15 +218,14 @@ impl Column {
 
     /// Compare two rows of this column under the total order used for
     /// sorting.  Monomorphic variants compare natively; a `Dict` column
-    /// compares codes only — valid because its dictionary is sorted, so code
-    /// order equals string order.
+    /// compares the strings behind its codes.
     pub fn cmp_rows(&self, a: usize, b: usize) -> std::cmp::Ordering {
         match self {
             Column::Int(v) => v[a].cmp(&v[b]),
             Column::Node(v) => v[a].cmp(&v[b]),
             Column::Bool(v) => v[a].cmp(&v[b]),
             Column::Str(v) => v[a].as_ref().cmp(v[b].as_ref()),
-            Column::Dict { codes, .. } => codes[a].cmp(&codes[b]),
+            Column::Dict { codes, dict } => dict.str_of(codes[a]).cmp(dict.str_of(codes[b])),
             Column::Dbl(v) => v[a].partial_cmp(&v[b]).unwrap_or(std::cmp::Ordering::Equal),
             Column::Item(v) => v[a].total_cmp(&v[b]),
         }
@@ -264,7 +263,8 @@ impl Column {
     /// Append another column of the same (or coercible) type; mismatched
     /// types fall back to the polymorphic representation.  Two `Dict`
     /// columns over the same dictionary concatenate codes; over different
-    /// dictionaries they are re-encoded against the merged dictionary.
+    /// dictionaries the right side's distinct codes are interned into (a
+    /// copy of) the left dictionary, so only the right side's codes change.
     pub fn append(&mut self, other: &Column) {
         match (&mut *self, other) {
             (Column::Int(a), Column::Int(b)) => a.extend_from_slice(b),
@@ -280,12 +280,15 @@ impl Column {
                 if Arc::ptr_eq(dict, bdict) {
                     codes.extend_from_slice(bcodes);
                 } else {
-                    let (merged, ra, rb) = Dictionary::merge(dict, bdict);
-                    for c in codes.iter_mut() {
-                        *c = ra[*c as usize];
-                    }
-                    codes.extend(bcodes.iter().map(|&c| rb[c as usize]));
-                    *dict = merged;
+                    // each distinct right code interned once
+                    let mut here = vec![u32::MAX; bdict.len()];
+                    codes.extend(bcodes.iter().map(|&c| {
+                        let code = &mut here[c as usize];
+                        if *code == u32::MAX {
+                            *code = dict.intern(bdict.str_of(c));
+                        }
+                        *code
+                    }));
                 }
             }
             (Column::Str(a), Column::Dict { codes, dict }) => {
@@ -427,12 +430,14 @@ mod tests {
         assert!(Arc::ptr_eq(d, &dict));
         assert_eq!(codes.len(), 4);
 
-        // different dictionaries: merged and remapped, strings preserved
+        // different dictionaries: the right side interned into the left
+        // one, the left codes kept, strings preserved
         let mut a = Column::dict_from_strings(["a", "c"]);
         let b = Column::dict_from_strings(["b", "a"]);
         a.append(&b);
         let strings: Vec<String> = a.iter_items().map(|i| i.string_value()).collect();
         assert_eq!(strings, ["a", "c", "b", "a"]);
+        assert_eq!(a.dict_parts().map(|(c, _)| c), Some(&[0, 1, 2, 0][..]));
     }
 
     #[test]

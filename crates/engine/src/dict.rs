@@ -1,26 +1,33 @@
-//! Shared, sorted string dictionaries backing [`Column::Dict`].
+//! Shared, append-only string interners backing [`Column::Dict`].
 //!
-//! A [`Dictionary`] is an immutable, deduplicated list of strings kept in
-//! ascending order, so that **code order equals string order**: for two codes
-//! `a` and `b`, `a < b ⇔ str_of(a) < str_of(b)`.  This is what lets `sort`,
-//! `rank` and min/max aggregation run entirely on the `u32` codes of a
-//! dictionary-encoded column without ever touching string payloads — the
-//! dense positional processing of Section 4.1 applied to strings.
+//! A [`Dictionary`] is a deduplicated list of strings: the code of a string
+//! is the rank at which it was first seen, and it **never moves** — a new
+//! string gets the next code, so a write that brings one rewrites no code
+//! already handed out.  Code order is not string order: an operator that
+//! orders strings ([`Column::cmp_rows`], [`crate::sort::is_sorted`]) reads
+//! them through [`Dictionary::str_of`].
 //!
 //! Dictionaries are shared behind an [`Arc`]: every column encoded against
 //! the same dictionary instance can be joined code-to-code (see
-//! [`crate::join::radix_hash_join`]), which turns the string equi-joins of
-//! the XMark hot paths into integer joins.
+//! [`crate::join::radix_hash_join`]), since code equality is string
+//! equality within one dictionary — which turns the string equi-joins of
+//! the XMark hot paths into integer joins.  [`Dictionary::intern`] copies a
+//! dictionary another owner still shares before it grows it, so a column or
+//! a published image keeps the codes it was built over.
 //!
 //! [`Column::Dict`]: crate::column::Column::Dict
+//! [`Column::cmp_rows`]: crate::column::Column::cmp_rows
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
-/// An immutable, sorted, deduplicated string dictionary.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// An append-only, deduplicated string interner.
+#[derive(Debug, Clone, Default)]
 pub struct Dictionary {
-    /// The distinct strings, ascending; the code of a string is its index.
+    /// The distinct strings, by code (the order they were first seen in).
     strings: Vec<Arc<str>>,
+    /// The code of every string.
+    codes: HashMap<Arc<str>, u32>,
     /// Whether any entry parses as a number (`"10"`, `" 3.5 "`).  Columns
     /// over purely non-numeric dictionaries (tag names, attribute names) can
     /// skip the numeric-string normalisation of the XQuery general
@@ -35,28 +42,48 @@ pub struct Dictionary {
 }
 
 impl Dictionary {
-    /// Build a dictionary from arbitrary strings (sorted and deduplicated).
+    /// Build a dictionary from arbitrary strings (deduplicated, in
+    /// first-seen order).
     pub fn new<I, S>(strings: I) -> Arc<Dictionary>
     where
         I: IntoIterator<Item = S>,
         S: Into<Arc<str>>,
     {
-        let mut strings: Vec<Arc<str>> = strings.into_iter().map(Into::into).collect();
-        strings.sort_unstable();
-        strings.dedup();
-        Arc::new(Dictionary::from_sorted(strings))
+        Dictionary::encode(strings).1
     }
 
-    fn from_sorted(strings: Vec<Arc<str>>) -> Dictionary {
-        let numeric_keys: Vec<Option<u64>> = strings
-            .iter()
-            .map(|s| s.trim().parse().ok().and_then(crate::join::numeric_key))
-            .collect();
-        let any_numeric = numeric_keys.iter().any(Option::is_some);
-        Dictionary {
-            strings,
-            any_numeric,
-            numeric_keys,
+    /// Encode a batch of strings, building the dictionary (in first-seen
+    /// order) and the per-row code column in one pass.
+    pub fn encode<I, S>(strings: I) -> (Vec<u32>, Arc<Dictionary>)
+    where
+        I: IntoIterator<Item = S>,
+        S: Into<Arc<str>>,
+    {
+        let mut dict = Dictionary::default();
+        let codes = strings.into_iter().map(|s| dict.insert(s.into())).collect();
+        (codes, Arc::new(dict))
+    }
+
+    /// The code of `s`, a new one past the others when it is new.
+    fn insert(&mut self, s: Arc<str>) -> u32 {
+        if let Some(&code) = self.codes.get(&s) {
+            return code;
+        }
+        let code = self.strings.len() as u32;
+        let key = s.trim().parse().ok().and_then(crate::join::numeric_key);
+        self.any_numeric |= key.is_some();
+        self.numeric_keys.push(key);
+        self.codes.insert(s.clone(), code);
+        self.strings.push(s);
+        code
+    }
+
+    /// The code of `s`, a new one past the others when it is new (the
+    /// dictionary copied first when another owner still shares it).
+    pub fn intern(self: &mut Arc<Self>, s: &str) -> u32 {
+        match self.code_of(s) {
+            Some(code) => code,
+            None => Arc::make_mut(self).insert(Arc::from(s)),
         }
     }
 
@@ -70,12 +97,9 @@ impl Dictionary {
         self.strings.is_empty()
     }
 
-    /// The code of `s`, if present (binary search over the sorted strings).
+    /// The code of `s`, if present (one hash probe).
     pub fn code_of(&self, s: &str) -> Option<u32> {
-        self.strings
-            .binary_search_by(|probe| probe.as_ref().cmp(s))
-            .ok()
-            .map(|i| i as u32)
+        self.codes.get(s).copied()
     }
 
     /// The string behind a code.
@@ -86,8 +110,8 @@ impl Dictionary {
         &self.strings[code as usize]
     }
 
-    /// Iterate over the strings in code (= string) order.
-    pub fn iter(&self) -> impl Iterator<Item = &Arc<str>> {
+    /// Iterate over the strings in code (first-seen) order.
+    pub fn iter(&self) -> std::slice::Iter<'_, Arc<str>> {
         self.strings.iter()
     }
 
@@ -109,52 +133,21 @@ impl Dictionary {
         self.numeric_keys[code as usize]
     }
 
-    /// Encode a batch of strings, building the dictionary and the per-row
-    /// code column in one pass (sort + dedup + binary-search lookups).
-    pub fn encode<I, S>(strings: I) -> (Vec<u32>, Arc<Dictionary>)
-    where
-        I: IntoIterator<Item = S>,
-        S: Into<Arc<str>>,
-    {
-        let rows: Vec<Arc<str>> = strings.into_iter().map(Into::into).collect();
-        let dict = Dictionary::new(rows.iter().cloned());
-        let codes = rows
-            .iter()
-            .map(|s| dict.code_of(s).expect("every row is in its dictionary"))
-            .collect();
-        (codes, dict)
-    }
-
-    /// Merge two dictionaries into one (sorted union) and return, along with
-    /// the merged dictionary, the code remapping of each input: old code `c`
-    /// of `a` becomes `remap_a[c]` in the merged dictionary.
-    pub fn merge(a: &Dictionary, b: &Dictionary) -> (Arc<Dictionary>, Vec<u32>, Vec<u32>) {
-        use std::cmp::Ordering;
-        let mut strings = Vec::with_capacity(a.len() + b.len());
-        let (mut ra, mut rb) = (Vec::with_capacity(a.len()), Vec::with_capacity(b.len()));
-        let (mut i, mut j) = (0, 0);
-        // one walk over both: each entry's new code is where it lands
-        while i < a.len() || j < b.len() {
-            let code = strings.len() as u32;
-            let order = match (a.strings.get(i), b.strings.get(j)) {
-                (Some(x), Some(y)) => x.cmp(y),
-                (Some(_), None) => Ordering::Less,
-                _ => Ordering::Greater,
-            };
-            if order != Ordering::Greater {
-                strings.push(a.strings[i].clone());
-                ra.push(code);
-                i += 1;
-            }
-            if order != Ordering::Less {
-                if order == Ordering::Greater {
-                    strings.push(b.strings[j].clone());
-                }
-                rb.push(code);
-                j += 1;
-            }
+    /// Does every string map to its place in the list, the map hold no
+    /// other entry, and every string carry its numeric key?
+    pub fn check(&self) -> Result<(), String> {
+        let agree = (0..)
+            .zip(&self.strings)
+            .all(|(code, s)| self.code_of(s) == Some(code));
+        if !agree || self.codes.len() != self.strings.len() {
+            return Err("the string list and the code map disagree".into());
         }
-        (Arc::new(Dictionary::from_sorted(strings)), ra, rb)
+        if self.numeric_keys.len() != self.strings.len()
+            || self.any_numeric != self.numeric_keys.iter().any(Option::is_some)
+        {
+            return Err("the numeric keys disagree with the strings".into());
+        }
+        Ok(())
     }
 }
 
@@ -163,13 +156,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn codes_follow_string_order() {
+    fn codes_follow_first_seen_order() {
         let d = Dictionary::new(["person", "item", "item", "auction"]);
         assert_eq!(d.len(), 3);
-        assert!(d.code_of("auction") < d.code_of("item"));
-        assert!(d.code_of("item") < d.code_of("person"));
+        assert_eq!(d.code_of("person"), Some(0));
+        assert_eq!(d.code_of("item"), Some(1));
+        assert_eq!(d.code_of("auction"), Some(2));
         assert_eq!(d.code_of("missing"), None);
-        assert_eq!(d.str_of(d.code_of("item").unwrap()).as_ref(), "item");
+        assert_eq!(d.str_of(1).as_ref(), "item");
+        assert_eq!(d.check(), Ok(()));
     }
 
     #[test]
@@ -181,17 +176,26 @@ mod tests {
     }
 
     #[test]
-    fn merge_remaps_both_sides() {
-        let a = Dictionary::new(["a", "c"]);
-        let b = Dictionary::new(["b", "c", "d"]);
-        let (m, ra, rb) = Dictionary::merge(&a, &b);
-        assert_eq!(m.len(), 4);
-        for (old, s) in a.iter().enumerate() {
-            assert_eq!(m.str_of(ra[old]), s);
-        }
-        for (old, s) in b.iter().enumerate() {
-            assert_eq!(m.str_of(rb[old]), s);
-        }
+    fn intern_appends_and_copies_a_shared_dictionary() {
+        let mut d = Dictionary::new(["b", "c"]);
+        let published = d.clone();
+        assert_eq!(d.intern("c"), 1);
+        assert!(Arc::ptr_eq(&d, &published), "a known string copies nothing");
+        assert_eq!(d.intern("a"), 2);
+        assert!(!Arc::ptr_eq(&d, &published));
+        assert_eq!(published.len(), 2);
+        assert_eq!(d.code_of("b"), Some(0));
+        assert_eq!(d.check(), Ok(()));
+    }
+
+    #[test]
+    fn check_catches_a_list_and_map_that_disagree() {
+        let mut d = Dictionary::clone(&Dictionary::new(["x", "10"]));
+        d.strings.swap(0, 1);
+        assert!(d.check().is_err());
+        let mut d = Dictionary::clone(&Dictionary::new(["x"]));
+        d.codes.insert(Arc::from("y"), 1);
+        assert!(d.check().is_err());
     }
 
     #[test]
@@ -199,6 +203,9 @@ mod tests {
         assert!(!Dictionary::new(["tag", "name"]).any_numeric());
         assert!(Dictionary::new(["tag", "10"]).any_numeric());
         assert!(Dictionary::new([" 3.5 "]).any_numeric());
+        let mut d = Dictionary::new(["tag"]);
+        d.intern("7");
+        assert!(d.any_numeric());
     }
 
     #[test]

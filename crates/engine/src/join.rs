@@ -11,8 +11,7 @@
 //! [`theta_join`] is the production non-equi join (Section 4.2).  It
 //! extracts the comparison keys of each side *once* into typed vectors, one
 //! per comparison class of [`Item::value_cmp`] (doubles for numbers and
-//! castable untyped strings, `&str` or shared dictionary codes for strings,
-//! node ids), sorts the right side once and answers every left row with two
+//! castable untyped strings, `&str` for strings, node ids), sorts the right side once and answers every left row with two
 //! binary searches: `O((n + m) log m + output)` instead of `n * m` item
 //! comparisons.  [`theta_join_counts`] answers `count` over the same join
 //! from the same sort — per left row the length of its matching key ranges,
@@ -343,9 +342,7 @@ struct ThetaKeys<'a> {
 }
 
 impl<'a> ThetaKeys<'a> {
-    /// `strings: false` skips the `strs` class (the caller compares shared
-    /// dictionary codes instead).
-    fn extract(col: &'a Column, strings: bool) -> Self {
+    fn extract(col: &'a Column) -> Self {
         let mut k = ThetaKeys::default();
         match col {
             Column::Int(v) => k.num = v.iter().map(|&x| x as f64).zip(0..).collect(),
@@ -358,14 +355,14 @@ impl<'a> ThetaKeys<'a> {
             Column::Node(v) => k.nodes = v.iter().copied().zip(0..).collect(),
             Column::Str(v) => {
                 for (row, s) in v.iter().enumerate() {
-                    k.push_str(s, s.trim().parse().ok(), row, strings);
+                    k.push_str(s, s.trim().parse().ok(), row);
                 }
             }
             Column::Dict { codes, dict } => {
                 // the dictionary cast every distinct string once already
                 for (row, &c) in codes.iter().enumerate() {
                     let cast = dict.numeric_key_of(c).map(f64::from_bits);
-                    k.push_str(dict.str_of(c), cast, row, strings);
+                    k.push_str(dict.str_of(c), cast, row);
                 }
             }
             Column::Item(v) => {
@@ -374,7 +371,7 @@ impl<'a> ThetaKeys<'a> {
                         Item::Int(i) => k.num.push((*i as f64, row)),
                         Item::Dbl(d) => push_num(&mut k.num, *d, row),
                         Item::Bool(b) => k.num.push((*b as u8 as f64, row)),
-                        Item::Str(s) => k.push_str(s, s.trim().parse().ok(), row, strings),
+                        Item::Str(s) => k.push_str(s, s.trim().parse().ok(), row),
                         Item::Node(n) => k.nodes.push((*n, row)),
                     }
                 }
@@ -383,13 +380,11 @@ impl<'a> ThetaKeys<'a> {
         k
     }
 
-    fn push_str(&mut self, s: &'a str, cast: Option<f64>, row: usize, strings: bool) {
+    fn push_str(&mut self, s: &'a str, cast: Option<f64>, row: usize) {
         if let Some(x) = cast {
             push_num(&mut self.cast, x, row);
         }
-        if strings {
-            self.strs.push((s, row));
-        }
+        self.strs.push((s, row));
     }
 }
 
@@ -432,30 +427,18 @@ trait ClassJoin {
 }
 
 /// Hand every comparison class of `left op right` to `join`: numbers meet
-/// numbers and castable strings as doubles, two strings meet as strings (as
-/// codes when both columns share one dictionary instance, whose code order
-/// is string order), nodes meet nodes.  A (left, right) pair of items falls
-/// into at most one class.
+/// numbers and castable strings as doubles, two strings meet as strings,
+/// nodes meet nodes.  A (left, right) pair of items falls into at most one
+/// class.
 fn for_each_class(left: &Column, right: &Column, join: &mut impl ClassJoin) {
-    let shared_codes = match (left.dict_parts(), right.dict_parts()) {
-        (Some((lc, ld)), Some((rc, rd))) if Arc::ptr_eq(ld, rd) => Some((lc, rc)),
-        _ => None,
-    };
-    let l = ThetaKeys::extract(left, shared_codes.is_none());
-    let mut r = ThetaKeys::extract(right, shared_codes.is_none());
+    let l = ThetaKeys::extract(left);
+    let mut r = ThetaKeys::extract(right);
     // castable strings compare numerically with typed numbers only — two
     // strings always compare as strings
     join.class(&l.cast, &mut r.num, f64::total_cmp);
     r.num.append(&mut r.cast);
     join.class(&l.num, &mut r.num, f64::total_cmp);
-    match shared_codes {
-        Some((lc, rc)) => {
-            let lk: Keys<u32> = lc.iter().copied().zip(0..).collect();
-            let mut rk: Keys<u32> = rc.iter().copied().zip(0..).collect();
-            join.class(&lk, &mut rk, u32::cmp);
-        }
-        None => join.class(&l.strs, &mut r.strs, |a, b| a.cmp(b)),
-    }
+    join.class(&l.strs, &mut r.strs, |a, b| a.cmp(b));
     join.class(&l.nodes, &mut r.nodes, NodeId::cmp);
 }
 
@@ -575,7 +558,7 @@ pub fn minmax_candidates(iter: &[i64], items: &Column, take_min: bool) -> Vec<us
         // single-valued groups: every row is its group's only candidate
         return (0..iter.len()).collect();
     }
-    let mut keys = ThetaKeys::extract(items, true);
+    let mut keys = ThetaKeys::extract(items);
     let sorted = iter.windows(2).all(|w| w[0] <= w[1]);
     let mut rows = Vec::new();
     let mut extremes = Extremes {
@@ -830,7 +813,8 @@ mod tests {
 
     #[test]
     fn theta_join_shared_dictionary_compares_codes_as_strings() {
-        // "10" < "9" as strings: two untyped values never compare as numbers
+        // "10" < "9" as strings: two untyped values never compare as numbers,
+        // and the codes (first-seen order) are not string order either
         let dict = crate::dict::Dictionary::new(["9", "10", "b", "a"]);
         let enc = |rows: &[&str]| Column::Dict {
             codes: rows.iter().map(|s| dict.code_of(s).unwrap()).collect(),

@@ -8,7 +8,7 @@
 //! relies on:
 //!
 //! * **Typed columns** ([`Column`]) holding integers, doubles, strings,
-//!   dictionary-encoded strings (dense codes into a shared sorted
+//!   dictionary-encoded strings (dense codes into a shared, append-only
 //!   [`Dictionary`]), booleans, node references or polymorphic XQuery items
 //!   ([`Item`]).
 //! * **Tables** ([`Table`]) as ordered collections of named columns, the

@@ -26,8 +26,7 @@ pub fn sort_permutation(keys: &[(&Column, SortOrder)]) -> Vec<usize> {
 
 /// Compare two rows under the given multi-column key.  Delegates to
 /// [`Column::cmp_rows`], which compares bookkeeping columns natively and
-/// dictionary-encoded strings by their codes (the sorted dictionary makes
-/// code order equal string order, so no payload is touched).
+/// dictionary-encoded strings by the strings behind their codes.
 fn compare_rows(keys: &[(&Column, SortOrder)], a: usize, b: usize) -> std::cmp::Ordering {
     use std::cmp::Ordering;
     for (col, order) in keys {
@@ -48,8 +47,10 @@ pub fn is_sorted(col: &Column) -> bool {
     match col {
         Column::Int(v) => v.windows(2).all(|w| w[0] <= w[1]),
         Column::Node(v) => v.windows(2).all(|w| w[0] <= w[1]),
-        // sorted dictionary: sortedness of the codes is sortedness of the strings
-        Column::Dict { codes, .. } => codes.windows(2).all(|w| w[0] <= w[1]),
+        // code order is first-seen order: compare the strings
+        Column::Dict { codes, dict } => codes
+            .windows(2)
+            .all(|w| dict.str_of(w[0]) <= dict.str_of(w[1])),
         _ => {
             let items = col.to_items();
             items
@@ -92,6 +93,7 @@ mod tests {
         assert!(is_sorted(&Column::Int(vec![1, 2, 2, 3])));
         assert!(!is_sorted(&Column::Int(vec![2, 1])));
         assert!(is_sorted(&Column::dict_from_strings(["a", "b", "b"])));
+        // codes 0, 1 over strings in descending order
         assert!(!is_sorted(&Column::dict_from_strings(["b", "a"])));
     }
 

@@ -807,11 +807,10 @@ mod tests {
 
     /// A transient appended over three build sessions holds the rows the
     /// steps write, kept as plain tuples, at every chunk size.  The third
-    /// session brings a tag and an attribute name, which get the next codes,
-    /// and an attribute value that sorts before every other one, so the
-    /// value codes of the chunks the earlier sessions sealed must be
-    /// remapped; it also copies a subtree within the image across a chunk
-    /// boundary and one out of a stored image.
+    /// session brings a tag, an attribute name and an attribute value that
+    /// sorts before every other one, which all get the next codes; it also
+    /// copies a subtree within the image across a chunk boundary and one
+    /// out of a stored image.
     #[test]
     fn builder_sessions_equal_a_rebuild_of_their_rows() -> Result<(), String> {
         use Step::*;
@@ -857,10 +856,11 @@ mod tests {
         Ok(())
     }
 
-    /// A new element or attribute name gets the next code and moves none:
-    /// a build session, a paged splice, an element rename and an attribute
-    /// rename that each bring a name sorting before the others copy no chunk
-    /// but the one they write.
+    /// A new element name, attribute name or attribute value gets the next
+    /// code and moves none: a build session, a paged splice, an element
+    /// rename, an attribute rename and an attribute write that each bring a
+    /// string sorting before the others copy no chunk but the one they
+    /// write.
     #[test]
     fn a_new_name_leaves_every_earlier_chunk_shared() -> Result<(), String> {
         let mut b = DocumentBuilder::append_to(empty(2));
@@ -873,7 +873,7 @@ mod tests {
         // a build session: rows 0..4 in chunks 0 and 1, row 4 in chunk 2
         let mut b = DocumentBuilder::append_to(first.clone());
         b.start_element("a");
-        b.attribute("a", "v");
+        b.attribute("a", "u");
         b.end_element();
         let second = b.finish();
         let (f, s) = (first.columns(), second.columns());
@@ -888,7 +888,7 @@ mod tests {
         };
         // a paged splice into chunk 0
         let before = cols.clone();
-        let row = fragment_from_xml(r#"<A A="v"/>"#);
+        let row = fragment_from_xml(r#"<A A="t"/>"#);
         cols.splice_nodes(1, row.columns(), 0);
         written(&cols, &before, 0)?;
         // an element rename in chunk 2
@@ -899,42 +899,21 @@ mod tests {
         let before = cols.clone();
         cols.rename_attribute(3, "k", "Ak");
         written(&cols, &before, 1)?;
-        let names: Vec<&str> = cols.tags().iter().map(|s| s.as_ref()).collect();
-        assert_eq!(names, ["", "b", "a", "A", "AA"], "first-seen order");
+        // an attribute write in chunk 1
+        let before = cols.clone();
+        cols.set_attribute(4, "k", "s");
+        written(&cols, &before, 1)?;
+        let strings = |d: &mxq_engine::Dictionary| -> Vec<String> {
+            d.iter().map(|s| s.to_string()).collect()
+        };
+        assert_eq!(strings(cols.tags()), ["", "b", "a", "A", "AA"]);
+        assert_eq!(strings(cols.attr_values()), ["v", "u", "t", "s"]);
         let doc = Document::from_columns("t".into(), Arc::new(cols));
         assert_eq!(
             serialize_document(&doc),
-            r#"<b k="v"/><A A="v"/><b k="v"/><b Ak="v"/><b k="v"/><AA a="v"/>"#
+            r#"<b k="v"/><A A="t"/><b k="v"/><b Ak="v"/><b k="s"/><AA a="u"/>"#
         );
         Ok(())
-    }
-
-    /// Attribute values keep their codes in string order: a session that
-    /// brings a value sorting between the others remaps only the sealed
-    /// chunks holding a value code it moves.
-    #[test]
-    fn a_session_copies_only_the_chunks_its_new_values_move() -> Result<(), String> {
-        fn session(doc: Document, values: &[&str]) -> Document {
-            let mut b = DocumentBuilder::append_to(doc);
-            for value in values {
-                b.start_element("x");
-                b.attribute("k", value);
-                b.end_element();
-            }
-            b.finish()
-        }
-        let first = session(empty(2), &["a", "b", "d", "e"]);
-        let second = session(first.clone(), &["f"]);
-        let third = session(second.clone(), &["c"]);
-        let (f, s, t) = (first.columns(), second.columns(), third.columns());
-        assert!(s.shares_chunk(0, f, 0) && s.shares_chunk(1, f, 1));
-        assert!(t.shares_chunk(0, s, 0), "a and b sort before c");
-        assert!(!t.shares_chunk(1, s, 1), "d and e sort after c");
-        let values: Vec<&str> = (0..third.len() as u32)
-            .map(|p| third.attribute(p, "k").unwrap_or_default())
-            .collect();
-        assert_eq!(values, ["a", "b", "d", "e", "f", "c"]);
-        third.check_invariants()
     }
 
     /// A top-level PI or comment is a fragment root like any level-0 row.

@@ -9,9 +9,10 @@
 //!   is recoverable as `post = pre + size - level`;
 //! * **one node container** for every producer: a [`Document`] is a chunked
 //!   **relational image** ([`columns`]) — dense structural, text and
-//!   attribute columns with interned names ([`Names`]: append-only, a code
-//!   never moves) and dictionary-encoded attribute values (`Column::Dict`
-//!   over a shared sorted dictionary).  The shredder, element construction, XQUF
+//!   attribute columns whose names and values are interned
+//!   ([`mxq_engine::Dictionary`]: append-only, a code never moves; an
+//!   attribute step hands out value codes as a `Column::Dict` over the
+//!   image's shared value interner).  The shredder, element construction, XQUF
 //!   insert sources, the on-disk decoders and the statement's transient all
 //!   produce it, so one set of kernels reads it;
 //! * a **document builder** ([`DocumentBuilder`]) that writes the image in
@@ -49,7 +50,7 @@ pub mod shred;
 pub mod store;
 pub mod update;
 
-pub use columns::{DocumentColumns, Names};
+pub use columns::DocumentColumns;
 pub use disk::{decode_document, decode_snapshot, encode_document, encode_snapshot, DiskError};
 pub use doc::{Document, DocumentBuilder};
 pub use node::NodeKind;

@@ -23,7 +23,6 @@ use std::sync::Arc;
 
 use mxq_engine::Dictionary;
 
-use crate::columns::Names;
 use crate::node::NodeKind;
 
 /// Read access to one container in the pre|size|level encoding.
@@ -154,14 +153,13 @@ impl<D: NodeRead> Iterator for Children<'_, D> {
     }
 }
 
-/// Iterator over the attributes of one element: a slice of the
-/// dictionary-encoded attribute columns, whose names resolve through the
-/// attribute-name interner and whose values through the shared sorted
-/// value dictionary.
+/// Iterator over the attributes of one element: a slice of the coded
+/// attribute columns, whose names and values resolve through the
+/// attribute-name and attribute-value interners.
 pub struct AttrsIter<'a> {
     /// Attribute-name interner.
-    pub(crate) names: &'a Names,
-    /// Attribute-value dictionary.
+    pub(crate) names: &'a Dictionary,
+    /// Attribute-value interner.
     pub(crate) values: &'a Dictionary,
     /// Name and value codes of the owner's attribute rows.
     pub(crate) codes: std::iter::Zip<std::slice::Iter<'a, u32>, std::slice::Iter<'a, u32>>,

@@ -10,12 +10,14 @@
 //!   documents for arbitrary insert/delete sequences;
 //! * the relational XQuery engine and the naive interpreter agree on simple
 //!   generated queries over arbitrary documents;
-//! * string dictionaries round-trip (encode→decode identity), keep their
-//!   sortedness invariant (`code_a < code_b ⇔ str_a < str_b`) and stay
-//!   deduplicated under merge.
+//! * string dictionaries round-trip (encode→decode identity), never move a
+//!   code they handed out, leave a shared copy untouched when they grow,
+//!   append across dictionaries like their decoded strings, and a
+//!   dictionary column sorts like its decoded strings.
 
 use proptest::prelude::*;
 
+use mxq::engine::sort::{is_sorted, sort_permutation, SortOrder};
 use mxq::engine::{Column, Dictionary};
 use mxq::staircase::{looplifted_step, staircase_step, Axis, NodeTest, ScanStats};
 use mxq::xmldb::update::{fragment_from_xml, NaiveDocument, PagedDocument, StructuralUpdate};
@@ -192,47 +194,67 @@ proptest! {
     fn dictionary_sortedness_invariant(
         rows in prop::collection::vec("[a-e0-9]{0,4}", 1..40),
     ) {
-        let (_, dict) = Dictionary::encode(rows.iter().map(|s| s.as_str()));
-        // code order = string order, in both directions, for every code pair
-        for a in 0..dict.len() as u32 {
-            for b in 0..dict.len() as u32 {
-                prop_assert_eq!(
-                    a.cmp(&b),
-                    dict.str_of(a).as_ref().cmp(dict.str_of(b).as_ref()),
-                    "codes {} and {} disagree with their strings",
-                    a,
-                    b
-                );
-            }
+        // codes follow first-seen order, not string order: a dictionary
+        // column still sorts (and tests sorted) exactly like its strings
+        let col = Column::dict_from_strings(rows.iter().map(|s| s.as_str()));
+        let plain = col.decode();
+        for order in [SortOrder::Asc, SortOrder::Desc] {
+            prop_assert_eq!(
+                sort_permutation(&[(&col, order)]),
+                sort_permutation(&[(&plain, order)])
+            );
         }
-        // every row resolves back to its own code
-        for s in &rows {
-            let c = dict.code_of(s).expect("encoded string is in the dictionary");
-            prop_assert_eq!(dict.str_of(c).as_ref(), s.as_str());
-        }
+        prop_assert_eq!(is_sorted(&col), is_sorted(&plain));
+        let sorted = col.gather(&sort_permutation(&[(&col, SortOrder::Asc)]));
+        prop_assert!(is_sorted(&sorted));
     }
 
     #[test]
-    fn dictionary_merge_dedups(
-        left in prop::collection::vec("[a-c]{0,3}", 1..20),
-        right in prop::collection::vec("[b-e]{0,3}", 1..20),
+    fn interned_codes_never_move(
+        first in prop::collection::vec("[a-e0-9]{0,3}", 0..20),
+        later in prop::collection::vec("[a-e0-9]{0,3}", 1..20),
     ) {
-        let (_, a) = Dictionary::encode(left.iter().map(|s| s.as_str()));
-        let (_, b) = Dictionary::encode(right.iter().map(|s| s.as_str()));
-        let (merged, ra, rb) = Dictionary::merge(&a, &b);
-        // merged dictionary is exactly the sorted, deduplicated union
-        let mut want: Vec<&str> = left.iter().chain(&right).map(|s| s.as_str()).collect();
-        want.sort_unstable();
-        want.dedup();
-        let got: Vec<&str> = merged.iter().map(|s| s.as_ref()).collect();
-        prop_assert_eq!(got, want);
-        // the remaps preserve every string of both inputs
-        for (old, s) in a.iter().enumerate() {
-            prop_assert_eq!(merged.str_of(ra[old]), s);
+        let (codes, mut dict) = Dictionary::encode(first.iter().map(|s| s.as_str()));
+        let published = dict.clone();
+        let later_codes: Vec<u32> = later.iter().map(|s| dict.intern(s)).collect();
+        // every code handed out before still resolves to its string
+        for (s, &c) in first.iter().zip(&codes) {
+            prop_assert_eq!(dict.code_of(s), Some(c));
         }
-        for (old, s) in b.iter().enumerate() {
-            prop_assert_eq!(merged.str_of(rb[old]), s);
+        // str_of(code_of(s)) == s for every string ever interned
+        for (s, &c) in later.iter().zip(&later_codes) {
+            prop_assert_eq!(dict.code_of(s), Some(c));
+            prop_assert_eq!(dict.str_of(c).as_ref(), s.as_str());
         }
+        prop_assert!(dict.check().is_ok());
+        // the shared copy saw none of the later strings it lacked
+        let old: Vec<&str> = published.iter().map(|s| s.as_ref()).collect();
+        let mut want: Vec<&str> = Vec::new();
+        for s in &first {
+            if !want.contains(&s.as_str()) {
+                want.push(s);
+            }
+        }
+        prop_assert_eq!(old, want);
+    }
+
+    #[test]
+    fn dict_append_equals_decode_then_append(
+        left in prop::collection::vec("[a-c]{0,3}", 0..20),
+        right in prop::collection::vec("[b-e]{0,3}", 0..20),
+    ) {
+        let mut col = Column::dict_from_strings(left.iter().map(|s| s.as_str()));
+        let other = Column::dict_from_strings(right.iter().map(|s| s.as_str()));
+        let left_codes = col.dict_parts().map(|(c, _)| c.to_vec());
+        let mut plain = col.decode();
+        plain.append(&other.decode());
+        col.append(&other);
+        let strings = |c: &Column| -> Vec<String> { c.iter_items().map(|i| i.string_value()).collect() };
+        prop_assert_eq!(strings(&col), strings(&plain));
+        // only the right side's codes change
+        let (codes, dict) = col.dict_parts().expect("two dictionary columns stay one");
+        prop_assert_eq!(Some(codes[..left.len()].to_vec()), left_codes);
+        prop_assert!(dict.check().is_ok());
     }
 
     #[test]
