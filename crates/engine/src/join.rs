@@ -11,9 +11,9 @@
 //! [`theta_join`] is the production non-equi join (Section 4.2).  It
 //! extracts the comparison keys of each side *once* into typed vectors, one
 //! per comparison class of [`Item::value_cmp`] (doubles for numbers and
-//! castable untyped strings, `&str` for strings, node ids), sorts the right side once and answers every left row with two
-//! binary searches: `O((n + m) log m + output)` instead of `n * m` item
-//! comparisons.  [`theta_join_counts`] answers `count` over the same join
+//! castable untyped strings, `&str` for strings, node ids), sorts the
+//! right side once and answers every left row with two binary searches:
+//! `O((n + m) log m + output)` instead of `n * m` item comparisons.  [`theta_join_counts`] answers `count` over the same join
 //! from the same sort — per left row the length of its matching key ranges,
 //! no pairs built.  [`minmax_candidates`] is the aggregate push-down of
 //! Figure 8(b) over the same typed keys.  [`theta_join_nested`] — the

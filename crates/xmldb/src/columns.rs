@@ -34,14 +34,13 @@
 //!
 //! Every write interns the strings it brings straight into the image's
 //! interners (copying an interner a published snapshot still shares on its
-//! first new string), so a new name or value rewrites no chunk: there is
-//! no provisional code, no merge and no remap.  A chunk is the unit of the
-//! paper's remappable pre numbers: a row splice lands in exactly one
-//! chunk, shifts only that chunk's rows and chunk-local attribute owners,
-//! and then fixes up the O(#chunks) start index — O(chunk), not
-//! O(document).  An oversized chunk splits back into row-target pieces,
-//! so chunks stay bounded and double as the work unit for batch-at-a-time
-//! kernels.
+//! first new string), so a new name or value rewrites no chunk.  A chunk
+//! is the unit of the paper's remappable pre numbers: a row splice lands
+//! in exactly one chunk, shifts only that chunk's rows and chunk-local
+//! attribute owners, and then fixes up the O(#chunks) start index —
+//! O(chunk), not O(document).  An oversized chunk splits back into
+//! row-target pieces, so chunks stay bounded and double as the work unit
+//! for batch-at-a-time kernels.
 //!
 //! Every chunk also carries summaries — min/max level, a node-kind mask
 //! and a name-code bucket bitmask — maintained on each patch, so backward
