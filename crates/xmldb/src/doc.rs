@@ -916,6 +916,36 @@ mod tests {
         Ok(())
     }
 
+    /// Attribute values take codes in first-seen order: a session that
+    /// brings a value sorting between the others moves no code, so it
+    /// copies no sealed chunk, only the open one it appends to.
+    #[test]
+    fn a_session_copies_only_the_chunks_its_new_values_move() -> Result<(), String> {
+        fn session(doc: Document, values: &[&str]) -> Document {
+            let mut b = DocumentBuilder::append_to(doc);
+            for value in values {
+                b.start_element("x");
+                b.attribute("k", value);
+                b.end_element();
+            }
+            b.finish()
+        }
+        let first = session(empty(2), &["a", "b", "d", "e"]);
+        let second = session(first.clone(), &["f"]);
+        let third = session(second.clone(), &["c"]);
+        let (f, s, t) = (first.columns(), second.columns(), third.columns());
+        assert!(s.shares_chunk(0, f, 0) && s.shares_chunk(1, f, 1));
+        assert!(t.shares_chunk(0, s, 0), "a and b sort before c");
+        assert!(t.shares_chunk(1, s, 1), "d and e sort after c");
+        let values: Vec<&str> = (0..third.len() as u32)
+            .map(|p| third.attribute(p, "k").unwrap_or_default())
+            .collect();
+        assert_eq!(values, ["a", "b", "d", "e", "f", "c"]);
+        let codes: Vec<String> = t.attr_values().iter().map(|s| s.to_string()).collect();
+        assert_eq!(codes, values, "first-seen order");
+        third.check_invariants()
+    }
+
     /// A top-level PI or comment is a fragment root like any level-0 row.
     #[test]
     fn top_level_pi_and_comment_are_fragment_roots() -> Result<(), String> {
