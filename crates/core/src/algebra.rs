@@ -106,7 +106,7 @@ pub enum ConstItems {
 /// numbers `inner` ascending, and a sequence table is sorted on
 /// `[iter, pos]` with positions `1..k` within each iteration.
 /// [`crate::analysis::validate_table`] checks it under `MXQ_VALIDATE_PLANS=1`.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub enum Op {
     /// The outermost loop relation: a single iteration (`iter = [1]`).
     LoopOne,
@@ -415,6 +415,159 @@ pub enum Op {
     },
 }
 
+/// The table shape an operator emits and each of its inputs must have.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Shape {
+    /// Unary `iter` loop relation.
+    Loop,
+    /// `outer|inner|pos|item` nest map.
+    Nest,
+    /// `iter|pos|item` sequence table.
+    Seq,
+}
+
+/// The one list of an operator's inputs: calls `$f(input, shape, slot)` for
+/// every input field in order, with the [`Shape`] that input must have and
+/// the name the verifier reports it by.  Over `&Op` the inputs are
+/// `&PlanRef`s, over `&mut Op` they are `&mut PlanRef`s.
+macro_rules! for_each_input {
+    ($op:expr, $f:ident) => {{
+        use Shape::{Loop, Nest, Seq};
+        match $op {
+            Op::LoopOne => {}
+            Op::ConstSeq { loop_, .. } | Op::DocRoot { loop_, .. } => $f(loop_, Loop, "loop"),
+            Op::ExternalVar { loop_, default, .. } => {
+                $f(loop_, Loop, "loop");
+                if let Some(d) = default {
+                    $f(d, Seq, "default");
+                }
+            }
+            Op::NestFromSeq { seq } => $f(seq, Seq, "seq"),
+            Op::NestFromJoin {
+                source,
+                outer_loop,
+                left,
+                right,
+                ..
+            } => {
+                $f(source, Seq, "source");
+                $f(outer_loop, Loop, "outer loop");
+                $f(left, Seq, "left operand");
+                $f(right, Seq, "right operand");
+            }
+            Op::NestLoop { nest } | Op::NestVar { nest } | Op::NestVarPos { nest } => {
+                $f(nest, Nest, "nest")
+            }
+            Op::LiftThrough { seq, nest } => {
+                $f(seq, Seq, "seq");
+                $f(nest, Nest, "nest");
+            }
+            Op::BackMap {
+                body,
+                nest,
+                order_keys,
+            } => {
+                $f(body, Seq, "body");
+                $f(nest, Nest, "nest");
+                for (k, _) in order_keys {
+                    $f(k, Seq, "order key");
+                }
+            }
+            Op::SelectIters { cond, loop_, .. } => {
+                $f(cond, Seq, "condition");
+                $f(loop_, Loop, "loop");
+            }
+            Op::RestrictToIters { seq, iters } => {
+                $f(seq, Seq, "seq");
+                $f(iters, Loop, "iters");
+            }
+            Op::Union { parts } => {
+                for part in parts {
+                    $f(part, Seq, "part");
+                }
+            }
+            Op::AxisStep { ctx, .. } | Op::AttrStep { ctx, .. } => $f(ctx, Seq, "context"),
+            Op::Arith { l, r, .. } | Op::ValueCmp { l, r, .. } => {
+                $f(l, Seq, "left");
+                $f(r, Seq, "right");
+            }
+            Op::Neg { e } => $f(e, Seq, "operand"),
+            Op::GeneralCmp { l, r, loop_, .. } | Op::BoolAndOr { l, r, loop_, .. } => {
+                $f(l, Seq, "left");
+                $f(r, Seq, "right");
+                $f(loop_, Loop, "loop");
+            }
+            Op::BoolNot { e, loop_ } => {
+                $f(e, Seq, "operand");
+                $f(loop_, Loop, "loop");
+            }
+            Op::Ebv {
+                seq,
+                loop_,
+                positions,
+            } => {
+                $f(seq, Seq, "seq");
+                $f(loop_, Loop, "loop");
+                if let Some(p) = positions {
+                    $f(p, Seq, "positions");
+                }
+            }
+            Op::Empty { seq, loop_ }
+            | Op::Aggregate { seq, loop_, .. }
+            | Op::StringValue { seq, loop_ } => {
+                $f(seq, Seq, "seq");
+                $f(loop_, Loop, "loop");
+            }
+            Op::JoinCount { join, loop_ } => {
+                $f(join, Nest, "join");
+                $f(loop_, Loop, "loop");
+            }
+            Op::Atomize { seq }
+            | Op::CastNumber { seq }
+            | Op::DistinctValues { seq }
+            | Op::DocOrderDistinct { seq }
+            | Op::PosFilter { seq, .. }
+            | Op::Subsequence { seq, .. } => $f(seq, Seq, "seq"),
+            Op::StringFn { args, loop_, .. } => {
+                for a in args {
+                    $f(a, Seq, "argument");
+                }
+                $f(loop_, Loop, "loop");
+            }
+            Op::NumFn { arg, .. } => $f(arg, Seq, "argument"),
+            Op::ElemCtor {
+                loop_,
+                attrs,
+                content,
+                ..
+            } => {
+                $f(loop_, Loop, "loop");
+                for (_, a) in attrs {
+                    $f(a, Seq, "attribute value");
+                }
+                for c in content {
+                    $f(c, Seq, "content");
+                }
+            }
+        }
+    }};
+}
+
+impl Op {
+    /// Visit the operator's inputs in order, each with the [`Shape`] it
+    /// must have and its slot name.
+    pub(crate) fn for_each_input(&self, mut f: impl FnMut(&PlanRef, Shape, &'static str)) {
+        for_each_input!(self, f)
+    }
+
+    /// Visit the operator's inputs in order, mutably (to rewrite them in
+    /// place).
+    pub(crate) fn for_each_input_mut(&mut self, mut f: impl FnMut(&mut PlanRef)) {
+        let mut f = |input: &mut PlanRef, _: Shape, _: &'static str| f(input);
+        for_each_input!(self, f)
+    }
+}
+
 impl Plan {
     /// Number of operators in the plan DAG (each shared node counted once) —
     /// the paper reports an average of 86 operators for XMark plans.
@@ -424,9 +577,7 @@ impl Plan {
             if !seen.insert(p.id) {
                 return;
             }
-            for c in p.children() {
-                walk(&c, seen);
-            }
+            p.op.for_each_input(|c, _, _| walk(c, seen));
         }
         walk(self, &mut seen);
         seen.len()
@@ -434,89 +585,9 @@ impl Plan {
 
     /// The children of this plan node (shared references).
     pub fn children(&self) -> Vec<PlanRef> {
-        match &self.op {
-            Op::LoopOne => vec![],
-            Op::ConstSeq { loop_, .. } | Op::DocRoot { loop_, .. } => vec![loop_.clone()],
-            Op::ExternalVar { loop_, default, .. } => {
-                let mut v = vec![loop_.clone()];
-                v.extend(default.iter().cloned());
-                v
-            }
-            Op::NestFromSeq { seq } => vec![seq.clone()],
-            Op::NestFromJoin {
-                source,
-                outer_loop,
-                left,
-                right,
-                ..
-            } => vec![
-                source.clone(),
-                outer_loop.clone(),
-                left.clone(),
-                right.clone(),
-            ],
-            Op::NestLoop { nest } | Op::NestVar { nest } | Op::NestVarPos { nest } => {
-                vec![nest.clone()]
-            }
-            Op::LiftThrough { seq, nest } => vec![seq.clone(), nest.clone()],
-            Op::BackMap {
-                body,
-                nest,
-                order_keys,
-            } => {
-                let mut v = vec![body.clone(), nest.clone()];
-                v.extend(order_keys.iter().map(|(k, _)| k.clone()));
-                v
-            }
-            Op::SelectIters { cond, loop_, .. } => vec![cond.clone(), loop_.clone()],
-            Op::RestrictToIters { seq, iters } => vec![seq.clone(), iters.clone()],
-            Op::Union { parts } => parts.clone(),
-            Op::AxisStep { ctx, .. } => vec![ctx.clone()],
-            Op::AttrStep { ctx, .. } => vec![ctx.clone()],
-            Op::Arith { l, r, .. } | Op::ValueCmp { l, r, .. } => vec![l.clone(), r.clone()],
-            Op::Neg { e } => vec![e.clone()],
-            Op::GeneralCmp { l, r, loop_, .. } | Op::BoolAndOr { l, r, loop_, .. } => {
-                vec![l.clone(), r.clone(), loop_.clone()]
-            }
-            Op::BoolNot { e, loop_ } => vec![e.clone(), loop_.clone()],
-            Op::Ebv {
-                seq,
-                loop_,
-                positions,
-            } => {
-                let mut v = vec![seq.clone(), loop_.clone()];
-                v.extend(positions.iter().cloned());
-                v
-            }
-            Op::Empty { seq, loop_ } | Op::Aggregate { seq, loop_, .. } => {
-                vec![seq.clone(), loop_.clone()]
-            }
-            Op::JoinCount { join, loop_ } => vec![join.clone(), loop_.clone()],
-            Op::Atomize { seq }
-            | Op::CastNumber { seq }
-            | Op::DistinctValues { seq }
-            | Op::DocOrderDistinct { seq }
-            | Op::PosFilter { seq, .. }
-            | Op::Subsequence { seq, .. } => vec![seq.clone()],
-            Op::StringValue { seq, loop_ } => vec![seq.clone(), loop_.clone()],
-            Op::StringFn { args, loop_, .. } => {
-                let mut v = args.clone();
-                v.push(loop_.clone());
-                v
-            }
-            Op::NumFn { arg, .. } => vec![arg.clone()],
-            Op::ElemCtor {
-                loop_,
-                attrs,
-                content,
-                ..
-            } => {
-                let mut v = vec![loop_.clone()];
-                v.extend(attrs.iter().map(|(_, p)| p.clone()));
-                v.extend(content.iter().cloned());
-                v
-            }
-        }
+        let mut v = Vec::new();
+        self.op.for_each_input(|c, _, _| v.push(c.clone()));
+        v
     }
 
     /// Short operator name for debug dumps and plan statistics.
@@ -564,25 +635,35 @@ impl Plan {
     /// Render the DAG as an indented tree (shared nodes are expanded once and
     /// referenced by id afterwards) — useful for `EXPLAIN`-style output.
     pub fn explain(self: &Arc<Self>) -> String {
-        let mut out = String::new();
-        let mut seen = std::collections::HashSet::new();
+        self.explain_with(|_| None)
+    }
+
+    /// Render the DAG like [`Plan::explain`], with `tag(node)` (when it
+    /// returns one) after each expanded node's name.
+    pub(crate) fn explain_with(self: &Arc<Self>, tag: impl Fn(&Plan) -> Option<String>) -> String {
         fn walk(
             p: &PlanRef,
             depth: usize,
+            tag: &dyn Fn(&Plan) -> Option<String>,
             seen: &mut std::collections::HashSet<usize>,
             out: &mut String,
         ) {
             out.push_str(&"  ".repeat(depth));
+            out.push_str(&format!("[{}] {}", p.id, p.op_name()));
             if !seen.insert(p.id) {
-                out.push_str(&format!("[{}] {} (shared)\n", p.id, p.op_name()));
+                out.push_str(" (shared)\n");
                 return;
             }
-            out.push_str(&format!("[{}] {}\n", p.id, p.op_name()));
-            for c in p.children() {
-                walk(&c, depth + 1, seen, out);
+            if let Some(t) = tag(p) {
+                out.push(' ');
+                out.push_str(&t);
             }
+            out.push('\n');
+            p.op.for_each_input(|c, _, _| walk(c, depth + 1, tag, seen, out));
         }
-        walk(self, 0, &mut seen, &mut out);
+        let mut out = String::new();
+        let mut seen = std::collections::HashSet::new();
+        walk(self, 0, &tag, &mut seen, &mut out);
         out
     }
 }

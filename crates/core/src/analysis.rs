@@ -4,18 +4,16 @@
 //! Order and position numbering need no inference: every operator emits its
 //! table sorted on `[iter, pos]` with positions `1..k` per iteration (the
 //! convention documented on [`Op`]).  This module derives the properties that
-//! do vary bottom-up over the finished DAG — per-iteration
-//! duplicate-freeness, document order, at-most-one-item cardinality,
-//! constant columns, the source document of a node column and the
-//! dictionary a string column's codes come from — and puts it to work three
-//! ways:
+//! do vary bottom-up over the finished DAG — the table shape,
+//! at-most-one-item cardinality, per-iteration duplicate-freeness, document
+//! order and the item kind — and puts them to work three ways:
 //!
-//! * [`verify`] checks the structural preconditions of every operator (loop
-//!   relations where loops are expected, nest maps where nest maps are
-//!   expected, node sequences under the document-order δ) and that plan ids
-//!   are unique, so a broken rewrite or compiler bug surfaces at `prepare()`
-//!   time as [`crate::Error::PlanInvariant`] instead of as a silently wrong
-//!   answer;
+//! * [`verify`] checks the structural preconditions of every operator (each
+//!   input has the [`Shape`] that `Op::for_each_input` lists for it, node
+//!   sequences under the document-order δ and the path steps) and that plan
+//!   ids are unique, so a broken rewrite or compiler bug surfaces at
+//!   `prepare()` time as [`crate::Error::PlanInvariant`] instead of as a
+//!   silently wrong answer;
 //! * [`simplify`] removes operators the properties prove redundant (a
 //!   `docorder-δ` whose input is already in document order and duplicate
 //!   free, a `distinct` over at-most-one-item iterations) and fuses `count`
@@ -36,22 +34,11 @@ use std::sync::Arc;
 use mxq_engine::agg::AggFunc;
 use mxq_engine::{Item, Table};
 
-use crate::algebra::{ConstItems, Op, Plan, PlanRef};
+use crate::algebra::{ConstItems, Op, Plan, PlanRef, Shape};
 
 // ---------------------------------------------------------------------------
 // the inferred property set
 // ---------------------------------------------------------------------------
-
-/// Table shape of an operator's output.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Shape {
-    /// Unary `iter` loop relation.
-    Loop,
-    /// `outer|inner|pos|item` nest map.
-    Nest,
-    /// `iter|pos|item` sequence table.
-    Seq,
-}
 
 /// What the `item` column of a sequence can hold.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,28 +61,10 @@ impl ItemKind {
     }
 }
 
-/// Provenance of a dictionary-encoded string column: which shared dictionary
-/// its codes resolve against.  Two columns with the same origin are backed by
-/// the same [`mxq_engine::Dictionary`] instance at runtime, so an equi-join
-/// between them runs code-to-code.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DictOrigin {
-    /// The attribute-value dictionary of the named loaded document.
-    AttrValues(String),
-}
-
-impl fmt::Display for DictOrigin {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            DictOrigin::AttrValues(doc) => write!(f, "attr-values({doc})"),
-        }
-    }
-}
-
 /// The properties inferred for one plan node.  Every `true` is a guarantee
 /// (checked at runtime under `MXQ_VALIDATE_PLANS=1`); `false` means
 /// "not proven", never "proven false".
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct NodeProps {
     /// Output table shape.
     pub shape: Shape,
@@ -109,12 +78,6 @@ pub struct NodeProps {
     pub item_doc_order: bool,
     /// What the `item` column can hold.
     pub item_kind: ItemKind,
-    /// The literal items every iteration repeats (constant columns).
-    pub const_items: Option<Vec<Item>>,
-    /// Every node item provably belongs to this loaded document.
-    pub source_doc: Option<String>,
-    /// The dictionary the item column's codes provably come from.
-    pub dict: Option<DictOrigin>,
 }
 
 impl NodeProps {
@@ -126,9 +89,6 @@ impl NodeProps {
             dup_free_iter: true,
             item_doc_order: true,
             item_kind: ItemKind::Mixed,
-            const_items: None,
-            source_doc: None,
-            dict: None,
         }
     }
 
@@ -141,65 +101,44 @@ impl NodeProps {
             dup_free_iter: true,
             item_doc_order: true,
             item_kind: ItemKind::Atomic,
-            const_items: None,
-            source_doc: None,
-            dict: None,
         }
     }
 
     /// Greatest lower bound of two property sets (used when an operator can
     /// produce either of two tables, e.g. an external variable falling back
     /// to its declared default).
-    fn meet(&self, other: &NodeProps) -> NodeProps {
+    fn meet(self, other: NodeProps) -> NodeProps {
         NodeProps {
             shape: self.shape,
             max_one_per_iter: self.max_one_per_iter && other.max_one_per_iter,
             dup_free_iter: self.dup_free_iter && other.dup_free_iter,
             item_doc_order: self.item_doc_order && other.item_doc_order,
             item_kind: self.item_kind.join(other.item_kind),
-            const_items: None,
-            source_doc: match (&self.source_doc, &other.source_doc) {
-                (Some(a), Some(b)) if a == b => Some(a.clone()),
-                _ => None,
-            },
-            dict: match (&self.dict, &other.dict) {
-                (Some(a), Some(b)) if a == b => Some(a.clone()),
-                _ => None,
-            },
         }
     }
 
     /// Compact annotation used by [`explain_annotated`].
     pub fn annotation(&self) -> String {
-        let mut tags: Vec<String> = Vec::new();
+        let mut tags = Vec::new();
         match self.shape {
-            Shape::Loop => tags.push("loop".into()),
-            Shape::Nest => tags.push("nest".into()),
+            Shape::Loop => tags.push("loop"),
+            Shape::Nest => tags.push("nest"),
             Shape::Seq => {
                 if self.max_one_per_iter {
-                    tags.push("max1".into());
+                    tags.push("max1");
                 }
                 match self.item_kind {
                     ItemKind::Nodes => {
-                        tags.push("nodes".into());
+                        tags.push("nodes");
                         if self.dup_free_iter {
-                            tags.push("dup-free".into());
+                            tags.push("dup-free");
                         }
                         if self.item_doc_order {
-                            tags.push("doc-order".into());
+                            tags.push("doc-order");
                         }
                     }
-                    ItemKind::Atomic => tags.push("atomic".into()),
+                    ItemKind::Atomic => tags.push("atomic"),
                     ItemKind::Mixed => {}
-                }
-                if self.const_items.is_some() {
-                    tags.push("const".into());
-                }
-                if let Some(doc) = &self.source_doc {
-                    tags.push(format!("doc={doc}"));
-                }
-                if let Some(d) = &self.dict {
-                    tags.push(format!("dict={d}"));
                 }
             }
         }
@@ -264,16 +203,6 @@ impl Analysis {
         self.props.get(&id)
     }
 
-    /// Number of analysed nodes.
-    pub fn len(&self) -> usize {
-        self.props.len()
-    }
-
-    /// True when no nodes were analysed.
-    pub fn is_empty(&self) -> bool {
-        self.props.is_empty()
-    }
-
     /// Analyse another root into this map (used when one execution evaluates
     /// several plans sharing an id space, e.g. update statements).
     pub fn extend_with(&mut self, root: &PlanRef) {
@@ -292,16 +221,14 @@ fn analyze_into(root: &PlanRef, out: &mut HashMap<usize, NodeProps>) {
     if out.contains_key(&root.id) {
         return;
     }
-    for c in root.children() {
-        analyze_into(&c, out);
-    }
+    root.op.for_each_input(|c, _, _| analyze_into(c, out));
     let props = infer_node(&root.op, out);
     out.insert(root.id, props);
 }
 
 /// Per-operator inference.  `env` holds the already-inferred children.
 fn infer_node(op: &Op, env: &HashMap<usize, NodeProps>) -> NodeProps {
-    let p = |r: &PlanRef| &env[&r.id];
+    let p = |r: &PlanRef| env[&r.id];
     match op {
         Op::LoopOne | Op::NestLoop { .. } | Op::SelectIters { .. } => NodeProps::loop_shape(),
 
@@ -316,9 +243,6 @@ fn infer_node(op: &Op, env: &HashMap<usize, NodeProps>) -> NodeProps {
                 dup_free_iter: pairwise_distinct(items),
                 item_doc_order: items.len() <= 1 || kind == ItemKind::Atomic,
                 item_kind: kind,
-                const_items: Some(items.clone()),
-                source_doc: None,
-                dict: None,
             }
         }
         // a lifted literal: typed exactly like the single literal it came
@@ -328,15 +252,9 @@ fn infer_node(op: &Op, env: &HashMap<usize, NodeProps>) -> NodeProps {
             ..
         } => NodeProps::scalar(),
 
-        Op::DocRoot { name, .. } => NodeProps {
-            shape: Shape::Seq,
-            max_one_per_iter: true,
-            dup_free_iter: true,
-            item_doc_order: true,
+        Op::DocRoot { .. } => NodeProps {
             item_kind: ItemKind::Nodes,
-            const_items: None,
-            source_doc: Some(name.clone()),
-            dict: None,
+            ..NodeProps::scalar()
         },
 
         Op::ExternalVar { default, .. } => {
@@ -347,9 +265,6 @@ fn infer_node(op: &Op, env: &HashMap<usize, NodeProps>) -> NodeProps {
                 dup_free_iter: false,
                 item_doc_order: false,
                 item_kind: ItemKind::Mixed,
-                const_items: None,
-                source_doc: None,
-                dict: None,
             };
             match default {
                 // unbound executions return the default's table verbatim
@@ -358,62 +273,38 @@ fn infer_node(op: &Op, env: &HashMap<usize, NodeProps>) -> NodeProps {
             }
         }
 
-        Op::NestFromSeq { seq } => {
-            let s = p(seq);
-            NodeProps {
-                shape: Shape::Nest,
-                // at most one *inner iteration per outer iteration* — the
-                // cardinality BackMap needs to inherit its body's order
-                max_one_per_iter: s.max_one_per_iter,
-                dup_free_iter: false,
-                item_doc_order: false,
-                item_kind: s.item_kind,
-                const_items: None,
-                source_doc: s.source_doc.clone(),
-                dict: None,
-            }
-        }
+        // at most one *inner iteration per outer iteration* — the
+        // cardinality BackMap needs to inherit its body's order
+        Op::NestFromSeq { seq } => NodeProps {
+            shape: Shape::Nest,
+            max_one_per_iter: p(seq).max_one_per_iter,
+            dup_free_iter: false,
+            item_doc_order: false,
+            item_kind: p(seq).item_kind,
+        },
 
-        Op::NestFromJoin { source, .. } => {
-            let s = p(source);
-            NodeProps {
-                shape: Shape::Nest,
-                max_one_per_iter: false,
-                dup_free_iter: false,
-                item_doc_order: false,
-                item_kind: s.item_kind,
-                const_items: None,
-                source_doc: s.source_doc.clone(),
-                dict: None,
-            }
-        }
+        Op::NestFromJoin { source, .. } => NodeProps {
+            shape: Shape::Nest,
+            max_one_per_iter: false,
+            dup_free_iter: false,
+            item_doc_order: false,
+            item_kind: p(source).item_kind,
+        },
 
-        Op::NestVar { nest } => {
-            let n = p(nest);
-            NodeProps {
-                shape: Shape::Seq,
-                max_one_per_iter: true,
-                dup_free_iter: true,
-                item_doc_order: true,
-                item_kind: n.item_kind,
-                const_items: None,
-                source_doc: n.source_doc.clone(),
-                dict: None,
-            }
-        }
+        Op::NestVar { nest } => NodeProps {
+            item_kind: p(nest).item_kind,
+            ..NodeProps::scalar()
+        },
 
         Op::NestVarPos { .. } => NodeProps::scalar(),
 
-        Op::LiftThrough { seq, .. } => {
-            // each inner iteration receives a verbatim copy of its outer
-            // iteration's rows, emitted in (inner, pos) order
-            let s = p(seq);
-            NodeProps {
-                shape: Shape::Seq,
-                dict: None, // the copy re-materialises the item column
-                ..s.clone()
-            }
-        }
+        // each inner iteration receives a verbatim copy of its outer
+        // iteration's rows, emitted in (inner, pos) order; ⋉ drops whole
+        // iterations and leaves the surviving ones untouched
+        Op::LiftThrough { seq, .. } | Op::RestrictToIters { seq, .. } => NodeProps {
+            shape: Shape::Seq,
+            ..p(seq)
+        },
 
         Op::BackMap {
             body,
@@ -432,28 +323,14 @@ fn infer_node(op: &Op, env: &HashMap<usize, NodeProps>) -> NodeProps {
                 dup_free_iter: single_group && b.dup_free_iter,
                 item_doc_order: single_group && b.item_doc_order,
                 item_kind: b.item_kind,
-                const_items: None,
-                source_doc: b.source_doc.clone(),
-                dict: None,
-            }
-        }
-
-        Op::RestrictToIters { seq, .. } => {
-            // whole iterations are dropped; surviving ones are untouched (the
-            // row filter preserves order and the column encoding)
-            NodeProps {
-                shape: Shape::Seq,
-                ..p(seq).clone()
             }
         }
 
         Op::Union { parts } => {
             if let [part] = parts.as_slice() {
-                let q = p(part);
                 return NodeProps {
                     shape: Shape::Seq,
-                    dict: None,
-                    ..q.clone()
+                    ..p(part)
                 };
             }
             let kinds = parts
@@ -461,63 +338,29 @@ fn infer_node(op: &Op, env: &HashMap<usize, NodeProps>) -> NodeProps {
                 .map(|q| p(q).item_kind)
                 .reduce(ItemKind::join)
                 .unwrap_or(ItemKind::Mixed);
-            let source = parts
-                .iter()
-                .map(|q| p(q).source_doc.clone())
-                .reduce(|a, b| if a == b { a } else { None })
-                .flatten();
             NodeProps {
                 shape: Shape::Seq,
                 max_one_per_iter: false,
                 dup_free_iter: kinds == ItemKind::Atomic,
                 item_doc_order: kinds == ItemKind::Atomic,
                 item_kind: kinds,
-                const_items: None,
-                source_doc: if kinds == ItemKind::Nodes {
-                    source
-                } else {
-                    None
-                },
-                dict: None,
             }
         }
 
-        Op::AxisStep { ctx, .. } => NodeProps {
-            // the staircase join result is deduplicated per iteration and the
-            // executor orders it by (iter, node): document order, duplicate
-            // free
-            shape: Shape::Seq,
+        // the staircase join result is deduplicated per iteration and the
+        // executor orders it by (iter, node): document order, duplicate free
+        Op::AxisStep { .. } => NodeProps {
             max_one_per_iter: false,
-            dup_free_iter: true,
-            item_doc_order: true,
             item_kind: ItemKind::Nodes,
-            const_items: None,
-            source_doc: p(ctx).source_doc.clone(),
-            dict: None,
+            ..NodeProps::scalar()
         },
 
-        Op::AttrStep { ctx, name } => {
-            let c = p(ctx);
-            // one named attribute per element: a single-node context yields
-            // at most one row per iteration
-            let single = c.max_one_per_iter && name.is_some();
-            NodeProps {
-                shape: Shape::Seq,
-                max_one_per_iter: single,
-                dup_free_iter: true, // holds no nodes
-                item_doc_order: true,
-                item_kind: ItemKind::Atomic,
-                const_items: None,
-                source_doc: None,
-                // context nodes of one loaded document read their attribute
-                // values as codes into that document's value dictionary
-                dict: c
-                    .source_doc
-                    .clone()
-                    .filter(|_| c.item_kind == ItemKind::Nodes)
-                    .map(DictOrigin::AttrValues),
-            }
-        }
+        // one named attribute per element: a single-node context yields at
+        // most one row per iteration
+        Op::AttrStep { ctx, name } => NodeProps {
+            max_one_per_iter: p(ctx).max_one_per_iter && name.is_some(),
+            ..NodeProps::scalar()
+        },
 
         Op::Arith { .. }
         | Op::ValueCmp { .. }
@@ -539,37 +382,18 @@ fn infer_node(op: &Op, env: &HashMap<usize, NodeProps>) -> NodeProps {
             ..NodeProps::scalar()
         },
 
-        Op::Atomize { seq } => {
-            let s = p(seq);
-            NodeProps {
-                max_one_per_iter: s.max_one_per_iter,
-                // distinct nodes may atomise to equal strings
-                dup_free_iter: s.max_one_per_iter,
-                const_items: if s.item_kind == ItemKind::Atomic {
-                    s.const_items.clone()
-                } else {
-                    None
-                },
-                // a dictionary-encoded column is already atomic and passes
-                // through unchanged, codes and all
-                dict: s.dict.clone(),
-                ..NodeProps::scalar()
-            }
-        }
+        Op::Atomize { seq } => NodeProps {
+            max_one_per_iter: p(seq).max_one_per_iter,
+            // distinct nodes may atomise to equal strings
+            dup_free_iter: p(seq).max_one_per_iter,
+            ..NodeProps::scalar()
+        },
 
-        Op::DocOrderDistinct { seq } => {
-            let s = p(seq);
-            NodeProps {
-                shape: Shape::Seq,
-                max_one_per_iter: s.max_one_per_iter,
-                dup_free_iter: true,
-                item_doc_order: true,
-                item_kind: s.item_kind,
-                const_items: None,
-                source_doc: s.source_doc.clone(),
-                dict: None,
-            }
-        }
+        Op::DocOrderDistinct { seq } => NodeProps {
+            max_one_per_iter: p(seq).max_one_per_iter,
+            item_kind: p(seq).item_kind,
+            ..NodeProps::scalar()
+        },
 
         // positions are unique per iteration, so a positional pick keeps at
         // most one row
@@ -577,8 +401,7 @@ fn infer_node(op: &Op, env: &HashMap<usize, NodeProps>) -> NodeProps {
             shape: Shape::Seq,
             max_one_per_iter: true,
             dup_free_iter: true,
-            const_items: None,
-            ..p(seq).clone()
+            ..p(seq)
         },
 
         Op::Subsequence { seq, len, .. } => {
@@ -588,22 +411,13 @@ fn infer_node(op: &Op, env: &HashMap<usize, NodeProps>) -> NodeProps {
                 shape: Shape::Seq,
                 max_one_per_iter: max_one,
                 dup_free_iter: s.dup_free_iter || max_one,
-                const_items: None,
-                ..s.clone()
+                ..s
             }
         }
 
         Op::ElemCtor { .. } => NodeProps {
-            shape: Shape::Seq,
-            max_one_per_iter: true,
-            dup_free_iter: true,
-            item_doc_order: true,
             item_kind: ItemKind::Nodes,
-            const_items: None,
-            // constructed nodes live in the transient container, not in a
-            // loaded document
-            source_doc: None,
-            dict: None,
+            ..NodeProps::scalar()
         },
     }
 }
@@ -634,12 +448,12 @@ impl std::error::Error for PlanViolation {}
 
 /// Verify the structural preconditions of every operator in the DAG.
 ///
-/// Checked invariants: every `loop_` input is a loop relation, every `nest`
-/// input is a nest map, every sequence input is a sequence; the
-/// document-order δ and the axis steps consume sequences that can actually
-/// hold nodes; literal sequences hold no node references; plan ids are
-/// unique across the DAG (distinct nodes sharing an id would corrupt the
-/// executor's memo table).
+/// Checked invariants: every input has the [`Shape`] the operator's input
+/// list gives it (a loop relation, a nest map or a sequence); the
+/// document-order δ and the path steps consume sequences that can actually
+/// hold nodes; literal sequences hold no node references; `count(⋈)` reads
+/// a recognised join; plan ids are unique across the DAG (distinct nodes
+/// sharing an id would corrupt the executor's memo table).
 pub fn verify(root: &PlanRef, analysis: &Analysis) -> Result<(), PlanViolation> {
     let mut ids: HashMap<usize, *const Plan> = HashMap::new();
     verify_node(root, analysis, &mut ids)
@@ -673,163 +487,45 @@ fn verify_node(
         op: p.op_name(),
         message,
     };
-    let shape_of = |r: &PlanRef| analysis.props(r.id).shape;
-    let expect = |r: &PlanRef, want: Shape, slot: &str| -> Result<(), PlanViolation> {
-        let got = shape_of(r);
-        if got == want {
-            Ok(())
-        } else {
-            Err(violation(format!(
+    let mut misshapen = None;
+    p.op.for_each_input(|input, want, slot| {
+        let got = analysis.props(input.id).shape;
+        if got != want && misshapen.is_none() {
+            misshapen = Some(format!(
                 "{slot} input [{}] has shape {got:?}, expected {want:?}",
-                r.id
-            )))
+                input.id
+            ));
         }
-    };
+    });
+    if let Some(message) = misshapen {
+        return Err(violation(message));
+    }
 
-    use Shape::{Loop, Nest, Seq};
+    let node_free = |r: &PlanRef| analysis.props(r.id).item_kind == ItemKind::Atomic;
     match &p.op {
-        Op::LoopOne => {}
-        Op::ConstSeq { loop_, items } => {
-            expect(loop_, Loop, "loop")?;
-            if matches!(items, ConstItems::Inline(items) if items.iter().any(Item::is_node)) {
-                return Err(violation("literal sequence holds a node reference".into()));
-            }
+        Op::ConstSeq {
+            items: ConstItems::Inline(items),
+            ..
+        } if items.iter().any(Item::is_node) => {
+            Err(violation("literal sequence holds a node reference".into()))
         }
         // count(⋈) reads the operands of a recognised join, never a
         // computed nest map
         Op::JoinCount { join, .. } if !matches!(join.op, Op::NestFromJoin { .. }) => {
-            return Err(violation(format!(
+            Err(violation(format!(
                 "join input [{}] is {}, not a recognised join",
                 join.id,
                 join.op_name()
-            )));
+            )))
         }
-        Op::DocRoot { loop_, .. } | Op::JoinCount { loop_, .. } => expect(loop_, Loop, "loop")?,
-        Op::ExternalVar { loop_, default, .. } => {
-            expect(loop_, Loop, "loop")?;
-            if let Some(d) = default {
-                expect(d, Seq, "default")?;
-            }
-        }
-        Op::NestFromSeq { seq } => expect(seq, Seq, "seq")?,
-        Op::NestFromJoin {
-            source,
-            outer_loop,
-            left,
-            right,
-            ..
-        } => {
-            expect(source, Seq, "source")?;
-            expect(outer_loop, Loop, "outer loop")?;
-            expect(left, Seq, "left operand")?;
-            expect(right, Seq, "right operand")?;
-        }
-        Op::NestLoop { nest } | Op::NestVar { nest } | Op::NestVarPos { nest } => {
-            expect(nest, Nest, "nest")?
-        }
-        Op::LiftThrough { seq, nest } => {
-            expect(seq, Seq, "seq")?;
-            expect(nest, Nest, "nest")?;
-        }
-        Op::BackMap {
-            body,
-            nest,
-            order_keys,
-        } => {
-            expect(body, Seq, "body")?;
-            expect(nest, Nest, "nest")?;
-            for (k, _) in order_keys {
-                expect(k, Seq, "order key")?;
-            }
-        }
-        Op::SelectIters { cond, loop_, .. } => {
-            expect(cond, Seq, "condition")?;
-            expect(loop_, Loop, "loop")?;
-        }
-        Op::RestrictToIters { seq, iters } => {
-            expect(seq, Seq, "seq")?;
-            expect(iters, Loop, "iters")?;
-        }
-        Op::Union { parts } => {
-            for part in parts {
-                expect(part, Seq, "part")?;
-            }
-        }
-        Op::AxisStep { ctx, .. } | Op::AttrStep { ctx, .. } => {
-            expect(ctx, Seq, "context")?;
-            if analysis.props(ctx.id).item_kind == ItemKind::Atomic {
-                return Err(violation(
-                    "path step over a provably node-free sequence (XPTY0019)".into(),
-                ));
-            }
-        }
-        Op::Arith { l, r, .. } | Op::ValueCmp { l, r, .. } => {
-            expect(l, Seq, "left")?;
-            expect(r, Seq, "right")?;
-        }
-        Op::Neg { e } => expect(e, Seq, "operand")?,
-        Op::GeneralCmp { l, r, loop_, .. } | Op::BoolAndOr { l, r, loop_, .. } => {
-            expect(l, Seq, "left")?;
-            expect(r, Seq, "right")?;
-            expect(loop_, Loop, "loop")?;
-        }
-        Op::BoolNot { e, loop_ } => {
-            expect(e, Seq, "operand")?;
-            expect(loop_, Loop, "loop")?;
-        }
-        Op::Ebv {
-            seq,
-            loop_,
-            positions,
-        } => {
-            expect(seq, Seq, "seq")?;
-            expect(loop_, Loop, "loop")?;
-            if let Some(p) = positions {
-                expect(p, Seq, "positions")?;
-            }
-        }
-        Op::Empty { seq, loop_ }
-        | Op::Aggregate { seq, loop_, .. }
-        | Op::StringValue { seq, loop_ } => {
-            expect(seq, Seq, "seq")?;
-            expect(loop_, Loop, "loop")?;
-        }
-        Op::Atomize { seq }
-        | Op::CastNumber { seq }
-        | Op::DistinctValues { seq }
-        | Op::PosFilter { seq, .. }
-        | Op::Subsequence { seq, .. } => expect(seq, Seq, "seq")?,
-        Op::DocOrderDistinct { seq } => {
-            expect(seq, Seq, "seq")?;
-            if analysis.props(seq.id).item_kind == ItemKind::Atomic {
-                return Err(violation(
-                    "document-order δ over a provably node-free sequence".into(),
-                ));
-            }
-        }
-        Op::StringFn { args, loop_, .. } => {
-            for a in args {
-                expect(a, Seq, "argument")?;
-            }
-            expect(loop_, Loop, "loop")?;
-        }
-        Op::NumFn { arg, .. } => expect(arg, Seq, "argument")?,
-        Op::ElemCtor {
-            loop_,
-            attrs,
-            content,
-            ..
-        } => {
-            expect(loop_, Loop, "loop")?;
-            for (_, a) in attrs {
-                expect(a, Seq, "attribute value")?;
-            }
-            for c in content {
-                expect(c, Seq, "content")?;
-            }
-        }
+        Op::AxisStep { ctx, .. } | Op::AttrStep { ctx, .. } if node_free(ctx) => Err(violation(
+            "path step over a provably node-free sequence (XPTY0019)".into(),
+        )),
+        Op::DocOrderDistinct { seq } if node_free(seq) => Err(violation(
+            "document-order δ over a provably node-free sequence".into(),
+        )),
+        _ => Ok(()),
     }
-    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -888,9 +584,7 @@ pub fn simplify(root: &PlanRef, analysis: &Analysis) -> Simplified {
             return;
         }
         *max_id = (*max_id).max(p.id);
-        for c in p.children() {
-            walk_max(&c, seen, max_id);
-        }
+        p.op.for_each_input(|c, _, _| walk_max(c, seen, max_id));
     }
     walk_max(root, &mut HashMap::new(), &mut max_id);
 
@@ -966,9 +660,17 @@ impl Simplifier<'_> {
         }
 
         // -- generic rebuild with rewritten children ------------------------
-        match self.rebuild_op(p) {
-            Some(op) => Arc::new(Plan { id: p.id, op }),
-            None => p.clone(),
+        let mut op = p.op.clone();
+        let mut changed = false;
+        op.for_each_input_mut(|input| {
+            let rewritten = self.rewrite(input);
+            changed |= !Arc::ptr_eq(input, &rewritten);
+            *input = rewritten;
+        });
+        if changed {
+            Arc::new(Plan { id: p.id, op })
+        } else {
+            p.clone()
         }
     }
 
@@ -1034,196 +736,6 @@ impl Simplifier<'_> {
         };
         Some(self.replacement(op))
     }
-
-    /// Rebuild the operator with rewritten children; `None` when every child
-    /// rewrote to itself (pointer-identical).
-    fn rebuild_op(&mut self, p: &PlanRef) -> Option<Op> {
-        let before: Vec<PlanRef> = p.children();
-        let after: Vec<PlanRef> = before.iter().map(|c| self.rewrite(c)).collect();
-        if before.iter().zip(&after).all(|(a, b)| Arc::ptr_eq(a, b)) {
-            return None;
-        }
-        Some(self.rebuild_with(p))
-    }
-
-    fn rebuild_with(&mut self, p: &PlanRef) -> Op {
-        let rw = |s: &mut Self, r: &PlanRef| s.rewrite(r);
-        match &p.op {
-            Op::LoopOne => Op::LoopOne,
-            Op::ConstSeq { loop_, items } => Op::ConstSeq {
-                loop_: rw(self, loop_),
-                items: items.clone(),
-            },
-            Op::DocRoot { loop_, name } => Op::DocRoot {
-                loop_: rw(self, loop_),
-                name: name.clone(),
-            },
-            Op::ExternalVar {
-                loop_,
-                name,
-                default,
-            } => Op::ExternalVar {
-                loop_: rw(self, loop_),
-                name: name.clone(),
-                default: default.as_ref().map(|d| rw(self, d)),
-            },
-            Op::NestFromSeq { seq } => Op::NestFromSeq { seq: rw(self, seq) },
-            Op::NestFromJoin {
-                source,
-                outer_loop,
-                left,
-                right,
-                op,
-            } => Op::NestFromJoin {
-                source: rw(self, source),
-                outer_loop: rw(self, outer_loop),
-                left: rw(self, left),
-                right: rw(self, right),
-                op: *op,
-            },
-            Op::NestLoop { nest } => Op::NestLoop {
-                nest: rw(self, nest),
-            },
-            Op::NestVar { nest } => Op::NestVar {
-                nest: rw(self, nest),
-            },
-            Op::NestVarPos { nest } => Op::NestVarPos {
-                nest: rw(self, nest),
-            },
-            Op::LiftThrough { seq, nest } => Op::LiftThrough {
-                seq: rw(self, seq),
-                nest: rw(self, nest),
-            },
-            Op::BackMap {
-                body,
-                nest,
-                order_keys,
-            } => Op::BackMap {
-                body: rw(self, body),
-                nest: rw(self, nest),
-                order_keys: order_keys.iter().map(|(k, d)| (rw(self, k), *d)).collect(),
-            },
-            Op::SelectIters {
-                cond,
-                loop_,
-                negate,
-            } => Op::SelectIters {
-                cond: rw(self, cond),
-                loop_: rw(self, loop_),
-                negate: *negate,
-            },
-            Op::RestrictToIters { seq, iters } => Op::RestrictToIters {
-                seq: rw(self, seq),
-                iters: rw(self, iters),
-            },
-            Op::Union { parts } => Op::Union {
-                parts: parts.iter().map(|q| rw(self, q)).collect(),
-            },
-            Op::AxisStep { ctx, axis, test } => Op::AxisStep {
-                ctx: rw(self, ctx),
-                axis: *axis,
-                test: test.clone(),
-            },
-            Op::AttrStep { ctx, name } => Op::AttrStep {
-                ctx: rw(self, ctx),
-                name: name.clone(),
-            },
-            Op::Arith { op, l, r } => Op::Arith {
-                op: *op,
-                l: rw(self, l),
-                r: rw(self, r),
-            },
-            Op::Neg { e } => Op::Neg { e: rw(self, e) },
-            Op::ValueCmp { op, l, r } => Op::ValueCmp {
-                op: *op,
-                l: rw(self, l),
-                r: rw(self, r),
-            },
-            Op::GeneralCmp { op, l, r, loop_ } => Op::GeneralCmp {
-                op: *op,
-                l: rw(self, l),
-                r: rw(self, r),
-                loop_: rw(self, loop_),
-            },
-            Op::BoolAndOr {
-                is_and,
-                l,
-                r,
-                loop_,
-            } => Op::BoolAndOr {
-                is_and: *is_and,
-                l: rw(self, l),
-                r: rw(self, r),
-                loop_: rw(self, loop_),
-            },
-            Op::BoolNot { e, loop_ } => Op::BoolNot {
-                e: rw(self, e),
-                loop_: rw(self, loop_),
-            },
-            Op::Ebv {
-                seq,
-                loop_,
-                positions,
-            } => Op::Ebv {
-                seq: rw(self, seq),
-                loop_: rw(self, loop_),
-                positions: positions.as_ref().map(|p| rw(self, p)),
-            },
-            Op::Empty { seq, loop_ } => Op::Empty {
-                seq: rw(self, seq),
-                loop_: rw(self, loop_),
-            },
-            Op::Aggregate { func, seq, loop_ } => Op::Aggregate {
-                func: *func,
-                seq: rw(self, seq),
-                loop_: rw(self, loop_),
-            },
-            Op::JoinCount { join, loop_ } => Op::JoinCount {
-                join: rw(self, join),
-                loop_: rw(self, loop_),
-            },
-            Op::Atomize { seq } => Op::Atomize { seq: rw(self, seq) },
-            Op::StringValue { seq, loop_ } => Op::StringValue {
-                seq: rw(self, seq),
-                loop_: rw(self, loop_),
-            },
-            Op::CastNumber { seq } => Op::CastNumber { seq: rw(self, seq) },
-            Op::StringFn { kind, args, loop_ } => Op::StringFn {
-                kind: *kind,
-                args: args.iter().map(|a| rw(self, a)).collect(),
-                loop_: rw(self, loop_),
-            },
-            Op::NumFn { kind, arg } => Op::NumFn {
-                kind: *kind,
-                arg: rw(self, arg),
-            },
-            Op::DistinctValues { seq } => Op::DistinctValues { seq: rw(self, seq) },
-            Op::DocOrderDistinct { seq } => Op::DocOrderDistinct { seq: rw(self, seq) },
-            Op::PosFilter { seq, kind } => Op::PosFilter {
-                seq: rw(self, seq),
-                kind: *kind,
-            },
-            Op::Subsequence { seq, start, len } => Op::Subsequence {
-                seq: rw(self, seq),
-                start: *start,
-                len: *len,
-            },
-            Op::ElemCtor {
-                loop_,
-                name,
-                attrs,
-                content,
-            } => Op::ElemCtor {
-                loop_: rw(self, loop_),
-                name: name.clone(),
-                attrs: attrs
-                    .iter()
-                    .map(|(n, a)| (n.clone(), rw(self, a)))
-                    .collect(),
-                content: content.iter().map(|c| rw(self, c)).collect(),
-            },
-        }
-    }
 }
 
 /// The recognised join whose `for` variable `seq` back-maps, unchanged:
@@ -1251,8 +763,8 @@ fn returned_join_var(seq: &PlanRef) -> Option<&PlanRef> {
 /// Loop relations must ascend strictly on `iter`; nest maps are skipped
 /// (their invariants are structural); sequence tables must be sorted on
 /// `[iter, pos]` with positions `1..k` per iteration, and are checked for
-/// cardinality, item kind, per-iteration duplicate freedom, document order,
-/// constant columns and dictionary encoding.
+/// cardinality, item kind, per-iteration duplicate freedom and document
+/// order.
 pub fn validate_table(props: &NodeProps, t: &Table) -> Result<(), String> {
     match props.shape {
         Shape::Nest => return Ok(()),
@@ -1328,20 +840,6 @@ pub fn validate_table(props: &NodeProps, t: &Table) -> Result<(), String> {
             }
         }
     }
-    if let Some(want) = &props.const_items {
-        for (it, rows) in &runs {
-            if rows.len() != want.len()
-                || rows.iter().zip(want).any(|(got, w)| !items_equal(got, w))
-            {
-                return Err(format!(
-                    "iteration {it} does not repeat the claimed constant sequence"
-                ));
-            }
-        }
-    }
-    if props.dict.is_some() && t.nrows() > 0 && item.dict_parts().is_none() {
-        return Err("claimed dictionary-encoded column is not dictionary-encoded".into());
-    }
     Ok(())
 }
 
@@ -1352,31 +850,7 @@ pub fn validate_table(props: &NodeProps, t: &Table) -> Result<(), String> {
 /// Render the DAG like [`Plan::explain`], annotating every node with its
 /// inferred properties.  Shared nodes are expanded once.
 pub fn explain_annotated(root: &PlanRef, analysis: &Analysis) -> String {
-    let mut out = String::new();
-    let mut seen = std::collections::HashSet::new();
-    fn walk(
-        p: &PlanRef,
-        depth: usize,
-        analysis: &Analysis,
-        seen: &mut std::collections::HashSet<usize>,
-        out: &mut String,
-    ) {
-        out.push_str(&"  ".repeat(depth));
-        if !seen.insert(p.id) {
-            out.push_str(&format!("[{}] {} (shared)\n", p.id, p.op_name()));
-            return;
-        }
-        let ann = analysis
-            .get(p.id)
-            .map(|np| np.annotation())
-            .unwrap_or_default();
-        out.push_str(&format!("[{}] {} {}\n", p.id, p.op_name(), ann));
-        for c in p.children() {
-            walk(&c, depth + 1, analysis, seen, out);
-        }
-    }
-    walk(root, 0, analysis, &mut seen, &mut out);
-    out
+    root.explain_with(|p| analysis.get(p.id).map(NodeProps::annotation))
 }
 
 #[cfg(test)]
@@ -1400,7 +874,6 @@ mod tests {
         let p = a.props(plan.id);
         assert_eq!(p.item_kind, ItemKind::Atomic);
         assert!(p.max_one_per_iter);
-        assert!(matches!(p.const_items.as_deref(), Some([Item::Int(3)])));
 
         // lifted into a parameter slot, the literal keeps every fact but
         // its (now per-execution) value
@@ -1416,15 +889,13 @@ mod tests {
         let s = s.props(slotted.id);
         assert_eq!(s.item_kind, ItemKind::Atomic);
         assert!(s.max_one_per_iter && s.dup_free_iter);
-        assert!(s.const_items.is_none());
 
         // sequence construction unions singleton constants: still atomic,
-        // but no longer a single constant column
+        // but no longer one item per iteration
         let plan = plan_of("(1, 2, 3)");
         let a = analyze(&plan);
         let p = a.props(plan.id);
         assert_eq!(p.item_kind, ItemKind::Atomic);
-        assert!(p.const_items.is_none());
         assert!(!p.max_one_per_iter);
     }
 
@@ -1435,16 +906,6 @@ mod tests {
         let p = a.props(plan.id);
         assert_eq!(p.item_kind, ItemKind::Nodes);
         assert!(p.dup_free_iter && p.item_doc_order);
-        assert_eq!(p.source_doc.as_deref(), Some("d.xml"));
-    }
-
-    #[test]
-    fn attribute_steps_inherit_the_value_dictionary() {
-        let plan = plan_of("doc(\"d.xml\")/a/@id");
-        let a = analyze(&plan);
-        let p = a.props(plan.id);
-        assert_eq!(p.item_kind, ItemKind::Atomic);
-        assert_eq!(p.dict, Some(DictOrigin::AttrValues("d.xml".to_string())));
     }
 
     #[test]
@@ -1548,29 +1009,6 @@ mod tests {
             .rewrites
             .iter()
             .any(|r| r.description.contains("distinct")));
-    }
-
-    #[test]
-    fn join_operands_share_the_value_dictionary() {
-        let plan = plan_of(
-            "for $p in doc(\"d.xml\")/site/people/person \
-             for $o in doc(\"d.xml\")/site/orders/order \
-             where $o/@buyer = $p/@id return $p",
-        );
-        fn join_of(p: &PlanRef) -> Option<PlanRef> {
-            match &p.op {
-                Op::NestFromJoin { .. } => Some(p.clone()),
-                _ => p.children().iter().find_map(join_of),
-            }
-        }
-        let a = analyze(&plan);
-        // source, outer loop, left operand, right operand
-        let children = join_of(&plan).map(|j| j.children()).unwrap_or_default();
-        assert_eq!(children.len(), 4, "join must be recognised");
-        let origin = Some(DictOrigin::AttrValues("d.xml".to_string()));
-        for operand in &children[2..] {
-            assert_eq!(a.props(operand.id).dict, origin);
-        }
     }
 
     #[test]
@@ -1715,7 +1153,6 @@ mod tests {
         let plan = plan_of("doc(\"d.xml\")/a/@id");
         let a = analyze(&plan);
         let s = explain_annotated(&plan, &a);
-        assert!(s.contains("dict=attr-values(d.xml)"), "{s}");
         assert!(s.contains("{max1 nodes dup-free doc-order"), "{s}");
     }
 }

@@ -202,8 +202,8 @@ impl Database {
                 let plan = compiler.compile_query(q)?;
                 // static analysis: verify the compiled plan's structural
                 // invariants, then let the inferred properties remove
-                // provably redundant operators and strengthen order
-                // annotations; the rewritten plan is verified again
+                // provably redundant operators and fuse counted joins; the
+                // rewritten plan is verified again
                 let props = analysis::analyze(&plan);
                 analysis::verify(&plan, &props)?;
                 let simplified = analysis::simplify(&plan, &props);

@@ -31,13 +31,10 @@ fn explain_annotates_inferred_properties() {
     let s = engine()
         .explain("doc(\"site.xml\")/site/people/person/@id")
         .unwrap();
-    // axis steps prove document order, duplicate freedom and [iter, pos]
-    // sortedness; the attribute step inherits the value dictionary
+    // axis steps prove document order and duplicate freedom
     assert!(s.contains("scj"), "{s}");
     assert!(s.contains("doc-order"), "{s}");
     assert!(s.contains("dup-free"), "{s}");
-    assert!(s.contains("dict=attr-values(site.xml)"), "{s}");
-    assert!(s.contains("doc=site.xml"), "{s}");
 }
 
 #[test]
@@ -66,44 +63,6 @@ fn explain_reports_distinct_elimination() {
         )
         .unwrap();
     assert!(s.contains("replaced distinct with data"), "{s}");
-}
-
-/// The annotation lines of the comparison operands (the third and fourth
-/// children) of every recognised join `nest(⋈)` in an annotated explain.
-fn join_operands(explain: &str) -> Vec<[&str; 2]> {
-    let lines: Vec<&str> = explain.lines().collect();
-    let indent = |l: &str| l.len() - l.trim_start().len();
-    let mut out = Vec::new();
-    for (i, line) in lines.iter().enumerate() {
-        if !line.contains("nest(⋈) {") {
-            continue;
-        }
-        let child = indent(line) + 2;
-        let children: Vec<&str> = lines[i + 1..]
-            .iter()
-            .take_while(|l| indent(l) >= child)
-            .filter(|l| indent(l) == child)
-            .copied()
-            .collect();
-        out.push([children[2], children[3]]);
-    }
-    out
-}
-
-#[test]
-fn explain_reports_proven_dictionary_join() {
-    let s = engine()
-        .explain(
-            "for $p in doc(\"site.xml\")/site/people/person \
-             for $o in doc(\"site.xml\")/site/orders/order \
-             where $o/@buyer = $p/@id return $o/@amount",
-        )
-        .unwrap();
-    let joins = join_operands(&s);
-    assert_eq!(joins.len(), 1, "{s}");
-    for operand in joins[0] {
-        assert!(operand.contains("dict=attr-values(site.xml)"), "{s}");
-    }
 }
 
 #[test]

@@ -14,11 +14,13 @@
 
 use std::sync::Arc;
 
+use mxq::engine::Item;
 use mxq::xmark::gen::{generate_xml, GenParams};
 use mxq::xmark::queries::{query_text, QUERY_IDS};
+use mxq::xquery::algebra::{ConstItems, Op};
 use mxq::xquery::{
     serialize_items_snapshot, Database, Error, ExecConfig, ExecError, ExecStats, Executor, Params,
-    Session,
+    PlanRef, Session,
 };
 
 /// XMark scale factor: `MXQ_SCALE` when set, else a small default.
@@ -334,12 +336,23 @@ fn structural_literals_and_literal_types_never_share_a_plan() {
     }
     assert_eq!(db.stats().plan_cache_hits, 0);
     assert_eq!(db.stats().plan_cache_len, cases.len());
-    // explain compiles with the literals inline, cached shape or not: the
-    // literal still shows as a constant column
+    // explain and compile build their plan with the literals inline,
+    // cached shape or not: the literal is a constant of the plan, not a slot
     let text = "count(doc(\"a.xml\")/r/v[. = \"A2\"])";
     assert_eq!(s.query(text).unwrap().serialize(), "1");
-    let explained = s.explain(text).unwrap();
-    assert!(explained.contains("atomic const}"), "{explained}");
+    fn holds_inline(p: &PlanRef, want: &str) -> bool {
+        let inline = match &p.op {
+            Op::ConstSeq {
+                items: ConstItems::Inline(items),
+                ..
+            } => items
+                .iter()
+                .any(|i| matches!(i, Item::Str(s) if &**s == want)),
+            _ => false,
+        };
+        inline || p.children().iter().any(|c| holds_inline(c, want))
+    }
+    assert!(holds_inline(&s.compile(text).unwrap(), "A2"));
 }
 
 #[test]
