@@ -23,7 +23,7 @@
 //!   lives in the executor; the compiler simply keeps the name test attached
 //!   to the axis step.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::sync::Arc;
 
@@ -74,11 +74,13 @@ type CResult<T> = Result<T, CompileError>;
 type OrderKeys = Vec<(PlanRef, bool)>;
 
 /// The variable environment of one scope: the loop relation plus the plan of
-/// every visible variable (all relative to that loop).
+/// every visible variable (all relative to that loop).  The variables are
+/// kept in name order, so a scope that re-bases all of them allocates its
+/// plan ids in one order and `Session::explain` is the same in every run.
 #[derive(Clone)]
 struct Env {
     loop_: PlanRef,
-    vars: HashMap<String, PlanRef>,
+    vars: BTreeMap<String, PlanRef>,
 }
 
 /// The compiler: holds the plan-node counter, the configuration and the
@@ -150,7 +152,7 @@ impl Compiler {
         let loop_one = self.plan(Op::LoopOne);
         let mut env = Env {
             loop_: loop_one,
-            vars: HashMap::new(),
+            vars: BTreeMap::new(),
         };
         self.compile_prolog_vars(&query.variables, &mut env)?;
         self.compile(&query.body, &env)
@@ -167,7 +169,7 @@ impl Compiler {
         let loop_one = self.plan(Op::LoopOne);
         let mut env = Env {
             loop_: loop_one,
-            vars: HashMap::new(),
+            vars: BTreeMap::new(),
         };
         self.compile_prolog_vars(&query.variables, &mut env)?;
         let mut statements = Vec::new();
@@ -478,16 +480,7 @@ impl Compiler {
                 let q1 = self.compile(source, env)?;
                 let nest = self.plan(Op::NestFromSeq { seq: q1 });
                 let inner_loop = self.plan(Op::NestLoop { nest: nest.clone() });
-                let mut inner_vars = HashMap::new();
-                for (name, plan) in &env.vars {
-                    inner_vars.insert(
-                        name.clone(),
-                        self.plan(Op::LiftThrough {
-                            seq: plan.clone(),
-                            nest: nest.clone(),
-                        }),
-                    );
-                }
+                let mut inner_vars = self.lift_vars(env, &nest);
                 inner_vars.insert(var.clone(), self.plan(Op::NestVar { nest: nest.clone() }));
                 if let Some(at_var) = at {
                     inner_vars.insert(
@@ -566,7 +559,7 @@ impl Compiler {
         let loop_one = self.plan(Op::LoopOne);
         let env_single = Env {
             loop_: loop_one,
-            vars: HashMap::new(),
+            vars: BTreeMap::new(),
         };
         let source_single = self.compile(source, &env_single)?;
 
@@ -577,7 +570,7 @@ impl Compiler {
         let src_loop = self.plan(Op::NestLoop {
             nest: src_nest.clone(),
         });
-        let mut right_vars = HashMap::new();
+        let mut right_vars = BTreeMap::new();
         right_vars.insert(
             var.to_string(),
             self.plan(Op::NestVar {
@@ -605,16 +598,7 @@ impl Compiler {
 
         // inner scope from the join-built nest, same as the standard case
         let inner_loop = self.plan(Op::NestLoop { nest: nest.clone() });
-        let mut inner_vars = HashMap::new();
-        for (name, plan) in &env.vars {
-            inner_vars.insert(
-                name.clone(),
-                self.plan(Op::LiftThrough {
-                    seq: plan.clone(),
-                    nest: nest.clone(),
-                }),
-            );
-        }
+        let mut inner_vars = self.lift_vars(env, &nest);
         inner_vars.insert(
             var.to_string(),
             self.plan(Op::NestVar { nest: nest.clone() }),
@@ -655,20 +639,35 @@ impl Compiler {
     }
 
     fn restrict_env(&mut self, env: &Env, iters: &PlanRef) -> Env {
-        let mut vars = HashMap::new();
-        for (name, plan) in &env.vars {
-            vars.insert(
-                name.clone(),
-                self.plan(Op::RestrictToIters {
-                    seq: plan.clone(),
-                    iters: iters.clone(),
-                }),
-            );
-        }
+        let vars = self.map_vars(env, |seq| Op::RestrictToIters {
+            seq,
+            iters: iters.clone(),
+        });
         Env {
             loop_: iters.clone(),
             vars,
         }
+    }
+
+    /// Every variable of `env` lifted into the scope of `nest`.
+    fn lift_vars(&mut self, env: &Env, nest: &PlanRef) -> BTreeMap<String, PlanRef> {
+        self.map_vars(env, |seq| Op::LiftThrough {
+            seq,
+            nest: nest.clone(),
+        })
+    }
+
+    /// One new plan node `op(plan)` per variable of `env`, made in name
+    /// order.
+    fn map_vars(
+        &mut self,
+        env: &Env,
+        mut op: impl FnMut(PlanRef) -> Op,
+    ) -> BTreeMap<String, PlanRef> {
+        env.vars
+            .iter()
+            .map(|(name, plan)| (name.clone(), self.plan(op(plan.clone()))))
+            .collect()
     }
 
     fn compile_if(&mut self, cond: &Expr, then: &Expr, els: &Expr, env: &Env) -> CResult<PlanRef> {
@@ -780,16 +779,7 @@ impl Compiler {
         let nest = self.plan(Op::NestFromSeq { seq: ctx });
         let inner_loop = self.plan(Op::NestLoop { nest: nest.clone() });
         let dot = self.plan(Op::NestVar { nest: nest.clone() });
-        let mut inner_vars: HashMap<String, PlanRef> = HashMap::new();
-        for (name, plan) in &env.vars {
-            inner_vars.insert(
-                name.clone(),
-                self.plan(Op::LiftThrough {
-                    seq: plan.clone(),
-                    nest: nest.clone(),
-                }),
-            );
-        }
+        let mut inner_vars = self.lift_vars(env, &nest);
         inner_vars.insert(".".to_string(), dot.clone());
         let mut env_inner = Env {
             loop_: inner_loop,
@@ -822,16 +812,7 @@ impl Compiler {
         let nest = self.plan(Op::NestFromSeq { seq });
         let inner_loop = self.plan(Op::NestLoop { nest: nest.clone() });
         let dot = self.plan(Op::NestVar { nest: nest.clone() });
-        let mut vars = HashMap::new();
-        for (name, plan) in &env.vars {
-            vars.insert(
-                name.clone(),
-                self.plan(Op::LiftThrough {
-                    seq: plan.clone(),
-                    nest: nest.clone(),
-                }),
-            );
-        }
+        let mut vars = self.lift_vars(env, &nest);
         vars.insert(".".into(), dot);
         let env_pred = Env {
             loop_: inner_loop.clone(),

@@ -12,7 +12,7 @@
 //! state.
 
 use mxq_engine::{Column, Item, NodeId};
-use mxq_xmldb::{Document, DocumentBuilder, NodeKind, NodeRead, StoreSnapshot, TRANSIENT_FRAG};
+use mxq_xmldb::{Document, DocumentBuilder, NodeKind, StoreSnapshot, TRANSIENT_FRAG};
 
 use crate::pul::{self, PendingUpdateList, PulError, UpdateKind, UpdatePrimitive};
 use crate::Error;

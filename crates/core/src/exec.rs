@@ -40,7 +40,7 @@ use mxq_staircase::{
     child_step_in_iter_order, looplifted_step, looplifted_step_candidates, staircase_step, Axis,
     NodeTest, ScanStats,
 };
-use mxq_xmldb::{Document, DocumentBuilder, NodeKind, NodeRead, StoreSnapshot, TRANSIENT_FRAG};
+use mxq_xmldb::{Document, DocumentBuilder, NodeKind, StoreSnapshot, TRANSIENT_FRAG};
 
 use crate::algebra::{ConstItems, NumFnKind, Op, PlanRef, PosFilterKind, StrFnKind};
 use crate::ast::ArithOp;
@@ -136,6 +136,21 @@ fn seq_table(iter: Vec<i64>, pos: Vec<i64>, items: Vec<Item>) -> Table {
         ("item", Column::from_items(items)),
     ])
     .expect("sequence table construction")
+}
+
+/// The sequence `items` in every iteration of `iters`.
+fn replicated(iters: &[i64], items: &[Item]) -> Table {
+    let mut oi = Vec::with_capacity(iters.len() * items.len());
+    let mut op = Vec::with_capacity(oi.capacity());
+    let mut oit = Vec::with_capacity(oi.capacity());
+    for &it in iters {
+        for (k, item) in (1..).zip(items) {
+            oi.push(it);
+            op.push(k);
+            oit.push(item.clone());
+        }
+    }
+    seq_table(oi, op, oit)
 }
 
 /// A sequence table with the `iter` and `pos` columns of `t` and new items.
@@ -401,17 +416,7 @@ impl<'a> Executor<'a> {
             Op::ConstSeq { loop_, items } => {
                 let iters = self.loop_iters(loop_)?;
                 let items = const_items(items, &self.params)?;
-                let mut oi = Vec::new();
-                let mut op = Vec::new();
-                let mut oit = Vec::new();
-                for it in iters {
-                    for (k, item) in items.iter().enumerate() {
-                        oi.push(it);
-                        op.push(k as i64 + 1);
-                        oit.push(item.clone());
-                    }
-                }
-                Ok(seq_table(oi, op, oit))
+                Ok(replicated(&iters, items))
             }
             Op::DocRoot { loop_, name } => {
                 let root = self
@@ -420,8 +425,7 @@ impl<'a> Executor<'a> {
                     .ok_or_else(|| ExecError::UnknownDocument(name.clone()))?;
                 self.record_read(root.frag);
                 let iters = self.loop_iters(loop_)?;
-                let n = iters.len();
-                Ok(seq_table(iters, vec![1; n], vec![Item::Node(root); n]))
+                Ok(replicated(&iters, &[Item::Node(root)]))
             }
             Op::ExternalVar {
                 loop_,
@@ -441,17 +445,7 @@ impl<'a> Executor<'a> {
                     }
                 }
                 let iters = self.loop_iters(loop_)?;
-                let mut oi = Vec::new();
-                let mut op = Vec::new();
-                let mut oit = Vec::new();
-                for it in iters {
-                    for (k, item) in items.iter().enumerate() {
-                        oi.push(it);
-                        op.push(k as i64 + 1);
-                        oit.push(item.clone());
-                    }
-                }
-                Ok(seq_table(oi, op, oit))
+                Ok(replicated(&iters, &items))
             }
             Op::NestFromSeq { seq } => {
                 let t = self.eval(seq)?;
@@ -1723,8 +1717,6 @@ impl StepOut {
     }
 }
 
-/// The items of a constant sequence: inline, or this execution's literal in
-/// a parameter slot.
 /// What a recognised join hands its consumer ([`Executor::eval_join`]).
 enum Joined {
     /// The qualifying (outer iteration, source row) pairs, ascending and
@@ -1735,6 +1727,8 @@ enum Joined {
     Counts(Vec<(i64, usize)>),
 }
 
+/// The items of a constant sequence: inline, or this execution's literal in
+/// a parameter slot.
 fn const_items<'p>(items: &'p ConstItems, params: &'p Params) -> EResult<&'p [Item]> {
     match items {
         ConstItems::Inline(items) => Ok(items),

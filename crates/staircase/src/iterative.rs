@@ -7,7 +7,7 @@
 //! pass over the document encoding each time; the loop-lifted variant in
 //! [`crate::looplifted`] removes exactly this overhead (Figure 12).
 
-use mxq_xmldb::NodeRead;
+use mxq_xmldb::Document;
 
 use crate::axis::Axis;
 use crate::nametest::{CompiledTest, NodeTest};
@@ -17,8 +17,8 @@ use crate::stats::ScanStats;
 ///
 /// The context is a set of preorder ranks (any order, duplicates allowed);
 /// the result is duplicate free and in document order, as required by XPath.
-pub fn staircase_step<D: NodeRead>(
-    doc: &D,
+pub fn staircase_step(
+    doc: &Document,
     ctx: &[u32],
     axis: Axis,
     test: &NodeTest,
@@ -56,7 +56,7 @@ pub fn staircase_step<D: NodeRead>(
 
 /// Prune context nodes covered by (i.e. inside the subtree of) another
 /// context node — Figure 1.  `ctx` must be sorted ascending.
-pub fn prune_covered<D: NodeRead>(doc: &D, ctx: &[u32]) -> Vec<u32> {
+pub fn prune_covered(doc: &Document, ctx: &[u32]) -> Vec<u32> {
     let mut out: Vec<u32> = Vec::with_capacity(ctx.len());
     let mut cover_end: Option<u32> = None;
     for &c in ctx {
@@ -71,12 +71,7 @@ pub fn prune_covered<D: NodeRead>(doc: &D, ctx: &[u32]) -> Vec<u32> {
     out
 }
 
-fn child<D: NodeRead>(
-    doc: &D,
-    ctx: &[u32],
-    test: &CompiledTest,
-    stats: &mut ScanStats,
-) -> Vec<u32> {
+fn child(doc: &Document, ctx: &[u32], test: &CompiledTest, stats: &mut ScanStats) -> Vec<u32> {
     let mut out = Vec::new();
     for &c in ctx {
         for v in doc.children(c) {
@@ -89,8 +84,8 @@ fn child<D: NodeRead>(
     out
 }
 
-fn descendant<D: NodeRead>(
-    doc: &D,
+fn descendant(
+    doc: &Document,
     ctx: &[u32],
     test: &CompiledTest,
     stats: &mut ScanStats,
@@ -132,12 +127,7 @@ fn descendant<D: NodeRead>(
     out
 }
 
-fn self_axis<D: NodeRead>(
-    doc: &D,
-    ctx: &[u32],
-    test: &CompiledTest,
-    stats: &mut ScanStats,
-) -> Vec<u32> {
+fn self_axis(doc: &Document, ctx: &[u32], test: &CompiledTest, stats: &mut ScanStats) -> Vec<u32> {
     stats.nodes_scanned += ctx.len() as u64;
     ctx.iter()
         .copied()
@@ -145,12 +135,7 @@ fn self_axis<D: NodeRead>(
         .collect()
 }
 
-fn parent<D: NodeRead>(
-    doc: &D,
-    ctx: &[u32],
-    test: &CompiledTest,
-    stats: &mut ScanStats,
-) -> Vec<u32> {
+fn parent(doc: &Document, ctx: &[u32], test: &CompiledTest, stats: &mut ScanStats) -> Vec<u32> {
     let mut out = Vec::new();
     for &c in ctx {
         if let Some(p) = doc.parent(c) {
@@ -163,8 +148,8 @@ fn parent<D: NodeRead>(
     out
 }
 
-fn ancestor<D: NodeRead>(
-    doc: &D,
+fn ancestor(
+    doc: &Document,
     ctx: &[u32],
     test: &CompiledTest,
     stats: &mut ScanStats,
@@ -187,12 +172,7 @@ fn ancestor<D: NodeRead>(
     out
 }
 
-fn following<D: NodeRead>(
-    doc: &D,
-    ctx: &[u32],
-    test: &CompiledTest,
-    stats: &mut ScanStats,
-) -> Vec<u32> {
+fn following(doc: &Document, ctx: &[u32], test: &CompiledTest, stats: &mut ScanStats) -> Vec<u32> {
     // Partitioning (Figure 2): the context node with the smallest
     // pre + size boundary covers the whole following region of the set.
     let boundary = ctx.iter().map(|&c| c + doc.size(c)).min().unwrap();
@@ -217,12 +197,7 @@ fn following<D: NodeRead>(
     out
 }
 
-fn preceding<D: NodeRead>(
-    doc: &D,
-    ctx: &[u32],
-    test: &CompiledTest,
-    stats: &mut ScanStats,
-) -> Vec<u32> {
+fn preceding(doc: &Document, ctx: &[u32], test: &CompiledTest, stats: &mut ScanStats) -> Vec<u32> {
     // The context node with the largest pre covers the whole preceding
     // region; ancestors (subtree still open at that pre) are excluded.
     let boundary = *ctx.iter().max().unwrap();
@@ -251,8 +226,8 @@ fn preceding<D: NodeRead>(
     out
 }
 
-fn siblings<D: NodeRead>(
-    doc: &D,
+fn siblings(
+    doc: &Document,
     ctx: &[u32],
     test: &CompiledTest,
     stats: &mut ScanStats,

@@ -23,7 +23,7 @@ use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::ops::Range;
 
-use mxq_xmldb::{NamedRun, NodeRead};
+use mxq_xmldb::{Document, NamedRun};
 
 use crate::axis::Axis;
 use crate::nametest::{CompiledTest, NodeTest};
@@ -62,8 +62,8 @@ fn groups(ctx: &[CtxPair]) -> impl Iterator<Item = &[CtxPair]> {
 /// nodes of that iteration; it is returned sorted by `(pre, iter)` (document
 /// order, iterations clustered per node), mirroring the emission order of the
 /// algorithm in Figure 6.
-pub fn looplifted_step<D: NodeRead>(
-    doc: &D,
+pub fn looplifted_step(
+    doc: &Document,
     ctx: &[CtxPair],
     axis: Axis,
     test: &NodeTest,
@@ -101,13 +101,13 @@ pub fn looplifted_step<D: NodeRead>(
 /// The nametest-pushdown variant of Section 3.2: instead of scanning the
 /// document encoding, a `child`/`descendant(-or-self)::name` step consumes
 /// the *candidate list* of the name — the container's element-name index,
-/// read run by run ([`NodeRead::run_named`]) — and touches only the
+/// read run by run ([`Document::run_named`]) — and touches only the
 /// candidates inside the context regions: `|context| + |result|` rows (plus,
 /// for `child`, the same-named elements below child level that are not
 /// themselves inside a result).  No document-wide list is ever built; the
 /// other axes evaluate the name test on the scanning path.
-pub fn looplifted_step_candidates<D: NodeRead>(
-    doc: &D,
+pub fn looplifted_step_candidates(
+    doc: &Document,
     ctx: &[CtxPair],
     axis: Axis,
     name: &str,
@@ -155,8 +155,8 @@ fn finish(mut result: Vec<CtxPair>, stats: &mut ScanStats) -> Vec<CtxPair> {
 /// run share a single index lookup, and every run it has looked at, so
 /// contexts that come back to a run (one node per iteration, in iteration
 /// order) find it again without a lookup.
-struct NameIndex<'d, D> {
-    doc: &'d D,
+struct NameIndex<'d> {
+    doc: &'d Document,
     code: u32,
     run: NamedRun<'d>,
     /// The runs looked up so far, by their last preorder rank (runs are
@@ -164,8 +164,8 @@ struct NameIndex<'d, D> {
     seen: BTreeMap<u32, NamedRun<'d>>,
 }
 
-impl<'d, D: NodeRead> NameIndex<'d, D> {
-    fn new(doc: &'d D, code: u32) -> Self {
+impl<'d> NameIndex<'d> {
+    fn new(doc: &'d Document, code: u32) -> Self {
         NameIndex {
             doc,
             code,
@@ -200,19 +200,19 @@ impl<'d, D: NodeRead> NameIndex<'d, D> {
 }
 
 /// How a sweep finds the nodes of a region that satisfy the node test.
-enum Matches<'t, 'd, D> {
+enum Matches<'t, 'd> {
     /// Scan the region, skipping storage runs whose summary rules the test
     /// out (the page-level bookkeeping of Section 5.2).
     Scan(&'t CompiledTest),
     /// Read the candidates of a name test off the element-name index.
-    Index(NameIndex<'d, D>),
+    Index(NameIndex<'d>),
 }
 
-impl<D: NodeRead> Matches<'_, '_, D> {
+impl Matches<'_, '_> {
     /// Call `emit` for every matching node of `lo..=hi`, in document order.
     fn for_each_in(
         &mut self,
-        doc: &D,
+        doc: &Document,
         lo: u32,
         hi: u32,
         stats: &mut ScanStats,
@@ -254,8 +254,8 @@ impl<D: NodeRead> Matches<'_, '_, D> {
 }
 
 /// Loop-lifted child step — the algorithm of Figure 6.
-fn ll_child<D: NodeRead>(
-    doc: &D,
+fn ll_child(
+    doc: &Document,
     ctx: &[CtxPair],
     test: &CompiledTest,
     stats: &mut ScanStats,
@@ -315,10 +315,10 @@ fn ll_child<D: NodeRead>(
 
 /// `child::name` off the element-name index, one context node at a time
 /// ([`named_children`]).
-fn named_child<D: NodeRead>(
-    doc: &D,
+fn named_child(
+    doc: &Document,
     ctx: &[CtxPair],
-    mut index: NameIndex<'_, D>,
+    mut index: NameIndex<'_>,
     stats: &mut ScanStats,
 ) -> Vec<CtxPair> {
     let mut result: Vec<CtxPair> = Vec::new();
@@ -334,10 +334,10 @@ fn named_child<D: NodeRead>(
 /// the candidates inside its subtree, each either a child (emitted) or
 /// deeper (dropped) — and in both cases nothing below it can be a child, so
 /// the candidate's whole subtree is jumped over without being touched.
-fn named_children<D: NodeRead>(
-    doc: &D,
+fn named_children(
+    doc: &Document,
     pre: u32,
-    index: &mut NameIndex<'_, D>,
+    index: &mut NameIndex<'_>,
     stats: &mut ScanStats,
     mut emit: impl FnMut(u32),
 ) {
@@ -372,8 +372,8 @@ fn named_children<D: NodeRead>(
 /// the element-name index for a name test when `pushdown` is set, by a
 /// scan of the child list otherwise) go to `emit(iter, pos, pre)` already
 /// in `[iter, pos]` order, numbered `1..k` per iteration.
-pub fn child_step_in_iter_order<D: NodeRead>(
-    doc: &D,
+pub fn child_step_in_iter_order(
+    doc: &Document,
     ctx: impl IntoIterator<Item = CtxPair>,
     test: &NodeTest,
     pushdown: bool,
@@ -430,10 +430,10 @@ struct Open {
 /// with a stack of open context regions annotated with their iterations.
 /// Pruning is per iteration and happens on the way: a context pair whose
 /// iteration is already open in an enclosing region adds nothing.
-fn ll_descendant<D: NodeRead>(
-    doc: &D,
+fn ll_descendant(
+    doc: &Document,
     ctx: &[CtxPair],
-    mut matches: Matches<'_, '_, D>,
+    mut matches: Matches<'_, '_>,
     stats: &mut ScanStats,
     or_self: bool,
 ) -> Vec<CtxPair> {
@@ -511,8 +511,8 @@ fn ll_descendant<D: NodeRead>(
     result
 }
 
-fn ll_parent<D: NodeRead>(
-    doc: &D,
+fn ll_parent(
+    doc: &Document,
     ctx: &[CtxPair],
     test: &CompiledTest,
     stats: &mut ScanStats,
@@ -529,8 +529,8 @@ fn ll_parent<D: NodeRead>(
     out
 }
 
-fn ll_ancestor<D: NodeRead>(
-    doc: &D,
+fn ll_ancestor(
+    doc: &Document,
     ctx: &[CtxPair],
     test: &CompiledTest,
     stats: &mut ScanStats,
@@ -574,8 +574,8 @@ fn per_iter_boundary(
     bounds
 }
 
-fn ll_following<D: NodeRead>(
-    doc: &D,
+fn ll_following(
+    doc: &Document,
     ctx: &[CtxPair],
     test: &CompiledTest,
     stats: &mut ScanStats,
@@ -616,8 +616,8 @@ fn ll_following<D: NodeRead>(
     out
 }
 
-fn ll_preceding<D: NodeRead>(
-    doc: &D,
+fn ll_preceding(
+    doc: &Document,
     ctx: &[CtxPair],
     test: &CompiledTest,
     stats: &mut ScanStats,
@@ -644,8 +644,8 @@ fn ll_preceding<D: NodeRead>(
     out
 }
 
-fn ll_siblings<D: NodeRead>(
-    doc: &D,
+fn ll_siblings(
+    doc: &Document,
     ctx: &[CtxPair],
     test: &CompiledTest,
     stats: &mut ScanStats,

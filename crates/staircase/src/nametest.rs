@@ -12,7 +12,7 @@
 //! per-chunk summaries and element-name index answer that without touching
 //! a node, letting the sweeps skip whole runs.
 
-use mxq_xmldb::{NodeKind, NodeRead};
+use mxq_xmldb::{Document, NodeKind};
 use std::sync::Arc;
 
 /// An XPath node test.
@@ -39,7 +39,7 @@ impl NodeTest {
     }
 
     /// Does the node at `pre` in `doc` satisfy the test?
-    pub fn matches<D: NodeRead>(&self, doc: &D, pre: u32) -> bool {
+    pub fn matches(&self, doc: &Document, pre: u32) -> bool {
         match self {
             NodeTest::AnyKind => true,
             NodeTest::AnyElement => doc.kind(pre) == NodeKind::Element,
@@ -62,7 +62,7 @@ impl NodeTest {
     /// into the container's interned qname id (or `None` when the name never
     /// occurs — such a test matches nothing), so the per-node check of the
     /// scan loops is a code comparison, not a string equality.
-    pub fn compile<D: NodeRead>(&self, doc: &D) -> CompiledTest {
+    pub fn compile(&self, doc: &Document) -> CompiledTest {
         match self {
             NodeTest::AnyKind => CompiledTest::AnyKind,
             NodeTest::AnyElement => CompiledTest::AnyElement,
@@ -99,7 +99,7 @@ impl CompiledTest {
     /// Does the node at `pre` satisfy the test?  For name tests this is a
     /// single integer comparison against the interned qname id.
     #[inline]
-    pub fn matches<D: NodeRead>(&self, doc: &D, pre: u32) -> bool {
+    pub fn matches(&self, doc: &Document, pre: u32) -> bool {
         match self {
             CompiledTest::AnyKind => true,
             CompiledTest::AnyElement => doc.kind(pre) == NodeKind::Element,
@@ -120,7 +120,7 @@ impl CompiledTest {
     /// match the test?  `false` is a guarantee — the sweep skips the whole
     /// run; `true` only means "scan it".
     #[inline]
-    pub fn may_match_run<D: NodeRead>(&self, doc: &D, pre: u32) -> bool {
+    pub fn may_match_run(&self, doc: &Document, pre: u32) -> bool {
         match self {
             CompiledTest::AnyKind => true,
             CompiledTest::AnyElement => doc.run_has_kind(pre, NodeKind::Element),
@@ -138,7 +138,6 @@ impl CompiledTest {
 mod tests {
     use super::*;
     use mxq_xmldb::shred::{shred, ShredOptions};
-    use mxq_xmldb::Document;
 
     fn doc() -> Document {
         shred(

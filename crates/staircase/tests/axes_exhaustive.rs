@@ -19,7 +19,7 @@ use mxq_staircase::{
 };
 use mxq_xmldb::shred::{shred, ShredOptions};
 use mxq_xmldb::update::PagedDocument;
-use mxq_xmldb::{Document, DocumentBuilder, NodeRead};
+use mxq_xmldb::{Document, DocumentBuilder};
 
 fn fig4() -> Document {
     shred(
@@ -249,7 +249,7 @@ fn per_iteration(
 }
 
 /// Every way the executor can run the step over one representation.
-fn check_steps<D: NodeRead>(doc: &D, flat: &Document, ctx: &[(i64, u32)], what: &str) {
+fn check_steps(doc: &Document, flat: &Document, ctx: &[(i64, u32)], what: &str) {
     let tests = [
         NodeTest::AnyKind,
         NodeTest::AnyElement,

@@ -371,7 +371,6 @@ pub fn generate_document(params: &GenParams) -> Document {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mxq_xmldb::NodeRead;
 
     #[test]
     fn generation_is_deterministic() {

@@ -17,7 +17,7 @@ use std::fmt;
 
 use mxq_engine::{Item, NodeId};
 use mxq_staircase::{Axis, NodeTest};
-use mxq_xmldb::{Document, DocumentBuilder, NodeKind, NodeRead, StoreSnapshot, TRANSIENT_FRAG};
+use mxq_xmldb::{Document, DocumentBuilder, NodeKind, StoreSnapshot, TRANSIENT_FRAG};
 use mxq_xquery::ast::*;
 use mxq_xquery::parser::parse_query;
 use mxq_xquery::{serialize_items_snapshot, Params};

@@ -52,10 +52,10 @@
 //! `(name code, first posting)` pair per distinct element name, so the run
 //! of one name is a single binary search over a short contiguous list away.
 //! The index is the ready-made candidate list of the name-test push-down
-//! (paper §3.2): the paged read view's
-//! [`NodeRead::run_named`](crate::read::NodeRead::run_named) hands a
-//! location step the elements of one name inside one chunk as a borrowed
-//! slice, so a step visits only the chunks its context regions overlap.
+//! (paper §3.2): [`Document::run_named`](crate::Document::run_named)
+//! hands a location step the elements of one name inside one chunk as a
+//! borrowed slice ([`NamedRun`]), so a step visits only the chunks its
+//! context regions overlap.
 //!
 //! Chunks are shared (`Arc`) between the master image and every published
 //! snapshot; a patch copies the chunk it lands in, nothing else.
@@ -71,7 +71,6 @@ use std::sync::Arc;
 use mxq_engine::Dictionary;
 
 use crate::node::NodeKind;
-use crate::read::{AttrsIter, NamedRun};
 
 /// Default chunk row target: power-of-two, sized so a chunk's columns fit
 /// comfortably in L1/L2 while keeping the start index tiny.
@@ -471,6 +470,38 @@ pub(crate) struct Row<'a> {
     pub(crate) attr_values: &'a [u32],
 }
 
+/// The elements of one name inside one chunk, in document order: the
+/// element at chunk-local `offsets[i]` has preorder rank
+/// `base + offsets[i]`.
+#[derive(Debug, Clone, Copy)]
+pub struct NamedRun<'a> {
+    /// Preorder rank the offsets are relative to.
+    pub base: u32,
+    /// Ascending chunk-local offsets of the matching elements.
+    pub offsets: &'a [u32],
+    /// Last preorder rank of the chunk.
+    pub end: u32,
+}
+
+/// Iterator over the attributes of one element: a slice of the coded
+/// attribute columns, whose names and values resolve through the
+/// attribute-name and attribute-value interners.
+pub struct AttrsIter<'a> {
+    names: &'a Dictionary,
+    values: &'a Dictionary,
+    /// Name and value codes of the owner's attribute rows.
+    codes: std::iter::Zip<std::slice::Iter<'a, u32>, std::slice::Iter<'a, u32>>,
+}
+
+impl<'a> Iterator for AttrsIter<'a> {
+    type Item = (&'a Arc<str>, &'a Arc<str>);
+
+    fn next(&mut self) -> Option<(&'a Arc<str>, &'a Arc<str>)> {
+        let (&n, &v) = self.codes.next()?;
+        Some((self.names.str_of(n), self.values.str_of(v)))
+    }
+}
+
 /// The chunked relational image of one document container, with
 /// coded string columns (see the module docs).
 #[derive(Debug, Clone)]
@@ -603,22 +634,26 @@ impl DocumentColumns {
     }
 
     /// `(first pre, row count)` of chunk `i`.
+    #[inline]
     pub(crate) fn chunk_span(&self, i: usize) -> (u32, usize) {
         (self.starts[i] as u32, self.chunks[i].len())
     }
 
     /// True when chunk `i` may contain a node of `kind` (exact).
+    #[inline]
     pub(crate) fn chunk_has_kind(&self, i: usize, kind: NodeKind) -> bool {
         self.chunks[i].kind_mask & (1u8 << kind as u8) != 0
     }
 
     /// Index of the chunk holding row `pre`.
+    #[inline]
     pub fn chunk_of(&self, pre: u32) -> usize {
         self.locate(pre).0
     }
 
     /// The elements with name code `code` inside the chunk holding `pre`,
     /// straight from that chunk's posting index (borrowed, no allocation).
+    #[inline]
     pub(crate) fn chunk_named(&self, pre: u32, code: u32) -> NamedRun<'_> {
         let ci = self.chunk_of(pre);
         let base = self.starts[ci] as u32;
@@ -634,23 +669,6 @@ impl DocumentColumns {
     /// not touch.
     pub fn shares_chunk(&self, i: usize, other: &DocumentColumns, j: usize) -> bool {
         Arc::ptr_eq(&self.chunks[i], &other.chunks[j])
-    }
-
-    /// Preorder ranks of the fragment roots (level-0 rows), found through
-    /// the per-chunk minimum level.
-    pub fn fragment_roots(&self) -> Vec<u32> {
-        let mut roots = Vec::new();
-        for (ci, c) in self.chunks.iter().enumerate() {
-            if c.min_level == 0 {
-                let base = self.starts[ci];
-                roots.extend(
-                    (0..c.len())
-                        .filter(|&l| c.level[l] == 0)
-                        .map(|l| (base + l) as u32),
-                );
-            }
-        }
-        roots
     }
 
     /// Chunk index and chunk-local offset of row `pre`.

@@ -1,4 +1,4 @@
-//! The one node container and its builder.
+//! The one node container, its read API and its builder.
 //!
 //! A [`Document`] is the relational image of XML trees (Figure 4 of the
 //! paper): node `v` is the row at `pre(v)`, carrying `size(v)` (number of
@@ -6,9 +6,19 @@
 //! attributes.  Its rows live in the chunked column image
 //! ([`DocumentColumns`]): a shredded document, a loaded document and the
 //! statement's transient container (fragment 0, which holds the nodes its
-//! constructors build) are one type, read by one set of kernels through
-//! [`NodeRead`].  A container may hold several disjoint fragments; their
-//! roots are its level-0 rows.
+//! constructors build) are one type, and query scans, serialization and
+//! the naive comparator all read it through its own methods.  A container
+//! may hold several disjoint fragments; their roots are its level-0 rows,
+//! reached from pre 0 by size jumps.
+//!
+//! The `run_*` methods expose the *storage runs* of the staircase-join
+//! sweeps: a run is a chunk of the column image, which is what a scan
+//! actually reads.  The per-chunk summaries (node-kind mask, minimum
+//! level) let a scan skip a whole run when no node in it can match the
+//! node test, and the per-chunk element-name index
+//! ([`Document::run_named`]) is the candidate list of the name-test
+//! push-down (paper Section 3.2), cut so that a step touches only the runs
+//! its context regions overlap.
 //!
 //! [`DocumentBuilder`] writes the image in preorder, straight into its
 //! chunks; it is the one row writer.  The shredder, construction and the
@@ -29,19 +39,15 @@ use std::sync::Arc;
 
 use mxq_engine::{Column, Item, NodeId};
 
-use crate::columns::{Appender, DocumentColumns};
+use crate::columns::{Appender, AttrsIter, DocumentColumns, NamedRun};
 use crate::node::NodeKind;
-use crate::read::{AttrsIter, NamedRun, NodeRead};
 
-/// A document container: a name, the chunked column image of its rows,
-/// and the preorder ranks of its fragment roots.
+/// A document container: a name and the chunked column image of its rows.
 #[derive(Debug, Clone, Default)]
 pub struct Document {
     /// Document (container) name, e.g. the URI passed to `fn:doc`.
     pub name: String,
     columns: Arc<DocumentColumns>,
-    /// The level-0 rows, ascending.
-    frag_roots: Vec<u32>,
 }
 
 impl Document {
@@ -53,22 +59,19 @@ impl Document {
         }
     }
 
-    /// A container over `columns`, its fragment roots found through the
-    /// per-chunk minimum level.
+    /// A container over `columns`.
     pub(crate) fn from_columns(name: String, columns: Arc<DocumentColumns>) -> Document {
-        Document {
-            name,
-            frag_roots: columns.fragment_roots(),
-            columns,
-        }
+        Document { name, columns }
     }
 
     /// Number of nodes in the container (attributes excluded).
+    #[inline]
     pub fn len(&self) -> usize {
         self.columns.len()
     }
 
     /// True if the container holds no nodes.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.columns.is_empty()
     }
@@ -88,9 +91,14 @@ impl Document {
         self.columns.approx_bytes()
     }
 
-    /// Preorder ranks of the fragment roots in this container.
-    pub fn fragment_roots(&self) -> &[u32] {
-        &self.frag_roots
+    /// Preorder ranks of the fragment roots (the level-0 rows), ascending:
+    /// a walk from pre 0 that jumps over each root's subtree, O(roots).
+    pub fn fragment_roots(&self) -> Children<'_> {
+        Children {
+            doc: self,
+            next: 0,
+            end: self.len() as u32,
+        }
     }
 
     /// Preorder ranks (in document order) of all elements named `name`,
@@ -110,90 +118,163 @@ impl Document {
     }
 
     /// Check the image against itself (see
-    /// [`DocumentColumns::check_invariants`]) and the fragment roots
-    /// against its level-0 rows.
+    /// [`DocumentColumns::check_invariants`]) and the walk of
+    /// [`Document::fragment_roots`] against its level-0 rows.
     pub fn check_invariants(&self) -> Result<(), String> {
         self.columns.check_invariants()?;
-        if self.frag_roots != self.columns.fragment_roots() {
-            return Err("fragment roots disagree with the level-0 rows".into());
+        let level0 = (0..self.len() as u32).filter(|&v| self.level(v) == 0);
+        if !self.fragment_roots().eq(level0) {
+            return Err("the fragment-root walk does not land on exactly the level-0 rows".into());
         }
         Ok(())
     }
-}
 
-/// The canonical read API over the container: structural reads, names,
-/// texts and attribute cursors come from the chunked columns, and the
-/// storage runs of a scan are the chunks.
-impl NodeRead for Document {
-    fn len(&self) -> usize {
-        Document::len(self)
-    }
+    // -- structural reads ---------------------------------------------------
 
+    /// `size(v)`: number of nodes in the subtree below `pre`.
     #[inline]
-    fn size(&self, pre: u32) -> u32 {
+    pub fn size(&self, pre: u32) -> u32 {
         self.columns.node_size(pre)
     }
 
+    /// `level(v)`: distance from the fragment root.
     #[inline]
-    fn level(&self, pre: u32) -> u16 {
+    pub fn level(&self, pre: u32) -> u16 {
         self.columns.node_level(pre)
     }
 
+    /// Node kind of `pre`.
     #[inline]
-    fn kind(&self, pre: u32) -> NodeKind {
+    pub fn kind(&self, pre: u32) -> NodeKind {
         self.columns.node_kind(pre)
     }
 
-    fn name_of(&self, pre: u32) -> &str {
+    /// Element name / PI target of `pre` (empty for other kinds).
+    #[inline]
+    pub fn name_of(&self, pre: u32) -> &str {
         match self.kind(pre) {
             NodeKind::Element | NodeKind::ProcessingInstruction => self.columns.node_name(pre),
             _ => "",
         }
     }
 
-    fn text_of(&self, pre: u32) -> &str {
+    /// Direct text content of a text/comment/PI node.
+    pub fn text_of(&self, pre: u32) -> &str {
         self.columns.node_text(pre)
     }
 
-    fn qname_id(&self, pre: u32) -> Option<u32> {
+    /// Interned name id of an element (the container's tag code; only
+    /// comparable against ids from the *same* container).
+    #[inline]
+    pub fn qname_id(&self, pre: u32) -> Option<u32> {
         match self.kind(pre) {
             NodeKind::Element => Some(self.columns.node_name_code(pre)),
             _ => None,
         }
     }
 
-    fn lookup_qname(&self, name: &str) -> Option<u32> {
+    /// Resolve an element name to this container's interned id, if any
+    /// element with the name exists.
+    pub fn lookup_qname(&self, name: &str) -> Option<u32> {
         self.columns.tags().code_of(name)
     }
 
-    fn attribute(&self, pre: u32, name: &str) -> Option<&str> {
+    /// Value of attribute `name` on element `pre`.
+    pub fn attribute(&self, pre: u32, name: &str) -> Option<&str> {
         self.columns.attr_value_of(pre, name)
     }
 
-    fn attrs(&self, pre: u32) -> AttrsIter<'_> {
+    /// All attributes of element `pre` as (name, value) pairs.
+    pub fn attrs(&self, pre: u32) -> AttrsIter<'_> {
         self.columns.attrs_of(pre)
     }
 
-    fn root_pres(&self) -> Vec<u32> {
-        self.frag_roots.clone()
+    /// Parent of `pre`: the closest preceding node with a smaller level.
+    pub fn parent(&self, pre: u32) -> Option<u32> {
+        self.columns.anchor_before(pre, self.level(pre))
     }
 
-    fn run_named(&self, pre: u32, name_id: u32) -> NamedRun<'_> {
+    /// The children of `pre`, in document order, each reached from the one
+    /// before it by a size jump.
+    pub fn children(&self, pre: u32) -> Children<'_> {
+        Children {
+            doc: self,
+            next: pre + 1,
+            end: pre + self.size(pre) + 1,
+        }
+    }
+
+    /// XQuery string value: concatenated descendant text content.
+    pub fn string_value(&self, pre: u32) -> String {
+        match self.kind(pre) {
+            NodeKind::Text | NodeKind::Comment | NodeKind::ProcessingInstruction => {
+                self.text_of(pre).to_string()
+            }
+            _ => {
+                let mut out = String::new();
+                for v in pre + 1..=pre + self.size(pre) {
+                    if self.kind(v) == NodeKind::Text {
+                        out.push_str(self.text_of(v));
+                    }
+                }
+                out
+            }
+        }
+    }
+
+    // -- storage runs (column chunks) ----------------------------------------
+
+    /// The element-name index of the storage run containing `pre`: the
+    /// elements of that run whose interned name id
+    /// ([`Document::lookup_qname`]) is `name_id`, borrowed from the chunk's
+    /// name index.
+    #[inline]
+    pub fn run_named(&self, pre: u32, name_id: u32) -> NamedRun<'_> {
         self.columns.chunk_named(pre, name_id)
     }
 
-    fn run_end(&self, pre: u32) -> u32 {
+    /// Last preorder rank of the storage run containing `pre`.
+    #[inline]
+    pub fn run_end(&self, pre: u32) -> u32 {
         let (start, len) = self.columns.chunk_span(self.columns.chunk_of(pre));
         start + len as u32 - 1
     }
 
-    fn run_has_kind(&self, pre: u32, kind: NodeKind) -> bool {
+    /// Does the run containing `pre` hold an element with name id `name_id`?
+    #[inline]
+    pub fn run_has_name(&self, pre: u32, name_id: u32) -> bool {
+        !self.run_named(pre, name_id).offsets.is_empty()
+    }
+
+    /// May the run containing `pre` hold a node of `kind`?
+    #[inline]
+    pub fn run_has_kind(&self, pre: u32, kind: NodeKind) -> bool {
         self.columns
             .chunk_has_kind(self.columns.chunk_of(pre), kind)
     }
+}
 
-    fn parent(&self, pre: u32) -> Option<u32> {
-        self.columns.anchor_before(pre, self.level(pre))
+/// The nodes of a stretch of preorder ranks that are siblings of its first
+/// one, each reached from the one before it by a size jump: the children
+/// of a node ([`Document::children`]) or the fragment roots of a container
+/// ([`Document::fragment_roots`]).
+pub struct Children<'a> {
+    doc: &'a Document,
+    next: u32,
+    /// The first preorder rank past the stretch.
+    end: u32,
+}
+
+impl Iterator for Children<'_> {
+    type Item = u32;
+
+    fn next(&mut self) -> Option<u32> {
+        if self.next >= self.end {
+            return None;
+        }
+        let cur = self.next;
+        self.next = cur + self.doc.size(cur) + 1;
+        Some(cur)
     }
 }
 
@@ -209,7 +290,6 @@ impl NodeRead for Document {
 pub struct DocumentBuilder {
     name: String,
     rows: Appender,
-    frag_roots: Vec<u32>,
     /// Stack of open element pre ranks.
     open: Vec<u32>,
     /// The string values of the adjacent atomics of a content sequence
@@ -230,7 +310,6 @@ impl DocumentBuilder {
         DocumentBuilder {
             name: doc.name,
             rows: Appender::new(Arc::unwrap_or_clone(doc.columns)),
-            frag_roots: doc.frag_roots,
             open: Vec::new(),
             atomics: String::new(),
         }
@@ -241,14 +320,9 @@ impl DocumentBuilder {
         self.rows.len()
     }
 
-    /// Preorder rank and level of the next node, registering it as a
-    /// fragment root when nothing is open.
-    fn next_row(&mut self) -> (u32, u16) {
-        let pre = self.next_pre();
-        if self.open.is_empty() {
-            self.frag_roots.push(pre);
-        }
-        (pre, self.open.len() as u16)
+    /// Preorder rank and level of the next node.
+    fn next_row(&self) -> (u32, u16) {
+        (self.next_pre(), self.open.len() as u16)
     }
 
     /// Intern an element name once, for repeated
@@ -526,11 +600,7 @@ impl DocumentBuilder {
             "unbalanced builder: {} elements still open",
             self.open.len()
         );
-        Document {
-            name: self.name,
-            columns: Arc::new(self.rows.seal()),
-            frag_roots: self.frag_roots,
-        }
+        Document::from_columns(self.name, Arc::new(self.rows.seal()))
     }
 }
 
@@ -588,10 +658,6 @@ mod tests {
             assert_eq!(d.size(pre), size, "size of {pre}");
             assert_eq!(d.level(pre), level, "level of {pre}");
         }
-        // post(v) = pre + size - level, e.g. post(a)=9, post(b)=3, post(f)=8
-        assert_eq!(d.post(0), 9);
-        assert_eq!(d.post(1), 3);
-        assert_eq!(d.post(5), 8);
         d.check_invariants()?;
         Ok(())
     }
@@ -612,9 +678,15 @@ mod tests {
         assert_eq!(d.parent(4), Some(2));
         assert_eq!(d.parent(5), Some(0));
         assert_eq!(d.parent(0), None);
-        assert!(d.is_ancestor(0, 9));
-        assert!(d.is_ancestor(7, 8));
-        assert!(!d.is_ancestor(1, 5));
+        let ancestors = |mut v: u32| -> Vec<u32> {
+            std::iter::from_fn(|| {
+                v = d.parent(v)?;
+                Some(v)
+            })
+            .collect()
+        };
+        assert_eq!(ancestors(9), [7, 5, 0]);
+        assert_eq!(ancestors(3), [2, 1, 0]);
     }
 
     #[test]
@@ -688,7 +760,7 @@ mod tests {
         let (within, walked) = (build(true), build(false));
         within.check_invariants()?;
         walked.check_invariants()?;
-        assert_eq!(within.fragment_roots(), walked.fragment_roots());
+        assert!(within.fragment_roots().eq(walked.fragment_roots()));
         assert_eq!(within.elements_named("b"), vec![2, 8, 11]);
         assert_eq!(within.elements_named("b"), walked.elements_named("b"));
         within.columns().same_content(walked.columns())
@@ -850,7 +922,7 @@ mod tests {
             let doc = built(&sessions, &stored, chunk_rows);
             doc.check_invariants()?;
             assert_rows(&doc, &rows);
-            assert_eq!(doc.fragment_roots(), roots);
+            assert!(doc.fragment_roots().eq(roots.iter().copied()));
             assert_eq!(doc.columns().chunk_count(), rows.len().div_ceil(chunk_rows));
         }
         Ok(())
@@ -950,7 +1022,7 @@ mod tests {
     #[test]
     fn top_level_pi_and_comment_are_fragment_roots() -> Result<(), String> {
         let doc = fragment_from_xml("<?p d?><a/>");
-        assert_eq!(doc.fragment_roots(), &[0, 1]);
+        assert!(doc.fragment_roots().eq([0, 1]));
         assert_eq!(serialize_document(&doc), "<?p d?><a/>");
         let mut b = DocumentBuilder::new("t");
         b.comment("c");
@@ -958,7 +1030,7 @@ mod tests {
         b.end_element();
         b.processing_instruction("q", "");
         let doc = b.finish();
-        assert_eq!(doc.fragment_roots(), &[0, 1, 2]);
+        assert!(doc.fragment_roots().eq([0, 1, 2]));
         assert_eq!(serialize_document(&doc), "<!--c--><a/><?q?>");
         doc.check_invariants()
     }
@@ -973,7 +1045,7 @@ mod tests {
         b.text("x");
         b.end_element();
         let t = b.finish();
-        assert_eq!(t.fragment_roots(), &[0, 1]);
+        assert!(t.fragment_roots().eq([0, 1]));
     }
 
     #[test]

@@ -28,7 +28,7 @@
 //!   paged update scheme (delta-patched per primitive, never rebuilt).
 //!   Nodes constructed during evaluation go into the statement's own
 //!   transient [`Document`], fragment 0, which the store never holds;
-//! * the **canonical read API** ([`read::NodeRead`]): pre/size/level/name-id/
+//! * one **read API**, the methods of [`Document`]: pre/size/level/name-id/
 //!   text/attribute cursors plus storage-run summaries that let scans skip
 //!   whole chunks;
 //! * the **structural update scheme** of Section 5.2 ([`update`]): chunk-wise
@@ -44,17 +44,15 @@ pub mod columns;
 pub mod disk;
 pub mod doc;
 pub mod node;
-pub mod read;
 pub mod serialize;
 pub mod shred;
 pub mod store;
 pub mod update;
 
-pub use columns::DocumentColumns;
+pub use columns::{AttrsIter, DocumentColumns, NamedRun};
 pub use disk::{decode_document, decode_snapshot, encode_document, encode_snapshot, DiskError};
 pub use doc::{Document, DocumentBuilder};
 pub use node::NodeKind;
-pub use read::{AttrsIter, NamedRun, NodeRead};
 pub use serialize::{serialize_document, serialize_node};
 pub use shred::{shred, ShredError, ShredOptions};
 pub use store::{Container, DocStore, EvictedPaged, StoreError, StoreSnapshot, TRANSIENT_FRAG};

@@ -9,7 +9,6 @@
 
 use crate::doc::Document;
 use crate::node::NodeKind;
-use crate::read::NodeRead;
 
 /// Append `s` to `out` escaped for element content (`attr == false`) or
 /// for a double-quoted attribute value (`attr == true`).  The bytes are
@@ -96,7 +95,7 @@ pub fn serialize_node(doc: &Document, pre: u32, out: &mut String) {
 /// Serialize a whole container (all fragments, in order).
 pub fn serialize_document(doc: &Document) -> String {
     let mut out = String::new();
-    for &root in doc.fragment_roots() {
+    for root in doc.fragment_roots() {
         serialize_node(doc, root, &mut out);
     }
     out

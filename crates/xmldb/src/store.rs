@@ -33,7 +33,6 @@ use mxq_engine::NodeId;
 use crate::disk::decode_snapshot;
 use crate::doc::Document;
 use crate::node::NodeKind;
-use crate::read::NodeRead;
 use crate::shred::{shred, ShredError, ShredOptions};
 
 /// Fragment id of a statement's transient container (its constructed
@@ -386,7 +385,7 @@ impl StoreSnapshot {
         let frag = self.lookup(name)?;
         let doc = self.container(frag);
         let is_root = |&pre: &u32| matches!(doc.kind(pre), NodeKind::Element | NodeKind::Document);
-        let pre = doc.fragment_roots().iter().copied().find(is_root)?;
+        let pre = doc.fragment_roots().find(is_root)?;
         Some(NodeId::new(frag, pre))
     }
 }
@@ -429,7 +428,7 @@ mod tests {
         builder.end_element();
         let transient = builder.finish();
         assert!(n1 < n2);
-        assert_eq!(transient.fragment_roots().len(), 2);
+        assert!(transient.fragment_roots().eq([n1, n2]));
         let resolved = snap.resolve(&transient, TRANSIENT_FRAG);
         assert!(std::ptr::eq(resolved, &transient));
         assert_eq!(resolved.string_value(n1), "hi");

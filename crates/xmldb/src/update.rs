@@ -483,7 +483,7 @@ impl PagedDocument {
     }
 
     /// Publish the current state as an immutable container: the column
-    /// image (an `Arc` clone) and its fragment roots.
+    /// image, an `Arc` clone.
     pub fn snapshot(&self) -> Document {
         Document::from_columns(self.name.clone(), self.columns.clone())
     }
@@ -725,7 +725,6 @@ pub fn fragment_from_xml(xml: &str) -> Document {
 mod tests {
     use super::*;
     use crate::doc::DocumentBuilder;
-    use crate::read::NodeRead;
     use crate::serialize::serialize_document;
     use crate::shred::{shred, ShredOptions};
 

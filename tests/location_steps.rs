@@ -30,7 +30,7 @@ use mxq::xmark::gen::{generate_xml, GenParams};
 use mxq::xmark::naive::NaiveInterpreter;
 use mxq::xmark::queries::query_text;
 use mxq::xmldb::update::{fragment_from_xml, PagedDocument, StructuralUpdate};
-use mxq::xmldb::{shred, DocStore, NodeRead, ShredOptions};
+use mxq::xmldb::{shred, DocStore, ShredOptions};
 use mxq::xquery::algebra::Op;
 use mxq::xquery::{
     analysis, parse_statement, Compiler, Database, ExecConfig, Executor, Params, PlanRef, Statement,

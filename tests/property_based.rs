@@ -21,8 +21,8 @@ use mxq::engine::sort::{is_sorted, sort_permutation, SortOrder};
 use mxq::engine::{Column, Dictionary};
 use mxq::staircase::{looplifted_step, staircase_step, Axis, NodeTest, ScanStats};
 use mxq::xmldb::update::{fragment_from_xml, NaiveDocument, PagedDocument, StructuralUpdate};
+use mxq::xmldb::NodeKind;
 use mxq::xmldb::{serialize_document, shred, Document, ShredOptions};
-use mxq::xmldb::{NodeKind, NodeRead};
 use mxq::xquery::Database;
 
 /// Switch on runtime plan validation for this test process, as
@@ -76,7 +76,9 @@ proptest! {
         // size of the root covers the whole fragment
         prop_assert_eq!(doc.size(0) as usize, doc.len() - 1);
         // post order rank recovery stays within bounds and is unique
-        let mut posts: Vec<i64> = (0..doc.len() as u32).map(|p| doc.post(p)).collect();
+        let mut posts: Vec<i64> = (0..doc.len() as u32)
+            .map(|p| p as i64 + doc.size(p) as i64 - doc.level(p) as i64)
+            .collect();
         posts.sort_unstable();
         posts.dedup();
         prop_assert_eq!(posts.len(), doc.len());

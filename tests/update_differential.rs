@@ -15,7 +15,7 @@ use proptest::prelude::*;
 use mxq::engine::NodeId;
 use mxq::xmldb::columns::DEFAULT_CHUNK_ROWS;
 use mxq::xmldb::update::{fragment_from_xml, NaiveDocument, PagedDocument, StructuralUpdate};
-use mxq::xmldb::{serialize_document, shred, Document, NodeKind, NodeRead, ShredOptions};
+use mxq::xmldb::{serialize_document, shred, Document, NodeKind, ShredOptions};
 use mxq::xquery::{Database, PendingUpdateList, UpdatePrimitive};
 use std::sync::Arc;
 
@@ -254,7 +254,7 @@ fn check_script_at(xml: &str, script: &[ScriptOp], chunk_sizes: &[usize]) {
     // reshred of the serialized result must be a fixpoint with the same
     // node count (guards against corrupt size/level maintenance that still
     // happens to serialize identically)
-    if !naive_xml.is_empty() && naive_doc.fragment_roots().len() == 1 {
+    if !naive_xml.is_empty() && naive_doc.fragment_roots().count() == 1 {
         let reshred = shred("re.xml", &naive_xml, &ShredOptions::default())
             .expect("serialized update result must reparse");
         assert_eq!(serialize_document(&reshred), naive_xml);
