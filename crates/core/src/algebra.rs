@@ -12,6 +12,7 @@
 //! and the executor memoises evaluated nodes by plan id, mirroring the
 //! materialisation of intermediate results in MonetDB/XQuery.
 
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use mxq_engine::agg::AggFunc;
@@ -35,8 +36,26 @@ pub struct Plan {
     pub op: Op,
 }
 
+/// Plan nodes are equal when their ids are: ids are unique within a plan,
+/// so this is node identity.  It makes [`Op`]'s equality one level deep —
+/// the same operator, fields and input nodes — which is the key
+/// [`crate::analysis::simplify`] shares identical nodes by.
+impl PartialEq for Plan {
+    fn eq(&self, other: &Self) -> bool {
+        self.id == other.id
+    }
+}
+
+impl Eq for Plan {}
+
+impl Hash for Plan {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.id.hash(state);
+    }
+}
+
 /// String functions supported by [`Op::StringFn`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StrFnKind {
     /// `fn:contains(a, b)`.
     Contains,
@@ -65,7 +84,7 @@ pub enum StrFnKind {
 }
 
 /// Numeric single-argument functions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NumFnKind {
     /// `fn:round`.
     Round,
@@ -78,7 +97,7 @@ pub enum NumFnKind {
 }
 
 /// Positional predicate kinds (`[3]`, `[last()]`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PosFilterKind {
     /// Keep the item whose position equals the given constant.
     Eq(i64),
@@ -86,7 +105,9 @@ pub enum PosFilterKind {
     Last,
 }
 
-/// The items of an [`Op::ConstSeq`].
+/// The items of an [`Op::ConstSeq`].  Equality and hashing are literal
+/// identity, like [`crate::ast::Literal`]'s: the same slot, or the same
+/// items of the same types with doubles compared bitwise.
 #[derive(Debug, Clone)]
 pub enum ConstItems {
     /// Literal items compiled into the plan.
@@ -98,6 +119,37 @@ pub enum ConstItems {
     Slot(usize),
 }
 
+impl PartialEq for ConstItems {
+    fn eq(&self, other: &Self) -> bool {
+        let same = |a: &Item, b: &Item| match (a, b) {
+            (Item::Int(x), Item::Int(y)) => x == y,
+            (Item::Dbl(x), Item::Dbl(y)) => x.to_bits() == y.to_bits(),
+            (Item::Str(x), Item::Str(y)) => x == y,
+            (Item::Bool(x), Item::Bool(y)) => x == y,
+            (Item::Node(x), Item::Node(y)) => x == y,
+            _ => false,
+        };
+        match (self, other) {
+            (ConstItems::Inline(a), ConstItems::Inline(b)) => {
+                a.len() == b.len() && a.iter().zip(b).all(|(x, y)| same(x, y))
+            }
+            (ConstItems::Slot(a), ConstItems::Slot(b)) => a == b,
+            _ => false,
+        }
+    }
+}
+
+impl Eq for ConstItems {}
+
+impl Hash for ConstItems {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        match self {
+            ConstItems::Inline(items) => items.len().hash(state),
+            ConstItems::Slot(slot) => slot.hash(state),
+        }
+    }
+}
+
 /// The algebra operators.
 ///
 /// Every operator emits its table in one convention, so the `ord`, `grpord`
@@ -106,7 +158,10 @@ pub enum ConstItems {
 /// numbers `inner` ascending, and a sequence table is sorted on
 /// `[iter, pos]` with positions `1..k` within each iteration.
 /// [`crate::analysis::validate_table`] checks it under `MXQ_VALIDATE_PLANS=1`.
-#[derive(Debug, Clone)]
+///
+/// Two operators are equal when they are the same operator with the same
+/// fields over the same input nodes (see [`Plan`]'s equality).
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Op {
     /// The outermost loop relation: a single iteration (`iter = [1]`).
     LoopOne,
@@ -556,7 +611,10 @@ macro_rules! for_each_input {
 impl Op {
     /// Visit the operator's inputs in order, each with the [`Shape`] it
     /// must have and its slot name.
-    pub(crate) fn for_each_input(&self, mut f: impl FnMut(&PlanRef, Shape, &'static str)) {
+    pub(crate) fn for_each_input<'a>(
+        &'a self,
+        mut f: impl FnMut(&'a PlanRef, Shape, &'static str),
+    ) {
         for_each_input!(self, f)
     }
 

@@ -16,8 +16,16 @@
 //!   silently wrong answer;
 //! * [`simplify`] removes operators the properties prove redundant (a
 //!   `docorder-δ` whose input is already in document order and duplicate
-//!   free, a `distinct` over at-most-one-item iterations) and fuses `count`
-//!   over a recognised join into `count(⋈)` (no pairs built);
+//!   free, a `distinct` over at-most-one-item iterations), fuses `count`
+//!   over a recognised join into `count(⋈)` (no pairs built), and then
+//!   shares structurally identical nodes: a node with the operator, fields
+//!   and input ids of a node with a lower id becomes that node, so the
+//!   executor's memo (keyed by plan id) evaluates each sub-plan once, as
+//!   Pathfinder's operator DAGs have MonetDB do.  Element constructors never
+//!   merge (each makes new node identities: `<a/> is <a/>` is false), and
+//!   neither do literals (the plan cache lifts each into a slot of its own,
+//!   so merging equal inline literals would make a fresh compile run fewer
+//!   operators than the cached plan of the same statement);
 //! * [`validate_table`] asserts the table convention and the inferred
 //!   properties against actually executed tables when the environment sets
 //!   `MXQ_VALIDATE_PLANS=1` — the analysis is itself tested differentially,
@@ -29,6 +37,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use mxq_engine::agg::AggFunc;
@@ -177,6 +186,15 @@ fn pairwise_distinct(items: &[Item]) -> bool {
             .iter()
             .enumerate()
             .all(|(i, a)| items[i + 1..].iter().all(|b| !items_equal(a, b)))
+}
+
+/// The entry of plan id `id` in a table indexed by plan id, grown on
+/// demand: the compiler numbers a plan's nodes densely from 0.
+fn by_id<T: Clone>(table: &mut Vec<Option<T>>, id: usize) -> &mut Option<T> {
+    if table.len() <= id {
+        table.resize(id + 1, None);
+    }
+    &mut table[id]
 }
 
 // ---------------------------------------------------------------------------
@@ -455,18 +473,18 @@ impl std::error::Error for PlanViolation {}
 /// a recognised join; plan ids are unique across the DAG (distinct nodes
 /// sharing an id would corrupt the executor's memo table).
 pub fn verify(root: &PlanRef, analysis: &Analysis) -> Result<(), PlanViolation> {
-    let mut ids: HashMap<usize, *const Plan> = HashMap::new();
-    verify_node(root, analysis, &mut ids)
+    verify_node(root, analysis, &mut Vec::new())
 }
 
 fn verify_node(
     p: &PlanRef,
     analysis: &Analysis,
-    ids: &mut HashMap<usize, *const Plan>,
+    ids: &mut Vec<Option<*const Plan>>,
 ) -> Result<(), PlanViolation> {
     let ptr = Arc::as_ptr(p);
-    match ids.get(&p.id) {
-        Some(&seen) if std::ptr::eq(seen, ptr) => return Ok(()),
+    let seen = by_id(ids, p.id);
+    match *seen {
+        Some(seen) if std::ptr::eq(seen, ptr) => return Ok(()),
         Some(_) => {
             return Err(PlanViolation {
                 plan_id: p.id,
@@ -474,13 +492,15 @@ fn verify_node(
                 message: "two distinct plan nodes share one id (memo corruption)".into(),
             })
         }
-        None => {
-            ids.insert(p.id, ptr);
+        None => *seen = Some(ptr),
+    }
+    let mut inputs = Ok(());
+    p.op.for_each_input(|c, _, _| {
+        if inputs.is_ok() {
+            inputs = verify_node(c, analysis, ids);
         }
-    }
-    for c in p.children() {
-        verify_node(&c, analysis, ids)?;
-    }
+    });
+    inputs?;
 
     let violation = |message: String| PlanViolation {
         plan_id: p.id,
@@ -558,8 +578,7 @@ pub struct Simplified {
 
 struct Simplifier<'a> {
     analysis: &'a Analysis,
-    memo: HashMap<usize, PlanRef>,
-    next_id: usize,
+    memo: Vec<Option<PlanRef>>,
     rewrites: Vec<Rewrite>,
 }
 
@@ -573,28 +592,23 @@ struct Simplifier<'a> {
 ///   fuse `count(for $x in S where L op R return $x)` over a recognised join
 ///   into [`Op::JoinCount`];
 ///
-/// Only the nodes a rewrite touches and their ancestors are rebuilt: a plan
-/// no rewrite applies to comes back as the input `Arc`.  Node ids are
-/// preserved for rebuilt nodes (replacement nodes get fresh ids), so the
-/// executor's memoisation keeps working across shared sub-DAGs.
+/// and then share structurally identical nodes: a node with the operator,
+/// fields and input ids of a node with a lower id becomes that node (never
+/// an [`Op::ElemCtor`] or an [`Op::ConstSeq`]), so that the executor, which
+/// memoises tables by plan id, evaluates each sub-plan once.
+///
+/// Only the nodes a rewrite or a merge touches and their ancestors are
+/// rebuilt: a plan neither applies to comes back as the input `Arc`.  A
+/// rebuilt node keeps its id and a replacement node takes the id of the
+/// node it replaces, so an input's id stays below its consumer's, as the
+/// compiler numbers them.
 pub fn simplify(root: &PlanRef, analysis: &Analysis) -> Simplified {
-    let mut max_id = 0;
-    fn walk_max(p: &PlanRef, seen: &mut HashMap<usize, ()>, max_id: &mut usize) {
-        if seen.insert(p.id, ()).is_some() {
-            return;
-        }
-        *max_id = (*max_id).max(p.id);
-        p.op.for_each_input(|c, _, _| walk_max(c, seen, max_id));
-    }
-    walk_max(root, &mut HashMap::new(), &mut max_id);
-
     let mut s = Simplifier {
         analysis,
-        memo: HashMap::new(),
-        next_id: max_id + 1,
+        memo: Vec::new(),
         rewrites: Vec::new(),
     };
-    let plan = s.rewrite(root);
+    let plan = share(&s.rewrite(root));
     Simplified {
         plan,
         rewrites: s.rewrites,
@@ -603,11 +617,11 @@ pub fn simplify(root: &PlanRef, analysis: &Analysis) -> Simplified {
 
 impl Simplifier<'_> {
     fn rewrite(&mut self, p: &PlanRef) -> PlanRef {
-        if let Some(done) = self.memo.get(&p.id) {
+        if let Some(done) = by_id(&mut self.memo, p.id) {
             return done.clone();
         }
         let result = self.rewrite_uncached(p);
-        self.memo.insert(p.id, result.clone());
+        self.memo[p.id] = Some(result.clone());
         result
     }
 
@@ -643,7 +657,7 @@ impl Simplifier<'_> {
                 let op = Op::Atomize {
                     seq: self.rewrite(seq),
                 };
-                return self.replacement(op);
+                return Arc::new(Plan { id: p.id, op });
             }
         }
 
@@ -672,13 +686,6 @@ impl Simplifier<'_> {
         } else {
             p.clone()
         }
-    }
-
-    /// A new node (fresh id) computing what the node it replaces computes.
-    fn replacement(&mut self, op: Op) -> PlanRef {
-        let id = self.next_id;
-        self.next_id += 1;
-        Arc::new(Plan { id, op })
     }
 
     /// The two `count` rewrites, in order:
@@ -734,7 +741,7 @@ impl Simplifier<'_> {
             },
             None => return None,
         };
-        Some(self.replacement(op))
+        Some(Arc::new(Plan { id: p.id, op }))
     }
 }
 
@@ -749,6 +756,95 @@ fn returned_join_var(seq: &PlanRef) -> Option<&PlanRef> {
             Some(nest)
         }
         _ => None,
+    }
+}
+
+// ---------------------------------------------------------------------------
+// sharing identical nodes
+// ---------------------------------------------------------------------------
+
+/// A plan node keyed by its operator one level deep: the operator, its
+/// fields and the ids of its inputs (see [`Op`]'s equality).  Hashing it
+/// costs the same for a leaf and for the root of a large sub-plan.
+struct ByOp(PlanRef);
+
+impl PartialEq for ByOp {
+    fn eq(&self, other: &Self) -> bool {
+        self.0.op == other.0.op
+    }
+}
+
+impl Eq for ByOp {}
+
+impl Hash for ByOp {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.0.op.hash(state);
+    }
+}
+
+/// Hash-cons the plan: a node whose operator, fields and (already shared)
+/// inputs equal those of a node with a lower id is replaced by that node,
+/// so equal sub-plans collapse bottom-up into one.  Nodes are visited in
+/// ascending id order, so the lowest id of each class survives and the
+/// plan's explain text does not depend on the process.  Two operators never
+/// merge:
+///
+/// * [`Op::ElemCtor`]: every constructor makes new node identities
+///   (`<a/> is <a/>` is false);
+/// * [`Op::ConstSeq`]: the plan cache lifts each literal into a slot of its
+///   own, so merging equal inline literals would make a fresh compile run
+///   fewer operators than the cached plan of the same statement.
+fn share(root: &PlanRef) -> PlanRef {
+    fn collect<'a>(p: &'a PlanRef, nodes: &mut Vec<Option<&'a PlanRef>>) {
+        let slot = by_id(nodes, p.id);
+        if slot.is_none() {
+            *slot = Some(p);
+            p.op.for_each_input(|c, _, _| collect(c, nodes));
+        }
+    }
+    let mut nodes = Vec::new();
+    collect(root, &mut nodes);
+    let mut sharer = Sharer {
+        done: vec![None; nodes.len()],
+        classes: HashMap::with_capacity(nodes.len()),
+    };
+    for node in nodes.into_iter().flatten() {
+        sharer.share(node);
+    }
+    sharer.share(root)
+}
+
+struct Sharer {
+    /// The shared node of each visited id.
+    done: Vec<Option<PlanRef>>,
+    /// The surviving node of each class of equal nodes.
+    classes: HashMap<ByOp, PlanRef>,
+}
+
+impl Sharer {
+    fn share(&mut self, p: &PlanRef) -> PlanRef {
+        if let Some(done) = &self.done[p.id] {
+            return done.clone();
+        }
+        let mut changed = false;
+        p.op.for_each_input(|input, _, _| changed |= !Arc::ptr_eq(input, &self.share(input)));
+        let node = if changed {
+            let mut op = p.op.clone();
+            op.for_each_input_mut(|input| *input = self.share(input));
+            Arc::new(Plan { id: p.id, op })
+        } else {
+            p.clone()
+        };
+        let shared = match node.op {
+            Op::ElemCtor { .. } | Op::ConstSeq { .. } => node,
+            _ => self
+                .classes
+                .entry(ByOp(node.clone()))
+                .or_insert(node)
+                .clone(),
+        };
+        self.done[p.id] = Some(shared.clone());
+        shared
     }
 }
 
@@ -1072,6 +1168,74 @@ mod tests {
         let simplified = simplify(&plan, &analyze(&plan));
         assert!(simplified.rewrites.is_empty());
         assert!(Arc::ptr_eq(&simplified.plan, &plan));
+    }
+
+    #[test]
+    fn simplifier_shares_identical_nodes_under_the_lowest_id() {
+        use mxq_staircase::{Axis, NodeTest};
+        let mk = |id, op| Arc::new(Plan { id, op });
+        let loop_ = mk(0, Op::LoopOne);
+        let doc = mk(
+            1,
+            Op::DocRoot {
+                loop_: loop_.clone(),
+                name: "d.xml".into(),
+            },
+        );
+        let step = |id| {
+            mk(
+                id,
+                Op::AxisStep {
+                    ctx: doc.clone(),
+                    axis: Axis::Child,
+                    test: NodeTest::named("a"),
+                },
+            )
+        };
+        let ctor = |id| {
+            mk(
+                id,
+                Op::ElemCtor {
+                    loop_: loop_.clone(),
+                    name: "c".into(),
+                    attrs: Vec::new(),
+                    content: Vec::new(),
+                },
+            )
+        };
+        // the higher id comes first in the DAG walk; the lower one survives
+        let parts = vec![step(3), step(2), ctor(4), ctor(5)];
+        let root = mk(6, Op::Union { parts });
+        let shared = simplify(&root, &analyze(&root)).plan;
+        let ids: Vec<usize> = shared.children().iter().map(|p| p.id).collect();
+        assert_eq!(ids, [2, 2, 4, 5], "{}", shared.explain());
+        assert_eq!(shared.operator_count(), 6);
+        let verified = verify(&shared, &analyze(&shared)).map_err(|v| v.to_string());
+        assert_eq!(verified, Ok(()));
+
+        // a plan without equal nodes comes back as it was
+        let unique = mk(
+            7,
+            Op::Union {
+                parts: vec![step(2)],
+            },
+        );
+        assert!(Arc::ptr_eq(
+            &simplify(&unique, &analyze(&unique)).plan,
+            &unique
+        ));
+    }
+
+    #[test]
+    fn simplifier_shares_a_path_compiled_twice() {
+        let plan = plan_of("(doc(\"d.xml\")/a/b, doc(\"d.xml\")/a/b)");
+        let simplified = simplify(&plan, &analyze(&plan)).plan;
+        assert!(
+            matches!(&simplified.op, Op::Union { parts } if Arc::ptr_eq(&parts[0], &parts[1])),
+            "{}",
+            simplified.explain()
+        );
+        assert!(simplified.operator_count() < plan.operator_count());
     }
 
     #[test]

@@ -5,13 +5,16 @@
 //! scanned and the storage runs they skipped (see `Session::profile`).
 //! Q10 and Q12 are the costliest join statements, Q20 the costliest
 //! path/aggregate one.  Each query is profiled seven times on a warm plan
-//! cache; the run with the median execution time is printed.
+//! cache; the run with the median execution time is printed, followed by
+//! its self time and rows scanned summed per operator kind (`scj`, `elem`,
+//! `attr`, …), so a layer's share can be quoted from the output.
 //!
 //! ```sh
 //! cargo run --release --example explain_analyze          # sf 0.01
 //! cargo run --release --example explain_analyze -- 0.1  # sf 0.1
 //! ```
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use mxq::xmark::gen::{generate_xml, GenParams};
@@ -41,13 +44,41 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("{profile}");
         println!(
             "operator self times cover {:.1} % of the execution; {} sorts, {} avoided; \
-             {} rows scanned, {} runs skipped\n",
+             {} rows scanned, {} runs skipped",
             100.0 * profile.self_ns_total() as f64 / profile.exec_ns as f64,
             profile.stats.sorts,
             profile.stats.sorts_avoided,
             profile.stats.staircase.nodes_scanned,
             profile.stats.staircase.pages_skipped
         );
+        print_by_kind(profile);
     }
     Ok(())
+}
+
+/// The profile's self time, rows scanned and node count summed per
+/// operator kind, costliest first.
+fn print_by_kind(profile: &Profile) {
+    let mut kinds: HashMap<&str, (u64, u64, usize)> = HashMap::new();
+    for op in &profile.ops {
+        let kind = kinds.entry(op.op).or_default();
+        kind.0 += op.self_ns;
+        kind.1 += op.nodes_scanned;
+        kind.2 += 1;
+    }
+    let mut kinds: Vec<_> = kinds.into_iter().collect();
+    kinds.sort_by(|a, b| b.1 .0.cmp(&a.1 .0).then(a.0.cmp(b.0)));
+    let total = profile.self_ns_total().max(1) as f64;
+    println!(
+        "{:<14} {:>9} {:>7} {:>8} {:>5}",
+        "operator kind", "self ms", "share", "scanned", "nodes"
+    );
+    for (kind, (self_ns, scanned, nodes)) in kinds {
+        println!(
+            "{kind:<14} {:>9.3} {:>6.1}% {scanned:>8} {nodes:>5}",
+            self_ns as f64 / 1e6,
+            100.0 * self_ns as f64 / total
+        );
+    }
+    println!();
 }

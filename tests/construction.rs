@@ -262,3 +262,29 @@ fn a_later_constructor_whose_tag_sorts_first() {
         "<a b=\"3\"><z k=\"one\">one</z><z k=\"two\">two</z><z k=\"\"/></a>"
     );
 }
+
+/// Equal constructors are two constructors: sharing identical plan nodes
+/// never merges them, whatever the configuration.
+#[test]
+fn equal_constructors_make_distinct_nodes() {
+    let cases = [
+        ("let $x := <a/> let $y := <a/> return $x is $y", "false"),
+        ("count((<a/>, <a/>)/self::a)", "2"),
+        (
+            "for $i in (1, 2) return (<b>{$i}</b> is <b>{$i}</b>)",
+            "false false",
+        ),
+        (
+            "let $x := <a><c/></a> let $y := <a><c/></a> return count(($x, $y)/c)",
+            "2",
+        ),
+        // of two distinct nodes exactly one comes first
+        (
+            "let $x := <a/> let $y := <a/> return (($x << $y) or ($y << $x), $x << $x)",
+            "true false",
+        ),
+    ];
+    for (query, want) in cases {
+        assert_eq!(agreed(query), want, "{query}");
+    }
+}

@@ -1,12 +1,15 @@
 //! Static plan analysis over the XMark workload: the verifier accepts all
 //! twenty query plans, the simplifier's eliminations show up in the
 //! annotated `explain`, the recognised joins of Q8 and Q9 compare attribute
-//! steps and run code-to-code, and executing under runtime validation
-//! changes no results.
+//! steps and run code-to-code, executing under runtime validation
+//! changes no results, and no simplified plan holds two identical nodes.
 
+use mxq::staircase::{Axis, NodeTest};
 use mxq::xmark::gen::{generate_xml, GenParams};
 use mxq::xmark::queries::query_text;
-use mxq::xquery::Database;
+use mxq::xquery::algebra::Op;
+use mxq::xquery::{Database, PlanRef};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 /// Switch on runtime plan validation for this test process, as
@@ -108,6 +111,50 @@ fn xmark_join_queries_count_proven_dict_joins() {
             "Q{id} executed without a proven dictionary join"
         );
     }
+}
+
+/// Every node of the DAG under `root`, once, by ascending id.
+fn plan_nodes(root: &PlanRef) -> Vec<PlanRef> {
+    let mut seen = BTreeMap::new();
+    let mut todo = vec![root.clone()];
+    while let Some(p) = todo.pop() {
+        if seen.insert(p.id, p.clone()).is_none() {
+            todo.extend(p.children());
+        }
+    }
+    seen.into_values().collect()
+}
+
+#[test]
+fn xmark_plans_share_identical_nodes() {
+    // the simplifier hash-conses the plan: outside element constructors
+    // (each makes new nodes) and literals (each has its own plan-cache
+    // slot), no two nodes agree on operator, fields and input ids, so the
+    // executor's memo evaluates every sub-plan once
+    let session = Arc::new(Database::new()).session();
+    for id in 1..=20 {
+        let plan = session.compile(query_text(id)).unwrap();
+        let mut by_op: HashMap<&Op, usize> = HashMap::new();
+        let nodes = plan_nodes(&plan);
+        for node in &nodes {
+            if matches!(node.op, Op::ElemCtor { .. } | Op::ConstSeq { .. }) {
+                continue;
+            }
+            if let Some(first) = by_op.insert(&node.op, node.id) {
+                panic!("Q{id}: [{first}] and [{}] are the same node", node.id);
+            }
+        }
+    }
+    // Q20's four counts read one `person/profile` step
+    let plan = session.compile(query_text(20)).unwrap();
+    let profile_steps = plan_nodes(&plan)
+        .iter()
+        .filter(|p| {
+            matches!(&p.op, Op::AxisStep { axis: Axis::Child, test: NodeTest::Named(n), .. }
+                if n.as_ref() == "profile")
+        })
+        .count();
+    assert_eq!(profile_steps, 1, "{}", plan.explain());
 }
 
 #[test]
