@@ -20,7 +20,6 @@
 //! stacks hold borrowed runs, and nothing is allocated per context node.
 
 use std::borrow::Cow;
-use std::collections::BTreeMap;
 use std::ops::Range;
 
 use mxq_xmldb::{Document, NamedRun};
@@ -128,7 +127,7 @@ pub fn looplifted_step_candidates(
     };
     let index = NameIndex::new(doc, code);
     let result = match axis {
-        Axis::Child => named_child(doc, ctx, index, stats),
+        Axis::Child => named_child(ctx, index, stats),
         _ => {
             let or_self = axis == Axis::DescendantOrSelf;
             ll_descendant(doc, ctx, Matches::Index(index), stats, or_self)
@@ -152,44 +151,24 @@ fn finish(mut result: Vec<CtxPair>, stats: &mut ScanStats) -> Vec<CtxPair> {
 
 /// A cursor over the element-name index of one name: remembers the storage
 /// run it looked at last, so consecutive small context regions inside one
-/// run share a single index lookup, and every run it has looked at, so
-/// contexts that come back to a run (one node per iteration, in iteration
-/// order) find it again without a lookup.
+/// run share a single index lookup.
 struct NameIndex<'d> {
     doc: &'d Document,
     code: u32,
     run: NamedRun<'d>,
-    /// The runs looked up so far, by their last preorder rank (runs are
-    /// disjoint).
-    seen: BTreeMap<u32, NamedRun<'d>>,
 }
 
 impl<'d> NameIndex<'d> {
     fn new(doc: &'d Document, code: u32) -> Self {
-        NameIndex {
-            doc,
-            code,
-            // an empty run that contains no position: the first lookup loads
-            run: NamedRun {
-                base: 1,
-                offsets: &[],
-                end: 0,
-            },
-            seen: BTreeMap::new(),
-        }
+        // an empty run contains no position: the first lookup loads
+        let run = NamedRun::default();
+        NameIndex { doc, code, run }
     }
 
     /// The index entries of the run containing `pre`.
     fn run_at(&mut self, pre: u32, stats: &mut ScanStats) -> NamedRun<'d> {
-        if pre < self.run.base || pre > self.run.end {
-            self.run = match self.seen.range(pre..).next() {
-                Some((_, &run)) if run.base <= pre => run,
-                _ => {
-                    let run = self.doc.run_named(pre, self.code);
-                    self.seen.insert(run.end, run);
-                    run
-                }
-            };
+        if pre.wrapping_sub(self.run.base) as usize >= self.run.size.len() {
+            self.run = self.doc.run_named(pre, self.code);
             if self.run.offsets.is_empty() {
                 // the index rules the whole run out
                 stats.pages_skipped += 1;
@@ -315,15 +294,10 @@ fn ll_child(
 
 /// `child::name` off the element-name index, one context node at a time
 /// ([`named_children`]).
-fn named_child(
-    doc: &Document,
-    ctx: &[CtxPair],
-    mut index: NameIndex<'_>,
-    stats: &mut ScanStats,
-) -> Vec<CtxPair> {
+fn named_child(ctx: &[CtxPair], mut index: NameIndex<'_>, stats: &mut ScanStats) -> Vec<CtxPair> {
     let mut result: Vec<CtxPair> = Vec::new();
     for group in groups(ctx) {
-        named_children(doc, group[0].1, &mut index, stats, |cand| {
+        named_children(group[0].1, &mut index, stats, |cand| {
             result.extend(group.iter().map(|&(it, _)| (it, cand)));
         });
     }
@@ -334,32 +308,36 @@ fn named_child(
 /// the candidates inside its subtree, each either a child (emitted) or
 /// deeper (dropped) — and in both cases nothing below it can be a child, so
 /// the candidate's whole subtree is jumped over without being touched.
+/// The walk starts in `pre`'s own run and reads `pre`'s and the
+/// candidates' `size` and `level` from the run's columns: a subtree inside
+/// one run costs one run lookup (none when the last context's run holds
+/// it), a subtree that spans runs walks them in order.
 fn named_children(
-    doc: &Document,
     pre: u32,
     index: &mut NameIndex<'_>,
     stats: &mut ScanStats,
     mut emit: impl FnMut(u32),
 ) {
-    let eos = pre + doc.size(pre);
-    let child_level = doc.level(pre) + 1;
+    let run = index.run_at(pre, stats);
+    let l = (pre - run.base) as usize;
+    let (eos, child_level) = (pre + run.size[l], run.level[l] + 1);
     let mut v = pre + 1;
-    'region: while v <= eos {
+    while v <= eos {
         let run = index.run_at(v, stats);
         let from = run.offsets.partition_point(|&o| run.base + o < v);
         for &o in &run.offsets[from..] {
             let cand = run.base + o;
             if cand > eos {
-                break 'region;
+                return;
             }
             if cand < v {
                 continue; // inside a subtree already jumped over
             }
             stats.nodes_scanned += 1;
-            if doc.level(cand) == child_level {
+            if run.level[o as usize] == child_level {
                 emit(cand);
             }
-            v = cand + doc.size(cand) + 1;
+            v = cand + run.size[o as usize] + 1;
         }
         v = v.max(run.end + 1);
     }
@@ -400,7 +378,7 @@ pub fn child_step_in_iter_order(
             emit(it, pos, v);
         };
         match &mut index {
-            Some(index) => named_children(doc, pre, index, stats, &mut child),
+            Some(index) => named_children(pre, index, stats, &mut child),
             None => {
                 stats.nodes_scanned += 1; // the context node itself is inspected
                 let eos = pre + doc.size(pre);

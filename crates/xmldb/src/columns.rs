@@ -46,16 +46,22 @@
 //! and a name-code bucket bitmask — maintained on each patch, so backward
 //! parent scans and kind/name probes skip whole chunks that cannot contain
 //! a match.  Next to them sits the chunk-local **element-name posting
-//! index**: the chunk's element rows ordered by `(name code, offset)`,
-//! rebuilt with the summaries (O(chunk) per structural patch, derived at
-//! load — never stored on disk), and over it a **name directory**: one
-//! `(name code, first posting)` pair per distinct element name, so the run
-//! of one name is a single binary search over a short contiguous list away.
-//! The index is the ready-made candidate list of the name-test push-down
-//! (paper §3.2): [`Document::run_named`](crate::Document::run_named)
-//! hands a location step the elements of one name inside one chunk as a
-//! borrowed slice ([`NamedRun`]), so a step visits only the chunks its
-//! context regions overlap.
+//! index**: the chunk's element rows ordered by `(name code, offset)`, and
+//! over it a **name directory**: one `(name code, first posting)` pair per
+//! distinct element name, so the run of one name is a single binary search
+//! over a short contiguous list away.  The index is built on the first
+//! read that steps into the chunk by name (a `OnceLock`, so concurrent
+//! readers of one published chunk build it once) and dropped by every
+//! patch that moves, adds, removes or renames the chunk's element rows;
+//! shredding, construction, splices and cold opens sort nothing, and an
+//! index is never stored on disk.  A copy of a chunk shares its built
+//! index (`Arc`), so a patch that keeps the element rows (a size, a text,
+//! an attribute) keeps it too.  The index is the ready-made candidate list
+//! of the name-test push-down (paper §3.2):
+//! [`Document::run_named`](crate::Document::run_named) hands a location
+//! step the elements of one name inside one chunk as a borrowed slice
+//! ([`NamedRun`]), with the chunk's `size` and `level` columns, so a step
+//! visits only the chunks its context regions overlap.
 //!
 //! Chunks are shared (`Arc`) between the master image and every published
 //! snapshot; a patch copies the chunk it lands in, nothing else.
@@ -66,7 +72,7 @@
 //! and never touch a string.
 
 use std::ops::Range;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use mxq_engine::Dictionary;
 
@@ -124,14 +130,67 @@ struct Chunk {
     /// Bit `code % 64` set for every name code in the chunk (conservative
     /// — a set bit means "may contain").
     name_buckets: u64,
-    /// The chunk-local element-name posting index: the local offsets of the
-    /// element rows ordered by `(name code, offset)`, so the elements of one
-    /// name are a contiguous, ascending run.
+    /// The element-name index, built by the first [`Chunk::named`] call
+    /// and dropped by every structural patch; a clone shares it.
+    names: OnceLock<Arc<NamePostings>>,
+}
+
+/// The element-name index of one chunk.
+#[derive(Debug, PartialEq, Eq)]
+struct NamePostings {
+    /// The local offsets of the element rows ordered by `(name code,
+    /// offset)`, so the elements of one name are a contiguous, ascending
+    /// run.
     postings: Vec<u32>,
     /// The name directory over `postings`: `(name code, first posting)` of
     /// every distinct element name in the chunk, ascending by code, so a
     /// name's run is one binary search over this short list away.
     directory: Vec<(u32, u32)>,
+}
+
+impl NamePostings {
+    /// The index of `chunk`'s rows: one sort of its element rows keyed
+    /// `(name code, offset)`.
+    fn build(chunk: &Chunk) -> NamePostings {
+        let rows = chunk.kind.iter().zip(&chunk.name_code).enumerate();
+        let mut keys: Vec<u64> = rows
+            .filter(|&(_, (&kind, _))| kind == NodeKind::Element)
+            .map(|(l, (_, &code))| u64::from(code) << 32 | l as u64)
+            .collect();
+        keys.sort_unstable();
+        let mut index = NamePostings {
+            postings: Vec::with_capacity(keys.len()),
+            directory: Vec::new(),
+        };
+        for (i, key) in keys.into_iter().enumerate() {
+            let code = (key >> 32) as u32;
+            if index.directory.last().is_none_or(|&(c, _)| c != code) {
+                index.directory.push((code, i as u32));
+            }
+            index.postings.push(key as u32);
+        }
+        index
+    }
+
+    /// Local offsets (ascending) of the element rows with name code `code`.
+    fn run(&self, code: u32) -> &[u32] {
+        let Ok(i) = self.directory.binary_search_by_key(&code, |&(c, _)| c) else {
+            return &[];
+        };
+        let start = self.directory[i].1 as usize;
+        let end = self
+            .directory
+            .get(i + 1)
+            .map_or(self.postings.len(), |&(_, first)| first as usize);
+        &self.postings[start..end]
+    }
+
+    /// Resident bytes: one offset per posting, a `(code, first)` pair per
+    /// directory entry.
+    fn bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.postings.len() * size_of::<u32>() + self.directory.len() * size_of::<(u32, u32)>()
+    }
 }
 
 impl Chunk {
@@ -173,38 +232,25 @@ impl Chunk {
         }
     }
 
-    /// Rebuild the summaries and the name index from the rows: one pass
-    /// over the structural columns, then one sort of the element rows
-    /// keyed `(name code, offset)`.
+    /// Rebuild the summaries from the rows — one pass over the structural
+    /// columns — and drop the name index: the next named read builds it
+    /// from the rows as they are now.
     fn rebuild_summary(&mut self) {
-        let (mut min, mut max, mut kinds) = (u16::MAX, 0, 0u8);
-        let mut keys: Vec<u64> = Vec::new();
+        let (mut min, mut max, mut kinds, mut buckets) = (u16::MAX, 0, 0u8, 0u64);
         let rows = self.level.iter().zip(&self.kind).zip(&self.name_code);
-        for (l, ((&level, &kind), &code)) in rows.enumerate() {
+        for ((&level, &kind), &code) in rows {
             (min, max) = (min.min(level), max.max(level));
             kinds |= 1u8 << kind as u8;
-            if kind == NodeKind::Element {
-                keys.push(u64::from(code) << 32 | l as u64);
-            }
+            buckets |= 1u64 << (code % 64);
         }
-        (self.min_level, self.max_level, self.kind_mask) = (min, max, kinds);
-        self.rebuild_buckets();
-        keys.sort_unstable();
-        self.postings.clear();
-        self.directory.clear();
-        for (i, key) in keys.into_iter().enumerate() {
-            let code = (key >> 32) as u32;
-            if self.directory.last().is_none_or(|&(c, _)| c != code) {
-                self.directory.push((code, i as u32));
-            }
-            self.postings.push(key as u32);
-        }
+        (self.min_level, self.max_level) = (min, max);
+        (self.kind_mask, self.name_buckets) = (kinds, buckets);
+        self.names = OnceLock::new();
     }
 
-    /// Resident bytes of the chunk's columns, heap and name index: the
-    /// widths of a row's five columns (15 bytes), the heap's bytes, one
-    /// offset per posting, a `(code, first)` pair per directory entry and
-    /// three codes per attribute row.
+    /// Resident bytes of the chunk's columns, heap and built name index:
+    /// the widths of a row's five columns (15 bytes), the heap's bytes,
+    /// the index's and three codes per attribute row.
     fn approx_bytes(&self) -> usize {
         use std::mem::size_of;
         let row = size_of::<u32>()
@@ -214,32 +260,20 @@ impl Chunk {
             + size_of::<u32>();
         self.len() * row
             + self.heap.len()
-            + self.postings.len() * size_of::<u32>()
-            + self.directory.len() * size_of::<(u32, u32)>()
+            + self.names.get().map_or(0, |index| index.bytes())
             + self.attr_owner.len() * 3 * size_of::<u32>()
     }
 
-    fn rebuild_buckets(&mut self) {
-        self.name_buckets = self
-            .name_code
-            .iter()
-            .fold(0u64, |m, &c| m | (1u64 << (c % 64)));
-    }
-
-    /// Local offsets (ascending) of the element rows with name code `code`.
+    /// Local offsets (ascending) of the element rows with name code `code`,
+    /// off the name index (built here on the first call that gets past the
+    /// name buckets).
     fn named(&self, code: u32) -> &[u32] {
         if self.name_buckets & (1u64 << (code % 64)) == 0 {
             return &[];
         }
-        let Ok(i) = self.directory.binary_search_by_key(&code, |&(c, _)| c) else {
-            return &[];
-        };
-        let start = self.directory[i].1 as usize;
-        let end = self
-            .directory
-            .get(i + 1)
-            .map_or(self.postings.len(), |&(_, first)| first as usize);
-        &self.postings[start..end]
+        self.names
+            .get_or_init(|| Arc::new(NamePostings::build(self)))
+            .run(code)
     }
 
     /// An empty chunk with room for `rows` rows.
@@ -472,8 +506,11 @@ pub(crate) struct Row<'a> {
 
 /// The elements of one name inside one chunk, in document order: the
 /// element at chunk-local `offsets[i]` has preorder rank
-/// `base + offsets[i]`.
-#[derive(Debug, Clone, Copy)]
+/// `base + offsets[i]`.  The chunk's `size` and `level` columns come
+/// along, indexed by chunk-local offset, so a step that stays inside the
+/// chunk reads them without locating a row again.  The default run is
+/// empty and holds no position.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct NamedRun<'a> {
     /// Preorder rank the offsets are relative to.
     pub base: u32,
@@ -481,6 +518,10 @@ pub struct NamedRun<'a> {
     pub offsets: &'a [u32],
     /// Last preorder rank of the chunk.
     pub end: u32,
+    /// Subtree size of each row of the chunk.
+    pub size: &'a [u32],
+    /// Level of each row of the chunk.
+    pub level: &'a [u16],
 }
 
 /// Iterator over the attributes of one element: a slice of the coded
@@ -607,10 +648,10 @@ impl DocumentColumns {
     }
 
     /// Rough resident-memory footprint in bytes: the fixed-width columns,
-    /// the name index, the text payloads, the attribute rows and the three
-    /// interners (each string, plus its map entry and numeric key).  Used
-    /// by the eviction policy's memory budget — a heuristic, not an
-    /// allocator report.
+    /// the name indexes built so far, the text payloads, the attribute
+    /// rows and the three interners (each string, plus its map entry and
+    /// numeric key).  Used by the eviction policy's memory budget — a
+    /// heuristic, not an allocator report.
     pub(crate) fn approx_bytes(&self) -> usize {
         use std::mem::size_of;
         let entry = size_of::<Arc<str>>() + size_of::<(Arc<str>, u32)>() + size_of::<Option<u64>>();
@@ -652,15 +693,18 @@ impl DocumentColumns {
     }
 
     /// The elements with name code `code` inside the chunk holding `pre`,
-    /// straight from that chunk's posting index (borrowed, no allocation).
+    /// straight from that chunk's posting index (borrowed, no allocation
+    /// once the index is built).
     #[inline]
     pub(crate) fn chunk_named(&self, pre: u32, code: u32) -> NamedRun<'_> {
         let ci = self.chunk_of(pre);
-        let base = self.starts[ci] as u32;
+        let (base, chunk) = (self.starts[ci] as u32, &*self.chunks[ci]);
         NamedRun {
             base,
-            offsets: self.chunks[ci].named(code),
-            end: base + self.chunks[ci].len() as u32 - 1,
+            offsets: chunk.named(code),
+            end: base + chunk.len() as u32 - 1,
+            size: &chunk.size,
+            level: &chunk.level,
         }
     }
 
@@ -981,7 +1025,7 @@ impl DocumentColumns {
         let (ci, l) = self.locate(pre);
         let chunk = Arc::make_mut(&mut self.chunks[ci]);
         chunk.name_code[l] = code;
-        // the posting index is ordered on the name code
+        // the name index is ordered on the name code: it goes
         chunk.rebuild_summary();
     }
 
@@ -1069,7 +1113,7 @@ impl DocumentColumns {
 
     /// Check the image against itself: every `size` matches the level
     /// structure, levels step down from the fragment roots by one, the
-    /// chunk summaries and posting indexes equal a rebuild from the rows,
+    /// chunk summaries and built name indexes equal a rebuild from the rows,
     /// attribute owners are in range and ordered, the text ends never
     /// decrease, fall on char boundaries and end at the heap's end, only
     /// text, comment and PI rows carry text, every code lies below the
@@ -1247,18 +1291,18 @@ impl DocumentColumns {
         Ok(())
     }
 
-    /// Every chunk's maintained summaries, posting index and name
-    /// directory equal the ones rebuilt from its rows.
+    /// Every chunk's maintained summaries, and its name index if built,
+    /// equal the ones rebuilt from its rows.
     fn summaries_are_fresh(&self) -> Result<(), String> {
         for (ci, c) in self.chunks.iter().enumerate() {
+            if c.names
+                .get()
+                .is_some_and(|index| **index != NamePostings::build(c))
+            {
+                return Err(format!("chunk {ci}: stale element-name index"));
+            }
             let mut fresh = Chunk::clone(c);
             fresh.rebuild_summary();
-            if c.postings != fresh.postings {
-                return Err(format!("chunk {ci}: stale element-name posting index"));
-            }
-            if c.directory != fresh.directory {
-                return Err(format!("chunk {ci}: stale name directory"));
-            }
             if (c.min_level, c.max_level, c.kind_mask, c.name_buckets)
                 != (
                     fresh.min_level,
@@ -1279,7 +1323,8 @@ impl DocumentColumns {
 /// Rows go to the open chunk (the image's last one, when it has room),
 /// which joins the image each time it fills.  A name or value gets its
 /// final code from the image's interners at once; [`Appender::seal`]
-/// rebuilds the summaries of the chunks the session wrote.
+/// rebuilds the summaries of the chunks the session wrote (their name
+/// indexes wait for a named read).
 #[derive(Debug)]
 pub(crate) struct Appender {
     /// The image without the open chunk.
@@ -1461,7 +1506,8 @@ impl Appender {
     }
 
     /// End the session: the open chunk joins the image, and the chunks the
-    /// session wrote get their summaries.
+    /// session wrote get their summaries (no name index: a named read
+    /// builds it).
     pub(crate) fn seal(self) -> DocumentColumns {
         let Appender {
             mut cols,
@@ -1789,6 +1835,155 @@ mod tests {
         let tags: Vec<&str> = cols.tags().iter().map(|s| s.as_ref()).collect();
         assert_eq!(tags, ["", "root", "r", "t", "aa", "a"]);
         Ok(())
+    }
+
+    /// Number of chunks whose name index is built.
+    fn indexes_built(cols: &DocumentColumns) -> usize {
+        cols.chunks
+            .iter()
+            .filter(|c| c.names.get().is_some())
+            .count()
+    }
+
+    /// `cols`' footprint with none of its name indexes counted.
+    fn bytes_without_indexes(cols: &DocumentColumns) -> usize {
+        let indexes: usize = cols
+            .chunks
+            .iter()
+            .filter_map(|c| c.names.get())
+            .map(|n| n.bytes())
+            .sum();
+        cols.approx_bytes() - indexes
+    }
+
+    /// A build session sorts nothing: shredding, a constructor session
+    /// appending to an image and a rechunk leave every name index unbuilt
+    /// and uncounted; the first named read of a chunk builds that chunk's
+    /// index alone, and the footprint grows by exactly its bytes.
+    #[test]
+    fn a_build_session_leaves_name_indexes_to_the_first_read() -> Result<(), String> {
+        let doc = wide_doc(600); // 1 801 rows: two chunks
+        let mut b = DocumentBuilder::append_to(doc);
+        for i in 0..700 {
+            b.start_element("c");
+            b.text(&format!("c{i}"));
+            b.end_element();
+        }
+        let doc = b.finish();
+        let cols = doc.columns();
+        assert_eq!(cols.chunk_count(), 4);
+        assert_eq!(indexes_built(cols), 0, "the sessions built an index");
+        assert_eq!(cols.approx_bytes(), bytes_without_indexes(cols));
+        let before = cols.approx_bytes();
+        let c = cols.tags().code_of("c").ok_or("c encoded")?;
+        let run = cols.chunk_named(3000, c);
+        assert_eq!(indexes_built(cols), 1);
+        let built = cols.chunks[2].names.get().ok_or("chunk 2 built")?;
+        assert_eq!(cols.approx_bytes(), before + built.bytes());
+        assert_eq!(run.offsets.len(), 512, "the <c> rows of chunk 2");
+        // a name the buckets rule out builds nothing
+        let root = cols.tags().code_of("root").ok_or("root encoded")?;
+        assert!(cols.chunk_named(3100, root).offsets.is_empty());
+        assert_eq!(indexes_built(cols), 1);
+        assert_eq!(indexes_built(&cols.rechunked(16)), 0);
+        cols.check_invariants()
+    }
+
+    /// A patch that moves, adds, removes or renames element rows drops the
+    /// name index a reader built, so the next read answers from the rows as
+    /// they are now — whether the patch copies the chunk (a published image
+    /// still shares it) or patches it in place (the image owns it alone);
+    /// the published image keeps answering from its own index.  A patch
+    /// that keeps the element rows (a size, a text, an attribute) keeps
+    /// the index.
+    #[test]
+    fn a_patch_drops_the_name_index_a_reader_built() -> Result<(), String> {
+        let doc = wide_doc(30); // 91 rows
+        let t = built(|b| {
+            b.start_element("t");
+            b.end_element();
+        });
+        let r = 1 + 3 * 7; // the eighth <r>
+        for rows in [2usize, 4, 1024] {
+            let many = built(|b| {
+                for _ in 0..=2 * rows {
+                    b.start_element("t");
+                    b.end_element();
+                }
+            });
+            for shared in [false, true] {
+                for patch in ["insert", "delete", "rename", "split"] {
+                    let mut cols = doc.columns().rechunked(rows);
+                    assert_directory_matches_rows(&cols); // builds every index
+                    let chunks = cols.chunk_count();
+                    assert_eq!(indexes_built(&cols), chunks);
+                    cols.add_size(r, 0);
+                    cols.set_text(r + 2, "kept");
+                    cols.set_attribute(r, "i", "kept");
+                    assert_eq!(indexes_built(&cols), chunks, "a row-keeping patch");
+                    let published = shared.then(|| cols.clone());
+                    match patch {
+                        "insert" => {
+                            cols.splice_nodes(r as usize + 1, t.columns(), 2);
+                            cols.add_size(r, 1);
+                            cols.add_size(0, 1);
+                        }
+                        "delete" => {
+                            cols.remove_nodes(r as usize, 3);
+                            cols.add_size(0, -3);
+                        }
+                        "rename" => cols.set_name(r, "renamed"),
+                        _ => {
+                            cols.splice_nodes(r as usize, many.columns(), 1);
+                            cols.add_size(0, many.len() as i64);
+                            assert!(cols.chunk_count() > chunks, "the chunk split");
+                        }
+                    }
+                    let what = format!("{patch} at {rows} rows, shared {shared}");
+                    assert!(indexes_built(&cols) < cols.chunk_count(), "{what}");
+                    // a stale built index fails the image's own check
+                    cols.check_invariants()
+                        .map_err(|e| format!("{what}: {e}"))?;
+                    assert_directory_matches_rows(&cols);
+                    if let Some(published) = published {
+                        assert_eq!(indexes_built(&published), chunks, "{what}");
+                        published.check_invariants()?;
+                        assert_directory_matches_rows(&published);
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Two readers stepping into one chunk by name for the first time race
+    /// inside its `OnceLock`: one index is built, and both read the same
+    /// run.
+    #[test]
+    fn readers_racing_to_build_one_index_agree() -> Result<(), String> {
+        let doc = wide_doc(300); // 901 rows: one chunk
+        let cols = doc.columns();
+        assert_eq!((cols.chunk_count(), indexes_built(cols)), (1, 0));
+        let t = cols.tags().code_of("t").ok_or("t encoded")?;
+        let start = std::sync::Barrier::new(2);
+        let runs = std::thread::scope(|scope| {
+            let readers: Vec<_> = (0..2)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        cols.chunk_named(0, t).offsets.to_vec()
+                    })
+                })
+                .collect();
+            readers
+                .into_iter()
+                .map(|reader| reader.join().map_err(|_| "a reader panicked"))
+                .collect::<Result<Vec<_>, _>>()
+        })?;
+        assert_eq!(runs[0], runs[1]);
+        assert_eq!(runs[0].len(), 300);
+        assert_eq!(indexes_built(cols), 1);
+        cols.check_invariants()
     }
 
     #[test]

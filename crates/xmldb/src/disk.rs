@@ -244,7 +244,7 @@ pub fn encode_snapshot(snap: &Document) -> Vec<u8> {
 /// Decode a snapshot image, verifying the per-page checksums, and write
 /// its rows through the builder, which holds every stored size to the
 /// levels and builds the column image (at the default chunk row target)
-/// and the derived state (summaries and name index).
+/// and its summaries (a chunk's name index waits for a named read).
 pub fn decode_snapshot(bytes: &[u8]) -> Result<Document, DiskError> {
     let mut r = Reader::new(bytes);
     if r.take(4)? != SNAPSHOT_MAGIC {

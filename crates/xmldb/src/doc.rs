@@ -227,7 +227,8 @@ impl Document {
     /// The element-name index of the storage run containing `pre`: the
     /// elements of that run whose interned name id
     /// ([`Document::lookup_qname`]) is `name_id`, borrowed from the chunk's
-    /// name index.
+    /// name index (built by the first such read of the chunk), with the
+    /// run's `size` and `level` columns.
     #[inline]
     pub fn run_named(&self, pre: u32, name_id: u32) -> NamedRun<'_> {
         self.columns.chunk_named(pre, name_id)
@@ -241,6 +242,8 @@ impl Document {
     }
 
     /// Does the run containing `pre` hold an element with name id `name_id`?
+    /// Exact: past the name buckets it reads the run's name index, which
+    /// a first such probe builds.
     #[inline]
     pub fn run_has_name(&self, pre: u32, name_id: u32) -> bool {
         !self.run_named(pre, name_id).offsets.is_empty()

@@ -288,3 +288,30 @@ fn equal_constructors_make_distinct_nodes() {
         assert_eq!(agreed(query), want, "{query}");
     }
 }
+
+/// A build session leaves its chunks' name indexes for the first named
+/// read to build: a named step into constructed content answers right,
+/// also one whose context subtrees cross a chunk boundary of the
+/// transient (2 801 rows, `<g>` subtrees of four rows, one of them on
+/// rows 1021–1024).
+#[test]
+fn named_steps_into_constructed_content() {
+    let cases = [
+        ("let $x := <a><b/><c/><b/></a> return count($x/b)", "2"),
+        (
+            "let $x := <a><b/><c/><b/></a> return ($x/b, $x//c)",
+            "<b/><b/><c/>",
+        ),
+        (
+            r#"let $t := (1, 2, 3, 4, 5, 6, 7, 8, 9, 10)
+               let $x := <a>{for $i in $t, $j in $t, $k in (1, 2, 3, 4, 5, 6, 7)
+                             return <g><f>{($i - 1) * 70 + ($j - 1) * 7 + $k}</f><e/></g>}</a>
+               return (count($x/g/f), count($x//f), sum(for $g in $x/g return count($g/f)),
+                       string($x/g[256]/f), string($x/g[700]/f))"#,
+            "700 700 700 256 700",
+        ),
+    ];
+    for (query, want) in cases {
+        assert_eq!(agreed(query), want, "{query}");
+    }
+}

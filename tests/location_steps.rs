@@ -25,7 +25,10 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use mxq::engine::{Column, NodeId};
-use mxq::staircase::{looplifted_step, Axis, NodeTest, ScanStats};
+use mxq::staircase::{
+    child_step_in_iter_order, looplifted_step, looplifted_step_candidates, staircase_step, Axis,
+    NodeTest, ScanStats,
+};
 use mxq::xmark::gen::{generate_xml, GenParams};
 use mxq::xmark::naive::NaiveInterpreter;
 use mxq::xmark::queries::query_text;
@@ -273,4 +276,201 @@ fn child_steps_in_iteration_order_agree() {
     for (query, want) in cases {
         assert_eq!(agreed(query), want, "{query}");
     }
+}
+
+/// A document of 40 `<g>` subtrees of 1 to 17 rows: `<g>` holds up to six
+/// children alternating `<f>` (with a text) and `<h>` (with an `<e/>` and a
+/// text), so at 2-, 4- and 16-row chunks some `<g>` subtrees lie inside
+/// one chunk and others span a boundary.  No name occurs both as a child of
+/// a `<g>` and below one, so a named child step touches exactly its
+/// contexts and results.
+fn g_doc() -> String {
+    let mut xml = String::from("<root>");
+    for i in 0..40 {
+        xml.push_str(&format!("<g i=\"{i}\">"));
+        for j in 0..i % 7 {
+            match j % 2 {
+                0 => xml.push_str(&format!("<f>{i}.{j}</f>")),
+                _ => xml.push_str(&format!("<h><e/>{i}.{j}</h>")),
+            }
+        }
+        xml.push_str("</g>");
+    }
+    xml.push_str("</root>");
+    xml
+}
+
+/// The column image of `xml` at a chunk row target of `rows`, published.
+fn chunked(xml: &str, rows: usize) -> mxq::xmldb::Document {
+    let doc = shred("g.xml", xml, &ShredOptions::default()).unwrap();
+    let mut paged = PagedDocument::from_document(&doc);
+    paged.rechunk_columns(rows);
+    paged.snapshot()
+}
+
+/// Named child steps over contexts of one node per iteration (the
+/// iteration-order child step): contexts inside one chunk, contexts whose
+/// subtree spans chunks, and contexts that come back to a chunk out of
+/// document order all agree with the scanning step and with the iterative
+/// staircase join run per iteration, and the index-driven step touches at
+/// most `|context| + |result|` rows.
+#[test]
+fn chunk_local_child_steps_agree_with_the_scan_and_the_iterative_join() {
+    let xml = g_doc();
+    for rows in [2usize, 4, 16, 1024] {
+        let doc = chunked(&xml, rows);
+        let gs = doc.elements_named("g");
+        let spanning = gs
+            .iter()
+            .filter(|&&g| doc.run_end(g) < g + doc.size(g))
+            .count();
+        if rows < 1024 {
+            assert!(
+                spanning > 0 && spanning < gs.len(),
+                "{rows} rows: {spanning} span"
+            );
+        }
+        let n = gs.len();
+        let orders: [Vec<u32>; 3] = [
+            gs.clone(),
+            gs.iter().rev().copied().collect(),
+            // back and forth between chunks: 0, 7, 14, …, 1, 8, …
+            (0..n).map(|i| gs[i * 7 % n]).collect(),
+        ];
+        for (o, order) in orders.iter().enumerate() {
+            let ctx: Vec<(i64, u32)> = (1..).zip(order.iter().copied()).collect();
+            for name in ["f", "h", "g", "nope"] {
+                let test = NodeTest::named(name);
+                let run = |pushdown| {
+                    let mut stats = ScanStats::default();
+                    let mut out = Vec::new();
+                    child_step_in_iter_order(
+                        &doc,
+                        ctx.iter().copied(),
+                        &test,
+                        pushdown,
+                        &mut stats,
+                        |it, pos, pre| out.push((it, pos, pre)),
+                    );
+                    (out, stats)
+                };
+                let (indexed, stats) = run(true);
+                let what = format!("{rows} rows, order {o}, child::{name}");
+                assert_eq!(indexed, run(false).0, "{what}: the scanning step");
+                let mut reference = Vec::new();
+                for &(it, pre) in &ctx {
+                    let mut s = ScanStats::default();
+                    let children = staircase_step(&doc, &[pre], Axis::Child, &test, &mut s);
+                    reference.extend((1..).zip(children).map(|(pos, v)| (it, pos, v)));
+                }
+                assert_eq!(indexed, reference, "{what}: the iterative join");
+                assert!(
+                    stats.nodes_scanned <= stats.contexts + stats.results,
+                    "{what}: {} rows touched for {} contexts, {} results",
+                    stats.nodes_scanned,
+                    stats.contexts,
+                    stats.results
+                );
+            }
+        }
+    }
+}
+
+/// The `child::f` and `descendant::f` results of every `<g>` and of the
+/// root, off the name index, after checking them against the scanning
+/// step.
+fn f_steps(doc: &mxq::xmldb::Document) -> Vec<Vec<(i64, u32)>> {
+    let mut ctx: Vec<(i64, u32)> = vec![(0, 0)];
+    ctx.extend((1..).zip(doc.elements_named("g")));
+    [Axis::Child, Axis::Descendant]
+        .into_iter()
+        .map(|axis| {
+            let mut stats = ScanStats::default();
+            let indexed = looplifted_step_candidates(doc, &ctx, axis, "f", &mut stats);
+            let scanned = looplifted_step(doc, &ctx, axis, &NodeTest::named("f"), &mut stats);
+            assert_eq!(indexed, scanned, "{axis}::f off the index and by a scan");
+            indexed
+        })
+        .collect()
+}
+
+/// A reader builds the name indexes of a document's chunks; a write then
+/// patches one of them — an insert, a delete, a rename, or an insert that
+/// splits the chunk — while a published snapshot still shares it (the
+/// chunk is copied) or after the last snapshot is gone (the chunk is
+/// patched in place).  The next snapshot's `child::` and `descendant::`
+/// name steps see the change, and the held snapshot keeps its answers.
+#[test]
+fn named_steps_see_a_patch_to_a_chunk_whose_index_was_read() {
+    let xml = g_doc();
+    let doc = shred("g.xml", &xml, &ShredOptions::default()).unwrap();
+    let g = doc.elements_named("g")[13]; // <f>13.0</f><h>…</h><f>13.2</f>…
+    let (f, h) = (g + 1, g + 3);
+    assert_eq!((doc.name_of(f), doc.name_of(h)), ("f", "h"));
+    for rows in [2usize, 4, 1024] {
+        let many = fragment_from_xml(&format!("<x>{}</x>", "<f/>".repeat(2 * rows + 1)));
+        for shared in [false, true] {
+            for patch in ["insert", "delete", "rename", "split"] {
+                let what = format!("{patch} at {rows} rows, shared {shared}");
+                let mut master = PagedDocument::from_document(&doc);
+                master.rechunk_columns(rows);
+                let before = f_steps(&master.snapshot());
+                let held = shared.then(|| master.snapshot());
+                let chunks = master.columns().chunk_count();
+                let (child, descendant) = match patch {
+                    "insert" => {
+                        master.insert_last_child(g, &fragment_from_xml("<f>new</f>"));
+                        (1, 2)
+                    }
+                    "delete" => {
+                        master.delete_subtree(f);
+                        (-1, -2)
+                    }
+                    "rename" => {
+                        master.rename(h, "f");
+                        (1, 2)
+                    }
+                    _ => {
+                        master.insert_last_child(h, &many);
+                        assert!(master.columns().chunk_count() > chunks, "{what}: a split");
+                        (0, 2 * (2 * rows as i64 + 1))
+                    }
+                };
+                // the root's iteration and <g>'s both see a new descendant
+                let after = f_steps(&master.snapshot());
+                master.snapshot().check_invariants().unwrap();
+                for ((b, a), delta) in before.iter().zip(&after).zip([child, descendant]) {
+                    assert_eq!(a.len() as i64 - b.len() as i64, delta, "{what}");
+                }
+                if let Some(held) = held {
+                    assert_eq!(f_steps(&held), before, "{what}: the held snapshot");
+                }
+            }
+        }
+    }
+}
+
+/// The same through the database: queries build the name indexes of the
+/// chunks they step into, and an XQUF insert, rename and delete in those
+/// chunks show in the next query's named steps.
+#[test]
+fn xquf_writes_show_in_named_steps_after_a_read() {
+    let db = Arc::new(Database::new());
+    db.load_document("g.xml", &g_doc()).unwrap();
+    let mut s = db.session();
+    let counts = |s: &mut mxq::xquery::Session| -> String {
+        let query = r#"let $d := doc("g.xml")
+            return (count($d//f), count($d/root/g/f), count($d/root/g[@i = "13"]/f))"#;
+        s.query(query).unwrap().serialize().to_string()
+    };
+    assert_eq!(counts(&mut s), "66 66 3");
+    s.execute_update(r#"insert node <f>new</f> as last into doc("g.xml")/root/g[@i = "13"]"#)
+        .unwrap();
+    assert_eq!(counts(&mut s), "67 67 4");
+    s.execute_update(r#"rename node doc("g.xml")/root/g[@i = "13"]/h[1] as "f""#)
+        .unwrap();
+    assert_eq!(counts(&mut s), "68 68 5");
+    s.execute_update(r#"delete nodes doc("g.xml")/root/g[@i = "13"]/f"#)
+        .unwrap();
+    assert_eq!(counts(&mut s), "63 63 0");
 }
