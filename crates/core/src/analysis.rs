@@ -26,10 +26,11 @@
 //!   neither do literals (the plan cache lifts each into a slot of its own,
 //!   so merging equal inline literals would make a fresh compile run fewer
 //!   operators than the cached plan of the same statement);
-//! * [`validate_table`] asserts the table convention and the inferred
-//!   properties against actually executed tables when the environment sets
-//!   `MXQ_VALIDATE_PLANS=1` — the analysis is itself tested differentially,
-//!   on every table of every query of the test suite.
+//! * [`validate_table`] asserts the shape, the value convention and the
+//!   inferred properties against actually executed values when the
+//!   environment sets `MXQ_VALIDATE_PLANS=1` — the analysis is itself
+//!   tested differentially, on every value of every query of the test
+//!   suite.
 //!
 //! [`explain_annotated`] renders a plan with its inferred properties, which
 //! [`crate::Session::explain`] exposes together with the list of applied
@@ -41,9 +42,10 @@ use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use mxq_engine::agg::AggFunc;
-use mxq_engine::{Item, Table};
+use mxq_engine::Item;
 
 use crate::algebra::{ConstItems, Op, Plan, PlanRef, Shape};
+use crate::exec::Value;
 
 // ---------------------------------------------------------------------------
 // the inferred property set
@@ -285,7 +287,7 @@ fn infer_node(op: &Op, env: &HashMap<usize, NodeProps>) -> NodeProps {
                 item_kind: ItemKind::Mixed,
             };
             match default {
-                // unbound executions return the default's table verbatim
+                // unbound executions return the default's value verbatim
                 Some(d) => bound.meet(p(d)),
                 None => bound,
             }
@@ -595,7 +597,7 @@ struct Simplifier<'a> {
 /// and then share structurally identical nodes: a node with the operator,
 /// fields and input ids of a node with a lower id becomes that node (never
 /// an [`Op::ElemCtor`] or an [`Op::ConstSeq`]), so that the executor, which
-/// memoises tables by plan id, evaluates each sub-plan once.
+/// memoises values by plan id, evaluates each sub-plan once.
 ///
 /// Only the nodes a rewrite or a merge touches and their ancestors are
 /// rebuilt: a plan neither applies to comes back as the input `Arc`.  A
@@ -852,40 +854,34 @@ impl Sharer {
 // runtime validation (MXQ_VALIDATE_PLANS=1)
 // ---------------------------------------------------------------------------
 
-/// Assert the table convention (see [`Op`]) and the inferred properties of
-/// one plan node against its executed table.  Returns a description of the
+/// Assert the value convention (see [`Op`]) and the inferred properties of
+/// one plan node against its executed value.  Returns a description of the
 /// first violation, if any.
 ///
-/// Loop relations must ascend strictly on `iter`; nest maps are skipped
-/// (their invariants are structural); sequence tables must be sorted on
-/// `[iter, pos]` with positions `1..k` per iteration, and are checked for
-/// cardinality, item kind, per-iteration duplicate freedom and document
-/// order.
-pub fn validate_table(props: &NodeProps, t: &Table) -> Result<(), String> {
-    match props.shape {
-        Shape::Nest => return Ok(()),
-        Shape::Loop => {
-            let Ok(col) = t.column("iter") else {
-                return Ok(());
-            };
-            let Ok(iters) = col.as_int() else {
-                return Ok(());
-            };
-            if iters.windows(2).any(|w| w[0] >= w[1]) {
+/// The value must have the node's shape.  Loop relations must ascend
+/// strictly on `iter`; nest maps are not checked further (their invariants
+/// are structural); sequences must be sorted on `[iter, pos]` with
+/// positions `1..k` per iteration, and are checked for cardinality, item
+/// kind, per-iteration duplicate freedom and document order.
+pub fn validate_table(props: &NodeProps, value: &Value) -> Result<(), String> {
+    let seq = match (props.shape, value) {
+        (Shape::Nest, Value::Nest(_)) => return Ok(()),
+        (Shape::Loop, Value::Loop(l)) => {
+            if l.iter.windows(2).any(|w| w[0] >= w[1]) {
                 return Err("loop iterations do not ascend strictly".into());
             }
             return Ok(());
         }
-        Shape::Seq => {}
-    }
-    let (Ok(iter), Ok(pos), Ok(item)) = (t.column("iter"), t.column("pos"), t.column("item"))
-    else {
-        return Ok(());
+        (Shape::Seq, Value::Seq(seq)) => seq,
+        (shape, other) => {
+            return Err(format!(
+                "a {shape:?} node evaluated to a {:?}",
+                other.shape()
+            ))
+        }
     };
-    let (Ok(iters), Ok(poss)) = (iter.as_int(), pos.as_int()) else {
-        return Ok(());
-    };
-    let items = item.to_items();
+    let (iters, poss) = (&seq.iter, &seq.pos);
+    let items = seq.item.to_items();
 
     // every iteration is one run of rows numbered 1..k, runs ascend on iter
     let mut runs: Vec<(i64, &[Item])> = Vec::new();
@@ -1254,23 +1250,23 @@ mod tests {
         }
     }
 
-    type EngineResult = Result<(), mxq_engine::EngineError>;
-
-    fn seq_table(iters: &[i64], poss: &[i64]) -> Result<Table, mxq_engine::EngineError> {
+    fn seq_value(iters: &[i64], poss: &[i64]) -> Value {
         let items = iters.iter().map(|&i| Item::Int(i)).collect();
-        Table::from_columns(vec![
-            ("iter", mxq_engine::Column::Int(iters.to_vec())),
-            ("pos", mxq_engine::Column::Int(poss.to_vec())),
-            ("item", mxq_engine::Column::from_items(items)),
-        ])
+        crate::exec::Seq {
+            iter: iters.to_vec(),
+            pos: poss.to_vec(),
+            item: mxq_engine::Column::from_items(items),
+        }
+        .into()
     }
 
-    fn loop_table(iters: &[i64]) -> Result<Table, mxq_engine::EngineError> {
-        Table::from_columns(vec![("iter", mxq_engine::Column::Int(iters.to_vec()))])
+    fn loop_value(iters: &[i64]) -> Value {
+        let iter = iters.to_vec();
+        Value::Loop(std::rc::Rc::new(crate::exec::Loop { iter }))
     }
 
-    /// Sequence facts that hold for any atomic table, so that only the
-    /// table convention can fail.
+    /// Sequence facts that hold for any atomic sequence, so that only the
+    /// value convention can fail.
     fn any_atomic_seq() -> NodeProps {
         NodeProps {
             max_one_per_iter: false,
@@ -1280,36 +1276,48 @@ mod tests {
     }
 
     #[test]
-    fn validation_accepts_the_table_convention() -> EngineResult {
-        let t = seq_table(&[1, 1, 1, 3], &[1, 2, 3, 1])?;
+    fn validation_accepts_the_table_convention() {
+        let t = seq_value(&[1, 1, 1, 3], &[1, 2, 3, 1]);
         assert_eq!(validate_table(&any_atomic_seq(), &t), Ok(()));
-        let l = loop_table(&[1, 2, 5])?;
+        let l = loop_value(&[1, 2, 5]);
         assert_eq!(validate_table(&NodeProps::loop_shape(), &l), Ok(()));
-        Ok(())
     }
 
     #[test]
-    fn validation_rejects_an_unsorted_sequence() -> EngineResult {
-        let t = seq_table(&[2, 2, 1], &[1, 2, 1])?;
+    fn validation_rejects_an_unsorted_sequence() {
+        let t = seq_value(&[2, 2, 1], &[1, 2, 1]);
         let err = validate_table(&any_atomic_seq(), &t).unwrap_err();
         assert!(err.contains("order is violated at row 2"), "{err}");
-        Ok(())
     }
 
     #[test]
-    fn validation_rejects_positions_that_do_not_start_at_one() -> EngineResult {
-        let t = seq_table(&[1, 1, 2], &[2, 3, 1])?;
+    fn validation_rejects_positions_that_do_not_start_at_one() {
+        let t = seq_value(&[1, 1, 2], &[2, 3, 1]);
         let err = validate_table(&any_atomic_seq(), &t).unwrap_err();
         assert!(err.contains("iteration 1 positions are not 1..=k"), "{err}");
-        Ok(())
     }
 
     #[test]
-    fn validation_rejects_a_descending_loop_relation() -> EngineResult {
-        let l = loop_table(&[3, 2, 1])?;
+    fn validation_rejects_a_descending_loop_relation() {
+        let l = loop_value(&[3, 2, 1]);
         let err = validate_table(&NodeProps::loop_shape(), &l).unwrap_err();
         assert!(err.contains("do not ascend"), "{err}");
-        Ok(())
+    }
+
+    #[test]
+    fn validation_rejects_a_loop_value_under_sequence_props() {
+        // a well-formed loop relation, but the node claims a sequence
+        let l = loop_value(&[1, 2, 5]);
+        let err = validate_table(&any_atomic_seq(), &l).unwrap_err();
+        assert!(err.contains("a Seq node evaluated to a Loop"), "{err}");
+    }
+
+    #[test]
+    fn validation_rejects_a_sequence_value_under_loop_props() {
+        // its `iter` descends, but the shape is what is wrong first
+        let t = seq_value(&[3, 2, 1], &[1, 1, 1]);
+        let err = validate_table(&NodeProps::loop_shape(), &t).unwrap_err();
+        assert!(err.contains("a Loop node evaluated to a Seq"), "{err}");
     }
 
     #[test]

@@ -1,16 +1,19 @@
 //! The plan executor: evaluates the relational algebra DAG against the
 //! column-store kernel and an immutable snapshot of the document store.
 //!
-//! All intermediate results are materialised `iter|pos|item` tables (exactly
-//! like MonetDB/XQuery materialises its temporary BATs); shared sub-plans are
-//! evaluated once and memoised by plan id.  Every operator emits its table
-//! in one convention: loop relations ascend on `iter`, sequence tables are
-//! sorted on `[iter, pos]` with positions `1..k` per iteration (see [`Op`]).
-//! The order-aware mode (Section 4.1) trusts that convention and skips the
-//! sorts that would re-establish it; without it every order requirement is
-//! met by a full sort.  The staircase-join switches (Section 3) pick between
-//! the loop-lifted and the iterative axis step and enable the nametest
-//! pushdown.
+//! Every plan node evaluates to a typed value of its [`Shape`] (exactly the
+//! schemas MonetDB/XQuery fixes for its temporary BATs): a [`Loop`] relation
+//! `iter`, a [`Nest`] map `outer|inner|pos|item` or a [`Seq`] `iter|pos|item`.
+//! Shared sub-plans are evaluated once and memoised by plan id; a consumer
+//! asks for the shape it reads (`seq`, `nest`, `loop_`), and a value of
+//! another shape is an internal error, not a missing column.  Every
+//! operator emits its value in one convention: loop relations ascend on
+//! `iter`, sequences are sorted on `[iter, pos]` with positions `1..k` per
+//! iteration (see [`Op`]).  The order-aware mode (Section 4.1) trusts that
+//! convention and skips the sorts that would re-establish it; without it
+//! every order requirement is met by a full sort.  The staircase-join
+//! switches (Section 3) pick between the loop-lifted and the iterative axis
+//! step and enable the nametest pushdown.
 //!
 //! The executor reads loaded documents through a [`StoreSnapshot`] and never
 //! mutates shared state: nodes built by element constructors go into a
@@ -32,9 +35,8 @@ use mxq_engine::join::{
     lookup_sorted, minmax_candidates, radix_hash_join, theta_join, theta_join_counts,
 };
 use mxq_engine::rank::row_number_streaming;
-use mxq_engine::sort::{sort_permutation, SortOrder};
 use mxq_engine::value::format_double;
-use mxq_engine::{CmpOp, Column, EngineError, Item, NodeId, Table};
+use mxq_engine::{CmpOp, Column, EngineError, Item, NodeId};
 use mxq_staircase::looplifted::CtxPair;
 use mxq_staircase::{
     child_step_in_iter_order, looplifted_step, looplifted_step_candidates, staircase_step, Axis,
@@ -42,7 +44,7 @@ use mxq_staircase::{
 };
 use mxq_xmldb::{Document, DocumentBuilder, NodeKind, StoreSnapshot, TRANSIENT_FRAG};
 
-use crate::algebra::{ConstItems, NumFnKind, Op, PlanRef, PosFilterKind, StrFnKind};
+use crate::algebra::{ConstItems, NumFnKind, Op, PlanRef, PosFilterKind, Shape, StrFnKind};
 use crate::ast::ArithOp;
 use crate::config::{ExecConfig, ExecStats};
 use crate::params::Params;
@@ -109,7 +111,7 @@ pub struct Executor<'a> {
     params: Params,
     /// Statistics accumulated over all [`Executor::eval`] calls.
     pub stats: ExecStats,
-    memo: HashMap<usize, Rc<Table>>,
+    memo: HashMap<usize, Value>,
     /// Lazily grown property map for runtime validation; `Some` when the
     /// environment sets `MXQ_VALIDATE_PLANS=1`.
     validation: Option<crate::analysis::Analysis>,
@@ -125,57 +127,6 @@ pub struct Executor<'a> {
     /// Per-operator costs; `Some` for a profiled execution
     /// ([`Executor::with_profiling`]).
     profile: Option<Box<ProfileSink>>,
-}
-
-// -- small helpers over sequence tables --------------------------------------
-
-fn seq_table(iter: Vec<i64>, pos: Vec<i64>, items: Vec<Item>) -> Table {
-    Table::from_columns(vec![
-        ("iter", Column::Int(iter)),
-        ("pos", Column::Int(pos)),
-        ("item", Column::from_items(items)),
-    ])
-    .expect("sequence table construction")
-}
-
-/// The sequence `items` in every iteration of `iters`.
-fn replicated(iters: &[i64], items: &[Item]) -> Table {
-    let mut oi = Vec::with_capacity(iters.len() * items.len());
-    let mut op = Vec::with_capacity(oi.capacity());
-    let mut oit = Vec::with_capacity(oi.capacity());
-    for &it in iters {
-        for (k, item) in (1..).zip(items) {
-            oi.push(it);
-            op.push(k);
-            oit.push(item.clone());
-        }
-    }
-    seq_table(oi, op, oit)
-}
-
-/// A sequence table with the `iter` and `pos` columns of `t` and new items.
-fn with_items(t: &Table, items: Vec<Item>) -> EResult<Table> {
-    Table::from_columns(vec![
-        ("iter", t.column("iter")?.clone()),
-        ("pos", t.column("pos")?.clone()),
-        ("item", Column::from_items(items)),
-    ])
-    .map_err(Into::into)
-}
-
-// Operators consume sequence tables as borrowed typed columns; only an
-// operator that builds new items per row asks for owned ones.
-
-fn iter_col(t: &Table) -> EResult<&[i64]> {
-    Ok(t.column("iter")?.as_int()?)
-}
-
-fn pos_col(t: &Table) -> EResult<&[i64]> {
-    Ok(t.column("pos")?.as_int()?)
-}
-
-fn items_col(t: &Table) -> EResult<Vec<Item>> {
-    Ok(t.column("item")?.to_items())
 }
 
 impl<'a> Executor<'a> {
@@ -260,37 +211,34 @@ impl<'a> Executor<'a> {
         self.container(n.frag).string_value(n.pre)
     }
 
-    /// Evaluate a plan, returning its `iter|pos|item` table.  The table is
-    /// shared (`Rc`) with the memo, so repeated evaluation of a shared
-    /// sub-plan costs one reference-count bump, not a deep column copy.
-    pub fn eval(&mut self, plan: &PlanRef) -> EResult<Rc<Table>> {
-        if let Some(t) = self.memo.get(&plan.id) {
+    /// Evaluate a plan, returning its value (shared with the memo).
+    pub fn eval(&mut self, plan: &PlanRef) -> EResult<Value> {
+        if let Some(v) = self.memo.get(&plan.id) {
             if let Some(p) = self.profile.as_mut() {
                 p.memo_hit(plan.id);
             }
-            return Ok(t.clone());
+            return Ok(v.clone());
         }
-        let t = match self.profile.as_mut() {
+        let v = match self.profile.as_mut() {
             None => self.eval_op(plan)?,
             Some(p) => {
                 p.enter(&self.stats);
-                let t = self.eval_op(plan);
-                let rows = t.as_ref().ok().map(Table::nrows);
+                let v = self.eval_op(plan);
+                let rows = v.as_ref().ok().map(Value::nrows);
                 if let Some(p) = self.profile.as_mut() {
                     p.exit(plan.id, rows, &self.stats);
                 }
-                t?
+                v?
             }
         };
-        let t = Rc::new(t);
         self.stats.ops_evaluated += 1;
-        self.stats.record_table(t.nrows());
+        self.stats.record_table(v.nrows());
         if let Some(analysis) = self.validation.as_mut() {
             if analysis.get(plan.id).is_none() {
                 analysis.extend_with(plan);
             }
             if let Some(props) = analysis.get(plan.id) {
-                if let Err(msg) = crate::analysis::validate_table(props, &t) {
+                if let Err(msg) = crate::analysis::validate_table(props, &v) {
                     return Err(ExecError::Internal(format!(
                         "inferred plan property violated at [{}] {}: {msg}",
                         plan.id,
@@ -299,53 +247,66 @@ impl<'a> Executor<'a> {
                 }
             }
         }
-        self.memo.insert(plan.id, t.clone());
-        Ok(t)
+        self.memo.insert(plan.id, v.clone());
+        Ok(v)
+    }
+
+    /// Evaluate a plan whose value is a sequence.
+    fn seq(&mut self, plan: &PlanRef) -> EResult<Rc<Seq>> {
+        match self.eval(plan)? {
+            Value::Seq(s) => Ok(s),
+            other => Err(shape_mismatch(plan, Shape::Seq, &other)),
+        }
+    }
+
+    /// Evaluate a plan whose value is a nest map.
+    fn nest(&mut self, plan: &PlanRef) -> EResult<Rc<Nest>> {
+        match self.eval(plan)? {
+            Value::Nest(n) => Ok(n),
+            other => Err(shape_mismatch(plan, Shape::Nest, &other)),
+        }
+    }
+
+    /// Evaluate a plan whose value is a loop relation.
+    fn loop_(&mut self, plan: &PlanRef) -> EResult<Rc<Loop>> {
+        match self.eval(plan)? {
+            Value::Loop(l) => Ok(l),
+            other => Err(shape_mismatch(plan, Shape::Loop, &other)),
+        }
     }
 
     /// Evaluate and extract the result items of the outermost iteration in
     /// sequence order.
     pub fn eval_result(&mut self, plan: &PlanRef) -> EResult<Vec<Item>> {
-        let t = self.eval(plan)?;
-        let sorted = self.sorted_seq(&t)?;
-        items_col(&sorted)
+        let t = self.seq(plan)?;
+        Ok(self.sorted_seq(&t).item.to_items())
     }
 
-    /// Ensure a sequence table is sorted by `[iter, pos]`.  The order-aware
-    /// mode trusts the table convention (see [`Op`]) and returns the input
-    /// table (shared, no copy); otherwise the order is re-established with a
-    /// full sort.
-    fn sorted_seq(&mut self, t: &Rc<Table>) -> EResult<Rc<Table>> {
+    /// Ensure a sequence is sorted by `[iter, pos]`.  The order-aware mode
+    /// trusts the convention (see [`Op`]) and returns the input (shared, no
+    /// copy); otherwise the order is re-established with a full sort.
+    fn sorted_seq(&mut self, t: &Rc<Seq>) -> Rc<Seq> {
         if self.config.order_aware {
             self.stats.sorts_avoided += 1;
-            return Ok(t.clone());
+            return t.clone();
         }
-        self.sort_by_iter_pos(t)
-    }
-
-    fn sort_by_iter_pos(&mut self, t: &Table) -> EResult<Rc<Table>> {
         self.stats.sorts += 1;
-        let keys = [
-            (t.column("iter")?, SortOrder::Asc),
-            (t.column("pos")?, SortOrder::Asc),
-        ];
-        let perm = sort_permutation(&keys);
-        Ok(Rc::new(t.gather(&perm)))
+        Rc::new(t.gather(&t.iter_pos_order()))
     }
 
     /// Evaluate an operand of a per-iteration operator and hand it over in
     /// `[iter, pos]` order, so that the rows of one iteration are a run
-    /// ([`IterRuns`]) led by its first item: the memoised table itself in
-    /// the order-aware mode, which trusts the table convention, a sorted
-    /// copy otherwise ([`Executor::sorted_seq`]).
-    fn eval_in_iter_order(&mut self, plan: &PlanRef) -> EResult<Rc<Table>> {
-        let t = self.eval(plan)?;
-        self.sorted_seq(&t)
+    /// ([`IterRuns`]) led by its first item: the memoised sequence itself in
+    /// the order-aware mode, which trusts the convention, a sorted copy
+    /// otherwise ([`Executor::sorted_seq`]).
+    fn eval_in_iter_order(&mut self, plan: &PlanRef) -> EResult<Rc<Seq>> {
+        let t = self.seq(plan)?;
+        Ok(self.sorted_seq(&t))
     }
 
     fn loop_iters(&mut self, loop_: &PlanRef) -> EResult<Vec<i64>> {
-        let t = self.eval(loop_)?;
-        let mut iters = iter_col(&t)?.to_vec();
+        let t = self.loop_(loop_)?;
+        let mut iters = t.iter.clone();
         if self.config.order_aware {
             self.stats.sorts_avoided += 1;
         } else {
@@ -355,68 +316,17 @@ impl<'a> Executor<'a> {
         Ok(iters)
     }
 
-    fn atomize_item(&self, item: &Item) -> Item {
-        match item {
-            Item::Node(n) => Item::str(self.node_string_value(*n)),
-            other => other.clone(),
-        }
-    }
-
-    fn item_string(&self, item: &Item) -> String {
-        match item {
-            Item::Node(n) => self.node_string_value(*n),
-            other => other.string_value(),
-        }
-    }
-
-    /// Row `row` of an item column, atomized.
-    fn atomized(&self, items: &Column, row: usize) -> Item {
-        match items.item(row) {
-            Item::Node(n) => Item::str(self.node_string_value(n)),
-            atomic => atomic,
-        }
-    }
-
-    /// String value of the first item of a run (`""` for an empty run),
-    /// borrowed where the column holds it: the string of a string item, or
-    /// the heap bytes of a stored text, comment or PI node.
-    fn first_str<'c>(&'c self, items: &'c Column, run: Range<usize>) -> Cow<'c, str> {
-        let node = |n: NodeId| {
-            let doc = self.container(n.frag);
-            match doc.kind(n.pre) {
-                NodeKind::Element | NodeKind::Document => Cow::Owned(doc.string_value(n.pre)),
-                _ => Cow::Borrowed(doc.text_of(n.pre)),
-            }
-        };
-        if run.is_empty() {
-            return Cow::Borrowed("");
-        }
-        match items {
-            Column::Str(strings) => Cow::Borrowed(&strings[run.start]),
-            Column::Dict { codes, dict } => Cow::Borrowed(dict.str_of(codes[run.start])),
-            Column::Node(nodes) => node(nodes[run.start]),
-            Column::Item(all) => match &all[run.start] {
-                Item::Str(s) => Cow::Borrowed(s),
-                Item::Node(n) => node(*n),
-                atomic => Cow::Owned(atomic.string_value()),
-            },
-            atomics => Cow::Owned(atomics.item(run.start).string_value()),
-        }
-    }
-
     // -------------------------------------------------------------------
     // operator dispatch
     // -------------------------------------------------------------------
 
-    fn eval_op(&mut self, plan: &PlanRef) -> EResult<Table> {
+    fn eval_op(&mut self, plan: &PlanRef) -> EResult<Value> {
         match &plan.op {
-            Op::LoopOne => {
-                Table::from_columns(vec![("iter", Column::Int(vec![1]))]).map_err(Into::into)
-            }
+            Op::LoopOne => Ok(Value::Loop(Rc::new(Loop { iter: vec![1] }))),
             Op::ConstSeq { loop_, items } => {
                 let iters = self.loop_iters(loop_)?;
                 let items = const_items(items, &self.params)?;
-                Ok(replicated(&iters, items))
+                Ok(replicated(&iters, items).into())
             }
             Op::DocRoot { loop_, name } => {
                 let root = self
@@ -425,7 +335,7 @@ impl<'a> Executor<'a> {
                     .ok_or_else(|| ExecError::UnknownDocument(name.clone()))?;
                 self.record_read(root.frag);
                 let iters = self.loop_iters(loop_)?;
-                Ok(replicated(&iters, &[Item::Node(root)]))
+                Ok(replicated(&iters, &[Item::Node(root)]).into())
             }
             Op::ExternalVar {
                 loop_,
@@ -435,7 +345,7 @@ impl<'a> Executor<'a> {
                 let items: Vec<Item> = match self.params.get(name) {
                     Some(bound) => bound.to_vec(),
                     None => match default {
-                        Some(d) => return Ok((*self.eval(d)?).clone()),
+                        Some(d) => return self.eval(d),
                         None => return Err(ExecError::UnboundVariable(name.clone())),
                     },
                 };
@@ -445,43 +355,31 @@ impl<'a> Executor<'a> {
                     }
                 }
                 let iters = self.loop_iters(loop_)?;
-                Ok(replicated(&iters, &items))
+                Ok(replicated(&iters, &items).into())
             }
             Op::NestFromSeq { seq } => {
-                let t = self.eval(seq)?;
-                let sorted = self.sorted_seq(&t)?;
-                Table::from_columns(vec![
-                    ("outer", sorted.column("iter")?.clone()),
-                    ("inner", Column::dense(1, sorted.nrows())),
-                    ("pos", sorted.column("pos")?.clone()),
-                    ("item", sorted.column("item")?.clone()),
-                ])
-                .map_err(Into::into)
+                let t = self.seq(seq)?;
+                let s = self.sorted_seq(&t);
+                Ok(Value::Nest(Rc::new(Nest {
+                    outer: s.iter.clone(),
+                    inner: (1..=s.iter.len() as i64).collect(),
+                    pos: s.pos.clone(),
+                    item: s.item.clone(),
+                })))
             }
             Op::NestFromJoin { .. } => self.eval_nest_from_join(plan),
             Op::NestLoop { nest } => {
-                let t = self.eval(nest)?;
-                Table::from_columns(vec![("iter", t.column("inner")?.clone())]).map_err(Into::into)
+                let iter = self.nest(nest)?.inner.clone();
+                Ok(Value::Loop(Rc::new(Loop { iter })))
             }
             Op::NestVar { nest } => {
-                let t = self.eval(nest)?;
-                let n = t.nrows();
-                Table::from_columns(vec![
-                    ("iter", t.column("inner")?.clone()),
-                    ("pos", Column::Int(vec![1; n])),
-                    ("item", t.column("item")?.clone()),
-                ])
-                .map_err(Into::into)
+                let t = self.nest(nest)?;
+                Ok(Seq::new(t.inner.clone(), vec![1; t.inner.len()], t.item.clone()).into())
             }
             Op::NestVarPos { nest } => {
-                let t = self.eval(nest)?;
-                let n = t.nrows();
-                Table::from_columns(vec![
-                    ("iter", t.column("inner")?.clone()),
-                    ("pos", Column::Int(vec![1; n])),
-                    ("item", t.column("pos")?.clone()),
-                ])
-                .map_err(Into::into)
+                let t = self.nest(nest)?;
+                let n = t.inner.len();
+                Ok(Seq::new(t.inner.clone(), vec![1; n], Column::Int(t.pos.clone())).into())
             }
             Op::LiftThrough { seq, nest } => self.eval_lift_through(seq, nest),
             Op::BackMap {
@@ -495,307 +393,57 @@ impl<'a> Executor<'a> {
                 negate,
             } => {
                 let c = self.eval_in_iter_order(cond)?;
-                let mut runs = IterRuns::new(iter_col(&c)?);
-                let items = c.column("item")?;
+                let mut runs = IterRuns::new(&c.iter);
                 let mut out = self.loop_iters(loop_)?;
-                out.retain(|&it| first_ebv(items, runs.of(it)) != *negate);
-                Table::from_columns(vec![("iter", Column::Int(out))]).map_err(Into::into)
+                out.retain(|&it| first_ebv(&c.item, runs.of(it)) != *negate);
+                Ok(Value::Loop(Rc::new(Loop { iter: out })))
             }
             Op::RestrictToIters { seq, iters } => {
-                let t = self.eval(seq)?;
+                let t = self.seq(seq)?;
                 let keep = self.loop_iters(iters)?;
                 let mut rows = Vec::new();
-                lookup_sorted(&keep, iter_col(&t)?, |row, _| rows.push(row));
-                Ok(t.gather(&rows))
+                lookup_sorted(&keep, &t.iter, |row, _| rows.push(row));
+                Ok(t.gather(&rows).into())
             }
             Op::Union { parts } => self.eval_union(parts),
             Op::AxisStep { ctx, axis, test } => self.eval_axis_step(ctx, *axis, test),
             Op::AttrStep { ctx, name } => self.eval_attr_step(ctx, name.as_deref()),
             Op::Arith { op, l, r } => self.eval_arith(*op, l, r),
-            Op::Neg { e } => {
-                let t = self.eval(e)?;
-                let items: Vec<Item> = t
-                    .column("item")?
-                    .iter_items()
-                    .map(|i| Item::Dbl(-self.atomize_item(&i).as_number().unwrap_or(f64::NAN)))
-                    .collect();
-                with_items(&t, items)
-            }
-            Op::ValueCmp { op, l, r } => {
-                let lt = self.eval_in_iter_order(l)?;
-                let rt = self.eval_in_iter_order(r)?;
-                let (iters, items) = zip_firsts(&lt, &rt, |a, b| Item::Bool(a.compare(*op, &b)))?;
-                let n = iters.len();
-                Ok(seq_table(iters, vec![1; n], items))
-            }
-            Op::GeneralCmp { op, l, r, loop_ } => {
-                let lt = self.eval_in_iter_order(l)?;
-                let rt = self.eval_in_iter_order(r)?;
-                let (l_items, r_items) = (lt.column("item")?, rt.column("item")?);
-                let (mut l_runs, mut r_runs) =
-                    (IterRuns::new(iter_col(&lt)?), IterRuns::new(iter_col(&rt)?));
-                let iters = self.loop_iters(loop_)?;
-                // a loop-constant operand (the atomized literal or literal
-                // slot) is taken once, not atomized per iteration
-                let r_const: Option<&[Item]> = match &r.op {
-                    Op::Atomize { seq } => match &seq.op {
-                        Op::ConstSeq { items, .. } => Some(const_items(items, &self.params)?),
-                        _ => None,
-                    },
-                    _ => None,
-                };
-                let mut r_run_items: Vec<Item> = Vec::new();
-                let mut out_items = Vec::with_capacity(iters.len());
-                for &it in &iters {
-                    let (l_run, r_run) = (l_runs.of(it), r_runs.of(it));
-                    let rs: &[Item] = match r_const {
-                        Some(items) if !r_run.is_empty() => items,
-                        _ => {
-                            r_run_items.clear();
-                            r_run_items.extend(r_run.map(|row| self.atomized(r_items, row)));
-                            &r_run_items
-                        }
-                    };
-                    let mut found = false;
-                    'outer: for row in l_run {
-                        let a = self.atomized(l_items, row);
-                        for b in rs {
-                            self.stats.join_pairs += 1;
-                            if a.compare(*op, b) {
-                                found = true;
-                                break 'outer;
-                            }
-                        }
-                    }
-                    out_items.push(Item::Bool(found));
-                }
-                let n = iters.len();
-                Ok(seq_table(iters, vec![1; n], out_items))
-            }
+            Op::Neg { e } => self.eval_number_fn(e, |v| -v),
+            Op::CastNumber { seq } => self.eval_number_fn(seq, |v| v),
+            Op::NumFn { kind, arg } => self.eval_number_fn(
+                arg,
+                match kind {
+                    NumFnKind::Round => f64::round,
+                    NumFnKind::Floor => f64::floor,
+                    NumFnKind::Ceiling => f64::ceil,
+                    NumFnKind::Abs => f64::abs,
+                },
+            ),
+            Op::ValueCmp { op, l, r } => self.eval_value_cmp(*op, l, r),
+            Op::GeneralCmp { op, l, r, loop_ } => self.eval_general_cmp(*op, l, r, loop_),
             Op::BoolAndOr {
                 is_and,
                 l,
                 r,
                 loop_,
-            } => {
-                let lt = self.eval_in_iter_order(l)?;
-                let rt = self.eval_in_iter_order(r)?;
-                let (l_items, r_items) = (lt.column("item")?, rt.column("item")?);
-                let (mut l_runs, mut r_runs) =
-                    (IterRuns::new(iter_col(&lt)?), IterRuns::new(iter_col(&rt)?));
-                let iters = self.loop_iters(loop_)?;
-                let items: Vec<Item> = iters
-                    .iter()
-                    .map(|&it| {
-                        let a = first_ebv(l_items, l_runs.of(it));
-                        let b = first_ebv(r_items, r_runs.of(it));
-                        Item::Bool(if *is_and { a && b } else { a || b })
-                    })
-                    .collect();
-                let n = iters.len();
-                Ok(seq_table(iters, vec![1; n], items))
-            }
-            Op::BoolNot { e, loop_ } => {
-                let t = self.eval_in_iter_order(e)?;
-                let mut runs = IterRuns::new(iter_col(&t)?);
-                let values = t.column("item")?;
-                let iters = self.loop_iters(loop_)?;
-                let items: Vec<Item> = iters
-                    .iter()
-                    .map(|&it| Item::Bool(!ebv_of(values, runs.of(it))))
-                    .collect();
-                let n = iters.len();
-                Ok(seq_table(iters, vec![1; n], items))
-            }
+            } => self.eval_bool_and_or(*is_and, l, r, loop_),
+            Op::BoolNot { e, loop_ } => self.eval_bool_not(e, loop_),
             Op::Ebv {
                 seq,
                 loop_,
                 positions,
-            } => {
-                let t = self.eval_in_iter_order(seq)?;
-                let mut runs = IterRuns::new(iter_col(&t)?);
-                let values = t.column("item")?;
-                let positions = match positions {
-                    Some(p) => Some(self.eval_in_iter_order(p)?),
-                    None => None,
-                };
-                let mut positions = match &positions {
-                    Some(p) => Some((IterRuns::new(iter_col(p)?), p.column("item")?)),
-                    None => None,
-                };
-                let iters = self.loop_iters(loop_)?;
-                let items: Vec<Item> = iters
-                    .iter()
-                    .map(|&it| {
-                        let run = runs.of(it);
-                        // a numeric predicate value selects by context position
-                        let by_position = match (&mut positions, run.len()) {
-                            (Some((pos_runs, pos_items)), 1) => {
-                                let number = match values.item(run.start) {
-                                    Item::Int(i) => Some(i as f64),
-                                    Item::Dbl(d) => Some(d),
-                                    _ => None,
-                                };
-                                number.map(|n| {
-                                    let pos = pos_runs.of(it);
-                                    !pos.is_empty()
-                                        && pos_items.item(pos.start).as_number() == Some(n)
-                                })
-                            }
-                            _ => None,
-                        };
-                        Item::Bool(by_position.unwrap_or_else(|| ebv_of(values, run)))
-                    })
-                    .collect();
-                let n = iters.len();
-                Ok(seq_table(iters, vec![1; n], items))
-            }
-            Op::Empty { seq, loop_ } => {
-                let t = self.eval_in_iter_order(seq)?;
-                let mut runs = IterRuns::new(iter_col(&t)?);
-                let iters = self.loop_iters(loop_)?;
-                let items: Vec<Item> = iters
-                    .iter()
-                    .map(|&it| Item::Bool(runs.of(it).is_empty()))
-                    .collect();
-                let n = iters.len();
-                Ok(seq_table(iters, vec![1; n], items))
-            }
+            } => self.eval_ebv(seq, loop_, positions.as_ref()),
+            Op::Empty { seq, loop_ } => self.eval_empty(seq, loop_),
             Op::Aggregate { func, seq, loop_ } => self.eval_aggregate(*func, seq, loop_),
             Op::JoinCount { join, loop_ } => self.eval_join_count(join, loop_),
-            Op::Atomize { seq } => {
-                let t = self.eval(seq)?;
-                // a dictionary-encoded item column holds only strings, which
-                // are already atomic: pass it through unchanged so the codes
-                // (and the shared dictionary) survive to a downstream join
-                if t.column("item")?.dict_parts().is_some() {
-                    return Ok((*t).clone());
-                }
-                let items: Vec<Item> = t
-                    .column("item")?
-                    .iter_items()
-                    .map(|i| self.atomize_item(&i))
-                    .collect();
-                with_items(&t, items)
-            }
-            Op::StringValue { seq, loop_ } => {
-                let t = self.eval_in_iter_order(seq)?;
-                let mut runs = IterRuns::new(iter_col(&t)?);
-                let values = t.column("item")?;
-                let iters = self.loop_iters(loop_)?;
-                // a string item keeps its shared string; only a node's
-                // string value is allocated
-                let items: Vec<Item> = iters
-                    .iter()
-                    .map(|&it| {
-                        let run = runs.of(it);
-                        match run.clone().next().map(|row| values.item(row)) {
-                            Some(s @ Item::Str(_)) => s,
-                            _ => Item::str(self.first_str(values, run)),
-                        }
-                    })
-                    .collect();
-                let n = iters.len();
-                Ok(seq_table(iters, vec![1; n], items))
-            }
-            Op::CastNumber { seq } => {
-                let t = self.eval(seq)?;
-                let items: Vec<Item> = t
-                    .column("item")?
-                    .iter_items()
-                    .map(|i| Item::Dbl(self.atomize_item(&i).as_number().unwrap_or(f64::NAN)))
-                    .collect();
-                with_items(&t, items)
-            }
+            Op::Atomize { seq } => self.eval_atomize(seq),
+            Op::StringValue { seq, loop_ } => self.eval_string_value(seq, loop_),
             Op::StringFn { kind, args, loop_ } => self.eval_string_fn(*kind, args, loop_),
-            Op::NumFn { kind, arg } => {
-                let t = self.eval(arg)?;
-                let items: Vec<Item> = t
-                    .column("item")?
-                    .iter_items()
-                    .map(|i| {
-                        let v = self.atomize_item(&i).as_number().unwrap_or(f64::NAN);
-                        let r = match kind {
-                            NumFnKind::Round => v.round(),
-                            NumFnKind::Floor => v.floor(),
-                            NumFnKind::Ceiling => v.ceil(),
-                            NumFnKind::Abs => v.abs(),
-                        };
-                        Item::Dbl(r)
-                    })
-                    .collect();
-                with_items(&t, items)
-            }
-            Op::DistinctValues { seq } => {
-                let t = self.eval(seq)?;
-                let sorted = self.sorted_seq(&t)?;
-                let iters = iter_col(&sorted)?;
-                let items = items_col(&sorted)?;
-                let mut seen: std::collections::HashSet<(i64, String)> =
-                    std::collections::HashSet::new();
-                let (mut oi, mut op, mut oit) = (Vec::new(), Vec::new(), Vec::new());
-                let mut per_iter_count: HashMap<i64, i64> = HashMap::new();
-                for i in 0..sorted.nrows() {
-                    let key = (iters[i], self.item_string(&items[i]));
-                    if seen.insert(key) {
-                        let c = per_iter_count.entry(iters[i]).or_insert(0);
-                        *c += 1;
-                        oi.push(iters[i]);
-                        op.push(*c);
-                        oit.push(self.atomize_item(&items[i]));
-                    }
-                }
-                Ok(seq_table(oi, op, oit))
-            }
-            Op::DocOrderDistinct { seq } => {
-                let t = self.eval_in_iter_order(seq)?;
-                let mut runs = IterRuns::new(iter_col(&t)?);
-                let values = t.column("item")?;
-                let (mut oi, mut op, mut oit) = (Vec::new(), Vec::new(), Vec::new());
-                let mut nodes: Vec<Item> = Vec::new();
-                while let Some((it, run)) = runs.next_run() {
-                    nodes.clear();
-                    nodes.extend(run.map(|row| values.item(row)));
-                    nodes.sort_by(|a, b| a.total_cmp(b));
-                    nodes.dedup_by(|a, b| a.total_cmp(b) == std::cmp::Ordering::Equal);
-                    oi.resize(oi.len() + nodes.len(), it);
-                    op.extend(1..=nodes.len() as i64);
-                    oit.append(&mut nodes);
-                }
-                self.stats.sorts += 1;
-                Ok(seq_table(oi, op, oit))
-            }
-            Op::PosFilter { seq, kind } => {
-                let t = self.eval(seq)?;
-                let iters = iter_col(&t)?;
-                let poss = pos_col(&t)?;
-                let mask: Vec<bool> = match kind {
-                    PosFilterKind::Eq(n) => poss.iter().map(|p| p == n).collect(),
-                    PosFilterKind::Last => {
-                        let mut max_pos: HashMap<i64, i64> = HashMap::new();
-                        for i in 0..t.nrows() {
-                            let e = max_pos.entry(iters[i]).or_insert(i64::MIN);
-                            *e = (*e).max(poss[i]);
-                        }
-                        (0..t.nrows())
-                            .map(|i| poss[i] == max_pos[&iters[i]])
-                            .collect()
-                    }
-                };
-                let filtered = t.filter(&mask)?;
-                self.renumber_pos(&filtered)
-            }
-            Op::Subsequence { seq, start, len } => {
-                let t = self.eval(seq)?;
-                let poss = pos_col(&t)?;
-                let end = len.map(|l| start + l);
-                let mask: Vec<bool> = poss
-                    .iter()
-                    .map(|p| *p >= *start && end.map(|e| *p < e).unwrap_or(true))
-                    .collect();
-                let filtered = t.filter(&mask)?;
-                self.renumber_pos(&filtered)
-            }
+            Op::DistinctValues { seq } => self.eval_distinct_values(seq),
+            Op::DocOrderDistinct { seq } => self.eval_doc_order_distinct(seq),
+            Op::PosFilter { seq, kind } => self.eval_pos_filter(seq, kind),
+            Op::Subsequence { seq, start, len } => self.eval_subsequence(seq, *start, *len),
             Op::ElemCtor {
                 loop_,
                 name,
@@ -804,41 +452,271 @@ impl<'a> Executor<'a> {
             } => self.eval_elem_ctor(loop_, name, attrs, content),
         }
     }
+}
 
-    fn renumber_pos(&mut self, t: &Table) -> EResult<Table> {
-        let iters = iter_col(t)?;
-        let new_pos = if self.config.order_aware {
-            // grpord: the rows of each iteration are already in pos order
-            row_number_streaming(iters)
-        } else {
-            self.stats.sorts += 1;
-            let keys = [
-                (t.column("iter")?, SortOrder::Asc),
-                (t.column("pos")?, SortOrder::Asc),
-            ];
-            let perm = sort_permutation(&keys);
-            let sorted = t.gather(&perm);
-            let iters_sorted = iter_col(&sorted)?;
-            let pos = row_number_streaming(iters_sorted);
-            let mut out = sorted;
-            out.add_column("pos", Column::Int(pos))?;
-            return Ok(out);
-        };
-        let mut out = t.clone();
-        out.add_column("pos", Column::Int(new_pos))?;
-        Ok(out)
+/// The items of a constant sequence: inline, or this execution's literal in
+/// a parameter slot.
+fn const_items<'p>(items: &'p ConstItems, params: &'p Params) -> EResult<&'p [Item]> {
+    match items {
+        ConstItems::Inline(items) => Ok(items),
+        ConstItems::Slot(slot) => params
+            .literal(*slot)
+            .map(std::slice::from_ref)
+            .ok_or_else(|| ExecError::Internal(format!("literal slot {slot} is unbound"))),
+    }
+}
+
+/// The internal error of a consumer that got a value of another shape than
+/// the one it reads.
+fn shape_mismatch(plan: &PlanRef, want: Shape, got: &Value) -> ExecError {
+    ExecError::Internal(format!(
+        "[{}] {} evaluated to a {:?}, read as a {want:?}",
+        plan.id,
+        plan.op_name(),
+        got.shape()
+    ))
+}
+
+/// Format a sequence of result items the way our serializer does for
+/// examples/tests: nodes as XML, atomics as their string value, separated by
+/// single spaces between adjacent atomics.  `container_of` resolves a
+/// fragment id to its container; node items render straight from its
+/// column image.
+fn serialize_items_by<'d, F>(container_of: F, items: &[Item]) -> String
+where
+    F: Fn(u32) -> &'d Document,
+{
+    let mut out = String::new();
+    let mut prev_atomic = false;
+    for item in items {
+        match item {
+            Item::Node(n) => {
+                mxq_xmldb::serialize_node(container_of(n.frag), n.pre, &mut out);
+                prev_atomic = false;
+            }
+            Item::Dbl(d) => {
+                if prev_atomic {
+                    out.push(' ');
+                }
+                out.push_str(&format_double(*d));
+                prev_atomic = true;
+            }
+            atomic => {
+                if prev_atomic {
+                    out.push(' ');
+                }
+                out.push_str(&atomic.string_value());
+                prev_atomic = true;
+            }
+        }
+    }
+    out
+}
+
+/// Serialize a result sequence against a store snapshot plus the private
+/// transient container of the execution that produced the items.
+pub fn serialize_items_snapshot(
+    snap: &StoreSnapshot,
+    transient: &Document,
+    items: &[Item],
+) -> String {
+    serialize_items_by(|frag| snap.resolve(transient, frag), items)
+}
+
+/// Serialize a single item (see [`serialize_items_snapshot`]).
+pub fn serialize_item_snapshot(snap: &StoreSnapshot, transient: &Document, item: &Item) -> String {
+    serialize_items_snapshot(snap, transient, std::slice::from_ref(item))
+}
+
+// ---------------------------------------------------------------------------
+// typed values and the per-iteration walk
+// ---------------------------------------------------------------------------
+
+/// A loop relation: the iterations of one scope, strictly ascending.
+#[derive(Debug)]
+pub struct Loop {
+    /// The iterations.
+    pub iter: Vec<i64>,
+}
+
+/// A nest map: every item of a `for` source, at its position, bound to a
+/// fresh `inner` iteration of its `outer` iteration.  Both nest operators
+/// number `inner` ascending in `(outer, pos)` order.
+#[derive(Debug)]
+pub struct Nest {
+    /// The iteration the source item was evaluated in.
+    pub outer: Vec<i64>,
+    /// The iteration the item is bound in.
+    pub inner: Vec<i64>,
+    /// The item's position in its source sequence.
+    pub pos: Vec<i64>,
+    /// The bound items.
+    pub item: Column,
+}
+
+/// A sequence: per iteration the items at positions `1..k`, sorted on
+/// `[iter, pos]`.
+#[derive(Debug)]
+pub struct Seq {
+    /// The iteration of each row.
+    pub iter: Vec<i64>,
+    /// The position of each row within its iteration.
+    pub pos: Vec<i64>,
+    /// The items.
+    pub item: Column,
+}
+
+/// The value of one plan node, of the node's [`Shape`].  It is shared
+/// (`Rc`) with the memo, so repeated evaluation of a shared sub-plan costs
+/// one reference-count bump, not a deep column copy.
+#[derive(Debug, Clone)]
+pub enum Value {
+    /// A loop relation.
+    Loop(Rc<Loop>),
+    /// A nest map.
+    Nest(Rc<Nest>),
+    /// A sequence.
+    Seq(Rc<Seq>),
+}
+
+impl Value {
+    /// The shape of the value.
+    pub fn shape(&self) -> Shape {
+        match self {
+            Value::Loop(_) => Shape::Loop,
+            Value::Nest(_) => Shape::Nest,
+            Value::Seq(_) => Shape::Seq,
+        }
     }
 
-    // -------------------------------------------------------------------
-    // nesting operators
-    // -------------------------------------------------------------------
+    /// The number of rows.
+    pub fn nrows(&self) -> usize {
+        match self {
+            Value::Loop(l) => l.iter.len(),
+            Value::Nest(n) => n.outer.len(),
+            Value::Seq(s) => s.iter.len(),
+        }
+    }
+}
 
-    fn eval_lift_through(&mut self, seq: &PlanRef, nest: &PlanRef) -> EResult<Table> {
-        let s = self.eval(seq)?;
-        let s = self.sorted_seq(&s)?;
-        let n = self.eval(nest)?;
-        let s_iter = iter_col(&s)?;
-        let s_pos = pos_col(&s)?;
+impl From<Seq> for Value {
+    fn from(s: Seq) -> Self {
+        Value::Seq(Rc::new(s))
+    }
+}
+
+impl Seq {
+    fn new(iter: Vec<i64>, pos: Vec<i64>, item: Column) -> Seq {
+        Seq { iter, pos, item }
+    }
+
+    /// The rows `rows` (in order, duplicates allowed).
+    fn gather(&self, rows: &[usize]) -> Seq {
+        let iter = rows.iter().map(|&row| self.iter[row]).collect();
+        let pos = rows.iter().map(|&row| self.pos[row]).collect();
+        Seq::new(iter, pos, self.item.gather(rows))
+    }
+
+    /// The stable permutation that sorts the rows on `[iter, pos]`.
+    fn iter_pos_order(&self) -> Vec<usize> {
+        let mut perm: Vec<usize> = (0..self.iter.len()).collect();
+        perm.sort_by_key(|&row| (self.iter[row], self.pos[row]));
+        perm
+    }
+
+    /// The same rows with every item mapped by `f`.
+    fn map_items(&self, f: impl FnMut(Item) -> Item) -> Seq {
+        let item = Column::from_items(self.item.iter_items().map(f).collect());
+        Seq::new(self.iter.clone(), self.pos.clone(), item)
+    }
+}
+
+/// The sequence `items` in every iteration of `iters`.
+fn replicated(iters: &[i64], items: &[Item]) -> Seq {
+    let mut oi = Vec::with_capacity(iters.len() * items.len());
+    let mut op = Vec::with_capacity(oi.capacity());
+    let mut oit = Vec::with_capacity(oi.capacity());
+    for &it in iters {
+        for (k, item) in (1..).zip(items) {
+            oi.push(it);
+            op.push(k);
+            oit.push(item.clone());
+        }
+    }
+    Seq::new(oi, op, Column::from_items(oit))
+}
+
+impl Executor<'_> {
+    /// The one per-iteration walk: for every iteration of `iters`
+    /// (ascending) `f` gets the iteration and its rows in each of `inputs`
+    /// (`[iter, pos]`-ordered; a run is empty where an input has none), and
+    /// each `Some(item)` it returns becomes that iteration's row at `pos` 1.
+    /// Input iterations outside `iters` are skipped; one runs buffer serves
+    /// every iteration.
+    fn per_iter<F>(&mut self, mut iters: Vec<i64>, inputs: &[Rc<Seq>], mut f: F) -> Value
+    where
+        F: FnMut(&mut Self, i64, &[Range<usize>]) -> Option<Item>,
+    {
+        let mut cursors: Vec<IterRuns> = inputs.iter().map(|t| IterRuns::new(&t.iter)).collect();
+        let mut runs = vec![0..0; cursors.len()];
+        let mut items = Vec::with_capacity(iters.len());
+        // `retain` visits the iterations once, in order: those that yield
+        // an item stay, as the output's `iter` column
+        iters.retain(|&it| {
+            for (run, cursor) in runs.iter_mut().zip(&mut cursors) {
+                *run = cursor.of(it);
+            }
+            f(self, it, &runs).map(|item| items.push(item)).is_some()
+        });
+        let n = iters.len();
+        Seq::new(iters, vec![1; n], Column::from_items(items)).into()
+    }
+}
+
+/// Merge cursor over the `iter` column of a sequence in `[iter, pos]` order:
+/// the rows of one iteration are a run, and consumers that walk the
+/// iterations of their loop in ascending order find each run by advancing
+/// — no per-iteration map, no per-iteration allocation.
+struct IterRuns<'a> {
+    iters: &'a [i64],
+    at: usize,
+}
+
+impl<'a> IterRuns<'a> {
+    fn new(iters: &'a [i64]) -> Self {
+        IterRuns { iters, at: 0 }
+    }
+
+    /// The rows of iteration `it` (empty when it has none).  Iterations
+    /// must be asked for in strictly ascending order.
+    fn of(&mut self, it: i64) -> Range<usize> {
+        while self.iters.get(self.at).is_some_and(|&i| i < it) {
+            self.at += 1;
+        }
+        let start = self.at;
+        while self.iters.get(self.at) == Some(&it) {
+            self.at += 1;
+        }
+        start..self.at
+    }
+
+    /// The next iteration that has rows, with its rows.
+    fn next_run(&mut self) -> Option<(i64, Range<usize>)> {
+        let &it = self.iters.get(self.at)?;
+        Some((it, self.of(it)))
+    }
+}
+
+// ---------------------------------------------------------------------------
+// nest maps: lifting, back-mapping and the recognised joins
+// ---------------------------------------------------------------------------
+
+impl Executor<'_> {
+    fn eval_lift_through(&mut self, seq: &PlanRef, nest: &PlanRef) -> EResult<Value> {
+        let s = self.seq(seq)?;
+        let s = self.sorted_seq(&s);
+        let n = self.nest(nest)?;
+        let (s_iter, s_pos) = (&s.iter, &s.pos);
         // `s` is sorted on iter: one run of rows per outer iteration
         let mut run_iter = Vec::new();
         let mut run_start = Vec::new();
@@ -849,21 +727,14 @@ impl<'a> Executor<'a> {
             }
         }
         run_start.push(s_iter.len());
-        let n_outer = n.column("outer")?.as_int()?;
-        let n_inner = n.column("inner")?.as_int()?;
         let (mut oi, mut op, mut rows) = (Vec::new(), Vec::new(), Vec::new());
-        lookup_sorted(&run_iter, n_outer, |k, run| {
+        lookup_sorted(&run_iter, &n.outer, |k, run| {
             let run = run_start[run]..run_start[run + 1];
-            oi.resize(oi.len() + run.len(), n_inner[k]);
+            oi.resize(oi.len() + run.len(), n.inner[k]);
             op.extend_from_slice(&s_pos[run.clone()]);
             rows.extend(run);
         });
-        Table::from_columns(vec![
-            ("iter", Column::Int(oi)),
-            ("pos", Column::Int(op)),
-            ("item", s.column("item")?.gather(&rows)),
-        ])
-        .map_err(Into::into)
+        Ok(Seq::new(oi, op, s.item.gather(&rows)).into())
     }
 
     fn eval_back_map(
@@ -871,13 +742,11 @@ impl<'a> Executor<'a> {
         body: &PlanRef,
         nest: &PlanRef,
         order_keys: &[(PlanRef, bool)],
-    ) -> EResult<Table> {
-        let b = self.eval(body)?;
-        let n = self.eval(nest)?;
-        let n_outer = n.column("outer")?.as_int()?;
-        let n_inner = n.column("inner")?.as_int()?;
-        let b_iter = iter_col(&b)?;
-        let b_pos = pos_col(&b)?;
+    ) -> EResult<Value> {
+        let b = self.seq(body)?;
+        let n = self.nest(nest)?;
+        let (n_outer, n_inner) = (&n.outer, &n.inner);
+        let (b_iter, b_pos) = (&b.iter, &b.pos);
         // inner -> outer: the body rows that map back, with their outer
         // iteration (both nest operators number `inner` ascending)
         debug_assert!(n_inner.windows(2).all(|w| w[0] < w[1]));
@@ -900,10 +769,10 @@ impl<'a> Executor<'a> {
             let mut keys: Vec<(Vec<Item>, bool)> = Vec::with_capacity(order_keys.len());
             for (k, descending) in order_keys {
                 let kt = self.eval_in_iter_order(k)?;
-                let k_items = kt.column("item")?;
-                // (iteration, first row) of every run of the key table
+                let k_items = &kt.item;
+                // (iteration, first row) of every run of the key sequence
                 let (mut k_iter, mut k_first) = (Vec::new(), Vec::new());
-                let mut runs = IterRuns::new(iter_col(&kt)?);
+                let mut runs = IterRuns::new(&kt.iter);
                 while let Some((it, run)) = runs.next_run() {
                     k_iter.push(it);
                     k_first.push(run.start);
@@ -932,12 +801,7 @@ impl<'a> Executor<'a> {
             rows = perm.iter().map(|&x| rows[x]).collect();
         }
         let pos = row_number_streaming(&outer);
-        Table::from_columns(vec![
-            ("iter", Column::Int(outer)),
-            ("pos", Column::Int(pos)),
-            ("item", b.column("item")?.gather(&rows)),
-        ])
-        .map_err(Into::into)
+        Ok(Seq::new(outer, pos, b.item.gather(&rows)).into())
     }
 
     /// The recognised join of `nest(⋈)` and `count(⋈)`: evaluate the source
@@ -964,16 +828,16 @@ impl<'a> Executor<'a> {
             )));
         };
         let op = *op;
-        let src = self.eval(source)?;
-        let src = self.sorted_seq(&src)?;
-        let lt = self.eval(left)?;
-        let rt = self.eval(right)?;
-        let (l_iter, r_iter) = (iter_col(&lt)?, iter_col(&rt)?);
-        let (l_item, r_item) = (lt.column("item")?, rt.column("item")?);
+        let src = self.seq(source)?;
+        let src = self.sorted_seq(&src);
+        let lt = self.seq(left)?;
+        let rt = self.seq(right)?;
+        let (l_iter, r_iter) = (&lt.iter[..], &rt.iter[..]);
+        let (l_item, r_item) = (&lt.item, &rt.item);
         // source position -> source row (`pos - 1` when the positions are
         // dense); the source was evaluated in the singleton loop, so its
         // sorted `pos` column ascends
-        let src_pos = pos_col(&src)?;
+        let src_pos = &src.pos;
         debug_assert!(src_pos.windows(2).all(|w| w[0] <= w[1]));
 
         // push min/max aggregates below the theta join (Figure 8(b)): for
@@ -1054,27 +918,22 @@ impl<'a> Executor<'a> {
         Ok(Joined::Pairs(src.clone(), joined))
     }
 
-    fn eval_nest_from_join(&mut self, join: &PlanRef) -> EResult<Table> {
+    fn eval_nest_from_join(&mut self, join: &PlanRef) -> EResult<Value> {
         let Joined::Pairs(src, pairs) = self.eval_join(join, false)? else {
             return Err(ExecError::Internal("nest(⋈) joined to counts".into()));
         };
-        let src_pos = pos_col(&src)?;
         let (outer, rows): (Vec<i64>, Vec<usize>) = pairs.into_iter().unzip();
-        Table::from_columns(vec![
-            ("outer", Column::Int(outer)),
-            ("inner", Column::dense(1, rows.len())),
-            (
-                "pos",
-                Column::Int(rows.iter().map(|&row| src_pos[row]).collect()),
-            ),
-            ("item", src.column("item")?.gather(&rows)),
-        ])
-        .map_err(Into::into)
+        Ok(Value::Nest(Rc::new(Nest {
+            outer,
+            inner: (1..=rows.len() as i64).collect(),
+            pos: rows.iter().map(|&row| src.pos[row]).collect(),
+            item: src.item.gather(&rows),
+        })))
     }
 
     /// `count(⋈)`: per iteration of `loop_` the number of source rows the
     /// join pairs it with — by rank, or by counting the runs of the pairs.
-    fn eval_join_count(&mut self, join: &PlanRef, loop_: &PlanRef) -> EResult<Table> {
+    fn eval_join_count(&mut self, join: &PlanRef, loop_: &PlanRef) -> EResult<Value> {
         let counts = match self.eval_join(join, true)? {
             Joined::Counts(counts) => counts,
             // the pairs ascend by outer iteration
@@ -1091,53 +950,41 @@ impl<'a> Executor<'a> {
         };
         let iters = self.loop_iters(loop_)?;
         let mut counts = counts.into_iter().peekable();
-        let items: Vec<Item> = iters
-            .iter()
-            .map(|&it| {
-                while counts.next_if(|&(outer, _)| outer < it).is_some() {}
-                let n = counts
-                    .next_if(|&(outer, _)| outer == it)
-                    .map_or(0, |(_, n)| n);
-                Item::Int(n as i64)
-            })
-            .collect();
-        let n = iters.len();
-        Ok(seq_table(iters, vec![1; n], items))
+        Ok(self.per_iter(iters, &[], |_, it, _| {
+            while counts.next_if(|&(outer, _)| outer < it).is_some() {}
+            let n = counts
+                .next_if(|&(outer, _)| outer == it)
+                .map_or(0, |(_, n)| n);
+            Some(Item::Int(n as i64))
+        }))
     }
+}
 
-    fn eval_union(&mut self, parts: &[PlanRef]) -> EResult<Table> {
-        let mut rows: Vec<(i64, i64, i64, Item)> = Vec::new();
-        for (pidx, p) in parts.iter().enumerate() {
-            let t = self.eval(p)?;
-            let iters = iter_col(&t)?;
-            let poss = pos_col(&t)?;
-            let items = t.column("item")?;
-            for i in 0..t.nrows() {
-                rows.push((iters[i], pidx as i64, poss[i], items.item(i)));
-            }
-        }
-        self.stats.sorts += 1;
-        rows.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
-        let iters: Vec<i64> = rows.iter().map(|r| r.0).collect();
-        let pos = row_number_streaming(&iters);
-        let items: Vec<Item> = rows.into_iter().map(|r| r.3).collect();
-        Ok(seq_table(iters, pos, items))
-    }
+/// What a recognised join hands its consumer ([`Executor::eval_join`]).
+enum Joined {
+    /// The qualifying (outer iteration, source row) pairs, ascending and
+    /// duplicate free, next to the evaluated source (sorted on `pos`).
+    Pairs(Rc<Seq>, Vec<(i64, usize)>),
+    /// Per outer iteration (ascending), the number of qualifying source
+    /// rows: the rank count.
+    Counts(Vec<(i64, usize)>),
+}
 
-    // -------------------------------------------------------------------
-    // axis steps
-    // -------------------------------------------------------------------
+// ---------------------------------------------------------------------------
+// location steps
+// ---------------------------------------------------------------------------
 
-    fn eval_axis_step(&mut self, ctx: &PlanRef, axis: Axis, test: &NodeTest) -> EResult<Table> {
-        let t = self.eval(ctx)?;
-        let iters = iter_col(&t)?;
+impl Executor<'_> {
+    fn eval_axis_step(&mut self, ctx: &PlanRef, axis: Axis, test: &NodeTest) -> EResult<Value> {
+        let t = self.seq(ctx)?;
+        let iters = &t.iter;
         let mut stats = ScanStats::default();
         let mut out = StepOut::default();
         // one node per iteration, ascending, in one container: the child
         // step walks the contexts as they come and emits in `[iter, pos]`
         // order (no sort either side of the staircase)
         if let (Axis::Child, true, Column::Node(nodes)) =
-            (axis, self.config.loop_lifted_child, t.column("item")?)
+            (axis, self.config.loop_lifted_child, &t.item)
         {
             let frag = nodes.first().map(|n| n.frag);
             let one_per_iter =
@@ -1150,7 +997,7 @@ impl<'a> Executor<'a> {
                 child_step_in_iter_order(doc, ctx, test, pushdown, &mut stats, &mut emit);
                 self.stats.staircase.merge(&stats);
                 self.stats.sorts_avoided += 1;
-                return out.into_table();
+                return Ok(out.into_seq().into());
             }
         }
         // the context pairs of each document container (fragment) — nearly
@@ -1166,7 +1013,7 @@ impl<'a> Executor<'a> {
                 });
             per_frag[slot].1.push((it, n.pre));
         };
-        match t.column("item")? {
+        match &t.item {
             Column::Node(nodes) => iters.iter().zip(nodes).for_each(|(&it, &n)| add(it, n)),
             // a polymorphic column: atomic items are not context nodes
             other => iters
@@ -1204,33 +1051,40 @@ impl<'a> Executor<'a> {
         for (it, n) in found {
             out.number(it, n);
         }
-        out.into_table()
+        Ok(out.into_seq().into())
     }
 
-    fn eval_attr_step(&mut self, ctx: &PlanRef, name: Option<&str>) -> EResult<Table> {
-        let t = self.eval(ctx)?;
-        let sorted = self.sorted_seq(&t)?;
-        let iters = iter_col(&sorted)?;
-        let items = items_col(&sorted)?;
+    fn eval_attr_step(&mut self, ctx: &PlanRef, name: Option<&str>) -> EResult<Value> {
+        let t = self.seq(ctx)?;
+        let sorted = self.sorted_seq(&t);
+        // the context nodes with their iterations (an atomic item has no
+        // attributes)
+        let (iters, nodes): (Cow<[i64]>, Cow<[NodeId]>) = match &sorted.item {
+            Column::Node(nodes) => (Cow::Borrowed(&sorted.iter), Cow::Borrowed(nodes)),
+            items => {
+                let (iters, nodes) = (sorted.iter.iter())
+                    .zip(items.iter_items())
+                    .filter_map(|(&it, item)| Some((it, item.as_node()?)))
+                    .unzip();
+                (Cow::Owned(iters), Cow::Owned(nodes))
+            }
+        };
 
         // Dictionary fast path: when every context node lives in one
         // container, the attribute values are already codes into the
         // container's shared value dictionary — emit a `Column::Dict` item
         // column so an equi-join against another attribute column of the
         // same document runs code-to-code.
-        let mut frags = items.iter().filter_map(|i| match i {
-            Item::Node(n) => Some(n.frag),
-            _ => None,
-        });
-        let single_frag = frags.next().filter(|&f| frags.all(|g| g == f));
+        let single_frag = (nodes.first())
+            .map(|n| n.frag)
+            .filter(|&f| nodes.iter().all(|n| n.frag == f));
         if let Some(doc) = single_frag.map(|frag| self.container(frag)) {
             let cols = doc.columns_arc();
             // the name's code, resolved once per step (`None`: no node of
             // the container has the attribute)
             let code = name.map(|a| cols.attr_names().code_of(a));
             let (mut oi, mut codes) = (Vec::new(), Vec::new());
-            for (it, item) in iters.iter().zip(&items) {
-                let Item::Node(n) = item else { continue };
+            for (it, n) in iters.iter().zip(nodes.iter()) {
                 match code {
                     Some(None) => break,
                     Some(Some(a)) => {
@@ -1252,17 +1106,11 @@ impl<'a> Executor<'a> {
                 codes,
                 dict: cols.attr_values().clone(),
             };
-            return Ok(Table::from_columns(vec![
-                ("iter", Column::Int(oi)),
-                ("pos", Column::Int(pos)),
-                ("item", item),
-            ])
-            .expect("sequence table construction"));
+            return Ok(Seq::new(oi, pos, item).into());
         }
 
         let (mut oi, mut oit) = (Vec::new(), Vec::new());
-        for (it, item) in iters.iter().zip(&items) {
-            let Item::Node(n) = item else { continue };
+        for (it, n) in iters.iter().zip(nodes.iter()) {
             let doc = self.container(n.frag);
             match name {
                 Some(a) => {
@@ -1280,19 +1128,290 @@ impl<'a> Executor<'a> {
             }
         }
         let pos = row_number_streaming(&oi);
-        Ok(seq_table(oi, pos, oit))
+        Ok(Seq::new(oi, pos, Column::from_items(oit)).into())
+    }
+}
+
+/// The columns of a location step's sequence, built in one pass
+/// over its `[iter, document order]` result.
+#[derive(Default)]
+struct StepOut {
+    iters: Vec<i64>,
+    pos: Vec<i64>,
+    nodes: Vec<NodeId>,
+}
+
+impl StepOut {
+    fn push(&mut self, it: i64, pos: i64, n: NodeId) {
+        self.iters.push(it);
+        self.pos.push(pos);
+        self.nodes.push(n);
     }
 
-    // -------------------------------------------------------------------
-    // scalar / aggregate operators
-    // -------------------------------------------------------------------
+    /// Append a row, numbering it after the previous row of its iteration.
+    fn number(&mut self, it: i64, n: NodeId) {
+        let pos = match (self.iters.last(), self.pos.last()) {
+            (Some(&last), Some(&p)) if last == it => p + 1,
+            _ => 1,
+        };
+        self.push(it, pos, n);
+    }
 
-    fn eval_arith(&mut self, op: ArithOp, l: &PlanRef, r: &PlanRef) -> EResult<Table> {
+    fn into_seq(self) -> Seq {
+        Seq::new(self.iters, self.pos, Column::Node(self.nodes))
+    }
+}
+
+/// One location step over one container: picks the candidate-pushdown,
+/// loop-lifted or iterative staircase variant according to the config.
+fn axis_step_on(
+    doc: &Document,
+    pairs: &[CtxPair],
+    axis: Axis,
+    test: &NodeTest,
+    config: &ExecConfig,
+    stats: &mut ScanStats,
+) -> Vec<CtxPair> {
+    let loop_lifted = match axis {
+        Axis::Child => config.loop_lifted_child,
+        Axis::Descendant | Axis::DescendantOrSelf => config.loop_lifted_descendant,
+        _ => true,
+    };
+    match test {
+        NodeTest::Named(name)
+            if config.nametest_pushdown
+                && matches!(
+                    axis,
+                    Axis::Child | Axis::Descendant | Axis::DescendantOrSelf
+                ) =>
+        {
+            looplifted_step_candidates(doc, pairs, axis, name, stats)
+        }
+        _ if loop_lifted => looplifted_step(doc, pairs, axis, test, stats),
+        _ => {
+            // iterative: one staircase join invocation (and document scan)
+            // per iteration — the baseline of Figure 12
+            let mut by_iter = pairs.to_vec();
+            by_iter.sort_unstable();
+            let mut res = Vec::new();
+            for run in by_iter.chunk_by(|a, b| a.0 == b.0) {
+                let ctx: Vec<u32> = run.iter().map(|&(_, p)| p).collect();
+                let found = staircase_step(doc, &ctx, axis, test, stats);
+                res.extend(found.into_iter().map(|p| (run[0].0, p)));
+            }
+            res
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// per-iteration functions: atomization, comparisons, arithmetic, strings, aggregates
+// ---------------------------------------------------------------------------
+
+impl Executor<'_> {
+    /// An item, atomized: a node becomes its string value.
+    fn atomize(&self, item: Item) -> Item {
+        match item {
+            Item::Node(n) => Item::str(self.node_string_value(n)),
+            atomic => atomic,
+        }
+    }
+
+    fn item_string(&self, item: &Item) -> String {
+        match item {
+            Item::Node(n) => self.node_string_value(*n),
+            other => other.string_value(),
+        }
+    }
+
+    /// String value of the first item of a run (`""` for an empty run),
+    /// borrowed where the column holds it: the string of a string item, or
+    /// the heap bytes of a stored text, comment or PI node.
+    fn first_str<'c>(&'c self, items: &'c Column, run: Range<usize>) -> Cow<'c, str> {
+        let node = |n: NodeId| {
+            let doc = self.container(n.frag);
+            match doc.kind(n.pre) {
+                NodeKind::Element | NodeKind::Document => Cow::Owned(doc.string_value(n.pre)),
+                _ => Cow::Borrowed(doc.text_of(n.pre)),
+            }
+        };
+        if run.is_empty() {
+            return Cow::Borrowed("");
+        }
+        match items {
+            Column::Str(strings) => Cow::Borrowed(&strings[run.start]),
+            Column::Dict { codes, dict } => Cow::Borrowed(dict.str_of(codes[run.start])),
+            Column::Node(nodes) => node(nodes[run.start]),
+            Column::Item(all) => match &all[run.start] {
+                Item::Str(s) => Cow::Borrowed(s),
+                Item::Node(n) => node(*n),
+                atomic => Cow::Owned(atomic.string_value()),
+            },
+            atomics => Cow::Owned(atomics.item(run.start).string_value()),
+        }
+    }
+
+    fn eval_value_cmp(&mut self, op: CmpOp, l: &PlanRef, r: &PlanRef) -> EResult<Value> {
         let lt = self.eval_in_iter_order(l)?;
         let rt = self.eval_in_iter_order(r)?;
-        let (iters, items) = zip_firsts(&lt, &rt, |l, r| {
-            let a = self.atomize_item(&l).as_number().unwrap_or(f64::NAN);
-            let b = self.atomize_item(&r).as_number().unwrap_or(f64::NAN);
+        Ok(zip_firsts(&lt, &rt, |a, b| Item::Bool(a.compare(op, &b))))
+    }
+
+    fn eval_bool_and_or(
+        &mut self,
+        is_and: bool,
+        l: &PlanRef,
+        r: &PlanRef,
+        loop_: &PlanRef,
+    ) -> EResult<Value> {
+        let inputs = [self.eval_in_iter_order(l)?, self.eval_in_iter_order(r)?];
+        let iters = self.loop_iters(loop_)?;
+        let (l_items, r_items) = (&inputs[0].item, &inputs[1].item);
+        Ok(self.per_iter(iters, &inputs, |_, _, runs| {
+            let a = first_ebv(l_items, runs[0].clone());
+            let b = first_ebv(r_items, runs[1].clone());
+            Some(Item::Bool(if is_and { a && b } else { a || b }))
+        }))
+    }
+
+    fn eval_bool_not(&mut self, e: &PlanRef, loop_: &PlanRef) -> EResult<Value> {
+        let inputs = [self.eval_in_iter_order(e)?];
+        let iters = self.loop_iters(loop_)?;
+        let values = &inputs[0].item;
+        Ok(self.per_iter(iters, &inputs, |_, _, runs| {
+            Some(Item::Bool(!ebv_of(values, runs[0].clone())))
+        }))
+    }
+
+    fn eval_empty(&mut self, seq: &PlanRef, loop_: &PlanRef) -> EResult<Value> {
+        let inputs = [self.eval_in_iter_order(seq)?];
+        let iters = self.loop_iters(loop_)?;
+        Ok(self.per_iter(iters, &inputs, |_, _, runs| {
+            Some(Item::Bool(runs[0].is_empty()))
+        }))
+    }
+
+    /// `-e`, `number(e)` and the rounding functions: `f` over every item's
+    /// atomized number (`NaN` for a non-number).
+    fn eval_number_fn(&mut self, seq: &PlanRef, f: fn(f64) -> f64) -> EResult<Value> {
+        let t = self.seq(seq)?;
+        let number = |i: Item| self.atomize(i).as_number().unwrap_or(f64::NAN);
+        Ok(t.map_items(|i| Item::Dbl(f(number(i)))).into())
+    }
+
+    fn eval_atomize(&mut self, seq: &PlanRef) -> EResult<Value> {
+        let t = self.seq(seq)?;
+        // a dictionary-encoded item column holds only strings, which are
+        // already atomic: pass it through unchanged so the codes (and the
+        // shared dictionary) survive to a downstream join
+        if t.item.dict_parts().is_some() {
+            return Ok(Value::Seq(t));
+        }
+        Ok(t.map_items(|i| self.atomize(i)).into())
+    }
+
+    fn eval_general_cmp(
+        &mut self,
+        op: CmpOp,
+        l: &PlanRef,
+        r: &PlanRef,
+        loop_: &PlanRef,
+    ) -> EResult<Value> {
+        let inputs = [self.eval_in_iter_order(l)?, self.eval_in_iter_order(r)?];
+        let iters = self.loop_iters(loop_)?;
+        // a loop-constant operand (the atomized literal or literal slot) is
+        // taken once, not atomized per iteration
+        let r_const: Option<Vec<Item>> = match &r.op {
+            Op::Atomize { seq } => match &seq.op {
+                Op::ConstSeq { items, .. } => Some(const_items(items, &self.params)?.to_vec()),
+                _ => None,
+            },
+            _ => None,
+        };
+        let (l_items, r_items) = (&inputs[0].item, &inputs[1].item);
+        let mut r_run_items: Vec<Item> = Vec::new();
+        Ok(self.per_iter(iters, &inputs, |ex, _, runs| {
+            let (l_run, r_run) = (runs[0].clone(), runs[1].clone());
+            let rs: &[Item] = match &r_const {
+                Some(items) if !r_run.is_empty() => items,
+                _ => {
+                    r_run_items.clear();
+                    r_run_items.extend(r_run.map(|row| ex.atomize(r_items.item(row))));
+                    &r_run_items
+                }
+            };
+            let mut found = false;
+            'outer: for row in l_run {
+                let a = ex.atomize(l_items.item(row));
+                for b in rs {
+                    ex.stats.join_pairs += 1;
+                    if a.compare(op, b) {
+                        found = true;
+                        break 'outer;
+                    }
+                }
+            }
+            Some(Item::Bool(found))
+        }))
+    }
+
+    fn eval_ebv(
+        &mut self,
+        seq: &PlanRef,
+        loop_: &PlanRef,
+        positions: Option<&PlanRef>,
+    ) -> EResult<Value> {
+        let mut inputs = vec![self.eval_in_iter_order(seq)?];
+        if let Some(p) = positions {
+            inputs.push(self.eval_in_iter_order(p)?);
+        }
+        let iters = self.loop_iters(loop_)?;
+        let values = &inputs[0].item;
+        let pos_items = inputs.get(1).map(|p| &p.item);
+        Ok(self.per_iter(iters, &inputs, |_, _, runs| {
+            let run = runs[0].clone();
+            // a numeric predicate value selects by context position
+            let by_position = match (pos_items, run.len()) {
+                (Some(pos_items), 1) => {
+                    let number = match values.item(run.start) {
+                        Item::Int(i) => Some(i as f64),
+                        Item::Dbl(d) => Some(d),
+                        _ => None,
+                    };
+                    number.map(|n| {
+                        let pos = &runs[1];
+                        !pos.is_empty() && pos_items.item(pos.start).as_number() == Some(n)
+                    })
+                }
+                _ => None,
+            };
+            Some(Item::Bool(
+                by_position.unwrap_or_else(|| ebv_of(values, run)),
+            ))
+        }))
+    }
+
+    fn eval_string_value(&mut self, seq: &PlanRef, loop_: &PlanRef) -> EResult<Value> {
+        let inputs = [self.eval_in_iter_order(seq)?];
+        let iters = self.loop_iters(loop_)?;
+        let values = &inputs[0].item;
+        // a string item keeps its shared string; only a node's string value
+        // is allocated
+        Ok(self.per_iter(iters, &inputs, |ex, _, runs| {
+            let run = runs[0].clone();
+            Some(match run.clone().next().map(|row| values.item(row)) {
+                Some(s @ Item::Str(_)) => s,
+                _ => Item::str(ex.first_str(values, run)),
+            })
+        }))
+    }
+
+    fn eval_arith(&mut self, op: ArithOp, l: &PlanRef, r: &PlanRef) -> EResult<Value> {
+        let lt = self.eval_in_iter_order(l)?;
+        let rt = self.eval_in_iter_order(r)?;
+        Ok(zip_firsts(&lt, &rt, |l, r| {
+            let a = self.atomize(l.clone()).as_number().unwrap_or(f64::NAN);
+            let b = self.atomize(r.clone()).as_number().unwrap_or(f64::NAN);
             let both_int = matches!(l, Item::Int(_)) && matches!(r, Item::Int(_));
             let v = match op {
                 ArithOp::Add => a + b,
@@ -1312,23 +1431,19 @@ impl<'a> Executor<'a> {
             } else {
                 Item::Dbl(v)
             }
-        })?;
-        let n = iters.len();
-        Ok(seq_table(iters, vec![1; n], items))
+        }))
     }
 
-    fn eval_aggregate(&mut self, func: AggFunc, seq: &PlanRef, loop_: &PlanRef) -> EResult<Table> {
-        let t = self.eval(seq)?;
+    fn eval_aggregate(&mut self, func: AggFunc, seq: &PlanRef, loop_: &PlanRef) -> EResult<Value> {
+        let t = self.seq(seq)?;
         let loop_iters = self.loop_iters(loop_)?;
-        let iters = iter_col(&t)?;
-        let item = t.column("item")?;
+        let (iters, item) = (&t.iter, &t.item);
         // `count` reads no value at all; the others atomize only a column
         // that can hold nodes
         let atomized;
         let values = match item {
             Column::Node(_) | Column::Item(_) if func != AggFunc::Count => {
-                atomized =
-                    Column::from_items(item.iter_items().map(|i| self.atomize_item(&i)).collect());
+                atomized = Column::from_items(item.iter_items().map(|i| self.atomize(i)).collect());
                 &atomized
             }
             _ => item,
@@ -1349,25 +1464,16 @@ impl<'a> Executor<'a> {
         .map_err(ExecError::Engine)?;
         // merge the (ascending) groups into the (ascending) loop
         let mut found = agg.groups.into_iter().zip(agg.values).peekable();
-        let (mut oi, mut oit) = (Vec::new(), Vec::new());
-        for it in loop_iters {
+        Ok(self.per_iter(loop_iters, &[], |_, it, _| {
             while found.next_if(|(g, _)| *g < it).is_some() {}
             match found.next_if(|(g, _)| *g == it) {
-                Some((_, v)) => {
-                    oi.push(it);
-                    oit.push(v);
-                }
+                Some((_, v)) => Some(v),
                 // count/sum of the empty sequence is 0; min/max/avg yield
                 // the empty sequence
-                None if matches!(func, AggFunc::Count | AggFunc::Sum) => {
-                    oi.push(it);
-                    oit.push(Item::Int(0));
-                }
-                None => {}
+                None if matches!(func, AggFunc::Count | AggFunc::Sum) => Some(Item::Int(0)),
+                None => None,
             }
-        }
-        let n = oi.len();
-        Ok(seq_table(oi, vec![1; n], oit))
+        }))
     }
 
     fn eval_string_fn(
@@ -1375,30 +1481,20 @@ impl<'a> Executor<'a> {
         kind: StrFnKind,
         args: &[PlanRef],
         loop_: &PlanRef,
-    ) -> EResult<Table> {
+    ) -> EResult<Value> {
         let loop_iters = self.loop_iters(loop_)?;
         let mut tables = Vec::with_capacity(args.len());
         for a in args {
             tables.push(self.eval_in_iter_order(a)?);
         }
-        let mut values = Vec::with_capacity(args.len());
-        let mut cursors = Vec::with_capacity(args.len());
-        for t in &tables {
-            values.push(t.column("item")?);
-            cursors.push(IterRuns::new(iter_col(t)?));
-        }
-        // the rows of the current iteration, per argument
-        let mut runs: Vec<Range<usize>> = Vec::with_capacity(args.len());
-        let (mut oi, mut oit) = (Vec::new(), Vec::new());
-        for it in loop_iters {
-            runs.clear();
-            runs.extend(cursors.iter_mut().map(|c| c.of(it)));
+        let values: Vec<&Column> = tables.iter().map(|t| &t.item).collect();
+        Ok(self.per_iter(loop_iters, &tables, |ex, _, runs| {
             // string value of an argument's first item ("" for none)
             let get = |idx: usize| match runs.get(idx) {
-                Some(run) => self.first_str(values[idx], run.clone()),
+                Some(run) => ex.first_str(values[idx], run.clone()),
                 None => Cow::Borrowed(""),
             };
-            let result = match kind {
+            Some(match kind {
                 StrFnKind::Contains => Item::Bool(get(0).contains(&*get(1))),
                 StrFnKind::StartsWith => Item::Bool(get(0).starts_with(&*get(1))),
                 StrFnKind::EndsWith => Item::Bool(get(0).ends_with(&*get(1))),
@@ -1413,11 +1509,8 @@ impl<'a> Executor<'a> {
                 StrFnKind::Substring => {
                     let s = get(0);
                     let start = get(1).parse::<f64>().unwrap_or(1.0).round() as i64;
-                    let len = if args.len() > 2 {
-                        Some(get(2).parse::<f64>().unwrap_or(0.0).round() as i64)
-                    } else {
-                        None
-                    };
+                    let len = (args.len() > 2)
+                        .then(|| get(2).parse::<f64>().unwrap_or(0.0).round() as i64);
                     let chars: Vec<char> = s.chars().collect();
                     let from = (start.max(1) - 1) as usize;
                     let to = match len {
@@ -1430,10 +1523,7 @@ impl<'a> Executor<'a> {
                     let sep = get(1);
                     let parts: Vec<String> = runs
                         .first()
-                        .map(|run| {
-                            run.clone()
-                                .map(|row| self.item_string(&values[0].item(row)))
-                        })
+                        .map(|run| run.clone().map(|row| ex.item_string(&values[0].item(row))))
                         .into_iter()
                         .flatten()
                         .collect();
@@ -1462,29 +1552,156 @@ impl<'a> Executor<'a> {
                         .first()
                         .filter(|run| !run.is_empty())
                         .and_then(|run| values[0].item(run.start).as_node())
-                        .map(|n| self.container(n.frag).name_of(n.pre).to_string())
+                        .map(|n| ex.container(n.frag).name_of(n.pre).to_string())
                         .unwrap_or_default();
                     Item::str(name)
                 }
-            };
-            oi.push(it);
-            oit.push(result);
+            })
+        }))
+    }
+}
+
+/// Combine the first items of the iterations two `[iter, pos]`-ordered
+/// sequences share: per iteration, `f(left first, right first)` at `pos` 1.
+fn zip_firsts(l: &Seq, r: &Seq, mut f: impl FnMut(Item, Item) -> Item) -> Value {
+    let (mut l_runs, mut r_runs) = (IterRuns::new(&l.iter), IterRuns::new(&r.iter));
+    let (mut iters, mut items) = (Vec::new(), Vec::new());
+    while let Some((it, l_run)) = l_runs.next_run() {
+        let r_run = r_runs.of(it);
+        if !r_run.is_empty() {
+            iters.push(it);
+            items.push(f(l.item.item(l_run.start), r.item.item(r_run.start)));
         }
-        let n = oi.len();
-        Ok(seq_table(oi, vec![1; n], oit))
+    }
+    let n = iters.len();
+    Seq::new(iters, vec![1; n], Column::from_items(items)).into()
+}
+
+/// Effective boolean value of one iteration's rows: a single atomic decides
+/// by its value; a node, or more than one item, is true.
+fn ebv_of(items: &Column, run: Range<usize>) -> bool {
+    match run.len() {
+        0 => false,
+        1 => items.item(run.start).effective_boolean(),
+        _ => true,
+    }
+}
+
+/// Effective boolean value of the first item of one iteration's rows.
+fn first_ebv(items: &Column, run: Range<usize>) -> bool {
+    !run.is_empty() && items.item(run.start).effective_boolean()
+}
+
+// ---------------------------------------------------------------------------
+// sequence operators: positional filters, distinct, union
+// ---------------------------------------------------------------------------
+
+impl Executor<'_> {
+    fn eval_pos_filter(&mut self, seq: &PlanRef, kind: &PosFilterKind) -> EResult<Value> {
+        let t = self.seq(seq)?;
+        let (iters, poss) = (&t.iter, &t.pos);
+        let rows: Vec<usize> = match kind {
+            PosFilterKind::Eq(n) => (0..poss.len()).filter(|&i| poss[i] == *n).collect(),
+            PosFilterKind::Last => {
+                let mut max_pos: HashMap<i64, i64> = HashMap::new();
+                for i in 0..iters.len() {
+                    let e = max_pos.entry(iters[i]).or_insert(i64::MIN);
+                    *e = (*e).max(poss[i]);
+                }
+                (0..iters.len())
+                    .filter(|&i| poss[i] == max_pos[&iters[i]])
+                    .collect()
+            }
+        };
+        Ok(self.renumber_pos(t.gather(&rows)).into())
     }
 
-    // -------------------------------------------------------------------
-    // element construction
-    // -------------------------------------------------------------------
+    fn eval_subsequence(&mut self, seq: &PlanRef, start: i64, len: Option<i64>) -> EResult<Value> {
+        let t = self.seq(seq)?;
+        let end = len.map(|l| start + l);
+        let rows: Vec<usize> = (0..t.pos.len())
+            .filter(|&i| t.pos[i] >= start && end.map(|e| t.pos[i] < e).unwrap_or(true))
+            .collect();
+        Ok(self.renumber_pos(t.gather(&rows)).into())
+    }
 
+    fn eval_distinct_values(&mut self, seq: &PlanRef) -> EResult<Value> {
+        let t = self.seq(seq)?;
+        let sorted = self.sorted_seq(&t);
+        let iters = &sorted.iter;
+        let items = sorted.item.to_items();
+        let mut seen: std::collections::HashSet<(i64, String)> = std::collections::HashSet::new();
+        let (mut oi, mut oit) = (Vec::new(), Vec::new());
+        for i in 0..iters.len() {
+            if seen.insert((iters[i], self.item_string(&items[i]))) {
+                oi.push(iters[i]);
+                oit.push(self.atomize(items[i].clone()));
+            }
+        }
+        // the iterations ascend: number each one's kept rows 1..k
+        let pos = row_number_streaming(&oi);
+        Ok(Seq::new(oi, pos, Column::from_items(oit)).into())
+    }
+
+    fn eval_doc_order_distinct(&mut self, seq: &PlanRef) -> EResult<Value> {
+        let t = self.eval_in_iter_order(seq)?;
+        let mut runs = IterRuns::new(&t.iter);
+        let (mut oi, mut op, mut oit) = (Vec::new(), Vec::new(), Vec::new());
+        let mut nodes: Vec<Item> = Vec::new();
+        while let Some((it, run)) = runs.next_run() {
+            nodes.clear();
+            nodes.extend(run.map(|row| t.item.item(row)));
+            nodes.sort_by(|a, b| a.total_cmp(b));
+            nodes.dedup_by(|a, b| a.total_cmp(b) == std::cmp::Ordering::Equal);
+            oi.resize(oi.len() + nodes.len(), it);
+            op.extend(1..=nodes.len() as i64);
+            oit.append(&mut nodes);
+        }
+        self.stats.sorts += 1;
+        Ok(Seq::new(oi, op, Column::from_items(oit)).into())
+    }
+
+    fn renumber_pos(&mut self, t: Seq) -> Seq {
+        let mut t = if self.config.order_aware {
+            // grpord: the rows of each iteration are already in pos order
+            t
+        } else {
+            self.stats.sorts += 1;
+            t.gather(&t.iter_pos_order())
+        };
+        t.pos = row_number_streaming(&t.iter);
+        t
+    }
+
+    fn eval_union(&mut self, parts: &[PlanRef]) -> EResult<Value> {
+        let mut rows: Vec<(i64, i64, i64, Item)> = Vec::new();
+        for (pidx, p) in parts.iter().enumerate() {
+            let t = self.seq(p)?;
+            for i in 0..t.iter.len() {
+                rows.push((t.iter[i], pidx as i64, t.pos[i], t.item.item(i)));
+            }
+        }
+        self.stats.sorts += 1;
+        rows.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
+        let iters: Vec<i64> = rows.iter().map(|r| r.0).collect();
+        let pos = row_number_streaming(&iters);
+        let items: Vec<Item> = rows.into_iter().map(|r| r.3).collect();
+        Ok(Seq::new(iters, pos, Column::from_items(items)).into())
+    }
+}
+
+// ---------------------------------------------------------------------------
+// element construction
+// ---------------------------------------------------------------------------
+
+impl Executor<'_> {
     fn eval_elem_ctor(
         &mut self,
         loop_: &PlanRef,
         name: &str,
         attrs: &[(String, PlanRef)],
         content: &[PlanRef],
-    ) -> EResult<Table> {
+    ) -> EResult<Value> {
         let loop_iters = self.loop_iters(loop_)?;
         let mut layout = CtorLayout::default();
         self.lay_out_ctor(&mut layout, loop_, name, attrs, content)?;
@@ -1493,12 +1710,7 @@ impl<'a> Executor<'a> {
             names,
             tables,
         } = layout;
-        let mut columns = Vec::with_capacity(tables.len());
-        let mut cursors = Vec::with_capacity(tables.len());
-        for t in &tables {
-            columns.push(t.column("item")?);
-            cursors.push(IterRuns::new(iter_col(t)?));
-        }
+        let columns: Vec<&Column> = tables.iter().map(|t| &t.item).collect();
 
         // content nodes constructed by child plans already live in the
         // transient container the new elements are appended to
@@ -1506,38 +1718,35 @@ impl<'a> Executor<'a> {
         // names are interned / allocated once per call, not per element
         let qids: Vec<u32> = names.iter().map(|n| builder.intern(n)).collect();
 
-        let (mut oi, mut oit) = (Vec::new(), Vec::new());
-        for it in loop_iters {
+        let value = self.per_iter(loop_iters, &tables, |ex, _, runs| {
             let root_pre = builder.next_pre();
             for step in &program {
                 match step {
                     Build::Start(k) => {
                         builder.start_interned(qids[*k]);
-                        self.stats.constructed_nodes += 1;
+                        ex.stats.constructed_nodes += 1;
                     }
                     Build::Attr(aname, t) => {
-                        let run = cursors[*t].of(it);
-                        builder.attribute(aname, &self.first_str(columns[*t], run));
+                        let run = runs[*t].clone();
+                        builder.attribute(aname, &ex.first_str(columns[*t], run));
                     }
                     Build::Content(ts) => {
-                        let runs = ts.iter().map(|&t| (columns[t], cursors[t].of(it)));
-                        self.stats.copied_nodes += builder.append_content(runs, |frag| {
-                            (frag != TRANSIENT_FRAG).then(|| self.container(frag))
+                        let runs = ts.iter().map(|&t| (columns[t], runs[t].clone()));
+                        ex.stats.copied_nodes += builder.append_content(runs, |frag| {
+                            (frag != TRANSIENT_FRAG).then(|| ex.container(frag))
                         });
                     }
                     Build::End => builder.end_element(),
                 }
             }
-            oi.push(it);
-            oit.push(Item::Node(NodeId::new(TRANSIENT_FRAG, root_pre)));
-        }
+            Some(Item::Node(NodeId::new(TRANSIENT_FRAG, root_pre)))
+        });
         self.transient = builder.finish();
-        let n = oi.len();
-        Ok(seq_table(oi, vec![1; n], oit))
+        Ok(value)
     }
 
     /// Lay out one constructor as build instructions, evaluating its
-    /// attribute and content tables.  A content part that is itself a
+    /// attribute and content sequences.  A content part that is itself a
     /// constructor over the same loop is laid out inline: it is built in
     /// place inside its parent instead of being materialized and then
     /// copied, which the parent's deep copy makes the same thing.  (A
@@ -1585,244 +1794,25 @@ impl<'a> Executor<'a> {
 
 /// An element constructor laid out for its per-iteration build
 /// ([`Executor::lay_out_ctor`]): the instructions, the element names they
-/// open and the evaluated attribute and content tables they read.
+/// open and the evaluated attribute and content sequences they read.
 #[derive(Default)]
 struct CtorLayout<'p> {
     program: Vec<Build>,
     names: Vec<&'p str>,
-    tables: Vec<Rc<Table>>,
+    tables: Vec<Rc<Seq>>,
 }
 
 /// One instruction of an element constructor's per-iteration build.
 enum Build {
     /// Open an element named `names[k]`.
     Start(usize),
-    /// Add an attribute: its name, and the table of its string values.
+    /// Add an attribute: its name, and the sequence of its string values.
     Attr(Arc<str>, usize),
-    /// Append the items of these tables as one content sequence (adjacent
+    /// Append the items of these sequences as one content sequence (adjacent
     /// atomics merge across them).
     Content(Vec<usize>),
     /// Close the element.
     End,
-}
-
-/// One location step over one container: picks the candidate-pushdown,
-/// loop-lifted or iterative staircase variant according to the config.
-fn axis_step_on(
-    doc: &Document,
-    pairs: &[CtxPair],
-    axis: Axis,
-    test: &NodeTest,
-    config: &ExecConfig,
-    stats: &mut ScanStats,
-) -> Vec<CtxPair> {
-    let loop_lifted = match axis {
-        Axis::Child => config.loop_lifted_child,
-        Axis::Descendant | Axis::DescendantOrSelf => config.loop_lifted_descendant,
-        _ => true,
-    };
-    match test {
-        NodeTest::Named(name)
-            if config.nametest_pushdown
-                && matches!(
-                    axis,
-                    Axis::Child | Axis::Descendant | Axis::DescendantOrSelf
-                ) =>
-        {
-            looplifted_step_candidates(doc, pairs, axis, name, stats)
-        }
-        _ if loop_lifted => looplifted_step(doc, pairs, axis, test, stats),
-        _ => {
-            // iterative: one staircase join invocation (and document scan)
-            // per iteration — the baseline of Figure 12
-            let mut by_iter = pairs.to_vec();
-            by_iter.sort_unstable();
-            let mut res = Vec::new();
-            for run in by_iter.chunk_by(|a, b| a.0 == b.0) {
-                let ctx: Vec<u32> = run.iter().map(|&(_, p)| p).collect();
-                let found = staircase_step(doc, &ctx, axis, test, stats);
-                res.extend(found.into_iter().map(|p| (run[0].0, p)));
-            }
-            res
-        }
-    }
-}
-
-/// Merge cursor over the `iter` column of a table in `[iter, pos]` order:
-/// the rows of one iteration are a run, and consumers that walk the
-/// iterations of their loop in ascending order find each run by advancing
-/// — no per-iteration map, no per-iteration allocation.
-struct IterRuns<'a> {
-    iters: &'a [i64],
-    at: usize,
-}
-
-impl<'a> IterRuns<'a> {
-    fn new(iters: &'a [i64]) -> Self {
-        IterRuns { iters, at: 0 }
-    }
-
-    /// The rows of iteration `it` (empty when it has none).  Iterations
-    /// must be asked for in strictly ascending order.
-    fn of(&mut self, it: i64) -> Range<usize> {
-        while self.iters.get(self.at).is_some_and(|&i| i < it) {
-            self.at += 1;
-        }
-        let start = self.at;
-        while self.iters.get(self.at) == Some(&it) {
-            self.at += 1;
-        }
-        start..self.at
-    }
-
-    /// The next iteration that has rows, with its rows.
-    fn next_run(&mut self) -> Option<(i64, Range<usize>)> {
-        let &it = self.iters.get(self.at)?;
-        Some((it, self.of(it)))
-    }
-}
-
-/// The columns of a location step's sequence table, built in one pass
-/// over its `[iter, document order]` result.
-#[derive(Default)]
-struct StepOut {
-    iters: Vec<i64>,
-    pos: Vec<i64>,
-    nodes: Vec<NodeId>,
-}
-
-impl StepOut {
-    fn push(&mut self, it: i64, pos: i64, n: NodeId) {
-        self.iters.push(it);
-        self.pos.push(pos);
-        self.nodes.push(n);
-    }
-
-    /// Append a row, numbering it after the previous row of its iteration.
-    fn number(&mut self, it: i64, n: NodeId) {
-        let pos = match (self.iters.last(), self.pos.last()) {
-            (Some(&last), Some(&p)) if last == it => p + 1,
-            _ => 1,
-        };
-        self.push(it, pos, n);
-    }
-
-    fn into_table(self) -> EResult<Table> {
-        Table::from_columns(vec![
-            ("iter", Column::Int(self.iters)),
-            ("pos", Column::Int(self.pos)),
-            ("item", Column::Node(self.nodes)),
-        ])
-        .map_err(Into::into)
-    }
-}
-
-/// What a recognised join hands its consumer ([`Executor::eval_join`]).
-enum Joined {
-    /// The qualifying (outer iteration, source row) pairs, ascending and
-    /// duplicate free, next to the evaluated source (sorted on `pos`).
-    Pairs(Rc<Table>, Vec<(i64, usize)>),
-    /// Per outer iteration (ascending), the number of qualifying source
-    /// rows: the rank count.
-    Counts(Vec<(i64, usize)>),
-}
-
-/// The items of a constant sequence: inline, or this execution's literal in
-/// a parameter slot.
-fn const_items<'p>(items: &'p ConstItems, params: &'p Params) -> EResult<&'p [Item]> {
-    match items {
-        ConstItems::Inline(items) => Ok(items),
-        ConstItems::Slot(slot) => params
-            .literal(*slot)
-            .map(std::slice::from_ref)
-            .ok_or_else(|| ExecError::Internal(format!("literal slot {slot} is unbound"))),
-    }
-}
-
-/// Effective boolean value of one iteration's rows: a single atomic decides
-/// by its value; a node, or more than one item, is true.
-fn ebv_of(items: &Column, run: Range<usize>) -> bool {
-    match run.len() {
-        0 => false,
-        1 => items.item(run.start).effective_boolean(),
-        _ => true,
-    }
-}
-
-/// Effective boolean value of the first item of one iteration's rows.
-fn first_ebv(items: &Column, run: Range<usize>) -> bool {
-    !run.is_empty() && items.item(run.start).effective_boolean()
-}
-
-/// Combine the first items of the iterations two `[iter, pos]`-ordered
-/// sequence tables share: `(iterations, f(left first, right first))`.
-fn zip_firsts(
-    l: &Table,
-    r: &Table,
-    mut f: impl FnMut(Item, Item) -> Item,
-) -> EResult<(Vec<i64>, Vec<Item>)> {
-    let (l_items, r_items) = (l.column("item")?, r.column("item")?);
-    let (mut l_runs, mut r_runs) = (IterRuns::new(iter_col(l)?), IterRuns::new(iter_col(r)?));
-    let (mut iters, mut items) = (Vec::new(), Vec::new());
-    while let Some((it, l_run)) = l_runs.next_run() {
-        let r_run = r_runs.of(it);
-        if !r_run.is_empty() {
-            iters.push(it);
-            items.push(f(l_items.item(l_run.start), r_items.item(r_run.start)));
-        }
-    }
-    Ok((iters, items))
-}
-
-/// Format a sequence of result items the way our serializer does for
-/// examples/tests: nodes as XML, atomics as their string value, separated by
-/// single spaces between adjacent atomics.  `container_of` resolves a
-/// fragment id to its container; node items render straight from its
-/// column image.
-fn serialize_items_by<'d, F>(container_of: F, items: &[Item]) -> String
-where
-    F: Fn(u32) -> &'d Document,
-{
-    let mut out = String::new();
-    let mut prev_atomic = false;
-    for item in items {
-        match item {
-            Item::Node(n) => {
-                mxq_xmldb::serialize_node(container_of(n.frag), n.pre, &mut out);
-                prev_atomic = false;
-            }
-            Item::Dbl(d) => {
-                if prev_atomic {
-                    out.push(' ');
-                }
-                out.push_str(&format_double(*d));
-                prev_atomic = true;
-            }
-            atomic => {
-                if prev_atomic {
-                    out.push(' ');
-                }
-                out.push_str(&atomic.string_value());
-                prev_atomic = true;
-            }
-        }
-    }
-    out
-}
-
-/// Serialize a result sequence against a store snapshot plus the private
-/// transient container of the execution that produced the items.
-pub fn serialize_items_snapshot(
-    snap: &StoreSnapshot,
-    transient: &Document,
-    items: &[Item],
-) -> String {
-    serialize_items_by(|frag| snap.resolve(transient, frag), items)
-}
-
-/// Serialize a single item (see [`serialize_items_snapshot`]).
-pub fn serialize_item_snapshot(snap: &StoreSnapshot, transient: &Document, item: &Item) -> String {
-    serialize_items_snapshot(snap, transient, std::slice::from_ref(item))
 }
 
 #[cfg(test)]
@@ -1853,6 +1843,112 @@ mod tests {
         assert_eq!(runs.of(4), 3..6);
         assert!(runs.of(9).is_empty());
         assert_eq!(runs.next_run(), None);
+    }
+
+    #[test]
+    fn per_iter_walks_the_loop_next_to_every_input() -> EResult<()> {
+        let seq = |iter: Vec<i64>| {
+            let n = iter.len();
+            Rc::new(Seq {
+                pos: vec![1; n],
+                item: Column::Int(iter.clone()),
+                iter,
+            })
+        };
+        // iterations 0 and 4 of `a` are not in the loop; 1 has no rows in
+        // either input, 3 has rows in `b` only
+        let (a, b) = (seq(vec![0, 2, 2, 4]), seq(vec![2, 3]));
+        let snap = mxq_xmldb::DocStore::new().snapshot();
+        let mut ex = Executor::new(&snap, ExecConfig::default());
+        let mut seen = Vec::new();
+        let out = ex.per_iter(vec![1, 2, 3, 5], &[a, b], |_, it, runs| {
+            seen.push((it, runs.to_vec()));
+            // an iteration without rows in `a` yields no row
+            (!runs[0].is_empty()).then_some(Item::Int(10 * it))
+        });
+        assert_eq!(
+            seen,
+            [
+                (1, vec![1..1, 0..0]),
+                (2, vec![1..3, 0..1]),
+                (3, vec![3..3, 1..2]),
+                (5, vec![4..4, 2..2]),
+            ]
+        );
+        let Value::Seq(out) = out else {
+            return Err(ExecError::Internal("per_iter makes a sequence".into()));
+        };
+        assert_eq!((&out.iter, &out.pos), (&vec![2], &vec![1]));
+        assert_eq!(out.item.as_int(), Ok(&[20][..]));
+        Ok(())
+    }
+
+    #[test]
+    fn a_value_is_read_by_its_shape() -> EResult<()> {
+        let snap = mxq_xmldb::DocStore::new().snapshot();
+        let mut ex = Executor::new(&snap, ExecConfig::default());
+        let one: PlanRef = Arc::new(crate::algebra::Plan {
+            id: 0,
+            op: Op::LoopOne,
+        });
+        let v = ex.eval(&one)?;
+        assert_eq!((v.shape(), v.nrows()), (Shape::Loop, 1));
+        assert_eq!(ex.loop_(&one)?.iter, [1]);
+        // a loop relation is neither a sequence nor a nest map
+        assert!(matches!(ex.seq(&one), Err(ExecError::Internal(_))));
+        assert!(matches!(ex.nest(&one), Err(ExecError::Internal(_))));
+        assert_eq!(ex.stats.ops_evaluated, 1, "the memo answers the rest");
+        Ok(())
+    }
+
+    #[test]
+    fn seq_gather_keeps_rows_together() {
+        let t = Seq {
+            iter: vec![2, 1, 1],
+            pos: vec![1, 2, 1],
+            item: Column::from_items(vec![Item::str("c"), Item::str("b"), Item::str("a")]),
+        };
+        let sorted = t.gather(&t.iter_pos_order());
+        assert_eq!(
+            (&sorted.iter, &sorted.pos),
+            (&vec![1, 1, 2], &vec![1, 2, 1])
+        );
+        assert_eq!(sorted.item.item(0).string_value(), "a");
+        // rows may repeat
+        let picked = t.gather(&[0, 0]);
+        assert_eq!((picked.iter, picked.pos), (vec![2, 2], vec![1, 1]));
+    }
+
+    #[test]
+    fn dict_items_flow_through_seq_gather() {
+        let t = Seq {
+            iter: vec![1, 1, 2],
+            pos: vec![1, 2, 1],
+            item: Column::dict_from_strings(["site", "item", "item"]),
+        };
+        let g = t.gather(&[2, 0]);
+        assert_eq!(g.item.item(0).string_value(), "item");
+        assert!(matches!(g.item, Column::Dict { .. }));
+    }
+
+    #[test]
+    fn renumber_pos_replaces_positions() {
+        let snap = mxq_xmldb::DocStore::new().snapshot();
+        // the rows a positional filter kept: in iteration order for the
+        // order-aware mode, in any order for the naive one
+        for (config, iter, pos, item) in [
+            (ExecConfig::default(), [1, 1, 3], [2, 5, 4], [10, 20, 30]),
+            (ExecConfig::naive(), [3, 1, 1], [4, 5, 2], [30, 20, 10]),
+        ] {
+            let mut ex = Executor::new(&snap, config);
+            let t = ex.renumber_pos(Seq {
+                iter: iter.to_vec(),
+                pos: pos.to_vec(),
+                item: Column::Int(item.to_vec()),
+            });
+            assert_eq!((t.iter, t.pos), (vec![1, 1, 3], vec![1, 2, 1]));
+            assert_eq!(t.item.as_int(), Ok(&[10, 20, 30][..]));
+        }
     }
 
     #[test]

@@ -5,8 +5,6 @@ use std::fmt;
 /// Errors raised by the relational kernel.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EngineError {
-    /// A column with the given name does not exist in the table.
-    UnknownColumn(String),
     /// An operator received a column of an unexpected type.
     TypeMismatch {
         /// What the operator expected (human readable).
@@ -30,7 +28,6 @@ pub enum EngineError {
 impl fmt::Display for EngineError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            EngineError::UnknownColumn(name) => write!(f, "unknown column: {name}"),
             EngineError::TypeMismatch { expected, found } => {
                 write!(f, "type mismatch: expected {expected}, found {found}")
             }

@@ -11,8 +11,10 @@
 //!   dictionary-encoded strings (dense codes into a shared, append-only
 //!   [`Dictionary`]), booleans, node references or polymorphic XQuery items
 //!   ([`Item`]).
-//! * **Tables** ([`Table`]) as ordered collections of named columns, the
-//!   `iter|pos|item` sequence encoding being the most prominent instance.
+//! * **No table type**: a client keeps its relations as plain typed
+//!   columns of a schema it fixes itself (the XQuery executor's
+//!   `iter|pos|item` sequences), and the operators below take and return
+//!   columns and row permutations.
 //! * **Physical operators**: multi-column stable sorting ([`sort`]),
 //!   sorted-key lookup, radix-partitioned hash and sort-merge theta joins
 //!   ([`join`]), streaming row numbering ([`rank`], Section 4.1 of the
@@ -34,11 +36,9 @@ pub mod error;
 pub mod join;
 pub mod rank;
 pub mod sort;
-pub mod table;
 pub mod value;
 
 pub use column::Column;
 pub use dict::Dictionary;
 pub use error::{EngineError, Result};
-pub use table::Table;
 pub use value::{CmpOp, Item, NodeId};

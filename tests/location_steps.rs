@@ -35,6 +35,7 @@ use mxq::xmark::queries::query_text;
 use mxq::xmldb::update::{fragment_from_xml, PagedDocument, StructuralUpdate};
 use mxq::xmldb::{shred, DocStore, ShredOptions};
 use mxq::xquery::algebra::Op;
+use mxq::xquery::exec::Value;
 use mxq::xquery::{
     analysis, parse_statement, Compiler, Database, ExecConfig, Executor, Params, PlanRef, Statement,
 };
@@ -98,15 +99,17 @@ fn named_steps_touch_context_plus_result_rows() {
                 else {
                     continue;
                 };
-                let context = executor.eval(ctx).unwrap();
+                let Value::Seq(context) = executor.eval(ctx).unwrap() else {
+                    panic!("Q{q}: a step context is a sequence");
+                };
                 let before = executor.stats.staircase;
                 executor.eval(op).unwrap();
                 let step = minus(executor.stats.staircase, before);
                 assert_eq!(step.passes, 1, "Q{q}: the step ran once, right now");
 
                 // the context pairs, per container
-                let iters = context.column("iter").unwrap().as_int().unwrap();
-                let Column::Node(nodes) = context.column("item").unwrap() else {
+                let iters = &context.iter;
+                let Column::Node(nodes) = &context.item else {
                     panic!("Q{q}: a step context is a node column");
                 };
                 let frags: BTreeSet<u32> = nodes.iter().map(|n| n.frag).collect();
